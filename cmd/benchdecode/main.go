@@ -13,9 +13,10 @@
 // within tolerance (default 20%) of the committed baseline's speedup. The
 // serving paths are additionally gated on machine-independent budgets:
 // the romserver miss path on its allocation budget (<= 1 alloc/op), the
-// warm zero-copy read paths (cached sub-block and warm range views) on
-// exactly 0 allocs/op and 0 B/op, and the sub-block miss path on its
-// decoded-bytes-per-op staying strictly below the block size.
+// cold 4 KiB range read on at most one allocation per decoded block plus
+// 8, the warm zero-copy read paths (cached sub-block and warm range
+// views) on exactly 0 allocs/op and 0 B/op, and the sub-block miss path
+// on its decoded-bytes-per-op staying strictly below the block size.
 //
 // Usage:
 //
@@ -51,7 +52,10 @@ type result struct {
 	// exported via b.ReportMetric by the sub-block miss benchmark — the
 	// partial-decode gate compares it against the block size.
 	DecodedBPerOp float64 `json:"decoded_b_per_op,omitempty"`
-	Samples       int     `json:"samples"`
+	// DecodesPerOp is the mean block decodes one op paid for, exported
+	// by the cold range benchmark — its allocation budget scales with it.
+	DecodesPerOp float64 `json:"decodes_per_op,omitempty"`
+	Samples      int     `json:"samples"`
 }
 
 // speedup is one codec's fast-vs-reference ratio, both sides measured in
@@ -86,7 +90,7 @@ var suite = []struct {
 	{"codecomp/internal/kozuch", "^(BenchmarkDecompressBlock|BenchmarkDecompressBlockReference|BenchmarkAppendBlock)$"},
 	{"codecomp/internal/rans", "^(BenchmarkDecompressBlock|BenchmarkDecompressBlockReference|BenchmarkAppendBlock)$"},
 	{"codecomp/internal/huffman", "^(BenchmarkDecode|BenchmarkDecodeSerial)$"},
-	{"codecomp/internal/romserver", "^(BenchmarkRomserverMiss|BenchmarkRomserverCachedReadAt|BenchmarkRomserverWarmRange|BenchmarkRomserverSubblockMiss)$"},
+	{"codecomp/internal/romserver", "^(BenchmarkRomserverMiss|BenchmarkRomserverColdRange|BenchmarkRomserverCachedReadAt|BenchmarkRomserverWarmRange|BenchmarkRomserverSubblockMiss)$"},
 	{"codecomp", "^(BenchmarkDecompressSAMC|BenchmarkDecompressSADC|BenchmarkDecompressHuffman|BenchmarkDecompressRANS)$"},
 }
 
@@ -186,12 +190,13 @@ func measure(count int) (*report, error) {
 	}
 	for name, metrics := range samples {
 		rep.Benchmarks[name] = result{
-			NsPerOp:     median(append([]float64(nil), metrics["ns/op"]...)),
-			MBPerSec:    median(append([]float64(nil), metrics["MB/s"]...)),
-			AllocsPerOp: median(append([]float64(nil), metrics["allocs/op"]...)),
-			BytesPerOp:  median(append([]float64(nil), metrics["B/op"]...)),
+			NsPerOp:       median(append([]float64(nil), metrics["ns/op"]...)),
+			MBPerSec:      median(append([]float64(nil), metrics["MB/s"]...)),
+			AllocsPerOp:   median(append([]float64(nil), metrics["allocs/op"]...)),
+			BytesPerOp:    median(append([]float64(nil), metrics["B/op"]...)),
 			Ratio:         median(append([]float64(nil), metrics["ratio"]...)),
 			DecodedBPerOp: median(append([]float64(nil), metrics["decodedB/op"]...)),
+			DecodesPerOp:  median(append([]float64(nil), metrics["decodes/op"]...)),
 			Samples:       len(metrics["ns/op"]),
 		}
 	}
@@ -276,6 +281,24 @@ func check(fresh, baseline *report, tolerance float64) error {
 		fmt.Printf("%-8s miss path %.0f allocs/op (budget 1) %s\n", "serving", miss.AllocsPerOp, status)
 	} else {
 		failures = append(failures, "romserver/RomserverMiss missing from fresh run")
+	}
+	// Cold range gate: a page-in may allocate one cached copy per decoded
+	// block plus a fixed per-read overhead — nothing per block for the
+	// decode deadline.
+	if cold, ok := fresh.Benchmarks["romserver/RomserverColdRange"]; ok {
+		const coldRangeOverhead = 8
+		budget := cold.DecodesPerOp + coldRangeOverhead
+		status := "ok"
+		if cold.DecodesPerOp <= 0 || cold.AllocsPerOp > budget {
+			status = "REGRESSION"
+			failures = append(failures,
+				fmt.Sprintf("romserver cold range: %.0f allocs/op at %.0f decodes/op, budget is decodes + %d",
+					cold.AllocsPerOp, cold.DecodesPerOp, coldRangeOverhead))
+		}
+		fmt.Printf("%-8s cold range %.0f allocs/op at %.0f decodes/op (budget %.0f) %s\n",
+			"serving", cold.AllocsPerOp, cold.DecodesPerOp, budget, status)
+	} else {
+		failures = append(failures, "romserver/RomserverColdRange missing from fresh run")
 	}
 	// Zero-copy read-path gates: the warm lease-backed paths must stay
 	// allocation-free, and a sub-block miss must decode strictly less

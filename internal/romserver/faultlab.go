@@ -10,9 +10,10 @@
 //     the block cache — corruption is detected, counted and surfaced as
 //     ErrCorruptBlock, never served or cached;
 //   - the hardened load path recovers codec panics into errors, bounds
-//     each decompression attempt with a deadline, and retries transient
-//     failures (and integrity failures, which a re-decompression often
-//     clears) with bounded, jittered exponential backoff;
+//     each decompression attempt with its pool worker's watchdog
+//     (watchdog.go), and retries transient failures (and integrity
+//     failures, which a re-decompression often clears) with bounded,
+//     jittered exponential backoff;
 //   - a per-image health state machine (healthy → degraded → quarantined)
 //     driven by a sliding window of load outcomes plus a bad-block list,
 //     with a periodic background re-verify pass that walks bad blocks and
@@ -250,13 +251,11 @@ func (h *imageHealth) reverifyTargets(n, blocks int) []int {
 
 // retryable reports whether a load error is worth another attempt:
 // anything that self-describes as temporary (net.Error-style Temporary(),
-// which faultinj's transient errors implement) and decompression
-// deadlines. Codec panics and plain errors are permanent — a
-// deterministic decoder will fail the same way again.
+// which faultinj's transient errors implement). Codec panics and plain
+// errors are permanent — a deterministic decoder will fail the same way
+// again — and so is a decode that outlived its watchdog: it would
+// overrun again.
 func retryable(err error) bool {
-	if errors.Is(err, ErrDecompressTimeout) {
-		return true
-	}
 	var te interface{ Temporary() bool }
 	return errors.As(err, &te) && te.Temporary()
 }
@@ -304,56 +303,27 @@ func (s *Server) safeBlock(img *image, block int) (data []byte, err error) {
 	return out, nil
 }
 
-// loadOnce is one bounded decompression attempt under the given
-// deadline (non-positive disables it). When a deadline applies the
-// codec runs on its own goroutine so a wedged decoder costs one
-// abandoned goroutine, not a pool worker.
-func (s *Server) loadOnce(img *image, block int, timeout time.Duration) ([]byte, error) {
-	if timeout <= 0 {
-		return s.safeBlock(img, block)
-	}
-	type res struct {
-		data []byte
-		err  error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		data, err := s.safeBlock(img, block)
-		ch <- res{data, err}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.data, r.err
-	case <-timer.C:
-		img.timeouts.Add(1)
-		s.met.decodeTimeouts.Inc()
-		return nil, fmt.Errorf("%w: block %d of %q after %v",
-			ErrDecompressTimeout, block, img.name, timeout)
-	}
-}
-
 // effectiveTimeout clamps the configured per-attempt decode deadline by
 // the request context's remaining time, so a propagated client deadline
-// bounds the decompression it pays for. expired=true means the context
-// is already done and no attempt should start.
-func (s *Server) effectiveTimeout(ctx context.Context) (timeout time.Duration, expired bool) {
-	timeout = s.opts.LoadTimeout
+// bounds the decompression it pays for. A non-nil error (the context's,
+// or DeadlineExceeded when the deadline has passed but the context has
+// not noticed yet) means no attempt should start.
+func (s *Server) effectiveTimeout(ctx context.Context) (time.Duration, error) {
+	timeout := s.opts.LoadTimeout
 	if ctx == nil {
-		return timeout, false
+		return timeout, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return 0, true
+		return 0, err
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		if rem := time.Until(dl); rem <= 0 {
-			return 0, true
+			return 0, context.DeadlineExceeded
 		} else if timeout <= 0 || rem < timeout {
 			timeout = rem
 		}
 	}
-	return timeout, false
+	return timeout, nil
 }
 
 // loadVerified is the hardened load path every decompression goes
@@ -376,14 +346,26 @@ func (s *Server) effectiveTimeout(ctx context.Context) (timeout time.Duration, e
 // stops the attempt loop, and — when the overload layer is on — each
 // retry must additionally be granted by the token budget, so a fault
 // burst cannot amplify into a retry storm. Background callers
-// (re-verify, pinning, range decodes) pass nil and keep the old
-// unbudgeted behavior.
-func (s *Server) loadVerified(ctx context.Context, img *image, block int, sp *obsv.Span, allowFill bool) ([]byte, error) {
+// (re-verify, pinning) pass nil and keep the old unbudgeted behavior.
+//
+// It runs on pool worker w: the peer fill and each decode attempt run as
+// guarded sections under its watchdog. Once the watchdog has answered
+// the ticket, the load stops with errOutlived and does no further
+// verification or accounting.
+func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp *obsv.Span, allowFill bool) ([]byte, error) {
+	s := w.s
 	loadStart := time.Now()
 	defer func() { s.met.blockLoad.Observe(time.Since(loadStart)) }()
 	if allowFill {
 		if fp := s.fill.Load(); fp != nil {
-			if data, ok := (*fp)(img.name, block); ok {
+			if err := w.guard(ctx, block, time.Now()); err != nil {
+				return nil, err
+			}
+			data, ok := (*fp)(img.name, block)
+			if !w.settle() {
+				return nil, errOutlived
+			}
+			if ok {
 				if verr := img.sidecar.verify(block, data); verr == nil {
 					s.met.peerFills.Inc()
 					if sp != nil {
@@ -398,10 +380,6 @@ func (s *Server) loadVerified(ctx context.Context, img *image, block int, sp *ob
 				}
 			}
 		}
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
 	}
 	var lastErr error
 	backoff := s.opts.RetryBackoff
@@ -431,20 +409,22 @@ func (s *Server) loadVerified(ctx context.Context, img *image, block int, sp *ob
 			}
 			select {
 			case <-time.After(d):
-			case <-done:
+			case <-doneOf(ctx):
 				return nil, ctx.Err()
 			case <-s.quit:
 				return nil, ErrClosed
 			}
 			backoff *= 2
 		}
-		timeout, expired := s.effectiveTimeout(ctx)
-		if expired {
-			return nil, ctx.Err()
-		}
 		decodeStart := time.Now()
-		data, err := s.loadOnce(img, block, timeout)
+		if err := w.guard(ctx, block, decodeStart); err != nil {
+			return nil, err
+		}
+		data, err := s.safeBlock(img, block)
 		decodeDur := time.Since(decodeStart)
+		if !w.settle() {
+			return nil, errOutlived
+		}
 		s.met.decode.Observe(decodeDur)
 		sp.Phase("decode", decodeDur)
 		if err == nil {
@@ -506,7 +486,8 @@ func (s *Server) reverifier(interval time.Duration) {
 	}
 }
 
-// reverifyPass re-verifies every unhealthy image once.
+// reverifyPass re-verifies every unhealthy image once, one pool ticket
+// per block so each re-verify decode runs under a worker's watchdog.
 func (s *Server) reverifyPass() {
 	s.mu.RLock()
 	imgs := make([]*image, 0, len(s.images))
@@ -514,6 +495,7 @@ func (s *Server) reverifyPass() {
 		imgs = append(imgs, img)
 	}
 	s.mu.RUnlock()
+	reply := make(chan result, 1)
 	for _, img := range imgs {
 		if img.health.State() == Healthy {
 			continue
@@ -522,18 +504,21 @@ func (s *Server) reverifyPass() {
 			if b < 0 || b >= img.blocks {
 				continue
 			}
-			// Check for shutdown BEFORE committing to a load: a re-verify
-			// load can spend attempts × (deadline + backoff) on a sick
-			// image, and Close waits for this goroutine. Checking first
-			// bounds the shutdown wait to at most one in-flight load.
-			select {
-			case <-s.quit:
-				return
-			default:
-			}
 			img.reverifies.Add(1)
 			s.met.reverifies.Inc()
-			s.loadVerified(nil, img, b, nil, false) //nolint:errcheck — outcome lands in health accounting
+			// The outcome lands in health accounting. Shutdown abandons
+			// the wait (a draining worker still answers into the
+			// buffered reply), so Close never waits on a sick image.
+			select {
+			case s.tasks <- task{img: img, block: b, reply: reply, reverify: true}:
+			case <-s.quit:
+				return
+			}
+			select {
+			case <-reply:
+			case <-s.quit:
+				return
+			}
 		}
 	}
 }

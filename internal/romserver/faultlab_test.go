@@ -142,13 +142,19 @@ func TestPermanentErrorsNotRetried(t *testing.T) {
 	}
 }
 
-// wedgedCodec blocks forever on a channel.
+// wedgedCodec blocks forever on a channel — unless open is set, in
+// which case it serves the stub bytes (so lazily built offset tables and
+// warm-up reads work before the wedge is armed).
 type wedgedCodec struct {
 	stubCodec
 	wedge chan struct{}
+	open  atomic.Bool
 }
 
 func (c *wedgedCodec) Block(i int) ([]byte, error) {
+	if c.open.Load() {
+		return c.stubCodec.Block(i)
+	}
 	<-c.wedge
 	return nil, errors.New("unreachable")
 }

@@ -92,7 +92,7 @@ func newServerMetrics(reg *obsv.Registry, tracer *obsv.Tracer) *serverMetrics {
 		queueWait: reg.Histogram("romserver_queue_wait_seconds",
 			"Time a demand block read waited in the worker-pool queue."),
 		decode: reg.Histogram("romserver_decode_seconds",
-			"Wall-clock time of one decompression attempt (including deadline and panic-recovery overhead)."),
+			"Wall-clock time of one decompression attempt: the codec call and its panic recovery, run inline on the pool worker."),
 		verify: reg.Histogram("romserver_verify_seconds",
 			"Time verifying one decompressed block against the integrity sidecar."),
 		blockLoad: reg.Histogram("romserver_block_load_seconds",
@@ -107,7 +107,7 @@ func newServerMetrics(reg *obsv.Registry, tracer *obsv.Tracer) *serverMetrics {
 		codecPanics: reg.Counter("romserver_codec_panics_total",
 			"Codec panics recovered into errors by the hardened load path."),
 		decodeTimeouts: reg.Counter("romserver_decode_timeouts_total",
-			"Decompression attempts that exceeded the load deadline."),
+			"Pool tickets whose decode, or wait on another worker's decode, outlived the load deadline; the watchdog answered each and replaced its worker."),
 		loadFailures: reg.Counter("romserver_load_failures_total",
 			"Block loads that failed after all attempts."),
 		reverifies: reg.Counter("romserver_reverifies_total",

@@ -1,6 +1,7 @@
 package romserver
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -80,6 +81,100 @@ func TestCanceledWhileQueuedNeverDecodes(t *testing.T) {
 	// The block is still servable afterwards — nothing leaked.
 	if data, _, err := s.Block("victim", 1); err != nil || len(data) == 0 {
 		t.Fatalf("victim Block after cancel = %v, %v", data, err)
+	}
+}
+
+// TestCanceledRangeWhileQueuedNeverDecodes is the range-path twin of
+// TestCanceledWhileQueuedNeverDecodes: a ReadAtContext whose caller
+// cancels while its miss run is still queued returns at cancellation,
+// and the worker retires the run's ticket without decoding it.
+func TestCanceledRangeWhileQueuedNeverDecodes(t *testing.T) {
+	blocker := &stubCodec{blocks: 4, gate: make(chan struct{})}
+	victim := &stubCodec{blocks: 4}
+	s := New(Options{Workers: 1, QueueDepth: 4, PrefetchDepth: -1, TraceBuffer: -1, ReverifyInterval: -1})
+	defer s.Close()
+	s.addCodec("blocker", blocker, "stub")
+	img := s.addCodec("victim", victim, "stub")
+	// Build the victim's offset table (one decode per block) up front.
+	if _, err := img.blockOffsets(); err != nil {
+		t.Fatal(err)
+	}
+	before := victim.calls.Load()
+
+	// Pin the single worker on a decode that blocks on the gate.
+	blockerDone := make(chan error, 1)
+	go func() {
+		_, _, err := s.Block("blocker", 0)
+		blockerDone <- err
+	}()
+	waitCond(t, "blocker decode to start", func() bool { return blocker.calls.Load() == 1 })
+
+	// Queue the victim's miss run behind it, then cancel while it waits.
+	ctx, cancel := context.WithCancel(context.Background())
+	victimDone := make(chan error, 1)
+	go func() {
+		v, err := s.ReadAtContext(ctx, "victim", 2, 4)
+		if err == nil {
+			v.Close()
+		}
+		victimDone <- err
+	}()
+	waitCond(t, "victim ticket to queue", func() bool { return len(s.tasks) == 1 })
+	cancel()
+
+	// The caller unblocks at cancellation, not when the queue drains.
+	select {
+	case err := <-victimDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("victim err = %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("canceled caller still blocked on a queued range ticket")
+	}
+
+	// Release the worker; it must retire the canceled ticket undecoded.
+	close(blocker.gate)
+	if err := <-blockerDone; err != nil {
+		t.Fatalf("blocker read failed: %v", err)
+	}
+	waitCond(t, "canceled ticket to be retired", func() bool { return s.met.queueExpired.Value() == 1 })
+	if n := victim.calls.Load() - before; n != 0 {
+		t.Fatalf("canceled range ticket dispatched %d decodes", n)
+	}
+
+	// The bytes are still servable afterwards — nothing leaked.
+	v, err := s.ReadAt("victim", 2, 4)
+	if err != nil {
+		t.Fatalf("victim ReadAt after cancel: %v", err)
+	}
+	defer v.Close()
+	if got := v.AppendTo(nil); !bytes.Equal(got, []byte{1, 0, 2, 0}) {
+		t.Fatalf("victim ReadAt after cancel = %v", got)
+	}
+}
+
+// TestReadAtContextPreCanceled: an already-expired context never
+// dispatches a range ticket.
+func TestReadAtContextPreCanceled(t *testing.T) {
+	stub := &stubCodec{blocks: 4}
+	s := New(Options{Workers: 1, PrefetchDepth: -1, ReverifyInterval: -1})
+	defer s.Close()
+	img := s.addCodec("img", stub, "stub")
+	if _, err := img.blockOffsets(); err != nil {
+		t.Fatal(err)
+	}
+	before := stub.calls.Load()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.ReadAtContext(ctx, "img", 0, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := s.met.rangeDispatches.Value(); n != 0 {
+		t.Fatalf("pre-canceled read dispatched %d tickets", n)
+	}
+	if n := stub.calls.Load() - before; n != 0 {
+		t.Fatalf("pre-canceled read decoded %d times", n)
 	}
 }
 

@@ -96,14 +96,15 @@ type Options struct {
 	TraceBuffer int
 
 	// LoadAttempts is how many times one block load is tried before the
-	// read fails (default 3). Only transient errors, decompression
-	// timeouts and integrity failures are retried.
+	// read fails (default 3). Only transient errors and integrity
+	// failures are retried; a timed-out decode ends its ticket.
 	LoadAttempts int
 	// RetryBackoff is the base delay before the first retry; it doubles
 	// per attempt with full jitter (default 2ms).
 	RetryBackoff time.Duration
-	// LoadTimeout bounds one decompression attempt (default 5s; negative
-	// disables the deadline).
+	// LoadTimeout bounds one decompression attempt, and a pool ticket's
+	// wait on another worker's decode of the same block, through the
+	// worker's watchdog (default 5s; negative disables the deadline).
 	LoadTimeout time.Duration
 	// HealthWindow is the per-image sliding window of load outcomes that
 	// drives the health state machine (default 64).
@@ -313,17 +314,30 @@ type prefState struct {
 // histogram, span carries the sampled request trace across the pool.
 // rng, when set, makes the task a batched range decode (block and reply
 // are unused; the range job carries its own reply channel). ctx, when
-// set, is the demand caller's request context: a ticket whose context
-// has expired by the time a worker picks it up is retired without
-// dispatching the decode.
+// set, is the caller's request context: a ticket whose context has
+// expired by the time a worker picks it up is retired without
+// dispatching the decode. reverify marks a background re-verification:
+// a verified decode of the local codec that bypasses the cache, the fill
+// hook and quarantine.
 type task struct {
-	img   *image
-	block int
-	reply chan result
-	enq   time.Time
-	span  *obsv.Span
-	rng   *rangeJob
-	ctx   context.Context
+	img      *image
+	block    int
+	reply    chan result
+	enq      time.Time
+	span     *obsv.Span
+	rng      *rangeJob
+	ctx      context.Context
+	reverify bool
+}
+
+// fail answers the ticket with err; a prefetch has no one to answer.
+func (t *task) fail(err error) {
+	switch {
+	case t.rng != nil:
+		t.rng.reply <- rangeResult{err: err}
+	case t.reply != nil:
+		t.reply <- result{err: err}
+	}
 }
 
 type result struct {
@@ -420,7 +434,7 @@ func New(opts Options) *Server {
 	s.registerServerGauges()
 	s.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
-		go s.worker()
+		s.startWorker()
 	}
 	if opts.ReverifyInterval > 0 {
 		s.wg.Add(1)
@@ -440,7 +454,9 @@ func New(opts Options) *Server {
 }
 
 // Close stops the server: no new work is accepted, queued and in-flight
-// decompressions finish, then the pool exits. Safe to call more than once.
+// decompressions finish, then the pool exits. A wedged decode delays it
+// at most until its watchdog retires the worker. Safe to call more than
+// once.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -456,31 +472,11 @@ func (s *Server) Close() error {
 	return nil
 }
 
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case t := <-s.tasks:
-			s.handle(t)
-		case <-s.quit:
-			// Drain whatever was queued before shutdown, then exit.
-			for {
-				select {
-				case t := <-s.tasks:
-					s.handle(t)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// loader is a pooled binding of (server, image, block) to the hardened load
-// path. The bound fn is created once per pooled object, so handing a loader
-// to the cache does not allocate a closure per cache miss.
+// loader is a pooled binding of (worker, image, block) to the hardened
+// load path. The bound fn is created once per pooled object, so handing a
+// loader to the cache does not allocate a closure per cache miss.
 type loader struct {
-	s     *Server
+	w     *poolWorker
 	img   *image
 	block int
 	span  *obsv.Span
@@ -500,52 +496,67 @@ func (l *loader) load() ([]byte, error) {
 	if l.img.health.State() == Quarantined {
 		return nil, fmt.Errorf("%w: %q", ErrQuarantined, l.img.name)
 	}
-	return l.s.loadVerified(l.ctx, l.img, l.block, l.span, true)
+	return l.w.loadVerified(l.ctx, l.img, l.block, l.span, true)
 }
 
 func (l *loader) release() {
-	l.s, l.img, l.span, l.ctx = nil, nil, nil, nil
+	l.w, l.img, l.span, l.ctx = nil, nil, nil, nil
 	loaderPool.Put(l)
 }
 
-func (s *Server) handle(t task) {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	if t.rng != nil {
-		s.handleRange(t)
-		return
-	}
-	if t.ctx != nil && t.ctx.Err() != nil {
+// handle serves one ticket. It returns false when the watchdog retired
+// this goroutine while it served the ticket.
+func (w *poolWorker) handle(t task) bool {
+	s := w.s
+	timeout, err := s.effectiveTimeout(t.ctx)
+	if err != nil {
 		// The caller gave up while the ticket was queued: retire it
 		// without dispatching the decode. The caller ends the span.
 		s.met.queueExpired.Inc()
-		if t.reply != nil {
-			t.reply <- result{err: t.ctx.Err()}
+		t.fail(err)
+		return true
+	}
+	now := time.Now()
+	w.begin(t, timeout, now)
+	if t.rng != nil {
+		return w.handleRange(t, now)
+	}
+	if t.reverify {
+		_, err := w.loadVerified(nil, t.img, t.block, nil, false)
+		if !w.end() {
+			return false
 		}
-		return
+		t.reply <- result{err: err}
+		return true
 	}
 	key := t.img.key(t.block)
 	l := loaderPool.Get().(*loader)
-	l.s, l.img, l.block, l.span, l.ctx = s, t.img, t.block, t.span, t.ctx
+	l.w, l.img, l.block, l.span, l.ctx = w, t.img, t.block, t.span, t.ctx
 	if t.reply == nil {
 		// Speculative warm: tag the load so a later demand hit counts
 		// toward prefetch accuracy.
-		if _, _, err := s.cache.GetPrefetch(key, l.fn); err == nil {
+		_, _, err := s.cache.GetPrefetch(key, l.fn)
+		l.release()
+		if !w.end() {
+			return false
+		}
+		if err == nil {
 			s.met.prefetchCompleted.Inc()
 		}
-		l.release()
-		return
+		return true
 	}
-	wait := time.Since(t.enq)
+	wait := now.Sub(t.enq)
 	s.met.queueWait.Observe(wait)
 	t.span.Phase("queue_wait", wait)
-	svcStart := time.Now()
 	data, hit, err := s.cache.Get(key, l.fn)
+	l.release()
+	if !w.end() {
+		return false
+	}
 	if s.ovl != nil {
 		s.ovl.adm.ObserveWait(wait)
-		s.ovl.adm.ObserveService(time.Since(svcStart))
+		s.ovl.adm.ObserveService(time.Since(now))
 	}
-	l.release()
 	if hit {
 		t.span.Event("cache hit")
 	}
@@ -554,10 +565,11 @@ func (s *Server) handle(t task) {
 		if s.ovl != nil && s.ovl.ctl.Level() != overload.Healthy {
 			// Under pressure, speculative warms are the first work shed.
 			s.met.prefetchSuppressed.Inc()
-			return
+			return true
 		}
 		s.prefetch(t.img, t.block)
 	}
+	return true
 }
 
 // handleRange runs one contiguous miss-run on a single pool ticket. Each
@@ -566,10 +578,9 @@ func (s *Server) handle(t task) {
 // loadVerified path demand reads use, and inserted with the cache's
 // neutral Put — so the run populates the cache for later demand traffic
 // without counting as demand misses or touching prefetch accounting.
-func (s *Server) handleRange(t task) {
-	rj := t.rng
-	wait := time.Since(t.enq)
-	s.met.queueWait.Observe(wait)
+func (w *poolWorker) handleRange(t task, now time.Time) bool {
+	s, rj := w.s, t.rng
+	s.met.queueWait.Observe(now.Sub(t.enq))
 	blocks := make([][]byte, 0, rj.last-rj.first+1)
 	decoded, decodedBytes := 0, 0
 	for b := rj.first; b <= rj.last; b++ {
@@ -578,34 +589,41 @@ func (s *Server) handleRange(t task) {
 			blocks = append(blocks, data)
 			continue
 		}
-		if t.img.health.State() == Quarantined {
-			rj.reply <- rangeResult{err: fmt.Errorf("%w: %q", ErrQuarantined, t.img.name)}
-			return
-		}
-		if rj.limit > 0 && b == rj.last {
+		var (
+			data []byte
+			n    int
+			err  error
+		)
+		switch {
+		case t.img.health.State() == Quarantined:
+			err = fmt.Errorf("%w: %q", ErrQuarantined, t.img.name)
+		case rj.limit > 0 && b == rj.last:
 			// Sub-block tail: decode only the needed prefix; the result
 			// cannot be sidecar-verified, so it is served but not cached.
-			data, n, err := s.decodePrefix(t.img, b, rj.limit)
-			if err != nil {
-				rj.reply <- rangeResult{err: err}
-				return
+			data, n, err = w.decodePrefix(t.ctx, t.img, b, rj.limit)
+		default:
+			data, err = w.loadVerified(t.ctx, t.img, b, nil, true)
+			n = len(data)
+			if err == nil {
+				s.cache.Put(key, data)
 			}
-			decoded++
-			decodedBytes += n
-			blocks = append(blocks, data)
-			continue
 		}
-		data, err := s.loadVerified(t.ctx, t.img, b, nil, true)
 		if err != nil {
+			if !w.end() {
+				return false
+			}
 			rj.reply <- rangeResult{err: err}
-			return
+			return true
 		}
-		s.cache.Put(key, data)
 		decoded++
-		decodedBytes += len(data)
+		decodedBytes += n
 		blocks = append(blocks, data)
 	}
+	if !w.end() {
+		return false
+	}
 	rj.reply <- rangeResult{blocks: blocks, decoded: decoded, decodedBytes: decodedBytes}
+	return true
 }
 
 // prefetch best-effort enqueues warms for the blocks the image's policy
@@ -652,12 +670,10 @@ func (s *Server) fetchCtx(ctx context.Context, img *image, block int) ([]byte, b
 	if img.recorder != nil {
 		img.recorder.Record(block)
 	}
-	var done <-chan struct{}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
 		}
-		done = ctx.Done()
 	}
 	if s.ovl != nil {
 		if data, hit, err, handled := s.admit(ctx, img, block); handled {
@@ -672,55 +688,66 @@ func (s *Server) fetchCtx(ctx context.Context, img *image, block int) ([]byte, b
 	}
 	reply := replyPool.Get().(chan result)
 	t := task{img: img, block: block, reply: reply, enq: time.Now(), span: sp, ctx: ctx}
-	if s.ovl != nil {
-		// Bounded admission: a full queue rejects instead of blocking.
-		select {
-		case s.tasks <- t:
-		case <-s.quit:
-			replyPool.Put(reply)
-			sp.End(ErrClosed)
-			return nil, false, ErrClosed
-		default:
-			replyPool.Put(reply)
-			s.met.admissionQueueFull.Inc()
-			rej := &overload.RejectError{
-				Reason:     overload.ReasonQueueFull,
-				RetryAfter: retryAfter(s.ovl.adm.EstimateWait(len(s.tasks))),
-			}
-			sp.End(rej)
-			return nil, false, rej
-		}
-	} else {
-		select {
-		case s.tasks <- t:
-		case <-done:
-			replyPool.Put(reply)
-			sp.End(ctx.Err())
-			return nil, false, ctx.Err()
-		case <-s.quit:
-			replyPool.Put(reply)
-			sp.End(ErrClosed)
-			return nil, false, ErrClosed
-		}
+	if err := s.enqueue(ctx, t); err != nil {
+		replyPool.Put(reply)
+		sp.End(err)
+		return nil, false, err
 	}
-	data, hit, err := s.awaitFetch(reply, done, ctx, sp)
+	data, hit, err := s.awaitFetch(ctx, reply, sp)
 	if s.ovl != nil && !errors.Is(err, ErrClosed) {
 		s.ovl.ctl.ReportOutcome(err == nil)
 	}
 	return data, hit, err
 }
 
+// enqueue hands a read's ticket to the pool. With the overload layer on
+// the queue is a bounded admission queue: a full one rejects instead of
+// blocking the caller. Otherwise the send waits for room, the caller's
+// context or shutdown.
+func (s *Server) enqueue(ctx context.Context, t task) error {
+	if s.ovl != nil {
+		select {
+		case s.tasks <- t:
+			return nil
+		case <-s.quit:
+			return ErrClosed
+		default:
+			s.met.admissionQueueFull.Inc()
+			return &overload.RejectError{
+				Reason:     overload.ReasonQueueFull,
+				RetryAfter: retryAfter(s.ovl.adm.EstimateWait(len(s.tasks))),
+			}
+		}
+	}
+	select {
+	case s.tasks <- t:
+		return nil
+	case <-doneOf(ctx):
+		return ctx.Err()
+	case <-s.quit:
+		return ErrClosed
+	}
+}
+
+// doneOf is ctx.Done(), or nil (never ready) for a nil context.
+func doneOf(ctx context.Context) <-chan struct{} {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Done()
+}
+
 // awaitFetch waits for a dispatched demand ticket. An expired caller
 // context abandons the (buffered) reply channel — the queued ticket's
 // own ctx check retires it without a decode — so the caller unblocks at
 // its deadline instead of waiting out the queue.
-func (s *Server) awaitFetch(reply chan result, done <-chan struct{}, ctx context.Context, sp *obsv.Span) ([]byte, bool, error) {
+func (s *Server) awaitFetch(ctx context.Context, reply chan result, sp *obsv.Span) ([]byte, bool, error) {
 	select {
 	case r := <-reply:
 		replyPool.Put(reply)
 		sp.End(r.err)
 		return r.data, r.hit, r.err
-	case <-done:
+	case <-doneOf(ctx):
 		sp.End(ctx.Err())
 		return nil, false, ctx.Err()
 	case <-s.drained:
@@ -977,11 +1004,15 @@ func (s *Server) RangeBatched(name string, first, last int) ([]byte, RangeStats,
 
 // awaitRange waits for one range dispatch, tolerating the same
 // enqueue/shutdown race fetch does: drain may close while the drain loop
-// is still serving our queued job, so check the reply once more.
-func awaitRange(reply chan rangeResult, drained chan struct{}) (rangeResult, error) {
+// is still serving our queued job, so check the reply once more. An
+// expired caller context (nil for none) abandons the buffered reply; a
+// still-queued ticket is then retired at dequeue undecoded.
+func awaitRange(ctx context.Context, reply chan rangeResult, drained chan struct{}) (rangeResult, error) {
 	select {
 	case rr := <-reply:
 		return rr, rr.err
+	case <-doneOf(ctx):
+		return rangeResult{}, ctx.Err()
 	case <-drained:
 		select {
 		case rr := <-reply:
@@ -1145,29 +1176,38 @@ func (s *Server) SetPolicy(name string, spec PolicySpec) (PolicyInfo, error) {
 	s.policyMu.Lock()
 	defer s.policyMu.Unlock()
 	s.cache.UnpinImage(name)
-	// Decompress and pin the hot set directly (an admin-time operation;
-	// it bypasses the worker pool and the trace recorder on purpose).
+	// Decode and pin the hot set on the pool (it bypasses the trace
+	// recorder on purpose: pinning is an admin-time operation).
 	var pinned []int
 	for _, b := range st.pins {
 		if b < 0 || b >= img.blocks {
 			continue
 		}
-		key := img.key(b)
-		block := b
-		_, _, err := s.cache.Get(key, func() ([]byte, error) {
-			return s.loadVerified(nil, img, block, nil, true)
-		})
-		if err != nil {
+		if err := s.warmBlock(img, b); err != nil {
 			s.cache.UnpinImage(name)
 			return PolicyInfo{}, fmt.Errorf("romserver: pinning block %d of %q: %w", b, name, err)
 		}
-		if s.cache.Pin(key) {
+		if s.cache.Pin(img.key(b)) {
 			pinned = append(pinned, b)
 		}
 	}
 	st.pins = pinned
 	img.pref.Store(st)
 	return PolicyInfo{Image: name, Policy: st.name, Pinned: len(pinned)}, nil
+}
+
+// warmBlock loads block b of img into the cache as a one-block range
+// ticket — verified and under the pool's watchdog — and waits for it.
+func (s *Server) warmBlock(img *image, b int) error {
+	reply := make(chan rangeResult, 1)
+	t := task{img: img, enq: time.Now(), rng: &rangeJob{first: b, last: b, reply: reply}}
+	select {
+	case s.tasks <- t:
+	case <-s.quit:
+		return ErrClosed
+	}
+	_, err := awaitRange(nil, reply, s.drained)
+	return err
 }
 
 // Policy reports the image's active policy.

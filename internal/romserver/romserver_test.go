@@ -617,10 +617,11 @@ func TestSetPolicyHotsetPinsSurviveColdScan(t *testing.T) {
 }
 
 // BenchmarkRomserverMiss measures the full demand-miss path end to end —
-// fetch through the worker pool, hardened load, fast-path decode, sidecar
-// verify, cache insert and evict — with prefetch, tracing, the load
-// deadline and background re-verification disabled. The budget is one
-// allocation per miss: the exact-size copy that goes into the cache.
+// fetch through the worker pool, hardened load under the default load
+// deadline, fast-path decode, sidecar verify, cache insert and evict —
+// with prefetch, tracing and background re-verification disabled. The
+// budget is one allocation per miss: the exact-size copy that goes into
+// the cache.
 func BenchmarkRomserverMiss(b *testing.B) {
 	_, text := testText(b)
 	s := New(Options{
@@ -629,7 +630,6 @@ func BenchmarkRomserverMiss(b *testing.B) {
 		Workers:          1,
 		PrefetchDepth:    -1,
 		TraceBuffer:      -1,
-		LoadTimeout:      -1,
 		ReverifyInterval: -1,
 	})
 	defer s.Close()

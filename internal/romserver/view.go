@@ -272,6 +272,11 @@ func (s *Server) viewBlocks(ctx context.Context, img *image, v *View, first, las
 			return err
 		}
 	}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
 	replies := make([]chan rangeResult, len(runs))
 	for i, r := range runs {
 		reply := make(chan rangeResult, 1)
@@ -280,33 +285,14 @@ func (s *Server) viewBlocks(ctx context.Context, img *image, v *View, first, las
 		if limit > 0 && r.last == last {
 			rj.limit = limit
 		}
-		t := task{img: img, enq: time.Now(), rng: rj, ctx: ctx}
-		if s.ovl != nil {
-			// Bounded admission, like demand fetches: a full queue
-			// rejects instead of blocking the caller.
-			select {
-			case s.tasks <- t:
-			case <-s.quit:
-				return ErrClosed
-			default:
-				s.met.admissionQueueFull.Inc()
-				return &overload.RejectError{
-					Reason:     overload.ReasonQueueFull,
-					RetryAfter: retryAfter(s.ovl.adm.EstimateWait(len(s.tasks))),
-				}
-			}
-		} else {
-			select {
-			case s.tasks <- t:
-			case <-s.quit:
-				return ErrClosed
-			}
+		if err := s.enqueue(ctx, task{img: img, enq: time.Now(), rng: rj, ctx: ctx}); err != nil {
+			return err
 		}
 		st.Dispatches++
 		s.met.rangeDispatches.Inc()
 	}
 	for i, r := range runs {
-		rr, err := awaitRange(replies[i], s.drained)
+		rr, err := awaitRange(ctx, replies[i], s.drained)
 		if err != nil {
 			return err
 		}
@@ -354,8 +340,10 @@ func (s *Server) admitRuns(ctx context.Context, img *image, runs []missRun) erro
 // tail block of a sub-block read. A prefix cannot be checked against a
 // whole-block CRC, so this bypasses the integrity sidecar; callers
 // gate it to healthy images without a fault injector, and the result
-// is never cached. Panics are contained like the hardened path's.
-func (s *Server) decodePrefix(img *image, block, limit int) (data []byte, decoded int, err error) {
+// is never cached. Panics are contained like the hardened path's, and
+// the decode runs as a guarded section under the worker's watchdog.
+func (w *poolWorker) decodePrefix(ctx context.Context, img *image, block, limit int) (data []byte, decoded int, err error) {
+	s := w.s
 	defer func() {
 		if r := recover(); r != nil {
 			img.panicsRecovered.Add(1)
@@ -364,11 +352,17 @@ func (s *Server) decodePrefix(img *image, block, limit int) (data []byte, decode
 		}
 	}()
 	start := time.Now()
+	if err := w.guard(ctx, block, start); err != nil {
+		return nil, 0, err
+	}
 	out, n, err := codecomp.AppendBlockPrefix(img.codec, make([]byte, 0, limit), block, limit)
+	d := time.Since(start)
+	if !w.settle() {
+		return nil, 0, errOutlived
+	}
 	if err != nil {
 		return nil, 0, err
 	}
-	d := time.Since(start)
 	s.met.decode.Observe(d)
 	img.decompressions.Add(1)
 	s.met.decompressions.Inc()

@@ -347,8 +347,8 @@ func TestWriteTextStreams(t *testing.T) {
 }
 
 // benchServer is the hot-path benchmark configuration: no prefetch, no
-// tracing, no load deadline, no background re-verification — the same
-// stripped setup as BenchmarkRomserverMiss.
+// tracing, no background re-verification, the default load deadline —
+// the same setup as BenchmarkRomserverMiss.
 func benchServer(b *testing.B, cacheBlocks int) *Server {
 	b.Helper()
 	return New(Options{
@@ -357,7 +357,6 @@ func benchServer(b *testing.B, cacheBlocks int) *Server {
 		Workers:          1,
 		PrefetchDepth:    -1,
 		TraceBuffer:      -1,
-		LoadTimeout:      -1,
 		ReverifyInterval: -1,
 	})
 }
@@ -488,4 +487,50 @@ func BenchmarkRomserverSubblockMiss(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(decoded)/float64(b.N), "decodedB/op")
+}
+
+// BenchmarkRomserverColdRange measures a cold 4 KiB page-in: a ReadAt
+// over a SAMC image with the default options (load deadline, trace
+// recording, sharded cache) whose cache is too small to keep the pages,
+// so each op is one miss run of about 128 block decodes and verifies.
+// The mean decodes per op are exported as decodes/op; benchdecode gates
+// allocs/op at decodes/op + 8 — one cached copy per decoded block plus a
+// fixed per-read overhead, nothing per block for the deadline.
+func BenchmarkRomserverColdRange(b *testing.B) {
+	_, text := testText(b)
+	const page = 4096
+	s := New(Options{CacheBlocks: 2 * page / 32})
+	defer s.Close()
+	if _, err := s.AddImage("prog", marshalSAMC(b, text)); err != nil {
+		b.Fatal(err)
+	}
+	// Three pages cycle through a two-page cache: every read misses.
+	pages := len(text) / page
+	if pages < 3 {
+		b.Fatalf("image too small: %d pages", pages)
+	}
+	read := func(i int) int {
+		v, err := s.ReadAt("prog", (i%3)*page, page)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := v.Stats().DecodedBlocks
+		v.Close()
+		return n
+	}
+	for i := 0; i < 6; i++ {
+		read(i)
+	}
+	b.SetBytes(page)
+	b.ReportAllocs()
+	b.ResetTimer()
+	decodes := 0
+	for i := 0; i < b.N; i++ {
+		decodes += read(i)
+	}
+	b.StopTimer()
+	if decodes == 0 {
+		b.Fatal("cold range read decoded nothing")
+	}
+	b.ReportMetric(float64(decodes)/float64(b.N), "decodes/op")
 }

@@ -1,0 +1,203 @@
+// The decode watchdog: every pool worker owns one reusable
+// time.AfterFunc timer that bounds the ticket it serves. The codec runs
+// inline on the worker, so a cache miss costs no goroutine, channel or
+// timer allocation and no cross-thread handoff. The watchdog is armed
+// when a ticket starts (covering a singleflight wait on another worker's
+// decode), re-armed with a fresh deadline before every decode attempt,
+// and disarmed when the ticket ends.
+//
+// Arming only moves a deadline under the worker's mutex. The runtime
+// timer is re-added only when it would otherwise fire after the new
+// deadline; a firing that finds a later deadline re-arms for it, and one
+// that finds the worker idle lapses. Under steady load the timer is
+// touched about once per load timeout instead of twice per ticket —
+// re-adding a timer can wake the network poller, which costs more than
+// a block decode.
+//
+// When a deadline passes, the watchdog answers the ticket itself — with
+// ErrDecompressTimeout, or the context error when the request deadline
+// was the tighter bound — and retires the wedged worker: a replacement
+// worker takes over its WaitGroup slot and its inflight count, so the
+// pool keeps its size and Close never waits on a wedged decoder. The
+// retired goroutine exits when (and if) its decode returns, without
+// replying: exactly one of worker and watchdog answers each ticket,
+// decided under the worker's mutex.
+package romserver
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"time"
+)
+
+// errOutlived is what a decode that outlived its watchdog reports to
+// whoever still waits on it — the other waiters of its cache flight. Its
+// own ticket was already answered by the watchdog.
+var errOutlived = fmt.Errorf("%w: decode outlived its watchdog", ErrDecompressTimeout)
+
+// poolWorker is one decode-pool goroutine and its watchdog.
+type poolWorker struct {
+	s   *Server
+	dog *time.Timer
+
+	mu sync.Mutex
+	// t is the ticket in progress, valid while busy.
+	t    task
+	busy bool
+	// retired is set once, by the watchdog, when it answered t itself:
+	// the goroutine no longer belongs to the pool and never replies.
+	retired bool
+	// due is when the pending timer fires; zero when none is pending.
+	due time.Time
+	// deadline bounds the guarded section in progress (the ticket start,
+	// a peer fill, one decode attempt); zero outside guarded sections,
+	// where the worker only does bounded bookkeeping.
+	deadline time.Time
+	// timeout and block describe the guarded section for the error.
+	timeout time.Duration
+	block   int
+}
+
+// startWorker adds one goroutine to the pool. The caller accounts for
+// its WaitGroup slot.
+func (s *Server) startWorker() {
+	w := &poolWorker{s: s}
+	w.dog = time.AfterFunc(time.Hour, w.fire)
+	w.dog.Stop()
+	go w.run()
+}
+
+func (w *poolWorker) run() {
+	s := w.s
+	for {
+		select {
+		case t := <-s.tasks:
+			if !w.handle(t) {
+				return
+			}
+		case <-s.quit:
+			// Drain whatever was queued before shutdown, then exit.
+			for {
+				select {
+				case t := <-s.tasks:
+					if !w.handle(t) {
+						return
+					}
+				default:
+					s.wg.Done()
+					return
+				}
+			}
+		}
+	}
+}
+
+// begin starts ticket t at now under the watchdog, bounded by timeout
+// (non-positive: unbounded). The caller passes the clock reading it
+// needs anyway, so arming costs a cache hit no extra reading.
+func (w *poolWorker) begin(t task, timeout time.Duration, now time.Time) {
+	w.s.inflight.Add(1)
+	w.mu.Lock()
+	w.t, w.busy = t, true
+	w.guardLocked(t.block, timeout, now)
+	w.mu.Unlock()
+}
+
+// guard opens a guarded section — a peer fill or one decode attempt of
+// block — starting at now, with a fresh deadline from
+// effectiveTimeout(ctx). An error means the section must not start: the
+// request context is done, or the watchdog already retired this
+// goroutine (errOutlived).
+func (w *poolWorker) guard(ctx context.Context, block int, now time.Time) error {
+	timeout, err := w.s.effectiveTimeout(ctx)
+	if err != nil {
+		return err
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.retired {
+		return errOutlived
+	}
+	w.guardLocked(block, timeout, now)
+	return nil
+}
+
+// guardLocked sets the deadline and makes sure the timer fires no later
+// than it.
+func (w *poolWorker) guardLocked(block int, timeout time.Duration, now time.Time) {
+	w.block, w.timeout = block, timeout
+	if timeout <= 0 {
+		w.deadline = time.Time{}
+		return
+	}
+	w.deadline = now.Add(timeout)
+	if w.due.IsZero() || w.due.After(w.deadline) {
+		w.due = w.deadline
+		w.dog.Reset(timeout)
+	}
+}
+
+// settle closes the guarded section after the guarded call returned.
+// false means the watchdog retired this goroutine meanwhile.
+func (w *poolWorker) settle() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.deadline = time.Time{}
+	return !w.retired
+}
+
+// end finishes the ticket and disarms the watchdog. false means the
+// watchdog answered the ticket instead: the caller must not reply, and
+// the goroutine must exit.
+func (w *poolWorker) end() bool {
+	w.mu.Lock()
+	if w.retired {
+		w.mu.Unlock()
+		return false
+	}
+	w.t, w.busy, w.deadline = task{}, false, time.Time{}
+	w.mu.Unlock()
+	w.s.inflight.Add(-1)
+	return true
+}
+
+// fire is the timer callback. A firing that finds the worker outside a
+// guarded section lapses and one whose deadline has moved on re-arms;
+// one that finds the deadline passed retires the worker, starts its
+// replacement and answers the ticket.
+func (w *poolWorker) fire() {
+	w.mu.Lock()
+	w.due = time.Time{}
+	if !w.busy || w.retired || w.deadline.IsZero() {
+		w.mu.Unlock()
+		return
+	}
+	if rem := time.Until(w.deadline); rem > 0 {
+		w.due = w.deadline
+		w.dog.Reset(rem)
+		w.mu.Unlock()
+		return
+	}
+	w.retired = true
+	t, block, timeout := w.t, w.block, w.timeout
+	w.t = task{}
+	w.mu.Unlock()
+
+	s := w.s
+	s.inflight.Add(-1)
+	s.startWorker() // inherits the retired worker's WaitGroup slot
+	t.img.timeouts.Add(1)
+	s.met.decodeTimeouts.Inc()
+	if timeout != s.opts.LoadTimeout {
+		// The request deadline was the tighter bound: its caller gets
+		// the context error, as from an expired retry loop.
+		t.fail(context.DeadlineExceeded)
+		return
+	}
+	img := t.img
+	img.loadFailures.Add(1)
+	s.met.loadFailures.Inc()
+	s.recordHealth(img, block, true)
+	t.fail(fmt.Errorf("%w: block %d of %q after %v", ErrDecompressTimeout, block, img.name, timeout))
+}
