@@ -14,9 +14,11 @@
 // serving paths are additionally gated on machine-independent budgets:
 // the romserver miss path on its allocation budget (<= 1 alloc/op), the
 // cold 4 KiB range read on at most one allocation per decoded block plus
-// 8, the warm zero-copy read paths (cached sub-block and warm range
-// views) on exactly 0 allocs/op and 0 B/op, and the sub-block miss path
-// on its decoded-bytes-per-op staying strictly below the block size.
+// 8, the cold whole-image text read on at most one dispatch per window
+// and one allocation per decoded block plus 8 per window, the warm
+// zero-copy read paths (cached sub-block and warm range views) on
+// exactly 0 allocs/op and 0 B/op, and the sub-block miss path on its
+// decoded-bytes-per-op staying strictly below the block size.
 //
 // Usage:
 //
@@ -53,9 +55,15 @@ type result struct {
 	// partial-decode gate compares it against the block size.
 	DecodedBPerOp float64 `json:"decoded_b_per_op,omitempty"`
 	// DecodesPerOp is the mean block decodes one op paid for, exported
-	// by the cold range benchmark — its allocation budget scales with it.
+	// by the cold range and cold text benchmarks — their allocation
+	// budgets scale with it.
 	DecodesPerOp float64 `json:"decodes_per_op,omitempty"`
-	Samples      int     `json:"samples"`
+	// DispatchesPerOp and WindowsPerOp are the cold text benchmark's
+	// pool tickets per read and the windows its image spans: the
+	// pipelined read may take at most one ticket per window.
+	DispatchesPerOp float64 `json:"dispatches_per_op,omitempty"`
+	WindowsPerOp    float64 `json:"windows_per_op,omitempty"`
+	Samples         int     `json:"samples"`
 }
 
 // speedup is one codec's fast-vs-reference ratio, both sides measured in
@@ -90,7 +98,7 @@ var suite = []struct {
 	{"codecomp/internal/kozuch", "^(BenchmarkDecompressBlock|BenchmarkDecompressBlockReference|BenchmarkAppendBlock)$"},
 	{"codecomp/internal/rans", "^(BenchmarkDecompressBlock|BenchmarkDecompressBlockReference|BenchmarkAppendBlock)$"},
 	{"codecomp/internal/huffman", "^(BenchmarkDecode|BenchmarkDecodeSerial)$"},
-	{"codecomp/internal/romserver", "^(BenchmarkRomserverMiss|BenchmarkRomserverColdRange|BenchmarkRomserverCachedReadAt|BenchmarkRomserverWarmRange|BenchmarkRomserverSubblockMiss)$"},
+	{"codecomp/internal/romserver", "^(BenchmarkRomserverMiss|BenchmarkRomserverColdRange|BenchmarkRomserverTextCold|BenchmarkRomserverCachedReadAt|BenchmarkRomserverWarmRange|BenchmarkRomserverSubblockMiss)$"},
 	{"codecomp", "^(BenchmarkDecompressSAMC|BenchmarkDecompressSADC|BenchmarkDecompressHuffman|BenchmarkDecompressRANS)$"},
 }
 
@@ -190,14 +198,16 @@ func measure(count int) (*report, error) {
 	}
 	for name, metrics := range samples {
 		rep.Benchmarks[name] = result{
-			NsPerOp:       median(append([]float64(nil), metrics["ns/op"]...)),
-			MBPerSec:      median(append([]float64(nil), metrics["MB/s"]...)),
-			AllocsPerOp:   median(append([]float64(nil), metrics["allocs/op"]...)),
-			BytesPerOp:    median(append([]float64(nil), metrics["B/op"]...)),
-			Ratio:         median(append([]float64(nil), metrics["ratio"]...)),
-			DecodedBPerOp: median(append([]float64(nil), metrics["decodedB/op"]...)),
-			DecodesPerOp:  median(append([]float64(nil), metrics["decodes/op"]...)),
-			Samples:       len(metrics["ns/op"]),
+			NsPerOp:         median(append([]float64(nil), metrics["ns/op"]...)),
+			MBPerSec:        median(append([]float64(nil), metrics["MB/s"]...)),
+			AllocsPerOp:     median(append([]float64(nil), metrics["allocs/op"]...)),
+			BytesPerOp:      median(append([]float64(nil), metrics["B/op"]...)),
+			Ratio:           median(append([]float64(nil), metrics["ratio"]...)),
+			DecodedBPerOp:   median(append([]float64(nil), metrics["decodedB/op"]...)),
+			DecodesPerOp:    median(append([]float64(nil), metrics["decodes/op"]...)),
+			DispatchesPerOp: median(append([]float64(nil), metrics["dispatches/op"]...)),
+			WindowsPerOp:    median(append([]float64(nil), metrics["windows/op"]...)),
+			Samples:         len(metrics["ns/op"]),
 		}
 	}
 	for codec, p := range pairs {
@@ -299,6 +309,24 @@ func check(fresh, baseline *report, tolerance float64) error {
 			"serving", cold.AllocsPerOp, cold.DecodesPerOp, budget, status)
 	} else {
 		failures = append(failures, "romserver/RomserverColdRange missing from fresh run")
+	}
+	// Cold text gate: the pipelined whole-image read takes at most one
+	// pool ticket per window, and allocates one cached copy per decoded
+	// block plus a fixed overhead per window.
+	if text, ok := fresh.Benchmarks["romserver/RomserverTextCold"]; ok {
+		const textWindowOverhead = 8
+		budget := text.DecodesPerOp + textWindowOverhead*text.WindowsPerOp
+		status := "ok"
+		if text.DecodesPerOp <= 0 || text.WindowsPerOp <= 0 || text.DispatchesPerOp > text.WindowsPerOp || text.AllocsPerOp > budget {
+			status = "REGRESSION"
+			failures = append(failures,
+				fmt.Sprintf("romserver cold text: %.1f dispatches/op for %.0f windows, %.0f allocs/op at %.0f decodes/op; budget is one dispatch per window and decodes + %d per window",
+					text.DispatchesPerOp, text.WindowsPerOp, text.AllocsPerOp, text.DecodesPerOp, textWindowOverhead))
+		}
+		fmt.Printf("%-8s cold text %.1f dispatches/op (%.0f windows), %.0f allocs/op at %.0f decodes/op (budget %.0f) %s\n",
+			"serving", text.DispatchesPerOp, text.WindowsPerOp, text.AllocsPerOp, text.DecodesPerOp, budget, status)
+	} else {
+		failures = append(failures, "romserver/RomserverTextCold missing from fresh run")
 	}
 	// Zero-copy read-path gates: the warm lease-backed paths must stay
 	// allocation-free, and a sub-block miss must decode strictly less

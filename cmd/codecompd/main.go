@@ -17,7 +17,7 @@
 //	                             blocks zero-copy and only partially
 //	                             decode a mid-block tail (X-Decoded-Bytes)
 //	GET  /images/{name}/text     the whole decompressed program, streamed
-//	                             block by block
+//	                             as pipelined batched-range windows
 //	DELETE /images/{name}        deregister an image
 //	GET  /healthz                liveness (always 200 while the process serves)
 //	GET  /readyz                 readiness (503 while any image is quarantined)
@@ -615,9 +615,10 @@ func parseRange(s string) (first, last int, ok bool) {
 	return first, last, true
 }
 
-// handleText streams the decompressed program block by block instead
-// of materializing it: the image's original size is known up front, so
-// Content-Length still goes out before the first block decodes.
+// handleText streams the decompressed program as pipelined range
+// windows instead of materializing it: the image's original size is
+// known up front, so Content-Length still goes out before the first
+// block decodes. A client that hangs up stops further window dispatches.
 func (d *daemon) handleText(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	info, err := d.rs.Image(name)
@@ -627,7 +628,7 @@ func (d *daemon) handleText(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(info.OrigSize))
-	if _, err := d.rs.WriteText(name, w); err != nil && !isNetworkWriteErr(err) {
+	if _, err := d.rs.WriteTextContext(r.Context(), name, w); err != nil && !isNetworkWriteErr(err) {
 		// Headers are gone; the short body is the client's error signal.
 		log.Printf("text %s: %v", name, err)
 	}

@@ -301,9 +301,10 @@ func runTieringDrill(cfg tieringDrillConfig) int {
 	}
 
 	// The final state must still decode byte-exact end to end.
-	full, err := srv.FullText("prog")
+	var full bytes.Buffer
+	_, err = srv.WriteText("prog", &full)
 	fatal(err)
-	if !bytes.Equal(full, text) {
+	if !bytes.Equal(full.Bytes(), text) {
 		fail("full text mismatch after convergence")
 	}
 	return violations

@@ -125,11 +125,11 @@ func newServerMetrics(reg *obsv.Registry, tracer *obsv.Tracer) *serverMetrics {
 		rangeReads: reg.Counter("romserver_range_reads_total",
 			"Batched range reads served (GET /images/{name}/blocks?range=i-j)."),
 		rangeDispatches: reg.Counter("romserver_range_dispatches_total",
-			"Worker-pool tickets used by batched range reads — one per contiguous miss-run, not one per block."),
+			"Worker-pool tickets used by batched range reads and /text windows — one per contiguous miss-run, not one per block."),
 		rangeCachedBlocks: reg.Counter("romserver_range_cached_blocks_total",
-			"Range-read blocks served straight from the cache (Peek: no LRU promotion, no demand hit/miss impact)."),
+			"Range-read and /text blocks served straight from the cache (Peek: no LRU promotion, no demand hit/miss impact)."),
 		rangeDecodedBlocks: reg.Counter("romserver_range_decoded_blocks_total",
-			"Range-read blocks decoded by batched dispatches and inserted into the cache."),
+			"Range-read and /text blocks decoded by batched dispatches and inserted into the cache."),
 		rangeRead: reg.Histogram("romserver_range_read_seconds",
 			"End-to-end time of one batched range read: dispatch, decode and reassembly."),
 

@@ -28,6 +28,12 @@ func TestMetricsPhaseHistograms(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The demand misses leave sequential prefetches on the pool, and a
+	// prefetch that finds its block cached counts a cache hit: let them
+	// finish, or the scrape and Stats() below see different hit counts.
+	for s.met.prefetchCompleted.Value() != s.met.prefetchIssued.Value() {
+		time.Sleep(time.Millisecond)
+	}
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {

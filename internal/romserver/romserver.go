@@ -656,16 +656,12 @@ func (s *Server) prefetch(img *image, miss int) {
 // buffered channel is reusable once its result has been received.
 var replyPool = sync.Pool{New: func() any { return make(chan result, 1) }}
 
-// fetch runs one demand read through the pool and waits for its result.
-// Demand fetches are the access stream the trace recorder captures.
-func (s *Server) fetch(img *image, block int) ([]byte, bool, error) {
-	return s.fetchCtx(context.Background(), img, block)
-}
-
-// fetchCtx is fetch carrying the caller's request context through the
-// pool: the overload layer's gates run before the enqueue, an expired
-// context cancels still-queued work, and the context's deadline clamps
-// the per-decode deadline inside the hardened load path.
+// fetchCtx runs one demand read through the pool and waits for its
+// result. Demand fetches are the access stream the trace recorder
+// captures. The caller's request context rides through the pool: the
+// overload layer's gates run before the enqueue, an expired context
+// cancels still-queued work, and the context's deadline clamps the
+// per-decode deadline inside the hardened load path.
 func (s *Server) fetchCtx(ctx context.Context, img *image, block int) ([]byte, bool, error) {
 	if img.recorder != nil {
 		img.recorder.Record(block)
@@ -956,20 +952,6 @@ func (s *Server) CachedBlock(name string, i int) ([]byte, bool, error) {
 	return data, ok, nil
 }
 
-// Range returns the concatenated decompressed bytes of blocks [first,last],
-// fetched one block (and one pool dispatch) at a time.
-func (s *Server) Range(name string, first, last int) ([]byte, error) {
-	img, err := s.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if first < 0 || last >= img.blocks || first > last {
-		return nil, fmt.Errorf("%w: [%d,%d] of %q [0,%d)", ErrOutOfRange, first, last, name, img.blocks)
-	}
-	img.rangeReads.Add(1)
-	return s.assemble(img, first, last)
-}
-
 // RangeStats reports how a batched range read was served: how many of its
 // blocks came straight from the cache, how many worker-pool tickets the
 // miss-runs took, and how many blocks those tickets decoded. Dispatches is
@@ -1003,7 +985,7 @@ func (s *Server) RangeBatched(name string, first, last int) ([]byte, RangeStats,
 }
 
 // awaitRange waits for one range dispatch, tolerating the same
-// enqueue/shutdown race fetch does: drain may close while the drain loop
+// enqueue/shutdown race awaitFetch does: drain may close while the drain loop
 // is still serving our queued job, so check the reply once more. An
 // expired caller context (nil for none) abandons the buffered reply; a
 // still-queued ticket is then retired at dequeue undecoded.
@@ -1021,31 +1003,6 @@ func awaitRange(ctx context.Context, reply chan rangeResult, drained chan struct
 			return rangeResult{}, ErrClosed
 		}
 	}
-}
-
-// FullText returns the whole decompressed program.
-func (s *Server) FullText(name string) ([]byte, error) {
-	img, err := s.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	img.fullReads.Add(1)
-	if img.blocks == 0 {
-		return nil, nil
-	}
-	return s.assemble(img, 0, img.blocks-1)
-}
-
-func (s *Server) assemble(img *image, first, last int) ([]byte, error) {
-	out := make([]byte, 0, (last-first+1)*32)
-	for b := first; b <= last; b++ {
-		blk, _, err := s.fetch(img, b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, blk...)
-	}
-	return out, nil
 }
 
 // TraceSnapshot returns the image's recorded demand-access trace, oldest

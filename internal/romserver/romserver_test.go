@@ -22,6 +22,13 @@ func testText(t testing.TB) (*codecomp.MIPSProgram, []byte) {
 	return prog, prog.Text()
 }
 
+// fullText reads the whole decompressed program through WriteText.
+func fullText(s *Server, name string) ([]byte, error) {
+	var buf bytes.Buffer
+	_, err := s.WriteText(name, &buf)
+	return buf.Bytes(), err
+}
+
 func marshalSAMC(t testing.TB, text []byte) []byte {
 	t.Helper()
 	img, err := codecomp.CompressSAMC(text, codecomp.SAMCOptions{Connected: true})
@@ -128,14 +135,14 @@ func TestBlockRangeFullText(t *testing.T) {
 		}
 	}
 
-	got, err := s.Range("prog", 2, 5)
+	got, _, err := s.RangeBatched("prog", 2, 5)
 	if err != nil || !bytes.Equal(got, text[2*32:6*32]) {
-		t.Fatalf("Range(2,5): %v", err)
+		t.Fatalf("RangeBatched(2,5): %v", err)
 	}
 
-	full, err := s.FullText("prog")
+	full, err := fullText(s, "prog")
 	if err != nil || !bytes.Equal(full, text) {
-		t.Fatalf("FullText: len %d vs %d, err %v", len(full), len(text), err)
+		t.Fatalf("full text: len %d vs %d, err %v", len(full), len(text), err)
 	}
 
 	// Error surfaces.
@@ -145,8 +152,8 @@ func TestBlockRangeFullText(t *testing.T) {
 	if _, _, err := s.Block("prog", info.Blocks); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("Block(N): %v", err)
 	}
-	if _, err := s.Range("prog", 5, 2); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("Range(5,2): %v", err)
+	if _, _, err := s.RangeBatched("prog", 5, 2); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("RangeBatched(5,2): %v", err)
 	}
 	if _, _, err := s.Block("nope", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Block(nope): %v", err)

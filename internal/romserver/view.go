@@ -43,6 +43,12 @@ type View struct {
 	// prefix for a partial tail decode, zero for cached blocks.
 	decodedBytes int
 	open         bool
+
+	// Between dispatchView and awaitView: the view's first block, its
+	// miss runs and one reply channel per enqueued run.
+	first   int
+	runs    []missRun
+	replies []chan rangeResult
 }
 
 var viewPool = sync.Pool{New: func() any { return &View{} }}
@@ -119,6 +125,11 @@ func (v *View) Close() {
 		v.parts[i] = nil
 	}
 	v.parts = v.parts[:0]
+	// A ticket abandoned by an early error may still answer its reply
+	// channel, so the channels are dropped rather than reused.
+	clear(v.replies)
+	v.replies = v.replies[:0]
+	v.runs = v.runs[:0]
 	v.length = 0
 	v.decodedBytes = 0
 	v.stats = RangeStats{}
@@ -239,17 +250,33 @@ func (s *Server) ReadAtContext(ctx context.Context, name string, off, n int) (*V
 // viewBlocks fills v.parts with blocks [first,last]: leases for cached
 // blocks, one pool dispatch per contiguous miss run. limit > 0 marks a
 // sub-block read whose tail block (when it misses) only needs its
-// first limit bytes. The overload admission gates run between miss
-// discovery and enqueue, so a fully cached read is never shed.
+// first limit bytes.
 func (s *Server) viewBlocks(ctx context.Context, img *image, v *View, first, last, limit int) error {
+	if err := s.dispatchView(ctx, img, v, first, last, limit, false); err != nil {
+		return err
+	}
+	return s.awaitView(ctx, v)
+}
+
+// dispatchView is the first half of viewBlocks: it leases the cached
+// blocks of [first,last] into v.parts, runs the overload admission gates
+// over the miss runs — between miss discovery and enqueue, so a fully
+// cached read is never shed — and enqueues one pool ticket per run
+// without waiting for any. merge makes that a single ticket spanning the
+// first miss to the last, whose worker re-peeks the cached blocks in
+// between, so a read fragmented by a partly warm cache still takes one
+// queue slot. awaitView collects the tickets; in between, the caller is
+// free to write out an earlier view while these decode.
+func (s *Server) dispatchView(ctx context.Context, img *image, v *View, first, last, limit int, merge bool) error {
 	st := &v.stats
 	st.Blocks = last - first + 1
+	v.first = first
 	if cap(v.parts) >= st.Blocks {
 		v.parts = v.parts[:st.Blocks]
 	} else {
 		v.parts = make([][]byte, st.Blocks)
 	}
-	var runs []missRun
+	runs := v.runs[:0]
 	for b := first; b <= last; b++ {
 		if ls, ok := s.cache.AcquirePeek(img.key(b)); ok {
 			v.leases = append(v.leases, ls)
@@ -263,8 +290,8 @@ func (s *Server) viewBlocks(ctx context.Context, img *image, v *View, first, las
 			runs = append(runs, missRun{b, b})
 		}
 	}
+	v.runs = runs
 	if len(runs) == 0 {
-		s.met.rangeCachedBlocks.Add(int64(st.CachedBlocks))
 		return nil
 	}
 	if s.ovl != nil {
@@ -277,10 +304,12 @@ func (s *Server) viewBlocks(ctx context.Context, img *image, v *View, first, las
 			return err
 		}
 	}
-	replies := make([]chan rangeResult, len(runs))
-	for i, r := range runs {
+	if merge {
+		runs = append(runs[:0], missRun{runs[0].first, runs[len(runs)-1].last})
+		v.runs = runs
+	}
+	for _, r := range runs {
 		reply := make(chan rangeResult, 1)
-		replies[i] = reply
 		rj := &rangeJob{first: r.first, last: r.last, reply: reply}
 		if limit > 0 && r.last == last {
 			rj.limit = limit
@@ -288,17 +317,25 @@ func (s *Server) viewBlocks(ctx context.Context, img *image, v *View, first, las
 		if err := s.enqueue(ctx, task{img: img, enq: time.Now(), rng: rj, ctx: ctx}); err != nil {
 			return err
 		}
+		v.replies = append(v.replies, reply)
 		st.Dispatches++
 		s.met.rangeDispatches.Inc()
 	}
-	for i, r := range runs {
-		rr, err := awaitRange(ctx, replies[i], s.drained)
+	return nil
+}
+
+// awaitView is the second half of viewBlocks: it waits for every ticket
+// dispatchView enqueued and drops the decoded blocks into their parts.
+func (s *Server) awaitView(ctx context.Context, v *View) error {
+	st := &v.stats
+	for i, reply := range v.replies {
+		rr, err := awaitRange(ctx, reply, s.drained)
 		if err != nil {
 			return err
 		}
 		st.DecodedBlocks += rr.decoded
 		v.decodedBytes += rr.decodedBytes
-		copy(v.parts[r.first-first:], rr.blocks)
+		copy(v.parts[v.runs[i].first-v.first:], rr.blocks)
 	}
 	s.met.rangeCachedBlocks.Add(int64(st.CachedBlocks))
 	s.met.rangeDecodedBlocks.Add(int64(st.DecodedBlocks))
@@ -389,26 +426,73 @@ func blockFor(offs []int64, off int) int {
 	return lo
 }
 
-// WriteText streams the whole decompressed program to w block by
-// block, never materializing it — the /text endpoint's streaming
-// backend. Returns how many bytes were written before any error.
+// textWindow is how many blocks one WriteText window covers: a cold
+// window is one range ticket, so an image takes ceil(blocks/textWindow)
+// dispatches.
+const textWindow = 64
+
+// WriteText streams the whole decompressed program to w; see
+// WriteTextContext.
 func (s *Server) WriteText(name string, w io.Writer) (int64, error) {
+	return s.WriteTextContext(context.Background(), name, w)
+}
+
+// WriteTextContext streams the whole decompressed program to w without
+// materializing it — the /text endpoint's backend. Every block decodes
+// on its own, so the read is pipelined: the image is walked in
+// textWindow-block windows, each a batched range read (leased cached
+// blocks, one verified-and-cached pool ticket spanning the window's
+// misses, overload admission per window), and up to Options.Workers
+// windows are in flight while the oldest is awaited and written, so
+// later windows decode on other workers meanwhile. An expired ctx stops
+// further dispatches; windows still in flight when the call returns
+// early are abandoned, and their tickets still queued are retired
+// undecoded. Returns how many bytes were written before any error.
+func (s *Server) WriteTextContext(ctx context.Context, name string, w io.Writer) (int64, error) {
 	img, err := s.lookup(name)
 	if err != nil {
 		return 0, err
 	}
 	img.fullReads.Add(1)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	depth := s.opts.Workers
+	ahead := make([]*View, 0, depth)
+	defer func() {
+		for _, v := range ahead {
+			v.Close()
+		}
+	}()
 	var n int64
-	for b := 0; b < img.blocks; b++ {
-		blk, _, err := s.fetch(img, b)
+	for next := 0; next < img.blocks || len(ahead) > 0; {
+		if err := ctx.Err(); err != nil {
+			return n, err
+		}
+		for next < img.blocks && len(ahead) < depth {
+			last := min(next+textWindow, img.blocks) - 1
+			if img.recorder != nil {
+				for b := next; b <= last; b++ {
+					img.recorder.Record(b)
+				}
+			}
+			v := newView()
+			ahead = append(ahead, v)
+			if err := s.dispatchView(ctx, img, v, next, last, 0, true); err != nil {
+				return n, err
+			}
+			next = last + 1
+		}
+		v := ahead[0]
+		if err := s.awaitView(ctx, v); err != nil {
+			return n, err
+		}
+		m, err := v.WriteTo(w)
+		n += m
 		if err != nil {
 			return n, err
 		}
-		m, err := w.Write(blk)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
+		v.Close()
+		ahead = append(ahead[:0], ahead[1:]...)
 	}
 	return n, nil
 }

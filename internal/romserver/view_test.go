@@ -228,9 +228,9 @@ func TestReadAtFaultedImageStaysVerified(t *testing.T) {
 	}
 }
 
-// TestRangeViewMatchesRange pins the zero-copy range path to the
-// copying one, and RangeBatched (now a wrapper over RangeView) to
-// Range.
+// TestRangeViewMatchesRange pins the zero-copy range path, and
+// RangeBatched (the copying wrapper over RangeView), to the original
+// text of the range.
 func TestRangeViewMatchesRange(t *testing.T) {
 	_, text := testText(t)
 	s := New(Options{CacheBlocks: 16, CacheShards: 1})
@@ -240,16 +240,13 @@ func TestRangeViewMatchesRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range [][2]int{{0, 0}, {0, 3}, {2, 5}, {info.Blocks - 2, info.Blocks - 1}, {0, info.Blocks - 1}} {
-		want, err := s.Range("prog", w[0], w[1])
-		if err != nil {
-			t.Fatalf("Range(%v): %v", w, err)
-		}
+		want := text[w[0]*32 : min((w[1]+1)*32, len(text))]
 		v, err := s.RangeView("prog", w[0], w[1])
 		if err != nil {
 			t.Fatalf("RangeView(%v): %v", w, err)
 		}
 		if got := v.AppendTo(nil); !bytes.Equal(got, want) {
-			t.Fatalf("RangeView(%v) diverges from Range", w)
+			t.Fatalf("RangeView(%v): wrong bytes", w)
 		}
 		if v.Len() != len(want) {
 			t.Fatalf("RangeView(%v).Len() = %d, want %d", w, v.Len(), len(want))
@@ -533,4 +530,53 @@ func BenchmarkRomserverColdRange(b *testing.B) {
 		b.Fatal("cold range read decoded nothing")
 	}
 	b.ReportMetric(float64(decodes)/float64(b.N), "decodes/op")
+}
+
+// BenchmarkRomserverTextCold measures a cold whole-image read: WriteText
+// of a SAMC image to io.Discard with the default options except a
+// one-window cache. Ops alternate between two registrations of the
+// image, so each read finds none of its blocks cached and every window
+// is one miss run of decodes and verifies on the pool. It exports
+// decodes/op, dispatches/op and windows/op (ceil(blocks/textWindow));
+// benchdecode gates dispatches at one per window and allocs/op at
+// decodes/op plus a fixed overhead per window.
+func BenchmarkRomserverTextCold(b *testing.B) {
+	_, text := testText(b)
+	s := New(Options{CacheBlocks: textWindow})
+	defer s.Close()
+	data := marshalSAMC(b, text)
+	names := []string{"a", "b"}
+	var info ImageInfo
+	for _, name := range names {
+		var err error
+		if info, err = s.AddImage(name, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if info.Blocks < 4*textWindow {
+		b.Fatalf("image too small: %d blocks", info.Blocks)
+	}
+	read := func(i int) {
+		if _, err := s.WriteText(names[i%2], io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		read(i)
+	}
+	decodes, dispatches := s.met.decompressions.Value(), s.met.rangeDispatches.Value()
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read(i)
+	}
+	b.StopTimer()
+	decodes = s.met.decompressions.Value() - decodes
+	if decodes == 0 {
+		b.Fatal("cold text read decoded nothing")
+	}
+	b.ReportMetric(float64(decodes)/float64(b.N), "decodes/op")
+	b.ReportMetric(float64(s.met.rangeDispatches.Value()-dispatches)/float64(b.N), "dispatches/op")
+	b.ReportMetric(float64((info.Blocks+textWindow-1)/textWindow), "windows/op")
 }
