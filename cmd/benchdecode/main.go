@@ -17,8 +17,10 @@
 // 8, the cold whole-image text read on at most one dispatch per window
 // and one allocation per decoded block plus 8 per window, the warm
 // zero-copy read paths (cached sub-block and warm range views) on
-// exactly 0 allocs/op and 0 B/op, and the sub-block miss path on its
-// decoded-bytes-per-op staying strictly below the block size.
+// exactly 0 allocs/op and 0 B/op, the sub-block miss path on its
+// decoded-bytes-per-op staying strictly below the block size, and the
+// registration of a 10k-block image on at most 128 allocs/op, none per
+// block.
 //
 // Usage:
 //
@@ -63,7 +65,10 @@ type result struct {
 	// pipelined read may take at most one ticket per window.
 	DispatchesPerOp float64 `json:"dispatches_per_op,omitempty"`
 	WindowsPerOp    float64 `json:"windows_per_op,omitempty"`
-	Samples         int     `json:"samples"`
+	// BlocksPerOp is the block count of the image the registration
+	// benchmark registers each op.
+	BlocksPerOp float64 `json:"blocks_per_op,omitempty"`
+	Samples     int     `json:"samples"`
 }
 
 // speedup is one codec's fast-vs-reference ratio, both sides measured in
@@ -98,7 +103,7 @@ var suite = []struct {
 	{"codecomp/internal/kozuch", "^(BenchmarkDecompressBlock|BenchmarkDecompressBlockReference|BenchmarkAppendBlock)$"},
 	{"codecomp/internal/rans", "^(BenchmarkDecompressBlock|BenchmarkDecompressBlockReference|BenchmarkAppendBlock)$"},
 	{"codecomp/internal/huffman", "^(BenchmarkDecode|BenchmarkDecodeSerial)$"},
-	{"codecomp/internal/romserver", "^(BenchmarkRomserverMiss|BenchmarkRomserverColdRange|BenchmarkRomserverTextCold|BenchmarkRomserverCachedReadAt|BenchmarkRomserverWarmRange|BenchmarkRomserverSubblockMiss)$"},
+	{"codecomp/internal/romserver", "^(BenchmarkRomserverMiss|BenchmarkRomserverColdRange|BenchmarkRomserverTextCold|BenchmarkRomserverCachedReadAt|BenchmarkRomserverWarmRange|BenchmarkRomserverSubblockMiss|BenchmarkRomserverAddImage)$"},
 	{"codecomp", "^(BenchmarkDecompressSAMC|BenchmarkDecompressSADC|BenchmarkDecompressHuffman|BenchmarkDecompressRANS)$"},
 }
 
@@ -207,6 +212,7 @@ func measure(count int) (*report, error) {
 			DecodesPerOp:    median(append([]float64(nil), metrics["decodes/op"]...)),
 			DispatchesPerOp: median(append([]float64(nil), metrics["dispatches/op"]...)),
 			WindowsPerOp:    median(append([]float64(nil), metrics["windows/op"]...)),
+			BlocksPerOp:     median(append([]float64(nil), metrics["blocks/op"]...)),
 			Samples:         len(metrics["ns/op"]),
 		}
 	}
@@ -361,6 +367,23 @@ func check(fresh, baseline *report, tolerance float64) error {
 			"serving", sub.DecodedBPerOp, subblockBenchBlockSize, status)
 	} else {
 		failures = append(failures, "romserver/RomserverSubblockMiss missing from fresh run")
+	}
+	// Registration gate: the sidecar pass decodes every block into a
+	// reused buffer per chunk, so registering a 10k-block image must not
+	// allocate per block.
+	if add, ok := fresh.Benchmarks["romserver/RomserverAddImage"]; ok {
+		const addImageAllocs = 128
+		status := "ok"
+		if add.BlocksPerOp <= 0 || add.AllocsPerOp > addImageAllocs {
+			status = "REGRESSION"
+			failures = append(failures,
+				fmt.Sprintf("romserver add image: %.0f allocs/op at %.0f blocks/op, budget is %d",
+					add.AllocsPerOp, add.BlocksPerOp, addImageAllocs))
+		}
+		fmt.Printf("%-8s add image %.0f allocs/op at %.0f blocks/op (budget %d) %s\n",
+			"serving", add.AllocsPerOp, add.BlocksPerOp, addImageAllocs, status)
+	} else {
+		failures = append(failures, "romserver/RomserverAddImage missing from fresh run")
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("decode fast-path regression:\n  %s", strings.Join(failures, "\n  "))

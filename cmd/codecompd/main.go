@@ -85,6 +85,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -137,6 +138,10 @@ type daemon struct {
 	faultsAllowed bool
 	// store persists images when -data-dir is set; nil otherwise.
 	store *cluster.Store
+	// regMu serializes registration and removal with their store
+	// write-through, so a concurrent upload and delete of one name
+	// cannot leave disk and registry disagreeing.
+	regMu sync.Mutex
 	// api is the cluster-internal surface (peer cache-fill, cache-only
 	// peeks, peer-table pushes) that makes a standalone daemon a full
 	// cluster member.
@@ -462,6 +467,8 @@ func (d *daemon) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
+	d.regMu.Lock()
+	defer d.regMu.Unlock()
 	info, err := d.rs.AddImage(name, data)
 	if err != nil {
 		if errors.Is(err, romserver.ErrClosed) {
@@ -499,6 +506,8 @@ func (d *daemon) handleImage(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *daemon) handleDelete(w http.ResponseWriter, r *http.Request) {
+	d.regMu.Lock()
+	defer d.regMu.Unlock()
 	if err := d.rs.RemoveImage(r.PathValue("name")); err != nil {
 		writeErr(w, err)
 		return

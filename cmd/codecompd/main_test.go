@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -767,5 +769,89 @@ func TestTieredDataDirPersistence(t *testing.T) {
 	resp, body = get(t, ts2.URL+"/images/tprog/text", nil)
 	if resp.StatusCode != http.StatusOK || string(body) != string(text) {
 		t.Fatalf("recovered text: %d, %d bytes (want %d)", resp.StatusCode, len(body), len(text))
+	}
+}
+
+// TestUploadDeleteStormKeepsStoreInStep races same-name uploads of two
+// different images against a delete on a daemon with a data dir, round
+// after round. Every upload registers then saves and every delete
+// removes from both, so after each round the registry and the store
+// must hold the same names, and each registered image must serve
+// exactly the bytes stored for it.
+func TestUploadDeleteStormKeepsStoreInStep(t *testing.T) {
+	cfg := testConfig()
+	cfg.dataDir = t.TempDir()
+	d, _, _ := startDaemon(t, cfg)
+	text := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv")).Text()
+	var payloads [2]string
+	for k, n := range []int{len(text), len(text) / 2} {
+		img, err := codecomp.CompressSAMC(text[:n], codecomp.SAMCOptions{Connected: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads[k] = string(img.Marshal())
+	}
+	serve := func(method, url, body string) {
+		rec := httptest.NewRecorder()
+		d.mux.ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Errorf("%s %s: %d: %s", method, url, rec.Code, rec.Body)
+		}
+	}
+	for round := 0; round < 100; round++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for op := 0; op < 3; op++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if op == 2 {
+					serve(http.MethodDelete, "/images/storm", "")
+				} else {
+					serve(http.MethodPost, "/images?name=storm", payloads[(round+op)%2])
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		checkStoreMatchesRegistry(t, d)
+	}
+}
+
+// checkStoreMatchesRegistry fails unless the daemon's store and
+// registry hold the same image names with the same decompressed bytes.
+func checkStoreMatchesRegistry(t *testing.T, d *daemon) {
+	t.Helper()
+	stored, errs := d.store.Load()
+	if len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	registered := map[string]bool{}
+	for _, info := range d.rs.Images() {
+		registered[info.Name] = true
+	}
+	if len(stored) != len(registered) {
+		t.Fatalf("store holds %d images, registry %d (%v)", len(stored), len(registered), registered)
+	}
+	for _, im := range stored {
+		if !registered[im.Name] {
+			t.Fatalf("%q is on disk but not registered", im.Name)
+		}
+		codec, err := codecomp.UnmarshalAny(im.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := codec.Decompress()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if _, err := d.rs.WriteText(im.Name, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%q serves %d bytes, store holds an image of %d", im.Name, got.Len(), len(want))
+		}
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -93,26 +94,60 @@ type sidecar struct {
 	lens []int32
 }
 
+// sidecarChunkMin is the fewest blocks one registration chunk verifies,
+// so an image under twice this many stays on the caller's goroutine.
+const sidecarChunkMin = 64
+
 // buildSidecar decompresses every block once and records its checksum and
 // length. A codec that errors or panics here is rejected at registration
-// rather than discovered in a worker.
-func buildSidecar(c codecomp.BlockCodec) (sc *sidecar, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			sc, err = nil, fmt.Errorf("codec panicked during verification: %v", r)
-		}
-	}()
+// rather than discovered in a worker. Blocks decode independently (the
+// coder state resets at every block), so the pass splits the image into
+// up to GOMAXPROCS contiguous chunks verified in parallel. Each chunk
+// stops at its first failure and the first failing chunk's error is
+// returned, so the error names the lowest failing block, as a
+// sequential pass would. The caller's goroutine verifies the first
+// chunk.
+func buildSidecar(c codecomp.BlockCodec) (*sidecar, error) {
 	n := c.NumBlocks()
-	sc = &sidecar{crcs: make([]uint32, n), lens: make([]int32, n)}
-	for i := 0; i < n; i++ {
-		blk, err := c.Block(i)
+	sc := &sidecar{crcs: make([]uint32, n), lens: make([]int32, n)}
+	chunks := max(1, min(runtime.GOMAXPROCS(0), n/sidecarChunkMin))
+	errs := make([]error, chunks)
+	var wg sync.WaitGroup
+	for p := 1; p < chunks; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[p] = sc.fill(c, p*n/chunks, (p+1)*n/chunks)
+		}()
+	}
+	errs[0] = sc.fill(c, 0, n/chunks)
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("block %d failed to decompress: %w", i, err)
+			return nil, err
 		}
-		sc.crcs[i] = crc32.Checksum(blk, castagnoli)
-		sc.lens[i] = int32(len(blk))
 	}
 	return sc, nil
+}
+
+// fill decodes blocks [lo,hi) into one reused buffer and records each
+// one's checksum and length. It recovers a codec panic into an error
+// itself: it may run on its own goroutine, where no caller could.
+func (sc *sidecar) fill(c codecomp.BlockCodec, lo, hi int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("codec panicked during verification: %v", r)
+		}
+	}()
+	var buf []byte
+	for i := lo; i < hi; i++ {
+		if buf, err = codecomp.AppendBlock(c, buf[:0], i); err != nil {
+			return fmt.Errorf("block %d failed to decompress: %w", i, err)
+		}
+		sc.crcs[i] = crc32.Checksum(buf, castagnoli)
+		sc.lens[i] = int32(len(buf))
+	}
+	return nil
 }
 
 // blockOffsets folds the sidecar's per-block lengths into the

@@ -433,9 +433,9 @@ func TestConcurrentAddRemoveRace(t *testing.T) {
 					return
 				}
 				if b+1 < blocks && rng.Intn(8) == 0 {
-					rdata, _, err := s.RangeBatched("img", b, b+1)
+					rdata, _, err := rangeBytes(s, "img", b, b+1)
 					if err == nil && !bytes.Equal(rdata[:32], wantA) && !bytes.Equal(rdata[:32], wantB) {
-						t.Errorf("RangeBatched(%d): stale bytes", b)
+						t.Errorf("rangeBytes(%d): stale bytes", b)
 						return
 					}
 				}

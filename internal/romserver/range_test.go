@@ -26,6 +26,17 @@ func marshalRANS(t testing.TB, text []byte) []byte {
 	return img.Marshal()
 }
 
+// rangeBytes reads blocks [first,last] through RangeView and returns
+// their concatenated bytes and how the read was served.
+func rangeBytes(s *Server, name string, first, last int) ([]byte, RangeStats, error) {
+	v, err := s.RangeView(name, first, last)
+	if err != nil {
+		return nil, RangeStats{}, err
+	}
+	defer v.Close()
+	return v.AppendTo(nil), v.Stats(), nil
+}
+
 func TestRangeBatchedByteExactAndAmortized(t *testing.T) {
 	_, text := testText(t)
 	s := New(Options{CacheBlocks: 4096, PrefetchDepth: -1})
@@ -49,12 +60,12 @@ func TestRangeBatchedByteExactAndAmortized(t *testing.T) {
 	before := s.CacheStats()
 
 	first, last := 4, 19
-	got, st, err := s.RangeBatched("prog", first, last)
+	got, st, err := rangeBytes(s, "prog", first, last)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, text[first*32:(last+1)*32]) {
-		t.Fatalf("RangeBatched(%d,%d) output mismatch: %d bytes", first, last, len(got))
+		t.Fatalf("rangeBytes(%d,%d) output mismatch: %d bytes", first, last, len(got))
 	}
 
 	// Amortization: cached {6,7,12} split [4,19] into miss-runs [4,5],
@@ -87,7 +98,7 @@ func TestRangeBatchedByteExactAndAmortized(t *testing.T) {
 	}
 
 	// A fully cached re-read takes zero dispatches.
-	got2, st2, err := s.RangeBatched("prog", first, last)
+	got2, st2, err := rangeBytes(s, "prog", first, last)
 	if err != nil || !bytes.Equal(got2, got) {
 		t.Fatalf("warm re-read: %v", err)
 	}
@@ -96,14 +107,14 @@ func TestRangeBatchedByteExactAndAmortized(t *testing.T) {
 	}
 
 	// Error surfaces match the per-block API.
-	if _, _, err := s.RangeBatched("prog", 5, 2); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("RangeBatched(5,2): %v", err)
+	if _, _, err := rangeBytes(s, "prog", 5, 2); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("rangeBytes(5,2): %v", err)
 	}
-	if _, _, err := s.RangeBatched("prog", 0, info.Blocks); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("RangeBatched(0,N): %v", err)
+	if _, _, err := rangeBytes(s, "prog", 0, info.Blocks); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("rangeBytes(0,N): %v", err)
 	}
-	if _, _, err := s.RangeBatched("nope", 0, 0); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("RangeBatched(nope): %v", err)
+	if _, _, err := rangeBytes(s, "nope", 0, 0); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("rangeBytes(nope): %v", err)
 	}
 }
 
@@ -120,7 +131,7 @@ func TestRangeBatchedRANS(t *testing.T) {
 	if info.Format != codecomp.FormatRANS {
 		t.Fatalf("format = %q, want %q", info.Format, codecomp.FormatRANS)
 	}
-	got, st, err := s.RangeBatched("prog", 0, info.Blocks-1)
+	got, st, err := rangeBytes(s, "prog", 0, info.Blocks-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +141,7 @@ func TestRangeBatchedRANS(t *testing.T) {
 	if st.Dispatches != 1 || st.DecodedBlocks != info.Blocks {
 		t.Fatalf("cold RangeStats = %+v, want one dispatch decoding all %d blocks", st, info.Blocks)
 	}
-	if _, st, err = s.RangeBatched("prog", 0, info.Blocks-1); err != nil || st.Dispatches != 0 {
+	if _, st, err = rangeBytes(s, "prog", 0, info.Blocks-1); err != nil || st.Dispatches != 0 {
 		t.Fatalf("warm rANS range: %+v err=%v", st, err)
 	}
 }
@@ -156,7 +167,7 @@ func TestRangeBatchedUnderFaults(t *testing.T) {
 	if err := s.SetFaults("prog", &faultinj.Options{Seed: 42, BitFlipRate: 0.05, TransientRate: 0.02}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := s.RangeBatched("prog", 0, info.Blocks-1)
+	got, _, err := rangeBytes(s, "prog", 0, info.Blocks-1)
 	if err != nil {
 		t.Fatal(err)
 	}

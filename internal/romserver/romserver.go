@@ -965,25 +965,6 @@ type RangeStats struct {
 	DecodedBlocks int `json:"decoded_blocks"`
 }
 
-// RangeBatched returns the concatenated decompressed bytes of blocks
-// [first,last] through the batched decode path: cached blocks are taken
-// as leases (no LRU promotion, no demand hit/miss or prefetch-accuracy
-// impact), and each contiguous run of missing blocks becomes ONE worker
-// pool dispatch that decodes the run back to back, inserting every block
-// into the cache for later demand traffic. Unlike demand misses, batched
-// range reads trigger no speculative prefetch — the range itself already
-// states exactly what is wanted. This is the copying adapter over
-// RangeView; callers that can consume parts (the HTTP layer) should use
-// the view directly and skip the concatenation.
-func (s *Server) RangeBatched(name string, first, last int) ([]byte, RangeStats, error) {
-	v, err := s.RangeView(name, first, last)
-	if err != nil {
-		return nil, RangeStats{}, err
-	}
-	defer v.Close()
-	return v.AppendTo(make([]byte, 0, v.Len())), v.Stats(), nil
-}
-
 // awaitRange waits for one range dispatch, tolerating the same
 // enqueue/shutdown race awaitFetch does: drain may close while the drain loop
 // is still serving our queued job, so check the reply once more. An

@@ -135,9 +135,9 @@ func TestBlockRangeFullText(t *testing.T) {
 		}
 	}
 
-	got, _, err := s.RangeBatched("prog", 2, 5)
+	got, _, err := rangeBytes(s, "prog", 2, 5)
 	if err != nil || !bytes.Equal(got, text[2*32:6*32]) {
-		t.Fatalf("RangeBatched(2,5): %v", err)
+		t.Fatalf("rangeBytes(2,5): %v", err)
 	}
 
 	full, err := fullText(s, "prog")
@@ -152,8 +152,8 @@ func TestBlockRangeFullText(t *testing.T) {
 	if _, _, err := s.Block("prog", info.Blocks); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("Block(N): %v", err)
 	}
-	if _, _, err := s.RangeBatched("prog", 5, 2); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("RangeBatched(5,2): %v", err)
+	if _, _, err := rangeBytes(s, "prog", 5, 2); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("rangeBytes(5,2): %v", err)
 	}
 	if _, _, err := s.Block("nope", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Block(nope): %v", err)

@@ -9,16 +9,19 @@ import (
 	"codecomp"
 )
 
-// marshalTiered builds a three-tier image (raw / huffman / rans) with
-// every block parked in the densest tier, the state a fresh upload starts
+// testTierSpec is a three-tier layout (raw / huffman / rans) with every
+// block parked in the densest tier, the state a fresh upload starts
 // serving from before any training.
+var testTierSpec = codecomp.TierSpec{
+	BlockSize:   128,
+	Tiers:       []string{codecomp.TierRaw, codecomp.TierHuffman, codecomp.TierRANS},
+	DefaultTier: 2,
+}
+
+// marshalTiered compresses text under testTierSpec.
 func marshalTiered(t testing.TB, text []byte) []byte {
 	t.Helper()
-	img, err := codecomp.CompressTiered(text, codecomp.TierSpec{
-		BlockSize:   128,
-		Tiers:       []string{codecomp.TierRaw, codecomp.TierHuffman, codecomp.TierRANS},
-		DefaultTier: 2,
-	})
+	img, err := codecomp.CompressTiered(text, testTierSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func newView() *View {
 func (v *View) Len() int { return v.length }
 
 // Stats reports how the read was served (cached blocks, pool
-// dispatches, decoded blocks), same semantics as RangeBatched.
+// dispatches, decoded blocks).
 func (v *View) Stats() RangeStats { return v.stats }
 
 // DecodedBytes is how many bytes of codec output the read decoded: the
@@ -77,8 +77,8 @@ func (v *View) DecodedBytes() int { return v.decodedBytes }
 // Close.
 func (v *View) Parts() [][]byte { return v.parts }
 
-// AppendTo appends the view's bytes to dst and returns it — the
-// copying adapter the legacy contiguous APIs (RangeBatched) sit on.
+// AppendTo appends the view's bytes to dst and returns it, for callers
+// that need the range as one contiguous slice.
 func (v *View) AppendTo(dst []byte) []byte {
 	for _, p := range v.parts {
 		dst = append(dst, p...)
@@ -142,8 +142,9 @@ type missRun struct{ first, last int }
 // RangeView serves blocks [first,last] as a zero-copy View: cached
 // blocks are leased (Peek semantics — no LRU promotion, no demand
 // accounting), each contiguous miss run is one worker-pool dispatch
-// that decodes, verifies and caches its blocks. The caller must Close
-// the view.
+// that decodes, verifies and caches its blocks. A range read triggers
+// no speculative prefetch: the range already states what is wanted.
+// The caller must Close the view.
 func (s *Server) RangeView(name string, first, last int) (*View, error) {
 	img, err := s.lookup(name)
 	if err != nil {

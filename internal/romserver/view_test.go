@@ -228,9 +228,8 @@ func TestReadAtFaultedImageStaysVerified(t *testing.T) {
 	}
 }
 
-// TestRangeViewMatchesRange pins the zero-copy range path, and
-// RangeBatched (the copying wrapper over RangeView), to the original
-// text of the range.
+// TestRangeViewMatchesRange pins the zero-copy range path, and its
+// copied bytes and stats, to the original text of the range.
 func TestRangeViewMatchesRange(t *testing.T) {
 	_, text := testText(t)
 	s := New(Options{CacheBlocks: 16, CacheShards: 1})
@@ -252,12 +251,12 @@ func TestRangeViewMatchesRange(t *testing.T) {
 			t.Fatalf("RangeView(%v).Len() = %d, want %d", w, v.Len(), len(want))
 		}
 		v.Close()
-		got, st, err := s.RangeBatched("prog", w[0], w[1])
+		got, st, err := rangeBytes(s, "prog", w[0], w[1])
 		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("RangeBatched(%v): %v", w, err)
+			t.Fatalf("rangeBytes(%v): %v", w, err)
 		}
 		if st.Blocks != w[1]-w[0]+1 || st.CachedBlocks+st.DecodedBlocks < st.Blocks {
-			t.Fatalf("RangeBatched(%v) stats = %+v", w, st)
+			t.Fatalf("rangeBytes(%v) stats = %+v", w, st)
 		}
 	}
 	if _, err := s.RangeView("prog", 3, 1); !errors.Is(err, ErrOutOfRange) {
