@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -447,6 +448,21 @@ func TestBytesEndpoint(t *testing.T) {
 	}
 	if got := resp.Header.Get("Content-Length"); got != fmt.Sprint(len(text)) {
 		t.Fatalf("text Content-Length = %q, want %d", got, len(text))
+	}
+}
+
+// TestBytesEndpointHugeLen checks that a len so large that off+len
+// wraps is a 404 out-of-range read, not a whole-image decode that fails
+// as a codec panic.
+func TestBytesEndpointHugeLen(t *testing.T) {
+	d, ts, _ := startDaemon(t, testConfig())
+	resp, body := get(t, fmt.Sprintf("%s/images/prog/bytes?off=1&len=%d", ts.URL, math.MaxInt64), nil)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("bytes?off=1&len=MaxInt64: %d: %s, want 404", resp.StatusCode, body)
+	}
+	if st := d.rs.Stats(); st.Faults.PanicsRecovered != 0 || st.Images[0].Decompressions != 0 {
+		t.Fatalf("huge read recovered %d panics and decoded %d blocks, want 0 and 0",
+			st.Faults.PanicsRecovered, st.Images[0].Decompressions)
 	}
 }
 

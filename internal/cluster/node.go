@@ -43,8 +43,9 @@ type InternalAPI struct {
 	peekHits     *obsv.Counter
 }
 
-// NewInternalAPI registers the cluster_* node metrics on reg, installs
-// the peer cache-fill hook on rs, and returns the API ready to mount.
+// NewInternalAPI registers the cluster_* node metrics on reg and returns
+// the API ready to mount. The peer cache-fill hook goes on rs once
+// SetPeers gives the node a peer (see SetPeers).
 // fillTimeout bounds one peer probe (default 150ms) — a fill must stay
 // much cheaper than the decompression it is trying to avoid.
 func NewInternalAPI(rs *romserver.Server, reg *obsv.Registry, fillTimeout time.Duration) *InternalAPI {
@@ -74,7 +75,6 @@ func NewInternalAPI(rs *romserver.Server, reg *obsv.Registry, fillTimeout time.D
 			a.mu.RUnlock()
 			return float64(n)
 		})
-	rs.SetFillHook(a.fill)
 	return a
 }
 
@@ -117,7 +117,9 @@ func (a *InternalAPI) fill(image string, block int) ([]byte, bool) {
 }
 
 // SetPeers replaces the peer table: for each image, the base URLs of
-// its replica peers.
+// its replica peers. The fill hook is installed on the romserver only
+// while the table is non-empty, so a node without peers pays no fill
+// call, and no clock reading for one, on its misses.
 func (a *InternalAPI) SetPeers(peers map[string][]string) {
 	next := make(map[string][]*client.Client, len(peers))
 	for img, addrs := range peers {
@@ -128,8 +130,13 @@ func (a *InternalAPI) SetPeers(peers map[string][]string) {
 		next[img] = cs
 	}
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.peers = next
-	a.mu.Unlock()
+	if len(next) > 0 {
+		a.rs.SetFillHook(a.fill)
+	} else {
+		a.rs.SetFillHook(nil)
+	}
 }
 
 // HandleCached serves GET /internal/images/{name}/cached/{i}: the block

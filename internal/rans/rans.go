@@ -30,8 +30,8 @@
 //	  emit nibble x&15, x >>= 4   (post-push state lands back in [L, b·L))
 //	decoder, after popping a symbol: while x < L, x = x<<4 | next nibble
 //
-// M = 256 keeps the flat decode table at 128 KB (128 contexts × 256 slots
-// × 4 bytes) so it stays cache-resident on the decode critical path; the
+// M = 256 keeps the slot → symbol decode table at 32 KB (128 contexts ×
+// 256 slots × 1 byte) so it stays in L1 on the decode critical path; the
 // quantization loss against a 10-bit model is under a point of ratio and
 // is bought back by the narrower 12-bit state flush.
 //
@@ -53,14 +53,13 @@ const (
 	stateBits = scaleBits + 4  // log2(b·L): bits to store one final state
 	stateMax  = 1 << stateBits // exclusive upper bound b·L
 
-	// Decode-table entries pack sym<<symShift | freq<<scaleBits | start.
 	// A frequency can equal m itself (single-symbol context), so its field
 	// is scaleBits+1 wide; the serialized model uses the same width.
 	freqFieldBits = scaleBits + 1
-	freqMask      = 1<<freqFieldBits - 1
-	symShift      = scaleBits + freqFieldBits
-	numCtx        = 128 // (nibble position & 7) << 4 | previous nibble
-	numSym        = 16  // nibble alphabet
+	// fs entries pack freq<<freqShift | start.
+	freqShift = 16
+	numCtx    = 128 // (nibble position & 7) << 4 | previous nibble
+	numSym    = 16  // nibble alphabet
 
 	// DefaultBlockSize is the codec's native decode granularity. rANS pays
 	// N·stateBits bits of state flush per block, so its blocks default to
@@ -95,9 +94,13 @@ type Compressed struct {
 	// Streams is the interleaving factor N the image was encoded with.
 	Streams int
 
-	// dec is the flat slot→(symbol, freq, start) decode table, indexed by
-	// ctx<<scaleBits | slot. Entries pack sym<<symShift | freq<<scaleBits | start.
-	dec []uint32
+	// The decode tables, built from Freq and Cum: sym maps
+	// ctx<<scaleBits | slot to the slot's symbol, and fs maps
+	// ctx<<4 | sym to freq<<freqShift | start. A symbol's context holds
+	// the previous symbol, so the sym lookup is the decode's serial
+	// chain; at a byte per slot that table is 32 KB and stays in L1.
+	sym []uint8
+	fs  []uint32
 }
 
 func (o *Options) normalize() error {
@@ -291,17 +294,19 @@ func (c *Compressed) buildCum() {
 	}
 }
 
-// buildDecodeTable expands the frequency model into the flat slot table the
-// fast decode loop indexes: one entry per (context, slot in [0,m)).
+// buildDecodeTable expands the frequency model into the tables the fast
+// decode loop indexes: the symbol of each (context, slot in [0,m)), and
+// the frequency and start of each (context, symbol).
 func (c *Compressed) buildDecodeTable() {
-	c.dec = make([]uint32, numCtx<<scaleBits)
+	c.sym = make([]uint8, numCtx<<scaleBits)
+	c.fs = make([]uint32, numCtx*numSym)
 	for ctx := range c.Freq {
 		base := ctx << scaleBits
 		for s := 0; s < numSym; s++ {
 			f, start := uint32(c.Freq[ctx][s]), uint32(c.Cum[ctx][s])
-			e := uint32(s)<<symShift | f<<scaleBits | start
+			c.fs[ctx*numSym+s] = f<<freqShift | start
 			for slot := start; slot < start+f; slot++ {
-				c.dec[base+int(slot)] = e
+				c.sym[base+int(slot)] = uint8(s)
 			}
 		}
 	}
@@ -373,8 +378,8 @@ func (c *Compressed) AppendBlock(dst []byte, i int) ([]byte, error) {
 	if c.Streams == 4 {
 		return c.append4(dst, i)
 	}
-	dec := c.dec
-	if len(dec) != numCtx<<scaleBits {
+	sym, fs := c.sym, c.fs
+	if len(sym) != numCtx<<scaleBits || len(fs) != numCtx*numSym {
 		return nil, fmt.Errorf("rans: decode table not built")
 	}
 	data := c.Blocks[i]
@@ -409,8 +414,10 @@ func (c *Compressed) AppendBlock(dst []byte, i int) ([]byte, error) {
 		for half := 0; half < 2; half++ {
 			x := states[j&mask]
 			slot := x & (m - 1)
-			e := dec[(j&7)<<stateBits|prev<<scaleBits|slot]
-			x = (e>>scaleBits&freqMask)*(x>>scaleBits) + slot - e&(m-1)
+			ctx := (j&7)<<4 | prev
+			sy := uint32(sym[ctx<<scaleBits|slot])
+			f := fs[ctx<<4|sy]
+			x = (f>>freqShift)*(x>>scaleBits) + slot - f&(1<<freqShift-1)
 			if x < low {
 				// Renormalize: top up the reservoir, then pull exactly the
 				// nibbles that lift the state back into [L, b·L).
@@ -430,7 +437,7 @@ func (c *Compressed) AppendBlock(dst []byte, i int) ([]byte, error) {
 				nbits -= need
 			}
 			states[j&mask] = x
-			prev = e >> symShift & 15
+			prev = sy
 			b = b<<4 | prev
 			j++
 		}
@@ -445,8 +452,8 @@ func (c *Compressed) AppendBlock(dst []byte, i int) ([]byte, error) {
 // the reservoir refills a word at a time, and renormalization is branchless
 // (a state already in range computes a zero-nibble read).
 func (c *Compressed) append4(dst []byte, i int) ([]byte, error) {
-	dec := c.dec
-	if len(dec) != numCtx<<scaleBits {
+	sym, fs := c.sym, c.fs
+	if len(sym) != numCtx<<scaleBits || len(fs) != numCtx*numSym {
 		return nil, fmt.Errorf("rans: decode table not built")
 	}
 	data := c.Blocks[i]
@@ -476,7 +483,11 @@ func (c *Compressed) append4(dst []byte, i int) ([]byte, error) {
 		}
 	}
 	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
-	prev := uint32(0)
+	// ps is the previous symbol in the table index's context field
+	// (sym<<scaleBits). Below, need is 0, 4 or 8 (a decoded state is in
+	// [1, b·L)), so the shift-count masks change no value; they let the
+	// compiler drop Go's oversize-shift handling from the loop.
+	ps := uint32(0)
 	total := 2 * c.blockOrigLen(i)
 	j := 0
 	for ; j+4 <= total; j += 4 {
@@ -503,47 +514,56 @@ func (c *Compressed) append4(dst []byte, i int) ([]byte, error) {
 		pos := uint32(j & 7) // 0 or 4: hi nibble of an even or odd word half
 
 		slot := s0 & (m - 1)
-		e := dec[(pos<<stateBits|prev<<scaleBits|slot)&(numCtx<<scaleBits-1)]
-		x := (e>>scaleBits&freqMask)*(s0>>scaleBits) + slot - e&(m-1)
+		row := pos<<stateBits | ps
+		sy := uint32(sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f := fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x := (f>>freqShift)*(s0>>scaleBits) + slot - f&(1<<freqShift-1)
 		need := ((stateBits - uint(bits.Len32(x))) >> 2) << 2
-		s0 = x<<need | uint32(bitbuf>>(64-need))
-		bitbuf <<= need
+		s0 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
 		nbits -= need
-		prev = e >> symShift & 15
-		b0 := prev << 4
+		ps = sy << scaleBits
+		b0 := sy << 4
 
 		slot = s1 & (m - 1)
-		e = dec[((pos+1)<<stateBits|prev<<scaleBits|slot)&(numCtx<<scaleBits-1)]
-		x = (e>>scaleBits&freqMask)*(s1>>scaleBits) + slot - e&(m-1)
+		row = (pos+1)<<stateBits | ps
+		sy = uint32(sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f = fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x = (f>>freqShift)*(s1>>scaleBits) + slot - f&(1<<freqShift-1)
 		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
-		s1 = x<<need | uint32(bitbuf>>(64-need))
-		bitbuf <<= need
+		s1 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
 		nbits -= need
-		prev = e >> symShift & 15
-		b0 |= prev
+		ps = sy << scaleBits
+		b0 |= sy
 
 		slot = s2 & (m - 1)
-		e = dec[((pos+2)<<stateBits|prev<<scaleBits|slot)&(numCtx<<scaleBits-1)]
-		x = (e>>scaleBits&freqMask)*(s2>>scaleBits) + slot - e&(m-1)
+		row = (pos+2)<<stateBits | ps
+		sy = uint32(sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f = fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x = (f>>freqShift)*(s2>>scaleBits) + slot - f&(1<<freqShift-1)
 		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
-		s2 = x<<need | uint32(bitbuf>>(64-need))
-		bitbuf <<= need
+		s2 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
 		nbits -= need
-		prev = e >> symShift & 15
-		b1 := prev << 4
+		ps = sy << scaleBits
+		b1 := sy << 4
 
 		slot = s3 & (m - 1)
-		e = dec[((pos+3)<<stateBits|prev<<scaleBits|slot)&(numCtx<<scaleBits-1)]
-		x = (e>>scaleBits&freqMask)*(s3>>scaleBits) + slot - e&(m-1)
+		row = (pos+3)<<stateBits | ps
+		sy = uint32(sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f = fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x = (f>>freqShift)*(s3>>scaleBits) + slot - f&(1<<freqShift-1)
 		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
-		s3 = x<<need | uint32(bitbuf>>(64-need))
-		bitbuf <<= need
+		s3 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
 		nbits -= need
-		prev = e >> symShift & 15
-		b1 |= prev
+		ps = sy << scaleBits
+		b1 |= sy
 
 		dst = append(dst, byte(b0), byte(b1))
 	}
+	prev := ps >> scaleBits
 	// Tail: the last rotations once the reservoir can't guarantee 32 bits,
 	// plus the odd byte (two nibbles) a short last block can leave over.
 	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
@@ -551,8 +571,10 @@ func (c *Compressed) append4(dst []byte, i int) ([]byte, error) {
 	for ; j < total; j++ {
 		x := s[j&3]
 		slot := x & (m - 1)
-		e := dec[(uint32(j&7)<<stateBits|prev<<scaleBits|slot)&(numCtx<<scaleBits-1)]
-		x = (e>>scaleBits&freqMask)*(x>>scaleBits) + slot - e&(m-1)
+		ctx := uint32(j&7)<<4 | prev
+		sy := uint32(sym[(ctx<<scaleBits|slot)&(numCtx<<scaleBits-1)])
+		f := fs[(ctx<<4|sy)&(numCtx*numSym-1)]
+		x = (f>>freqShift)*(x>>scaleBits) + slot - f&(1<<freqShift-1)
 		if x < low {
 			if nbits < 12 {
 				for nbits <= 56 && idx < len(data) {
@@ -570,7 +592,7 @@ func (c *Compressed) append4(dst []byte, i int) ([]byte, error) {
 			nbits -= need
 		}
 		s[j&3] = x
-		prev = e >> symShift & 15
+		prev = sy
 		b = b<<4 | prev
 		if j&1 == 1 {
 			dst = append(dst, byte(b))

@@ -32,6 +32,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"codecomp"
@@ -179,8 +180,9 @@ func (sc *sidecar) verify(block int, data []byte) error {
 }
 
 // imageHealth is one image's sliding window of load outcomes, bad-block
-// list and current state. All fields are guarded by mu; reads of the
-// current state go through State() which takes the lock briefly.
+// list and current state. The state is written only under mu but is
+// atomic, so State() — which the range path asks for every block — is
+// one load; every other field is guarded by mu.
 type imageHealth struct {
 	mu sync.Mutex
 	// window is a ring of final load outcomes (true = failed).
@@ -188,7 +190,7 @@ type imageHealth struct {
 	idx    int
 	filled int
 	fails  int
-	state  HealthState
+	state  atomic.Int32 // a HealthState
 	// bad holds blocks whose most recent load failed after all retries;
 	// membership alone keeps the image at least Degraded until a
 	// successful load or re-verify clears it.
@@ -200,12 +202,8 @@ func newImageHealth(window int) *imageHealth {
 	return &imageHealth{window: make([]bool, window), bad: make(map[int]struct{})}
 }
 
-// State returns the current health state.
-func (h *imageHealth) State() HealthState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.state
-}
+// State returns the current health state without taking the lock.
+func (h *imageHealth) State() HealthState { return HealthState(h.state.Load()) }
 
 // snapshot returns state, bad-block count, window failure rate and
 // transition count in one lock acquisition.
@@ -216,7 +214,7 @@ func (h *imageHealth) snapshot() (HealthState, int, float64, int64) {
 	if h.filled > 0 {
 		rate = float64(h.fails) / float64(h.filled)
 	}
-	return h.state, len(h.bad), rate, h.transitions
+	return h.State(), len(h.bad), rate, h.transitions
 }
 
 // record pushes one final load outcome (after all retries) into the
@@ -256,10 +254,11 @@ func (h *imageHealth) recompute() (from, to HealthState, changed bool) {
 	case (h.filled >= minHealthObs && rate >= degradedRate) || len(h.bad) > 0:
 		next = Degraded
 	}
-	if next == h.state {
-		return h.state, next, false
+	from = h.State()
+	if next == from {
+		return from, next, false
 	}
-	from, h.state = h.state, next
+	h.state.Store(int32(next))
 	h.transitions++
 	return from, next, true
 }
@@ -311,8 +310,8 @@ var blockScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // safeBlock is one raw decompression with panic containment: a panicking
 // codec becomes an ErrCodecPanic error instead of killing a pool worker.
-// It decodes through codecomp.AppendBlock into pooled scratch and times
-// the decode for the ns/block and MB/s gauges.
+// It decodes through codecomp.AppendBlock into pooled scratch. It reads
+// no clock: loadVerified times the attempt around it.
 func (s *Server) safeBlock(img *image, block int) (data []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -325,12 +324,10 @@ func (s *Server) safeBlock(img *image, block int) (data []byte, err error) {
 	s.met.decompressions.Inc()
 	bp := blockScratch.Get().(*[]byte)
 	defer blockScratch.Put(bp)
-	start := time.Now()
 	buf, err := codecomp.AppendBlock(img.activeCodec(), (*bp)[:0], block)
 	if err != nil {
 		return nil, err
 	}
-	img.decompressNanos.Add(time.Since(start).Nanoseconds())
 	img.decompressedBytes.Add(int64(len(buf)))
 	*bp = buf
 	out := make([]byte, len(buf))
@@ -339,11 +336,11 @@ func (s *Server) safeBlock(img *image, block int) (data []byte, err error) {
 }
 
 // effectiveTimeout clamps the configured per-attempt decode deadline by
-// the request context's remaining time, so a propagated client deadline
-// bounds the decompression it pays for. A non-nil error (the context's,
-// or DeadlineExceeded when the deadline has passed but the context has
-// not noticed yet) means no attempt should start.
-func (s *Server) effectiveTimeout(ctx context.Context) (time.Duration, error) {
+// the request context's time remaining at now, so a propagated client
+// deadline bounds the decompression it pays for. A non-nil error (the
+// context's, or DeadlineExceeded when the deadline has passed but the
+// context has not noticed yet) means no attempt should start.
+func (s *Server) effectiveTimeout(ctx context.Context, now time.Time) (time.Duration, error) {
 	timeout := s.opts.LoadTimeout
 	if ctx == nil {
 		return timeout, nil
@@ -352,7 +349,7 @@ func (s *Server) effectiveTimeout(ctx context.Context) (time.Duration, error) {
 		return 0, err
 	}
 	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem <= 0 {
+		if rem := dl.Sub(now); rem <= 0 {
 			return 0, context.DeadlineExceeded
 		} else if timeout <= 0 || rem < timeout {
 			timeout = rem
@@ -387,21 +384,36 @@ func (s *Server) effectiveTimeout(ctx context.Context) (time.Duration, error) {
 // guarded sections under its watchdog. Once the watchdog has answered
 // the ticket, the load stops with errOutlived and does no further
 // verification or accounting.
-func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp *obsv.Span, allowFill bool) ([]byte, error) {
+//
+// The stages share clock readings, so a clean load reads the clock
+// twice: start is the caller's reading, taken just before the call (the
+// ticket's, or the block's own in a range run), and the first decode
+// attempt starts at it; the reading taken when the decode returns ends
+// the decode and starts the verify; the one taken when the verify
+// returns ends the verify and the load. The phase histograms, the
+// decode ns/block gauge and the watchdog all use those readings. A
+// retry reads the clock again after its backoff, and a consulted fill
+// hook after the fill (its round trip is not decode time) and after
+// verifying what it returned.
+func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp *obsv.Span, allowFill bool, start time.Time) ([]byte, error) {
 	s := w.s
-	loadStart := time.Now()
-	defer func() { s.met.blockLoad.Observe(time.Since(loadStart)) }()
+	// now is always the latest clock reading.
+	now := start
+	defer func() { s.met.blockLoad.Observe(now.Sub(start)) }()
 	if allowFill {
 		if fp := s.fill.Load(); fp != nil {
-			if err := w.guard(ctx, block, time.Now()); err != nil {
+			if err := w.guard(ctx, block, now); err != nil {
 				return nil, err
 			}
 			data, ok := (*fp)(img.name, block)
+			now = time.Now()
 			if !w.settle() {
 				return nil, errOutlived
 			}
 			if ok {
-				if verr := img.sidecar.verify(block, data); verr == nil {
+				verr := img.sidecar.verify(block, data)
+				now = time.Now()
+				if verr == nil {
 					s.met.peerFills.Inc()
 					if sp != nil {
 						sp.Event("peer fill")
@@ -445,27 +457,39 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 			select {
 			case <-time.After(d):
 			case <-doneOf(ctx):
+				now = time.Now()
 				return nil, ctx.Err()
 			case <-s.quit:
+				now = time.Now()
 				return nil, ErrClosed
 			}
 			backoff *= 2
+			now = time.Now()
 		}
-		decodeStart := time.Now()
+		decodeStart := now
 		if err := w.guard(ctx, block, decodeStart); err != nil {
 			return nil, err
 		}
 		data, err := s.safeBlock(img, block)
-		decodeDur := time.Since(decodeStart)
-		if !w.settle() {
+		settled := w.settle()
+		decodeEnd := time.Now()
+		now = decodeEnd
+		if !settled {
 			return nil, errOutlived
 		}
+		// Verify before any accounting, so the decode's bookkeeping
+		// lands in neither phase.
+		var verr error
+		if err == nil {
+			verr = img.sidecar.verify(block, data)
+			now = time.Now()
+		}
+		decodeDur := decodeEnd.Sub(decodeStart)
 		s.met.decode.Observe(decodeDur)
 		sp.Phase("decode", decodeDur)
 		if err == nil {
-			verifyStart := time.Now()
-			verr := img.sidecar.verify(block, data)
-			verifyDur := time.Since(verifyStart)
+			img.decompressNanos.Add(int64(decodeDur))
+			verifyDur := now.Sub(decodeEnd)
 			s.met.verify.Observe(verifyDur)
 			sp.Phase("verify", verifyDur)
 			if verr != nil {

@@ -507,3 +507,70 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// loadCounts is the load path's observation counts: the decode, verify
+// and block-load histograms and the decompression counter.
+type loadCounts struct{ decode, verify, load, decompressions int64 }
+
+func (s *Server) loadCounts() loadCounts {
+	return loadCounts{s.met.decode.Count(), s.met.verify.Count(), s.met.blockLoad.Count(), s.met.decompressions.Value()}
+}
+
+func (c loadCounts) sub(o loadCounts) loadCounts {
+	return loadCounts{c.decode - o.decode, c.verify - o.verify, c.load - o.load, c.decompressions - o.decompressions}
+}
+
+// TestSharedReadingsObserveEveryStage pins the load path's shared clock
+// readings: a cold read of N blocks still lands exactly one observation
+// per block in each phase histogram, counts N decompressions and leaves
+// a positive decode ns/block, and a retried attempt is observed on its
+// own.
+func TestSharedReadingsObserveEveryStage(t *testing.T) {
+	_, text := testText(t)
+	s := New(Options{PrefetchDepth: -1})
+	defer s.Close()
+	if _, err := s.AddImage("prog", marshalSAMC(t, text)); err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	before := s.loadCounts()
+	v, err := s.ReadAt("prog", 3*32, n*32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := v.AppendTo(nil)
+	v.Close()
+	if !bytes.Equal(got, text[3*32:(3+n)*32]) {
+		t.Fatal("cold read returned wrong bytes")
+	}
+	if d := s.loadCounts().sub(before); d != (loadCounts{n, n, n, n}) {
+		t.Fatalf("cold %d-block read observed %+v, want %d of each", n, d, n)
+	}
+	if ns := s.Stats().Images[0].DecodeNsPerBlock; ns <= 0 {
+		t.Fatalf("decode ns/block = %v, want > 0", ns)
+	}
+
+	// One transient failure: the retry is a second decode attempt of
+	// the same block, observed as its own decode, while verify and
+	// block load still count one per block.
+	flaky := &flakyCodec{stubCodec: stubCodec{blocks: 64}}
+	f := New(fastFaultOpts())
+	defer f.Close()
+	f.addCodec("flaky", flaky, "stub")
+	if _, err := f.ReadAt("flaky", 0, 0); err != nil { // builds the offset table
+		t.Fatal(err)
+	}
+	flaky.failures = flaky.calls.Load() + 1
+	before = f.loadCounts()
+	v, err = f.ReadAt("flaky", 0, n*2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Close()
+	if d := f.loadCounts().sub(before); d != (loadCounts{n + 1, n, n, n + 1}) {
+		t.Fatalf("%d-block read with one transient failure observed %+v", n, d)
+	}
+	if r := f.Stats().Faults.Retries; r != 1 {
+		t.Fatalf("retries = %d, want 1", r)
+	}
+}

@@ -29,11 +29,11 @@ func TestMetricsPhaseHistograms(t *testing.T) {
 		}
 	}
 	// The demand misses leave sequential prefetches on the pool, and a
-	// prefetch that finds its block cached counts a cache hit: let them
-	// finish, or the scrape and Stats() below see different hit counts.
-	for s.met.prefetchCompleted.Value() != s.met.prefetchIssued.Value() {
-		time.Sleep(time.Millisecond)
-	}
+	// prefetch that finds its block cached counts a cache hit: drain the
+	// pool, or the scrape and Stats() below see different counts. A
+	// worker issues a miss's prefetches after replying to it, so waiting
+	// for completed == issued could pass before the last ones are sent.
+	s.Close()
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {

@@ -481,6 +481,9 @@ type loader struct {
 	block int
 	span  *obsv.Span
 	ctx   context.Context
+	// start is the ticket's clock reading, which the load's first
+	// decode attempt starts at.
+	start time.Time
 	fn    func() ([]byte, error)
 }
 
@@ -496,7 +499,7 @@ func (l *loader) load() ([]byte, error) {
 	if l.img.health.State() == Quarantined {
 		return nil, fmt.Errorf("%w: %q", ErrQuarantined, l.img.name)
 	}
-	return l.w.loadVerified(l.ctx, l.img, l.block, l.span, true)
+	return l.w.loadVerified(l.ctx, l.img, l.block, l.span, true, l.start)
 }
 
 func (l *loader) release() {
@@ -508,7 +511,10 @@ func (l *loader) release() {
 // this goroutine while it served the ticket.
 func (w *poolWorker) handle(t task) bool {
 	s := w.s
-	timeout, err := s.effectiveTimeout(t.ctx)
+	// The ticket's one clock reading serves the queue wait, the
+	// watchdog and the start of its first block load.
+	now := time.Now()
+	timeout, err := s.effectiveTimeout(t.ctx, now)
 	if err != nil {
 		// The caller gave up while the ticket was queued: retire it
 		// without dispatching the decode. The caller ends the span.
@@ -516,13 +522,12 @@ func (w *poolWorker) handle(t task) bool {
 		t.fail(err)
 		return true
 	}
-	now := time.Now()
 	w.begin(t, timeout, now)
 	if t.rng != nil {
 		return w.handleRange(t, now)
 	}
 	if t.reverify {
-		_, err := w.loadVerified(nil, t.img, t.block, nil, false)
+		_, err := w.loadVerified(nil, t.img, t.block, nil, false, now)
 		if !w.end() {
 			return false
 		}
@@ -531,7 +536,7 @@ func (w *poolWorker) handle(t task) bool {
 	}
 	key := t.img.key(t.block)
 	l := loaderPool.Get().(*loader)
-	l.w, l.img, l.block, l.span, l.ctx = w, t.img, t.block, t.span, t.ctx
+	l.w, l.img, l.block, l.span, l.ctx, l.start = w, t.img, t.block, t.span, t.ctx, now
 	if t.reply == nil {
 		// Speculative warm: tag the load so a later demand hit counts
 		// toward prefetch accuracy.
@@ -578,6 +583,9 @@ func (w *poolWorker) handle(t task) bool {
 // loadVerified path demand reads use, and inserted with the cache's
 // neutral Put — so the run populates the cache for later demand traffic
 // without counting as demand misses or touching prefetch accounting.
+// now is the ticket's clock reading, which the run's first load starts
+// at; each later load takes its own start reading, so the previous
+// block's cache insert is not charged to its decode.
 func (w *poolWorker) handleRange(t task, now time.Time) bool {
 	s, rj := w.s, t.rng
 	s.met.queueWait.Observe(now.Sub(t.enq))
@@ -594,15 +602,18 @@ func (w *poolWorker) handleRange(t task, now time.Time) bool {
 			n    int
 			err  error
 		)
+		if decoded > 0 {
+			now = time.Now()
+		}
 		switch {
 		case t.img.health.State() == Quarantined:
 			err = fmt.Errorf("%w: %q", ErrQuarantined, t.img.name)
 		case rj.limit > 0 && b == rj.last:
 			// Sub-block tail: decode only the needed prefix; the result
 			// cannot be sidecar-verified, so it is served but not cached.
-			data, n, err = w.decodePrefix(t.ctx, t.img, b, rj.limit)
+			data, n, err = w.decodePrefix(t.ctx, t.img, b, rj.limit, now)
 		default:
-			data, err = w.loadVerified(t.ctx, t.img, b, nil, true)
+			data, err = w.loadVerified(t.ctx, t.img, b, nil, true, now)
 			n = len(data)
 			if err == nil {
 				s.cache.Put(key, data)

@@ -200,8 +200,9 @@ func (s *Server) ReadAtContext(ctx context.Context, name string, off, n int) (*V
 		return nil, err
 	}
 	total := int(offs[len(offs)-1])
-	if off < 0 || n < 0 || off+n > total {
-		return nil, fmt.Errorf("%w: bytes [%d,%d) of %q [0,%d)", ErrOutOfRange, off, off+n, name, total)
+	// n > total-off, not off+n > total: the sum wraps for a huge n.
+	if off < 0 || n < 0 || n > total-off {
+		return nil, fmt.Errorf("%w: %d bytes at offset %d of %q [0,%d)", ErrOutOfRange, n, off, name, total)
 	}
 	img.subblockReads.Add(1)
 	s.met.subblockReads.Inc()
@@ -380,7 +381,8 @@ func (s *Server) admitRuns(ctx context.Context, img *image, runs []missRun) erro
 // gate it to healthy images without a fault injector, and the result
 // is never cached. Panics are contained like the hardened path's, and
 // the decode runs as a guarded section under the worker's watchdog.
-func (w *poolWorker) decodePrefix(ctx context.Context, img *image, block, limit int) (data []byte, decoded int, err error) {
+// Like loadVerified, it starts at the caller's clock reading start.
+func (w *poolWorker) decodePrefix(ctx context.Context, img *image, block, limit int, start time.Time) (data []byte, decoded int, err error) {
 	s := w.s
 	defer func() {
 		if r := recover(); r != nil {
@@ -389,7 +391,6 @@ func (w *poolWorker) decodePrefix(ctx context.Context, img *image, block, limit 
 			data, decoded, err = nil, 0, fmt.Errorf("%w: block %d of %q: %v", ErrCodecPanic, block, img.name, r)
 		}
 	}()
-	start := time.Now()
 	if err := w.guard(ctx, block, start); err != nil {
 		return nil, 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -578,4 +579,26 @@ func BenchmarkRomserverTextCold(b *testing.B) {
 	b.ReportMetric(float64(decodes)/float64(b.N), "decodes/op")
 	b.ReportMetric(float64(s.met.rangeDispatches.Value()-dispatches)/float64(b.N), "dispatches/op")
 	b.ReportMetric(float64((info.Blocks+textWindow-1)/textWindow), "windows/op")
+}
+
+// TestReadAtHugeLenOutOfRange pins the byte-window bound against
+// overflow: a len so large that off+len wraps must be out of range
+// before anything decodes, not a whole-image decode that then fails.
+func TestReadAtHugeLenOutOfRange(t *testing.T) {
+	_, text := testText(t)
+	s := New(Options{PrefetchDepth: -1})
+	defer s.Close()
+	if _, err := s.AddImage("prog", marshalSAMC(t, text)); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range [][2]int{{1, math.MaxInt}, {len(text), math.MaxInt}, {math.MaxInt, 1}} {
+		if _, err := s.ReadAt("prog", w[0], w[1]); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("ReadAt(%d, %d) = %v, want ErrOutOfRange", w[0], w[1], err)
+		}
+	}
+	st := s.Stats()
+	if st.Images[0].Decompressions != 0 || st.Faults.PanicsRecovered != 0 {
+		t.Fatalf("out-of-range reads decoded %d blocks and recovered %d panics, want 0 and 0",
+			st.Images[0].Decompressions, st.Faults.PanicsRecovered)
+	}
 }

@@ -106,11 +106,12 @@ func (w *poolWorker) begin(t task, timeout time.Duration, now time.Time) {
 
 // guard opens a guarded section — a peer fill or one decode attempt of
 // block — starting at now, with a fresh deadline from
-// effectiveTimeout(ctx). An error means the section must not start: the
-// request context is done, or the watchdog already retired this
-// goroutine (errOutlived).
+// effectiveTimeout(ctx, now). It reads no clock: now is the caller's
+// reading. An error means the section must not start: the request
+// context is done, or the watchdog already retired this goroutine
+// (errOutlived).
 func (w *poolWorker) guard(ctx context.Context, block int, now time.Time) error {
-	timeout, err := w.s.effectiveTimeout(ctx)
+	timeout, err := w.s.effectiveTimeout(ctx, now)
 	if err != nil {
 		return err
 	}

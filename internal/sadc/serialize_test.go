@@ -164,3 +164,55 @@ func TestDecompressParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestDecompressParallelMatchesDecompress checks the parallel pass
+// against the sequential one on both adapters.
+func TestDecompressParallelMatchesDecompress(t *testing.T) {
+	for name, c := range map[string]*Compressed{
+		"mips": mustCompress(t, mipsText(), MIPSAdapter{}),
+		"x86":  mustCompress(t, x86Text(), NewX86Adapter()),
+	} {
+		want, err := c.Decompress()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3, 8} {
+			got, err := c.DecompressParallel(workers)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s workers=%d: output differs from Decompress (%v)", name, workers, err)
+			}
+		}
+	}
+}
+
+// TestDecompressParallelAllocs checks that the parallel pass allocates
+// per worker, not per block: a 4x larger image costs no more
+// allocations, give or take a goroutine's.
+func TestDecompressParallelAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	text := mipsText()
+	allocs := func(text []byte) float64 {
+		c := mustCompress(t, text, MIPSAdapter{})
+		c.DecompressParallel(2) // warm the pooled decoders
+		return testing.AllocsPerRun(20, func() {
+			if _, err := c.DecompressParallel(2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(text[:len(text)/16*4]), allocs(text)
+	if large > small+2 {
+		t.Fatalf("DecompressParallel allocs grow with blocks: %v at %d bytes, %v at %d", small, len(text)/16*4, large, len(text))
+	}
+}
+
+func mustCompress(t *testing.T, text []byte, a Adapter) *Compressed {
+	t.Helper()
+	c, err := Compress(text, a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}

@@ -10,39 +10,31 @@ import (
 // that lets the cache refill engine start anywhere — so the work is
 // embarrassingly parallel; a flash-programming or verification tool wants
 // this, even though the embedded decompressor itself works a block at a
-// time.
+// time. Each worker decodes a contiguous run of blocks with AppendBlock
+// straight into its slots of the output, so the pass allocates nothing
+// per block.
 func (c *Compressed) DecompressParallel(workers int) ([]byte, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(c.Blocks) {
-		workers = len(c.Blocks)
-	}
+	n := len(c.Blocks)
+	workers = max(1, min(workers, n))
 	out := make([]byte, c.OrigSize)
-	if len(c.Blocks) == 0 {
-		return out, nil
-	}
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
-	next := make(chan int, len(c.Blocks))
-	for i := range c.Blocks {
-		next <- i
-	}
-	close(next)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				blk, err := c.Block(i)
-				if err != nil {
+			for i := w * n / workers; i < (w+1)*n/workers; i++ {
+				off := i * c.BlockSize
+				end := off + c.blockOrigLen(i)
+				// The three-index slice caps the append at the block's
+				// slot, so a block can never spill into its neighbour.
+				if _, err := c.AppendBlock(out[off:off:end], i); err != nil {
 					errOnce.Do(func() { firstErr = fmt.Errorf("samc: block %d: %w", i, err) })
 					return
 				}
-				copy(out[i*c.BlockSize:], blk)
 			}
 		}()
 	}

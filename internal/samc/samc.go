@@ -95,26 +95,15 @@ type Compressed struct {
 	OrigSize  int
 	Blocks    [][]byte
 
-	// shifts caches Division.Shifts() for AppendBlock, built once on first
-	// use (concurrent block decodes share it). identity records whether the
-	// coding order already matches architectural bit order (true for the
-	// default contiguous divisions), letting the kernel skip the per-word
-	// scatter.
-	shiftOnce sync.Once
-	shifts    []uint8
-	identity  bool
-}
-
-// initShifts caches the flat shift table and the identity-order flag.
-func (c *Compressed) initShifts() {
-	c.shifts = c.Division.Shifts()
-	c.identity = true
-	for j, s := range c.shifts {
-		if int(s) != len(c.shifts)-1-j {
-			c.identity = false
-			break
-		}
-	}
+	// The decode kernel's tables, built once on first use (concurrent
+	// block decodes share them; see initKernel). identity records whether
+	// the coding order already matches architectural bit order (true for
+	// the default contiguous divisions), letting the kernel skip the
+	// per-word scatter.
+	kernelOnce sync.Once
+	shifts     []uint8
+	identity   bool
+	trees      []streamTrees
 }
 
 // Compress compresses a program text. len(text) must be a multiple of the
@@ -264,9 +253,9 @@ func (c *Compressed) blockReference(i int) ([]byte, error) {
 
 // AppendBlock decompresses block i and appends the output to dst, returning
 // the extended slice. It is the fast path of Block: bit-identical output,
-// but zero transient allocations and no per-bit calls — the paper's 24-bit
-// arithmetic decoder runs fused into the loop with its interval in locals,
-// the Markov walk uses the flattened FastWalker, and the per-word bit
+// but zero transient allocations and no per-bit calls — each stream of
+// each word decodes in one register-resident leaf loop (see
+// blockDecoder.stream) over padded per-stream trees, and the per-word bit
 // scratch is replaced by direct word assembly through a flat shift table.
 // dst is reused when it has capacity. Safe for concurrent use.
 func (c *Compressed) AppendBlock(dst []byte, i int) ([]byte, error) {
@@ -303,100 +292,28 @@ func (c *Compressed) AppendBlockPrefix(dst []byte, i, n int) ([]byte, error) {
 	return out[:len(dst)+n], nil
 }
 
-// appendBlockN is the fused decode kernel behind AppendBlock and
+// appendBlockN is the decode kernel behind AppendBlock and
 // AppendBlockPrefix: it produces the first n bytes of block i, where the
 // caller has validated i and clamped n to a word multiple no larger than
-// the block's decoded length.
+// the block's decoded length. The per-bit work runs in
+// blockDecoder.stream, one call per stream of each word; this loop only
+// picks each stream's tree and assembles the words.
 func (c *Compressed) appendBlockN(dst []byte, i, n int) ([]byte, error) {
-	c.shiftOnce.Do(c.initShifts)
-	comp := c.Blocks[i]
-	shifts := c.shifts
+	c.kernelOnce.Do(c.initKernel)
+	shifts, trees := c.shifts, c.trees
 	wordBits := len(shifts)
-	identity := c.identity
-	wordBytes := c.WordBytes
-	flat, offs, widths, nCtx := c.Model.Flattened()
-	connected := c.Model.Spec().Connected
-
-	// Prime the 24-bit window, zero-filling past the end of the block like
-	// arith.Decoder.next: trailing window bytes are never examined.
-	var val uint32
-	pos := 0
-	for k := 0; k < 3; k++ {
-		var b byte
-		if pos < len(comp) {
-			b = comp[pos]
-		}
-		val = val<<8 | uint32(b)
-		pos++
-	}
-	lo, hi := uint32(0), uint32(arith.Top)
-
-	// The Markov walk is unrolled per stream: within a stream the tree base
-	// stays fixed, so the per-bit model step is pure heap arithmetic, and
-	// both children's predictions are loaded before the interval comparison
-	// resolves — the load latency hides under the arithmetic-coder chain
-	// instead of extending it.
-	ctx := int32(0)
-	bit := 0
-	for w := 0; w < n; w += wordBytes {
+	d := newBlockDecoder(c.Blocks[i])
+	ctx := 0
+	for w := 0; w < n; w += c.WordBytes {
 		var word uint64
-		for s := range widths {
-			base := offs[int32(s)*nCtx+ctx]
-			node := int32(0)
-			p0 := flat[base]
-			kBits := int(widths[s])
-			for d := 0; d < kBits; d++ {
-				// Midpoint with the paper's degenerate-interval fixups,
-				// mirroring arith.mid.
-				r := uint64(hi - lo - 1)
-				m := lo + uint32(r*uint64(p0)>>arith.ProbBits)
-				if m == lo {
-					m++
-				}
-				if m >= hi-1 {
-					m = hi - 2
-				}
-				// Conditional-move-friendly bit selection, as in
-				// arith.DecodeBit.
-				ge := val >= m
-				if ge {
-					lo = m
-				}
-				if !ge {
-					hi = m
-				}
-				bit = 0
-				if ge {
-					bit = 1
-				}
-				for hi-lo < arith.MinRange {
-					var b byte
-					if pos < len(comp) {
-						b = comp[pos]
-						pos++
-					}
-					val = (val<<8 | uint32(b)) & (arith.Top - 1)
-					lo = lo << 8 & (arith.Top - 1)
-					hi = hi << 8 & (arith.Top - 1)
-					if lo >= hi {
-						hi = arith.Top
-					}
-				}
-				if d+1 < kBits {
-					p0 = flat[base+2*node+1]
-					p1 := flat[base+2*node+2]
-					node = 2*node + 1 + int32(bit)
-					if bit != 0 {
-						p0 = p1
-					}
-				}
-				word = word<<1 | uint64(bit)
-			}
-			if connected {
-				ctx = int32(bit) // stream's last bit selects the next root
-			}
+		for s := range trees {
+			bits := d.stream(trees[s].root[ctx], trees[s].k)
+			word = word<<trees[s].k | uint64(bits)
+			// A connected tree's root is picked by the previous stream's
+			// last bit; unconnected trees hold one root in both slots.
+			ctx = int(bits & 1)
 		}
-		if !identity {
+		if !c.identity {
 			// Scatter the coding-order bits to their architectural
 			// positions (the paper's instruction-generator routing).
 			var arch uint64
@@ -405,11 +322,168 @@ func (c *Compressed) appendBlockN(dst []byte, i, n int) ([]byte, error) {
 			}
 			word = arch
 		}
-		for b := wordBytes - 1; b >= 0; b-- {
+		for b := c.WordBytes - 1; b >= 0; b-- {
 			dst = append(dst, byte(word>>(8*b)))
 		}
 	}
 	return dst, nil
+}
+
+// streamTrees is one stream's Markov trees as the decode kernel reads
+// them: k bits wide, with root[ctx] the tree for root context ctx.
+type streamTrees struct {
+	k    uint
+	root [2][]uint16
+}
+
+// initKernel builds the decode kernel's tables: the flat shift table,
+// the identity-order flag, and each (stream, ctx) tree copied into a
+// zero-padded slot of 2^(k+1) entries at 1-based heap indices (node v
+// of the model's tree at v+1). A k-bit tree's deepest nodes sit at
+// indices below 2^k, so their children index below 2^(k+1): stream
+// loads both children of every node, the last bit's included, with no
+// per-bit depth test. The padding is never selected: the stream ends
+// at its last bit.
+func (c *Compressed) initKernel() {
+	c.shifts = c.Division.Shifts()
+	c.identity = true
+	for j, s := range c.shifts {
+		if int(s) != len(c.shifts)-1-j {
+			c.identity = false
+			break
+		}
+	}
+	flat, offs, widths, nCtx := c.Model.Flattened()
+	size := 0
+	for _, k := range widths {
+		size += int(nCtx) << (k + 1)
+	}
+	slots := make([]uint16, size)
+	c.trees = make([]streamTrees, len(widths))
+	for s, k := range widths {
+		st := &c.trees[s]
+		st.k = uint(k)
+		nodes := int32(1)<<k - 1
+		for ctx := range st.root {
+			if int32(ctx) >= nCtx {
+				st.root[ctx] = st.root[0]
+				continue
+			}
+			base := offs[int32(s)*nCtx+int32(ctx)]
+			tree := slots[: 2<<k : 2<<k]
+			slots = slots[2<<k:]
+			copy(tree[1:], flat[base:base+nodes])
+			st.root[ctx] = tree
+		}
+	}
+}
+
+// blockDecoder is the paper's 24-bit arithmetic decoder with its state
+// in a value, so the kernel keeps it on the stack: the interval
+// [lo,hi), the 24-bit code window val, and the read position in the
+// block's compressed bytes.
+type blockDecoder struct {
+	lo, hi, val uint32
+	pos         int
+	comp        []byte
+}
+
+// newBlockDecoder primes the 24-bit window, zero-filling past the end
+// of the block like arith.Decoder.next: trailing window bytes are never
+// examined.
+func newBlockDecoder(comp []byte) blockDecoder {
+	d := blockDecoder{hi: arith.Top, comp: comp}
+	for k := 0; k < 3; k++ {
+		d.val = d.val<<8 | uint32(d.next())
+	}
+	return d
+}
+
+// next fetches the next compressed byte, zero past the end.
+func (d *blockDecoder) next() byte {
+	if d.pos >= len(d.comp) {
+		return 0
+	}
+	b := d.comp[d.pos]
+	d.pos++
+	return b
+}
+
+// stream decodes one k-bit stream (1 <= k <= markov.MaxStreamBits)
+// against tree, a padded tree from initKernel, and returns its bits
+// first-decoded-most-significant. It is a leaf of the kernel in all but
+// the rare renormalisation, so the interval, window, walk and
+// prediction stay in registers across the bit loop, which is written
+// around its per-bit dependency chain (interval → midpoint → bit →
+// interval):
+//
+//   - The interval is held as [lo, last] with last = hi-1, so the
+//     midpoint's span hi-lo-1 is one subtraction.
+//   - Of arith.mid's two fixups only m == lo can fire: renormalisation
+//     keeps hi-lo >= MinRange on entry to every bit whatever the input
+//     bytes, and p0 < ProbOne, so m <= lo + max(r*p0>>ProbBits, 1) <=
+//     hi-2 and the m >= hi-1 fixup is dead.
+//   - The walk uses 1-based heap indices: x starts at the root, 1, and
+//     steps to 2x+bit, so after k bits x is the decoded bits under a
+//     leading 1 and needs no separate bit counter or accumulator.
+//   - Both children's predictions are loaded before the comparison
+//     resolves, so the load latency hides under the chain.
+//
+// The bit selection is written as single-assignment conditionals, as in
+// arith.DecodeBit, so it lowers to conditional moves.
+func (d *blockDecoder) stream(tree []uint16, k uint) uint32 {
+	lo, last, val := d.lo, d.hi-1, d.val
+	end := uint(1) << k
+	x := uint(1)
+	p0 := tree[x]
+	for x < end {
+		c0, c1 := tree[2*x], tree[2*x+1]
+		r := uint64(last - lo)
+		m := lo + uint32(r*uint64(p0)>>arith.ProbBits)
+		if m == lo {
+			m++
+		}
+		ge := val >= m
+		if ge {
+			lo = m
+		}
+		if !ge {
+			last = m - 1
+		}
+		bit := uint(0)
+		if ge {
+			bit = 1
+		}
+		p0 = c0
+		if ge {
+			p0 = c1
+		}
+		x = 2*x + bit
+		if last-lo < arith.MinRange-1 {
+			lo, last, val = d.renorm(lo, last+1, val)
+			last--
+		}
+	}
+	d.lo, d.hi, d.val = lo, last+1, val
+	return uint32(x - end)
+}
+
+// renorm shifts compressed bytes into the window until the interval is
+// wide enough again, with the carry-avoidance clamp, as
+// arith.Decoder.renorm does. It runs about once per compressed byte, so
+// it stays out of line to keep stream's loop small.
+//
+//go:noinline
+func (d *blockDecoder) renorm(lo, hi, val uint32) (uint32, uint32, uint32) {
+	for hi-lo < arith.MinRange {
+		val = (val<<8 | uint32(d.next())) & (arith.Top - 1)
+		lo = lo << 8 & (arith.Top - 1)
+		hi = hi << 8 & (arith.Top - 1)
+		if lo >= hi {
+			hi = arith.Top
+		}
+	}
+	return lo, hi, val
 }
 
 // BlockParallel decompresses a block with the nibble-parallel engine of §3

@@ -167,3 +167,54 @@ func TestDecompressParallel(t *testing.T) {
 		t.Fatal("empty parallel decompress failed")
 	}
 }
+
+// TestDecompressParallelMatchesDecompress checks the parallel pass
+// against the sequential one on shapes with a short last block and
+// non-identity bit orders.
+func TestDecompressParallelMatchesDecompress(t *testing.T) {
+	text := testText()
+	text = text[:len(text)-12]
+	for _, b := range []byte{0, 1, 64 | 4, 16 | 8 | 2} {
+		opts := fuzzOptions(b)
+		c, err := Compress(text, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.Decompress()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3, 8} {
+			got, err := c.DecompressParallel(workers)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("opts %+v workers=%d: output differs from Decompress (%v)", opts, workers, err)
+			}
+		}
+	}
+}
+
+// TestDecompressParallelAllocs checks that the parallel pass allocates
+// per worker, not per block: a 4x larger image costs no more
+// allocations, give or take a goroutine's.
+func TestDecompressParallelAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	text := testText()
+	allocs := func(text []byte) float64 {
+		c, err := Compress(text, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.DecompressParallel(2) // warm the kernel tables
+		return testing.AllocsPerRun(20, func() {
+			if _, err := c.DecompressParallel(2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(text[:len(text)/16*4]), allocs(text)
+	if large > small+2 {
+		t.Fatalf("DecompressParallel allocs grow with blocks: %v at %d bytes, %v at %d", small, len(text)/16*4, large, len(text))
+	}
+}
