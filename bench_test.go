@@ -335,7 +335,7 @@ func BenchmarkBlockCacheHit(b *testing.B) {
 	n := img.NumBlocks()
 	c := blockcache.New(n, 16)
 	for i := 0; i < n; i++ {
-		if _, _, err := c.Get(blockcache.Key{Image: "img", Block: i}, func() ([]byte, error) { return img.Block(i) }); err != nil {
+		if _, _, err := c.Get(blockcache.Key{Image: 1, Block: uint32(i)}, func() ([]byte, error) { return img.Block(i) }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -345,7 +345,7 @@ func BenchmarkBlockCacheHit(b *testing.B) {
 		i := 0
 		for pb.Next() {
 			i++
-			_, hit, err := c.Get(blockcache.Key{Image: "img", Block: i % n}, func() ([]byte, error) {
+			_, hit, err := c.Get(blockcache.Key{Image: 1, Block: uint32(i % n)}, func() ([]byte, error) {
 				return nil, fmt.Errorf("miss on warmed cache")
 			})
 			if err != nil || !hit {
@@ -366,7 +366,7 @@ func BenchmarkBlockCacheMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		blk := i % n
-		_, _, err := c.Get(blockcache.Key{Image: "img", Block: blk}, func() ([]byte, error) {
+		_, _, err := c.Get(blockcache.Key{Image: 1, Block: uint32(blk)}, func() ([]byte, error) {
 			return img.Block(blk)
 		})
 		if err != nil {
@@ -391,7 +391,7 @@ func BenchmarkBlockCacheSingleflight(b *testing.B) {
 			// All goroutines advance one shared, slowly-moving window of 4
 			// keys: most Gets hit a key someone else is already loading.
 			blk := int(next.Add(1)/64) % n
-			_, _, err := c.Get(blockcache.Key{Image: "img", Block: blk}, func() ([]byte, error) {
+			_, _, err := c.Get(blockcache.Key{Image: 1, Block: uint32(blk)}, func() ([]byte, error) {
 				return img.Block(blk)
 			})
 			if err != nil {

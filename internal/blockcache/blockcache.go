@@ -5,12 +5,12 @@
 // recently decompressed blocks kept around and concurrent misses on the
 // same block collapsed into a single decompression.
 //
-// The cache is keyed by (image, block). Keys hash to one of N independent
-// shards, each holding its own LRU list and mutex, so concurrent readers of
-// different blocks rarely contend. Each shard also runs singleflight
-// deduplication: the first miss on a key decompresses while later arrivals
-// for the same key wait for that one result instead of decompressing again
-// (those are the "deduped" calls in Stats).
+// The cache is keyed by (image registration, block). Keys map to one of N
+// independent shards, each holding its own LRU list and mutex, so
+// concurrent readers of different blocks rarely contend. Each shard also
+// runs singleflight deduplication: the first miss on a key decompresses
+// while later arrivals for the same key wait for that one result instead
+// of decompressing again (those are the "deduped" calls in Stats).
 //
 // Two capabilities serve the prefetch policies in internal/policy:
 //
@@ -34,17 +34,16 @@ import (
 )
 
 // Key identifies one decompressed block: which image registration, which
-// block index. Gen is the registration generation the romserver assigns
-// each time a name is (re)registered: a load still in flight when its
-// image is removed or replaced inserts under the old generation, so it
-// can never be served as a block of the new registration — the stale
-// insert is dead weight that ages out of the LRU instead of a silent
-// wrong read. Image-wide operations (InvalidateImage, UnpinImage) match
-// on Image alone and cover every generation.
+// block index. Image is the registration id the romserver assigns each
+// time a name is (re)registered, so a load still in flight when its image
+// is removed or replaced inserts under the old id and can never be served
+// as a block of the new registration — the stale insert is dead weight
+// that ages out of the LRU instead of a silent wrong read. The key is
+// eight pointer-free bytes, so map operations take the runtime's 64-bit
+// fast path and no string is hashed or compared.
 type Key struct {
-	Image string
-	Gen   uint64
-	Block int
+	Image uint32
+	Block uint32
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -238,20 +237,15 @@ func New(capacity, shards int) *Cache {
 	return c
 }
 
-// shardFor hashes a key (FNV-1a over the image name, generation and block
-// index) to its shard.
+// shardFor maps a key to its shard: a per-image offset plus the block
+// index. Consecutive blocks of one image therefore stripe round-robin
+// across the shards, and a contiguous run of n blocks puts at most
+// ceil(n/shards) of them in any one shard. Cold sequential reads rely on
+// that: a page that covers every shard evenly misses in all of them once
+// the cache cycles through more pages than it holds, where a random hash
+// would leave some shards under capacity and turn part of the page warm.
 func (c *Cache) shardFor(k Key) *shard {
-	h := uint32(2166136261)
-	for i := 0; i < len(k.Image); i++ {
-		h = (h ^ uint32(k.Image[i])) * 16777619
-	}
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint32(k.Gen>>(8*i)&0xFF)) * 16777619
-	}
-	b := uint32(k.Block)
-	for i := 0; i < 4; i++ {
-		h = (h ^ (b >> (8 * i) & 0xFF)) * 16777619
-	}
+	h := k.Image*0x9E3779B9 + k.Block
 	return &c.shards[h%uint32(len(c.shards))]
 }
 
@@ -426,9 +420,9 @@ func (c *Cache) Unpin(key Key) bool {
 	return true
 }
 
-// UnpinImage unpins every pinned block of the named image (when its policy
-// changes) and returns how many were unpinned.
-func (c *Cache) UnpinImage(image string) int {
+// UnpinImage unpins every pinned block of the image registration (when its
+// policy changes) and returns how many were unpinned.
+func (c *Cache) UnpinImage(image uint32) int {
 	unpinned := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -488,35 +482,53 @@ func (c *Cache) Put(key Key, val []byte) {
 	s.mu.Unlock()
 }
 
-// InvalidateImage drops every cached block of the named image, pinned or
-// not (after an image is replaced or removed). In-flight loads are not
-// interrupted; their results land in the cache and are at worst one stale
-// insert, which the caller avoids by invalidating after deregistering the
-// image.
-func (c *Cache) InvalidateImage(image string) int {
+// Invalidate drops one cached block, pinned or not, and reports whether
+// it was present. Tier migration uses it so the next read decodes the
+// block through its new tier. A load in flight is not interrupted; its
+// insert lands afterwards.
+func (c *Cache) Invalidate(key Key) bool {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[key]
+	if ok {
+		s.drop(c, e)
+	}
+	return ok
+}
+
+// InvalidateImage drops every cached block of the image registration,
+// pinned or not (after an image is replaced or removed). In-flight loads
+// are not interrupted; their results land in the cache and are at worst
+// one stale insert under the dead id, which ages out of the LRU.
+func (c *Cache) InvalidateImage(image uint32) int {
 	dropped := 0
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for k, e := range s.entries {
-			if k.Image != image {
-				continue
+			if k.Image == image {
+				s.drop(c, e)
+				dropped++
 			}
-			if e.prev != nil {
-				s.unlink(e)
-			} else {
-				s.pinned--
-				c.pinnedCount.Add(-1)
-			}
-			delete(s.entries, k)
-			c.bytes.Add(-int64(len(e.buf.data)))
-			dropped++
-			e.buf.retire(c)
-			s.recycle(e)
 		}
 		s.mu.Unlock()
 	}
 	return dropped
+}
+
+// drop removes e from the shard, pinned or not. Caller holds s.mu.
+func (s *shard) drop(c *Cache, e *entry) {
+	if e.prev != nil {
+		s.unlink(e)
+	} else {
+		s.pinned--
+		c.pinnedCount.Add(-1)
+	}
+	delete(s.entries, e.key)
+	c.bytes.Add(-int64(len(e.buf.data)))
+	e.buf.retire(c)
+	s.recycle(e)
 }
 
 // Len returns the number of cached blocks, pinned included.

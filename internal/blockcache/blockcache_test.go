@@ -14,7 +14,7 @@ func loadValue(b []byte) func() ([]byte, error) {
 
 func TestGetHitMiss(t *testing.T) {
 	c := New(8, 2)
-	k := Key{Image: "img", Block: 3}
+	k := Key{Image: 1, Block: 3}
 
 	v, hit, err := c.Get(k, loadValue([]byte("abc")))
 	if err != nil || hit || string(v) != "abc" {
@@ -40,16 +40,16 @@ func TestGetHitMiss(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := New(4, 1) // single shard: strict global LRU
 	for i := 0; i < 4; i++ {
-		c.Get(Key{Image: "img", Block: i}, loadValue([]byte{byte(i)}))
+		c.Get(Key{Image: 1, Block: uint32(i)}, loadValue([]byte{byte(i)}))
 	}
-	c.Get(Key{Image: "img", Block: 0}, loadValue(nil)) // touch 0: now 1 is least recent
-	c.Get(Key{Image: "img", Block: 4}, loadValue([]byte{4}))
+	c.Get(Key{Image: 1, Block: 0}, loadValue(nil)) // touch 0: now 1 is least recent
+	c.Get(Key{Image: 1, Block: 4}, loadValue([]byte{4}))
 
-	if c.Contains(Key{Image: "img", Block: 1}) {
+	if c.Contains(Key{Image: 1, Block: 1}) {
 		t.Fatal("block 1 should have been evicted")
 	}
 	for _, i := range []int{0, 2, 3, 4} {
-		if !c.Contains(Key{Image: "img", Block: i}) {
+		if !c.Contains(Key{Image: 1, Block: uint32(i)}) {
 			t.Fatalf("block %d should still be cached", i)
 		}
 	}
@@ -64,7 +64,7 @@ func TestSingleflightCollapse(t *testing.T) {
 	gate := make(chan struct{})
 	var loads atomic.Int64
 	var wg sync.WaitGroup
-	k := Key{Image: "img", Block: 7}
+	k := Key{Image: 1, Block: 7}
 
 	wg.Add(waiters)
 	for i := 0; i < waiters; i++ {
@@ -102,7 +102,7 @@ func TestSingleflightCollapse(t *testing.T) {
 
 func TestLoadErrorNotCached(t *testing.T) {
 	c := New(8, 1)
-	k := Key{Image: "img", Block: 0}
+	k := Key{Image: 1, Block: 0}
 	boom := errors.New("boom")
 
 	if _, _, err := c.Get(k, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
@@ -120,20 +120,20 @@ func TestLoadErrorNotCached(t *testing.T) {
 func TestInvalidateImage(t *testing.T) {
 	c := New(64, 4)
 	for i := 0; i < 10; i++ {
-		c.Get(Key{Image: "a", Block: i}, loadValue([]byte{1, 2}))
-		c.Get(Key{Image: "b", Block: i}, loadValue([]byte{3}))
+		c.Get(Key{Image: 1, Block: uint32(i)}, loadValue([]byte{1, 2}))
+		c.Get(Key{Image: 2, Block: uint32(i)}, loadValue([]byte{3}))
 	}
-	if n := c.InvalidateImage("a"); n != 10 {
+	if n := c.InvalidateImage(1); n != 10 {
 		t.Fatalf("invalidated %d, want 10", n)
 	}
 	if c.Len() != 10 {
 		t.Fatalf("len = %d, want 10", c.Len())
 	}
 	for i := 0; i < 10; i++ {
-		if c.Contains(Key{Image: "a", Block: i}) {
+		if c.Contains(Key{Image: 1, Block: uint32(i)}) {
 			t.Fatalf("a/%d survived invalidation", i)
 		}
-		if !c.Contains(Key{Image: "b", Block: i}) {
+		if !c.Contains(Key{Image: 2, Block: uint32(i)}) {
 			t.Fatalf("b/%d was dropped", i)
 		}
 	}
@@ -170,7 +170,7 @@ func TestConcurrentChurn(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				k := Key{Image: "img", Block: (g*31 + i) % keyspace}
+				k := Key{Image: 1, Block: uint32((g*31 + i) % keyspace)}
 				want := fmt.Sprintf("v%d", k.Block)
 				v, _, err := c.Get(k, loadValue([]byte(want)))
 				if err != nil || string(v) != want {
@@ -194,8 +194,8 @@ func TestConcurrentChurn(t *testing.T) {
 func TestPinSurvivesColdScan(t *testing.T) {
 	c := New(8, 1)
 	for _, b := range []int{2, 5} {
-		c.Get(Key{Image: "img", Block: b}, loadValue([]byte{byte(b)}))
-		if !c.Pin(Key{Image: "img", Block: b}) {
+		c.Get(Key{Image: 1, Block: uint32(b)}, loadValue([]byte{byte(b)}))
+		if !c.Pin(Key{Image: 1, Block: uint32(b)}) {
 			t.Fatalf("Pin(%d) missed", b)
 		}
 	}
@@ -204,10 +204,10 @@ func TestPinSurvivesColdScan(t *testing.T) {
 	}
 	// A cold scan far larger than capacity cannot evict the pins.
 	for b := 100; b < 200; b++ {
-		c.Get(Key{Image: "img", Block: b}, loadValue([]byte{1}))
+		c.Get(Key{Image: 1, Block: uint32(b)}, loadValue([]byte{1}))
 	}
 	for _, b := range []int{2, 5} {
-		if !c.Contains(Key{Image: "img", Block: b}) {
+		if !c.Contains(Key{Image: 1, Block: uint32(b)}) {
 			t.Fatalf("pinned block %d evicted by cold scan", b)
 		}
 	}
@@ -215,7 +215,7 @@ func TestPinSurvivesColdScan(t *testing.T) {
 		t.Fatalf("pins pushed cache over capacity: %d entries", n)
 	}
 	// A pinned hit must not run the loader.
-	v, hit, err := c.Get(Key{Image: "img", Block: 2}, func() ([]byte, error) {
+	v, hit, err := c.Get(Key{Image: 1, Block: 2}, func() ([]byte, error) {
 		t.Fatal("loader ran for a pinned block")
 		return nil, nil
 	})
@@ -226,15 +226,15 @@ func TestPinSurvivesColdScan(t *testing.T) {
 
 func TestUnpinRestoresLRU(t *testing.T) {
 	c := New(4, 1)
-	c.Get(Key{Image: "img", Block: 0}, loadValue([]byte{0}))
-	c.Pin(Key{Image: "img", Block: 0})
+	c.Get(Key{Image: 1, Block: 0}, loadValue([]byte{0}))
+	c.Pin(Key{Image: 1, Block: 0})
 	for b := 1; b < 100; b++ {
-		c.Get(Key{Image: "img", Block: b}, loadValue([]byte{byte(b)}))
+		c.Get(Key{Image: 1, Block: uint32(b)}, loadValue([]byte{byte(b)}))
 	}
-	if !c.Contains(Key{Image: "img", Block: 0}) {
+	if !c.Contains(Key{Image: 1, Block: 0}) {
 		t.Fatal("pinned block evicted")
 	}
-	if !c.Unpin(Key{Image: "img", Block: 0}) {
+	if !c.Unpin(Key{Image: 1, Block: 0}) {
 		t.Fatal("Unpin missed")
 	}
 	if st := c.Stats(); st.Pinned != 0 {
@@ -242,18 +242,18 @@ func TestUnpinRestoresLRU(t *testing.T) {
 	}
 	// Unpinned as MRU: three fresh inserts keep it, a fourth evicts it.
 	for b := 100; b < 103; b++ {
-		c.Get(Key{Image: "img", Block: b}, loadValue([]byte{1}))
+		c.Get(Key{Image: 1, Block: uint32(b)}, loadValue([]byte{1}))
 	}
-	if !c.Contains(Key{Image: "img", Block: 0}) {
+	if !c.Contains(Key{Image: 1, Block: 0}) {
 		t.Fatal("unpinned block evicted before its LRU turn")
 	}
-	c.Get(Key{Image: "img", Block: 103}, loadValue([]byte{1}))
-	if c.Contains(Key{Image: "img", Block: 0}) {
+	c.Get(Key{Image: 1, Block: 103}, loadValue([]byte{1}))
+	if c.Contains(Key{Image: 1, Block: 0}) {
 		t.Fatal("unpinned block outlived its LRU turn")
 	}
 
 	// Pin/Unpin of an absent key reports false.
-	if c.Pin(Key{Image: "img", Block: 999}) || c.Unpin(Key{Image: "img", Block: 999}) {
+	if c.Pin(Key{Image: 1, Block: 999}) || c.Unpin(Key{Image: 1, Block: 999}) {
 		t.Fatal("pin/unpin of absent key reported true")
 	}
 }
@@ -261,19 +261,19 @@ func TestUnpinRestoresLRU(t *testing.T) {
 func TestUnpinImageAndInvalidatePinned(t *testing.T) {
 	c := New(16, 2)
 	for b := 0; b < 4; b++ {
-		c.Get(Key{Image: "a", Block: b}, loadValue([]byte{1, 2}))
-		c.Pin(Key{Image: "a", Block: b})
-		c.Get(Key{Image: "b", Block: b}, loadValue([]byte{3}))
-		c.Pin(Key{Image: "b", Block: b})
+		c.Get(Key{Image: 1, Block: uint32(b)}, loadValue([]byte{1, 2}))
+		c.Pin(Key{Image: 1, Block: uint32(b)})
+		c.Get(Key{Image: 2, Block: uint32(b)}, loadValue([]byte{3}))
+		c.Pin(Key{Image: 2, Block: uint32(b)})
 	}
-	if n := c.UnpinImage("a"); n != 4 {
+	if n := c.UnpinImage(1); n != 4 {
 		t.Fatalf("UnpinImage = %d, want 4", n)
 	}
 	if st := c.Stats(); st.Pinned != 4 {
 		t.Fatalf("pinned = %d, want b's 4", st.Pinned)
 	}
 	// Invalidate drops pinned entries too and fixes the pinned count.
-	if n := c.InvalidateImage("b"); n != 4 {
+	if n := c.InvalidateImage(2); n != 4 {
 		t.Fatalf("InvalidateImage = %d, want 4", n)
 	}
 	st := c.Stats()
@@ -295,7 +295,7 @@ func TestEvictionOrderUnderConcurrency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				k := Key{Image: "img", Block: (g*31 + i) % 40}
+				k := Key{Image: 1, Block: uint32((g*31 + i) % 40)}
 				if _, _, err := c.Get(k, loadValue([]byte{byte(k.Block)})); err != nil {
 					t.Errorf("Get(%d): %v", k.Block, err)
 					return
@@ -308,21 +308,21 @@ func TestEvictionOrderUnderConcurrency(t *testing.T) {
 	// Deterministically touch blocks 0..7; whatever the churn left, these
 	// are now the cache contents in exactly this recency order.
 	for b := 0; b < capacity; b++ {
-		c.Get(Key{Image: "img", Block: b}, loadValue([]byte{byte(b)}))
+		c.Get(Key{Image: 1, Block: uint32(b)}, loadValue([]byte{byte(b)}))
 	}
 	for b := 0; b < capacity; b++ {
-		if !c.Contains(Key{Image: "img", Block: b}) {
+		if !c.Contains(Key{Image: 1, Block: uint32(b)}) {
 			t.Fatalf("block %d missing after touch pass", b)
 		}
 	}
 	// Insert fresh keys one at a time: evictions must follow touch order.
 	for i := 0; i < capacity; i++ {
-		c.Get(Key{Image: "img", Block: 1000 + i}, loadValue([]byte{1}))
-		if c.Contains(Key{Image: "img", Block: i}) {
+		c.Get(Key{Image: 1, Block: uint32(1000 + i)}, loadValue([]byte{1}))
+		if c.Contains(Key{Image: 1, Block: uint32(i)}) {
 			t.Fatalf("insert %d: block %d should be the LRU victim", i, i)
 		}
 		for b := i + 1; b < capacity; b++ {
-			if !c.Contains(Key{Image: "img", Block: b}) {
+			if !c.Contains(Key{Image: 1, Block: uint32(b)}) {
 				t.Fatalf("insert %d: block %d evicted out of order", i, b)
 			}
 		}
@@ -333,17 +333,17 @@ func TestPrefetchHitAccounting(t *testing.T) {
 	c := New(8, 1)
 	// Speculative load, then two demand hits: only the first is a
 	// prefetch hit.
-	c.GetPrefetch(Key{Image: "img", Block: 0}, loadValue([]byte{0}))
+	c.GetPrefetch(Key{Image: 1, Block: 0}, loadValue([]byte{0}))
 	for i := 0; i < 2; i++ {
-		if _, hit, _ := c.Get(Key{Image: "img", Block: 0}, loadValue(nil)); !hit {
+		if _, hit, _ := c.Get(Key{Image: 1, Block: 0}, loadValue(nil)); !hit {
 			t.Fatal("warmed block missed")
 		}
 	}
 	// A prefetch hitting a prefetched entry does not consume the tag...
-	c.GetPrefetch(Key{Image: "img", Block: 1}, loadValue([]byte{1}))
-	c.GetPrefetch(Key{Image: "img", Block: 1}, loadValue(nil))
+	c.GetPrefetch(Key{Image: 1, Block: 1}, loadValue([]byte{1}))
+	c.GetPrefetch(Key{Image: 1, Block: 1}, loadValue(nil))
 	// ...so the later demand hit still counts.
-	c.Get(Key{Image: "img", Block: 1}, loadValue(nil))
+	c.Get(Key{Image: 1, Block: 1}, loadValue(nil))
 
 	st := c.Stats()
 	if st.PrefetchHits != 2 {
@@ -351,51 +351,105 @@ func TestPrefetchHitAccounting(t *testing.T) {
 	}
 
 	// Evicting a never-used prefetched block counts as waste.
-	c.GetPrefetch(Key{Image: "img", Block: 2}, loadValue([]byte{2}))
+	c.GetPrefetch(Key{Image: 1, Block: 2}, loadValue([]byte{2}))
 	for b := 10; b < 30; b++ {
-		c.Get(Key{Image: "img", Block: b}, loadValue([]byte{1}))
+		c.Get(Key{Image: 1, Block: uint32(b)}, loadValue([]byte{1}))
 	}
 	if st := c.Stats(); st.PrefetchEvicted == 0 {
 		t.Fatalf("prefetch evictions not counted: %+v", st)
 	}
 }
 
-// TestGenerationSeparatesRegistrations: the same (image, block) under two
-// generations are distinct entries, a stale old-generation insert can
-// never hit a new-generation read, and image-wide invalidation and
-// unpinning cover every generation.
+// TestGenerationSeparatesRegistrations: the same block under two
+// registration ids (a name registered, then replaced) is two distinct
+// entries, a stale insert from the old registration can never hit a
+// read of the new one, and image-wide invalidation and unpinning touch
+// only the id they are given.
 func TestGenerationSeparatesRegistrations(t *testing.T) {
 	c := New(64, 2)
-	oldKey := Key{Image: "img", Gen: 1, Block: 0}
-	newKey := Key{Image: "img", Gen: 2, Block: 0}
+	oldKey := Key{Image: 1, Block: 0}
+	newKey := Key{Image: 2, Block: 0}
 
 	// A late insert from the old registration (e.g. a load that was in
-	// flight across a replace) lands under the old generation only.
+	// flight across a replace) lands under the old id only.
 	c.Get(oldKey, loadValue([]byte("stale")))
 	if v, hit, _ := c.Get(newKey, loadValue([]byte("fresh"))); hit || string(v) != "fresh" {
-		t.Fatalf("new-generation read got %q (hit=%v)", v, hit)
+		t.Fatalf("new-registration read got %q (hit=%v)", v, hit)
 	}
 	if v, hit, _ := c.Get(newKey, loadValue(nil)); !hit || string(v) != "fresh" {
-		t.Fatalf("new-generation re-read got %q (hit=%v)", v, hit)
+		t.Fatalf("new-registration re-read got %q (hit=%v)", v, hit)
 	}
 
-	// InvalidateImage drops both generations.
-	if n := c.InvalidateImage("img"); n != 2 {
-		t.Fatalf("InvalidateImage dropped %d entries, want 2", n)
+	// InvalidateImage drops the old registration only.
+	if n := c.InvalidateImage(1); n != 1 {
+		t.Fatalf("InvalidateImage dropped %d entries, want 1", n)
 	}
-	if c.Contains(oldKey) || c.Contains(newKey) {
-		t.Fatal("invalidate missed a generation")
+	if c.Contains(oldKey) || !c.Contains(newKey) {
+		t.Fatal("invalidate crossed registrations")
 	}
 
-	// UnpinImage also spans generations.
+	// UnpinImage likewise.
 	c.Get(oldKey, loadValue([]byte{1}))
-	c.Get(newKey, loadValue([]byte{2}))
 	c.Pin(oldKey)
 	c.Pin(newKey)
 	if st := c.Stats(); st.Pinned != 2 {
 		t.Fatalf("pinned = %d", st.Pinned)
 	}
-	if n := c.UnpinImage("img"); n != 2 {
-		t.Fatalf("UnpinImage unpinned %d, want 2", n)
+	if n := c.UnpinImage(2); n != 1 {
+		t.Fatalf("UnpinImage unpinned %d, want 1", n)
+	}
+	if st := c.Stats(); st.Pinned != 1 {
+		t.Fatalf("pinned after UnpinImage = %d, want 1", st.Pinned)
+	}
+}
+
+// TestInvalidateOneBlock: Invalidate drops exactly one entry, pinned or
+// not, fixes the pinned and byte counts, and reports absence.
+func TestInvalidateOneBlock(t *testing.T) {
+	c := New(16, 4)
+	for b := 0; b < 4; b++ {
+		c.Put(Key{Image: 1, Block: uint32(b)}, []byte{1, 2, 3})
+	}
+	c.Pin(Key{Image: 1, Block: 2})
+	if !c.Invalidate(Key{Image: 1, Block: 2}) {
+		t.Fatal("Invalidate missed a resident pinned block")
+	}
+	if !c.Invalidate(Key{Image: 1, Block: 0}) {
+		t.Fatal("Invalidate missed a resident block")
+	}
+	if c.Invalidate(Key{Image: 1, Block: 0}) {
+		t.Fatal("second Invalidate reported a dropped block")
+	}
+	st := c.Stats()
+	if st.Pinned != 0 || st.Entries != 2 || st.Bytes != 6 {
+		t.Fatalf("stats after invalidate = %+v", st)
+	}
+	if c.Contains(Key{Image: 1, Block: 2}) || !c.Contains(Key{Image: 1, Block: 1}) {
+		t.Fatal("Invalidate dropped the wrong block")
+	}
+}
+
+// TestShardStriping pins the property cold sequential reads rely on:
+// consecutive blocks of one image land in consecutive shards, so a run
+// of n blocks puts at most ceil(n/shards) in any shard.
+func TestShardStriping(t *testing.T) {
+	c := New(256, 16)
+	index := func(k Key) int {
+		s := c.shardFor(k)
+		for i := range c.shards {
+			if &c.shards[i] == s {
+				return i
+			}
+		}
+		t.Fatalf("key %+v maps outside the shard table", k)
+		return -1
+	}
+	for img := uint32(1); img < 5; img++ {
+		first := index(Key{Image: img, Block: 0})
+		for b := uint32(0); b < 64; b++ {
+			if got, want := index(Key{Image: img, Block: b}), (first+int(b))%16; got != want {
+				t.Fatalf("image %d block %d: shard %d, want %d", img, b, got, want)
+			}
+		}
 	}
 }

@@ -5,7 +5,7 @@
 // the operator how much evicted memory readers are still pinning, and
 // nothing catches a caller that scribbles on a cached block. A Lease
 // makes the hand-off explicit: Acquire takes a reference on the block's
-// backing buffer, eviction and generation-stamped replacement merely
+// backing buffer, eviction, replacement and invalidation merely
 // retire the buffer (drop the cache's own reference), and the actual
 // free — the accounting event, in a garbage-collected runtime — happens
 // when the last reference goes away. The gauges this layer maintains
@@ -32,9 +32,6 @@ import (
 type leaseBuf struct {
 	data []byte
 	refs atomic.Int64
-	// retired flags that the cache has dropped its reference (evict,
-	// replace or invalidate) and the retired gauges include this buffer.
-	retired bool
 	// crc is the insert-time checksum of data, populated only under the
 	// leaseguard build tag and re-checked on Release.
 	crc uint32
@@ -54,12 +51,18 @@ func newLeaseBuf(data []byte) *leaseBuf {
 }
 
 // retire drops the cache's reference after the entry left the table
-// (evict, replace, invalidate). The buffer joins the retired gauges
-// first, so a concurrent Release that observes the final reference also
-// observes the gauge contribution it must undo; if nobody holds a
-// lease, retire frees immediately and the gauges round-trip to zero.
+// (evict, replace, invalidate). The caller holds the entry's shard lock,
+// and leases are only taken under that lock, so a buffer whose sole
+// reference is the cache's cannot gain one: it is freed on the spot,
+// without touching the retired gauges. Otherwise the buffer joins the
+// retired gauges before the reference drops, so a concurrent Release
+// that observes the final reference also observes the gauge
+// contribution it must undo.
 func (b *leaseBuf) retire(c *Cache) {
-	b.retired = true
+	if b.refs.Load() == 1 {
+		b.recycle()
+		return
+	}
 	c.retiredBufs.Add(1)
 	c.retiredBytes.Add(int64(len(b.data)))
 	if b.refs.Add(-1) == 0 {
@@ -73,8 +76,12 @@ func (b *leaseBuf) retire(c *Cache) {
 func (b *leaseBuf) freeRetired(c *Cache) {
 	c.retiredBufs.Add(-1)
 	c.retiredBytes.Add(-int64(len(b.data)))
+	b.recycle()
+}
+
+// recycle clears a buffer nobody references and returns it to the pool.
+func (b *leaseBuf) recycle() {
 	b.data = nil
-	b.retired = false
 	b.crc = 0
 	leaseBufPool.Put(b)
 }

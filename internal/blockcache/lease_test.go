@@ -3,6 +3,7 @@ package blockcache
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -12,11 +13,11 @@ import (
 // round-trip to zero.
 func TestLeaseBasics(t *testing.T) {
 	c := New(8, 1)
-	key := Key{Image: "img", Block: 0}
+	key := Key{Image: 1, Block: 0}
 	want := []byte("hello, lease")
 	c.Put(key, want)
 
-	if _, ok := c.Acquire(Key{Image: "img", Block: 99}); ok {
+	if _, ok := c.Acquire(Key{Image: 1, Block: 99}); ok {
 		t.Fatal("Acquire of an absent block succeeded")
 	}
 	ls, ok := c.Acquire(key)
@@ -62,7 +63,7 @@ func TestLeaseBasics(t *testing.T) {
 // interim shows up in the retired-lease gauges.
 func TestLeaseSurvivesEviction(t *testing.T) {
 	c := New(4, 1)
-	key := Key{Image: "img", Block: 0}
+	key := Key{Image: 1, Block: 0}
 	want := []byte("block zero payload")
 	c.Put(key, want)
 	ls, ok := c.Acquire(key)
@@ -73,7 +74,7 @@ func TestLeaseSurvivesEviction(t *testing.T) {
 	// Flood the single shard so block 0 is evicted out from under the
 	// lease.
 	for i := 1; i < 32; i++ {
-		c.Put(Key{Image: "img", Block: i}, []byte(fmt.Sprintf("filler %d", i)))
+		c.Put(Key{Image: 1, Block: uint32(i)}, []byte(fmt.Sprintf("filler %d", i)))
 	}
 	if c.Contains(key) {
 		t.Fatal("leased block still resident after flood")
@@ -98,7 +99,7 @@ func TestLeaseSurvivesEviction(t *testing.T) {
 // gauges — instead of silently pinning memory.
 func TestLeakedLeaseSurfacesInGauges(t *testing.T) {
 	c := New(8, 1)
-	key := Key{Image: "img", Block: 0}
+	key := Key{Image: 1, Block: 0}
 	old := []byte("original bytes")
 	c.Put(key, old)
 	leaked, ok := c.Acquire(key)
@@ -120,7 +121,7 @@ func TestLeakedLeaseSurfacesInGauges(t *testing.T) {
 		t.Fatal("leaked lease lost its bytes")
 	}
 	// InvalidateImage must not be blocked by the leak either.
-	c.InvalidateImage("img")
+	c.InvalidateImage(1)
 	if st := c.Stats(); st.Entries != 0 || st.RetiredLeaseBufs != 1 {
 		t.Fatalf("after invalidate: %+v", st)
 	}
@@ -147,7 +148,7 @@ func TestLeaseHammer(t *testing.T) {
 	}
 	for img := 0; img < images; img++ {
 		for b := 0; b < blocks; b++ {
-			c.Put(Key{Image: fmt.Sprintf("img%d", img), Block: b}, payload(img, b, 0))
+			c.Put(Key{Image: uint32(img), Block: uint32(b)}, payload(img, b, 0))
 		}
 	}
 
@@ -162,7 +163,7 @@ func TestLeaseHammer(t *testing.T) {
 				rng = rng*1664525 + 1013904223
 				img := int(rng>>8) % images
 				b := int(rng>>4) % blocks
-				key := Key{Image: fmt.Sprintf("img%d", img), Block: b}
+				key := Key{Image: uint32(img), Block: uint32(b)}
 				ls, ok := c.Acquire(key)
 				if !ok {
 					ls, ok = c.AcquirePeek(key)
@@ -200,10 +201,10 @@ func TestLeaseHammer(t *testing.T) {
 				switch rng % 8 {
 				case 0:
 					// RemoveImage shape: drop every block of the image.
-					c.InvalidateImage(fmt.Sprintf("img%d", img))
+					c.InvalidateImage(uint32(img))
 				default:
 					// Replace/evict shape: new version, LRU pressure.
-					c.Put(Key{Image: fmt.Sprintf("img%d", img), Block: b},
+					c.Put(Key{Image: uint32(img), Block: uint32(b)},
 						payload(img, b, i+1))
 				}
 			}
@@ -226,7 +227,7 @@ func TestLeaseHammer(t *testing.T) {
 // the (forbidden, but undetected) write.
 func TestLeaseGuard(t *testing.T) {
 	c := New(8, 1)
-	key := Key{Image: "img", Block: 0}
+	key := Key{Image: 1, Block: 0}
 	c.Put(key, []byte("do not touch"))
 	ls, ok := c.Acquire(key)
 	if !ok {
@@ -243,4 +244,92 @@ func TestLeaseGuard(t *testing.T) {
 		t.Fatal("release returned despite the mutation")
 	}
 	ls.Release()
+}
+
+// TestLeaseEvictDirectFree races lease holders against the eviction path
+// that frees an unleased buffer on the spot: readers AcquirePeek blocks
+// and hold them across a yield while a writer Puts new blocks and new
+// versions into a cache a fraction of the keyspace, so every Put evicts
+// or replaces. A buffer freed while a lease still held it would be
+// recycled into a later insert and change under its reader (under
+// -tags leaseguard the release also panics). Afterwards the lease
+// gauges must drain to zero and Bytes must equal the resident payload.
+func TestLeaseEvictDirectFree(t *testing.T) {
+	const (
+		keys    = 96
+		readers = 6
+		rounds  = 20000
+	)
+	c := New(24, 4)
+	payload := func(b, v int) []byte {
+		return bytes.Repeat([]byte{byte(b*7 + v)}, 16+(b+v)%48)
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	fail := make(chan string, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed uint32) {
+			defer wg.Done()
+			rng := seed*2654435761 + 1
+			var (
+				leases [4]Lease
+				held   [4][]byte
+			)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n := 0
+				for n < len(leases) {
+					rng = rng*1664525 + 1013904223
+					if ls, ok := c.AcquirePeek(Key{Image: 1, Block: (rng >> 8) % keys}); ok {
+						leases[n] = ls
+						held[n] = append(held[n][:0], ls.Bytes()...)
+						n++
+					}
+				}
+				runtime.Gosched()
+				for i := range leases {
+					if !bytes.Equal(leases[i].Bytes(), held[i]) {
+						select {
+						case fail <- "leased bytes changed while held":
+						default:
+						}
+					}
+					leases[i].Release()
+				}
+			}
+		}(uint32(r))
+	}
+	rng := uint32(7)
+	for i := 0; i < rounds; i++ {
+		rng = rng*1664525 + 1013904223
+		b := int(rng>>8) % keys
+		c.Put(Key{Image: 1, Block: uint32(b)}, payload(b, i))
+	}
+	close(done)
+	wg.Wait()
+	close(fail)
+	for msg := range fail {
+		t.Fatal(msg)
+	}
+	st := c.Stats()
+	if st.Evictions == 0 {
+		t.Fatal("writer forced no evictions")
+	}
+	if st.LeasesActive != 0 || st.RetiredLeaseBufs != 0 || st.RetiredLeaseBytes != 0 {
+		t.Fatalf("lease gauges did not drain: %+v", st)
+	}
+	resident := 0
+	for b := uint32(0); b < keys; b++ {
+		if v, ok := c.Peek(Key{Image: 1, Block: b}); ok {
+			resident += len(v)
+		}
+	}
+	if st.Bytes != int64(resident) {
+		t.Fatalf("Bytes = %d, resident payload %d", st.Bytes, resident)
+	}
 }

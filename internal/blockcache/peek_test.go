@@ -12,9 +12,9 @@ import (
 // reshape its own cache.
 func TestPeekDoesNotDistortAccounting(t *testing.T) {
 	c := New(2, 1)
-	k0 := Key{Image: "img", Block: 0}
-	k1 := Key{Image: "img", Block: 1}
-	k2 := Key{Image: "img", Block: 2}
+	k0 := Key{Image: 1, Block: 0}
+	k1 := Key{Image: 1, Block: 1}
+	k2 := Key{Image: 1, Block: 2}
 	load := func(b byte) func() ([]byte, error) {
 		return func() ([]byte, error) { return []byte{b}, nil }
 	}
@@ -65,9 +65,9 @@ func TestPeekDoesNotDistortAccounting(t *testing.T) {
 // no load happens.
 func TestGetCachedBehavesLikeAHit(t *testing.T) {
 	c := New(2, 1)
-	k0 := Key{Image: "img", Block: 0}
-	k1 := Key{Image: "img", Block: 1}
-	k2 := Key{Image: "img", Block: 2}
+	k0 := Key{Image: 1, Block: 0}
+	k1 := Key{Image: 1, Block: 1}
+	k2 := Key{Image: 1, Block: 2}
 	load := func(b byte) func() ([]byte, error) {
 		return func() ([]byte, error) { return []byte{b}, nil }
 	}

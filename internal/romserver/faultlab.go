@@ -180,9 +180,10 @@ func (sc *sidecar) verify(block int, data []byte) error {
 }
 
 // imageHealth is one image's sliding window of load outcomes, bad-block
-// list and current state. The state is written only under mu but is
-// atomic, so State() — which the range path asks for every block — is
-// one load; every other field is guarded by mu.
+// list and current state. The state and the clean flag are written only
+// under mu but are atomic, so State() — which the range path asks for
+// every block — and a success on a clean window are one load each; every
+// other field is guarded by mu.
 type imageHealth struct {
 	mu sync.Mutex
 	// window is a ring of final load outcomes (true = failed).
@@ -196,6 +197,11 @@ type imageHealth struct {
 	// successful load or re-verify clears it.
 	bad         map[int]struct{}
 	transitions int64
+	// clean is set while the window is full, holds no failure and no
+	// block is bad. A success pushed then changes nothing observable:
+	// it overwrites a success in a ring of successes, the bad list stays
+	// empty and the state stays Healthy.
+	clean atomic.Bool
 }
 
 func newImageHealth(window int) *imageHealth {
@@ -221,6 +227,9 @@ func (h *imageHealth) snapshot() (HealthState, int, float64, int64) {
 // window, updates the bad-block list and recomputes the state. It returns
 // the (from, to) pair when the state changed.
 func (h *imageHealth) record(block int, failed bool) (from, to HealthState, changed bool) {
+	if !failed && h.clean.Load() {
+		return Healthy, Healthy, false
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.filled == len(h.window) {
@@ -238,6 +247,7 @@ func (h *imageHealth) record(block int, failed bool) (from, to HealthState, chan
 		delete(h.bad, block)
 	}
 	h.idx = (h.idx + 1) % len(h.window)
+	h.clean.Store(h.filled == len(h.window) && h.fails == 0 && len(h.bad) == 0)
 	return h.recompute()
 }
 
@@ -303,15 +313,12 @@ func (img *image) activeCodec() codecomp.BlockCodec {
 	return img.codec
 }
 
-// blockScratch recycles decode buffers across safeBlock calls. The codec
-// appends into pooled scratch and only the exact-size copy handed to the
-// cache is freshly allocated, so one cache miss costs one allocation.
-var blockScratch = sync.Pool{New: func() any { return new([]byte) }}
-
 // safeBlock is one raw decompression with panic containment: a panicking
 // codec becomes an ErrCodecPanic error instead of killing a pool worker.
-// It decodes through codecomp.AppendBlock into pooled scratch. It reads
-// no clock: loadVerified times the attempt around it.
+// It decodes through codecomp.AppendBlock straight into a buffer sized
+// from the sidecar's length, so a clean miss costs that one allocation,
+// which the cache then keeps. It reads no clock: loadVerified times the
+// attempt around it.
 func (s *Server) safeBlock(img *image, block int) (data []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -322,17 +329,16 @@ func (s *Server) safeBlock(img *image, block int) (data []byte, err error) {
 	}()
 	img.decompressions.Add(1)
 	s.met.decompressions.Inc()
-	bp := blockScratch.Get().(*[]byte)
-	defer blockScratch.Put(bp)
-	buf, err := codecomp.AppendBlock(img.activeCodec(), (*bp)[:0], block)
+	var buf []byte
+	if img.sidecar != nil {
+		buf = make([]byte, 0, img.sidecar.lens[block])
+	}
+	buf, err = codecomp.AppendBlock(img.activeCodec(), buf, block)
 	if err != nil {
 		return nil, err
 	}
 	img.decompressedBytes.Add(int64(len(buf)))
-	*bp = buf
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	return out, nil
+	return buf, nil
 }
 
 // effectiveTimeout clamps the configured per-attempt decode deadline by
@@ -386,16 +392,17 @@ func (s *Server) effectiveTimeout(ctx context.Context, now time.Time) (time.Dura
 // verification or accounting.
 //
 // The stages share clock readings, so a clean load reads the clock
-// twice: start is the caller's reading, taken just before the call (the
-// ticket's, or the block's own in a range run), and the first decode
-// attempt starts at it; the reading taken when the decode returns ends
-// the decode and starts the verify; the one taken when the verify
-// returns ends the verify and the load. The phase histograms, the
-// decode ns/block gauge and the watchdog all use those readings. A
-// retry reads the clock again after its backoff, and a consulted fill
-// hook after the fill (its round trip is not decode time) and after
-// verifying what it returned.
-func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp *obsv.Span, allowFill bool, start time.Time) ([]byte, error) {
+// twice: start is the caller's reading (the ticket's, or in a range run
+// the one that ended the previous block), and the first decode attempt
+// starts at it; the reading taken when the decode returns ends the
+// decode and starts the verify; the one taken when the verify returns
+// ends the verify and the load, and is returned so a range run can start
+// its next block at it. The phase histograms, the decode
+// ns/block gauge and the watchdog all use those readings. A retry reads
+// the clock again after its backoff, and a consulted fill hook after the
+// fill (its round trip is not decode time) and after verifying what it
+// returned.
+func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp *obsv.Span, allowFill bool, start time.Time) ([]byte, time.Time, error) {
 	s := w.s
 	// now is always the latest clock reading.
 	now := start
@@ -403,12 +410,12 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 	if allowFill {
 		if fp := s.fill.Load(); fp != nil {
 			if err := w.guard(ctx, block, now); err != nil {
-				return nil, err
+				return nil, now, err
 			}
 			data, ok := (*fp)(img.name, block)
 			now = time.Now()
 			if !w.settle() {
-				return nil, errOutlived
+				return nil, now, errOutlived
 			}
 			if ok {
 				verr := img.sidecar.verify(block, data)
@@ -419,7 +426,7 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 						sp.Event("peer fill")
 					}
 					s.recordHealth(img, block, false)
-					return data, nil
+					return data, now, nil
 				}
 				s.met.peerFillRejects.Inc()
 				if sp != nil {
@@ -436,7 +443,7 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 			// retried load it will never read.
 			if ctx != nil {
 				if err := ctx.Err(); err != nil {
-					return nil, err
+					return nil, now, err
 				}
 			}
 			// Demand retries spend the token budget; a drained budget
@@ -458,24 +465,24 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 			case <-time.After(d):
 			case <-doneOf(ctx):
 				now = time.Now()
-				return nil, ctx.Err()
+				return nil, now, ctx.Err()
 			case <-s.quit:
 				now = time.Now()
-				return nil, ErrClosed
+				return nil, now, ErrClosed
 			}
 			backoff *= 2
 			now = time.Now()
 		}
 		decodeStart := now
 		if err := w.guard(ctx, block, decodeStart); err != nil {
-			return nil, err
+			return nil, now, err
 		}
 		data, err := s.safeBlock(img, block)
 		settled := w.settle()
 		decodeEnd := time.Now()
 		now = decodeEnd
 		if !settled {
-			return nil, errOutlived
+			return nil, now, errOutlived
 		}
 		// Verify before any accounting, so the decode's bookkeeping
 		// lands in neither phase.
@@ -505,7 +512,7 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 				continue
 			}
 			s.recordHealth(img, block, false)
-			return data, nil
+			return data, now, nil
 		}
 		lastErr = err
 		if !retryable(err) {
@@ -515,7 +522,7 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 	img.loadFailures.Add(1)
 	s.met.loadFailures.Inc()
 	s.recordHealth(img, block, true)
-	return nil, lastErr
+	return nil, now, lastErr
 }
 
 // recordHealth pushes a final load outcome into the image's health window

@@ -574,3 +574,92 @@ func TestSharedReadingsObserveEveryStage(t *testing.T) {
 		t.Fatalf("retries = %d, want 1", r)
 	}
 }
+
+// lockedHealth is a reference copy of imageHealth.record as it was before
+// the clean-window fast path: every outcome takes the lock and advances
+// the ring.
+type lockedHealth struct {
+	window      []bool
+	idx         int
+	filled      int
+	fails       int
+	state       HealthState
+	bad         map[int]struct{}
+	transitions int64
+}
+
+func (h *lockedHealth) record(block int, failed bool) (from, to HealthState, changed bool) {
+	if h.filled == len(h.window) {
+		if h.window[h.idx] {
+			h.fails--
+		}
+	} else {
+		h.filled++
+	}
+	h.window[h.idx] = failed
+	if failed {
+		h.fails++
+		h.bad[block] = struct{}{}
+	} else {
+		delete(h.bad, block)
+	}
+	h.idx = (h.idx + 1) % len(h.window)
+	rate := float64(h.fails) / float64(h.filled)
+	next := Healthy
+	switch {
+	case h.filled >= minHealthObs && rate >= quarantineRate:
+		next = Quarantined
+	case (h.filled >= minHealthObs && rate >= degradedRate) || len(h.bad) > 0:
+		next = Degraded
+	}
+	from = h.state
+	if next == from {
+		return from, next, false
+	}
+	h.state = next
+	h.transitions++
+	return from, next, true
+}
+
+// TestHealthFastPathMatchesLocked feeds seeded random outcome sequences
+// through imageHealth.record and through the locked reference: after
+// every step both must report the same transition, state, transition
+// count, bad-block set and failure rate. The sequences alternate clean
+// stretches (where the fast path serves successes) with failure bursts
+// of varying density, so the window fills, empties of failures, degrades,
+// quarantines and recovers many times.
+func TestHealthFastPathMatchesLocked(t *testing.T) {
+	for _, size := range []int{1, 4, minHealthObs, 64} {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			h := newImageHealth(size)
+			ref := &lockedHealth{window: make([]bool, size), bad: map[int]struct{}{}}
+			failP := 0.0
+			for step := 0; step < 4000; step++ {
+				if step%100 == 0 {
+					failP = []float64{0, 0, 0.02, 0.2, 0.7}[rng.Intn(5)]
+				}
+				block, failed := rng.Intn(6), rng.Float64() < failP
+				f1, t1, c1 := h.record(block, failed)
+				f2, t2, c2 := ref.record(block, failed)
+				if f1 != f2 || t1 != t2 || c1 != c2 {
+					t.Fatalf("size %d seed %d step %d: record = (%v, %v, %v), reference (%v, %v, %v)",
+						size, seed, step, f1, t1, c1, f2, t2, c2)
+				}
+				state, nbad, rate, transitions := h.snapshot()
+				wantRate := float64(ref.fails) / float64(ref.filled)
+				if state != ref.state || nbad != len(ref.bad) || rate != wantRate || transitions != ref.transitions {
+					t.Fatalf("size %d seed %d step %d: state %v bad %d rate %v transitions %d, reference %v %d %v %d",
+						size, seed, step, state, nbad, rate, transitions, ref.state, len(ref.bad), wantRate, ref.transitions)
+				}
+				h.mu.Lock()
+				for b := range ref.bad {
+					if _, ok := h.bad[b]; !ok {
+						t.Fatalf("size %d seed %d step %d: block %d bad in the reference only", size, seed, step, b)
+					}
+				}
+				h.mu.Unlock()
+			}
+		}
+	}
+}

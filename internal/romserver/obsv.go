@@ -170,7 +170,7 @@ func newServerMetrics(reg *obsv.Registry, tracer *obsv.Tracer) *serverMetrics {
 			"Injected codec panics (chaos mode)."),
 
 		tieringMigrations: reg.Counter("tiering_migrations_total",
-			"Blocks migrated between codec tiers by recompression passes (each an encode-verify-swap that bumped the block's cache generation)."),
+			"Blocks migrated between codec tiers by recompression passes (each an encode-verify-swap that invalidated the block's cached copy)."),
 		tieringVerifyFailures: reg.Counter("tiering_verify_failures_total",
 			"Tier migrations rolled back because the re-encoded block failed the round-trip or sidecar verification (the old tier kept serving)."),
 		tieringBytesSaved: reg.Counter("tiering_bytes_saved_total",

@@ -197,19 +197,14 @@ type image struct {
 	format   string
 	blocks   int
 	origSize int
-	// gen is this registration's cache-key generation: a load in flight
-	// across a replace/remove inserts under the old generation and can
-	// never be served as a block of the new one. Registrations hand out
-	// generations from a counter, so gen always fits the low 32 bits the
-	// tiered per-block generations (blockGens) leave free.
-	gen uint64
+	// id is this registration's cache key: a load in flight across a
+	// replace/remove inserts under the old id and can never be served as
+	// a block of the new registration.
+	id uint32
 
 	// tiered is the codec downcast to its mixed-codec form, set only for
-	// tiered images; blockGens then carries one cache generation per block,
-	// bumped by every tier migration so post-migration reads re-decode
-	// through the block's new tier instead of hitting stale cache entries.
-	tiered    *codecomp.TieredImage
-	blockGens []atomic.Uint32
+	// tiered images.
+	tiered *codecomp.TieredImage
 	// tierMu serializes recompression passes over this image (migrations
 	// themselves are internally locked; the mutex keeps one pass's
 	// plan/migrate/persist sequence from interleaving with another's).
@@ -267,17 +262,9 @@ type image struct {
 	reverifies      atomic.Int64
 }
 
-// key is the image's cache key for one block. Tiered images fold the
-// block's migration generation into the high 32 bits, so a tier swap
-// orphans the block's old cache entry (it ages out under LRU, unreachable
-// under the new key) exactly like a whole-image replace orphans all of
-// them.
+// key is the image's cache key for one block.
 func (img *image) key(b int) blockcache.Key {
-	gen := img.gen
-	if img.blockGens != nil {
-		gen |= uint64(img.blockGens[b].Load()) << 32
-	}
-	return blockcache.Key{Image: img.name, Gen: gen, Block: b}
+	return blockcache.Key{Image: img.id, Block: uint32(b)}
 }
 
 // blockOffsets returns the image's cumulative offset table, building it
@@ -347,14 +334,15 @@ type result struct {
 }
 
 // rangeJob is one contiguous miss-run of a batched range read: a single
-// pool ticket that decodes blocks [first,last] back to back, inserting
-// each into the cache as it lands. limit > 0 marks a sub-block read:
-// block last (if it still misses by the time the worker reaches it)
-// only needs its first limit bytes, decoded via the partial path and
-// never cached.
+// pool ticket that decodes blocks [first,last] back to back and caches
+// them. limit > 0 marks a sub-block read: block last only needs its
+// first limit bytes, decoded via the partial path and never cached.
+// merged marks a run that spans blocks cached at dispatch (a /text
+// window), which the worker re-peeks instead of decoding.
 type rangeJob struct {
 	first, last int
 	limit       int
+	merged      bool
 	reply       chan rangeResult
 }
 
@@ -396,8 +384,8 @@ type Server struct {
 	drained chan struct{} // closed after the pool has fully drained
 	wg      sync.WaitGroup
 
-	// nextGen hands out cache-key generations to registrations.
-	nextGen atomic.Uint64
+	// nextID hands out cache-key ids to registrations.
+	nextID atomic.Uint32
 
 	// ovl is the overload layer (admission, brownout, retry budget);
 	// nil when Options.Overload is unset.
@@ -499,7 +487,8 @@ func (l *loader) load() ([]byte, error) {
 	if l.img.health.State() == Quarantined {
 		return nil, fmt.Errorf("%w: %q", ErrQuarantined, l.img.name)
 	}
-	return l.w.loadVerified(l.ctx, l.img, l.block, l.span, true, l.start)
+	data, _, err := l.w.loadVerified(l.ctx, l.img, l.block, l.span, true, l.start)
+	return data, err
 }
 
 func (l *loader) release() {
@@ -527,7 +516,7 @@ func (w *poolWorker) handle(t task) bool {
 		return w.handleRange(t, now)
 	}
 	if t.reverify {
-		_, err := w.loadVerified(nil, t.img, t.block, nil, false, now)
+		_, _, err := w.loadVerified(nil, t.img, t.block, nil, false, now)
 		if !w.end() {
 			return false
 		}
@@ -578,60 +567,74 @@ func (w *poolWorker) handle(t task) bool {
 }
 
 // handleRange runs one contiguous miss-run on a single pool ticket. Each
-// block is re-checked with Peek first (a concurrent demand read may have
-// landed it since the dispatch pass), decoded through the same hardened
-// loadVerified path demand reads use, and inserted with the cache's
-// neutral Put — so the run populates the cache for later demand traffic
-// without counting as demand misses or touching prefetch accounting.
-// now is the ticket's clock reading, which the run's first load starts
-// at; each later load takes its own start reading, so the previous
-// block's cache insert is not charged to its decode.
+// block is decoded through the same hardened loadVerified path demand
+// reads use. A merged run first re-checks each block with Peek, since it
+// spans blocks that were cached at dispatch. An unmerged run was all-miss
+// at dispatch and decodes straight through: another read rarely fills
+// one of its blocks before the worker reaches it, and such a block is
+// decoded again and replaced with identical bytes, which costs less in
+// total than a shard lock per block. The blocks the run verified are
+// inserted after its decode loop with the cache's neutral Put, so the
+// run populates the cache for later demand traffic without counting as
+// demand misses or touching prefetch accounting. Peeked blocks and a
+// partial tail are not inserted. now is the ticket's clock reading,
+// which the run's first load starts at; each later load starts at the
+// reading that ended the previous block's verify (or a fresh one after a
+// peeked block), so a run reads the clock twice per block.
 func (w *poolWorker) handleRange(t task, now time.Time) bool {
-	s, rj := w.s, t.rng
+	s, rj, img := w.s, t.rng, t.img
 	s.met.queueWait.Observe(now.Sub(t.enq))
 	blocks := make([][]byte, 0, rj.last-rj.first+1)
+	fresh := w.fresh[:0]
 	decoded, decodedBytes := 0, 0
+	stale := false
+	var err error
 	for b := rj.first; b <= rj.last; b++ {
-		key := t.img.key(b)
-		if data, ok := s.cache.Peek(key); ok {
-			blocks = append(blocks, data)
-			continue
+		if rj.merged {
+			if data, ok := s.cache.Peek(img.key(b)); ok {
+				blocks = append(blocks, data)
+				stale = true
+				continue
+			}
+			if stale {
+				now, stale = time.Now(), false
+			}
 		}
 		var (
 			data []byte
 			n    int
-			err  error
 		)
-		if decoded > 0 {
-			now = time.Now()
-		}
 		switch {
-		case t.img.health.State() == Quarantined:
-			err = fmt.Errorf("%w: %q", ErrQuarantined, t.img.name)
+		case img.health.State() == Quarantined:
+			err = fmt.Errorf("%w: %q", ErrQuarantined, img.name)
 		case rj.limit > 0 && b == rj.last:
 			// Sub-block tail: decode only the needed prefix; the result
 			// cannot be sidecar-verified, so it is served but not cached.
-			data, n, err = w.decodePrefix(t.ctx, t.img, b, rj.limit, now)
+			data, n, err = w.decodePrefix(t.ctx, img, b, rj.limit, now)
 		default:
-			data, err = w.loadVerified(t.ctx, t.img, b, nil, true, now)
+			data, now, err = w.loadVerified(t.ctx, img, b, nil, true, now)
 			n = len(data)
 			if err == nil {
-				s.cache.Put(key, data)
+				fresh = append(fresh, len(blocks))
 			}
 		}
 		if err != nil {
-			if !w.end() {
-				return false
-			}
-			rj.reply <- rangeResult{err: err}
-			return true
+			break
 		}
 		decoded++
 		decodedBytes += n
 		blocks = append(blocks, data)
 	}
+	for _, i := range fresh {
+		s.cache.Put(img.key(rj.first+i), blocks[i])
+	}
+	w.fresh = fresh
 	if !w.end() {
 		return false
+	}
+	if err != nil {
+		rj.reply <- rangeResult{err: err}
+		return true
 	}
 	rj.reply <- rangeResult{blocks: blocks, decoded: decoded, decodedBytes: decodedBytes}
 	return true
@@ -844,11 +847,11 @@ func (s *Server) AddImage(name string, data []byte) (ImageInfo, error) {
 		s.mu.Unlock()
 		return ImageInfo{}, ErrClosed
 	}
-	_, replaced := s.images[name]
+	old, replaced := s.images[name]
 	s.images[name] = img
 	s.mu.Unlock()
 	if replaced {
-		s.cache.InvalidateImage(name)
+		s.cache.InvalidateImage(old.id)
 	}
 	if img.tiered != nil {
 		s.updateTierGauges()
@@ -869,7 +872,7 @@ func (s *Server) RemoveImage(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	s.cache.InvalidateImage(name)
+	s.cache.InvalidateImage(img.id)
 	if img.tiered != nil {
 		s.updateTierGauges()
 	}
@@ -1124,7 +1127,7 @@ func (s *Server) SetPolicy(name string, spec PolicySpec) (PolicyInfo, error) {
 	}
 	s.policyMu.Lock()
 	defer s.policyMu.Unlock()
-	s.cache.UnpinImage(name)
+	s.cache.UnpinImage(img.id)
 	// Decode and pin the hot set on the pool (it bypasses the trace
 	// recorder on purpose: pinning is an admin-time operation).
 	var pinned []int
@@ -1133,12 +1136,23 @@ func (s *Server) SetPolicy(name string, spec PolicySpec) (PolicyInfo, error) {
 			continue
 		}
 		if err := s.warmBlock(img, b); err != nil {
-			s.cache.UnpinImage(name)
+			s.cache.UnpinImage(img.id)
 			return PolicyInfo{}, fmt.Errorf("romserver: pinning block %d of %q: %w", b, name, err)
 		}
 		if s.cache.Pin(img.key(b)) {
 			pinned = append(pinned, b)
 		}
+	}
+	// img was looked up before policyMu was taken. If a replace or remove
+	// has deregistered it since, its invalidation may have run before
+	// these pins, which would then hold cache slots under a dead id for
+	// good; drop them here. If img is still registered, a later
+	// deregistration invalidates after this check, and so after the pins.
+	s.mu.RLock()
+	cur := s.images[name]
+	s.mu.RUnlock()
+	if cur != img {
+		s.cache.InvalidateImage(img.id)
 	}
 	st.pins = pinned
 	img.pref.Store(st)
@@ -1146,8 +1160,12 @@ func (s *Server) SetPolicy(name string, spec PolicySpec) (PolicyInfo, error) {
 }
 
 // warmBlock loads block b of img into the cache as a one-block range
-// ticket — verified and under the pool's watchdog — and waits for it.
+// ticket — verified and under the pool's watchdog — and waits for it. A
+// block already cached needs no ticket.
 func (s *Server) warmBlock(img *image, b int) error {
+	if s.cache.Contains(img.key(b)) {
+		return nil
+	}
 	reply := make(chan rangeResult, 1)
 	t := task{img: img, enq: time.Now(), rng: &rangeJob{first: b, last: b, reply: reply}}
 	select {
@@ -1370,7 +1388,7 @@ func (s *Server) CacheStats() blockcache.Stats { return s.cache.Stats() }
 
 // newImage builds the serving state for one codec: trace recorder sized by
 // Options.TraceBuffer, the default sequential prefetch policy, a fresh
-// cache-key generation and a fresh health state machine.
+// cache-key id and a fresh health state machine.
 func (s *Server) newImage(name string, codec codecomp.BlockCodec, format string) *image {
 	img := &image{
 		name:     name,
@@ -1378,12 +1396,11 @@ func (s *Server) newImage(name string, codec codecomp.BlockCodec, format string)
 		format:   format,
 		blocks:   codec.NumBlocks(),
 		origSize: imageMeta(codec),
-		gen:      s.nextGen.Add(1),
+		id:       s.nextID.Add(1),
 		health:   newImageHealth(s.opts.HealthWindow),
 	}
 	if t, ok := codec.(*codecomp.TieredImage); ok {
 		img.tiered = t
-		img.blockGens = make([]atomic.Uint32, img.blocks)
 	}
 	if s.opts.TraceBuffer > 0 {
 		img.recorder = traceprof.NewRecorder(s.opts.TraceBuffer)

@@ -103,11 +103,12 @@ func TestAddImageFormatsAndReplace(t *testing.T) {
 	}
 }
 
-// blockKey resolves the live registration's cache key for one block.
+// blockKey resolves the live registration's cache key for one block; an
+// unregistered name gets id 0, which no registration is assigned.
 func blockKey(s *Server, name string, i int) blockcache.Key {
 	img, err := s.lookup(name)
 	if err != nil {
-		return blockcache.Key{Image: name, Block: i}
+		return blockcache.Key{Block: uint32(i)}
 	}
 	return img.key(i)
 }
@@ -620,6 +621,45 @@ func TestSetPolicyHotsetPinsSurviveColdScan(t *testing.T) {
 	}
 	if st := s.CacheStats(); st.Pinned != 0 || st.Entries != 0 {
 		t.Fatalf("stale cache after remove: %+v", st)
+	}
+}
+
+// TestSetPolicyRacingReplaceLeavesNoPins replaces an image while a hotset
+// SetPolicy is decoding its first hot block. The replace invalidates the
+// old registration before that block lands, so the pass then caches and
+// pins blocks under a dead id; SetPolicy must drop them, or they hold
+// cache slots that nothing ever names again.
+func TestSetPolicyRacingReplaceLeavesNoPins(t *testing.T) {
+	stub := &stubCodec{blocks: 256, gate: make(chan struct{})}
+	s := New(Options{CacheBlocks: 16, CacheShards: 1, PrefetchDepth: -1, TraceBuffer: 4096, ReverifyInterval: -1})
+	defer s.Close()
+	s.addCodec("stub", stub, "stub")
+	trace := make([]int, 0, 64)
+	for i := 0; i < 16; i++ {
+		trace = append(trace, 7, 200)
+	}
+	if _, err := s.TrainFrom("stub", trace); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.SetPolicy("stub", PolicySpec{Policy: "hotset", PinCount: 2})
+		done <- err
+	}()
+	for stub.calls.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.RemoveImage("stub"); err != nil {
+		t.Fatal(err)
+	}
+	s.addCodec("stub", &stubCodec{blocks: 256}, "stub")
+	close(stub.gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.CacheStats(); st.Pinned != 0 || st.Entries != 0 {
+		t.Fatalf("stale hotset pass left cache state: %+v", st)
 	}
 }
 

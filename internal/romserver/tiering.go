@@ -12,8 +12,9 @@
 //     against the image's integrity sidecar (CRC32-C + length) — a
 //     migration that would change a single served byte rolls back and
 //     counts as a verify failure, it can never land;
-//   - the block's cache generation is bumped, so every later read decodes
-//     through the new tier instead of hitting a stale cache entry.
+//   - the block's cache entry is invalidated, so the next read decodes
+//     through the new tier. Both tiers decode to the same sidecar-verified
+//     bytes, so an old-tier load that lands after the swap is harmless.
 //
 // Reads never block on recompression: migrations take the image's
 // internal write lock for microseconds per block, and the serving path's
@@ -205,9 +206,9 @@ func (s *Server) recompressImage(img *image) TieringPassStats {
 			s.met.tieringVerifyFailures.Inc()
 			continue
 		}
-		// The swap landed: orphan the block's cached copy so later reads
-		// decode through the new tier.
-		img.blockGens[b].Add(1)
+		// The swap landed: drop the block's cached copy so the next read
+		// decodes through the new tier.
+		s.cache.Invalidate(img.key(b))
 		st.Migrated++
 		st.BytesDelta += delta
 		s.met.tieringMigrations.Inc()

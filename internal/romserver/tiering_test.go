@@ -301,3 +301,54 @@ func TestTieringBatchLimit(t *testing.T) {
 		t.Fatalf("text corrupted (err %v)", err)
 	}
 }
+
+// TestTierMigrationInvalidates: a migrated block's cached copy is
+// dropped, pinned or not, so the next read decodes it once more through
+// its new tier and serves the same bytes; the read after that hits.
+func TestTierMigrationInvalidates(t *testing.T) {
+	_, text := testText(t)
+	s := New(Options{PrefetchDepth: -1, Tiering: &TieringOptions{Interval: -1}})
+	defer s.Close()
+	info, err := s.AddImage("prog", marshalTiered(t, text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := testTierSpec.BlockSize
+	want := text[:bs]
+	decodes := func() int64 { return s.Stats().Images[0].Decompressions }
+	read := func(wantHit bool) {
+		t.Helper()
+		data, hit, err := s.Block("prog", 0)
+		if err != nil || hit != wantHit || !bytes.Equal(data, want) {
+			t.Fatalf("read block 0: hit=%v (want %v), exact=%v, err=%v", hit, wantHit, bytes.Equal(data, want), err)
+		}
+	}
+	read(false)
+	read(true)
+	img, err := s.lookup("prog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.cache.Pin(img.key(0)) || s.CacheStats().Pinned != 1 {
+		t.Fatalf("pin block 0: pinned = %d", s.CacheStats().Pinned)
+	}
+	if _, err := s.TrainFrom("prog", skewedTrace(info.Blocks, max(1, info.Blocks/10), 20000)); err != nil {
+		t.Fatal(err)
+	}
+	before := decodes()
+	st, err := s.Recompress("prog")
+	if err != nil || st.Migrated == 0 {
+		t.Fatalf("pass = %+v, %v", st, err)
+	}
+	if tier, err := img.tiered.TierOf(0); err != nil || tier == testTierSpec.DefaultTier {
+		t.Fatalf("block 0 still in tier %d (%v)", tier, err)
+	}
+	if p := s.CacheStats().Pinned; p != 0 {
+		t.Fatalf("pinned = %d after migrating the pinned block, want 0", p)
+	}
+	read(false)
+	if got := decodes() - before; got != 1 {
+		t.Fatalf("read after migration decoded %d blocks, want 1", got)
+	}
+	read(true)
+}

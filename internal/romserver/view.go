@@ -312,7 +312,7 @@ func (s *Server) dispatchView(ctx context.Context, img *image, v *View, first, l
 	}
 	for _, r := range runs {
 		reply := make(chan rangeResult, 1)
-		rj := &rangeJob{first: r.first, last: r.last, reply: reply}
+		rj := &rangeJob{first: r.first, last: r.last, merged: merge, reply: reply}
 		if limit > 0 && r.last == last {
 			rj.limit = limit
 		}

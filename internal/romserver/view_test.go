@@ -489,10 +489,14 @@ func BenchmarkRomserverSubblockMiss(b *testing.B) {
 // BenchmarkRomserverColdRange measures a cold 4 KiB page-in: a ReadAt
 // over a SAMC image with the default options (load deadline, trace
 // recording, sharded cache) whose cache is too small to keep the pages,
-// so each op is one miss run of about 128 block decodes and verifies.
-// The mean decodes per op are exported as decodes/op; benchdecode gates
-// allocs/op at decodes/op + 8 — one cached copy per decoded block plus a
-// fixed per-read overhead, nothing per block for the deadline.
+// so each op is one miss run of 128 block decodes and verifies. The mean
+// decodes per op are exported as decodes/op; benchdecode gates allocs/op
+// at decodes/op + 8 — one cached copy per decoded block plus a fixed
+// per-read overhead, nothing per block for the deadline. Every op must
+// decode every block its page covers: the three pages only keep missing
+// in the two-page cache because the cache stripes consecutive blocks
+// across its shards, and a page that turned partly warm would shrink the
+// measured work and the alloc budget with it.
 func BenchmarkRomserverColdRange(b *testing.B) {
 	_, text := testText(b)
 	const page = 4096
@@ -511,9 +515,12 @@ func BenchmarkRomserverColdRange(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		n := v.Stats().DecodedBlocks
+		st := v.Stats()
 		v.Close()
-		return n
+		if st.DecodedBlocks < st.Blocks {
+			b.Fatalf("cold page %d decoded %d of its %d blocks: part of it was cached", i%3, st.DecodedBlocks, st.Blocks)
+		}
+		return st.DecodedBlocks
 	}
 	for i := 0; i < 6; i++ {
 		read(i)

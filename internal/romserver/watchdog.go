@@ -57,6 +57,10 @@ type poolWorker struct {
 	// timeout and block describe the guarded section for the error.
 	timeout time.Duration
 	block   int
+
+	// fresh is handleRange's scratch list of the blocks a run verified,
+	// reused across tickets.
+	fresh []int
 }
 
 // startWorker adds one goroutine to the pool. The caller accounts for
