@@ -12,7 +12,9 @@
 // the same machine, and the fresh fast-vs-reference speedup must stay
 // within tolerance (default 20%) of the committed baseline's speedup. The
 // serving paths are additionally gated on machine-independent budgets:
-// the romserver miss path on its allocation budget (<= 1 alloc/op), the
+// the romserver miss path on its allocation budget (<= 1 alloc/op), a
+// cached demand hit at 0 allocs/op and at most a tenth of that miss's
+// ns/op (hits are answered on the caller, never on the pool), the
 // cold 4 KiB range read on at most one allocation per decoded block plus
 // 8, the cold whole-image text read on at most one dispatch per window
 // and one allocation per decoded block plus 8 per window, the warm
@@ -103,7 +105,7 @@ var suite = []struct {
 	{"codecomp/internal/kozuch", "^(BenchmarkDecompressBlock|BenchmarkDecompressBlockReference|BenchmarkAppendBlock)$"},
 	{"codecomp/internal/rans", "^(BenchmarkDecompressBlock|BenchmarkDecompressBlockReference|BenchmarkAppendBlock)$"},
 	{"codecomp/internal/huffman", "^(BenchmarkDecode|BenchmarkDecodeSerial)$"},
-	{"codecomp/internal/romserver", "^(BenchmarkRomserverMiss|BenchmarkRomserverColdRange|BenchmarkRomserverTextCold|BenchmarkRomserverCachedReadAt|BenchmarkRomserverWarmRange|BenchmarkRomserverSubblockMiss|BenchmarkRomserverAddImage)$"},
+	{"codecomp/internal/romserver", "^(BenchmarkRomserverMiss|BenchmarkRomserverHit|BenchmarkRomserverColdRange|BenchmarkRomserverTextCold|BenchmarkRomserverCachedReadAt|BenchmarkRomserverWarmRange|BenchmarkRomserverSubblockMiss|BenchmarkRomserverAddImage)$"},
 	{"codecomp", "^(BenchmarkDecompressSAMC|BenchmarkDecompressSADC|BenchmarkDecompressHuffman|BenchmarkDecompressRANS)$"},
 }
 
@@ -295,6 +297,25 @@ func check(fresh, baseline *report, tolerance float64) error {
 				fmt.Sprintf("romserver miss path: %.0f allocs/op, budget is 1", miss.AllocsPerOp))
 		}
 		fmt.Printf("%-8s miss path %.0f allocs/op (budget 1) %s\n", "serving", miss.AllocsPerOp, status)
+		// Hit gate: a cached demand read never leaves the caller, so it
+		// costs no allocation and a small fraction of a miss measured in
+		// the same run. A hit that waits on a pool worker again costs about
+		// a third of a miss.
+		const hitMissCeiling = 0.1
+		if hit, ok := fresh.Benchmarks["romserver/RomserverHit"]; ok && miss.NsPerOp > 0 {
+			ratio := hit.NsPerOp / miss.NsPerOp
+			status := "ok"
+			if hit.AllocsPerOp > 0 || ratio > hitMissCeiling {
+				status = "REGRESSION"
+				failures = append(failures,
+					fmt.Sprintf("romserver hit path: %.0f allocs/op, %.3f of a miss; budget is 0 allocs and %.1f",
+						hit.AllocsPerOp, ratio, hitMissCeiling))
+			}
+			fmt.Printf("%-8s hit path %.0f allocs/op, %.0f ns = %.3f of a miss (budget 0, %.1f) %s\n",
+				"serving", hit.AllocsPerOp, hit.NsPerOp, ratio, hitMissCeiling, status)
+		} else {
+			failures = append(failures, "romserver/RomserverHit missing from fresh run")
+		}
 	} else {
 		failures = append(failures, "romserver/RomserverMiss missing from fresh run")
 	}

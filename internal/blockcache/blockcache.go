@@ -269,8 +269,9 @@ func (c *Cache) GetPrefetch(key Key, load func() ([]byte, error)) ([]byte, bool,
 // and counting a hit (and a prefetch hit, if the entry was speculative)
 // exactly like Get would. An absent block returns ok=false without
 // touching the miss counters — no load happens, and misses are promised
-// to correspond to load attempts. The romserver brownout path uses it
-// to keep serving cached traffic without spending a pool worker.
+// to correspond to load attempts. romserver answers every demand hit
+// with it on the calling goroutine, before admission and the worker
+// pool; only a miss goes on to a loader's Get.
 func (c *Cache) GetCached(key Key) (val []byte, ok bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()

@@ -90,7 +90,7 @@ func newServerMetrics(reg *obsv.Registry, tracer *obsv.Tracer) *serverMetrics {
 		tracer: tracer,
 
 		queueWait: reg.Histogram("romserver_queue_wait_seconds",
-			"Time a demand block read waited in the worker-pool queue."),
+			"Time a demand block read that missed the cache waited in the worker-pool queue (hits never queue)."),
 		decode: reg.Histogram("romserver_decode_seconds",
 			"Wall-clock time of one decompression attempt: the codec call and its panic recovery, run inline on the pool worker."),
 		verify: reg.Histogram("romserver_verify_seconds",
@@ -267,7 +267,7 @@ func (s *Server) registerServerGauges() {
 		"Tasks currently waiting in the worker-pool queue.",
 		func() float64 { return float64(len(s.tasks)) })
 	reg.GaugeFunc("romserver_inflight_decodes",
-		"Worker-pool tasks currently executing (decode, verify or cached-reply work).",
+		"Worker-pool tasks currently executing: demand misses, range runs, prefetches and re-verifies (hits are served on the caller).",
 		func() float64 { return float64(s.inflight.Load()) })
 
 	// Overload gauges are registered unconditionally like the counters;
@@ -284,7 +284,7 @@ func (s *Server) registerServerGauges() {
 			return s.ovl.bud.Tokens()
 		})
 	reg.GaugeFunc("overload_queue_wait_estimate_seconds",
-		"Admission control's current estimate of the queue wait a new ticket would see.",
+		"Admission control's current estimate of the queue wait a new miss ticket would see (hits skip admission).",
 		func() float64 {
 			if s.ovl == nil {
 				return 0

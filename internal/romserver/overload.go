@@ -105,34 +105,36 @@ func retryAfter(est time.Duration) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// admit runs the brownout and admission gates for one demand fetch
-// before it touches the pool queue. handled=true means the request was
-// fully answered here (served from cache, or rejected); handled=false
-// passes it on to the normal enqueue path.
-func (s *Server) admit(ctx context.Context, img *image, block int) (data []byte, hit bool, err error, handled bool) {
+// admit is the overload gate for every read that missed the cache, run
+// before its miss runs touch the pool queue (cached blocks never reach
+// it): while browned out, every miss block must be in the trained hot
+// set or the read is shed; an estimated queue wait beyond the caller's
+// deadline rejects up front; an admitted read funds the retry budget
+// once.
+func (s *Server) admit(ctx context.Context, img *image, runs []missRun) error {
 	o := s.ovl
 	if o.ctl.Level() == overload.BrownedOut {
-		// Cached blocks keep serving without costing a pool worker; the
-		// trained hot set may still decode; cold misses are shed first.
-		if data, ok := s.cache.GetCached(img.key(block)); ok {
-			return data, true, nil, true
-		}
-		if !img.isHot(block) {
-			s.met.brownoutShed.Inc()
-			est := o.adm.EstimateWait(len(s.tasks))
-			return nil, false, &overload.RejectError{Reason: overload.ReasonBrownout, RetryAfter: retryAfter(est)}, true
+		for _, r := range runs {
+			for b := r.first; b <= r.last; b++ {
+				if !img.isHot(b) {
+					s.met.brownoutShed.Inc()
+					return &overload.RejectError{
+						Reason:     overload.ReasonBrownout,
+						RetryAfter: retryAfter(o.adm.EstimateWait(len(s.tasks))),
+					}
+				}
+			}
 		}
 	}
-	est := o.adm.EstimateWait(len(s.tasks) + 1)
+	est := o.adm.EstimateWait(len(s.tasks) + len(runs))
 	if ctx != nil {
 		if dl, ok := ctx.Deadline(); ok && est > time.Until(dl) {
 			s.met.admissionDeadline.Inc()
-			return nil, false, &overload.RejectError{Reason: overload.ReasonDeadline, RetryAfter: retryAfter(est)}, true
+			return &overload.RejectError{Reason: overload.ReasonDeadline, RetryAfter: retryAfter(est)}
 		}
 	}
-	// Every admitted first attempt funds the retry budget.
 	o.bud.OnRequest()
-	return nil, false, nil, false
+	return nil
 }
 
 // retryAllowed is the budget gate the hardened load path consults

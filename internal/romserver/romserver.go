@@ -670,12 +670,17 @@ func (s *Server) prefetch(img *image, miss int) {
 // buffered channel is reusable once its result has been received.
 var replyPool = sync.Pool{New: func() any { return make(chan result, 1) }}
 
-// fetchCtx runs one demand read through the pool and waits for its
-// result. Demand fetches are the access stream the trace recorder
-// captures. The caller's request context rides through the pool: the
-// overload layer's gates run before the enqueue, an expired context
-// cancels still-queued work, and the context's deadline clamps the
-// per-decode deadline inside the hardened load path.
+// fetchCtx serves one demand read. Demand fetches are the access stream
+// the trace recorder captures. A cached block is answered on the calling
+// goroutine, the way an I-cache hit never reaches the refill engine: a
+// hit is not an admitted request, so it takes no queue slot, funds no
+// retry budget, reports no goodput outcome and feeds neither wait
+// estimate. A miss runs through the pool under the caller's request
+// context: the overload layer's gates run before the enqueue, an expired
+// context cancels still-queued work, and the context's deadline clamps
+// the per-decode deadline inside the hardened load path. A block filled
+// between this look and the worker's is served (and counted) as a hit by
+// the worker's Get, so no demand read is counted twice.
 func (s *Server) fetchCtx(ctx context.Context, img *image, block int) ([]byte, bool, error) {
 	if img.recorder != nil {
 		img.recorder.Record(block)
@@ -685,9 +690,17 @@ func (s *Server) fetchCtx(ctx context.Context, img *image, block int) ([]byte, b
 			return nil, false, err
 		}
 	}
+	if data, ok := s.cache.GetCached(img.key(block)); ok {
+		if sp := s.met.tracer.Begin("block_load"); sp != nil {
+			sp.Eventf("img=%s block=%d", img.name, block)
+			sp.Event("cache hit")
+			sp.End(nil)
+		}
+		return data, true, nil
+	}
 	if s.ovl != nil {
-		if data, hit, err, handled := s.admit(ctx, img, block); handled {
-			return data, hit, err
+		if err := s.admit(ctx, img, []missRun{{block, block}}); err != nil {
+			return nil, false, err
 		}
 	}
 	sp := s.met.tracer.Begin("block_load")
@@ -919,9 +932,10 @@ func (s *Server) Block(name string, i int) ([]byte, bool, error) {
 	return s.BlockContext(context.Background(), name, i)
 }
 
-// BlockContext is Block under the caller's request context: the
-// context's deadline drives admission control (a read whose estimated
-// queue wait would blow the deadline is rejected with
+// BlockContext is Block under the caller's request context. A cached
+// block is answered on the calling goroutine at every overload level.
+// For a miss, the context's deadline drives admission control (a read
+// whose estimated queue wait would blow the deadline is rejected with
 // *overload.RejectError before queueing), cancels the ticket if it is
 // still queued when the context expires, and clamps the per-decode
 // deadline. A nil or background context behaves exactly like Block.

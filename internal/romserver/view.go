@@ -25,7 +25,6 @@ import (
 
 	"codecomp"
 	"codecomp/internal/blockcache"
-	"codecomp/internal/overload"
 )
 
 // View is one range or sub-block read's result: the requested bytes as
@@ -297,7 +296,7 @@ func (s *Server) dispatchView(ctx context.Context, img *image, v *View, first, l
 		return nil
 	}
 	if s.ovl != nil {
-		if err := s.admitRuns(ctx, img, runs); err != nil {
+		if err := s.admit(ctx, img, runs); err != nil {
 			return err
 		}
 	}
@@ -341,37 +340,6 @@ func (s *Server) awaitView(ctx context.Context, v *View) error {
 	}
 	s.met.rangeCachedBlocks.Add(int64(st.CachedBlocks))
 	s.met.rangeDecodedBlocks.Add(int64(st.DecodedBlocks))
-	return nil
-}
-
-// admitRuns is the overload gate for batched and sub-block reads, the
-// counterpart of admit for demand fetches: while browned out, every
-// miss block must be in the trained hot set or the read is shed; an
-// estimated queue wait beyond the caller's deadline rejects up front;
-// an admitted read funds the retry budget once.
-func (s *Server) admitRuns(ctx context.Context, img *image, runs []missRun) error {
-	o := s.ovl
-	if o.ctl.Level() == overload.BrownedOut {
-		for _, r := range runs {
-			for b := r.first; b <= r.last; b++ {
-				if !img.isHot(b) {
-					s.met.brownoutShed.Inc()
-					return &overload.RejectError{
-						Reason:     overload.ReasonBrownout,
-						RetryAfter: retryAfter(o.adm.EstimateWait(len(s.tasks))),
-					}
-				}
-			}
-		}
-	}
-	est := o.adm.EstimateWait(len(s.tasks) + len(runs))
-	if ctx != nil {
-		if dl, ok := ctx.Deadline(); ok && est > time.Until(dl) {
-			s.met.admissionDeadline.Inc()
-			return &overload.RejectError{Reason: overload.ReasonDeadline, RetryAfter: retryAfter(est)}
-		}
-	}
-	o.bud.OnRequest()
 	return nil
 }
 
