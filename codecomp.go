@@ -46,17 +46,25 @@ import (
 )
 
 // BlockCodec is the interface every block-addressable compressed image
-// satisfies: SAMC, SADC and byte-Huffman images all allow random-access
-// decompression at cache-block granularity.
+// satisfies: SAMC, SADC, byte-Huffman, rANS and tiered images all allow
+// random-access decompression at cache-block granularity.
+//
+// AppendBlock(dst, i) is the one decode operation: it appends block i to
+// dst and leaves dst's prefix untouched; on error the destination
+// contents are unspecified and the returned slice is nil. The built-in
+// images do it with zero transient heap allocations in steady state
+// (pooled or stack decoder scratch), which the serving layer's cache-miss
+// path relies on. Block(i) returns the same bytes in a fresh slice.
 //
 // All implementations are safe for concurrent reads: once an image has been
-// built (by Compress* or Unmarshal*), Block, Decompress and the size
+// built (by Compress* or Unmarshal*), the decode methods and the size
 // accessors allocate their decoder state per call and never mutate the
 // image, so any number of goroutines may decompress blocks simultaneously.
 // This property is load-bearing for the serving layer (internal/romserver)
 // and is enforced by TestConcurrentBlockReads under the race detector.
 type BlockCodec interface {
 	NumBlocks() int
+	AppendBlock(dst []byte, i int) ([]byte, error)
 	Block(i int) ([]byte, error)
 	Decompress() ([]byte, error)
 	CompressedSize() int
@@ -365,29 +373,8 @@ func UnmarshalAny(data []byte) (BlockCodec, error) {
 	return nil, fmt.Errorf("codecomp: unrecognized image format (no SAMC/SADC/KZHF/RANS/TIER magic)")
 }
 
-// BlockAppender is the optional fast-path extension of BlockCodec: decode
-// block i into a caller-supplied buffer instead of a fresh one. All built-in
-// images implement it with zero transient heap allocations in steady state
-// (pooled or stack decoder scratch), which the serving layer's cache-miss
-// path relies on. AppendBlock(dst, i) appends exactly the bytes Block(i)
-// would return and leaves dst's prefix untouched; on error the destination
-// contents are unspecified and the returned slice is nil.
-type BlockAppender interface {
-	AppendBlock(dst []byte, i int) ([]byte, error)
-}
-
-// AppendBlock decodes block i of any BlockCodec into dst: directly when the
-// codec implements BlockAppender, otherwise via Block plus a copy.
-func AppendBlock(c BlockCodec, dst []byte, i int) ([]byte, error) {
-	if a, ok := c.(BlockAppender); ok {
-		return a.AppendBlock(dst, i)
-	}
-	b, err := c.Block(i)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, b...), nil
-}
+// AppendBlock decodes block i of c into dst; see BlockCodec.
+func AppendBlock(c BlockCodec, dst []byte, i int) ([]byte, error) { return c.AppendBlock(dst, i) }
 
 // BlockPrefixAppender is the optional sub-block extension of BlockCodec:
 // decode only the first n bytes of block i. The paper's block-addressable
@@ -401,7 +388,9 @@ func AppendBlock(c BlockCodec, dst []byte, i int) ([]byte, error) {
 // SAMC stops at the word containing the offset, byte-Huffman at the
 // symbol, and SADC at the dictionary token (truncating its final unit),
 // so the decode work each performs is proportional to the requested
-// prefix, not the block size.
+// prefix, not the block size. It is the one optional codec method:
+// rANS, tiered images and codec wrappers share AppendBlockPrefix's
+// full-decode-and-truncate fallback instead of each carrying a copy.
 type BlockPrefixAppender interface {
 	AppendBlockPrefix(dst []byte, i, n int) ([]byte, error)
 }
@@ -425,7 +414,7 @@ func AppendBlockPrefix(c BlockCodec, dst []byte, i, n int) (out []byte, decoded 
 		return out, len(out) - len(dst), nil
 	}
 	base := len(dst)
-	out, err = AppendBlock(c, dst, i)
+	out, err = c.AppendBlock(dst, i)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -444,16 +433,10 @@ var (
 	_ BlockCodec = (*RANSImage)(nil)
 	_ BlockCodec = (*TieredImage)(nil)
 
-	_ BlockAppender = (*SAMCImage)(nil)
-	_ BlockAppender = (*SADCImage)(nil)
-	_ BlockAppender = (*HuffmanImage)(nil)
-	_ BlockAppender = (*RANSImage)(nil)
 	// TieredImage deliberately does not implement BlockPrefixAppender: a
 	// block's tier (and thus prefix-decode support) can change under a
 	// migration, so partial reads fall back to the honest full-decode
 	// accounting in AppendBlockPrefix.
-	_ BlockAppender = (*TieredImage)(nil)
-
 	_ BlockPrefixAppender = (*SAMCImage)(nil)
 	_ BlockPrefixAppender = (*SADCImage)(nil)
 	_ BlockPrefixAppender = (*HuffmanImage)(nil)

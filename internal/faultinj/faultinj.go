@@ -22,7 +22,7 @@
 // sequence number), so a single-threaded caller replays the exact same
 // fault sequence for the same seed, and concurrent callers see the same
 // deterministic multiset of faults in arrival order. The wrapped codec
-// is never mutated: bit flips are applied to a copy of its output.
+// is never mutated: bit flips are applied to the decoded output.
 //
 // Injectors are safe for concurrent use, like the codecs they wrap.
 package faultinj
@@ -46,7 +46,7 @@ type Options struct {
 	TransientRate float64 `json:"transient_rate"`
 	// ErrorBlocks always fail with a permanent (non-retryable) error.
 	ErrorBlocks []int `json:"error_blocks,omitempty"`
-	// PanicBlocks always panic inside Block.
+	// PanicBlocks always panic inside the block load.
 	PanicBlocks []int `json:"panic_blocks,omitempty"`
 	// Latency is added to every load before anything else happens.
 	Latency time.Duration `json:"latency_ns"`
@@ -85,7 +85,7 @@ func (k Kind) String() string {
 
 // Stats counts the faults an injector has produced so far.
 type Stats struct {
-	// Loads counts Block calls that reached the injector.
+	// Loads counts block loads that reached the injector.
 	Loads int64 `json:"loads"`
 	// BitFlips counts loads whose output had a bit flipped.
 	BitFlips int64 `json:"bit_flips"`
@@ -173,9 +173,10 @@ func (j *Injector) Ratio() float64 { return j.inner.Ratio() }
 // serving path.
 func (j *Injector) Decompress() ([]byte, error) { return j.inner.Decompress() }
 
-// Block loads block i through the fault model: latency first, then
-// panic/permanent blocks, then the seeded transient/bit-flip draws.
-func (j *Injector) Block(i int) ([]byte, error) {
+// AppendBlock loads block i through the fault model into dst: latency
+// first, then panic/permanent blocks, then the seeded transient/bit-flip
+// draws. A bit flip lands in the appended bytes, never in dst's prefix.
+func (j *Injector) AppendBlock(dst []byte, i int) ([]byte, error) {
 	seq := j.seq.Add(1)
 	if j.opts.Latency > 0 {
 		time.Sleep(j.opts.Latency)
@@ -198,21 +199,23 @@ func (j *Injector) Block(i int) ([]byte, error) {
 		j.hook(KindTransient)
 		return nil, &TransientError{Block: i, Seq: seq}
 	}
-	data, err := j.inner.Block(i)
+	base := len(dst)
+	out, err := j.inner.AppendBlock(dst, i)
 	if err != nil {
-		return data, err
+		return nil, err
 	}
 	r1 := splitmix(r0)
-	if len(data) > 0 && unit(r1) < j.opts.BitFlipRate {
-		out := append([]byte(nil), data...)
-		bit := int(splitmix(r1) % uint64(len(out)*8))
-		out[bit/8] ^= 1 << (bit % 8)
+	if n := len(out) - base; n > 0 && unit(r1) < j.opts.BitFlipRate {
+		bit := int(splitmix(r1) % uint64(n*8))
+		out[base+bit/8] ^= 1 << (bit % 8)
 		j.bitFlips.Add(1)
 		j.hook(KindBitFlip)
-		return out, nil
 	}
-	return data, nil
+	return out, nil
 }
+
+// Block is AppendBlock into a fresh slice.
+func (j *Injector) Block(i int) ([]byte, error) { return j.AppendBlock(nil, i) }
 
 // hook invokes the configured fault hook, if any.
 func (j *Injector) hook(k Kind) {

@@ -12,9 +12,13 @@ import (
 type memCodec struct{ blocks int }
 
 func (c *memCodec) NumBlocks() int { return c.blocks }
-func (c *memCodec) Block(i int) ([]byte, error) {
-	return bytes.Repeat([]byte{byte(i)}, 32), nil
+func (c *memCodec) AppendBlock(dst []byte, i int) ([]byte, error) {
+	for k := 0; k < 32; k++ {
+		dst = append(dst, byte(i))
+	}
+	return dst, nil
 }
+func (c *memCodec) Block(i int) ([]byte, error) { return c.AppendBlock(nil, i) }
 func (c *memCodec) Decompress() ([]byte, error) {
 	var out []byte
 	for i := 0; i < c.blocks; i++ {
@@ -193,6 +197,73 @@ func TestLatencyInjection(t *testing.T) {
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {
 		t.Fatalf("load returned in %v, want ≥ 20ms", d)
+	}
+}
+
+// TestAppendBlockMatchesBlock replays one seeded load sequence through
+// Block on one injector and through AppendBlock on another: every load
+// draws the same fault kind and yields the same bytes, the counters end
+// equal, and a bit flip never reaches the caller's dst prefix.
+func TestAppendBlockMatchesBlock(t *testing.T) {
+	opts := func(kinds *[]Kind) Options {
+		return Options{
+			Seed: 11, BitFlipRate: 0.3, TransientRate: 0.2,
+			ErrorBlocks: []int{3}, PanicBlocks: []int{6},
+			Hook: func(k Kind) { *kinds = append(*kinds, k) },
+		}
+	}
+	var blockKinds, appendKinds []Kind
+	viaBlock := New(&memCodec{blocks: 8}, opts(&blockKinds))
+	viaAppend := New(&memCodec{blocks: 8}, opts(&appendKinds))
+	// load runs one load and reports its bytes, its error text or
+	// "panic".
+	load := func(f func() ([]byte, error)) (data []byte, outcome string) {
+		defer func() {
+			if recover() != nil {
+				outcome = "panic"
+			}
+		}()
+		data, err := f()
+		if err != nil {
+			return nil, err.Error()
+		}
+		return data, "ok"
+	}
+	prefix := []byte("caller's prefix")
+	dst := make([]byte, 0, 64)
+	for n := 0; n < 400; n++ {
+		i := n % 8
+		want, wantOutcome := load(func() ([]byte, error) { return viaBlock.Block(i) })
+		got, gotOutcome := load(func() ([]byte, error) {
+			return viaAppend.AppendBlock(append(dst[:0], prefix...), i)
+		})
+		if gotOutcome != wantOutcome {
+			t.Fatalf("load %d (block %d): AppendBlock %q, Block %q", n, i, gotOutcome, wantOutcome)
+		}
+		if gotOutcome != "ok" {
+			continue
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) {
+			t.Fatalf("load %d (block %d): AppendBlock touched the dst prefix: %q", n, i, got[:len(prefix)])
+		}
+		if !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("load %d (block %d): AppendBlock %x, Block %x", n, i, got[len(prefix):], want)
+		}
+	}
+	sb, sa := viaBlock.Stats(), viaAppend.Stats()
+	if sa != sb {
+		t.Fatalf("AppendBlock stats %+v, Block stats %+v", sa, sb)
+	}
+	if sb.BitFlips == 0 || sb.TransientErrors == 0 || sb.PermanentErrors == 0 || sb.Panics == 0 {
+		t.Fatalf("sequence misses a fault kind: %+v", sb)
+	}
+	if len(appendKinds) != len(blockKinds) {
+		t.Fatalf("hook saw %d faults via AppendBlock, %d via Block", len(appendKinds), len(blockKinds))
+	}
+	for n := range blockKinds {
+		if appendKinds[n] != blockKinds[n] {
+			t.Fatalf("fault %d: AppendBlock %v, Block %v", n, appendKinds[n], blockKinds[n])
+		}
 	}
 }
 

@@ -198,10 +198,11 @@ type Model struct {
 	probs     [][][]uint16 // [stream][ctx][node]
 	precision int          // stored bits per probability (default ProbBits)
 
-	// Flattened probability memory for FastWalker, built lazily on first
-	// use. flat concatenates every (stream, ctx) tree; flatOffs[stream*
-	// numContexts+ctx] is each tree's base. Guarded by flatOnce so
-	// concurrent block decodes share one build.
+	// Flattened probability memory for the fused decode kernels, built
+	// lazily on first use by Flattened. flat concatenates every
+	// (stream, ctx) tree; flatOffs[stream*numContexts+ctx] is each tree's
+	// base. Guarded by flatOnce so concurrent block decodes share one
+	// build.
 	flatOnce sync.Once
 	flat     []uint16
 	flatOffs []int32
@@ -260,7 +261,7 @@ func (m *Model) ReducePrecision(bits int) {
 		}
 	}
 	m.precision = bits
-	// Invalidate any flattened copy so FastWalker sees the reduced
+	// Invalidate any flattened copy so Flattened returns the reduced
 	// probabilities. ReducePrecision is a setup-time call; it must not race
 	// with concurrent decoding.
 	m.flatOnce = sync.Once{}
@@ -307,7 +308,7 @@ func (wk *Walker) PeekP0(path uint32, depth int) uint16 {
 	return wk.m.probs[w.stream][w.ctx(wk.m.spec)][node]
 }
 
-// flatten builds the FastWalker's probability memory.
+// flatten builds the probability memory Flattened returns.
 func (m *Model) flatten() {
 	nCtx := m.spec.numContexts()
 	offs := make([]int32, len(m.probs)*nCtx)
@@ -341,67 +342,6 @@ func (m *Model) flatten() {
 func (m *Model) Flattened() (flat []uint16, offs []int32, widths []int32, nCtx int32) {
 	m.flatOnce.Do(m.flatten)
 	return m.flat, m.flatOffs, m.flatW, int32(m.spec.numContexts())
-}
-
-// FastWalker is the allocation-free counterpart of Walker for the per-block
-// decode hot loop. It indexes a single flattened probability array and steps
-// tree nodes with heap arithmetic (child = 2*node+1+bit), so P0+Advance cost
-// one bounds-checked load and a handful of integer ops per bit. It is a
-// value type: obtain one per block with Model.NewFastWalker and keep it on
-// the stack. It observes exactly the same predictions as Walker.
-type FastWalker struct {
-	probs     []uint16
-	offs      []int32
-	widths    []int32
-	nCtx      int32
-	connected bool
-
-	stream int32
-	depth  int32
-	node   int32 // heap index within the current tree
-	base   int32 // flat offset of the current (stream, ctx) tree
-}
-
-// NewFastWalker returns a FastWalker positioned at the initial state. The
-// first call flattens the model's probability tables; subsequent calls (and
-// concurrent ones) reuse the shared copy.
-func (m *Model) NewFastWalker() FastWalker {
-	m.flatOnce.Do(m.flatten)
-	return FastWalker{
-		probs:     m.flat,
-		offs:      m.flatOffs,
-		widths:    m.flatW,
-		nCtx:      int32(m.spec.numContexts()),
-		connected: m.spec.Connected,
-	}
-}
-
-// Reset restarts the walk (cache-block boundary).
-func (wk *FastWalker) Reset() {
-	wk.stream, wk.depth, wk.node = 0, 0, 0
-	wk.base = wk.offs[0]
-}
-
-// P0 returns the current node's prediction that the next bit is 0.
-func (wk *FastWalker) P0() uint16 { return wk.probs[wk.base+wk.node] }
-
-// Advance consumes the bit that was coded and moves to the next state.
-func (wk *FastWalker) Advance(bit int) {
-	wk.depth++
-	if wk.depth == wk.widths[wk.stream] {
-		wk.stream++
-		if wk.stream == int32(len(wk.widths)) {
-			wk.stream = 0
-		}
-		ctx := int32(0)
-		if wk.connected {
-			ctx = int32(bit & 1)
-		}
-		wk.base = wk.offs[wk.stream*wk.nCtx+ctx]
-		wk.depth, wk.node = 0, 0
-		return
-	}
-	wk.node = 2*wk.node + 1 + int32(bit&1)
 }
 
 // Serialize encodes the model (spec + probabilities) into a byte slice, the

@@ -304,9 +304,43 @@ func BenchmarkWalker(b *testing.B) {
 	}
 }
 
-// Property: FastWalker observes exactly the same predictions as Walker over
+// flatWalker steps the trees Flattened returns the way the SAMC decode
+// kernel does: heap-ordered children (2v+1 for bit 0, 2v+2 for bit 1)
+// within a stream, and at a stream boundary the next stream's tree for
+// the root context the last bit selects (always 0 unless connected).
+type flatWalker struct {
+	flat                []uint16
+	offs, widths        []int32
+	nCtx                int32
+	stream, depth, node int32
+	base                int32
+}
+
+func newFlatWalker(m *Model) *flatWalker {
+	w := &flatWalker{}
+	w.flat, w.offs, w.widths, w.nCtx = m.Flattened()
+	w.reset()
+	return w
+}
+
+func (w *flatWalker) reset() { w.stream, w.depth, w.node, w.base = 0, 0, 0, w.offs[0] }
+
+func (w *flatWalker) p0() uint16 { return w.flat[w.base+w.node] }
+
+func (w *flatWalker) advance(bit int) {
+	w.depth++
+	if w.depth < w.widths[w.stream] {
+		w.node = 2*w.node + 1 + int32(bit&1)
+		return
+	}
+	w.stream = (w.stream + 1) % int32(len(w.widths))
+	w.base = w.offs[w.stream*w.nCtx+int32(bit&1)%w.nCtx]
+	w.depth, w.node = 0, 0
+}
+
+// Property: the flat trees give exactly Walker's predictions along
 // arbitrary specs, bit sequences, and block resets.
-func TestQuickFastWalkerEquivalence(t *testing.T) {
+func TestQuickFlattenedEquivalence(t *testing.T) {
 	f := func(seed int64, connected bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := 1 + rng.Intn(4)
@@ -329,19 +363,19 @@ func TestQuickFastWalkerEquivalence(t *testing.T) {
 		}
 		m := tr.Finalize(rng.Intn(2) == 0)
 		slow := m.NewWalker()
-		fast := m.NewFastWalker()
+		flat := newFlatWalker(m)
 		for i := 0; i < 300*total; i++ {
 			if rng.Intn(60) == 0 {
 				slow.Reset()
-				fast.Reset()
+				flat.reset()
 			}
-			if slow.P0() != fast.P0() {
-				t.Logf("seed %d: P0 diverged at step %d: %d vs %d", seed, i, slow.P0(), fast.P0())
+			if slow.P0() != flat.p0() {
+				t.Logf("seed %d: P0 diverged at step %d: %d vs %d", seed, i, slow.P0(), flat.p0())
 				return false
 			}
 			bit := rng.Intn(2)
 			slow.Advance(bit)
-			fast.Advance(bit)
+			flat.advance(bit)
 		}
 		return true
 	}
@@ -350,7 +384,9 @@ func TestQuickFastWalkerEquivalence(t *testing.T) {
 	}
 }
 
-func TestFastWalkerSeesReducedPrecision(t *testing.T) {
+// TestFlattenedSeesReducedPrecision: ReducePrecision invalidates a flat
+// copy built at full precision.
+func TestFlattenedSeesReducedPrecision(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr, _ := NewTrainer(Spec{Widths: []int{4, 4}, Connected: true})
 	for i := 0; i < 10000; i++ {
@@ -360,32 +396,17 @@ func TestFastWalkerSeesReducedPrecision(t *testing.T) {
 		tr.Add(rng.Intn(2))
 	}
 	m := tr.Finalize(false)
-	_ = m.NewFastWalker() // flatten at full precision
-	m.ReducePrecision(8)  // must invalidate the flattened copy
-	slow, fast := m.NewWalker(), m.NewFastWalker()
+	m.Flattened()        // flatten at full precision
+	m.ReducePrecision(8) // must invalidate the flattened copy
+	slow, flat := m.NewWalker(), newFlatWalker(m)
 	for i := 0; i < 1000; i++ {
-		if slow.P0() != fast.P0() {
-			t.Fatalf("step %d: FastWalker stale after ReducePrecision: %d vs %d",
-				i, slow.P0(), fast.P0())
+		if slow.P0() != flat.p0() {
+			t.Fatalf("step %d: flat trees stale after ReducePrecision: %d vs %d",
+				i, slow.P0(), flat.p0())
 		}
 		bit := rng.Intn(2)
 		slow.Advance(bit)
-		fast.Advance(bit)
-	}
-}
-
-func BenchmarkFastWalker(b *testing.B) {
-	tr, _ := NewTrainer(Spec{Widths: []int{8, 8, 8, 8}, Connected: true})
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1<<16; i++ {
-		tr.Add(rng.Intn(2))
-	}
-	m := tr.Finalize(false)
-	wk := m.NewFastWalker()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = wk.P0()
-		wk.Advance(i & 1)
+		flat.advance(bit)
 	}
 }
 

@@ -142,7 +142,7 @@ func (sc *sidecar) fill(c codecomp.BlockCodec, lo, hi int) (err error) {
 	}()
 	var buf []byte
 	for i := lo; i < hi; i++ {
-		if buf, err = codecomp.AppendBlock(c, buf[:0], i); err != nil {
+		if buf, err = c.AppendBlock(buf[:0], i); err != nil {
 			return fmt.Errorf("block %d failed to decompress: %w", i, err)
 		}
 		sc.crcs[i] = crc32.Checksum(buf, castagnoli)
@@ -162,12 +162,8 @@ func (sc *sidecar) blockOffsets() []int64 {
 	return offs
 }
 
-// verify checks one decompressed block against the sidecar. A nil sidecar
-// (test codecs registered via addCodec) verifies nothing.
+// verify checks one decompressed block against the sidecar.
 func (sc *sidecar) verify(block int, data []byte) error {
-	if sc == nil {
-		return nil
-	}
 	if len(data) != int(sc.lens[block]) {
 		return fmt.Errorf("%w: block %d decompressed to %d bytes, registered as %d",
 			ErrCorruptBlock, block, len(data), sc.lens[block])
@@ -315,7 +311,7 @@ func (img *image) activeCodec() codecomp.BlockCodec {
 
 // safeBlock is one raw decompression with panic containment: a panicking
 // codec becomes an ErrCodecPanic error instead of killing a pool worker.
-// It decodes through codecomp.AppendBlock straight into a buffer sized
+// It decodes through the codec's AppendBlock straight into a buffer sized
 // from the sidecar's length, so a clean miss costs that one allocation,
 // which the cache then keeps. It reads no clock: loadVerified times the
 // attempt around it.
@@ -329,16 +325,12 @@ func (s *Server) safeBlock(img *image, block int) (data []byte, err error) {
 	}()
 	img.decompressions.Add(1)
 	s.met.decompressions.Inc()
-	var buf []byte
-	if img.sidecar != nil {
-		buf = make([]byte, 0, img.sidecar.lens[block])
-	}
-	buf, err = codecomp.AppendBlock(img.activeCodec(), buf, block)
+	data, err = img.activeCodec().AppendBlock(make([]byte, 0, img.sidecar.lens[block]), block)
 	if err != nil {
 		return nil, err
 	}
-	img.decompressedBytes.Add(int64(len(buf)))
-	return buf, nil
+	img.decompressedBytes.Add(int64(len(data)))
+	return data, nil
 }
 
 // effectiveTimeout clamps the configured per-attempt decode deadline by

@@ -25,15 +25,6 @@ func fastFaultOpts() Options {
 	}
 }
 
-// panicCodec panics on every Block call.
-type panicCodec struct{ blocks int }
-
-func (c *panicCodec) NumBlocks() int              { return c.blocks }
-func (c *panicCodec) Block(i int) ([]byte, error) { panic(fmt.Sprintf("boom on block %d", i)) }
-func (c *panicCodec) Decompress() ([]byte, error) { panic("boom") }
-func (c *panicCodec) CompressedSize() int         { return c.blocks }
-func (c *panicCodec) Ratio() float64              { return 1 }
-
 // TestWorkerSurvivesPanickingCodec is the regression test for the crash
 // the tentpole fixes: before faultlab, a panic inside codec.Block
 // propagated out of Server.handle, killed a pool worker and (unrecovered
@@ -43,8 +34,10 @@ func TestWorkerSurvivesPanickingCodec(t *testing.T) {
 	stub := &stubCodec{blocks: 8}
 	s := New(func() Options { o := fastFaultOpts(); o.Workers = 2; return o }())
 	defer s.Close()
-	s.addCodec("boom", &panicCodec{blocks: 8}, "stub")
-	s.addCodec("good", stub, "stub")
+	s.addCodec("boom", &stubCodec{blocks: 8, decode: func(i int) ([]byte, error) {
+		panic(fmt.Sprintf("boom on block %d", i))
+	}})
+	s.addCodec("good", stub)
 
 	// Hammer the panicking image more times than there are workers: if
 	// panics killed workers, the pool would be dead after two requests.
@@ -74,12 +67,20 @@ func TestWorkerSurvivesPanickingCodec(t *testing.T) {
 	}
 }
 
-// flakyCodec fails its first failures calls with a transient error, then
-// succeeds.
-type flakyCodec struct {
-	stubCodec
-	failures  int64
-	permanent bool
+// newFlakyCodec returns a stub that fails its first failures decodes,
+// with a transient error unless permanent is set, then succeeds.
+func newFlakyCodec(blocks int, failures int64, permanent bool) *stubCodec {
+	c := &stubCodec{blocks: blocks}
+	c.decode = func(i int) ([]byte, error) {
+		if c.calls.Load() <= failures {
+			if permanent {
+				return nil, errors.New("deterministic decode failure")
+			}
+			return nil, &tempErr{msg: "transient decode failure"}
+		}
+		return stubBlock(i), nil
+	}
+	return c
 }
 
 type tempErr struct{ msg string }
@@ -87,22 +88,11 @@ type tempErr struct{ msg string }
 func (e *tempErr) Error() string   { return e.msg }
 func (e *tempErr) Temporary() bool { return true }
 
-func (c *flakyCodec) Block(i int) ([]byte, error) {
-	n := c.calls.Add(1)
-	if n <= c.failures {
-		if c.permanent {
-			return nil, errors.New("deterministic decode failure")
-		}
-		return nil, &tempErr{msg: "transient decode failure"}
-	}
-	return []byte{byte(i), byte(i >> 8)}, nil
-}
-
 func TestTransientErrorsRetriedWithBackoff(t *testing.T) {
-	flaky := &flakyCodec{stubCodec: stubCodec{blocks: 4}, failures: 2}
+	flaky := newFlakyCodec(4, 2, false)
 	s := New(fastFaultOpts())
 	defer s.Close()
-	s.addCodec("flaky", flaky, "stub")
+	s.addCodec("flaky", flaky)
 
 	data, _, err := s.Block("flaky", 1)
 	if err != nil || !bytes.Equal(data, []byte{1, 0}) {
@@ -122,10 +112,10 @@ func TestTransientErrorsRetriedWithBackoff(t *testing.T) {
 }
 
 func TestPermanentErrorsNotRetried(t *testing.T) {
-	flaky := &flakyCodec{stubCodec: stubCodec{blocks: 4}, failures: 1 << 30, permanent: true}
+	flaky := newFlakyCodec(4, 1<<30, true)
 	s := New(fastFaultOpts())
 	defer s.Close()
-	s.addCodec("broken", flaky, "stub")
+	s.addCodec("broken", flaky)
 
 	if _, _, err := s.Block("broken", 0); err == nil {
 		t.Fatal("broken block served")
@@ -142,32 +132,16 @@ func TestPermanentErrorsNotRetried(t *testing.T) {
 	}
 }
 
-// wedgedCodec blocks forever on a channel — unless open is set, in
-// which case it serves the stub bytes (so lazily built offset tables and
-// warm-up reads work before the wedge is armed).
-type wedgedCodec struct {
-	stubCodec
-	wedge chan struct{}
-	open  atomic.Bool
-}
-
-func (c *wedgedCodec) Block(i int) ([]byte, error) {
-	if c.open.Load() {
-		return c.stubCodec.Block(i)
-	}
-	<-c.wedge
-	return nil, errors.New("unreachable")
-}
-
 func TestDecompressionDeadline(t *testing.T) {
-	wedged := &wedgedCodec{stubCodec: stubCodec{blocks: 2}, wedge: make(chan struct{})}
-	defer close(wedged.wedge)
+	// The gate opens only at cleanup, so every decode wedges.
+	wedged := &stubCodec{blocks: 2, gate: make(chan struct{})}
+	defer close(wedged.gate)
 	o := fastFaultOpts()
 	o.LoadAttempts = 1
 	o.LoadTimeout = 30 * time.Millisecond
 	s := New(o)
 	defer s.Close()
-	s.addCodec("wedged", wedged, "stub")
+	s.addCodec("wedged", wedged)
 
 	start := time.Now()
 	_, _, err := s.Block("wedged", 0)
@@ -462,7 +436,7 @@ func TestStaleInsertCannotServeNewRegistration(t *testing.T) {
 	old := &stubCodec{blocks: 4, gate: gate}
 	s := New(Options{PrefetchDepth: -1})
 	defer s.Close()
-	s.addCodec("img", old, "stub")
+	s.addCodec("img", old)
 
 	// Start a read that stalls inside the old codec's loader.
 	done := make(chan struct{})
@@ -480,17 +454,17 @@ func TestStaleInsertCannotServeNewRegistration(t *testing.T) {
 
 	// Replace the image while that load is still in flight, then let the
 	// stale load complete and insert (under the old generation).
-	replacement := &flakyCodec{stubCodec: stubCodec{blocks: 4}}
+	replacement := &stubCodec{blocks: 4}
 	if err := s.RemoveImage("img"); err != nil {
 		t.Fatal(err)
 	}
-	s.addCodec("img", replacement, "stub")
+	s.addCodec("img", replacement)
 	close(gate)
 	<-done
 
 	// The new registration must decompress fresh — never see the stale
-	// insert. (stubCodec block 0 = {0,0}; flakyCodec block 0 = {0,0} too,
-	// so distinguish by observing a miss + a fresh codec call.)
+	// insert. (Both stubs declare block 0 as {0,0}, so distinguish by
+	// observing a miss + a fresh codec call.)
 	before := replacement.calls.Load()
 	_, hit, err := s.Block("img", 0)
 	if err != nil {
@@ -553,14 +527,9 @@ func TestSharedReadingsObserveEveryStage(t *testing.T) {
 	// One transient failure: the retry is a second decode attempt of
 	// the same block, observed as its own decode, while verify and
 	// block load still count one per block.
-	flaky := &flakyCodec{stubCodec: stubCodec{blocks: 64}}
 	f := New(fastFaultOpts())
 	defer f.Close()
-	f.addCodec("flaky", flaky, "stub")
-	if _, err := f.ReadAt("flaky", 0, 0); err != nil { // builds the offset table
-		t.Fatal(err)
-	}
-	flaky.failures = flaky.calls.Load() + 1
+	f.addCodec("flaky", newFlakyCodec(64, 1, false))
 	before = f.loadCounts()
 	v, err = f.ReadAt("flaky", 0, n*2)
 	if err != nil {

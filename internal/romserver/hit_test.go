@@ -17,25 +17,23 @@ import (
 // started and then waits for one token on gate, so a test can hold the
 // pool's only worker and know, without polling, that it is held.
 type gatedCodec struct {
-	stubCodec
+	*stubCodec
 	started chan int
-	gate    chan struct{}
 }
 
 // newGatedCodec sizes both channels to one send per block: the tests
 // decode each block of a gated image at most once.
 func newGatedCodec(blocks int) *gatedCodec {
-	return &gatedCodec{
-		stubCodec: stubCodec{blocks: blocks},
+	c := &gatedCodec{
+		stubCodec: &stubCodec{blocks: blocks, gate: make(chan struct{}, blocks)},
 		started:   make(chan int, blocks),
-		gate:      make(chan struct{}, blocks),
 	}
-}
-
-func (c *gatedCodec) Block(i int) ([]byte, error) {
-	c.started <- i
-	<-c.gate
-	return c.stubCodec.Block(i)
+	c.decode = func(i int) ([]byte, error) {
+		c.started <- i
+		<-c.gate
+		return stubBlock(i), nil
+	}
+	return c
 }
 
 // holdWorker starts a demand read of block b of the gated image "blocker"
@@ -71,8 +69,8 @@ func TestCallerHitBypassesPool(t *testing.T) {
 		Overload: &overload.Config{EvalInterval: time.Hour},
 	})
 	defer s.Close()
-	s.addCodec("blocker", blocker, "stub")
-	img := s.addCodec("img", &stubCodec{blocks: 8}, "stub")
+	s.addCodec("blocker", blocker.stubCodec)
+	img := s.addCodec("img", &stubCodec{blocks: 8})
 	if _, hit, err := s.Block("img", 3); err != nil || hit {
 		t.Fatalf("warm read: hit=%v err=%v", hit, err)
 	}
@@ -118,8 +116,8 @@ func TestCallerHitAccounting(t *testing.T) {
 		TraceBuffer: -1, ReverifyInterval: -1,
 	})
 	defer s.Close()
-	s.addCodec("blocker", blocker, "stub")
-	img := s.addCodec("img", &stubCodec{blocks: blocks}, "stub")
+	s.addCodec("blocker", blocker.stubCodec)
+	img := s.addCodec("img", &stubCodec{blocks: blocks})
 
 	var (
 		cached, prefetched        = map[int]bool{}, map[int]bool{}
@@ -240,7 +238,7 @@ func TestCallerHitOverloadLevels(t *testing.T) {
 		Overload: &overload.Config{Dwell: time.Hour, EvalInterval: time.Hour},
 	})
 	defer s.Close()
-	s.addCodec("img", stub, "stub")
+	s.addCodec("img", stub)
 	// Block 9 is hot, so browned out it passes the brownout gate and
 	// meets the deadline gate; block 10 is cold and is shed.
 	if _, err := s.TrainFrom("img", []int{9, 9, 9, 9}); err != nil {
@@ -364,7 +362,8 @@ func TestCallerHitRaces(t *testing.T) {
 		data, _, err := s.fetchCtx(context.Background(), img, b)
 		switch {
 		case err == nil:
-			want := texts[img.origSize][b*bs : min((b+1)*bs, img.origSize)]
+			size := int(img.offsets[img.blocks])
+			want := texts[size][b*bs : min((b+1)*bs, size)]
 			if !bytes.Equal(data, want) {
 				t.Errorf("%s block %d: bytes of another registration", name, b)
 			}

@@ -34,8 +34,8 @@ func TestCanceledWhileQueuedNeverDecodes(t *testing.T) {
 	victim := &stubCodec{blocks: 4}
 	s := New(Options{Workers: 1, QueueDepth: 4, PrefetchDepth: -1, TraceBuffer: -1, ReverifyInterval: -1})
 	defer s.Close()
-	s.addCodec("blocker", blocker, "stub")
-	s.addCodec("victim", victim, "stub")
+	s.addCodec("blocker", blocker)
+	s.addCodec("victim", victim)
 
 	// Pin the single worker on a decode that blocks on the gate.
 	blockerDone := make(chan error, 1)
@@ -93,13 +93,8 @@ func TestCanceledRangeWhileQueuedNeverDecodes(t *testing.T) {
 	victim := &stubCodec{blocks: 4}
 	s := New(Options{Workers: 1, QueueDepth: 4, PrefetchDepth: -1, TraceBuffer: -1, ReverifyInterval: -1})
 	defer s.Close()
-	s.addCodec("blocker", blocker, "stub")
-	img := s.addCodec("victim", victim, "stub")
-	// Build the victim's offset table (one decode per block) up front.
-	if _, err := img.blockOffsets(); err != nil {
-		t.Fatal(err)
-	}
-	before := victim.calls.Load()
+	s.addCodec("blocker", blocker)
+	s.addCodec("victim", victim)
 
 	// Pin the single worker on a decode that blocks on the gate.
 	blockerDone := make(chan error, 1)
@@ -138,7 +133,7 @@ func TestCanceledRangeWhileQueuedNeverDecodes(t *testing.T) {
 		t.Fatalf("blocker read failed: %v", err)
 	}
 	waitCond(t, "canceled ticket to be retired", func() bool { return s.met.queueExpired.Value() == 1 })
-	if n := victim.calls.Load() - before; n != 0 {
+	if n := victim.calls.Load(); n != 0 {
 		t.Fatalf("canceled range ticket dispatched %d decodes", n)
 	}
 
@@ -159,11 +154,7 @@ func TestReadAtContextPreCanceled(t *testing.T) {
 	stub := &stubCodec{blocks: 4}
 	s := New(Options{Workers: 1, PrefetchDepth: -1, ReverifyInterval: -1})
 	defer s.Close()
-	img := s.addCodec("img", stub, "stub")
-	if _, err := img.blockOffsets(); err != nil {
-		t.Fatal(err)
-	}
-	before := stub.calls.Load()
+	s.addCodec("img", stub)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -173,7 +164,7 @@ func TestReadAtContextPreCanceled(t *testing.T) {
 	if n := s.met.rangeDispatches.Value(); n != 0 {
 		t.Fatalf("pre-canceled read dispatched %d tickets", n)
 	}
-	if n := stub.calls.Load() - before; n != 0 {
+	if n := stub.calls.Load(); n != 0 {
 		t.Fatalf("pre-canceled read decoded %d times", n)
 	}
 }
@@ -184,7 +175,7 @@ func TestBlockContextPreCanceled(t *testing.T) {
 	stub := &stubCodec{blocks: 4}
 	s := New(Options{Workers: 1, PrefetchDepth: -1, ReverifyInterval: -1})
 	defer s.Close()
-	s.addCodec("img", stub, "stub")
+	s.addCodec("img", stub)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -196,15 +187,13 @@ func TestBlockContextPreCanceled(t *testing.T) {
 	}
 }
 
-// slowCodec decodes after a fixed delay, so queues actually build.
-type slowCodec struct {
-	stubCodec
-	delay time.Duration
-}
-
-func (c *slowCodec) Block(i int) ([]byte, error) {
-	time.Sleep(c.delay)
-	return c.stubCodec.Block(i)
+// newSlowCodec returns a stub that decodes after a fixed delay, so
+// queues actually build.
+func newSlowCodec(blocks int, delay time.Duration) *stubCodec {
+	return &stubCodec{blocks: blocks, decode: func(i int) ([]byte, error) {
+		time.Sleep(delay)
+		return stubBlock(i), nil
+	}}
 }
 
 // TestOverloadAdmissionRejectsDoomedRequests drives a one-worker server
@@ -212,14 +201,14 @@ func (c *slowCodec) Block(i int) ([]byte, error) {
 // deadline, and checks admission turns such requests into
 // *overload.RejectError instead of letting them time out in the queue.
 func TestOverloadAdmissionRejectsDoomedRequests(t *testing.T) {
-	slow := &slowCodec{stubCodec: stubCodec{blocks: 64}, delay: 5 * time.Millisecond}
+	slow := newSlowCodec(64, 5*time.Millisecond)
 	s := New(Options{
 		Workers: 1, QueueDepth: 8, CacheBlocks: 4, CacheShards: 1,
 		PrefetchDepth: -1, TraceBuffer: -1, ReverifyInterval: -1,
 		Overload: &overload.Config{},
 	})
 	defer s.Close()
-	s.addCodec("img", slow, "stub")
+	s.addCodec("img", slow)
 
 	// Warm the service-time EWMA with sequential cold misses.
 	for i := 0; i < 8; i++ {
@@ -284,7 +273,7 @@ func TestOverloadBrownoutServesHotShedsCold(t *testing.T) {
 		Overload: cfg,
 	})
 	defer s.Close()
-	s.addCodec("img", stub, "stub")
+	s.addCodec("img", stub)
 
 	// Train a hot set: blocks 0..3 dominate the trace.
 	var trace []int
@@ -330,14 +319,14 @@ func TestOverloadBrownoutServesHotShedsCold(t *testing.T) {
 // admission, brownout transitions, retry budget, training, stats — from
 // many goroutines; the -race CI pass gives this teeth.
 func TestOverloadServerRace(t *testing.T) {
-	slow := &slowCodec{stubCodec: stubCodec{blocks: 32}, delay: 200 * time.Microsecond}
+	slow := newSlowCodec(32, 200*time.Microsecond)
 	s := New(Options{
 		Workers: 2, QueueDepth: 4, CacheBlocks: 8, CacheShards: 1,
 		PrefetchDepth: 2, TraceBuffer: 1024, ReverifyInterval: -1,
 		Overload: &overload.Config{EvalInterval: time.Millisecond, Dwell: time.Millisecond},
 	})
 	defer s.Close()
-	s.addCodec("img", slow, "stub")
+	s.addCodec("img", slow)
 	for i := 0; i < 8; i++ {
 		s.Block("img", i) //nolint:errcheck — warmup
 	}

@@ -192,11 +192,10 @@ func (o Options) withDefaults() Options {
 // image is one registered compressed ROM plus its serving counters,
 // tracelab state and faultlab state.
 type image struct {
-	name     string
-	codec    codecomp.BlockCodec
-	format   string
-	blocks   int
-	origSize int
+	name   string
+	codec  codecomp.BlockCodec
+	format string
+	blocks int
 	// id is this registration's cache key: a load in flight across a
 	// replace/remove inserts under the old id and can never be served as
 	// a block of the new registration.
@@ -213,8 +212,8 @@ type image struct {
 	// nil falls back to Options.Tiering.Policy (or its defaults).
 	tierPolicy atomic.Pointer[codecomp.TierPolicy]
 
-	// sidecar is the per-block integrity ground truth (nil for test
-	// codecs registered without verification).
+	// sidecar is the per-block integrity ground truth, built at
+	// registration.
 	sidecar *sidecar
 	// health is the image's sliding-window health state machine.
 	health *imageHealth
@@ -236,12 +235,8 @@ type image struct {
 	// byte-granular read path: offsets[i] is block i's first absolute
 	// byte, offsets[blocks] the decompressed total (blocks are not
 	// uniform — SADC packs whole units, the last block runs short).
-	// Built for free from the integrity sidecar at registration; images
-	// registered without one (test codecs) build it lazily on first
-	// ReadAt.
-	offsets     []int64
-	offsetsOnce sync.Once
-	offsetsErr  error
+	// Built for free from the integrity sidecar at registration.
+	offsets []int64
 
 	blockReads     atomic.Int64
 	rangeReads     atomic.Int64
@@ -265,27 +260,6 @@ type image struct {
 // key is the image's cache key for one block.
 func (img *image) key(b int) blockcache.Key {
 	return blockcache.Key{Image: img.id, Block: uint32(b)}
-}
-
-// blockOffsets returns the image's cumulative offset table, building it
-// lazily (one decode per block) for images registered without a sidecar.
-func (img *image) blockOffsets() ([]int64, error) {
-	img.offsetsOnce.Do(func() {
-		if img.offsets != nil {
-			return
-		}
-		offs := make([]int64, img.blocks+1)
-		for i := 0; i < img.blocks; i++ {
-			blk, err := img.codec.Block(i)
-			if err != nil {
-				img.offsetsErr = fmt.Errorf("romserver: offset table for %q: %w", img.name, err)
-				return
-			}
-			offs[i+1] = offs[i] + int64(len(blk))
-		}
-		img.offsets = offs
-	})
-	return img.offsets, img.offsetsErr
 }
 
 // prefState is an image's active policy plus the pin set it holds in the
@@ -808,29 +782,11 @@ func (img *image) info() ImageInfo {
 		Name:           img.name,
 		Format:         img.format,
 		Blocks:         img.blocks,
-		OrigSize:       img.origSize,
+		OrigSize:       int(img.offsets[img.blocks]),
 		CompressedSize: img.codec.CompressedSize(),
 		Ratio:          img.codec.Ratio(),
 		Health:         img.health.State().String(),
 	}
-}
-
-// imageMeta pulls block-size/original-size metadata off the concrete image
-// types (the BlockCodec interface intentionally stays minimal).
-func imageMeta(c codecomp.BlockCodec) (origSize int) {
-	switch v := c.(type) {
-	case *codecomp.SAMCImage:
-		return v.OrigSize
-	case *codecomp.SADCImage:
-		return v.OrigSize
-	case *codecomp.HuffmanImage:
-		return v.OrigSize
-	case *codecomp.RANSImage:
-		return v.OrigSize
-	case *codecomp.TieredImage:
-		return v.OrigSize()
-	}
-	return 0
 }
 
 // AddImage registers a marshaled image under name, auto-detecting its
@@ -852,9 +808,7 @@ func (s *Server) AddImage(name string, data []byte) (ImageInfo, error) {
 	if err != nil {
 		return ImageInfo{}, fmt.Errorf("romserver: image %q rejected at registration: %w", name, err)
 	}
-	img := s.newImage(name, codec, codecomp.DetectFormat(data))
-	img.sidecar = sc
-	img.offsets = sc.blockOffsets()
+	img := s.newImage(name, codec, codecomp.DetectFormat(data), sc)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -1241,7 +1195,7 @@ type ImageStats struct {
 	RangeReads    int64 `json:"range_reads"`
 	FullReads     int64 `json:"full_reads"`
 	SubblockReads int64 `json:"subblock_reads"`
-	// Decompressions counts actual codec.Block invocations — the work the
+	// Decompressions counts actual codec block decodes — the work the
 	// cache and singleflight exist to avoid.
 	Decompressions int64 `json:"decompressions"`
 	// DecodeNsPerBlock is the mean wall-clock nanoseconds one block decode
@@ -1400,18 +1354,20 @@ func (s *Server) Stats() Stats {
 // CacheStats returns just the block cache counters.
 func (s *Server) CacheStats() blockcache.Stats { return s.cache.Stats() }
 
-// newImage builds the serving state for one codec: trace recorder sized by
-// Options.TraceBuffer, the default sequential prefetch policy, a fresh
-// cache-key id and a fresh health state machine.
-func (s *Server) newImage(name string, codec codecomp.BlockCodec, format string) *image {
+// newImage builds the serving state for one codec and its sidecar: the
+// offset table, trace recorder sized by Options.TraceBuffer, the default
+// sequential prefetch policy, a fresh cache-key id and a fresh health
+// state machine.
+func (s *Server) newImage(name string, codec codecomp.BlockCodec, format string, sc *sidecar) *image {
 	img := &image{
-		name:     name,
-		codec:    codec,
-		format:   format,
-		blocks:   codec.NumBlocks(),
-		origSize: imageMeta(codec),
-		id:       s.nextID.Add(1),
-		health:   newImageHealth(s.opts.HealthWindow),
+		name:    name,
+		codec:   codec,
+		format:  format,
+		blocks:  codec.NumBlocks(),
+		id:      s.nextID.Add(1),
+		sidecar: sc,
+		offsets: sc.blockOffsets(),
+		health:  newImageHealth(s.opts.HealthWindow),
 	}
 	if t, ok := codec.(*codecomp.TieredImage); ok {
 		img.tiered = t
@@ -1425,15 +1381,5 @@ func (s *Server) newImage(name string, codec codecomp.BlockCodec, format string)
 			name: "sequential",
 		})
 	}
-	return img
-}
-
-// addCodec registers an already-built codec directly; tests use it to
-// instrument decompression with stub codecs.
-func (s *Server) addCodec(name string, codec codecomp.BlockCodec, format string) *image {
-	img := s.newImage(name, codec, format)
-	s.mu.Lock()
-	s.images[name] = img
-	s.mu.Unlock()
 	return img
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,6 +50,12 @@ func TestAddImageFormatsAndReplace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ransImg, err := codecomp.CompressRANS(text, codecomp.RANSOptions{BlockSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// OrigSize is the sidecar's total, so every format must report the
+	// whole text.
 	cases := []struct {
 		name, format string
 		data         []byte
@@ -58,6 +63,8 @@ func TestAddImageFormatsAndReplace(t *testing.T) {
 		{"prog-samc", codecomp.FormatSAMC, marshalSAMC(t, text)},
 		{"prog-sadc", codecomp.FormatSADC, sadcImg.Marshal()},
 		{"prog-huff", codecomp.FormatHuffman, huffImg.Marshal()},
+		{"prog-rans", codecomp.FormatRANS, ransImg.Marshal()},
+		{"prog-tiered", codecomp.FormatTiered, marshalTiered(t, text)},
 	}
 	for _, c := range cases {
 		info, err := s.AddImage(c.name, c.data)
@@ -68,7 +75,7 @@ func TestAddImageFormatsAndReplace(t *testing.T) {
 			t.Fatalf("AddImage(%s) info = %+v", c.name, info)
 		}
 	}
-	if len(s.Images()) != 3 {
+	if len(s.Images()) != len(cases) {
 		t.Fatalf("Images() = %v", s.Images())
 	}
 
@@ -161,33 +168,6 @@ func TestBlockRangeFullText(t *testing.T) {
 	}
 }
 
-// stubCodec counts Block calls and can stall them on a gate, to observe the
-// singleflight path deterministically.
-type stubCodec struct {
-	blocks int
-	gate   chan struct{}
-	calls  atomic.Int64
-}
-
-func (c *stubCodec) NumBlocks() int { return c.blocks }
-func (c *stubCodec) Block(i int) ([]byte, error) {
-	c.calls.Add(1)
-	if c.gate != nil {
-		<-c.gate
-	}
-	return []byte{byte(i), byte(i >> 8)}, nil
-}
-func (c *stubCodec) Decompress() ([]byte, error) {
-	var out []byte
-	for i := 0; i < c.blocks; i++ {
-		b, _ := c.Block(i)
-		out = append(out, b...)
-	}
-	return out, nil
-}
-func (c *stubCodec) CompressedSize() int { return c.blocks }
-func (c *stubCodec) Ratio() float64      { return 0.5 }
-
 // TestSingleflightCollapse is the acceptance-criteria assertion: concurrent
 // demand misses on the same block must trigger exactly one decompression —
 // not one per caller.
@@ -196,7 +176,7 @@ func TestSingleflightCollapse(t *testing.T) {
 	stub := &stubCodec{blocks: 4, gate: make(chan struct{})}
 	s := New(Options{Workers: waiters, QueueDepth: 2 * waiters, PrefetchDepth: -1})
 	defer s.Close()
-	s.addCodec("stub", stub, "stub")
+	s.addCodec("stub", stub)
 
 	var wg sync.WaitGroup
 	wg.Add(waiters)
@@ -427,7 +407,7 @@ func TestTraceRecordingAndTrain(t *testing.T) {
 	stub := &stubCodec{blocks: 16}
 	s := New(Options{PrefetchDepth: -1, TraceBuffer: 8})
 	defer s.Close()
-	s.addCodec("stub", stub, "stub")
+	s.addCodec("stub", stub)
 
 	// Nothing recorded yet: Train refuses, Profile refuses.
 	if _, err := s.Train("stub"); !errors.Is(err, ErrNoTrace) {
@@ -479,7 +459,7 @@ func TestSetPolicyMarkovPrefetchesTrainedSuccessor(t *testing.T) {
 	stub := &stubCodec{blocks: 64}
 	s := New(Options{PrefetchDepth: 2, TraceBuffer: 1024})
 	defer s.Close()
-	s.addCodec("stub", stub, "stub")
+	s.addCodec("stub", stub)
 
 	// Markov before training is refused.
 	if _, err := s.SetPolicy("stub", PolicySpec{Policy: "markov"}); !errors.Is(err, ErrNoProfile) {
@@ -536,7 +516,7 @@ func TestPrefetchHitAccountingSequential(t *testing.T) {
 	stub := &stubCodec{blocks: 16}
 	s := New(Options{PrefetchDepth: 4})
 	defer s.Close()
-	s.addCodec("stub", stub, "stub")
+	s.addCodec("stub", stub)
 
 	if _, _, err := s.Block("stub", 0); err != nil {
 		t.Fatal(err)
@@ -568,7 +548,7 @@ func TestSetPolicyHotsetPinsSurviveColdScan(t *testing.T) {
 	// unpinned.
 	s := New(Options{CacheBlocks: 16, CacheShards: 1, PrefetchDepth: -1, TraceBuffer: 4096})
 	defer s.Close()
-	s.addCodec("stub", stub, "stub")
+	s.addCodec("stub", stub)
 
 	// Blocks 7 and 200 are hot.
 	trace := make([]int, 0, 64)
@@ -633,7 +613,7 @@ func TestSetPolicyRacingReplaceLeavesNoPins(t *testing.T) {
 	stub := &stubCodec{blocks: 256, gate: make(chan struct{})}
 	s := New(Options{CacheBlocks: 16, CacheShards: 1, PrefetchDepth: -1, TraceBuffer: 4096, ReverifyInterval: -1})
 	defer s.Close()
-	s.addCodec("stub", stub, "stub")
+	s.addCodec("stub", stub)
 	trace := make([]int, 0, 64)
 	for i := 0; i < 16; i++ {
 		trace = append(trace, 7, 200)
@@ -653,7 +633,7 @@ func TestSetPolicyRacingReplaceLeavesNoPins(t *testing.T) {
 	if err := s.RemoveImage("stub"); err != nil {
 		t.Fatal(err)
 	}
-	s.addCodec("stub", &stubCodec{blocks: 256}, "stub")
+	s.addCodec("stub", &stubCodec{blocks: 256})
 	close(stub.gate)
 	if err := <-done; err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -22,24 +23,18 @@ type prefixCodec struct {
 }
 
 func (c prefixCodec) NumBlocks() int { return c.n }
-func (c prefixCodec) AppendBlock(dst []byte, i int) ([]byte, error) {
-	return codecomp.AppendBlock(c.BlockCodec, dst, i)
-}
 
-// faultyCodec is a stubCodec whose listed blocks error or panic.
-type faultyCodec struct {
-	stubCodec
-	fail, panics map[int]bool
-}
-
-func (c *faultyCodec) Block(i int) ([]byte, error) {
-	if c.panics[i] {
-		panic(fmt.Sprintf("decoder bug at block %d", i))
-	}
-	if c.fail[i] {
-		return nil, fmt.Errorf("bad block %d", i)
-	}
-	return c.stubCodec.Block(i)
+// newFaultyCodec returns a stub whose listed blocks error or panic.
+func newFaultyCodec(blocks int, fail, panics []int) *stubCodec {
+	return &stubCodec{blocks: blocks, decode: func(i int) ([]byte, error) {
+		if slices.Contains(panics, i) {
+			panic(fmt.Sprintf("decoder bug at block %d", i))
+		}
+		if slices.Contains(fail, i) {
+			return nil, fmt.Errorf("bad block %d", i)
+		}
+		return stubBlock(i), nil
+	}}
 }
 
 // sequentialSidecar is the reference: one Block call per block, in order.
@@ -165,13 +160,7 @@ func TestBuildSidecarParallel(t *testing.T) {
 		{"panic below an error", []int{999}, []int{260}, "codec panicked during verification"},
 	}
 	for _, tc := range cases {
-		stub := &faultyCodec{stubCodec: stubCodec{blocks: 1000}, fail: map[int]bool{}, panics: map[int]bool{}}
-		for _, b := range tc.fail {
-			stub.fail[b] = true
-		}
-		for _, b := range tc.panics {
-			stub.panics[b] = true
-		}
+		stub := newFaultyCodec(1000, tc.fail, tc.panics)
 		sc, err := buildSidecar(stub)
 		switch {
 		case tc.want == "" && err != nil:

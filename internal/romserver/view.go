@@ -194,10 +194,7 @@ func (s *Server) ReadAtContext(ctx context.Context, name string, off, n int) (*V
 	if err != nil {
 		return nil, err
 	}
-	offs, err := img.blockOffsets()
-	if err != nil {
-		return nil, err
-	}
+	offs := img.offsets
 	total := int(offs[len(offs)-1])
 	// n > total-off, not off+n > total: the sum wraps for a huge n.
 	if off < 0 || n < 0 || n > total-off {

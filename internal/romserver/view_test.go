@@ -141,10 +141,7 @@ func TestReadAtPartialTailNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs, err := img.blockOffsets()
-	if err != nil {
-		t.Fatal(err)
-	}
+	offs := img.offsets
 
 	// [0, end): covers blocks 0..2 fully and ends 7 bytes into block 3.
 	end := int(offs[3]) + 7

@@ -18,10 +18,10 @@ const wedgeTimeout = 30 * time.Millisecond
 // wedgeServer is a one-worker server holding a wedged image and a
 // healthy one, with every background loop off so the only goroutines
 // are the pool's.
-func wedgeServer(t *testing.T) (*Server, *wedgedCodec) {
+func wedgeServer(t *testing.T) *Server {
 	t.Helper()
-	wedged := &wedgedCodec{stubCodec: stubCodec{blocks: 4}, wedge: make(chan struct{})}
-	t.Cleanup(func() { close(wedged.wedge) })
+	wedged := &stubCodec{blocks: 4, gate: make(chan struct{})}
+	t.Cleanup(func() { close(wedged.gate) })
 	s := New(Options{
 		Workers:          1,
 		PrefetchDepth:    -1,
@@ -31,9 +31,9 @@ func wedgeServer(t *testing.T) (*Server, *wedgedCodec) {
 		LoadTimeout:      wedgeTimeout,
 		ReverifyInterval: -1,
 	})
-	s.addCodec("wedged", wedged, "stub")
-	s.addCodec("good", &stubCodec{blocks: 4}, "stub")
-	return s, wedged
+	s.addCodec("wedged", wedged)
+	s.addCodec("good", &stubCodec{blocks: 4})
+	return s
 }
 
 // TestWedgeEveryPath drives a wedged codec through every path that
@@ -51,29 +51,22 @@ func TestWedgeEveryPath(t *testing.T) {
 		// background marks a path with no caller to see the error; its
 		// timeouts only show in the counters.
 		background bool
-		call       func(t *testing.T, s *Server, c *wedgedCodec) error
+		call       func(t *testing.T, s *Server) error
 	}{
-		{"demand", 1, false, func(t *testing.T, s *Server, c *wedgedCodec) error {
+		{"demand", 1, false, func(t *testing.T, s *Server) error {
 			_, _, err := s.Block("wedged", 1)
 			return err
 		}},
-		{"range", 1, false, func(t *testing.T, s *Server, c *wedgedCodec) error {
+		{"range", 1, false, func(t *testing.T, s *Server) error {
 			v, err := s.RangeView("wedged", 0, 3)
 			if err == nil {
 				v.Close()
 			}
 			return err
 		}},
-		{"subblock", 1, false, func(t *testing.T, s *Server, c *wedgedCodec) error {
-			// Build the offset table while the codec still serves, then
-			// read one byte of block 2's two: a mid-block tail that takes
-			// the partial decode path.
-			c.open.Store(true)
-			img, _ := s.lookup("wedged")
-			if _, err := img.blockOffsets(); err != nil {
-				t.Fatal(err)
-			}
-			c.open.Store(false)
+		{"subblock", 1, false, func(t *testing.T, s *Server) error {
+			// Read one byte of block 2's two: a mid-block tail that
+			// takes the partial decode path.
 			v, err := s.ReadAtContext(context.Background(), "wedged", 4, 1)
 			if err == nil {
 				v.Close()
@@ -83,21 +76,21 @@ func TestWedgeEveryPath(t *testing.T) {
 			}
 			return err
 		}},
-		{"text", 1, false, func(t *testing.T, s *Server, c *wedgedCodec) error {
+		{"text", 1, false, func(t *testing.T, s *Server) error {
 			n, err := s.WriteText("wedged", io.Discard)
 			if n != 0 {
 				t.Errorf("WriteText wrote %d bytes before the wedge", n)
 			}
 			return err
 		}},
-		{"pinning", 1, false, func(t *testing.T, s *Server, c *wedgedCodec) error {
+		{"pinning", 1, false, func(t *testing.T, s *Server) error {
 			if _, err := s.TrainFrom("wedged", []int{2, 2, 2, 2}); err != nil {
 				t.Fatal(err)
 			}
 			_, err := s.SetPolicy("wedged", PolicySpec{Policy: "hotset", PinCount: 1})
 			return err
 		}},
-		{"reverify", reverifyBatch, true, func(t *testing.T, s *Server, c *wedgedCodec) error {
+		{"reverify", reverifyBatch, true, func(t *testing.T, s *Server) error {
 			// Mark a block bad so the image is unhealthy, then run one
 			// pass: every target wedges and is answered by the watchdog.
 			img, _ := s.lookup("wedged")
@@ -114,11 +107,11 @@ func TestWedgeEveryPath(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, wedged := wedgeServer(t)
+			s := wedgeServer(t)
 			base := runtime.NumGoroutine()
 
 			start := time.Now()
-			err := tc.call(t, s, wedged)
+			err := tc.call(t, s)
 			if tc.background && err != nil || !tc.background && !errors.Is(err, ErrDecompressTimeout) {
 				t.Fatalf("err = %v, want ErrDecompressTimeout", err)
 			}
@@ -160,12 +153,12 @@ func TestWedgeEveryPath(t *testing.T) {
 // worker's wedged decode is covered by its own worker's watchdog, not
 // left waiting on the flight.
 func TestWedgeSingleflightWaiter(t *testing.T) {
-	wedged := &wedgedCodec{stubCodec: stubCodec{blocks: 4}, wedge: make(chan struct{})}
-	defer close(wedged.wedge)
+	wedged := &stubCodec{blocks: 4, gate: make(chan struct{})}
+	defer close(wedged.gate)
 	s := New(Options{Workers: 2, PrefetchDepth: -1, TraceBuffer: -1, LoadTimeout: wedgeTimeout, ReverifyInterval: -1})
 	defer s.Close()
-	s.addCodec("wedged", wedged, "stub")
-	s.addCodec("good", &stubCodec{blocks: 4}, "stub")
+	s.addCodec("wedged", wedged)
+	s.addCodec("good", &stubCodec{blocks: 4})
 
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
@@ -196,12 +189,12 @@ func TestWedgeSingleflightWaiter(t *testing.T) {
 // than the load timeout, the watchdog fires at the request deadline,
 // the caller sees the context error, and the pool is restored.
 func TestWatchdogRequestDeadline(t *testing.T) {
-	wedged := &wedgedCodec{stubCodec: stubCodec{blocks: 4}, wedge: make(chan struct{})}
-	defer close(wedged.wedge)
+	wedged := &stubCodec{blocks: 4, gate: make(chan struct{})}
+	defer close(wedged.gate)
 	s := New(Options{Workers: 1, PrefetchDepth: -1, TraceBuffer: -1, ReverifyInterval: -1})
 	defer s.Close()
-	s.addCodec("wedged", wedged, "stub")
-	s.addCodec("good", &stubCodec{blocks: 4}, "stub")
+	s.addCodec("wedged", wedged)
+	s.addCodec("good", &stubCodec{blocks: 4})
 
 	ctx, cancel := context.WithTimeout(context.Background(), wedgeTimeout)
 	defer cancel()
@@ -219,24 +212,22 @@ func TestWatchdogRequestDeadline(t *testing.T) {
 	}
 }
 
-// jitterCodec decodes every fourth block after a random delay in
-// [0.7, 1.1) load timeouts, so the watchdog and the worker race to
-// answer the same tickets; the other blocks decode at once, which keeps
-// the image's failure rate far below quarantine.
-type jitterCodec struct {
-	stubCodec
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func (c *jitterCodec) Block(i int) ([]byte, error) {
-	if i%4 == 1 {
-		c.mu.Lock()
-		d := wedgeTimeout*7/10 + time.Duration(c.rng.Int63n(int64(wedgeTimeout*4/10)))
-		c.mu.Unlock()
-		time.Sleep(d)
-	}
-	return c.stubCodec.Block(i)
+// newJitterCodec returns a stub that decodes every fourth block after a
+// random delay in [0.7, 1.1) load timeouts, so the watchdog and the
+// worker race to answer the same tickets; the other blocks decode at
+// once, which keeps the image's failure rate far below quarantine.
+func newJitterCodec(blocks int, seed int64) *stubCodec {
+	var mu sync.Mutex
+	rng := rand.New(rand.NewSource(seed))
+	return &stubCodec{blocks: blocks, decode: func(i int) ([]byte, error) {
+		if i%4 == 1 {
+			mu.Lock()
+			d := wedgeTimeout*7/10 + time.Duration(rng.Int63n(int64(wedgeTimeout*4/10)))
+			mu.Unlock()
+			time.Sleep(d)
+		}
+		return stubBlock(i), nil
+	}}
 }
 
 // TestWatchdogRacesReply hammers decodes that finish right around their
@@ -246,13 +237,13 @@ func (c *jitterCodec) Block(i int) ([]byte, error) {
 // channel — and the pool, its inflight gauge and its goroutines all
 // return to their idle state.
 func TestWatchdogRacesReply(t *testing.T) {
-	jc := &jitterCodec{stubCodec: stubCodec{blocks: 64}, rng: rand.New(rand.NewSource(1))}
+	jc := newJitterCodec(64, 1)
 	s := New(Options{
 		Workers: 2, CacheBlocks: 4, CacheShards: 1, PrefetchDepth: -1, TraceBuffer: -1,
 		LoadAttempts: 1, LoadTimeout: wedgeTimeout, ReverifyInterval: -1,
 	})
 	defer s.Close()
-	s.addCodec("jitter", jc, "stub")
+	s.addCodec("jitter", jc)
 	base := runtime.NumGoroutine()
 
 	var wg sync.WaitGroup

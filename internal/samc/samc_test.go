@@ -279,8 +279,9 @@ func BenchmarkDecompressBlock(b *testing.B) {
 }
 
 // TestAppendBlockMatchesReference pins the fast path (value decoder,
-// FastWalker, shift-table word assembly) to the original bit-serial decode,
-// byte for byte, across option shapes and with a reused destination buffer.
+// flattened model trees, shift-table word assembly) to the original
+// bit-serial decode, byte for byte, across option shapes and with a
+// reused destination buffer.
 func TestAppendBlockMatchesReference(t *testing.T) {
 	text := testText()
 	for _, opts := range []Options{

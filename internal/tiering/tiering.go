@@ -202,12 +202,12 @@ func (t *subTier) modelBytes() int {
 }
 
 // Compressed is a heat-tiered image: per-tier shared-model sub-images plus
-// a per-block tier assignment. It implements the codecomp BlockCodec and
-// BlockAppender contracts with one amendment: unlike the single-codec
-// images it is not immutable — MigrateBlock rewrites one block's payload
-// and assignment under an internal write lock, and every decode takes the
-// corresponding read lock, so concurrent decodes and migrations are safe
-// and each decode observes exactly one consistent tier for its block.
+// a per-block tier assignment. It implements the codecomp BlockCodec
+// contract with one amendment: unlike the single-codec images it is not
+// immutable — MigrateBlock rewrites one block's payload and assignment
+// under an internal write lock, and every decode takes the corresponding
+// read lock, so concurrent decodes and migrations are safe and each
+// decode observes exactly one consistent tier for its block.
 type Compressed struct {
 	mu        sync.RWMutex
 	blockSize int

@@ -12,7 +12,8 @@ import (
 // AppendBlockPrefix must be bit-identical to the same-length prefix of
 // Block while leaving the caller's prefix untouched, and the reported
 // decoded-bytes figure must distinguish native prefix decode (SAMC,
-// SADC, byte-Huffman) from the full-decode fallback (rANS).
+// SADC, byte-Huffman) from the full-decode fallback (rANS, and tiered
+// images in every tier).
 func TestAppendBlockPrefixEquivalence(t *testing.T) {
 	mips := codecomp.GenerateMIPS(codecomp.MustProfile("gcc")).Text()
 	x86 := codecomp.GenerateX86(codecomp.MustProfile("gcc")).Text()
@@ -37,6 +38,21 @@ func TestAppendBlockPrefixEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Blocks cycle through all four tiers, native prefix decoders
+	// included: a block's tier can change under a migration, so a tiered
+	// image always takes the fallback.
+	tierSpec := codecomp.TierSpec{
+		BlockSize: 32,
+		Tiers:     []string{codecomp.TierRaw, codecomp.TierHuffman, codecomp.TierRANS, codecomp.TierSAMC},
+		Assign:    make([]uint8, (len(mips)+31)/32),
+	}
+	for i := range tierSpec.Assign {
+		tierSpec.Assign[i] = uint8(i % 4)
+	}
+	tieredImg, err := codecomp.CompressTiered(mips, tierSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	pad := []byte("pad")
 	for _, c := range []struct {
@@ -49,6 +65,7 @@ func TestAppendBlockPrefixEquivalence(t *testing.T) {
 		{"SADC/x86", sadcX86, true},
 		{"Huffman", huffImg, true},
 		{"RANS", ransImg, false},
+		{"Tiered", tieredImg, false},
 	} {
 		buf := append([]byte(nil), pad...)
 		for i := 0; i < c.codec.NumBlocks(); i++ {
@@ -108,9 +125,11 @@ func TestAppendBlockPrefixEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzAppendBlockPrefix drives the byte-Huffman prefix decoder with
-// mutated program text and offsets: for any text, block size and offset,
-// the prefix decode must agree with the full decode's prefix.
+// FuzzAppendBlockPrefix drives both AppendBlockPrefix paths with
+// mutated program text and offsets: the byte-Huffman native prefix
+// decoder and, through rANS, the full-decode fallback. For any text,
+// block size and offset, the prefix decode must agree with the full
+// decode's prefix, and the fallback must report the whole block decoded.
 func FuzzAppendBlockPrefix(f *testing.F) {
 	f.Add([]byte("hello huffman prefix world"), 8, 5)
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252}, 4, 2)
@@ -119,28 +138,39 @@ func FuzzAppendBlockPrefix(f *testing.F) {
 		if len(text) == 0 || blockSize <= 0 || blockSize > 1<<16 {
 			t.Skip()
 		}
-		img, err := codecomp.CompressHuffman(text, blockSize)
+		huff, err := codecomp.CompressHuffman(text, blockSize)
 		if err != nil {
 			t.Skip()
 		}
-		for i := 0; i < img.NumBlocks(); i++ {
-			full, err := img.Block(i)
-			if err != nil {
-				t.Fatalf("Block(%d): %v", i, err)
-			}
-			k := n
-			if k < 0 {
-				k = -k
-			}
-			if k > len(full) {
-				k %= len(full) + 1
-			}
-			got, _, err := codecomp.AppendBlockPrefix(img, nil, i, k)
-			if err != nil {
-				t.Fatalf("AppendBlockPrefix(%d, %d): %v", i, k, err)
-			}
-			if !bytes.Equal(got, full[:k]) {
-				t.Fatalf("block %d: prefix(%d) diverges from full decode", i, k)
+		codecs := []codecomp.BlockCodec{huff}
+		if rs, err := codecomp.CompressRANS(text, codecomp.RANSOptions{BlockSize: (blockSize + 3) &^ 3}); err == nil {
+			codecs = append(codecs, rs)
+		}
+		for _, img := range codecs {
+			_, native := img.(codecomp.BlockPrefixAppender)
+			for i := 0; i < img.NumBlocks(); i++ {
+				full, err := img.Block(i)
+				if err != nil {
+					t.Fatalf("%T: Block(%d): %v", img, i, err)
+				}
+				k := n
+				if k < 0 {
+					k = -k
+				}
+				if k > len(full) {
+					k %= len(full) + 1
+				}
+				got, decoded, err := codecomp.AppendBlockPrefix(img, nil, i, k)
+				if err != nil {
+					t.Fatalf("%T: AppendBlockPrefix(%d, %d): %v", img, i, k, err)
+				}
+				if !bytes.Equal(got, full[:k]) {
+					t.Fatalf("%T: block %d: prefix(%d) diverges from full decode", img, i, k)
+				}
+				if !native && k > 0 && decoded != len(full) {
+					t.Fatalf("%T: block %d: fallback prefix(%d) reported %d decoded bytes, want %d",
+						img, i, k, decoded, len(full))
+				}
 			}
 		}
 	})
