@@ -294,6 +294,9 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
+// Unwrap exposes the underlying writer to http.ResponseController.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // instrument wraps one route with the HTTP-layer metrics: request and
 // error counters, a per-route latency histogram and the in-flight gauge.
 // The labeled series resolve here, once per route, so per-request cost is
@@ -548,7 +551,8 @@ func (d *daemon) handleBlock(w http.ResponseWriter, r *http.Request) {
 
 // handleRange serves GET /images/{name}/blocks?range=i-j through the
 // batched decode path: one worker-pool ticket per contiguous miss-run
-// instead of one per block. The amortization stats travel back as
+// instead of one per block. The decoded blocks land in the cache when
+// the view is closed, after the response is flushed. The amortization stats travel back as
 // X-Range-* headers so callers (loadgen's range arm, ops curl) can see
 // how the read was served without parsing a JSON envelope around the
 // binary payload.
@@ -568,8 +572,10 @@ func (d *daemon) handleRange(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeView sends a zero-copy view as the response body: stats as
-// X-Range-* headers, then the leased parts written through the view's
-// vectored WriteTo — no concatenation buffer on the daemon side.
+// X-Range-* headers, then the parts written through the view's WriteTo
+// — no concatenation buffer on the daemon side. It flushes the response
+// before returning, so the client has every byte before the caller's
+// deferred Close inserts the view's decoded blocks into the cache.
 func writeView(w http.ResponseWriter, v *romserver.View) {
 	st := v.Stats()
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -579,7 +585,10 @@ func writeView(w http.ResponseWriter, v *romserver.View) {
 	w.Header().Set("X-Range-Dispatches", strconv.Itoa(st.Dispatches))
 	w.Header().Set("X-Range-Decoded", strconv.Itoa(st.DecodedBlocks))
 	w.Header().Set("X-Decoded-Bytes", strconv.Itoa(v.DecodedBytes()))
-	v.WriteTo(w) //nolint:errcheck
+	if _, err := v.WriteTo(w); err != nil {
+		return // client went away
+	}
+	http.NewResponseController(w).Flush() //nolint:errcheck — best effort; net/http flushes at return anyway
 }
 
 // handleBytes serves GET /images/{name}/bytes?off=&len= — the

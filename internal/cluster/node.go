@@ -369,9 +369,10 @@ func (n *Node) handleUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBytes is the node-side sub-block read surface, same contract
-// as codecompd's: leased cached blocks stream via the view's vectored
-// WriteTo, a mid-block tail partially decodes, and the amortization
-// stats travel back as X-Range-* / X-Decoded-Bytes headers.
+// as codecompd's: leased cached blocks stream via the view's WriteTo, a
+// mid-block tail partially decodes, and the amortization stats travel
+// back as X-Range-* / X-Decoded-Bytes headers. The response is flushed
+// before the deferred Close inserts the decoded blocks into the cache.
 func (n *Node) handleBytes(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	off, err1 := strconv.Atoi(q.Get("off"))
@@ -400,7 +401,10 @@ func (n *Node) handleBytes(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Range-Dispatches", strconv.Itoa(st.Dispatches))
 	w.Header().Set("X-Range-Decoded", strconv.Itoa(st.DecodedBlocks))
 	w.Header().Set("X-Decoded-Bytes", strconv.Itoa(v.DecodedBytes()))
-	v.WriteTo(w) //nolint:errcheck — client went away
+	if _, err := v.WriteTo(w); err != nil {
+		return // client went away
+	}
+	http.NewResponseController(w).Flush() //nolint:errcheck — best effort; net/http flushes at return anyway
 }
 
 func (n *Node) handleDelete(w http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,7 @@ package obsv
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -251,5 +252,48 @@ func TestHistogramSnapshotSub(t *testing.T) {
 	}
 	if same := after.Sub(after); same.Count != 0 || len(same.Buckets) != 0 {
 		t.Fatalf("self Sub = %+v, want empty", same)
+	}
+}
+
+// TestHistogramBatchMergeMatchesObserve: observations collected in a
+// batch and merged give the same snapshot as the same values observed
+// one by one, including zero, negative (clamped) and maximal values,
+// and a merged batch is empty and reusable.
+func TestHistogramBatchMergeMatchesObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	rounds := [][]int64{
+		{0, -5, math.MinInt64, 1, math.MaxInt64, 1 << 40},
+		{},
+		{3, 3, 3},
+	}
+	var random []int64
+	for i := 0; i < 500; i++ {
+		random = append(random, rng.Int63n(1<<uint(rng.Intn(40)+1))-100)
+	}
+	rounds = append(rounds, random)
+
+	var direct, merged Histogram
+	var b HistogramBatch
+	direct.ObserveNs(17) // prior state both histograms share
+	merged.ObserveNs(17)
+	for i, vals := range rounds {
+		for _, v := range vals {
+			direct.ObserveNs(v)
+			b.ObserveNs(v)
+		}
+		if b.Count() != int64(len(vals)) {
+			t.Fatalf("round %d: batch count %d, want %d", i, b.Count(), len(vals))
+		}
+		merged.Merge(&b)
+		if b.Count() != 0 || b != (HistogramBatch{}) {
+			t.Fatalf("round %d: batch not empty after Merge", i)
+		}
+		d, m := direct.Snapshot(), merged.Snapshot()
+		if d.Count != m.Count || d.Sum != m.Sum || d.Max != m.Max || !slices.Equal(d.Buckets, m.Buckets) {
+			t.Fatalf("round %d: merged %+v, observed %+v", i, m, d)
+		}
+	}
+	if got := merged.Snapshot().Max; got != math.MaxInt64 {
+		t.Fatalf("max = %d, want MaxInt64", got)
 	}
 }

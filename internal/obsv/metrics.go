@@ -69,12 +69,74 @@ func (h *Histogram) ObserveNs(v int64) {
 	h.buckets[bucketOf(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+	h.raiseMax(v)
+}
+
+// raiseMax makes v the maximum if it is larger.
+func (h *Histogram) raiseMax(v int64) {
 	for {
 		m := h.max.Load()
 		if v <= m || h.max.CompareAndSwap(m, v) {
 			return
 		}
 	}
+}
+
+// HistogramBatch collects observations for a Histogram on one goroutine
+// without atomics, to publish them later with Histogram.Merge. A worker
+// that observes a value per block of a multi-block job pays a plain
+// increment per value and the histogram's atomics once per job. The
+// zero value is empty and ready to use; a batch is not safe for
+// concurrent use.
+type HistogramBatch struct {
+	buckets [histBuckets]int64
+	// used has bit i set while buckets[i] is nonzero, so Merge visits
+	// only the buckets the batch touched.
+	used  uint64
+	count int64
+	sum   int64
+	max   int64
+}
+
+// Observe records one duration. Negative durations clamp to zero.
+func (b *HistogramBatch) Observe(d time.Duration) { b.ObserveNs(int64(d)) }
+
+// ObserveNs records one observation in nanoseconds, clamped like
+// Histogram.ObserveNs.
+func (b *HistogramBatch) ObserveNs(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	i := bucketOf(v)
+	b.buckets[i]++
+	b.used |= 1 << i
+	b.count++
+	b.sum += v
+	if v > b.max {
+		b.max = v
+	}
+}
+
+// Count returns the number of observations collected since the last
+// Merge.
+func (b *HistogramBatch) Count() int64 { return b.count }
+
+// Merge publishes the batch's observations into h and empties the
+// batch. h then holds exactly what it would hold had each value been
+// passed to h.ObserveNs: the same count, sum, maximum and buckets.
+func (h *Histogram) Merge(b *HistogramBatch) {
+	if b.count == 0 {
+		return
+	}
+	for m := b.used; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		h.buckets[i].Add(b.buckets[i])
+		b.buckets[i] = 0
+	}
+	h.count.Add(b.count)
+	h.sum.Add(b.sum)
+	h.raiseMax(b.max)
+	b.used, b.count, b.sum, b.max = 0, 0, 0, 0
 }
 
 // Count returns the number of observations.

@@ -314,8 +314,10 @@ func (img *image) activeCodec() codecomp.BlockCodec {
 // It decodes through the codec's AppendBlock straight into a buffer sized
 // from the sidecar's length, so a clean miss costs that one allocation,
 // which the cache then keeps. It reads no clock: loadVerified times the
-// attempt around it.
-func (s *Server) safeBlock(img *image, block int) (data []byte, err error) {
+// attempt around it. The decompression counters go to the worker's
+// accumulator.
+func (w *poolWorker) safeBlock(img *image, block int) (data []byte, err error) {
+	s := w.s
 	defer func() {
 		if r := recover(); r != nil {
 			img.panicsRecovered.Add(1)
@@ -323,46 +325,24 @@ func (s *Server) safeBlock(img *image, block int) (data []byte, err error) {
 			err = fmt.Errorf("%w: block %d of %q: %v", ErrCodecPanic, block, img.name, r)
 		}
 	}()
-	img.decompressions.Add(1)
-	s.met.decompressions.Inc()
+	w.acct.decompressions++
 	data, err = img.activeCodec().AppendBlock(make([]byte, 0, img.sidecar.lens[block]), block)
 	if err != nil {
 		return nil, err
 	}
-	img.decompressedBytes.Add(int64(len(data)))
+	w.acct.decompressedBytes += int64(len(data))
 	return data, nil
-}
-
-// effectiveTimeout clamps the configured per-attempt decode deadline by
-// the request context's time remaining at now, so a propagated client
-// deadline bounds the decompression it pays for. A non-nil error (the
-// context's, or DeadlineExceeded when the deadline has passed but the
-// context has not noticed yet) means no attempt should start.
-func (s *Server) effectiveTimeout(ctx context.Context, now time.Time) (time.Duration, error) {
-	timeout := s.opts.LoadTimeout
-	if ctx == nil {
-		return timeout, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := dl.Sub(now); rem <= 0 {
-			return 0, context.DeadlineExceeded
-		} else if timeout <= 0 || rem < timeout {
-			timeout = rem
-		}
-	}
-	return timeout, nil
 }
 
 // loadVerified is the hardened load path every decompression goes
 // through (demand, prefetch, pinning and re-verify alike): bounded
 // attempts with jittered exponential backoff, integrity verification
 // against the sidecar before the bytes can reach the cache, and health
-// accounting of the final outcome. Each phase lands in its latency
-// histogram, and a sampled demand load carries sp (nil otherwise) to
-// record the same phases plus retry/corruption events into the trace.
+// accounting of the final outcome. Each phase is observed into the
+// worker's accumulator (loadAcct), which publishes it to its latency
+// histogram when the ticket ends, and a sampled demand load carries sp
+// (nil otherwise) to record the same phases plus retry/corruption
+// events into the trace.
 //
 // When allowFill is true and a fill hook is installed (peer cache-fill),
 // the hook is consulted first: verified fill bytes are returned without
@@ -371,11 +351,12 @@ func (s *Server) effectiveTimeout(ctx context.Context, now time.Time) (time.Dura
 // background re-verifier passes allowFill=false — its whole point is to
 // prove the *local* image decompresses cleanly.
 //
-// ctx, when non-nil, is the demand caller's request context: its
-// deadline clamps each attempt's decode deadline, an expired context
-// stops the attempt loop, and — when the overload layer is on — each
-// retry must additionally be granted by the token budget, so a fault
-// burst cannot amplify into a retry storm. Background callers
+// ctx, when non-nil, is the ticket's request context, which bind
+// resolved when the ticket started: its deadline clamps each attempt's
+// decode deadline, an expired context stops the attempt loop, and —
+// when the overload layer is on — each retry must additionally be
+// granted by the token budget, so a fault burst cannot amplify into a
+// retry storm. Background callers
 // (re-verify, pinning) pass nil and keep the old unbudgeted behavior.
 //
 // It runs on pool worker w: the peer fill and each decode attempt run as
@@ -398,7 +379,7 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 	s := w.s
 	// now is always the latest clock reading.
 	now := start
-	defer func() { s.met.blockLoad.Observe(now.Sub(start)) }()
+	defer func() { w.acct.blockLoad.Observe(now.Sub(start)) }()
 	if allowFill {
 		if fp := s.fill.Load(); fp != nil {
 			if err := w.guard(ctx, block, now); err != nil {
@@ -469,7 +450,7 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 		if err := w.guard(ctx, block, decodeStart); err != nil {
 			return nil, now, err
 		}
-		data, err := s.safeBlock(img, block)
+		data, err := w.safeBlock(img, block)
 		settled := w.settle()
 		decodeEnd := time.Now()
 		now = decodeEnd
@@ -484,12 +465,12 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 			now = time.Now()
 		}
 		decodeDur := decodeEnd.Sub(decodeStart)
-		s.met.decode.Observe(decodeDur)
+		w.acct.decode.Observe(decodeDur)
 		sp.Phase("decode", decodeDur)
 		if err == nil {
-			img.decompressNanos.Add(int64(decodeDur))
+			w.acct.decompressNanos += int64(decodeDur)
 			verifyDur := now.Sub(decodeEnd)
-			s.met.verify.Observe(verifyDur)
+			w.acct.verify.Observe(verifyDur)
 			sp.Phase("verify", verifyDur)
 			if verr != nil {
 				// Detected corruption: count it, never serve or cache it.

@@ -82,6 +82,43 @@ type serverMetrics struct {
 	tieringPersistFailures *obsv.Counter
 }
 
+// loadAcct is a pool worker's accumulator for the per-block
+// observations of the load path: the decode, verify and block-load
+// histograms and the decompression counters. The load path writes it
+// without atomics, and the worker publishes it with flush when the
+// ticket ends, on every exit path, so a miss run pays the shared
+// histograms' and counters' atomics once per run instead of once per
+// block. The observations themselves are exact — the same clock
+// readings, one per block and stage — only when they become visible
+// moves, to the end of the ticket.
+type loadAcct struct {
+	// img is the ticket's image, which owns the per-image counters.
+	img *image
+
+	decode, verify, blockLoad obsv.HistogramBatch
+
+	decompressions    int64
+	decompressNanos   int64
+	decompressedBytes int64
+}
+
+// flush publishes the accumulated observations and empties a. It
+// drops the image too: an idle worker must not keep a removed image's
+// codec and trace ring reachable.
+func (a *loadAcct) flush(m *serverMetrics) {
+	m.decode.Merge(&a.decode)
+	m.verify.Merge(&a.verify)
+	m.blockLoad.Merge(&a.blockLoad)
+	if a.decompressions > 0 {
+		a.img.decompressions.Add(a.decompressions)
+		m.decompressions.Add(a.decompressions)
+		a.img.decompressNanos.Add(a.decompressNanos)
+		a.img.decompressedBytes.Add(a.decompressedBytes)
+		a.decompressions, a.decompressNanos, a.decompressedBytes = 0, 0, 0
+	}
+	a.img = nil
+}
+
 // newServerMetrics registers the serving layer's families on reg and
 // resolves every instrument the hot path needs.
 func newServerMetrics(reg *obsv.Registry, tracer *obsv.Tracer) *serverMetrics {

@@ -200,6 +200,10 @@ type image struct {
 	// replace/remove inserts under the old id and can never be served as
 	// a block of the new registration.
 	id uint32
+	// removed is set when a replace or remove deregisters the image,
+	// before its blocks are invalidated, so a view closed later does not
+	// insert blocks under a dead id.
+	removed atomic.Bool
 
 	// tiered is the codec downcast to its mixed-codec form, set only for
 	// tiered images.
@@ -308,8 +312,9 @@ type result struct {
 }
 
 // rangeJob is one contiguous miss-run of a batched range read: a single
-// pool ticket that decodes blocks [first,last] back to back and caches
-// them. limit > 0 marks a sub-block read: block last only needs its
+// pool ticket that decodes and verifies blocks [first,last] back to
+// back; the view that collects them inserts them into the cache when it
+// is closed. limit > 0 marks a sub-block read: block last only needs its
 // first limit bytes, decoded via the partial path and never cached.
 // merged marks a run that spans blocks cached at dispatch (a /text
 // window), which the worker re-peeks instead of decoding.
@@ -320,13 +325,24 @@ type rangeJob struct {
 	reply       chan rangeResult
 }
 
+// rangeResult is a run's answer. A run that fails part-way still
+// returns the blocks it verified before the error.
 type rangeResult struct {
-	blocks  [][]byte
+	blocks  []runBlock
 	decoded int
 	// decodedBytes is total codec output paid for: full blocks plus any
 	// partial tail prefix.
 	decodedBytes int
 	err          error
+}
+
+// runBlock is one block of a run's result. verified marks a block the
+// run decoded and checked against the sidecar, which the view collecting
+// it inserts into the cache at Close; a peeked block and a partial tail
+// are served but not inserted.
+type runBlock struct {
+	data     []byte
+	verified bool
 }
 
 // FillFunc is an alternative block source consulted on a cache miss
@@ -477,7 +493,7 @@ func (w *poolWorker) handle(t task) bool {
 	// The ticket's one clock reading serves the queue wait, the
 	// watchdog and the start of its first block load.
 	now := time.Now()
-	timeout, err := s.effectiveTimeout(t.ctx, now)
+	timeout, err := w.bind(t.ctx, now)
 	if err != nil {
 		// The caller gave up while the ticket was queued: retire it
 		// without dispatching the decode. The caller ends the span.
@@ -546,27 +562,28 @@ func (w *poolWorker) handle(t task) bool {
 // spans blocks that were cached at dispatch. An unmerged run was all-miss
 // at dispatch and decodes straight through: another read rarely fills
 // one of its blocks before the worker reaches it, and such a block is
-// decoded again and replaced with identical bytes, which costs less in
-// total than a shard lock per block. The blocks the run verified are
-// inserted after its decode loop with the cache's neutral Put, so the
-// run populates the cache for later demand traffic without counting as
-// demand misses or touching prefetch accounting. Peeked blocks and a
-// partial tail are not inserted. now is the ticket's clock reading,
-// which the run's first load starts at; each later load starts at the
-// reading that ended the previous block's verify (or a fresh one after a
-// peeked block), so a run reads the clock twice per block.
+// decoded again and later replaced with identical bytes, which costs
+// less in total than a shard lock per block. The run inserts nothing
+// into the cache itself: it returns which blocks it verified, and the
+// view that collects them inserts them with the cache's neutral Put
+// when it is closed — after the caller has written its response — so
+// the run populates the cache for later demand traffic without counting
+// as demand misses or touching prefetch accounting. now is the ticket's
+// clock reading, which the run's first load starts at; each later load
+// starts at the reading that ended the previous block's verify (or a
+// fresh one after a peeked block), so a run reads the clock twice per
+// block.
 func (w *poolWorker) handleRange(t task, now time.Time) bool {
 	s, rj, img := w.s, t.rng, t.img
 	s.met.queueWait.Observe(now.Sub(t.enq))
-	blocks := make([][]byte, 0, rj.last-rj.first+1)
-	fresh := w.fresh[:0]
+	blocks := make([]runBlock, 0, rj.last-rj.first+1)
 	decoded, decodedBytes := 0, 0
 	stale := false
 	var err error
 	for b := rj.first; b <= rj.last; b++ {
 		if rj.merged {
 			if data, ok := s.cache.Peek(img.key(b)); ok {
-				blocks = append(blocks, data)
+				blocks = append(blocks, runBlock{data: data})
 				stale = true
 				continue
 			}
@@ -575,8 +592,9 @@ func (w *poolWorker) handleRange(t task, now time.Time) bool {
 			}
 		}
 		var (
-			data []byte
-			n    int
+			data     []byte
+			n        int
+			verified bool
 		)
 		switch {
 		case img.health.State() == Quarantined:
@@ -587,30 +605,19 @@ func (w *poolWorker) handleRange(t task, now time.Time) bool {
 			data, n, err = w.decodePrefix(t.ctx, img, b, rj.limit, now)
 		default:
 			data, now, err = w.loadVerified(t.ctx, img, b, nil, true, now)
-			n = len(data)
-			if err == nil {
-				fresh = append(fresh, len(blocks))
-			}
+			n, verified = len(data), true
 		}
 		if err != nil {
 			break
 		}
 		decoded++
 		decodedBytes += n
-		blocks = append(blocks, data)
+		blocks = append(blocks, runBlock{data, verified})
 	}
-	for _, i := range fresh {
-		s.cache.Put(img.key(rj.first+i), blocks[i])
-	}
-	w.fresh = fresh
 	if !w.end() {
 		return false
 	}
-	if err != nil {
-		rj.reply <- rangeResult{err: err}
-		return true
-	}
-	rj.reply <- rangeResult{blocks: blocks, decoded: decoded, decodedBytes: decodedBytes}
+	rj.reply <- rangeResult{blocks: blocks, decoded: decoded, decodedBytes: decodedBytes, err: err}
 	return true
 }
 
@@ -818,6 +825,7 @@ func (s *Server) AddImage(name string, data []byte) (ImageInfo, error) {
 	s.images[name] = img
 	s.mu.Unlock()
 	if replaced {
+		old.removed.Store(true)
 		s.cache.InvalidateImage(old.id)
 	}
 	if img.tiered != nil {
@@ -839,6 +847,7 @@ func (s *Server) RemoveImage(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
+	img.removed.Store(true)
 	s.cache.InvalidateImage(img.id)
 	if img.tiered != nil {
 		s.updateTierGauges()
@@ -1128,8 +1137,9 @@ func (s *Server) SetPolicy(name string, spec PolicySpec) (PolicyInfo, error) {
 }
 
 // warmBlock loads block b of img into the cache as a one-block range
-// ticket — verified and under the pool's watchdog — and waits for it. A
-// block already cached needs no ticket.
+// ticket — verified and under the pool's watchdog — and waits for it.
+// It has no view to insert the block at Close, so it inserts the block
+// itself. A block already cached needs no ticket.
 func (s *Server) warmBlock(img *image, b int) error {
 	if s.cache.Contains(img.key(b)) {
 		return nil
@@ -1141,8 +1151,12 @@ func (s *Server) warmBlock(img *image, b int) error {
 	case <-s.quit:
 		return ErrClosed
 	}
-	_, err := awaitRange(nil, reply, s.drained)
-	return err
+	rr, err := awaitRange(nil, reply, s.drained)
+	if err != nil {
+		return err
+	}
+	s.cache.Put(img.key(b), rr.blocks[0].data)
+	return nil
 }
 
 // Policy reports the image's active policy.

@@ -12,7 +12,7 @@
 // up to the requested offset (codecomp.AppendBlockPrefix) and the
 // result — an unverifiable prefix — is served but never cached. Every
 // other miss block still takes the hardened, sidecar-verified load path
-// and lands in the cache.
+// and lands in the cache when the view is closed.
 package romserver
 
 import (
@@ -30,13 +30,19 @@ import (
 // View is one range or sub-block read's result: the requested bytes as
 // an ordered list of parts, zero-copy views into leased cache blocks
 // and decode buffers. The caller must Close the view when done — until
-// then the leased blocks cannot be freed by eviction — and must not use
+// then the leased blocks cannot be freed by eviction, and the blocks
+// its miss runs verified are not yet in the cache — and must not use
 // the parts afterwards. Views are pooled; use after Close is a bug.
 type View struct {
 	parts  [][]byte
 	leases []blockcache.Lease
-	length int
-	stats  RangeStats
+	// inserts are the verified blocks the view's miss runs decoded,
+	// which Close puts into cache unless img was deregistered meanwhile.
+	inserts []cacheInsert
+	cache   *blockcache.Cache
+	img     *image
+	length  int
+	stats   RangeStats
 	// decodedBytes is how many bytes of codec output this read actually
 	// paid for: full blocks for verified loads, only the requested
 	// prefix for a partial tail decode, zero for cached blocks.
@@ -48,6 +54,12 @@ type View struct {
 	first   int
 	runs    []missRun
 	replies []chan rangeResult
+}
+
+// cacheInsert is one verified block waiting in its view for Close.
+type cacheInsert struct {
+	key  blockcache.Key
+	data []byte
 }
 
 var viewPool = sync.Pool{New: func() any { return &View{} }}
@@ -89,8 +101,10 @@ func (v *View) AppendTo(dst []byte) []byte {
 // writev through net.Buffers, anything else (an http.ResponseWriter's
 // buffered conn, io.Discard in benchmarks) gets one Write per part —
 // either way no concatenation buffer is built and the generic path
-// allocates nothing. The conn path is single-use (a partial write
-// re-slices the parts in place); the leases stay held until Close.
+// allocates nothing. The returned count is the bytes w accepted; a
+// short write with no error returns io.ErrShortWrite. The conn path is
+// single-use (a partial write re-slices the parts in place); the leases
+// stay held until Close.
 func (v *View) WriteTo(w io.Writer) (int64, error) {
 	if c, ok := w.(net.Conn); ok {
 		nb := net.Buffers(v.parts)
@@ -100,6 +114,9 @@ func (v *View) WriteTo(w io.Writer) (int64, error) {
 	for _, p := range v.parts {
 		m, err := w.Write(p)
 		n += int64(m)
+		if err == nil && m < len(p) {
+			err = io.ErrShortWrite
+		}
 		if err != nil {
 			return n, err
 		}
@@ -109,13 +126,31 @@ func (v *View) WriteTo(w io.Writer) (int64, error) {
 
 var _ io.WriterTo = (*View)(nil)
 
-// Close releases every lease the view holds and recycles it. Safe to
+// Close inserts the blocks the view's miss runs verified into the
+// cache, then releases every lease the view holds and recycles it. A
+// view closed after an error inserts the verified blocks it collected
+// before the error. A view whose image was removed or replaced while it
+// was open inserts nothing: no reader could hit those blocks. Safe to
 // call once per view; the view and its parts are invalid afterwards.
 func (v *View) Close() {
 	if !v.open {
 		return
 	}
 	v.open = false
+	if len(v.inserts) > 0 && !v.img.removed.Load() {
+		for _, in := range v.inserts {
+			v.cache.Put(in.key, in.data)
+		}
+		// A deregistration that lands during the Puts may have
+		// invalidated before them; drop them again. One that lands
+		// after this check invalidates after the Puts itself.
+		if v.img.removed.Load() {
+			v.cache.InvalidateImage(v.img.id)
+		}
+	}
+	clear(v.inserts)
+	v.inserts = v.inserts[:0]
+	v.img = nil
 	for i := range v.leases {
 		v.leases[i].Release()
 	}
@@ -141,9 +176,11 @@ type missRun struct{ first, last int }
 // RangeView serves blocks [first,last] as a zero-copy View: cached
 // blocks are leased (Peek semantics — no LRU promotion, no demand
 // accounting), each contiguous miss run is one worker-pool dispatch
-// that decodes, verifies and caches its blocks. A range read triggers
-// no speculative prefetch: the range already states what is wanted.
-// The caller must Close the view.
+// that decodes and verifies its blocks. The verified blocks land in the
+// cache when the view is closed, so a caller that writes the view out
+// first answers its client before paying for the inserts. A range read
+// triggers no speculative prefetch: the range already states what is
+// wanted. The caller must Close the view.
 func (s *Server) RangeView(name string, first, last int) (*View, error) {
 	img, err := s.lookup(name)
 	if err != nil {
@@ -187,8 +224,8 @@ func (s *Server) ReadAt(name string, off, n int) (*View, error) {
 // a healthy image with no fault injector, the final miss block is
 // decoded only up to the needed offset and the (unverifiable) prefix
 // is served without being cached; every full block still takes the
-// verified path and lands in the cache. The caller must Close the
-// view.
+// verified path and lands in the cache when the view is closed. The
+// caller must Close the view.
 func (s *Server) ReadAtContext(ctx context.Context, name string, off, n int) (*View, error) {
 	img, err := s.lookup(name)
 	if err != nil {
@@ -253,7 +290,7 @@ func (s *Server) viewBlocks(ctx context.Context, img *image, v *View, first, las
 	if err := s.dispatchView(ctx, img, v, first, last, limit, false); err != nil {
 		return err
 	}
-	return s.awaitView(ctx, v)
+	return s.awaitView(ctx, img, v)
 }
 
 // dispatchView is the first half of viewBlocks: it leases the cached
@@ -269,6 +306,8 @@ func (s *Server) dispatchView(ctx context.Context, img *image, v *View, first, l
 	st := &v.stats
 	st.Blocks = last - first + 1
 	v.first = first
+	v.cache = s.cache
+	v.img = img
 	if cap(v.parts) >= st.Blocks {
 		v.parts = v.parts[:st.Blocks]
 	} else {
@@ -323,17 +362,25 @@ func (s *Server) dispatchView(ctx context.Context, img *image, v *View, first, l
 }
 
 // awaitView is the second half of viewBlocks: it waits for every ticket
-// dispatchView enqueued and drops the decoded blocks into their parts.
-func (s *Server) awaitView(ctx context.Context, v *View) error {
+// dispatchView enqueued, drops the decoded blocks into their parts and
+// records the verified ones for Close to insert — also those of a run
+// that failed part-way.
+func (s *Server) awaitView(ctx context.Context, img *image, v *View) error {
 	st := &v.stats
 	for i, reply := range v.replies {
 		rr, err := awaitRange(ctx, reply, s.drained)
+		first := v.runs[i].first
+		for j, rb := range rr.blocks {
+			v.parts[first-v.first+j] = rb.data
+			if rb.verified {
+				v.inserts = append(v.inserts, cacheInsert{img.key(first + j), rb.data})
+			}
+		}
 		if err != nil {
 			return err
 		}
 		st.DecodedBlocks += rr.decoded
 		v.decodedBytes += rr.decodedBytes
-		copy(v.parts[v.runs[i].first-v.first:], rr.blocks)
 	}
 	s.met.rangeCachedBlocks.Add(int64(st.CachedBlocks))
 	s.met.rangeDecodedBlocks.Add(int64(st.DecodedBlocks))
@@ -367,11 +414,10 @@ func (w *poolWorker) decodePrefix(ctx context.Context, img *image, block, limit 
 	if err != nil {
 		return nil, 0, err
 	}
-	s.met.decode.Observe(d)
-	img.decompressions.Add(1)
-	s.met.decompressions.Inc()
-	img.decompressNanos.Add(int64(d))
-	img.decompressedBytes.Add(int64(n))
+	w.acct.decode.Observe(d)
+	w.acct.decompressions++
+	w.acct.decompressNanos += int64(d)
+	w.acct.decompressedBytes += int64(n)
 	s.met.partialDecodes.Inc()
 	s.met.partialDecodedBytes.Add(int64(n))
 	return out, n, nil
@@ -408,13 +454,15 @@ func (s *Server) WriteText(name string, w io.Writer) (int64, error) {
 // materializing it — the /text endpoint's backend. Every block decodes
 // on its own, so the read is pipelined: the image is walked in
 // textWindow-block windows, each a batched range read (leased cached
-// blocks, one verified-and-cached pool ticket spanning the window's
-// misses, overload admission per window), and up to Options.Workers
-// windows are in flight while the oldest is awaited and written, so
-// later windows decode on other workers meanwhile. An expired ctx stops
-// further dispatches; windows still in flight when the call returns
-// early are abandoned, and their tickets still queued are retired
-// undecoded. Returns how many bytes were written before any error.
+// blocks, one verifying pool ticket spanning the window's misses,
+// overload admission per window), and up to Options.Workers windows are
+// in flight while the oldest is awaited and written, so later windows
+// decode on other workers meanwhile. A window's verified blocks land in
+// the cache when it is closed, right after it is written. An expired
+// ctx stops further dispatches; windows still in flight when the call
+// returns early are abandoned, and their tickets still queued are
+// retired undecoded. Returns how many bytes were written before any
+// error.
 func (s *Server) WriteTextContext(ctx context.Context, name string, w io.Writer) (int64, error) {
 	img, err := s.lookup(name)
 	if err != nil {
@@ -450,7 +498,7 @@ func (s *Server) WriteTextContext(ctx context.Context, name string, w io.Writer)
 			next = last + 1
 		}
 		v := ahead[0]
-		if err := s.awaitView(ctx, v); err != nil {
+		if err := s.awaitView(ctx, img, v); err != nil {
 			return n, err
 		}
 		m, err := v.WriteTo(w)

@@ -58,9 +58,14 @@ type poolWorker struct {
 	timeout time.Duration
 	block   int
 
-	// fresh is handleRange's scratch list of the blocks a run verified,
-	// reused across tickets.
-	fresh []int
+	// The ticket's context, resolved once by bind: its Done channel
+	// (nil for none) and its deadline (zero for none). Worker-owned,
+	// like acct.
+	done <-chan struct{}
+	dl   time.Time
+	// acct accumulates the ticket's load-path observations until end
+	// publishes them.
+	acct loadAcct
 }
 
 // startWorker adds one goroutine to the pool. The caller accounts for
@@ -97,11 +102,48 @@ func (w *poolWorker) run() {
 	}
 }
 
+// bind resolves ticket context ctx (nil for none) once, at the
+// ticket's clock reading now: the worker keeps its Done channel and
+// deadline for every guarded section the ticket opens, and the
+// returned timeout bounds the ticket's start. An error (the context's,
+// or DeadlineExceeded for a deadline that passed before the context
+// noticed) means the ticket must not start.
+func (w *poolWorker) bind(ctx context.Context, now time.Time) (time.Duration, error) {
+	w.done, w.dl = nil, time.Time{}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		w.done = ctx.Done()
+		w.dl, _ = ctx.Deadline()
+	}
+	return w.timeoutAt(now)
+}
+
+// timeoutAt is how long a guarded section starting at now may run:
+// LoadTimeout (non-positive: unbounded), clamped by the ticket's
+// deadline, so a propagated client deadline bounds the decompression
+// it pays for.
+func (w *poolWorker) timeoutAt(now time.Time) (time.Duration, error) {
+	timeout := w.s.opts.LoadTimeout
+	if !w.dl.IsZero() {
+		rem := w.dl.Sub(now)
+		if rem <= 0 {
+			return 0, context.DeadlineExceeded
+		}
+		if timeout <= 0 || rem < timeout {
+			timeout = rem
+		}
+	}
+	return timeout, nil
+}
+
 // begin starts ticket t at now under the watchdog, bounded by timeout
 // (non-positive: unbounded). The caller passes the clock reading it
 // needs anyway, so arming costs a cache hit no extra reading.
 func (w *poolWorker) begin(t task, timeout time.Duration, now time.Time) {
 	w.s.inflight.Add(1)
+	w.acct.img = t.img
 	w.mu.Lock()
 	w.t, w.busy = t, true
 	w.guardLocked(t.block, timeout, now)
@@ -109,13 +151,18 @@ func (w *poolWorker) begin(t task, timeout time.Duration, now time.Time) {
 }
 
 // guard opens a guarded section — a peer fill or one decode attempt of
-// block — starting at now, with a fresh deadline from
-// effectiveTimeout(ctx, now). It reads no clock: now is the caller's
-// reading. An error means the section must not start: the request
-// context is done, or the watchdog already retired this goroutine
-// (errOutlived).
+// block — starting at now, bounded by timeoutAt(now). It reads no
+// clock, and it asks ctx (the ticket's) only for its error once bind's
+// Done channel is closed. An error means the section must not start:
+// the request context is done, or the watchdog already retired this
+// goroutine (errOutlived).
 func (w *poolWorker) guard(ctx context.Context, block int, now time.Time) error {
-	timeout, err := w.s.effectiveTimeout(ctx, now)
+	select {
+	case <-w.done:
+		return ctx.Err()
+	default:
+	}
+	timeout, err := w.timeoutAt(now)
 	if err != nil {
 		return err
 	}
@@ -152,10 +199,12 @@ func (w *poolWorker) settle() bool {
 	return !w.retired
 }
 
-// end finishes the ticket and disarms the watchdog. false means the
-// watchdog answered the ticket instead: the caller must not reply, and
-// the goroutine must exit.
+// end finishes the ticket: it publishes the ticket's load-path
+// observations, also for a goroutine the watchdog retired, and disarms
+// the watchdog. false means the watchdog answered the ticket instead:
+// the caller must not reply, and the goroutine must exit.
 func (w *poolWorker) end() bool {
+	w.acct.flush(w.s.met)
 	w.mu.Lock()
 	if w.retired {
 		w.mu.Unlock()
