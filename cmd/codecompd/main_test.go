@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,36 +17,41 @@ import (
 	"time"
 
 	"codecomp"
+	"codecomp/internal/cluster"
 	"codecomp/internal/obsv"
 	"codecomp/internal/overload"
 	"codecomp/internal/romserver"
 )
 
-func testConfig() config {
-	return config{
-		cacheBlocks: 64,
-		cacheShards: 4,
-		workers:     2,
-		prefetch:    2,
-		traceBuffer: 1024,
-		maxImage:    16 << 20,
-		retries:     2,
-		traceRing:   64,
-		traceSample: 1,
-	}
+// testFlags configure the small daemon the tests run; a test appends
+// its own flags to override them.
+var testFlags = []string{
+	"-cache-blocks=64", "-cache-shards=4", "-workers=2", "-prefetch=2",
+	"-trace-buffer=1024", "-max-image-bytes=16777216", "-retries=2",
+	"-trace-ring=64", "-trace-sample=1", "-load-timeout=0", "-reverify=0",
+	"-overload=false", "-tiering-interval=0",
 }
 
-// startDaemon builds a daemon from cfg, serves its mux over httptest and
-// uploads one SAMC image named "prog". Returns the test server and the
-// image's block count.
-func startDaemon(t *testing.T, cfg config) (*daemon, *httptest.Server, int) {
+// newNode builds the node codecompd would build from testFlags plus
+// args, and the handler it would serve.
+func newNode(t *testing.T, args ...string) (*cluster.Node, http.Handler) {
 	t.Helper()
-	d, err := newDaemon(cfg)
+	opts, _, enablePprof := parseFlags(append(append([]string(nil), testFlags...), args...))
+	n, err := cluster.NewNode(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { d.rs.Close() })
-	ts := httptest.NewServer(d.mux)
+	t.Cleanup(func() { n.Close() })
+	return n, handler(n, enablePprof)
+}
+
+// startDaemon builds a daemon from testFlags plus args, serves it over
+// httptest and uploads one SAMC image named "prog". Returns the node,
+// the test server and the image's block count.
+func startDaemon(t *testing.T, args ...string) (*cluster.Node, *httptest.Server, int) {
+	t.Helper()
+	n, h := newNode(t, args...)
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 
 	prog := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv"))
@@ -68,7 +73,77 @@ func startDaemon(t *testing.T, cfg config) (*daemon, *httptest.Server, int) {
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
-	return d, ts, info.Blocks
+	return n, ts, info.Blocks
+}
+
+// TestOperationsDocCoversRegistry walks every family a live daemon
+// registers and asserts docs/OPERATIONS.md documents it by name — the
+// metrics reference cannot silently rot. Overload and a data dir are
+// switched on so the optional families register too.
+func TestOperationsDocCoversRegistry(t *testing.T) {
+	n, _ := newNode(t, "-overload=true", "-data-dir="+t.TempDir())
+	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatalf("operator runbook missing: %v", err)
+	}
+	var missing []string
+	for _, f := range n.Registry().Families() {
+		if !strings.Contains(string(doc), f.Name) {
+			missing = append(missing, f.Name)
+		}
+	}
+	if len(missing) > 0 {
+		t.Fatalf("docs/OPERATIONS.md does not document %d registered metrics:\n  %s",
+			len(missing), strings.Join(missing, "\n  "))
+	}
+}
+
+// TestParseFlagsNodeOptions pins the flag → NodeOptions translation:
+// the defaults, and the zero durations that mean "disabled" (-1 to the
+// romserver, whose zero means its own default).
+func TestParseFlagsNodeOptions(t *testing.T) {
+	opts, srv, enablePprof := parseFlags(nil)
+	want := cluster.NodeOptions{
+		Name:          "codecompd",
+		MaxImageBytes: 64 << 20,
+		Server: romserver.Options{
+			CacheBlocks:      8192,
+			CacheShards:      16,
+			Workers:          8,
+			PrefetchDepth:    4,
+			TraceBuffer:      65536,
+			LoadTimeout:      5 * time.Second,
+			LoadAttempts:     3,
+			ReverifyInterval: 2 * time.Second,
+			Tracer:           obsv.NewTracer(256, 16),
+			Overload:         &overload.Config{},
+			Tiering:          &romserver.TieringOptions{Interval: 10 * time.Second},
+		},
+	}
+	if !reflect.DeepEqual(opts, want) {
+		t.Errorf("default options:\n got %+v\nwant %+v", opts, want)
+	}
+	if srv.Addr != ":8077" || srv.ReadTimeout != 30*time.Second ||
+		srv.WriteTimeout != 2*time.Minute || srv.IdleTimeout != 2*time.Minute || enablePprof {
+		t.Errorf("default server: %s %v %v %v pprof=%v",
+			srv.Addr, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout, enablePprof)
+	}
+
+	opts, _, enablePprof = parseFlags([]string{
+		"-load-timeout=0", "-reverify=0", "-tiering-interval=0", "-overload=false",
+		"-data-dir=/var/lib/codecompd", "-enable-fault-injection", "-enable-pprof",
+		"-trace-ring=8", "-trace-sample=1",
+	})
+	want.DataDir = "/var/lib/codecompd"
+	want.AllowFaults = true
+	want.Server.LoadTimeout = -1
+	want.Server.ReverifyInterval = -1
+	want.Server.Tiering = &romserver.TieringOptions{Interval: -1}
+	want.Server.Overload = nil
+	want.Server.Tracer = obsv.NewTracer(8, 1)
+	if !reflect.DeepEqual(opts, want) || !enablePprof {
+		t.Errorf("zero durations:\n got %+v\nwant %+v (pprof=%v)", opts, want, enablePprof)
+	}
 }
 
 func get(t *testing.T, url string, hdr map[string]string) (*http.Response, []byte) {
@@ -96,7 +171,7 @@ func get(t *testing.T, url string, hdr map[string]string) (*http.Response, []byt
 // asserts the default /metrics exposition is valid Prometheus text that
 // our own parser round-trips, with non-zero per-route latency tails.
 func TestMetricsPrometheusRoundTrip(t *testing.T) {
-	_, ts, blocks := startDaemon(t, testConfig())
+	_, ts, blocks := startDaemon(t)
 	for i := 0; i < blocks; i++ {
 		resp, _ := get(t, fmt.Sprintf("%s/images/prog/blocks/%d", ts.URL, i), nil)
 		if resp.StatusCode != http.StatusOK {
@@ -147,7 +222,7 @@ func TestMetricsPrometheusRoundTrip(t *testing.T) {
 // TestMetricsJSONNegotiation asserts the legacy JSON stats shape is still
 // served when the client asks for it (loadgen does).
 func TestMetricsJSONNegotiation(t *testing.T) {
-	_, ts, _ := startDaemon(t, testConfig())
+	_, ts, _ := startDaemon(t)
 	for _, u := range []struct {
 		url string
 		hdr map[string]string
@@ -172,7 +247,7 @@ func TestMetricsJSONNegotiation(t *testing.T) {
 // TestErrorCounter asserts 4xx responses land in the per-route error
 // counter.
 func TestErrorCounter(t *testing.T) {
-	d, ts, _ := startDaemon(t, testConfig())
+	_, ts, _ := startDaemon(t)
 	resp, _ := get(t, ts.URL+"/images/absent", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing image: %d", resp.StatusCode)
@@ -185,13 +260,12 @@ func TestErrorCounter(t *testing.T) {
 	if errs, _ := p.Value("codecompd_http_errors_total", map[string]string{"route": "image"}); errs != 1 {
 		t.Errorf("errors_total{route=image} = %v, want 1", errs)
 	}
-	_ = d
 }
 
 // TestDebugTraces asserts /debug/traces serves sampled block-load spans
 // with the load phases.
 func TestDebugTraces(t *testing.T) {
-	_, ts, blocks := startDaemon(t, testConfig()) // traceSample: 1
+	_, ts, blocks := startDaemon(t) // traceSample: 1
 	for i := 0; i < blocks && i < 8; i++ {
 		get(t, fmt.Sprintf("%s/images/prog/blocks/%d", ts.URL, i), nil)
 	}
@@ -232,40 +306,13 @@ func TestDebugTraces(t *testing.T) {
 // TestPprofGating asserts the profiling endpoints only exist behind
 // -enable-pprof.
 func TestPprofGating(t *testing.T) {
-	_, off, _ := startDaemon(t, testConfig())
+	_, off, _ := startDaemon(t)
 	if resp, _ := get(t, off.URL+"/debug/pprof/", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("pprof served without -enable-pprof: %d", resp.StatusCode)
 	}
-	cfgOn := testConfig()
-	cfgOn.enablePprof = true
-	_, on, _ := startDaemon(t, cfgOn)
+	_, on, _ := startDaemon(t, "-enable-pprof")
 	if resp, _ := get(t, on.URL+"/debug/pprof/", nil); resp.StatusCode != http.StatusOK {
 		t.Errorf("pprof absent with -enable-pprof: %d", resp.StatusCode)
-	}
-}
-
-// TestOperationsDocCoversRegistry walks every family a live daemon
-// registers and asserts docs/OPERATIONS.md documents it by name — the
-// metrics reference cannot silently rot.
-func TestOperationsDocCoversRegistry(t *testing.T) {
-	d, err := newDaemon(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.rs.Close()
-	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
-	if err != nil {
-		t.Fatalf("operator runbook missing: %v", err)
-	}
-	var missing []string
-	for _, f := range d.reg.Families() {
-		if !strings.Contains(string(doc), f.Name) {
-			missing = append(missing, f.Name)
-		}
-	}
-	if len(missing) > 0 {
-		t.Fatalf("docs/OPERATIONS.md does not document %d registered metrics:\n  %s",
-			len(missing), strings.Join(missing, "\n  "))
 	}
 }
 
@@ -274,18 +321,13 @@ func TestOperationsDocCoversRegistry(t *testing.T) {
 // directory: the image must come back readable with no re-upload, and
 // deletion must forget it on disk too.
 func TestDataDirPersistence(t *testing.T) {
-	cfg := testConfig()
-	cfg.dataDir = t.TempDir()
-	d1, ts1, _ := startDaemon(t, cfg)
+	dataDir := "-data-dir=" + t.TempDir()
+	n1, ts1, _ := startDaemon(t, dataDir)
 	ts1.Close()
-	d1.rs.Close()
+	n1.Close()
 
-	d2, err := newDaemon(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.rs.Close()
-	ts2 := httptest.NewServer(d2.mux)
+	_, h2 := newNode(t, dataDir)
+	ts2 := httptest.NewServer(h2)
 	defer ts2.Close()
 
 	resp, err := http.Get(ts2.URL + "/images/prog/blocks/0")
@@ -302,12 +344,8 @@ func TestDataDirPersistence(t *testing.T) {
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: %v %v", resp.Status, err)
 	}
-	d3, err := newDaemon(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d3.rs.Close()
-	if imgs := d3.rs.Images(); len(imgs) != 0 {
+	n3, _ := newNode(t, dataDir)
+	if imgs := n3.Server().Images(); len(imgs) != 0 {
 		t.Fatalf("deleted image resurrected on restart: %v", imgs)
 	}
 }
@@ -317,9 +355,7 @@ func TestDataDirPersistence(t *testing.T) {
 // show the batched path amortizing dispatches below one-per-block, and
 // malformed or out-of-range requests must fail cleanly.
 func TestRangeEndpoint(t *testing.T) {
-	cfg := testConfig()
-	cfg.prefetch = -1 // keep the cached-block count deterministic
-	_, ts, blocks := startDaemon(t, cfg)
+	_, ts, blocks := startDaemon(t, "-prefetch=-1") // keep the cached-block count deterministic
 	text := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv")).Text()
 
 	// Warm two scattered blocks so the range has both cached blocks and
@@ -378,9 +414,7 @@ func TestRangeEndpoint(t *testing.T) {
 // (X-Decoded-Bytes), and clean failures for malformed or out-of-range
 // windows.
 func TestBytesEndpoint(t *testing.T) {
-	cfg := testConfig()
-	cfg.prefetch = -1
-	_, ts, _ := startDaemon(t, cfg)
+	_, ts, _ := startDaemon(t, "-prefetch=-1")
 	text := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv")).Text()
 
 	// Cold sub-block read ending mid-block: blocks 0..2 decode fully,
@@ -455,12 +489,12 @@ func TestBytesEndpoint(t *testing.T) {
 // wraps is a 404 out-of-range read, not a whole-image decode that fails
 // as a codec panic.
 func TestBytesEndpointHugeLen(t *testing.T) {
-	d, ts, _ := startDaemon(t, testConfig())
+	n, ts, _ := startDaemon(t)
 	resp, body := get(t, fmt.Sprintf("%s/images/prog/bytes?off=1&len=%d", ts.URL, math.MaxInt64), nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("bytes?off=1&len=MaxInt64: %d: %s, want 404", resp.StatusCode, body)
 	}
-	if st := d.rs.Stats(); st.Faults.PanicsRecovered != 0 || st.Images[0].Decompressions != 0 {
+	if st := n.Server().Stats(); st.Faults.PanicsRecovered != 0 || st.Images[0].Decompressions != 0 {
 		t.Fatalf("huge read recovered %d panics and decoded %d blocks, want 0 and 0",
 			st.Faults.PanicsRecovered, st.Images[0].Decompressions)
 	}
@@ -470,7 +504,7 @@ func TestBytesEndpointHugeLen(t *testing.T) {
 // through the batched range path — the full upload→detect→decode loop
 // for the new codec.
 func TestRangeEndpointRANS(t *testing.T) {
-	_, ts, _ := startDaemon(t, testConfig())
+	_, ts, _ := startDaemon(t)
 	text := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv")).Text()
 	img, err := codecomp.CompressRANS(text, codecomp.RANSOptions{})
 	if err != nil {
@@ -498,43 +532,10 @@ func TestRangeEndpointRANS(t *testing.T) {
 	}
 }
 
-// TestWriteErrOverloadMapping pins the daemon's overload status mapping:
-// admission rejects are 429 + Retry-After, brownout sheds are 503 +
-// Retry-After, propagated-deadline expiry is 504, and an invalid
-// X-Deadline-Ms header is the caller's fault (400).
-func TestWriteErrOverloadMapping(t *testing.T) {
-	cases := []struct {
-		name       string
-		err        error
-		status     int
-		retryAfter bool
-	}{
-		{"admission deadline", &overload.RejectError{Reason: overload.ReasonDeadline, RetryAfter: 2 * time.Second}, http.StatusTooManyRequests, true},
-		{"admission queue full", &overload.RejectError{Reason: overload.ReasonQueueFull, RetryAfter: time.Second}, http.StatusTooManyRequests, true},
-		{"brownout shed", &overload.RejectError{Reason: overload.ReasonBrownout, RetryAfter: 3 * time.Second}, http.StatusServiceUnavailable, true},
-		{"deadline expired", context.DeadlineExceeded, http.StatusGatewayTimeout, false},
-		{"canceled", context.Canceled, http.StatusGatewayTimeout, false},
-		{"quarantined", romserver.ErrQuarantined, http.StatusServiceUnavailable, false},
-		{"timeout", romserver.ErrDecompressTimeout, http.StatusGatewayTimeout, false},
-	}
-	for _, tc := range cases {
-		rec := httptest.NewRecorder()
-		writeErr(rec, tc.err)
-		if rec.Code != tc.status {
-			t.Errorf("%s: status = %d, want %d", tc.name, rec.Code, tc.status)
-		}
-		if got := rec.Header().Get("Retry-After") != ""; got != tc.retryAfter {
-			t.Errorf("%s: Retry-After present = %v, want %v", tc.name, got, tc.retryAfter)
-		}
-	}
-}
-
 // TestBlockDeadlineHeader drives the header end to end over HTTP: a
 // generous propagated deadline serves normally, a malformed one is 400.
 func TestBlockDeadlineHeader(t *testing.T) {
-	cfg := testConfig()
-	cfg.overload = true
-	_, ts, _ := startDaemon(t, cfg)
+	_, ts, _ := startDaemon(t, "-overload")
 
 	resp, _ := get(t, ts.URL+"/images/prog/blocks/0", map[string]string{"X-Deadline-Ms": "5000"})
 	if resp.StatusCode != http.StatusOK {
@@ -626,7 +627,7 @@ func doReq(t *testing.T, method, url, body string) (*http.Response, []byte) {
 // forced recompression pass that migrates the trained hot set while the
 // served text stays byte-exact.
 func TestTieringEndpoints(t *testing.T) {
-	_, ts, _ := startDaemon(t, testConfig()) // "prog" is single-codec SAMC
+	_, ts, _ := startDaemon(t) // "prog" is single-codec SAMC
 	text := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv")).Text()
 	info := uploadTiered(t, ts, "tprog", text)
 
@@ -734,9 +735,8 @@ func TestTieringEndpoints(t *testing.T) {
 // same directory: the recovered image must serve byte-exact text AND
 // carry the migrated tier map, not the upload-time one.
 func TestTieredDataDirPersistence(t *testing.T) {
-	cfg := testConfig()
-	cfg.dataDir = t.TempDir()
-	d1, ts1, _ := startDaemon(t, cfg)
+	dataDir := "-data-dir=" + t.TempDir()
+	n1, ts1, _ := startDaemon(t, dataDir)
 	text := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv")).Text()
 	info := uploadTiered(t, ts1, "tprog", text)
 
@@ -764,14 +764,10 @@ func TestTieredDataDirPersistence(t *testing.T) {
 		t.Fatal("nothing migrated before restart")
 	}
 	ts1.Close()
-	d1.rs.Close()
+	n1.Close()
 
-	d2, err := newDaemon(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.rs.Close()
-	ts2 := httptest.NewServer(d2.mux)
+	_, h2 := newNode(t, dataDir)
+	ts2 := httptest.NewServer(h2)
 	defer ts2.Close()
 
 	_, body = get(t, ts2.URL+"/images/tprog/tiering", nil)
@@ -795,9 +791,12 @@ func TestTieredDataDirPersistence(t *testing.T) {
 // must hold the same names, and each registered image must serve
 // exactly the bytes stored for it.
 func TestUploadDeleteStormKeepsStoreInStep(t *testing.T) {
-	cfg := testConfig()
-	cfg.dataDir = t.TempDir()
-	d, _, _ := startDaemon(t, cfg)
+	dir := t.TempDir()
+	n, _, _ := startDaemon(t, "-data-dir="+dir)
+	st, err := cluster.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	text := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv")).Text()
 	var payloads [2]string
 	for k, n := range []int{len(text), len(text) / 2} {
@@ -809,7 +808,7 @@ func TestUploadDeleteStormKeepsStoreInStep(t *testing.T) {
 	}
 	serve := func(method, url, body string) {
 		rec := httptest.NewRecorder()
-		d.mux.ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)))
+		n.Handler().ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)))
 		if rec.Code >= 500 {
 			t.Errorf("%s %s: %d: %s", method, url, rec.Code, rec.Body)
 		}
@@ -831,20 +830,20 @@ func TestUploadDeleteStormKeepsStoreInStep(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
-		checkStoreMatchesRegistry(t, d)
+		checkStoreMatchesRegistry(t, n, st)
 	}
 }
 
-// checkStoreMatchesRegistry fails unless the daemon's store and
-// registry hold the same image names with the same decompressed bytes.
-func checkStoreMatchesRegistry(t *testing.T, d *daemon) {
+// checkStoreMatchesRegistry fails unless the node's store and registry
+// hold the same image names with the same decompressed bytes.
+func checkStoreMatchesRegistry(t *testing.T, n *cluster.Node, st *cluster.Store) {
 	t.Helper()
-	stored, errs := d.store.Load()
+	stored, errs := st.Load()
 	if len(errs) > 0 {
 		t.Fatal(errs)
 	}
 	registered := map[string]bool{}
-	for _, info := range d.rs.Images() {
+	for _, info := range n.Server().Images() {
 		registered[info.Name] = true
 	}
 	if len(stored) != len(registered) {
@@ -863,7 +862,7 @@ func checkStoreMatchesRegistry(t *testing.T, d *daemon) {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
-		if _, err := d.rs.WriteText(im.Name, &got); err != nil {
+		if _, err := n.Server().WriteText(im.Name, &got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {

@@ -1,19 +1,21 @@
-// Package cluster turns the single-process codecompd serving stack into
-// an N-node sharded service. It provides the four pieces a cluster
-// needs and nothing the single-node path doesn't already have:
+// Package cluster holds the one HTTP serving node, which cmd/codecompd
+// runs on its own, and turns it into an N-node sharded service. It
+// provides the four pieces a cluster needs:
 //
 //   - a consistent-hash ring (ring.go): virtual nodes, a configurable
 //     replication factor, and generation-stamped epochs. Rings are
 //     immutable values swapped atomically, so an in-flight request
 //     resolves its whole replica set against one placement and can
 //     never observe a half-applied rebalance;
-//   - a node (node.go): one romserver.Server wrapped with the core
-//     serving HTTP API, write-through disk persistence (store.go) so a
-//     restarted node recovers its registered images without
-//     re-registration, and peer cache-fill — a local miss asks the
-//     image's replica peers' hot caches over a compact /internal API
-//     before paying for a decompression, with every filled block
-//     re-verified against the local integrity sidecar;
+//   - a node (node.go, api.go): one romserver.Server behind the full
+//     serving HTTP API — the only one in the repo; cmd/codecompd is one
+//     node built from its flags — with optional write-through disk
+//     persistence (store.go) so a restarted node recovers its
+//     registered images without re-registration, and peer cache-fill —
+//     a local miss asks the image's replica peers' hot caches over a
+//     compact /internal API before paying for a decompression, with
+//     every filled block re-verified against the local integrity
+//     sidecar;
 //   - a router (router.go): the thin proxy tier. It places images on
 //     the ring, fans registrations out to all replicas, serves block
 //     reads with request hedging (a second replica is tried after a

@@ -11,6 +11,8 @@ import (
 
 	"codecomp"
 	"codecomp/internal/cluster/client"
+	"codecomp/internal/obsv"
+	"codecomp/internal/overload"
 	"codecomp/internal/romserver"
 )
 
@@ -382,7 +384,22 @@ func TestRouterHTTPAPI(t *testing.T) {
 	if _, err := cli.Image("prog"); err != nil {
 		t.Fatal(err)
 	}
+	// The per-route series count every block request exactly once, and
+	// a 404 is the caller's error, not the router's.
+	reg := h.Router().Registry()
+	blockReqs := reg.CounterVec("router_requests_total", "", "route").With("block")
+	imageErrs := reg.CounterVec("router_errors_total", "", "route").With("image")
+	before := blockReqs.Value()
 	verifyImage(t, cli, "prog", text, info.Blocks, testBlockSize)
+	if got := blockReqs.Value() - before; got != int64(info.Blocks) {
+		t.Fatalf(`router_requests_total{route="block"} rose by %d over %d block reads`, got, info.Blocks)
+	}
+	if _, err := cli.Image("absent"); err == nil {
+		t.Fatal("Image(absent) succeeded")
+	}
+	if got := imageErrs.Value(); got != 0 {
+		t.Fatalf(`router_errors_total{route="image"} = %d after a 404, want 0`, got)
+	}
 
 	// Sub-block byte reads proxy through the same hedged placement path;
 	// bytes must be exact and a mid-block tail must decode less than its
@@ -436,14 +453,23 @@ func TestRouterHTTPAPI(t *testing.T) {
 
 // TestOperationsDocCoversClusterRegistries walks every metric family a
 // live node and a live router register and asserts docs/OPERATIONS.md
-// documents it by name — same contract the daemon's registry already
-// has, extended to the cluster tier.
+// documents it by name, so the metrics reference cannot silently rot.
+// The node is configured as codecompd's defaults configure it (tracer,
+// overload, tiering) plus a data dir, so every optional family
+// registers.
 func TestOperationsDocCoversClusterRegistries(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
 	if err != nil {
 		t.Fatalf("operator runbook missing: %v", err)
 	}
-	n, err := NewNode(NodeOptions{Name: "doc", DataDir: t.TempDir(), Logf: discardLogf})
+	n, err := NewNode(NodeOptions{
+		Name: "doc", DataDir: t.TempDir(), Logf: discardLogf,
+		Server: romserver.Options{
+			Tracer:   obsv.NewTracer(16, 1),
+			Overload: &overload.Config{},
+			Tiering:  &romserver.TieringOptions{Interval: -1},
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1014,16 +1014,22 @@ func (rt *Router) clusterStats() client.ClusterStats {
 // /cluster admin endpoints.
 func (rt *Router) buildMux() {
 	mux := http.NewServeMux()
+	// Each route resolves its labeled series once, here, and counts an
+	// error only at status >= 500: a 4xx is the caller's mistake, not the
+	// cluster's.
 	handle := func(pattern, route string, h http.HandlerFunc) {
+		reqs := rt.requests.With(route)
+		errs := rt.errorsTotal.With(route)
+		lat := rt.requestSeconds.With(route)
 		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 			start := time.Now()
-			rt.requests.With(route).Inc()
-			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+			reqs.Inc()
+			sw := &statusWriter{ResponseWriter: w}
 			h(sw, r)
 			if sw.status >= 500 {
-				rt.errorsTotal.With(route).Inc()
+				errs.Inc()
 			}
-			rt.requestSeconds.With(route).Observe(time.Since(start))
+			lat.Observe(time.Since(start))
 		})
 	}
 	handle("POST /images", "upload", func(w http.ResponseWriter, r *http.Request) {
@@ -1180,19 +1186,6 @@ func (rt *Router) buildMux() {
 		rt.reg.WritePrometheus(w) //nolint:errcheck — client went away
 	})
 	rt.mux = mux
-}
-
-// statusWriter captures the response status for per-route error
-// accounting.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-// WriteHeader records the status before delegating.
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
 }
 
 // writeRouterErr maps proxy errors onto HTTP statuses: placement
