@@ -3,8 +3,8 @@
 //
 //   - Every package in the module must carry a package doc comment (on any
 //     one of its files).
-//   - In strict packages (-strict, default the documented library surface:
-//     obsv, policy, faultinj, traceprof), every exported top-level
+//   - In strict packages (-strict, default the documented library surface
+//     and the loadgen drills), every exported top-level
 //     declaration — funcs, methods with exported receivers, types, and
 //     exported const/var specs — must carry its own doc comment.
 //
@@ -33,7 +33,7 @@ import (
 
 func main() {
 	strict := flag.String("strict",
-		"internal/obsv,internal/policy,internal/faultinj,internal/traceprof,internal/cluster,internal/cluster/client,internal/overload,internal/blockcache,internal/rans,internal/tiering",
+		"internal/obsv,internal/policy,internal/faultinj,internal/traceprof,internal/cluster,internal/cluster/client,internal/overload,internal/blockcache,internal/rans,internal/tiering,internal/drill",
 		"comma-separated package dirs where every exported declaration needs a doc comment")
 	root := flag.String("root", ".", "module root to lint")
 	flag.Parse()

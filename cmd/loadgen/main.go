@@ -4,7 +4,8 @@
 // compresses and uploads it, walks the program's control-flow trace
 // collapsed to block-change granularity (a refill engine behind a one-line
 // buffer only fetches when the block changes), and issues the resulting
-// block reads over HTTP from a pool of concurrent clients.
+// block reads over HTTP from a pool of concurrent clients, verifying every
+// served block against the original program.
 //
 // At the end it reports client-side throughput, the server's cache hit
 // ratio, prefetch activity and decompression counts from the /metrics JSON
@@ -22,15 +23,13 @@
 // generated trace can be saved with -tracefile for later replay through
 // traceprof tooling or a /train upload.
 //
-// With -chaos it becomes an end-to-end fault drill: it installs a
-// deterministic fault injector on the uploaded image (bit flips, transient
-// errors, one permanently panicking block), replays the trace while
-// verifying every served block byte-for-byte against the original text,
-// watches the image's health degrade in /metrics, then lifts the faults
-// and waits for the background re-verifier to walk it back to healthy.
-// The run fails (exit 1) if a single corrupt byte is ever served, if the
-// daemon stops answering, if the injected faults go undetected, or if the
-// image does not recover. Requires `codecompd -enable-fault-injection`.
+// With -chaos it becomes an end-to-end fault drill against the daemon
+// (which must run with -enable-fault-injection); -range, -qps, -cluster,
+// -subblock, -overload and -tiering select the other replays and drills,
+// the last four self-contained in process. The replays and drills live in
+// internal/drill, whose package doc lists what each one checks; this
+// command only parses flags and dispatches. A drill exits 1 on any
+// invariant violation.
 //
 // Example (after `codecompd -addr :8077 -cache-blocks 256`):
 //
@@ -41,1126 +40,108 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
-	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"codecomp"
-	"codecomp/internal/blockcache"
-	"codecomp/internal/cluster"
 	"codecomp/internal/cluster/client"
-	"codecomp/internal/faultinj"
-	"codecomp/internal/memsys"
-	"codecomp/internal/obsv"
+	"codecomp/internal/drill"
 	"codecomp/internal/overload"
-	"codecomp/internal/policy"
-	"codecomp/internal/romserver"
-	"codecomp/internal/traceprof"
 )
 
 func main() {
-	addr := flag.String("addr", "http://localhost:8077", "codecompd base URL")
-	profile := flag.String("profile", "gcc", "synthetic SPEC95 profile to generate")
-	alg := flag.String("alg", "samc", "compression algorithm: samc, sadc, huff, rans")
-	name := flag.String("name", "", "image name on the server (default <profile>-<alg>)")
-	traceLen := flag.Int("trace", 200000, "instruction fetches per trace loop")
-	loops := flag.Int("loops", 2, "times the trace is replayed (loop >1 exercises the warm cache)")
-	seed := flag.Int64("seed", 1, "trace RNG seed")
-	concurrency := flag.Int("c", 8, "concurrent client connections")
-	blockSize := flag.Int("block", 32, "cache block size used at compression time")
+	cfg := drill.DefaultConfig()
+	flag.StringVar(&cfg.Addr, "addr", cfg.Addr, "codecompd base URL")
+	flag.StringVar(&cfg.Profile, "profile", cfg.Profile, "synthetic SPEC95 profile to generate")
+	flag.StringVar(&cfg.Alg, "alg", cfg.Alg, "compression algorithm: samc, sadc, huff, rans")
+	flag.StringVar(&cfg.Name, "name", cfg.Name, "image name on the server (default <profile>-<alg>)")
+	flag.IntVar(&cfg.Trace, "trace", cfg.Trace, "instruction fetches per trace loop")
+	flag.IntVar(&cfg.Loops, "loops", cfg.Loops, "times the trace is replayed (loop >1 exercises the warm cache)")
+	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "trace RNG seed")
+	flag.IntVar(&cfg.Concurrency, "c", cfg.Concurrency, "concurrent client connections")
+	flag.IntVar(&cfg.BlockSize, "block", cfg.BlockSize, "cache block size used at compression time")
 	keep := flag.Bool("keep", false, "leave the image registered after the run")
-	polName := flag.String("policy", "", "A/B this policy against the sequential baseline: markov, hotset or sequential")
-	topK := flag.Int("k", 0, "markov successors warmed per miss (0 = default)")
-	pdepth := flag.Int("pdepth", 0, "policy prefetch depth (0 = default)")
-	pin := flag.Int("pin", 0, "hotset pin count (0 = default)")
-	tracefile := flag.String("tracefile", "", "also write the generated block trace here in codecomp-trace format")
+	flag.StringVar(&cfg.Policy, "policy", cfg.Policy, "A/B this policy against the sequential baseline: markov, hotset or sequential")
+	flag.IntVar(&cfg.TopK, "k", cfg.TopK, "markov successors warmed per miss (0 = default)")
+	flag.IntVar(&cfg.PrefetchDepth, "pdepth", cfg.PrefetchDepth, "policy prefetch depth (0 = default)")
+	flag.IntVar(&cfg.Pin, "pin", cfg.Pin, "hotset pin count (0 = default)")
+	flag.StringVar(&cfg.TraceFile, "tracefile", cfg.TraceFile, "also write the generated block trace here in codecomp-trace format")
 	offline := flag.Bool("offline", false, "skip the server: score sequential/markov/hotset through the memsys policy evaluator")
-	simCache := flag.Int("sim-cache", 0, "offline cache capacity in blocks (0 = working set / 3)")
-	rangeSpan := flag.Int("range", 0, "replay through GET /blocks?range=i-j with spans of this many blocks (0 = per-block reads); the report compares pool dispatches against per-block cost")
+	flag.IntVar(&cfg.SimCache, "sim-cache", cfg.SimCache, "offline cache capacity in blocks (0 = working set / 3)")
+	flag.IntVar(&cfg.RangeSpan, "range", cfg.RangeSpan, "replay through GET /blocks?range=i-j with spans of this many blocks (0 = per-block reads); the report compares pool dispatches against per-block cost")
 	subblock := flag.Bool("subblock", false, "sub-block drill: random byte-window reads via GET /bytes with byte-exact verification, then the same storm under server-side fault injection where every 200 must still be exact")
-	subblockReads := flag.Int("subblock-reads", 2000, "sub-block drill: byte-window reads per phase")
+	flag.IntVar(&cfg.SubblockReads, "subblock-reads", cfg.SubblockReads, "sub-block drill: byte-window reads per phase")
 	chaos := flag.Bool("chaos", false, "fault drill: inject faults server-side, verify every served byte, assert detection and recovery")
-	chaosBitflip := flag.Float64("chaos-bitflip", 0.02, "chaos: per-decompression bit-flip rate")
-	chaosTransient := flag.Float64("chaos-transient", 0.01, "chaos: per-decompression transient-error rate")
-	chaosPanic := flag.Int("chaos-panic-block", -1, "chaos: block whose decompression panics (-1 = auto-pick from the trace)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "chaos: fault injector RNG seed")
+	flag.Float64Var(&cfg.ChaosBitflip, "chaos-bitflip", cfg.ChaosBitflip, "chaos: per-decompression bit-flip rate")
+	flag.Float64Var(&cfg.ChaosTransient, "chaos-transient", cfg.ChaosTransient, "chaos: per-decompression transient-error rate")
+	flag.IntVar(&cfg.ChaosPanicBlock, "chaos-panic-block", cfg.ChaosPanicBlock, "chaos: block whose decompression panics (-1 = auto-pick from the trace)")
+	flag.Int64Var(&cfg.ChaosSeed, "chaos-seed", cfg.ChaosSeed, "chaos: fault injector RNG seed")
 	clusterMode := flag.Bool("cluster", false, "cluster chaos drill: boot an in-process multi-node cluster behind a router, replay through it while killing and restarting a node, assert byte-exactness, hit ratio and disk recovery")
-	clusterNodes := flag.Int("cluster-nodes", 3, "cluster: initial node count")
-	clusterRF := flag.Int("cluster-rf", 2, "cluster: replicas per image")
+	flag.IntVar(&cfg.ClusterNodes, "cluster-nodes", cfg.ClusterNodes, "cluster: initial node count")
+	flag.IntVar(&cfg.ClusterRF, "cluster-rf", cfg.ClusterRF, "cluster: replicas per image")
 	overloadMode := flag.Bool("overload", false, "overload drill: boot an in-process node with admission control, measure its capacity, storm it open-loop at 4x and assert byte-exactness, bounded p99, goodput, retry containment, brownout escalation and recovery")
 	tieringMode := flag.Bool("tiering", false, "tiering drill: boot an in-process node with a mixed-codec tiered image, replay a hot-skewed trace under concurrent verified reads while recompression migrates blocks, assert hot/cold tier convergence, byte-exactness and Pareto dominance over single-codec SAMC")
-	qps := flag.Float64("qps", 0, "open-loop offered load in req/s against -addr; goodput vs offered load is reported (0 = closed-loop modes)")
-	reqDeadline := flag.Duration("deadline", 500*time.Millisecond, "open-loop/overload: per-request deadline, propagated to the server via "+overload.DeadlineHeader)
-	stormDur := flag.Duration("duration", 3*time.Second, "open-loop/overload: how long the load runs")
+	flag.Float64Var(&cfg.QPS, "qps", cfg.QPS, "open-loop offered load in req/s against -addr; goodput vs offered load is reported (0 = closed-loop modes)")
+	flag.DurationVar(&cfg.Deadline, "deadline", cfg.Deadline, "open-loop/overload: per-request deadline, propagated to the server via "+overload.DeadlineHeader)
+	flag.DurationVar(&cfg.Duration, "duration", cfg.Duration, "open-loop/overload: how long the load runs")
 	flag.Parse()
 
-	if *overloadMode {
-		violations := runOverloadDrill(overloadDrillConfig{
-			deadline: *reqDeadline,
-			duration: *stormDur,
-		})
-		if violations > 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: overload: FAIL (%d invariant violations)\n", violations)
-			os.Exit(1)
-		}
-		fmt.Printf("loadgen: overload: PASS — stormed at 4x capacity, rejected early, goodput held, retries contained, brownout escalated and recovered\n")
-		return
-	}
-
-	if *tieringMode {
-		violations := runTieringDrill(tieringDrillConfig{
-			profile:   *profile,
-			blockSize: 128, // tiers share one model per tier, so larger blocks than -block's default
-			accesses:  *traceLen / 10,
-			readers:   *concurrency,
-			simCache:  *simCache,
-		})
-		if violations > 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: tiering: FAIL (%d invariant violations)\n", violations)
-			os.Exit(1)
-		}
-		fmt.Printf("loadgen: tiering: PASS — hot set converged to fast tiers, cold set stayed dense, every byte exact during live migration, tiered layout Pareto-dominates single-codec samc\n")
-		return
-	}
-
-	if *name == "" {
-		*name = fmt.Sprintf("%s-%s", *profile, *alg)
-	}
-
-	prog := codecomp.GenerateMIPS(codecomp.MustProfile(*profile))
-	text := prog.Text()
-	image, blocks, err := compress(text, *alg, *blockSize)
-	fatal(err)
-	fmt.Printf("loadgen: %s/%s: %d B text -> %d B image, %d blocks\n",
-		*profile, *alg, len(text), len(image), blocks)
-
-	// Block-change request stream: dedupe consecutive fetches to the same
-	// block, like the refill engine behind its one-line buffer.
-	trace := prog.Trace(*seed, *traceLen)
-	reqs := make([]int, 0, len(trace)/4)
-	last := -1
-	for _, a := range trace {
-		b := int(a-codecomp.TextBase) / *blockSize
-		if b != last && b < blocks {
-			reqs = append(reqs, b)
-			last = b
-		}
-	}
-	fmt.Printf("loadgen: trace of %d fetches -> %d block requests/loop x %d loops, %d clients\n",
-		len(trace), len(reqs), *loops, *concurrency)
-
-	tr := &traceprof.Trace{Image: *name, Blocks: blocks, Accesses: reqs}
-	if *tracefile != "" {
-		fatal(writeTraceFile(*tracefile, tr))
-		fmt.Printf("loadgen: wrote %d-access trace to %s\n", len(reqs), *tracefile)
-	}
-
-	if *offline {
-		fatal(runOffline(reqs, blocks, *loops, *simCache, *topK, *pdepth, *pin))
-		return
-	}
-
-	if *clusterMode {
-		violations := runCluster(clusterDrillConfig{
-			name:        *name,
-			image:       image,
-			text:        text,
-			blockSize:   *blockSize,
-			reqs:        reqs,
-			loops:       *loops,
-			concurrency: *concurrency,
-			nodes:       *clusterNodes,
-			replication: *clusterRF,
-		})
-		if violations > 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: cluster: FAIL (%d invariant violations)\n", violations)
-			os.Exit(1)
-		}
-		fmt.Printf("loadgen: cluster: PASS — node killed and restarted mid-replay, zero corrupt bytes, hit ratio held, disk recovery worked\n")
-		return
-	}
-
-	if *subblock {
-		violations := runSubblock(*name, image, text, *subblockReads, *concurrency, *seed, *blockSize)
-		if violations > 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: subblock: FAIL (%d invariant violations)\n", violations)
-			os.Exit(1)
-		}
-		fmt.Printf("loadgen: subblock: PASS — byte windows exact clean and under faults; partial decodes saved tail-block work\n")
-		return
-	}
-
-	cc := client.New(*addr, &http.Client{Timeout: 30 * time.Second})
-	if !*keep {
-		defer cc.Delete(*name) //nolint:errcheck — best-effort cleanup
-	}
-
-	if *chaos {
-		fatal(uploadVerbose(cc, *name, image))
-		cfg := chaosConfig{
-			bitflip:    *chaosBitflip,
-			transient:  *chaosTransient,
-			panicBlock: *chaosPanic,
-			seed:       *chaosSeed,
-			blockSize:  *blockSize,
-		}
-		if cfg.panicBlock < 0 && len(reqs) > 0 {
-			cfg.panicBlock = reqs[len(reqs)/2]
-		}
-		violations := runChaos(cc, *name, text, reqs, *loops, *concurrency, cfg)
-		cc.Delete(*name) //nolint:errcheck — best-effort cleanup
-		if violations > 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: chaos: FAIL (%d invariant violations)\n", violations)
-			os.Exit(1)
-		}
-		fmt.Printf("loadgen: chaos: PASS — faults injected, detected, never served; image recovered\n")
-		return
-	}
-
-	if *rangeSpan > 0 {
-		fatal(uploadVerbose(cc, *name, image))
-		violations := runRange(cc, *name, text, reqs, *loops, *concurrency, *rangeSpan, blocks, *blockSize)
-		if violations > 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: range: FAIL (%d invariant violations)\n", violations)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *qps > 0 {
-		// Open-loop run: offered load is fixed by a timer, not by how fast
-		// the server answers, so saturation shows up as rejected/expired
-		// outcomes instead of silently slowed clients.
-		fatal(uploadVerbose(cc, *name, image))
-		var idx atomic.Int64
-		res := runOpenLoop(openLoopClient(*addr, 30*time.Second), *name, openLoopConfig{
-			qps:      *qps,
-			deadline: *reqDeadline,
-			duration: *stormDur,
-			next: func() int {
-				return reqs[int(idx.Add(1))%len(reqs)]
-			},
-			verify: func(b int, data []byte) bool {
-				lo := b * *blockSize
-				hi := lo + *blockSize
-				if hi > len(text) {
-					hi = len(text)
-				}
-				return bytes.Equal(data, text[lo:hi])
-			},
-		})
-		res.print()
-		if res.corrupt > 0 || res.ok == 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *polName == "" {
-		// Plain run against whatever policy the server already has.
-		fatal(uploadVerbose(cc, *name, image))
-		res, err := runOnce(cc, *name, reqs, *loops, *concurrency)
-		fatal(err)
-		res.print(*name)
-		if res.fail > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	// A/B: replay the same trace twice against a cold cache — the baseline
-	// arm under sequential prefetch, the trained arm under -policy. The
-	// image is deleted and re-uploaded between arms so both start cold.
-	arm := func(p string) runResult {
-		cc.Delete(*name) //nolint:errcheck — may not exist yet
-		fatal(uploadVerbose(cc, *name, image))
-		if p != "sequential" {
-			fatal(train(cc, *name, tr))
-		}
-		fatal(putPolicy(cc, *name, p, *topK, *pdepth, *pin))
-		res, err := runOnce(cc, *name, reqs, *loops, *concurrency)
-		fatal(err)
-		return res
-	}
-
-	fmt.Printf("\nloadgen: arm A (sequential baseline)\n")
-	a := arm("sequential")
-	a.print(*name)
-	fmt.Printf("\nloadgen: arm B (%s, trained on this trace)\n", *polName)
-	b := arm(*polName)
-	b.print(*name)
-
-	fmt.Printf("\nloadgen: A/B sequential -> %s: hit %.2f%% -> %.2f%%, prefetch accuracy %.2f%% -> %.2f%%, wasted %d -> %d\n",
-		*polName, pct(a.clientHits, a.ok), pct(b.clientHits, b.ok),
-		pct(a.pfHits, a.pfCompleted), pct(b.pfHits, b.pfCompleted),
-		a.pfWasted, b.pfWasted)
-	if ap, bp := a.p99("http block route"), b.p99("http block route"); ap > 0 && bp > 0 {
-		fmt.Printf("loadgen: A/B block-route p99: %v -> %v\n", rnd(ap), rnd(bp))
-	}
-	if a.fail+b.fail > 0 {
-		os.Exit(1)
-	}
-}
-
-// runResult is one replay's client-side counters plus the server-side
-// /metrics deltas it produced.
-type runResult struct {
-	ok, fail, bytesRead, clientHits  int64
-	elapsed                          time.Duration
-	cache                            blockcache.Stats
-	pfIssued, pfCompleted, pfDropped int64
-	pfHits, pfWasted                 int64
-	imgReads, imgDecompressions      int64
-	imgPinned                        int
-	imgPolicy                        string
-	latency                          []latencyRow
-}
-
-// subCache differences the counter fields of two cache snapshots (the
-// gauge-like fields are meaningless as deltas and stay zero).
-func subCache(a, b blockcache.Stats) blockcache.Stats {
-	return blockcache.Stats{
-		Hits:      a.Hits - b.Hits,
-		Misses:    a.Misses - b.Misses,
-		Deduped:   a.Deduped - b.Deduped,
-		Evictions: a.Evictions - b.Evictions,
-	}
-}
-
-// latencyRow is one histogram's delta over the run.
-type latencyRow struct {
-	label string
-	hist  obsv.ParsedHistogram
-}
-
-// latencySeries are the histograms the summary table reports: the HTTP
-// block route end-to-end, then the server-side phases inside it.
-var latencySeries = []struct {
-	label, family string
-	labels        map[string]string
-}{
-	{"http block route", "codecompd_http_request_seconds", map[string]string{"route": "block"}},
-	{"queue wait", "romserver_queue_wait_seconds", nil},
-	{"decode", "romserver_decode_seconds", nil},
-	{"verify", "romserver_verify_seconds", nil},
-	{"block load", "romserver_block_load_seconds", nil},
-}
-
-// promScrape fetches and parses the daemon's Prometheus exposition.
-func promScrape(cc *client.Client) (obsv.Parsed, error) {
-	resp, err := cc.HTTP.Get(cc.Base + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/metrics: %s", resp.Status)
-	}
-	return obsv.ParsePrometheus(resp.Body)
-}
-
-// latencyDeltas differences the tracked histograms between two scrapes.
-// A series missing from either scrape is skipped, not an error — an older
-// daemon without some family still gets the rest of the table.
-func latencyDeltas(before, after obsv.Parsed) []latencyRow {
-	var rows []latencyRow
-	for _, s := range latencySeries {
-		b, okB := before.Histogram(s.family, s.labels)
-		a, okA := after.Histogram(s.family, s.labels)
-		if !okA {
-			continue
-		}
-		d := a
-		if okB {
-			d = a.Sub(b)
-		}
-		if d.Count > 0 {
-			rows = append(rows, latencyRow{s.label, d})
-		}
-	}
-	return rows
-}
-
-func runOnce(cc *client.Client, name string, reqs []int, loops, concurrency int) (runResult, error) {
-	var res runResult
-	before, err := cc.Stats()
-	if err != nil {
-		return res, err
-	}
-	promBefore, err := promScrape(cc)
-	if err != nil {
-		return res, err
-	}
-
-	var done, failed, bytesRead, clientHits atomic.Int64
-	work := make(chan int, 4*concurrency)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range work {
-				data, hit, err := cc.Block(name, b)
-				if err != nil {
-					failed.Add(1)
-					continue
-				}
-				done.Add(1)
-				bytesRead.Add(int64(len(data)))
-				if hit {
-					clientHits.Add(1)
-				}
-			}
-		}()
-	}
-	for l := 0; l < loops; l++ {
-		for _, b := range reqs {
-			work <- b
-		}
-	}
-	close(work)
-	wg.Wait()
-	res.elapsed = time.Since(start)
-
-	after, err := cc.Stats()
-	if err != nil {
-		return res, err
-	}
-	promAfter, err := promScrape(cc)
-	if err != nil {
-		return res, err
-	}
-	res.latency = latencyDeltas(promBefore, promAfter)
-	res.ok, res.fail = done.Load(), failed.Load()
-	res.bytesRead, res.clientHits = bytesRead.Load(), clientHits.Load()
-	res.cache = subCache(after.Cache, before.Cache)
-	res.pfIssued = after.Prefetch.Issued - before.Prefetch.Issued
-	res.pfCompleted = after.Prefetch.Completed - before.Prefetch.Completed
-	res.pfDropped = after.Prefetch.Dropped - before.Prefetch.Dropped
-	res.pfHits = after.Prefetch.Hits - before.Prefetch.Hits
-	res.pfWasted = after.Prefetch.Wasted - before.Prefetch.Wasted
-	for _, img := range after.Images {
-		if img.Name == name {
-			res.imgReads, res.imgDecompressions = img.BlockReads, img.Decompressions
-			res.imgPolicy, res.imgPinned = img.Policy, img.Pinned
-		}
-	}
-	return res, nil
-}
-
-func (r runResult) print(name string) {
-	fmt.Printf("loadgen: %d requests (%d failed) in %v\n", r.ok+r.fail, r.fail, r.elapsed.Round(time.Millisecond))
-	fmt.Printf("  throughput       %.0f req/s, %.2f MiB/s decompressed\n",
-		float64(r.ok)/r.elapsed.Seconds(), float64(r.bytesRead)/(1<<20)/r.elapsed.Seconds())
-	fmt.Printf("  client X-Cache   %.2f%% hit\n", pct(r.clientHits, r.ok))
-	fmt.Printf("  server cache     %d hits, %d misses, %d deduped, %d evictions -> %.2f%% hit ratio\n",
-		r.cache.Hits, r.cache.Misses, r.cache.Deduped, r.cache.Evictions, 100*r.cache.HitRatio())
-	fmt.Printf("  server prefetch  %d issued, %d completed, %d dropped; %d hit (%.2f%% accuracy), %d wasted\n",
-		r.pfIssued, r.pfCompleted, r.pfDropped, r.pfHits, pct(r.pfHits, r.pfCompleted), r.pfWasted)
-	if r.imgPolicy != "" {
-		fmt.Printf("  image %-10s policy %s (%d pinned), %d block reads, %d decompressions (%.2f reads/decompression)\n",
-			name, r.imgPolicy, r.imgPinned, r.imgReads, r.imgDecompressions,
-			float64(r.imgReads)/float64(max64(r.imgDecompressions, 1)))
-	}
-	if len(r.latency) > 0 {
-		fmt.Printf("  latency          %-16s %9s %10s %10s %10s %10s\n",
-			"", "count", "p50", "p90", "p99", "mean")
-		for _, row := range r.latency {
-			h := row.hist
-			fmt.Printf("  latency          %-16s %9.0f %10v %10v %10v %10v\n",
-				row.label, h.Count,
-				rnd(h.QuantileDuration(0.50)), rnd(h.QuantileDuration(0.90)),
-				rnd(h.QuantileDuration(0.99)), rnd(time.Duration(h.Mean()*float64(time.Second))))
-		}
-	}
-}
-
-// rnd trims a duration to three significant-ish digits for the table.
-func rnd(d time.Duration) time.Duration {
 	switch {
-	case d >= time.Second:
-		return d.Round(time.Millisecond)
-	case d >= time.Millisecond:
-		return d.Round(time.Microsecond)
+	case *overloadMode:
+		verdict("overload", "stormed at 4x capacity, rejected early, goodput held, retries contained, brownout escalated and recovered")(drill.Overload(cfg))
+		return
+	case *tieringMode:
+		verdict("tiering", "hot set converged to fast tiers, cold set stayed dense, every byte exact during live migration, tiered layout Pareto-dominates single-codec samc")(drill.Tiering(cfg))
+		return
+	}
+
+	w, err := drill.NewWorkload(cfg)
+	fatal(err)
+	switch {
+	case *offline:
+		fatal(drill.Offline(cfg, w))
+		return
+	case *clusterMode:
+		verdict("cluster", "node killed and restarted mid-replay, zero corrupt bytes, hit ratio held, disk recovery worked")(drill.Cluster(cfg, w))
+		return
+	case *subblock:
+		verdict("subblock", "byte windows exact clean and under faults; partial decodes saved tail-block work")(drill.Subblock(cfg, w))
+		return
+	}
+
+	cc := client.New(cfg.Addr, nil)
+	if !*keep {
+		defer cc.Delete(w.Name) //nolint:errcheck — best-effort cleanup
+	}
+	switch {
+	case *chaos:
+		verdict("chaos", "faults injected, detected, never served; image recovered")(drill.Chaos(cfg, cc, w))
+	case cfg.RangeSpan > 0:
+		verdict("range", "")(drill.Range(cfg, cc, w))
+	case cfg.QPS > 0:
+		verdict("", "")(drill.OpenLoop(cfg, w))
+	case cfg.Policy == "":
+		verdict("", "")(drill.Replay(cfg, cc, w))
 	default:
-		return d.Round(100 * time.Nanosecond)
+		verdict("", "")(drill.AB(cfg, cc, w))
 	}
 }
 
-// p99 returns the labeled row's p99, or 0 when that series did not appear.
-func (r runResult) p99(label string) time.Duration {
-	for _, row := range r.latency {
-		if row.label == label {
-			return row.hist.QuantileDuration(0.99)
-		}
-	}
-	return 0
-}
-
-// runOffline scores the trace against all three policies through the
-// memsys block-cache model — no server involved. The profile is trained on
-// one loop of the trace and evaluated on the looped replay, so it answers
-// the same question as the A/B mode, in microseconds.
-func runOffline(reqs []int, blocks, loops, cache, topK, depth, pin int) error {
-	prof := traceprof.BuildProfile(reqs, blocks)
-	ws := prof.UniqueBlocks()
-	if cache <= 0 {
-		cache = ws / 3
-		if cache < 1 {
-			cache = 1
-		}
-	}
-	if depth <= 0 {
-		depth = 4
-	}
-	if pin <= 0 {
-		pin = cache / 2
-	}
-	looped := make([]int, 0, loops*len(reqs))
-	for l := 0; l < loops; l++ {
-		looped = append(looped, reqs...)
-	}
-
-	seq := policy.NewSequential(depth, blocks)
-	markov, err := policy.New("markov", policy.Config{Blocks: blocks, Depth: depth, TopK: topK, Profile: prof})
-	if err != nil {
-		return err
-	}
-	hotset, err := policy.New("hotset", policy.Config{Blocks: blocks, Depth: depth, PinCount: pin, Profile: prof})
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("\nloadgen: offline evaluation: working set %d blocks, cache %d blocks, %d requests x %d loops\n",
-		ws, cache, len(reqs), loops)
-	for _, p := range []struct {
-		pf  policy.Prefetcher
-		cfg memsys.PolicyConfig
-	}{
-		{seq, memsys.PolicyConfig{CacheBlocks: cache}},
-		{markov, memsys.PolicyConfig{CacheBlocks: cache}},
-		{hotset, memsys.PolicyConfig{CacheBlocks: cache, Pinned: hotset.(policy.Pinner).Pinned()}},
-	} {
-		st, err := memsys.EvaluatePolicy(looped, blocks, p.pf, p.cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %-10s hit %.4f  prefetch accuracy %.4f  wasted %d  decompressions %d  evictions %d\n",
-			p.pf.Name(), st.HitRatio(), st.Accuracy(), st.PrefetchWasted, st.Decompressions, st.Evictions)
-	}
-	return nil
-}
-
-// chaosConfig parameterizes the -chaos fault drill.
-type chaosConfig struct {
-	bitflip, transient float64
-	panicBlock         int
-	seed               int64
-	blockSize          int
-}
-
-// runRange replays the block-request stream through the batched range
-// endpoint: every request becomes a span of `span` consecutive blocks,
-// every response body is verified against the original text, and the
-// report compares the worker-pool dispatches the server actually used
-// (summed from the X-Range-Dispatches headers) against the one ticket
-// per block the same stream would have cost through GET /blocks/{i}.
-func runRange(cc *client.Client, name string, text []byte, reqs []int, loops, concurrency, span, blocks, blockSize int) int {
-	var ok, failed, mismatches atomic.Int64
-	var blocksRead, dispatches, cached, decoded atomic.Int64
-	work := make(chan int, 4*concurrency)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range work {
-				last := b + span - 1
-				if last >= blocks {
-					last = blocks - 1
-				}
-				body, st, err := cc.Range(name, b, last)
-				if err != nil {
-					failed.Add(1)
-					continue
-				}
-				lo, hi := b*blockSize, (last+1)*blockSize
-				if hi > len(text) {
-					hi = len(text)
-				}
-				if !bytes.Equal(body, text[lo:hi]) {
-					mismatches.Add(1)
-					fmt.Printf("loadgen: range: MISMATCH for blocks [%d,%d]\n", b, last)
-					continue
-				}
-				ok.Add(1)
-				blocksRead.Add(int64(st.Blocks))
-				dispatches.Add(int64(st.Dispatches))
-				cached.Add(int64(st.CachedBlocks))
-				decoded.Add(int64(st.DecodedBlocks))
-			}
-		}()
-	}
-	for l := 0; l < loops; l++ {
-		for _, b := range reqs {
-			work <- b
-		}
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	fmt.Printf("loadgen: range: %d spans ok, %d failed, %d mismatched in %v\n",
-		ok.Load(), failed.Load(), mismatches.Load(), elapsed.Round(time.Millisecond))
-	fmt.Printf("loadgen: range: %d block reads served by %d pool dispatches (%d cached, %d decoded) — %.1f%% of per-block dispatch cost\n",
-		blocksRead.Load(), dispatches.Load(), cached.Load(), decoded.Load(),
-		pct(dispatches.Load(), blocksRead.Load()))
-
-	violations := 0
-	if mismatches.Load() > 0 || failed.Load() > 0 {
-		violations++
-	}
-	if span > 1 && dispatches.Load() >= blocksRead.Load() {
-		fmt.Printf("loadgen: range: FAIL - batched reads used no fewer dispatches than per-block reads\n")
-		violations++
-	}
-	return violations
-}
-
-// runSubblock executes the sub-block drill and returns the number of
-// invariant violations. Two phases of random byte-window reads through
-// GET /images/{name}/bytes:
-//
-//  1. Clean: every response must match text[off:off+len] exactly, and
-//     the server's partial-decode counters must move — mid-block tails
-//     are decoded partially instead of in full.
-//  2. Faulted: with bit flips and transient errors injected behind the
-//     codec, a read may fail (5xx after retries) but every 200 must
-//     still be byte-exact — the partial path must never serve an
-//     unverified prefix of a faulted image.
-func runSubblock(name string, image, text []byte, reads, concurrency int, seed int64, blockSize int) int {
-	// Self-contained like -cluster and -overload: boot an in-process
-	// node so CI needs no external daemon, but talk to it over real
-	// HTTP — the vectored response path is part of what is under test.
-	dir, err := os.MkdirTemp("", "loadgen-subblock-*")
-	fatal(err)
-	defer os.RemoveAll(dir)
-	node, err := cluster.NewNode(cluster.NodeOptions{
-		Name:    "subblock-0",
-		DataDir: dir,
-		Logf:    func(string, ...any) {},
-		Server: romserver.Options{
-			CacheBlocks:  64,
-			LoadAttempts: 3,
-		},
-	})
-	fatal(err)
-	defer node.Close()
-	ts := httptest.NewServer(node.Handler())
-	defer ts.Close()
-	cc := client.New(ts.URL, &http.Client{Timeout: 30 * time.Second})
-	fatal(uploadVerbose(cc, name, image))
-
-	// Pre-generate the windows so the workers share no RNG: a mix of
-	// short intra-block reads, block-straddling windows and long spans.
-	rng := rand.New(rand.NewSource(seed))
-	type window struct{ off, ln int }
-	windows := make([]window, reads)
-	for i := range windows {
-		off := rng.Intn(len(text))
-		span := rng.Intn(4*blockSize) + 1
-		if off+span > len(text) {
-			span = len(text) - off
-		}
-		windows[i] = window{off, span}
-	}
-
-	storm := func(label string) (okN, failedN, mismatchN, decodedN int64) {
-		var ok, failed, mismatches, decoded atomic.Int64
-		work := make(chan window, 4*concurrency)
-		var wg sync.WaitGroup
-		for w := 0; w < concurrency; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for win := range work {
-					body, _, dec, err := cc.ReadBytes(name, win.off, win.ln)
-					if err != nil {
-						failed.Add(1)
-						continue
-					}
-					if !bytes.Equal(body, text[win.off:win.off+win.ln]) {
-						mismatches.Add(1)
-						fmt.Printf("loadgen: subblock: %s MISMATCH for bytes [%d,%d)\n", label, win.off, win.off+win.ln)
-						continue
-					}
-					ok.Add(1)
-					decoded.Add(int64(dec))
-				}
-			}()
-		}
-		start := time.Now()
-		for _, win := range windows {
-			work <- win
-		}
-		close(work)
-		wg.Wait()
-		fmt.Printf("loadgen: subblock: %s: %d windows ok, %d failed, %d mismatched, %d B decoded in %v\n",
-			label, ok.Load(), failed.Load(), mismatches.Load(), decoded.Load(),
-			time.Since(start).Round(time.Millisecond))
-		return ok.Load(), failed.Load(), mismatches.Load(), decoded.Load()
-	}
-
-	violations := 0
-	ok, failedN, mismatches, _ := storm("clean")
-	if mismatches > 0 || failedN > 0 || ok == 0 {
-		fmt.Printf("loadgen: subblock: FAIL - clean phase must serve every window exactly\n")
-		violations++
-	}
-	st := node.Server().Stats()
-	fmt.Printf("loadgen: subblock: server: %d sub-block reads, %d partial decodes, %d B partially decoded\n",
-		st.Subblock.Reads, st.Subblock.PartialDecodes, st.Subblock.PartialDecodedBytes)
-	if st.Subblock.PartialDecodes == 0 {
-		fmt.Printf("loadgen: subblock: FAIL - no partial decodes; mid-block tails are paying for full blocks\n")
-		violations++
-	}
-	// The saving itself: partially decoded tails averaged less codec
-	// output than one full block.
-	if st.Subblock.PartialDecodes > 0 &&
-		st.Subblock.PartialDecodedBytes >= st.Subblock.PartialDecodes*int64(blockSize) {
-		fmt.Printf("loadgen: subblock: FAIL - partial decodes averaged a full block of output\n")
-		violations++
-	}
-
-	fatal(node.Server().SetFaults(name, &faultinj.Options{
-		Seed:          seed,
-		BitFlipRate:   0.02,
-		TransientRate: 0.01,
-	}))
-	_, failedF, mismatchesF, _ := storm("faulted")
-	fatal(node.Server().SetFaults(name, nil))
-	if mismatchesF > 0 {
-		fmt.Printf("loadgen: subblock: FAIL - a faulted read served corrupt bytes with a 200\n")
-		violations++
-	}
-	fmt.Printf("loadgen: subblock: faulted phase refused %d reads cleanly (detection, not corruption)\n", failedF)
-	return violations
-}
-
-// runChaos executes the fault drill and returns the number of invariant
-// violations. The invariants, in order of importance:
-//
-//  1. Zero corrupt bytes served: every 200 response matches the original
-//     text exactly, bit flips notwithstanding.
-//  2. The daemon survives: /healthz answers after the storm.
-//  3. The faults were detected, not absorbed: corrupt_blocks and
-//     panics_recovered are nonzero in /metrics.
-//  4. Degradation is observable: a non-healthy state shows up in /metrics
-//     while the faults are active.
-//  5. The image recovers to healthy after the faults are lifted.
-func runChaos(cc *client.Client, name string, text []byte, reqs []int, loops, concurrency int, cfg chaosConfig) int {
-	fmt.Printf("loadgen: chaos: bitflip=%g transient=%g panic block=%d seed=%d\n",
-		cfg.bitflip, cfg.transient, cfg.panicBlock, cfg.seed)
-	if err := putFaults(cc, name, cfg); err != nil {
+// verdict reports a drill's outcome and exits 1 on an error or any
+// invariant violation. Unnamed modes fail without a summary line.
+func verdict(name, pass string) func(violations int, err error) {
+	return func(violations int, err error) {
 		fatal(err)
-	}
-
-	expect := func(b int) []byte {
-		lo := b * cfg.blockSize
-		hi := lo + cfg.blockSize
-		if hi > len(text) {
-			hi = len(text)
-		}
-		return text[lo:hi]
-	}
-
-	// Health monitor: watch /metrics for state transitions while the
-	// storm runs. Poll failures are counted, not fatal — the verdict on
-	// liveness is the final /healthz probe.
-	statesSeen := make(map[string]bool)
-	var stMu sync.Mutex
-	var pollErrs atomic.Int64
-	stopMon := make(chan struct{})
-	var monWG sync.WaitGroup
-	monWG.Add(1)
-	go func() {
-		defer monWG.Done()
-		tick := time.NewTicker(100 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stopMon:
-				return
-			case <-tick.C:
-				st, err := cc.Stats()
-				if err != nil {
-					pollErrs.Add(1)
-					continue
-				}
-				for _, img := range st.Images {
-					if img.Name == name {
-						stMu.Lock()
-						statesSeen[img.Health] = true
-						stMu.Unlock()
-					}
-				}
+		if violations > 0 {
+			if name != "" {
+				fmt.Fprintf(os.Stderr, "loadgen: %s: FAIL (%d invariant violations)\n", name, violations)
 			}
+			os.Exit(1)
 		}
-	}()
-
-	// Prime the panic block so panics_recovered and the bad-block list are
-	// populated deterministically, whatever the trace ordering does.
-	if cfg.panicBlock >= 0 {
-		for i := 0; i < 3; i++ {
-			fetchBlockVerify(cc, name, cfg.panicBlock, expect(cfg.panicBlock)) //nolint:errcheck
+		if pass != "" {
+			fmt.Printf("loadgen: %s: PASS — %s\n", name, pass)
 		}
 	}
-
-	// Verified replay: like runOnce, but every body is compared against
-	// the original text. Failures are retried client-side a couple of
-	// times (the server already retries transient faults internally);
-	// a body mismatch is never retried — the invariant is already gone.
-	var ok, failed, corrupt, panicFails atomic.Int64
-	work := make(chan int, 4*concurrency)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range work {
-				want := expect(b)
-				served := false
-				for attempt := 0; attempt < 3; attempt++ {
-					mismatch, err := fetchBlockVerify(cc, name, b, want)
-					if mismatch {
-						corrupt.Add(1)
-						fmt.Printf("loadgen: chaos: CORRUPT BYTES SERVED for block %d\n", b)
-						served = true // delivered, just wrong — retrying can't un-serve it
-						break
-					}
-					if err == nil {
-						ok.Add(1)
-						served = true
-						break
-					}
-				}
-				if !served {
-					failed.Add(1)
-					if b == cfg.panicBlock {
-						panicFails.Add(1)
-					}
-				}
-			}
-		}()
-	}
-	for l := 0; l < loops; l++ {
-		for _, b := range reqs {
-			work <- b
-		}
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(stopMon)
-	monWG.Wait()
-
-	st, stErr := cc.Stats()
-	var img romserver.ImageStats
-	for _, is := range st.Images {
-		if is.Name == name {
-			img = is
-		}
-	}
-	stMu.Lock()
-	var states []string
-	for s := range statesSeen {
-		states = append(states, s)
-	}
-	stMu.Unlock()
-
-	fmt.Printf("loadgen: chaos: %d served ok, %d failed (%d on panic block) in %v; %d metric-poll errors\n",
-		ok.Load(), failed.Load(), panicFails.Load(), elapsed.Round(time.Millisecond), pollErrs.Load())
-	fmt.Printf("loadgen: chaos: server detected %d corrupt blocks, recovered %d panics, retried %d, health states seen %v\n",
-		img.CorruptBlocks, img.PanicsRecovered, img.Retries, states)
-
-	violations := 0
-	check := func(okCond bool, what string) {
-		if okCond {
-			fmt.Printf("loadgen: chaos: ok   - %s\n", what)
-		} else {
-			fmt.Printf("loadgen: chaos: FAIL - %s\n", what)
-			violations++
-		}
-	}
-	check(corrupt.Load() == 0, "zero corrupt bytes served")
-	check(cc.Healthz() == nil, "daemon alive after the storm")
-	check(stErr == nil && img.CorruptBlocks > 0, "injected bit flips were detected (corrupt_blocks > 0)")
-	check(stErr == nil && img.PanicsRecovered > 0, "codec panics were contained (panics_recovered > 0)")
-	check(statesSeen["degraded"] || statesSeen["quarantined"], "degradation observable in /metrics")
-	check(ok.Load() > 0, "requests still succeed under faults")
-
-	// Lift the faults; the background re-verifier must bring the image
-	// back without any client traffic.
-	fatal(clearFaults(cc, name))
-	fmt.Printf("loadgen: chaos: faults lifted, waiting for recovery\n")
-	recovered := false
-	deadline := time.Now().Add(90 * time.Second)
-	for time.Now().Before(deadline) {
-		if st, err := cc.Stats(); err == nil {
-			for _, is := range st.Images {
-				if is.Name == name && is.Health == "healthy" && is.BadBlocks == 0 {
-					recovered = true
-				}
-			}
-		}
-		if recovered {
-			break
-		}
-		time.Sleep(250 * time.Millisecond)
-	}
-	check(recovered, "image re-verified back to healthy")
-
-	// Phase 2: batched range reads under fire. Re-arm the bit-flip and
-	// transient faults (no panic block — that one only ever quarantines)
-	// and sweep the whole image through GET /blocks?range=i-j. The
-	// invariants mirror the per-block storm: a refused span is tolerated,
-	// a corrupt byte served is not, spans must still succeed, and the
-	// successful spans must amortize pool dispatches below one per block.
-	fatal(putFaults(cc, name, chaosConfig{
-		bitflip:   cfg.bitflip,
-		transient: cfg.transient,
-		seed:      cfg.seed + 1,
-		blockSize: cfg.blockSize,
-	}))
-	nblocks := (len(text) + cfg.blockSize - 1) / cfg.blockSize
-	var rangeBlocks, rangeDispatches, rangeDecoded, rangeOK int64
-	rangeExact := true
-	for first := 0; first < nblocks; first += 16 {
-		lastB := first + 15
-		if lastB >= nblocks {
-			lastB = nblocks - 1
-		}
-		var body []byte
-		var st romserver.RangeStats
-		var rerr error
-		for attempt := 0; attempt < 3; attempt++ {
-			if body, st, rerr = cc.Range(name, first, lastB); rerr == nil {
-				break
-			}
-		}
-		if rerr != nil {
-			continue // refused, not corrupted — the tolerated failure mode
-		}
-		hi := (lastB + 1) * cfg.blockSize
-		if hi > len(text) {
-			hi = len(text)
-		}
-		if !bytes.Equal(body, text[first*cfg.blockSize:hi]) {
-			rangeExact = false
-			fmt.Printf("loadgen: chaos: CORRUPT BYTES SERVED for range [%d,%d]\n", first, lastB)
-			continue
-		}
-		rangeOK++
-		rangeBlocks += int64(st.Blocks)
-		rangeDispatches += int64(st.Dispatches)
-		rangeDecoded += int64(st.DecodedBlocks)
-	}
-	fmt.Printf("loadgen: chaos: range sweep: %d spans ok, %d blocks via %d dispatches (%d decoded under faults)\n",
-		rangeOK, rangeBlocks, rangeDispatches, rangeDecoded)
-	check(rangeExact && rangeOK > 0, "batched range reads byte-exact under faults")
-	check(rangeBlocks > 0 && rangeDispatches < rangeBlocks, "range reads amortized pool dispatches below per-block cost")
-	fatal(clearFaults(cc, name))
-	// The sweep's detected corruptions may have re-degraded the image;
-	// give the re-verifier a moment before the final readiness probe.
-	deadline = time.Now().Add(90 * time.Second)
-	for time.Now().Before(deadline) {
-		if cc.Readyz() == nil {
-			break
-		}
-		time.Sleep(250 * time.Millisecond)
-	}
-	check(cc.Readyz() == nil, "/readyz reports ready after recovery")
-	return violations
-}
-
-// fetchBlockVerify fetches one block and compares it to want. mismatch is
-// true only when a 200 body differs from want — the one unforgivable
-// outcome.
-func fetchBlockVerify(cc *client.Client, name string, b int, want []byte) (mismatch bool, err error) {
-	body, _, err := cc.Block(name, b)
-	if err != nil {
-		return false, err
-	}
-	if !bytes.Equal(body, want) {
-		return true, fmt.Errorf("block %d: body mismatch (%d bytes)", b, len(body))
-	}
-	return false, nil
-}
-
-func putFaults(cc *client.Client, name string, cfg chaosConfig) error {
-	url := fmt.Sprintf("%s/images/%s/faults?bitflip=%g&transient=%g&seed=%d",
-		cc.Base, name, cfg.bitflip, cfg.transient, cfg.seed)
-	if cfg.panicBlock >= 0 {
-		url += fmt.Sprintf("&panic_blocks=%d", cfg.panicBlock)
-	}
-	req, err := http.NewRequest(http.MethodPut, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := cc.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode == http.StatusForbidden {
-		return fmt.Errorf("chaos needs a daemon started with -enable-fault-injection: %s", bytes.TrimSpace(body))
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("set faults: %s: %s", resp.Status, bytes.TrimSpace(body))
-	}
-	return nil
-}
-
-func clearFaults(cc *client.Client, name string) error {
-	req, err := http.NewRequest(http.MethodDelete, cc.Base+"/images/"+name+"/faults", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := cc.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("clear faults: %s", resp.Status)
-	}
-	return nil
-}
-
-func writeTraceFile(path string, tr *traceprof.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := tr.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func compress(text []byte, alg string, blockSize int) ([]byte, int, error) {
-	switch alg {
-	case "samc":
-		c, err := codecomp.CompressSAMC(text, codecomp.SAMCOptions{BlockSize: blockSize, Connected: true})
-		if err != nil {
-			return nil, 0, err
-		}
-		return c.Marshal(), c.NumBlocks(), nil
-	case "sadc":
-		c, err := codecomp.CompressSADCMIPS(text, codecomp.SADCOptions{BlockSize: blockSize})
-		if err != nil {
-			return nil, 0, err
-		}
-		return c.Marshal(), c.NumBlocks(), nil
-	case "huff":
-		c, err := codecomp.CompressHuffman(text, blockSize)
-		if err != nil {
-			return nil, 0, err
-		}
-		return c.Marshal(), c.NumBlocks(), nil
-	case "rans":
-		c, err := codecomp.CompressRANS(text, codecomp.RANSOptions{BlockSize: blockSize})
-		if err != nil {
-			return nil, 0, err
-		}
-		return c.Marshal(), c.NumBlocks(), nil
-	}
-	return nil, 0, fmt.Errorf("unknown algorithm %q (want samc, sadc, huff or rans)", alg)
-}
-
-// uploadVerbose registers the image via the shared client and echoes
-// the server's metadata the way loadgen always has.
-func uploadVerbose(cc *client.Client, name string, image []byte) error {
-	info, err := cc.Upload(name, image)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("loadgen: uploaded as %q: %s, %d blocks, ratio %.4f\n",
-		name, info.Format, info.Blocks, info.Ratio)
-	return nil
-}
-
-func train(cc *client.Client, name string, tr *traceprof.Trace) error {
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		return err
-	}
-	resp, err := cc.HTTP.Post(cc.Base+"/images/"+name+"/train", "text/plain", &buf)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("train: %s: %s", resp.Status, bytes.TrimSpace(body))
-	}
-	return nil
-}
-
-func putPolicy(cc *client.Client, name, pol string, topK, depth, pin int) error {
-	url := fmt.Sprintf("%s/images/%s/policy?policy=%s", cc.Base, name, pol)
-	if topK > 0 {
-		url += fmt.Sprintf("&k=%d", topK)
-	}
-	if depth > 0 {
-		url += fmt.Sprintf("&depth=%d", depth)
-	}
-	if pin > 0 {
-		url += fmt.Sprintf("&pin=%d", pin)
-	}
-	req, err := http.NewRequest(http.MethodPut, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := cc.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("set policy: %s: %s", resp.Status, bytes.TrimSpace(body))
-	}
-	fmt.Printf("loadgen: policy -> %s\n", bytes.TrimSpace(body))
-	return nil
-}
-
-func pct(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 100 * float64(a) / float64(b)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

@@ -156,8 +156,8 @@ const (
 	TierSAMC    = tiering.TierSAMC
 )
 
-// DefaultTierCostModel carries the committed benchmark decode throughputs
-// as ns/byte; see tiering.DefaultCostModel.
+// DefaultTierCostModel is a fixed snapshot of per-format decode
+// throughputs as ns/byte; see tiering.DefaultCostModel for its source.
 var DefaultTierCostModel = tiering.DefaultCostModel
 
 // CompressTiered compresses text into a mixed-codec tiered image.

@@ -209,35 +209,31 @@ func (n *Node) handleImage(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// handleDelete deregisters an image and removes it from the store. A
-// failed store removal is a 500: leftovers on disk can bring the image
-// back at the next restart, so the client must not be told it is gone.
+// handleDelete removes an image from the store, then deregisters it. A
+// failed store removal is a 500 and leaves the image registered:
+// leftovers on disk can bring it back at the next restart, so the client
+// must not be told it is gone, and a retried DELETE must find the image
+// and try the removal again.
 func (n *Node) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	n.regMu.Lock()
 	defer n.regMu.Unlock()
-	if err := n.rs.RemoveImage(name); err != nil {
-		writeErr(w, err)
-		return
-	}
 	if n.st != nil {
 		if err := n.st.Remove(name); err != nil {
 			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 			return
 		}
 	}
+	if err := n.rs.RemoveImage(name); err != nil {
+		writeErr(w, err)
+		return
+	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (n *Node) handleBlock(w http.ResponseWriter, r *http.Request) {
-	i, err := strconv.Atoi(r.PathValue("i"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "block index must be an integer"})
-		return
-	}
-	ctx, cancel, err := overload.WithDeadlineHeader(r.Context(), r.Header.Get(overload.DeadlineHeader))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	ctx, cancel, i, ok := parseBlockRequest(w, r)
+	if !ok {
 		return
 	}
 	defer cancel()
@@ -246,6 +242,53 @@ func (n *Node) handleBlock(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
+	writeBlock(w, data, hit)
+}
+
+// The block and byte-window routes are served by both a node and the
+// router in front of it; the helpers below are their one request parser
+// and one response writer, so the two cannot drift apart.
+
+// parseBlockRequest reads GET .../blocks/{i}: the block index and the
+// context bound to the propagated deadline header. A malformed request
+// is answered 400 here and ok is false; otherwise the caller must call
+// cancel.
+func parseBlockRequest(w http.ResponseWriter, r *http.Request) (ctx context.Context, cancel context.CancelFunc, i int, ok bool) {
+	i, err := strconv.Atoi(r.PathValue("i"))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "block index must be an integer"})
+		return nil, nil, 0, false
+	}
+	ctx, cancel, ok = requestDeadline(w, r)
+	return ctx, cancel, i, ok
+}
+
+// parseBytesRequest reads GET .../bytes?off=&len= like parseBlockRequest.
+func parseBytesRequest(w http.ResponseWriter, r *http.Request) (ctx context.Context, cancel context.CancelFunc, off, n int, ok bool) {
+	q := r.URL.Query()
+	off, err1 := strconv.Atoi(q.Get("off"))
+	n, err2 := strconv.Atoi(q.Get("len"))
+	if err1 != nil || err2 != nil || off < 0 || n < 0 {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "off and len must be non-negative integers"})
+		return nil, nil, 0, 0, false
+	}
+	ctx, cancel, ok = requestDeadline(w, r)
+	return ctx, cancel, off, n, ok
+}
+
+// requestDeadline binds the request context to its X-Deadline-Ms header;
+// an invalid header is the caller's fault (400).
+func requestDeadline(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
+	ctx, cancel, err := overload.WithDeadlineHeader(r.Context(), r.Header.Get(overload.DeadlineHeader))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		return nil, nil, false
+	}
+	return ctx, cancel, true
+}
+
+// writeBlock sends one block with the serving cache's X-Cache verdict.
+func writeBlock(w http.ResponseWriter, data []byte, hit bool) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if hit {
 		w.Header().Set("X-Cache", "hit")
@@ -253,6 +296,19 @@ func (n *Node) handleBlock(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Cache", "miss")
 	}
 	w.Write(data) //nolint:errcheck — client went away
+}
+
+// setRangeHeaders writes the headers of a range or byte-window body of
+// length bytes: how the read was served as X-Range-*, and the codec
+// output it paid for as X-Decoded-Bytes.
+func setRangeHeaders(h http.Header, length int, st romserver.RangeStats, decoded int) {
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(length))
+	h.Set("X-Range-Blocks", strconv.Itoa(st.Blocks))
+	h.Set("X-Range-Cached", strconv.Itoa(st.CachedBlocks))
+	h.Set("X-Range-Dispatches", strconv.Itoa(st.Dispatches))
+	h.Set("X-Range-Decoded", strconv.Itoa(st.DecodedBlocks))
+	h.Set("X-Decoded-Bytes", strconv.Itoa(decoded))
 }
 
 // handleRange serves GET /images/{name}/blocks?range=i-j through the
@@ -283,14 +339,7 @@ func (n *Node) handleRange(w http.ResponseWriter, r *http.Request) {
 // before returning, so the client has every byte before the caller's
 // deferred Close inserts the view's decoded blocks into the cache.
 func writeView(w http.ResponseWriter, v *romserver.View) {
-	st := v.Stats()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(v.Len()))
-	w.Header().Set("X-Range-Blocks", strconv.Itoa(st.Blocks))
-	w.Header().Set("X-Range-Cached", strconv.Itoa(st.CachedBlocks))
-	w.Header().Set("X-Range-Dispatches", strconv.Itoa(st.Dispatches))
-	w.Header().Set("X-Range-Decoded", strconv.Itoa(st.DecodedBlocks))
-	w.Header().Set("X-Decoded-Bytes", strconv.Itoa(v.DecodedBytes()))
+	setRangeHeaders(w.Header(), v.Len(), v.Stats(), v.DecodedBytes())
 	if _, err := v.WriteTo(w); err != nil {
 		return // client went away
 	}
@@ -303,16 +352,8 @@ func writeView(w http.ResponseWriter, v *romserver.View) {
 // partially decoded, and X-Decoded-Bytes reports how much codec output
 // the read actually paid for.
 func (n *Node) handleBytes(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	off, err1 := strconv.Atoi(q.Get("off"))
-	ln, err2 := strconv.Atoi(q.Get("len"))
-	if err1 != nil || err2 != nil || off < 0 || ln < 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "off and len must be non-negative integers"})
-		return
-	}
-	ctx, cancel, err := overload.WithDeadlineHeader(r.Context(), r.Header.Get(overload.DeadlineHeader))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	ctx, cancel, off, ln, ok := parseBytesRequest(w, r)
+	if !ok {
 		return
 	}
 	defer cancel()

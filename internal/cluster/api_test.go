@@ -4,17 +4,24 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"codecomp"
+	"codecomp/internal/cluster/client"
+	"codecomp/internal/faultinj"
 	"codecomp/internal/obsv"
 	"codecomp/internal/overload"
 	"codecomp/internal/romserver"
+	"codecomp/internal/traceprof"
 )
 
 // TestWriteErrOverloadMapping pins the node's overload status mapping:
@@ -52,7 +59,10 @@ func TestWriteErrOverloadMapping(t *testing.T) {
 // an image's manifest (a non-empty directory stands in its place, which
 // os.Remove refuses even for root) and asserts the delete is a 500 with
 // an error body: what is left on disk can bring the image back at the
-// next restart, so the client must not be told it is gone.
+// next restart, so the client must not be told it is gone. Once the
+// store is writable again, a retried delete must remove what is left
+// and answer 204, and a node booted on the directory must not recover
+// the image.
 func TestDeleteFailsWhenStoreRemovalFails(t *testing.T) {
 	payload, _ := testImage(t)
 	dir := t.TempDir()
@@ -84,6 +94,28 @@ func TestDeleteFailsWhenStoreRemovalFails(t *testing.T) {
 	var body struct{ Error string }
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
 		t.Fatalf("delete error body = %q (%v), want a JSON error", rec.Body, err)
+	}
+
+	if err := os.RemoveAll(manifest); err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/images/prog", nil))
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("retried delete: %d: %s, want 204", rec.Code, rec.Body)
+	}
+	for _, ext := range []string{".json", ".img"} {
+		if _, err := os.Stat(filepath.Join(dir, n.st.base("prog")+ext)); !os.IsNotExist(err) {
+			t.Errorf("retried delete left %s on disk (stat: %v)", ext, err)
+		}
+	}
+	fresh, err := NewNode(NodeOptions{Name: "fresh", DataDir: dir, Logf: discardLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if imgs := fresh.Server().Images(); len(imgs) != 0 {
+		t.Fatalf("a node booted on the data dir recovered %d images, want 0", len(imgs))
 	}
 }
 
@@ -138,4 +170,72 @@ func TestCachedBlockHandlerAllocs(t *testing.T) {
 		t.Fatalf("cached block through Node.Handler: %v allocs/op, want <= 10", allocs)
 	}
 	t.Logf("cached block through Node.Handler: %v allocs/op", allocs)
+}
+
+// TestClientTypedCalls round-trips the client's fault, training and
+// policy calls through a node's handlers: every fault option the client
+// encodes arrives as the node parses it, a node without fault injection
+// answers 403, and failures surface as *client.StatusError.
+func TestClientTypedCalls(t *testing.T) {
+	payload, _ := testImage(t)
+	var mu sync.Mutex
+	var logs []string
+	n, err := NewNode(NodeOptions{Name: "typed", AllowFaults: true, Logf: func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	srv := httptest.NewServer(n.Handler())
+	defer srv.Close()
+	cc := client.New(srv.URL, nil)
+	info, err := cc.Upload("prog", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := cc.SetFaults("prog", faultinj.Options{
+		Seed: 3, BitFlipRate: 0.5, TransientRate: 0.25,
+		PanicBlocks: []int{1, 2}, ErrorBlocks: []int{4}, Latency: 2 * time.Millisecond,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	last := logs[len(logs)-1]
+	mu.Unlock()
+	if want := "bitflip=0.5 transient=0.25 panic=[1 2] error=[4] latency=2ms seed=3"; !strings.Contains(last, want) {
+		t.Fatalf("node installed %q, want %q", last, want)
+	}
+	if err := cc.ClearFaults("prog"); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := cc.Train("prog", &traceprof.Trace{Image: "prog", Blocks: info.Blocks, Accesses: []int{0, 1, 2, 1, 0, 1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	pol, err := cc.SetPolicy("prog", romserver.PolicySpec{Policy: "markov", TopK: 2, Depth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pol.Image != "prog" || pol.Policy != "markov" {
+		t.Fatalf("SetPolicy = %+v, want markov on prog", pol)
+	}
+
+	var se *client.StatusError
+	if _, err := cc.SetPolicy("nope", romserver.PolicySpec{Policy: "sequential"}); !errors.As(err, &se) || se.Code != http.StatusNotFound {
+		t.Fatalf("SetPolicy on a missing image = %v, want a 404 StatusError", err)
+	}
+	off, err := NewNode(NodeOptions{Name: "nofaults", Logf: discardLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer off.Close()
+	offSrv := httptest.NewServer(off.Handler())
+	defer offSrv.Close()
+	if err := client.New(offSrv.URL, nil).SetFaults("prog", faultinj.Options{}); !errors.As(err, &se) || se.Code != http.StatusForbidden {
+		t.Fatalf("SetFaults without fault injection = %v, want a 403 StatusError", err)
+	}
 }

@@ -16,11 +16,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
+	"codecomp/internal/faultinj"
 	"codecomp/internal/overload"
 	"codecomp/internal/romserver"
+	"codecomp/internal/traceprof"
 )
 
 // ErrNotCached is returned by CachedBlock when the peer does not hold
@@ -100,8 +104,7 @@ func New(base string, hc *http.Client) *Client {
 	return &Client{Base: base, HTTP: hc}
 }
 
-// do issues req, reads the whole body, and fails non-2xx statuses with
-// the body text folded into the error.
+// do issues req and reads the whole body; the caller judges the status.
 func (c *Client) do(req *http.Request) (status int, body []byte, err error) {
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
@@ -115,18 +118,45 @@ func (c *Client) do(req *http.Request) (status int, body []byte, err error) {
 	return resp.StatusCode, body, nil
 }
 
-// get is do for parameterless GETs.
-func (c *Client) get(path string) (int, []byte, error) {
-	req, err := http.NewRequest(http.MethodGet, c.Base+path, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	return c.do(req)
-}
-
 // statusErr folds a non-OK response into a *StatusError.
 func statusErr(what string, status int, body []byte) error {
 	return &StatusError{What: what, Code: status, Body: string(bytes.TrimSpace(body))}
+}
+
+// retryStatusErr is statusErr for the read routes, whose overload
+// rejections carry a Retry-After hint.
+func retryStatusErr(what string, resp *http.Response, body []byte) error {
+	se := &StatusError{What: what, Code: resp.StatusCode, Body: string(bytes.TrimSpace(body))}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+		se.RetryAfter = time.Duration(secs) * time.Second
+	}
+	return se
+}
+
+// send issues a request with an optional body and fails any status
+// other than want with a *StatusError naming what.
+func (c *Client) send(method, path, what string, body io.Reader, want int) ([]byte, error) {
+	req, err := http.NewRequest(method, c.Base+path, body)
+	if err != nil {
+		return nil, err
+	}
+	status, resp, err := c.do(req)
+	if err != nil {
+		return nil, err
+	}
+	if status != want {
+		return nil, statusErr(what, status, resp)
+	}
+	return resp, nil
+}
+
+// getJSON GETs path and decodes its 200 JSON body into v.
+func (c *Client) getJSON(path, what string, v any) error {
+	body, err := c.send(http.MethodGet, path, what, nil, http.StatusOK)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(body, v)
 }
 
 // Upload registers a marshaled image under name (POST /images?name=)
@@ -145,51 +175,30 @@ func (c *Client) Upload(name string, payload []byte) (romserver.ImageInfo, error
 	if status != http.StatusCreated {
 		return info, statusErr("upload "+name, status, body)
 	}
-	return info, json.Unmarshal(body, &info)
+	err = json.Unmarshal(body, &info)
+	return info, err
 }
 
 // Delete deregisters an image (DELETE /images/{name}). Deleting an
 // image the server does not have returns an error wrapping the server's
 // 404 body.
 func (c *Client) Delete(name string) error {
-	req, err := http.NewRequest(http.MethodDelete, c.Base+"/images/"+name, nil)
-	if err != nil {
-		return err
-	}
-	status, body, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusNoContent {
-		return statusErr("delete "+name, status, body)
-	}
-	return nil
+	_, err := c.send(http.MethodDelete, "/images/"+name, "delete "+name, nil, http.StatusNoContent)
+	return err
 }
 
 // Images lists the server's registered images.
 func (c *Client) Images() ([]romserver.ImageInfo, error) {
-	status, body, err := c.get("/images")
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, statusErr("list images", status, body)
-	}
 	var infos []romserver.ImageInfo
-	return infos, json.Unmarshal(body, &infos)
+	err := c.getJSON("/images", "list images", &infos)
+	return infos, err
 }
 
 // Image returns one image's metadata.
 func (c *Client) Image(name string) (romserver.ImageInfo, error) {
 	var info romserver.ImageInfo
-	status, body, err := c.get("/images/" + name)
-	if err != nil {
-		return info, err
-	}
-	if status != http.StatusOK {
-		return info, statusErr("image "+name, status, body)
-	}
-	return info, json.Unmarshal(body, &info)
+	err := c.getJSON("/images/"+name, "image "+name, &info)
+	return info, err
 }
 
 // Block fetches one decompressed block. hit reports the server's
@@ -222,15 +231,7 @@ func (c *Client) BlockContext(ctx context.Context, name string, i int) (data []b
 		return nil, false, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		se := &StatusError{
-			What: fmt.Sprintf("block %d of %s", i, name),
-			Code: resp.StatusCode,
-			Body: string(bytes.TrimSpace(body)),
-		}
-		if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
-			se.RetryAfter = time.Duration(secs) * time.Second
-		}
-		return nil, false, se
+		return nil, false, retryStatusErr(fmt.Sprintf("block %d of %s", i, name), resp, body)
 	}
 	return body, resp.Header.Get("X-Cache") == "hit", nil
 }
@@ -256,11 +257,18 @@ func (c *Client) Range(name string, first, last int) ([]byte, romserver.RangeSta
 	if resp.StatusCode != http.StatusOK {
 		return nil, st, statusErr(fmt.Sprintf("range %d-%d of %s", first, last, name), resp.StatusCode, body)
 	}
-	st.Blocks, _ = strconv.Atoi(resp.Header.Get("X-Range-Blocks"))
-	st.CachedBlocks, _ = strconv.Atoi(resp.Header.Get("X-Range-Cached"))
-	st.Dispatches, _ = strconv.Atoi(resp.Header.Get("X-Range-Dispatches"))
-	st.DecodedBlocks, _ = strconv.Atoi(resp.Header.Get("X-Range-Decoded"))
-	return body, st, nil
+	return body, rangeStats(resp.Header), nil
+}
+
+// rangeStats parses how a range or byte-window read was served from its
+// X-Range-* headers.
+func rangeStats(h http.Header) romserver.RangeStats {
+	var st romserver.RangeStats
+	st.Blocks, _ = strconv.Atoi(h.Get("X-Range-Blocks"))
+	st.CachedBlocks, _ = strconv.Atoi(h.Get("X-Range-Cached"))
+	st.Dispatches, _ = strconv.Atoi(h.Get("X-Range-Dispatches"))
+	st.DecodedBlocks, _ = strconv.Atoi(h.Get("X-Range-Decoded"))
+	return st
 }
 
 // ReadBytes fetches n decompressed bytes at byte offset off; see
@@ -296,22 +304,10 @@ func (c *Client) ReadBytesContext(ctx context.Context, name string, off, n int) 
 		return nil, st, 0, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		se := &StatusError{
-			What: fmt.Sprintf("bytes [%d,%d) of %s", off, off+n, name),
-			Code: resp.StatusCode,
-			Body: string(bytes.TrimSpace(body)),
-		}
-		if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
-			se.RetryAfter = time.Duration(secs) * time.Second
-		}
-		return nil, st, 0, se
+		return nil, st, 0, retryStatusErr(fmt.Sprintf("bytes [%d,%d) of %s", off, off+n, name), resp, body)
 	}
-	st.Blocks, _ = strconv.Atoi(resp.Header.Get("X-Range-Blocks"))
-	st.CachedBlocks, _ = strconv.Atoi(resp.Header.Get("X-Range-Cached"))
-	st.Dispatches, _ = strconv.Atoi(resp.Header.Get("X-Range-Dispatches"))
-	st.DecodedBlocks, _ = strconv.Atoi(resp.Header.Get("X-Range-Decoded"))
 	decoded, _ := strconv.Atoi(resp.Header.Get("X-Decoded-Bytes"))
-	return body, st, decoded, nil
+	return body, rangeStats(resp.Header), decoded, nil
 }
 
 // CachedBlock asks the cluster-internal cache-only endpoint for one
@@ -359,6 +355,67 @@ func (c *Client) SetPeers(peers map[string][]string) error {
 	return nil
 }
 
+// SetFaults installs a deterministic fault injector in front of an
+// image's codec (PUT /images/{name}/faults). Options.Hook does not
+// travel. A node started without fault injection answers 403.
+func (c *Client) SetFaults(name string, opts faultinj.Options) error {
+	q := url.Values{}
+	q.Set("bitflip", strconv.FormatFloat(opts.BitFlipRate, 'g', -1, 64))
+	q.Set("transient", strconv.FormatFloat(opts.TransientRate, 'g', -1, 64))
+	q.Set("seed", strconv.FormatInt(opts.Seed, 10))
+	if opts.Latency > 0 {
+		q.Set("latency_ms", strconv.FormatInt(opts.Latency.Milliseconds(), 10))
+	}
+	for key, blocks := range map[string][]int{"panic_blocks": opts.PanicBlocks, "error_blocks": opts.ErrorBlocks} {
+		list := make([]string, len(blocks))
+		for i, b := range blocks {
+			list[i] = strconv.Itoa(b)
+		}
+		if len(list) > 0 {
+			q.Set(key, strings.Join(list, ","))
+		}
+	}
+	_, err := c.send(http.MethodPut, "/images/"+name+"/faults?"+q.Encode(), "set faults on "+name, nil, http.StatusOK)
+	return err
+}
+
+// ClearFaults removes an image's fault injector
+// (DELETE /images/{name}/faults).
+func (c *Client) ClearFaults(name string) error {
+	_, err := c.send(http.MethodDelete, "/images/"+name+"/faults", "clear faults on "+name, nil, http.StatusNoContent)
+	return err
+}
+
+// Train trains an image's access profile on a block trace
+// (POST /images/{name}/train).
+func (c *Client) Train(name string, tr *traceprof.Trace) error {
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		return err
+	}
+	_, err := c.send(http.MethodPost, "/images/"+name+"/train", "train "+name, &buf, http.StatusOK)
+	return err
+}
+
+// SetPolicy switches an image's prefetch policy
+// (PUT /images/{name}/policy); zero Depth, TopK and PinCount take the
+// server's defaults.
+func (c *Client) SetPolicy(name string, spec romserver.PolicySpec) (romserver.PolicyInfo, error) {
+	var info romserver.PolicyInfo
+	q := url.Values{"policy": {spec.Policy}}
+	for key, v := range map[string]int{"k": spec.TopK, "depth": spec.Depth, "pin": spec.PinCount} {
+		if v > 0 {
+			q.Set(key, strconv.Itoa(v))
+		}
+	}
+	body, err := c.send(http.MethodPut, "/images/"+name+"/policy?"+q.Encode(), "set policy on "+name, nil, http.StatusOK)
+	if err != nil {
+		return info, err
+	}
+	err = json.Unmarshal(body, &info)
+	return info, err
+}
+
 // Stats fetches the server's JSON stats view of /metrics.
 func (c *Client) Stats() (romserver.Stats, error) {
 	var st romserver.Stats
@@ -374,43 +431,26 @@ func (c *Client) Stats() (romserver.Stats, error) {
 	if status != http.StatusOK {
 		return st, statusErr("metrics", status, body)
 	}
-	return st, json.Unmarshal(body, &st)
+	err = json.Unmarshal(body, &st)
+	return st, err
 }
 
 // ClusterStats fetches a router's aggregated member stats
 // (GET /cluster/stats).
 func (c *Client) ClusterStats() (ClusterStats, error) {
 	var cs ClusterStats
-	status, body, err := c.get("/cluster/stats")
-	if err != nil {
-		return cs, err
-	}
-	if status != http.StatusOK {
-		return cs, statusErr("cluster stats", status, body)
-	}
-	return cs, json.Unmarshal(body, &cs)
+	err := c.getJSON("/cluster/stats", "cluster stats", &cs)
+	return cs, err
 }
 
 // Healthz probes liveness; nil means the server answered 200.
 func (c *Client) Healthz() error {
-	status, body, err := c.get("/healthz")
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return statusErr("healthz", status, body)
-	}
-	return nil
+	_, err := c.send(http.MethodGet, "/healthz", "healthz", nil, http.StatusOK)
+	return err
 }
 
 // Readyz probes readiness; nil means the server answered 200.
 func (c *Client) Readyz() error {
-	status, body, err := c.get("/readyz")
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return statusErr("readyz", status, body)
-	}
-	return nil
+	_, err := c.send(http.MethodGet, "/readyz", "readyz", nil, http.StatusOK)
+	return err
 }

@@ -1079,14 +1079,8 @@ func (rt *Router) buildMux() {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	handle("GET /images/{name}/blocks/{i}", "block", func(w http.ResponseWriter, r *http.Request) {
-		i, err := strconv.Atoi(r.PathValue("i"))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "block index must be an integer"})
-			return
-		}
-		ctx, cancel, err := overload.WithDeadlineHeader(r.Context(), r.Header.Get(overload.DeadlineHeader))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		ctx, cancel, i, ok := parseBlockRequest(w, r)
+		if !ok {
 			return
 		}
 		defer cancel()
@@ -1095,25 +1089,11 @@ func (rt *Router) buildMux() {
 			writeRouterErr(w, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if hit {
-			w.Header().Set("X-Cache", "hit")
-		} else {
-			w.Header().Set("X-Cache", "miss")
-		}
-		w.Write(data) //nolint:errcheck — client went away
+		writeBlock(w, data, hit)
 	})
 	handle("GET /images/{name}/bytes", "bytes", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		off, err1 := strconv.Atoi(q.Get("off"))
-		n, err2 := strconv.Atoi(q.Get("len"))
-		if err1 != nil || err2 != nil || off < 0 || n < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "off and len must be non-negative integers"})
-			return
-		}
-		ctx, cancel, err := overload.WithDeadlineHeader(r.Context(), r.Header.Get(overload.DeadlineHeader))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		ctx, cancel, off, n, ok := parseBytesRequest(w, r)
+		if !ok {
 			return
 		}
 		defer cancel()
@@ -1122,13 +1102,7 @@ func (rt *Router) buildMux() {
 			writeRouterErr(w, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		w.Header().Set("X-Range-Blocks", strconv.Itoa(st.Blocks))
-		w.Header().Set("X-Range-Cached", strconv.Itoa(st.CachedBlocks))
-		w.Header().Set("X-Range-Dispatches", strconv.Itoa(st.Dispatches))
-		w.Header().Set("X-Range-Decoded", strconv.Itoa(st.DecodedBlocks))
-		w.Header().Set("X-Decoded-Bytes", strconv.Itoa(decoded))
+		setRangeHeaders(w.Header(), len(data), st, decoded)
 		w.Write(data) //nolint:errcheck — client went away
 	})
 	handle("GET /cluster/nodes", "nodes", func(w http.ResponseWriter, r *http.Request) {

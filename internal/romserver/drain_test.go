@@ -1,6 +1,7 @@
 package romserver
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func TestCloseStopsAllGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 4; i++ {
-			s.Block("prog", i) //nolint:errcheck — failures are the point
+			s.BlockContext(context.Background(), "prog", i) //nolint:errcheck — failures are the point
 		}
 		// Let at least one reverify tick start before shutting down.
 		time.Sleep(5 * time.Millisecond)

@@ -152,7 +152,7 @@ func (sc *sidecar) fill(c codecomp.BlockCodec, lo, hi int) (err error) {
 }
 
 // blockOffsets folds the sidecar's per-block lengths into the
-// cumulative offset table ReadAt maps byte offsets through — the
+// cumulative offset table ReadAtContext maps byte offsets through — the
 // registration pass already decoded every block, so the table is free.
 func (sc *sidecar) blockOffsets() []int64 {
 	offs := make([]int64, len(sc.lens)+1)

@@ -2,6 +2,7 @@ package romserver
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -42,14 +43,14 @@ func TestWorkerSurvivesPanickingCodec(t *testing.T) {
 	// Hammer the panicking image more times than there are workers: if
 	// panics killed workers, the pool would be dead after two requests.
 	for i := 0; i < 10; i++ {
-		_, _, err := s.Block("boom", i%8)
+		_, _, err := s.BlockContext(context.Background(), "boom", i%8)
 		if !errors.Is(err, ErrCodecPanic) {
 			t.Fatalf("Block(boom) err = %v, want ErrCodecPanic", err)
 		}
 	}
 	// The pool still serves the healthy image.
 	for i := 0; i < 8; i++ {
-		data, _, err := s.Block("good", i)
+		data, _, err := s.BlockContext(context.Background(), "good", i)
 		if err != nil || !bytes.Equal(data, []byte{byte(i), byte(i >> 8)}) {
 			t.Fatalf("Block(good,%d) = %v, %v after panics", i, data, err)
 		}
@@ -94,7 +95,7 @@ func TestTransientErrorsRetriedWithBackoff(t *testing.T) {
 	defer s.Close()
 	s.addCodec("flaky", flaky)
 
-	data, _, err := s.Block("flaky", 1)
+	data, _, err := s.BlockContext(context.Background(), "flaky", 1)
 	if err != nil || !bytes.Equal(data, []byte{1, 0}) {
 		t.Fatalf("Block = %v, %v; want success after retries", data, err)
 	}
@@ -117,7 +118,7 @@ func TestPermanentErrorsNotRetried(t *testing.T) {
 	defer s.Close()
 	s.addCodec("broken", flaky)
 
-	if _, _, err := s.Block("broken", 0); err == nil {
+	if _, _, err := s.BlockContext(context.Background(), "broken", 0); err == nil {
 		t.Fatal("broken block served")
 	}
 	if flaky.calls.Load() != 1 {
@@ -144,7 +145,7 @@ func TestDecompressionDeadline(t *testing.T) {
 	s.addCodec("wedged", wedged)
 
 	start := time.Now()
-	_, _, err := s.Block("wedged", 0)
+	_, _, err := s.BlockContext(context.Background(), "wedged", 0)
 	if !errors.Is(err, ErrDecompressTimeout) {
 		t.Fatalf("err = %v, want ErrDecompressTimeout", err)
 	}
@@ -170,7 +171,7 @@ func TestCorruptBlockNeverServedNeverCached(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err := s.Block("prog", 3)
+	_, _, err := s.BlockContext(context.Background(), "prog", 3)
 	if !errors.Is(err, ErrCorruptBlock) {
 		t.Fatalf("err = %v, want ErrCorruptBlock", err)
 	}
@@ -191,7 +192,7 @@ func TestCorruptBlockNeverServedNeverCached(t *testing.T) {
 	if err := s.SetFaults("prog", nil); err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := s.Block("prog", 3)
+	data, _, err := s.BlockContext(context.Background(), "prog", 3)
 	if err != nil || !bytes.Equal(data, text[3*32:4*32]) {
 		t.Fatalf("post-recovery Block = %v, %v", len(data), err)
 	}
@@ -221,7 +222,7 @@ func TestHealthStateMachine(t *testing.T) {
 
 	// Warm one good block before the faults start.
 	warm := info.Blocks - 1
-	if _, _, err := s.Block("prog", warm); err != nil {
+	if _, _, err := s.BlockContext(context.Background(), "prog", warm); err != nil {
 		t.Fatal(err)
 	}
 
@@ -232,7 +233,7 @@ func TestHealthStateMachine(t *testing.T) {
 	}
 	sawDegraded := false
 	for _, b := range bad {
-		if _, _, err := s.Block("prog", b); err == nil {
+		if _, _, err := s.BlockContext(context.Background(), "prog", b); err == nil {
 			t.Fatalf("faulted block %d served", b)
 		}
 		if st := s.Stats(); st.Images[0].Health == Degraded.String() {
@@ -251,13 +252,13 @@ func TestHealthStateMachine(t *testing.T) {
 	}
 
 	// Quarantine contract: the warmed block still serves from cache...
-	if data, hit, err := s.Block("prog", warm); err != nil || !hit {
+	if data, hit, err := s.BlockContext(context.Background(), "prog", warm); err != nil || !hit {
 		t.Fatalf("cached read under quarantine: hit=%v err=%v", hit, err)
 	} else if want := text[warm*32:]; !bytes.Equal(data, want[:min(32, len(want))]) {
 		t.Fatal("cached read returned wrong bytes")
 	}
 	// ...but a fresh decompression is refused.
-	if _, _, err := s.Block("prog", 17); !errors.Is(err, ErrQuarantined) {
+	if _, _, err := s.BlockContext(context.Background(), "prog", 17); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("uncached read under quarantine: %v, want ErrQuarantined", err)
 	}
 
@@ -287,7 +288,7 @@ func TestHealthStateMachine(t *testing.T) {
 		t.Fatal("not ready after recovery")
 	}
 	// Normal serving resumed.
-	if _, _, err := s.Block("prog", 17); err != nil {
+	if _, _, err := s.BlockContext(context.Background(), "prog", 17); err != nil {
 		t.Fatalf("post-recovery read: %v", err)
 	}
 }
@@ -313,7 +314,7 @@ func TestChaosInvariantInProcess(t *testing.T) {
 	var served, failed int
 	for round := 0; round < 3; round++ {
 		for b := 0; b < info.Blocks; b++ {
-			data, _, err := s.Block("prog", b)
+			data, _, err := s.BlockContext(context.Background(), "prog", b)
 			if err != nil {
 				failed++
 				continue
@@ -393,7 +394,7 @@ func TestConcurrentAddRemoveRace(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
 				b := rng.Intn(blocks)
-				data, _, err := s.Block("img", b)
+				data, _, err := s.BlockContext(context.Background(), "img", b)
 				if err != nil {
 					if errors.Is(err, ErrNotFound) {
 						continue
@@ -422,7 +423,7 @@ func TestConcurrentAddRemoveRace(t *testing.T) {
 
 	// Once removed, reads deterministically miss.
 	s.RemoveImage("img") //nolint:errcheck — may already be gone
-	if _, _, err := s.Block("img", 0); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.BlockContext(context.Background(), "img", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("read after remove: %v", err)
 	}
 }
@@ -442,7 +443,7 @@ func TestStaleInsertCannotServeNewRegistration(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.Block("img", 0) //nolint:errcheck — the bytes belong to the old registration
+		s.BlockContext(context.Background(), "img", 0) //nolint:errcheck — the bytes belong to the old registration
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for old.calls.Load() == 0 {
@@ -466,7 +467,7 @@ func TestStaleInsertCannotServeNewRegistration(t *testing.T) {
 	// insert. (Both stubs declare block 0 as {0,0}, so distinguish by
 	// observing a miss + a fresh codec call.)
 	before := replacement.calls.Load()
-	_, hit, err := s.Block("img", 0)
+	_, hit, err := s.BlockContext(context.Background(), "img", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +509,7 @@ func TestSharedReadingsObserveEveryStage(t *testing.T) {
 	}
 	const n = 20
 	before := s.loadCounts()
-	v, err := s.ReadAt("prog", 3*32, n*32)
+	v, err := s.ReadAtContext(context.Background(), "prog", 3*32, n*32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +532,7 @@ func TestSharedReadingsObserveEveryStage(t *testing.T) {
 	defer f.Close()
 	f.addCodec("flaky", newFlakyCodec(64, 1, false))
 	before = f.loadCounts()
-	v, err = f.ReadAt("flaky", 0, n*2)
+	v, err = f.ReadAtContext(context.Background(), "flaky", 0, n*2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func holdWorker(t *testing.T, s *Server, c *gatedCodec, b int) <-chan error {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := s.Block("blocker", b)
+		_, _, err := s.BlockContext(context.Background(), "blocker", b)
 		done <- err
 	}()
 	if got := <-c.started; got != b {
@@ -71,7 +71,7 @@ func TestCallerHitBypassesPool(t *testing.T) {
 	defer s.Close()
 	s.addCodec("blocker", blocker.stubCodec)
 	img := s.addCodec("img", &stubCodec{blocks: 8})
-	if _, hit, err := s.Block("img", 3); err != nil || hit {
+	if _, hit, err := s.BlockContext(context.Background(), "img", 3); err != nil || hit {
 		t.Fatalf("warm read: hit=%v err=%v", hit, err)
 	}
 
@@ -82,12 +82,12 @@ func TestCallerHitBypassesPool(t *testing.T) {
 	}
 	waits := s.queueWaits()
 
-	data, hit, err := s.Block("img", 3)
+	data, hit, err := s.BlockContext(context.Background(), "img", 3)
 	if err != nil || !hit || !bytes.Equal(data, []byte{3, 0}) {
 		t.Fatalf("cached read behind a full queue = %v, hit=%v, err=%v", data, hit, err)
 	}
 	var rej *overload.RejectError
-	if _, _, err := s.Block("img", 5); !errors.As(err, &rej) || rej.Reason != overload.ReasonQueueFull {
+	if _, _, err := s.BlockContext(context.Background(), "img", 5); !errors.As(err, &rej) || rej.Reason != overload.ReasonQueueFull {
 		t.Fatalf("uncached read behind a full queue: err = %v, want queue-full reject", err)
 	}
 	if n := s.met.admissionQueueFull.Value(); n != 1 {
@@ -129,7 +129,7 @@ func TestCallerHitAccounting(t *testing.T) {
 	read := func(b int) {
 		t.Helper()
 		wantHit := cached[b]
-		data, hit, err := s.Block("img", b)
+		data, hit, err := s.BlockContext(context.Background(), "img", b)
 		reads++
 		if err != nil || hit != wantHit || !bytes.Equal(data, []byte{byte(b), 0}) {
 			t.Fatalf("read %d: hit=%v (want %v), data=%v, err=%v", b, hit, wantHit, data, err)
@@ -167,7 +167,7 @@ func TestCallerHitAccounting(t *testing.T) {
 		}
 		got := make(chan res, 1)
 		go func() {
-			data, hit, err := s.Block("img", warm[0])
+			data, hit, err := s.BlockContext(context.Background(), "img", warm[0])
 			got <- res{data, hit, err}
 		}()
 		waitCond(t, "raced read to queue", func() bool { return len(s.tasks) == len(warm)+1 })
@@ -245,7 +245,7 @@ func TestCallerHitOverloadLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := 0; b < 3; b++ {
-		if _, _, err := s.Block("img", b); err != nil {
+		if _, _, err := s.BlockContext(context.Background(), "img", b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,7 +307,7 @@ func TestCallerHitOverloadLevels(t *testing.T) {
 	// An admitted miss still funds the budget and reports its outcome.
 	tokens := o.bud.Tokens()
 	_, outcomes := o.ctl.Goodput()
-	if _, _, err := s.Block("img", 9); err != nil {
+	if _, _, err := s.BlockContext(context.Background(), "img", 9); err != nil {
 		t.Fatalf("hot miss while browned out: %v", err)
 	}
 	if got := o.bud.Tokens(); got <= tokens {
@@ -372,7 +372,7 @@ func TestCallerHitRaces(t *testing.T) {
 			t.Errorf("%s block %d: %v", name, b, err)
 		}
 		if after {
-			if _, _, err := s.Block(name, b); !errors.Is(err, ErrClosed) {
+			if _, _, err := s.BlockContext(context.Background(), name, b); !errors.Is(err, ErrClosed) {
 				t.Errorf("%s Block after Close: %v", name, err)
 			}
 		}

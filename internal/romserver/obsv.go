@@ -45,7 +45,7 @@ type serverMetrics struct {
 	rangeDecodedBlocks *obsv.Counter
 	rangeRead          *obsv.Histogram
 
-	// Byte-granular sub-block read path (ReadAt / GET .../bytes).
+	// Byte-granular sub-block read path (ReadAtContext / GET .../bytes).
 	subblockReads       *obsv.Counter
 	subblockBytes       *obsv.Counter
 	partialDecodes      *obsv.Counter

@@ -2,6 +2,7 @@ package romserver
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func TestMetricsPhaseHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < info.Blocks; i++ {
-		if _, _, err := s.Block("prog", i); err != nil {
+		if _, _, err := s.BlockContext(context.Background(), "prog", i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,7 +109,7 @@ func TestStatsRaceHammer(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := s.Block("prog", (i*7+g)%info.Blocks); err != nil {
+				if _, _, err := s.BlockContext(context.Background(), "prog", (i*7+g)%info.Blocks); err != nil {
 					t.Error(err)
 					return
 				}
@@ -155,7 +156,7 @@ func TestTracerCapturesLoadPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < info.Blocks && i < 8; i++ {
-		if _, _, err := s.Block("prog", i); err != nil {
+		if _, _, err := s.BlockContext(context.Background(), "prog", i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +207,7 @@ func TestFaultHookMirrorsCounters(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Block("prog", 0); err == nil {
+	if _, _, err := s.BlockContext(context.Background(), "prog", 0); err == nil {
 		t.Fatal("expected load failure under 100% transient rate")
 	}
 	_ = info

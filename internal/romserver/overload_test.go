@@ -40,7 +40,7 @@ func TestCanceledWhileQueuedNeverDecodes(t *testing.T) {
 	// Pin the single worker on a decode that blocks on the gate.
 	blockerDone := make(chan error, 1)
 	go func() {
-		_, _, err := s.Block("blocker", 0)
+		_, _, err := s.BlockContext(context.Background(), "blocker", 0)
 		blockerDone <- err
 	}()
 	waitCond(t, "blocker decode to start", func() bool { return blocker.calls.Load() == 1 })
@@ -79,7 +79,7 @@ func TestCanceledWhileQueuedNeverDecodes(t *testing.T) {
 	}
 
 	// The block is still servable afterwards — nothing leaked.
-	if data, _, err := s.Block("victim", 1); err != nil || len(data) == 0 {
+	if data, _, err := s.BlockContext(context.Background(), "victim", 1); err != nil || len(data) == 0 {
 		t.Fatalf("victim Block after cancel = %v, %v", data, err)
 	}
 }
@@ -99,7 +99,7 @@ func TestCanceledRangeWhileQueuedNeverDecodes(t *testing.T) {
 	// Pin the single worker on a decode that blocks on the gate.
 	blockerDone := make(chan error, 1)
 	go func() {
-		_, _, err := s.Block("blocker", 0)
+		_, _, err := s.BlockContext(context.Background(), "blocker", 0)
 		blockerDone <- err
 	}()
 	waitCond(t, "blocker decode to start", func() bool { return blocker.calls.Load() == 1 })
@@ -138,7 +138,7 @@ func TestCanceledRangeWhileQueuedNeverDecodes(t *testing.T) {
 	}
 
 	// The bytes are still servable afterwards — nothing leaked.
-	v, err := s.ReadAt("victim", 2, 4)
+	v, err := s.ReadAtContext(context.Background(), "victim", 2, 4)
 	if err != nil {
 		t.Fatalf("victim ReadAt after cancel: %v", err)
 	}
@@ -212,7 +212,7 @@ func TestOverloadAdmissionRejectsDoomedRequests(t *testing.T) {
 
 	// Warm the service-time EWMA with sequential cold misses.
 	for i := 0; i < 8; i++ {
-		if _, _, err := s.Block("img", i); err != nil {
+		if _, _, err := s.BlockContext(context.Background(), "img", i); err != nil {
 			t.Fatalf("warm read %d: %v", i, err)
 		}
 	}
@@ -230,7 +230,7 @@ func TestOverloadAdmissionRejectsDoomedRequests(t *testing.T) {
 					return
 				default:
 				}
-				s.Block("img", (g*13+i)%64) //nolint:errcheck — load generator
+				s.BlockContext(context.Background(), "img", (g*13+i)%64) //nolint:errcheck — load generator
 			}
 		}(g)
 	}
@@ -285,7 +285,7 @@ func TestOverloadBrownoutServesHotShedsCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cache block 40 so brownout can serve it without a worker.
-	if _, _, err := s.Block("img", 40); err != nil {
+	if _, _, err := s.BlockContext(context.Background(), "img", 40); err != nil {
 		t.Fatal(err)
 	}
 
@@ -297,16 +297,16 @@ func TestOverloadBrownoutServesHotShedsCold(t *testing.T) {
 	}
 
 	// Hot block: decodes even browned out.
-	if _, _, err := s.Block("img", 2); err != nil {
+	if _, _, err := s.BlockContext(context.Background(), "img", 2); err != nil {
 		t.Fatalf("hot block shed under brownout: %v", err)
 	}
 	// Cached block: served from cache.
-	if _, hit, err := s.Block("img", 40); err != nil || !hit {
+	if _, hit, err := s.BlockContext(context.Background(), "img", 40); err != nil || !hit {
 		t.Fatalf("cached block = hit=%v err=%v under brownout", hit, err)
 	}
 	// Cold miss: shed.
 	var rej *overload.RejectError
-	_, _, err := s.Block("img", 50)
+	_, _, err := s.BlockContext(context.Background(), "img", 50)
 	if !errors.As(err, &rej) || rej.Reason != overload.ReasonBrownout {
 		t.Fatalf("cold miss err = %v, want brownout reject", err)
 	}
@@ -328,7 +328,7 @@ func TestOverloadServerRace(t *testing.T) {
 	defer s.Close()
 	s.addCodec("img", slow)
 	for i := 0; i < 8; i++ {
-		s.Block("img", i) //nolint:errcheck — warmup
+		s.BlockContext(context.Background(), "img", i) //nolint:errcheck — warmup
 	}
 
 	var wg sync.WaitGroup
@@ -350,7 +350,7 @@ func TestOverloadServerRace(t *testing.T) {
 					s.BlockContext(ctx, "img", (g*7+i)%32) //nolint:errcheck — hammer
 					cancel()
 				case 1:
-					s.Block("img", (g*11+i)%32) //nolint:errcheck — hammer
+					s.BlockContext(context.Background(), "img", (g*11+i)%32) //nolint:errcheck — hammer
 				case 2:
 					s.Train("img") //nolint:errcheck — retrains the hot set concurrently
 					_ = s.Stats()
@@ -370,7 +370,7 @@ func TestOverloadServerRace(t *testing.T) {
 	wg.Wait()
 	// The server still serves after the storm.
 	waitCond(t, "level to settle", func() bool { return s.OverloadLevel() == overload.Healthy })
-	if data, _, err := s.Block("img", 1); err != nil || len(data) == 0 {
+	if data, _, err := s.BlockContext(context.Background(), "img", 1); err != nil || len(data) == 0 {
 		t.Fatalf("post-storm read = %v, %v", data, err)
 	}
 }

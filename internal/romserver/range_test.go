@@ -9,6 +9,7 @@ package romserver
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -53,7 +54,7 @@ func TestRangeBatchedByteExactAndAmortized(t *testing.T) {
 	// blocks and several distinct miss-runs.
 	warm := []int{6, 7, 12}
 	for _, b := range warm {
-		if _, _, err := s.Block("prog", b); err != nil {
+		if _, _, err := s.BlockContext(context.Background(), "prog", b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +94,7 @@ func TestRangeBatchedByteExactAndAmortized(t *testing.T) {
 	}
 
 	// The inserted blocks serve later demand traffic as ordinary hits.
-	if _, hit, err := s.Block("prog", 9); err != nil || !hit {
+	if _, hit, err := s.BlockContext(context.Background(), "prog", 9); err != nil || !hit {
 		t.Fatalf("Block(9) after range: hit=%v err=%v, want cache hit", hit, err)
 	}
 

@@ -889,19 +889,14 @@ func (s *Server) Images() []ImageInfo {
 	return out
 }
 
-// Block returns the decompressed bytes of one cache block. The bool reports
-// whether the read was a cache hit.
-func (s *Server) Block(name string, i int) ([]byte, bool, error) {
-	return s.BlockContext(context.Background(), name, i)
-}
-
-// BlockContext is Block under the caller's request context. A cached
-// block is answered on the calling goroutine at every overload level.
-// For a miss, the context's deadline drives admission control (a read
-// whose estimated queue wait would blow the deadline is rejected with
+// BlockContext returns the decompressed bytes of one cache block; the
+// bool reports whether the read was a cache hit. A cached block is
+// answered on the calling goroutine at every overload level. For a miss,
+// the context's deadline drives admission control (a read whose
+// estimated queue wait would blow the deadline is rejected with
 // *overload.RejectError before queueing), cancels the ticket if it is
 // still queued when the context expires, and clamps the per-decode
-// deadline. A nil or background context behaves exactly like Block.
+// deadline. A background context imposes none of these.
 func (s *Server) BlockContext(ctx context.Context, name string, i int) ([]byte, bool, error) {
 	img, err := s.lookup(name)
 	if err != nil {
@@ -1265,8 +1260,9 @@ type FaultStatsRollup struct {
 
 // Stats is a snapshot of the whole serving layer.
 // SubblockStats rolls up the byte-granular sub-block read path: how many
-// ReadAt requests ran, how many decompressed bytes they returned, and how
-// much tail-block work the partial decoder did (and therefore skipped —
+// ReadAtContext requests ran, how many decompressed bytes they returned,
+// and how much tail-block work the partial decoder did (and therefore
+// skipped —
 // PartialDecodedBytes counts codec output actually produced; the remainder
 // of each tail block was never decoded at all).
 type SubblockStats struct {

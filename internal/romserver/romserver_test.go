@@ -2,6 +2,7 @@ package romserver
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -87,7 +88,7 @@ func TestAddImageFormatsAndReplace(t *testing.T) {
 	}
 
 	// Replacing an image drops its cached blocks.
-	if _, _, err := s.Block("prog-samc", 0); err != nil {
+	if _, _, err := s.BlockContext(context.Background(), "prog-samc", 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AddImage("prog-samc", cases[0].data); err != nil {
@@ -130,7 +131,7 @@ func TestBlockRangeFullText(t *testing.T) {
 	}
 
 	for _, i := range []int{0, 1, info.Blocks / 2, info.Blocks - 1} {
-		got, _, err := s.Block("prog", i)
+		got, _, err := s.BlockContext(context.Background(), "prog", i)
 		if err != nil {
 			t.Fatalf("Block(%d): %v", i, err)
 		}
@@ -154,16 +155,16 @@ func TestBlockRangeFullText(t *testing.T) {
 	}
 
 	// Error surfaces.
-	if _, _, err := s.Block("prog", -1); !errors.Is(err, ErrOutOfRange) {
+	if _, _, err := s.BlockContext(context.Background(), "prog", -1); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("Block(-1): %v", err)
 	}
-	if _, _, err := s.Block("prog", info.Blocks); !errors.Is(err, ErrOutOfRange) {
+	if _, _, err := s.BlockContext(context.Background(), "prog", info.Blocks); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("Block(N): %v", err)
 	}
 	if _, _, err := rangeBytes(s, "prog", 5, 2); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("rangeBytes(5,2): %v", err)
 	}
-	if _, _, err := s.Block("nope", 0); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.BlockContext(context.Background(), "nope", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Block(nope): %v", err)
 	}
 }
@@ -183,7 +184,7 @@ func TestSingleflightCollapse(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		go func() {
 			defer wg.Done()
-			data, _, err := s.Block("stub", 0)
+			data, _, err := s.BlockContext(context.Background(), "stub", 0)
 			if err != nil || !bytes.Equal(data, []byte{0, 0}) {
 				t.Errorf("Block = %v, %v", data, err)
 			}
@@ -242,7 +243,7 @@ func TestLoopingTraceHitRatio(t *testing.T) {
 		if b >= info.Blocks {
 			continue
 		}
-		if _, _, err := s.Block("prog", b); err != nil {
+		if _, _, err := s.BlockContext(context.Background(), "prog", b); err != nil {
 			t.Fatalf("Block(%d): %v", b, err)
 		}
 		requests++
@@ -272,7 +273,7 @@ func TestPrefetchWarmsSequentialBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, hit, err := s.Block("prog", 0); err != nil || hit {
+	if _, hit, err := s.BlockContext(context.Background(), "prog", 0); err != nil || hit {
 		t.Fatalf("cold read: hit=%v err=%v", hit, err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -292,7 +293,7 @@ func TestPrefetchWarmsSequentialBlocks(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// A demand read of a prefetched block is a pure cache hit.
-	if _, hit, err := s.Block("prog", 1); err != nil || !hit {
+	if _, hit, err := s.BlockContext(context.Background(), "prog", 1); err != nil || !hit {
 		t.Fatalf("prefetched read: hit=%v err=%v", hit, err)
 	}
 }
@@ -314,7 +315,7 @@ func TestGracefulShutdown(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				b := (g*37 + i) % info.Blocks
-				data, _, err := s.Block("prog", b)
+				data, _, err := s.BlockContext(context.Background(), "prog", b)
 				if errors.Is(err, ErrClosed) {
 					return
 				}
@@ -335,7 +336,7 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	wg.Wait()
 
-	if _, _, err := s.Block("prog", 0); !errors.Is(err, ErrClosed) {
+	if _, _, err := s.BlockContext(context.Background(), "prog", 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Block after Close: %v", err)
 	}
 	if _, err := s.AddImage("another", marshalSAMC(t, text)); !errors.Is(err, ErrClosed) {
@@ -383,7 +384,7 @@ func TestConcurrentMixedImages(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				name := names[rng.Intn(len(names))]
 				b := rng.Intn(blocks)
-				data, _, err := s.Block(name, b)
+				data, _, err := s.BlockContext(context.Background(), name, b)
 				if err != nil {
 					t.Errorf("Block(%s,%d): %v", name, b, err)
 					return
@@ -418,7 +419,7 @@ func TestTraceRecordingAndTrain(t *testing.T) {
 	}
 
 	for _, b := range []int{0, 9, 0, 9, 0, 3} {
-		if _, _, err := s.Block("stub", b); err != nil {
+		if _, _, err := s.BlockContext(context.Background(), "stub", b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -439,7 +440,7 @@ func TestTraceRecordingAndTrain(t *testing.T) {
 
 	// The ring is bounded: hammering one block keeps only the window.
 	for i := 0; i < 100; i++ {
-		s.Block("stub", 1)
+		s.BlockContext(context.Background(), "stub", 1)
 	}
 	tr, _ = s.TraceSnapshot("stub")
 	if len(tr.Accesses) != 8 {
@@ -483,7 +484,7 @@ func TestSetPolicyMarkovPrefetchesTrainedSuccessor(t *testing.T) {
 
 	// A demand miss on 10 must warm 40 — the trained successor — and not
 	// 11, the sequential guess.
-	if _, _, err := s.Block("stub", 10); err != nil {
+	if _, _, err := s.BlockContext(context.Background(), "stub", 10); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -497,7 +498,7 @@ func TestSetPolicyMarkovPrefetchesTrainedSuccessor(t *testing.T) {
 		t.Fatal("markov policy still prefetching sequentially")
 	}
 	// The warmed read is a demand hit and counts as a prefetch hit.
-	if _, hit, err := s.Block("stub", 40); err != nil || !hit {
+	if _, hit, err := s.BlockContext(context.Background(), "stub", 40); err != nil || !hit {
 		t.Fatalf("warmed read: hit=%v err=%v", hit, err)
 	}
 	st := s.Stats()
@@ -518,7 +519,7 @@ func TestPrefetchHitAccountingSequential(t *testing.T) {
 	defer s.Close()
 	s.addCodec("stub", stub)
 
-	if _, _, err := s.Block("stub", 0); err != nil {
+	if _, _, err := s.BlockContext(context.Background(), "stub", 0); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -530,9 +531,9 @@ func TestPrefetchHitAccountingSequential(t *testing.T) {
 	}
 	// Two demand reads of warmed blocks, one re-read: prefetch hits count
 	// first use only, ordinary hits keep counting.
-	s.Block("stub", 1)
-	s.Block("stub", 2)
-	s.Block("stub", 1)
+	s.BlockContext(context.Background(), "stub", 1)
+	s.BlockContext(context.Background(), "stub", 2)
+	s.BlockContext(context.Background(), "stub", 1)
 	st := s.Stats()
 	if st.Prefetch.Hits != 2 {
 		t.Fatalf("prefetch hits = %d, want 2 (stats %+v)", st.Prefetch.Hits, st.Prefetch)
@@ -565,7 +566,7 @@ func TestSetPolicyHotsetPinsSurviveColdScan(t *testing.T) {
 
 	// Full cold scan of the whole image.
 	for b := 0; b < stub.blocks; b++ {
-		if _, _, err := s.Block("stub", b); err != nil {
+		if _, _, err := s.BlockContext(context.Background(), "stub", b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -587,7 +588,7 @@ func TestSetPolicyHotsetPinsSurviveColdScan(t *testing.T) {
 		t.Fatalf("pins survived policy switch: %+v", st)
 	}
 	for b := 0; b < stub.blocks; b++ {
-		s.Block("stub", b)
+		s.BlockContext(context.Background(), "stub", b)
 	}
 	if s.cache.Contains(blockKey(s, "stub", 7)) {
 		t.Fatal("unpinned block survived a full cold scan")
@@ -669,7 +670,7 @@ func BenchmarkRomserverMiss(b *testing.B) {
 	}
 	// Warm the decode pools and the cache's entry freelist.
 	for i := 0; i < info.Blocks; i++ {
-		if _, _, err := s.Block("prog", i); err != nil {
+		if _, _, err := s.BlockContext(context.Background(), "prog", i); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -679,7 +680,7 @@ func BenchmarkRomserverMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Sequential rotation over far more blocks than the cache holds:
 		// every access is a genuine miss plus an eviction.
-		_, hit, err := s.Block("prog", i%info.Blocks)
+		_, hit, err := s.BlockContext(context.Background(), "prog", i%info.Blocks)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -81,7 +81,7 @@ func TestRunAcctDeadlineBoundsEachBlock(t *testing.T) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	waitCond(t, "the watchdog to fire", func() bool { return s.Stats().Faults.Timeouts == 1 })
-	if _, _, err := s.Block("good", 1); err != nil {
+	if _, _, err := s.BlockContext(context.Background(), "good", 1); err != nil {
 		t.Fatalf("healthy image after the wedge: %v", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
@@ -179,7 +179,7 @@ func TestCloseInsertsOnlyVerifiedAfterError(t *testing.T) {
 	img := s.addCodec("img", c)
 	// A cached block 3 splits [0,7] into runs [0,2] and [4,7]; the
 	// first fails at block 1.
-	if _, _, err := s.Block("img", 3); err != nil {
+	if _, _, err := s.BlockContext(context.Background(), "img", 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.RangeView("img", 0, 7); err == nil {

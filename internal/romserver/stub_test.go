@@ -1,6 +1,7 @@
 package romserver
 
 import (
+	"context"
 	"errors"
 	"hash/crc32"
 	"sync/atomic"
@@ -75,7 +76,7 @@ func (s *Server) addCodec(name string, c *stubCodec) *image {
 // demand, range and text paths, and nothing it returned is cached.
 func TestStubServingOtherBytesIsCorrupt(t *testing.T) {
 	reads := map[string]func(s *Server) error{
-		"demand": func(s *Server) error { _, _, err := s.Block("liar", 1); return err },
+		"demand": func(s *Server) error { _, _, err := s.BlockContext(context.Background(), "liar", 1); return err },
 		"range": func(s *Server) error {
 			v, err := s.RangeView("liar", 0, 3)
 			if err == nil {

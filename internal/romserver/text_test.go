@@ -337,7 +337,7 @@ func TestWriteTextFragmentedUnderOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := 0; b < info.Blocks; b += 2 {
-		if _, _, err := s.Block("prog", b); err != nil {
+		if _, _, err := s.BlockContext(context.Background(), "prog", b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package romserver
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -113,7 +114,7 @@ func TestRecompressConvergence(t *testing.T) {
 	// Warm some blocks into the cache before migrating, so the pass must
 	// actually orphan their cached copies.
 	for b := 0; b < 8; b++ {
-		if _, _, err := s.Block("prog", b); err != nil {
+		if _, _, err := s.BlockContext(context.Background(), "prog", b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +211,7 @@ func TestTieredMigrationUnderLoad(t *testing.T) {
 				default:
 				}
 				b := (seed*31 + it*7) % info.Blocks
-				got, _, err := s.Block("prog", b)
+				got, _, err := s.BlockContext(context.Background(), "prog", b)
 				if err != nil {
 					t.Errorf("block %d: %v", b, err)
 					return
@@ -318,7 +319,7 @@ func TestTierMigrationInvalidates(t *testing.T) {
 	decodes := func() int64 { return s.Stats().Images[0].Decompressions }
 	read := func(wantHit bool) {
 		t.Helper()
-		data, hit, err := s.Block("prog", 0)
+		data, hit, err := s.BlockContext(context.Background(), "prog", 0)
 		if err != nil || hit != wantHit || !bytes.Equal(data, want) {
 			t.Fatalf("read block 0: hit=%v (want %v), exact=%v, err=%v", hit, wantHit, bytes.Equal(data, want), err)
 		}

@@ -209,12 +209,6 @@ func (s *Server) RangeView(name string, first, last int) (*View, error) {
 	return v, nil
 }
 
-// ReadAt serves n decompressed bytes at absolute byte offset off; see
-// ReadAtContext.
-func (s *Server) ReadAt(name string, off, n int) (*View, error) {
-	return s.ReadAtContext(context.Background(), name, off, n)
-}
-
 // ReadAtContext is the byte-granular read path: the request's byte
 // window [off, off+n) is mapped onto covering blocks through the
 // image's offset table, cached blocks are served zero-copy via leases,

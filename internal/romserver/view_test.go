@@ -2,6 +2,7 @@ package romserver
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math"
@@ -39,7 +40,7 @@ func viewImages(t *testing.T, s *Server, text []byte) []string {
 
 func readAll(t *testing.T, s *Server, name string, off, n int) []byte {
 	t.Helper()
-	v, err := s.ReadAt(name, off, n)
+	v, err := s.ReadAtContext(context.Background(), name, off, n)
 	if err != nil {
 		t.Fatalf("ReadAt(%s, %d, %d): %v", name, off, n, err)
 	}
@@ -62,7 +63,7 @@ func readAll(t *testing.T, s *Server, name string, off, n int) []byte {
 // same window, consumed through the io.WriterTo path.
 func (s *Server) mustView(t *testing.T, name string, off, n int) *viewCloser {
 	t.Helper()
-	v, err := s.ReadAt(name, off, n)
+	v, err := s.ReadAtContext(context.Background(), name, off, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,16 +108,16 @@ func TestReadAtByteExact(t *testing.T) {
 	}
 
 	// Error surfaces.
-	if _, err := s.ReadAt("samc", -1, 4); !errors.Is(err, ErrOutOfRange) {
+	if _, err := s.ReadAtContext(context.Background(), "samc", -1, 4); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("ReadAt(-1): %v", err)
 	}
-	if _, err := s.ReadAt("samc", 0, len(text)+1); !errors.Is(err, ErrOutOfRange) {
+	if _, err := s.ReadAtContext(context.Background(), "samc", 0, len(text)+1); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("ReadAt(past end): %v", err)
 	}
-	if _, err := s.ReadAt("samc", len(text), 1); !errors.Is(err, ErrOutOfRange) {
+	if _, err := s.ReadAtContext(context.Background(), "samc", len(text), 1); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("ReadAt(at end, 1): %v", err)
 	}
-	if _, err := s.ReadAt("nope", 0, 1); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ReadAtContext(context.Background(), "nope", 0, 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("ReadAt(nope): %v", err)
 	}
 
@@ -145,7 +146,7 @@ func TestReadAtPartialTailNotCached(t *testing.T) {
 
 	// [0, end): covers blocks 0..2 fully and ends 7 bytes into block 3.
 	end := int(offs[3]) + 7
-	v, err := s.ReadAt("prog", 0, end)
+	v, err := s.ReadAtContext(context.Background(), "prog", 0, end)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestReadAtPartialTailNotCached(t *testing.T) {
 	// Same read again: blocks 0..2 are leased from the cache, the tail
 	// misses again (it was never cached) and is partially decoded again.
 	before := s.Stats().Subblock.PartialDecodes
-	v, err = s.ReadAt("prog", 0, end)
+	v, err = s.ReadAtContext(context.Background(), "prog", 0, end)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestReadAtFaultedImageStaysVerified(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		off := rng.Intn(len(text))
 		n := rng.Intn(len(text) - off + 1)
-		v, err := s.ReadAt("prog", off, n)
+		v, err := s.ReadAtContext(context.Background(), "prog", off, n)
 		if err != nil {
 			// Transient faults may exhaust retries; a refused read is
 			// fine, a wrong one is not.
@@ -295,7 +296,7 @@ func TestViewLeaseLifecycle(t *testing.T) {
 	// Blow the leased blocks out of the tiny cache; the view's parts
 	// must survive untouched because the leases pin the buffers.
 	for b := 4; b < 12; b++ {
-		if _, _, err := s.Block("prog", b); err != nil {
+		if _, _, err := s.BlockContext(context.Background(), "prog", b); err != nil {
 			t.Fatalf("Block(%d): %v", b, err)
 		}
 	}
@@ -368,11 +369,11 @@ func BenchmarkRomserverCachedReadAt(b *testing.B) {
 	}
 	// Cache the block through the demand path (a sub-block read's
 	// partial tail would never be cached), then warm the view pools.
-	if _, _, err := s.Block("prog", 0); err != nil {
+	if _, _, err := s.BlockContext(context.Background(), "prog", 0); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		v, err := s.ReadAt("prog", 3, 17)
+		v, err := s.ReadAtContext(context.Background(), "prog", 3, 17)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -385,7 +386,7 @@ func BenchmarkRomserverCachedReadAt(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := s.ReadAt("prog", 3, 17)
+		v, err := s.ReadAtContext(context.Background(), "prog", 3, 17)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -458,7 +459,7 @@ func BenchmarkRomserverSubblockMiss(b *testing.B) {
 		b.Fatalf("image too small for %d-byte blocks: %d blocks", blockSize, info.Blocks)
 	}
 	// Warm pools only; the read below never populates the cache.
-	v, err := s.ReadAt("prog", 0, 128)
+	v, err := s.ReadAtContext(context.Background(), "prog", 0, 128)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -469,7 +470,7 @@ func BenchmarkRomserverSubblockMiss(b *testing.B) {
 	var decoded int64
 	for i := 0; i < b.N; i++ {
 		off := (i % 2) * blockSize
-		v, err := s.ReadAt("prog", off, 128)
+		v, err := s.ReadAtContext(context.Background(), "prog", off, 128)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -508,7 +509,7 @@ func BenchmarkRomserverColdRange(b *testing.B) {
 		b.Fatalf("image too small: %d pages", pages)
 	}
 	read := func(i int) int {
-		v, err := s.ReadAt("prog", (i%3)*page, page)
+		v, err := s.ReadAtContext(context.Background(), "prog", (i%3)*page, page)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -596,7 +597,7 @@ func TestReadAtHugeLenOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range [][2]int{{1, math.MaxInt}, {len(text), math.MaxInt}, {math.MaxInt, 1}} {
-		if _, err := s.ReadAt("prog", w[0], w[1]); !errors.Is(err, ErrOutOfRange) {
+		if _, err := s.ReadAtContext(context.Background(), "prog", w[0], w[1]); !errors.Is(err, ErrOutOfRange) {
 			t.Fatalf("ReadAt(%d, %d) = %v, want ErrOutOfRange", w[0], w[1], err)
 		}
 	}

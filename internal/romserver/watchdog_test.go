@@ -54,7 +54,7 @@ func TestWedgeEveryPath(t *testing.T) {
 		call       func(t *testing.T, s *Server) error
 	}{
 		{"demand", 1, false, func(t *testing.T, s *Server) error {
-			_, _, err := s.Block("wedged", 1)
+			_, _, err := s.BlockContext(context.Background(), "wedged", 1)
 			return err
 		}},
 		{"range", 1, false, func(t *testing.T, s *Server) error {
@@ -131,7 +131,7 @@ func TestWedgeEveryPath(t *testing.T) {
 			}
 
 			// The replacement worker keeps the one-worker pool serving.
-			data, _, err := s.Block("good", 3)
+			data, _, err := s.BlockContext(context.Background(), "good", 3)
 			if err != nil || !bytes.Equal(data, []byte{3, 0}) {
 				t.Fatalf("healthy image after the wedge: %v, %v", data, err)
 			}
@@ -163,7 +163,7 @@ func TestWedgeSingleflightWaiter(t *testing.T) {
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, _, err := s.Block("wedged", 0)
+			_, _, err := s.BlockContext(context.Background(), "wedged", 0)
 			errs <- err
 		}()
 	}
@@ -179,7 +179,7 @@ func TestWedgeSingleflightWaiter(t *testing.T) {
 	}
 	// Both workers were replaced.
 	for b := 0; b < 4; b++ {
-		if _, _, err := s.Block("good", b); err != nil {
+		if _, _, err := s.BlockContext(context.Background(), "good", b); err != nil {
 			t.Fatalf("healthy image after the wedge: %v", err)
 		}
 	}
@@ -207,7 +207,7 @@ func TestWatchdogRequestDeadline(t *testing.T) {
 		t.Fatalf("request deadline took %v (load timeout is %v)", d, s.opts.LoadTimeout)
 	}
 	waitCond(t, "watchdog to fire", func() bool { return s.Stats().Faults.Timeouts == 1 })
-	if _, _, err := s.Block("good", 1); err != nil {
+	if _, _, err := s.BlockContext(context.Background(), "good", 1); err != nil {
 		t.Fatalf("healthy image after the wedge: %v", err)
 	}
 }
@@ -264,7 +264,7 @@ func TestWatchdogRacesReply(t *testing.T) {
 						v.Close()
 					}
 				} else {
-					data, _, err = s.Block("jitter", b)
+					data, _, err = s.BlockContext(context.Background(), "jitter", b)
 				}
 				mu.Lock()
 				switch {
@@ -284,7 +284,7 @@ func TestWatchdogRacesReply(t *testing.T) {
 	waitCond(t, "inflight gauge to settle", func() bool { return s.inflight.Load() == 0 })
 	// Retired workers exit once their late decode returns.
 	waitCond(t, "goroutines to settle", func() bool { return runtime.NumGoroutine() <= base })
-	if _, _, err := s.Block("jitter", 0); err != nil && !errors.Is(err, ErrDecompressTimeout) {
+	if _, _, err := s.BlockContext(context.Background(), "jitter", 0); err != nil && !errors.Is(err, ErrDecompressTimeout) {
 		t.Fatalf("pool broken after the race: %v", err)
 	}
 }

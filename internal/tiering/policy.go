@@ -121,11 +121,15 @@ func (p Policy) Assign(prof *traceprof.Profile, numTiers int) []uint8 {
 // byte — the currency the offline evaluator scores latency in.
 type CostModel map[string]float64
 
-// DefaultCostModel carries the committed BENCH_decode.json AppendBlock
-// throughputs converted to ns/byte (1000 / MB/s): raw is a memcpy,
-// byte-Huffman ~91 MB/s, interleaved rANS ~71 MB/s, SAMC ~17 MB/s. Use
-// measured per-machine numbers where available; these are the portable
-// fallback.
+// DefaultCostModel is a fixed snapshot, not a live measurement: the
+// AppendBlock throughputs BENCH_decode.json recorded when tiering was
+// added (commit 3cdb975), converted to ns/byte (1000 / MB/s): raw is a
+// memcpy, kozuch byte-Huffman 91 MB/s, interleaved rANS 71.5 MB/s, SAMC
+// 17.5 MB/s. BENCH_decode.json has been re-measured since and no longer
+// carries these figures. The values stay as they are so the offline
+// Pareto table (the tiering drill's, and EXPERIMENTS.md's) remains
+// reproducible. Use measured per-machine numbers where available; these
+// are the portable fallback.
 var DefaultCostModel = CostModel{
 	TierRaw:     0.05,
 	TierHuffman: 11.0,
