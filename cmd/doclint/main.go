@@ -33,7 +33,7 @@ import (
 
 func main() {
 	strict := flag.String("strict",
-		"internal/obsv,internal/policy,internal/faultinj,internal/traceprof,internal/cluster,internal/cluster/client,internal/overload,internal/blockcache,internal/rans,internal/tiering,internal/drill",
+		"internal/obsv,internal/policy,internal/faultinj,internal/traceprof,internal/cluster,internal/cluster/client,internal/overload,internal/blockcache,internal/rans,internal/tiering,internal/drill,internal/romimg",
 		"comma-separated package dirs where every exported declaration needs a doc comment")
 	root := flag.String("root", ".", "module root to lint")
 	flag.Parse()

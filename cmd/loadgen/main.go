@@ -80,7 +80,7 @@ func main() {
 	flag.IntVar(&cfg.ClusterNodes, "cluster-nodes", cfg.ClusterNodes, "cluster: initial node count")
 	flag.IntVar(&cfg.ClusterRF, "cluster-rf", cfg.ClusterRF, "cluster: replicas per image")
 	overloadMode := flag.Bool("overload", false, "overload drill: boot an in-process node with admission control, measure its capacity, storm it open-loop at 4x and assert byte-exactness, bounded p99, goodput, retry containment, brownout escalation and recovery")
-	tieringMode := flag.Bool("tiering", false, "tiering drill: boot an in-process node with a mixed-codec tiered image, replay a hot-skewed trace under concurrent verified reads while recompression migrates blocks, assert hot/cold tier convergence, byte-exactness and Pareto dominance over single-codec SAMC")
+	tieringMode := flag.Bool("tiering", false, "tiering drill: drive an in-process romserver.Server (no node, no HTTP) holding a mixed-codec tiered image, replay a hot-skewed trace under concurrent verified reads while recompression migrates blocks, assert hot/cold tier convergence, byte-exactness and Pareto dominance over single-codec SAMC")
 	flag.Float64Var(&cfg.QPS, "qps", cfg.QPS, "open-loop offered load in req/s against -addr; goodput vs offered load is reported (0 = closed-loop modes)")
 	flag.DurationVar(&cfg.Deadline, "deadline", cfg.Deadline, "open-loop/overload: per-request deadline, propagated to the server via "+overload.DeadlineHeader)
 	flag.DurationVar(&cfg.Duration, "duration", cfg.Duration, "open-loop/overload: how long the load runs")

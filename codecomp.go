@@ -336,15 +336,15 @@ func DetectFormat(data []byte) string {
 		return ""
 	}
 	switch string(data[:4]) {
-	case "SAMC":
+	case samc.Magic:
 		return FormatSAMC
-	case "SADC":
+	case sadc.Magic:
 		return FormatSADC
-	case "KZHF":
+	case kozuch.Magic:
 		return FormatHuffman
-	case "RANS":
+	case rans.Magic:
 		return FormatRANS
-	case "TIER":
+	case tiering.Magic:
 		return FormatTiered
 	}
 	return ""

@@ -154,6 +154,7 @@ func FuzzUnmarshalAny(f *testing.F) {
 		flipped2[6] ^= 0x01 // bit-flipped header
 		f.Add(flipped2)
 	}
+	f.Add(forgedSAMCImage(f))
 	f.Add([]byte{})
 	f.Add([]byte("SAMC"))
 	f.Add([]byte("SADC\x01"))

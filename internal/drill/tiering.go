@@ -48,6 +48,11 @@ func tieringSkewedTrace(blocks, hot, accesses int) []int {
 // SAMC: compression ratio at least as good and lower mean decode
 // latency on the same trace. The Pareto table it prints is the source
 // of the numbers in EXPERIMENTS.md.
+//
+// The drill calls the bare romserver.Server, not a cluster.Node, and
+// crosses no HTTP. The node's GET/PUT /images/{name}/tiering routes and
+// the store write-through of migrated tiers are covered instead by
+// TestTieringEndpoints and TestTieredDataDirPersistence in cmd/codecompd.
 func Tiering(cfg Config) (int, error) {
 	c := checks{drill: "tiering"}
 	prog := program{codecomp.GenerateMIPS(codecomp.MustProfile(cfg.Profile)).Text(), tieringBlockSize}

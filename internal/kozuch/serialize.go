@@ -3,104 +3,68 @@ package kozuch
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"codecomp/internal/bitio"
 	"codecomp/internal/huffman"
+	"codecomp/internal/romimg"
 )
 
-// Image serialization. Layout (big-endian):
+// Image serialization, inside the shared romimg envelope (magic "KZHF",
+// CRC) and ending in the shared romimg LAT. Body (big-endian):
 //
-//	magic "KZHF" | version u8 | crc32 u32 (IEEE, over everything after)
 //	blockSize u16 | origSize u32 | numBlocks u32
 //	128 bytes of 4-bit code lengths
-//	LAT: numBlocks+1 offsets u32 | payload
+//	LAT + payload (romimg)
 
-const (
-	kzMagic   = "KZHF"
-	kzVersion = 1
-)
+// Magic begins every serialized byte-Huffman image.
+const Magic = "KZHF"
+
+const kzVersion = 1
 
 // Marshal serializes the compressed image.
 func (c *Compressed) Marshal() []byte {
-	var out []byte
-	out = append(out, kzMagic...)
-	out = append(out, kzVersion)
-	out = append(out, 0, 0, 0, 0) // CRC placeholder
+	out := romimg.Begin(Magic, kzVersion)
 	out = binary.BigEndian.AppendUint16(out, uint16(c.BlockSize))
 	out = binary.BigEndian.AppendUint32(out, uint32(c.OrigSize))
 	out = binary.BigEndian.AppendUint32(out, uint32(len(c.Blocks)))
 	w := bitio.NewWriter(128)
 	c.Table.WriteLengths(w)
 	out = w.AppendBytes(out)
-	var off uint32
-	for _, b := range c.Blocks {
-		out = binary.BigEndian.AppendUint32(out, off)
-		off += uint32(len(b))
-	}
-	out = binary.BigEndian.AppendUint32(out, off)
-	for _, b := range c.Blocks {
-		out = append(out, b...)
-	}
-	binary.BigEndian.PutUint32(out[5:], crc32.ChecksumIEEE(out[9:]))
-	return out
+	return romimg.Seal(romimg.AppendLAT(out, c.Blocks))
 }
 
 // Unmarshal reconstructs an image serialized by Marshal.
 func Unmarshal(data []byte) (*Compressed, error) {
-	need := func(n int) error {
-		if len(data) < n {
-			return fmt.Errorf("kozuch: truncated image")
-		}
-		return nil
-	}
-	if err := need(19); err != nil {
+	r, err := romimg.Open(data, Magic, kzVersion, "kozuch")
+	if err != nil {
 		return nil, err
 	}
-	if string(data[:4]) != kzMagic {
-		return nil, fmt.Errorf("kozuch: bad magic")
+	c := &Compressed{}
+	if c.BlockSize, err = r.U16(); err != nil {
+		return nil, err
 	}
-	if data[4] != kzVersion {
-		return nil, fmt.Errorf("kozuch: unsupported version %d", data[4])
+	if c.OrigSize, err = r.U32(); err != nil {
+		return nil, err
 	}
-	if got, want := crc32.ChecksumIEEE(data[9:]), binary.BigEndian.Uint32(data[5:]); got != want {
-		return nil, fmt.Errorf("kozuch: image checksum mismatch (%08x != %08x)", got, want)
+	numBlocks, err := r.U32()
+	if err != nil {
+		return nil, err
 	}
-	c := &Compressed{
-		BlockSize: int(binary.BigEndian.Uint16(data[9:])),
-		OrigSize:  int(binary.BigEndian.Uint32(data[11:])),
-	}
-	numBlocks := int(binary.BigEndian.Uint32(data[15:]))
 	if c.BlockSize <= 0 {
 		return nil, fmt.Errorf("kozuch: invalid block size")
 	}
 	if want := (c.OrigSize + c.BlockSize - 1) / c.BlockSize; numBlocks != want {
 		return nil, fmt.Errorf("kozuch: %d blocks, expected %d", numBlocks, want)
 	}
-	data = data[19:]
-	if err := need(128); err != nil {
-		return nil, err
-	}
-	tbl, err := huffman.ReadLengths(bitio.NewReader(data[:128]), 256)
+	lengths, err := r.Take(128)
 	if err != nil {
 		return nil, err
 	}
-	c.Table = tbl
-	data = data[128:]
-	if len(data) < 4*(numBlocks+1) {
-		return nil, fmt.Errorf("kozuch: truncated LAT")
+	if c.Table, err = huffman.ReadLengths(bitio.NewReader(lengths), 256); err != nil {
+		return nil, err
 	}
-	offsets := make([]int, numBlocks+1)
-	for i := range offsets {
-		offsets[i] = int(binary.BigEndian.Uint32(data[4*i:]))
-	}
-	payload := data[4*(numBlocks+1):]
-	for i := 0; i < numBlocks; i++ {
-		lo, hi := offsets[i], offsets[i+1]
-		if lo > hi || hi > len(payload) {
-			return nil, fmt.Errorf("kozuch: corrupt LAT entry %d", i)
-		}
-		c.Blocks = append(c.Blocks, payload[lo:hi])
+	if c.Blocks, err = r.LAT(numBlocks); err != nil {
+		return nil, err
 	}
 	return c, nil
 }

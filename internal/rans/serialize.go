@@ -3,35 +3,29 @@ package rans
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"codecomp/internal/bitio"
+	"codecomp/internal/romimg"
 )
 
-// Image serialization: the ROM layout for an interleaved-rANS image.
-// Layout (all integers big-endian):
+// Image serialization: the ROM layout for an interleaved-rANS image, inside
+// the shared romimg envelope (magic "RANS", CRC) and ending in the shared
+// romimg LAT. Body (all integers big-endian):
 //
-//	magic "RANS" | version u8 | crc32 u32 (IEEE, over everything after)
 //	blockSize u16 | streams u8 | origSize u32 | numBlocks u32
 //	model: 128 contexts × 15 frequencies × (scaleBits+1) bits, packed; each
 //	   context's 16th frequency is implied by the fixed total m, which
 //	   doubles as a structural check (the first 15 may not exceed m)
-//	LAT: numBlocks+1 offsets u32 (relative to payload start)
-//	payload bytes
-//
-// The offset table doubles as the LAT the refill engine would consult.
+//	LAT + payload (romimg)
 
-const (
-	magic   = "RANS"
-	version = 1
-)
+// Magic begins every serialized rANS image.
+const Magic = "RANS"
+
+const version = 1
 
 // Marshal serializes the compressed image.
 func (c *Compressed) Marshal() []byte {
-	var out []byte
-	out = append(out, magic...)
-	out = append(out, version)
-	out = append(out, 0, 0, 0, 0) // CRC placeholder
+	out := romimg.Begin(Magic, version)
 	out = binary.BigEndian.AppendUint16(out, uint16(c.BlockSize))
 	out = append(out, byte(c.Streams))
 	out = binary.BigEndian.AppendUint32(out, uint32(c.OrigSize))
@@ -44,87 +38,26 @@ func (c *Compressed) Marshal() []byte {
 		}
 	}
 	out = w.AppendBytes(out)
-
-	var off uint32
-	for _, b := range c.Blocks {
-		out = binary.BigEndian.AppendUint32(out, off)
-		off += uint32(len(b))
-	}
-	out = binary.BigEndian.AppendUint32(out, off)
-	for _, b := range c.Blocks {
-		out = append(out, b...)
-	}
-	binary.BigEndian.PutUint32(out[5:], crc32.ChecksumIEEE(out[9:]))
-	return out
-}
-
-type reader struct {
-	data []byte
-	pos  int
-}
-
-func (r *reader) take(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.data) {
-		return nil, fmt.Errorf("rans: truncated image at byte %d (+%d)", r.pos, n)
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *reader) u8() (int, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return int(b[0]), nil
-}
-
-func (r *reader) u16() (int, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return int(binary.BigEndian.Uint16(b)), nil
-}
-
-func (r *reader) u32() (int, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return int(binary.BigEndian.Uint32(b)), nil
+	return romimg.Seal(romimg.AppendLAT(out, c.Blocks))
 }
 
 // Unmarshal reconstructs an image serialized by Marshal.
 func Unmarshal(data []byte) (*Compressed, error) {
-	r := &reader{data: data}
-	mg, err := r.take(4)
-	if err != nil || string(mg) != magic {
-		return nil, fmt.Errorf("rans: bad magic")
-	}
-	v, err := r.u8()
-	if err != nil || v != version {
-		return nil, fmt.Errorf("rans: unsupported version %d", v)
-	}
-	want, err := r.u32()
+	r, err := romimg.Open(data, Magic, version, "rans")
 	if err != nil {
 		return nil, err
 	}
-	if got := crc32.ChecksumIEEE(data[r.pos:]); got != uint32(want) {
-		return nil, fmt.Errorf("rans: image checksum mismatch (%08x != %08x)", got, want)
-	}
 	c := &Compressed{}
-	if c.BlockSize, err = r.u16(); err != nil {
+	if c.BlockSize, err = r.U16(); err != nil {
 		return nil, err
 	}
-	if c.Streams, err = r.u8(); err != nil {
+	if c.Streams, err = r.U8(); err != nil {
 		return nil, err
 	}
-	if c.OrigSize, err = r.u32(); err != nil {
+	if c.OrigSize, err = r.U32(); err != nil {
 		return nil, err
 	}
-	numBlocks, err := r.u32()
+	numBlocks, err := r.U32()
 	if err != nil {
 		return nil, err
 	}
@@ -143,11 +76,7 @@ func Unmarshal(data []byte) (*Compressed, error) {
 	if numBlocks != wantBlocks {
 		return nil, fmt.Errorf("rans: %d blocks for %d bytes at block size %d", numBlocks, c.OrigSize, c.BlockSize)
 	}
-	if (numBlocks+1)*4 > len(data)-r.pos {
-		return nil, fmt.Errorf("rans: truncated LAT (%d blocks)", numBlocks)
-	}
-
-	model, err := r.take(c.TableBytes())
+	model, err := r.Take(c.TableBytes())
 	if err != nil {
 		return nil, err
 	}
@@ -168,25 +97,8 @@ func Unmarshal(data []byte) (*Compressed, error) {
 		c.Freq[ctx][numSym-1] = uint16(m - sum)
 	}
 
-	offsets := make([]int, numBlocks+1)
-	for i := range offsets {
-		if offsets[i], err = r.u32(); err != nil {
-			return nil, err
-		}
-	}
-	payload, err := r.take(len(data) - r.pos)
-	if err != nil {
+	if c.Blocks, err = r.LAT(numBlocks); err != nil {
 		return nil, err
-	}
-	if numBlocks > 0 {
-		c.Blocks = make([][]byte, 0, numBlocks)
-	}
-	for i := 0; i < numBlocks; i++ {
-		lo, hi := offsets[i], offsets[i+1]
-		if lo > hi || hi > len(payload) {
-			return nil, fmt.Errorf("rans: corrupt LAT entry %d [%d,%d)", i, lo, hi)
-		}
-		c.Blocks = append(c.Blocks, payload[lo:hi])
 	}
 	if err := c.validate(); err != nil {
 		return nil, err

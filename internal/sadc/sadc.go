@@ -291,9 +291,12 @@ func (g *generator) collectCandidates(parses [][]int) (candidate, bool) {
 		}
 	}
 
+	// The candidate maps are scanned in Go's random map order, so equal
+	// gains go to the entry that orders last (longest, then highest
+	// opcodes): the same text must always compress to the same ROM image.
 	best := candidate{gain: 0}
 	consider := func(e Entry, gain int) {
-		if gain > best.gain {
+		if gain > best.gain || gain == best.gain && gain > 0 && best.entry.less(&e) {
 			best = candidate{entry: e, gain: gain}
 		}
 	}

@@ -3,16 +3,16 @@ package sadc
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"codecomp/internal/bitio"
 	"codecomp/internal/huffman"
+	"codecomp/internal/romimg"
 )
 
-// Image serialization: the ROM layout of a SADC-compressed program.
-// Layout (big-endian):
+// Image serialization: the ROM layout of a SADC-compressed program, inside
+// the shared romimg envelope (magic "SADC", CRC). Each block carries its
+// own segment lengths in place of a LAT. Body (big-endian):
 //
-//	magic "SADC" | version u8 | crc32 u32 (IEEE, over everything after)
 //	isa tag u8 | blockSize u16
 //	origSize u32 | numBlocks u32
 //	auxLen u16 | adapter aux (x86 opcode table)
@@ -21,17 +21,14 @@ import (
 //	4 Huffman tables: 128 bytes of 4-bit code lengths each
 //	blocks: per block: tokens u16 | origBytes u16 | 4 × (segLen u16 + bytes)
 
-const (
-	sadcMagic   = "SADC"
-	sadcVersion = 1
-)
+// Magic begins every serialized SADC image.
+const Magic = "SADC"
+
+const sadcVersion = 1
 
 // Marshal serializes the compressed image.
 func (c *Compressed) Marshal() []byte {
-	var out []byte
-	out = append(out, sadcMagic...)
-	out = append(out, sadcVersion)
-	out = append(out, 0, 0, 0, 0) // CRC placeholder
+	out := romimg.Begin(Magic, sadcVersion)
 	out = append(out, c.adapter.Tag())
 	out = binary.BigEndian.AppendUint16(out, uint16(c.BlockSize))
 	out = binary.BigEndian.AppendUint32(out, uint32(c.OrigSize))
@@ -84,87 +81,36 @@ func (c *Compressed) Marshal() []byte {
 			out = append(out, seg...)
 		}
 	}
-	binary.BigEndian.PutUint32(out[5:], crc32.ChecksumIEEE(out[9:]))
-	return out
-}
-
-type sreader struct {
-	data []byte
-	pos  int
-}
-
-func (r *sreader) take(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.data) {
-		return nil, fmt.Errorf("sadc: truncated image at byte %d (+%d)", r.pos, n)
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *sreader) u8() (int, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return int(b[0]), nil
-}
-
-func (r *sreader) u16() (int, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return int(binary.BigEndian.Uint16(b)), nil
-}
-
-func (r *sreader) u32() (int, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return int(binary.BigEndian.Uint32(b)), nil
+	return romimg.Seal(out)
 }
 
 // Unmarshal reconstructs an image serialized by Marshal.
 func Unmarshal(data []byte) (*Compressed, error) {
-	r := &sreader{data: data}
-	m, err := r.take(4)
-	if err != nil || string(m) != sadcMagic {
-		return nil, fmt.Errorf("sadc: bad magic")
-	}
-	v, err := r.u8()
-	if err != nil || v != sadcVersion {
-		return nil, fmt.Errorf("sadc: unsupported version %d", v)
-	}
-	want, err := r.u32()
+	r, err := romimg.Open(data, Magic, sadcVersion, "sadc")
 	if err != nil {
 		return nil, err
 	}
-	if got := crc32.ChecksumIEEE(data[r.pos:]); got != uint32(want) {
-		return nil, fmt.Errorf("sadc: image checksum mismatch (%08x != %08x)", got, want)
-	}
-	tag, err := r.u8()
+	tag, err := r.U8()
 	if err != nil {
 		return nil, err
 	}
 	c := &Compressed{}
-	if c.BlockSize, err = r.u16(); err != nil {
+	if c.BlockSize, err = r.U16(); err != nil {
 		return nil, err
 	}
-	if c.OrigSize, err = r.u32(); err != nil {
+	if c.OrigSize, err = r.U32(); err != nil {
 		return nil, err
 	}
-	numBlocks, err := r.u32()
+	numBlocks, err := r.U32()
 	if err != nil {
 		return nil, err
 	}
 
-	auxLen, err := r.u16()
+	auxLen, err := r.U16()
 	if err != nil {
 		return nil, err
 	}
-	aux, err := r.take(auxLen)
+	aux, err := r.Take(auxLen)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +127,7 @@ func Unmarshal(data []byte) (*Compressed, error) {
 		return nil, fmt.Errorf("sadc: unknown ISA tag %d", tag)
 	}
 
-	dictLen, err := r.u16()
+	dictLen, err := r.U16()
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +135,7 @@ func Unmarshal(data []byte) (*Compressed, error) {
 		return nil, fmt.Errorf("sadc: implausible dictionary size %d", dictLen)
 	}
 	for e := 0; e < dictLen; e++ {
-		itemCount, err := r.u8()
+		itemCount, err := r.U8()
 		if err != nil {
 			return nil, err
 		}
@@ -198,11 +144,11 @@ func Unmarshal(data []byte) (*Compressed, error) {
 		}
 		entry := Entry{Items: make([]Item, itemCount)}
 		for i := 0; i < itemCount; i++ {
-			op, err := r.u16()
+			op, err := r.U16()
 			if err != nil {
 				return nil, err
 			}
-			flags, err := r.u8()
+			flags, err := r.U8()
 			if err != nil {
 				return nil, err
 			}
@@ -211,11 +157,11 @@ func Unmarshal(data []byte) (*Compressed, error) {
 				if flags&(1<<bit) == 0 {
 					continue
 				}
-				l, err := r.u8()
+				l, err := r.U8()
 				if err != nil {
 					return nil, err
 				}
-				b, err := r.take(l)
+				b, err := r.Take(l)
 				if err != nil {
 					return nil, err
 				}
@@ -227,7 +173,7 @@ func Unmarshal(data []byte) (*Compressed, error) {
 	}
 
 	for s := range c.Tables {
-		raw, err := r.take(128)
+		raw, err := r.Take(128)
 		if err != nil {
 			return nil, err
 		}
@@ -240,18 +186,18 @@ func Unmarshal(data []byte) (*Compressed, error) {
 
 	for b := 0; b < numBlocks; b++ {
 		var blk Block
-		if blk.Tokens, err = r.u16(); err != nil {
+		if blk.Tokens, err = r.U16(); err != nil {
 			return nil, err
 		}
-		if blk.Bytes, err = r.u16(); err != nil {
+		if blk.Bytes, err = r.U16(); err != nil {
 			return nil, err
 		}
 		for s := range blk.Seg {
-			l, err := r.u16()
+			l, err := r.U16()
 			if err != nil {
 				return nil, err
 			}
-			seg, err := r.take(l)
+			seg, err := r.Take(l)
 			if err != nil {
 				return nil, err
 			}
@@ -259,8 +205,8 @@ func Unmarshal(data []byte) (*Compressed, error) {
 		}
 		c.Blocks = append(c.Blocks, blk)
 	}
-	if r.pos != len(data) {
-		return nil, fmt.Errorf("sadc: %d trailing bytes", len(data)-r.pos)
+	if n := r.Len(); n != 0 {
+		return nil, fmt.Errorf("sadc: %d trailing bytes", n)
 	}
 	return c, nil
 }

@@ -114,6 +114,26 @@ func (e *Entry) storageBytes() int {
 	return n
 }
 
+// less orders entries by item count, then item by item on opcode and
+// fused operand bytes; it breaks ties between equal-gain candidates.
+func (e *Entry) less(o *Entry) bool {
+	if len(e.Items) != len(o.Items) {
+		return len(e.Items) < len(o.Items)
+	}
+	for i := range e.Items {
+		a, b := &e.Items[i], &o.Items[i]
+		if a.Op != b.Op {
+			return a.Op < b.Op
+		}
+		for s := Stream(0); s < numOperandStreams; s++ {
+			if c := bytes.Compare(a.fused(s), b.fused(s)); c != 0 {
+				return c < 0
+			}
+		}
+	}
+	return false
+}
+
 // Adapter bridges an ISA to SADC's Unit form.
 type Adapter interface {
 	// ToUnits splits a program text into units.

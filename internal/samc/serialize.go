@@ -3,36 +3,30 @@ package samc
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"codecomp/internal/markov"
+	"codecomp/internal/romimg"
 )
 
-// Image serialization: the byte format a real system would burn into ROM.
-// Layout (all integers big-endian):
+// Image serialization: the byte format a real system would burn into ROM,
+// inside the shared romimg envelope (magic "SAMC", CRC) and ending in the
+// shared romimg LAT. Body (all integers big-endian):
 //
-//	magic "SAMC" | version u8 | crc32 u32 (IEEE, over everything after)
 //	blockSize u16 | wordBytes u8
 //	origSize u32 | numBlocks u32
 //	divisionLen u16 | division (width u8, numGroups u8, then per group:
 //	   len u8 + positions u8...)
 //	modelLen u32 | model (markov.Model.Serialize)
-//	LAT: numBlocks+1 offsets u32 (relative to payload start)
-//	payload bytes
-//
-// The offset table doubles as the LAT the refill engine would consult.
+//	LAT + payload (romimg)
 
-const (
-	magic   = "SAMC"
-	version = 1
-)
+// Magic begins every serialized SAMC image.
+const Magic = "SAMC"
+
+const version = 1
 
 // Marshal serializes the compressed image.
 func (c *Compressed) Marshal() []byte {
-	var out []byte
-	out = append(out, magic...)
-	out = append(out, version)
-	out = append(out, 0, 0, 0, 0) // CRC placeholder
+	out := romimg.Begin(Magic, version)
 	out = binary.BigEndian.AppendUint16(out, uint16(c.BlockSize))
 	out = append(out, byte(c.WordBytes))
 	out = binary.BigEndian.AppendUint32(out, uint32(c.OrigSize))
@@ -55,87 +49,26 @@ func (c *Compressed) Marshal() []byte {
 	out = binary.BigEndian.AppendUint32(out, uint32(len(model)))
 	out = append(out, model...)
 
-	// LAT + payload.
-	var off uint32
-	for _, b := range c.Blocks {
-		out = binary.BigEndian.AppendUint32(out, off)
-		off += uint32(len(b))
-	}
-	out = binary.BigEndian.AppendUint32(out, off)
-	for _, b := range c.Blocks {
-		out = append(out, b...)
-	}
-	binary.BigEndian.PutUint32(out[5:], crc32.ChecksumIEEE(out[9:]))
-	return out
-}
-
-type reader struct {
-	data []byte
-	pos  int
-}
-
-func (r *reader) take(n int) ([]byte, error) {
-	if r.pos+n > len(r.data) {
-		return nil, fmt.Errorf("samc: truncated image at byte %d (+%d)", r.pos, n)
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *reader) u8() (int, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return int(b[0]), nil
-}
-
-func (r *reader) u16() (int, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return int(binary.BigEndian.Uint16(b)), nil
-}
-
-func (r *reader) u32() (int, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return int(binary.BigEndian.Uint32(b)), nil
+	return romimg.Seal(romimg.AppendLAT(out, c.Blocks))
 }
 
 // Unmarshal reconstructs an image serialized by Marshal.
 func Unmarshal(data []byte) (*Compressed, error) {
-	r := &reader{data: data}
-	m, err := r.take(4)
-	if err != nil || string(m) != magic {
-		return nil, fmt.Errorf("samc: bad magic")
-	}
-	v, err := r.u8()
-	if err != nil || v != version {
-		return nil, fmt.Errorf("samc: unsupported version %d", v)
-	}
-	want, err := r.u32()
+	r, err := romimg.Open(data, Magic, version, "samc")
 	if err != nil {
 		return nil, err
 	}
-	if got := crc32.ChecksumIEEE(data[r.pos:]); got != uint32(want) {
-		return nil, fmt.Errorf("samc: image checksum mismatch (%08x != %08x)", got, want)
-	}
 	c := &Compressed{}
-	if c.BlockSize, err = r.u16(); err != nil {
+	if c.BlockSize, err = r.U16(); err != nil {
 		return nil, err
 	}
-	if c.WordBytes, err = r.u8(); err != nil {
+	if c.WordBytes, err = r.U8(); err != nil {
 		return nil, err
 	}
-	if c.OrigSize, err = r.u32(); err != nil {
+	if c.OrigSize, err = r.U32(); err != nil {
 		return nil, err
 	}
-	numBlocks, err := r.u32()
+	numBlocks, err := r.U32()
 	if err != nil {
 		return nil, err
 	}
@@ -147,11 +80,11 @@ func Unmarshal(data []byte) (*Compressed, error) {
 		return nil, fmt.Errorf("samc: %d blocks for %d bytes at block size %d", numBlocks, c.OrigSize, c.BlockSize)
 	}
 
-	divLen, err := r.u16()
+	divLen, err := r.U16()
 	if err != nil {
 		return nil, err
 	}
-	div, err := r.take(divLen)
+	div, err := r.Take(divLen)
 	if err != nil {
 		return nil, err
 	}
@@ -184,11 +117,11 @@ func Unmarshal(data []byte) (*Compressed, error) {
 		return nil, fmt.Errorf("samc: division width %d vs word %d bytes", c.Division.Width, c.WordBytes)
 	}
 
-	modelLen, err := r.u32()
+	modelLen, err := r.U32()
 	if err != nil {
 		return nil, err
 	}
-	modelBytes, err := r.take(modelLen)
+	modelBytes, err := r.Take(modelLen)
 	if err != nil {
 		return nil, err
 	}
@@ -196,22 +129,8 @@ func Unmarshal(data []byte) (*Compressed, error) {
 		return nil, err
 	}
 
-	offsets := make([]int, numBlocks+1)
-	for i := range offsets {
-		if offsets[i], err = r.u32(); err != nil {
-			return nil, err
-		}
-	}
-	payload, err := r.take(len(data) - r.pos)
-	if err != nil {
+	if c.Blocks, err = r.LAT(numBlocks); err != nil {
 		return nil, err
-	}
-	for i := 0; i < numBlocks; i++ {
-		lo, hi := offsets[i], offsets[i+1]
-		if lo > hi || hi > len(payload) {
-			return nil, fmt.Errorf("samc: corrupt LAT entry %d [%d,%d)", i, lo, hi)
-		}
-		c.Blocks = append(c.Blocks, payload[lo:hi])
 	}
 	return c, nil
 }

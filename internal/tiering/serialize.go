@@ -3,16 +3,16 @@ package tiering
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"codecomp/internal/kozuch"
 	"codecomp/internal/rans"
+	"codecomp/internal/romimg"
 	"codecomp/internal/samc"
 )
 
-// Image serialization: the "TIER" container. Layout (big-endian):
+// Image serialization: the tiered container, inside the shared romimg
+// envelope (magic "TIER", CRC). Body (big-endian):
 //
-//	magic "TIER" | version u8 | crc32 u32 (IEEE, over everything after)
 //	blockSize u16 | origSize u32 | numBlocks u32 | numTiers u8
 //	per tier: formatCode u8 | subLen u32
 //	assign: numBlocks bytes (tier index per block)
@@ -20,16 +20,16 @@ import (
 //	  codec tiers carry their own standard marshaled image (magic, CRC,
 //	  model, LAT, payload), so loading dispatches each through
 //	  DetectFormat/UnmarshalAny exactly like a standalone upload; the raw
-//	  tier carries LAT (numBlocks+1 offsets u32) + payload.
+//	  tier carries only a romimg LAT + payload.
 //
 // Sub-images keep full container geometry with empty payload slots for the
 // blocks other tiers own; the nested formats' offset tables represent
 // zero-length blocks natively (LAT lo == hi).
 
-const (
-	tierMagic   = "TIER"
-	tierVersion = 1
-)
+// Magic begins every serialized tiered image.
+const Magic = "TIER"
+
+const tierVersion = 1
 
 // formatCode maps tier formats to wire codes (their speed rank).
 func formatCode(format string) byte { return byte(tierOrder[format]) }
@@ -48,17 +48,7 @@ func formatFromCode(code byte) (string, error) {
 func (t *subTier) marshalSub() []byte {
 	switch t.format {
 	case TierRaw:
-		var out []byte
-		var off uint32
-		for _, b := range t.raw {
-			out = binary.BigEndian.AppendUint32(out, off)
-			off += uint32(len(b))
-		}
-		out = binary.BigEndian.AppendUint32(out, off)
-		for _, b := range t.raw {
-			out = append(out, b...)
-		}
-		return out
+		return romimg.AppendLAT(nil, t.raw)
 	case TierHuffman:
 		return t.huff.Marshal()
 	case TierSAMC:
@@ -73,10 +63,7 @@ func (t *subTier) marshalSub() []byte {
 func (c *Compressed) Marshal() []byte {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var out []byte
-	out = append(out, tierMagic...)
-	out = append(out, tierVersion)
-	out = append(out, 0, 0, 0, 0) // CRC placeholder
+	out := romimg.Begin(Magic, tierVersion)
 	out = binary.BigEndian.AppendUint16(out, uint16(c.blockSize))
 	out = binary.BigEndian.AppendUint32(out, uint32(c.origSize))
 	out = binary.BigEndian.AppendUint32(out, uint32(len(c.assign)))
@@ -91,46 +78,7 @@ func (c *Compressed) Marshal() []byte {
 	for _, sub := range subs {
 		out = append(out, sub...)
 	}
-	binary.BigEndian.PutUint32(out[5:], crc32.ChecksumIEEE(out[9:]))
-	return out
-}
-
-type reader struct {
-	data []byte
-	pos  int
-}
-
-func (r *reader) take(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.data) {
-		return nil, fmt.Errorf("tiering: truncated image at byte %d (+%d)", r.pos, n)
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *reader) u8() (int, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return int(b[0]), nil
-}
-
-func (r *reader) u16() (int, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return int(binary.BigEndian.Uint16(b)), nil
-}
-
-func (r *reader) u32() (int, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return int(binary.BigEndian.Uint32(b)), nil
+	return romimg.Seal(out)
 }
 
 // Unmarshal reconstructs a tiered image serialized by Marshal, validating
@@ -138,30 +86,18 @@ func (r *reader) u32() (int, error) {
 // geometry, and that each block's assigned tier actually holds a payload
 // for it.
 func Unmarshal(data []byte) (*Compressed, error) {
-	r := &reader{data: data}
-	mg, err := r.take(4)
-	if err != nil || string(mg) != tierMagic {
-		return nil, fmt.Errorf("tiering: bad magic")
-	}
-	v, err := r.u8()
-	if err != nil || v != tierVersion {
-		return nil, fmt.Errorf("tiering: unsupported version %d", v)
-	}
-	want, err := r.u32()
+	r, err := romimg.Open(data, Magic, tierVersion, "tiering")
 	if err != nil {
 		return nil, err
 	}
-	if got := crc32.ChecksumIEEE(data[r.pos:]); got != uint32(want) {
-		return nil, fmt.Errorf("tiering: image checksum mismatch (%08x != %08x)", got, want)
-	}
 	c := &Compressed{}
-	if c.blockSize, err = r.u16(); err != nil {
+	if c.blockSize, err = r.U16(); err != nil {
 		return nil, err
 	}
-	if c.origSize, err = r.u32(); err != nil {
+	if c.origSize, err = r.U32(); err != nil {
 		return nil, err
 	}
-	numBlocks, err := r.u32()
+	numBlocks, err := r.U32()
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +111,7 @@ func Unmarshal(data []byte) (*Compressed, error) {
 	if numBlocks != wantBlocks {
 		return nil, fmt.Errorf("tiering: %d blocks for %d bytes at block size %d", numBlocks, c.origSize, c.blockSize)
 	}
-	numTiers, err := r.u8()
+	numTiers, err := r.U8()
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +122,7 @@ func Unmarshal(data []byte) (*Compressed, error) {
 	subLens := make([]int, numTiers)
 	prevRank := -1
 	for t := 0; t < numTiers; t++ {
-		code, err := r.u8()
+		code, err := r.U8()
 		if err != nil {
 			return nil, err
 		}
@@ -197,11 +133,11 @@ func Unmarshal(data []byte) (*Compressed, error) {
 			return nil, fmt.Errorf("tiering: tiers not ordered fastest to densest")
 		}
 		prevRank = code
-		if subLens[t], err = r.u32(); err != nil {
+		if subLens[t], err = r.U32(); err != nil {
 			return nil, err
 		}
 	}
-	assignBytes, err := r.take(numBlocks)
+	assignBytes, err := r.Take(numBlocks)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +149,7 @@ func Unmarshal(data []byte) (*Compressed, error) {
 	}
 
 	for t := 0; t < numTiers; t++ {
-		sub, err := r.take(subLens[t])
+		sub, err := r.Take(subLens[t])
 		if err != nil {
 			return nil, err
 		}
@@ -247,8 +183,8 @@ func Unmarshal(data []byte) (*Compressed, error) {
 		}
 		c.tiers = append(c.tiers, st)
 	}
-	if r.pos != len(data) {
-		return nil, fmt.Errorf("tiering: %d trailing bytes", len(data)-r.pos)
+	if n := r.Len(); n != 0 {
+		return nil, fmt.Errorf("tiering: %d trailing bytes", n)
 	}
 	// Every block's assigned tier must actually hold its payload: all codec
 	// encodes emit at least one byte per block, and the raw tier stores the
@@ -268,28 +204,18 @@ func Unmarshal(data []byte) (*Compressed, error) {
 // unmarshalRaw parses the raw tier's LAT + payload, requiring every entry
 // to be empty or exactly the block's decoded length.
 func unmarshalRaw(sub []byte, numBlocks, blockSize, origSize int) ([][]byte, error) {
-	if len(sub) < 4*(numBlocks+1) {
-		return nil, fmt.Errorf("truncated raw LAT")
+	raw, err := romimg.NewReader(sub, "tiering: raw tier").LAT(numBlocks)
+	if err != nil {
+		return nil, err
 	}
-	offsets := make([]int, numBlocks+1)
-	for i := range offsets {
-		offsets[i] = int(binary.BigEndian.Uint32(sub[4*i:]))
-	}
-	payload := sub[4*(numBlocks+1):]
-	raw := make([][]byte, numBlocks)
-	for i := 0; i < numBlocks; i++ {
-		lo, hi := offsets[i], offsets[i+1]
-		if lo > hi || hi > len(payload) {
-			return nil, fmt.Errorf("corrupt raw LAT entry %d [%d,%d)", i, lo, hi)
-		}
+	for i, b := range raw {
 		wantLen := blockSize
 		if (i+1)*blockSize > origSize {
 			wantLen = origSize - i*blockSize
 		}
-		if hi-lo != 0 && hi-lo != wantLen {
-			return nil, fmt.Errorf("raw block %d holds %d bytes, want 0 or %d", i, hi-lo, wantLen)
+		if len(b) != 0 && len(b) != wantLen {
+			return nil, fmt.Errorf("tiering: raw tier: block %d holds %d bytes, want 0 or %d", i, len(b), wantLen)
 		}
-		raw[i] = payload[lo:hi]
 	}
 	return raw, nil
 }
