@@ -247,7 +247,7 @@ func BenchmarkDecompressSAMC(b *testing.B) {
 		}
 	}
 	// After the loop — ResetTimer deletes user metrics. Exported so the
-	// benchdecode gate can compare codec ratios on the same corpus
+	// cmd/bench gate can compare codec ratios on the same corpus
 	// alongside their throughputs.
 	b.ReportMetric(img.Ratio(), "ratio")
 }

@@ -29,7 +29,7 @@ func TestObserveZeroAlloc(t *testing.T) {
 
 // BenchmarkObserve is the headline hot-path benchmark: one counter
 // increment plus one histogram observation, the exact instrumentation
-// added to the block-load path. cmd/benchobsv gates its cost as a ratio
+// added to the block-load path. cmd/bench gates its cost as a ratio
 // against BenchmarkAtomicAddReference.
 func BenchmarkObserve(b *testing.B) {
 	reg := NewRegistry()
@@ -63,7 +63,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 }
 
 // BenchmarkAtomicAddReference is the floor: a single uninstrumented
-// atomic add, the cheapest possible mutation on this hardware. benchobsv
+// atomic add, the cheapest possible mutation on this hardware. cmd/bench
 // expresses the instrument costs as multiples of this.
 func BenchmarkAtomicAddReference(b *testing.B) {
 	var v atomic.Int64

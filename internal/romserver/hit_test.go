@@ -439,7 +439,7 @@ func TestCallerHitRaces(t *testing.T) {
 // BenchmarkRomserverHit measures a demand hit through BlockContext under
 // codecompd's serving defaults: overload on, eight workers, trace
 // recording on. The hit is answered on the calling goroutine, so
-// cmd/benchdecode gates it at 0 allocs/op and at most a tenth of
+// cmd/bench gates it at 0 allocs/op and at most a tenth of
 // BenchmarkRomserverMiss's ns/op.
 func BenchmarkRomserverHit(b *testing.B) {
 	_, text := testText(b)

@@ -222,7 +222,7 @@ func TestAddImageRejectsFailingBlock(t *testing.T) {
 // BenchmarkRomserverAddImage measures registration of a gcc-profile
 // 32-byte SAMC image (about 10k blocks): unmarshal, then the sidecar
 // pass that decodes and checksums every block before the image is
-// published. It exports blocks/op; benchdecode gates allocs/op, which
+// published. It exports blocks/op; cmd/bench gates allocs/op, which
 // must not grow with the block count.
 func BenchmarkRomserverAddImage(b *testing.B) {
 	data := marshalSAMC(b, codecomp.GenerateMIPS(codecomp.MustProfile("gcc")).Text())

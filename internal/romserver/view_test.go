@@ -440,7 +440,7 @@ func BenchmarkRomserverWarmRange(b *testing.B) {
 // on 4 KiB blocks: every read wants only the first 128 bytes of a
 // block, the partial result is never cached, so every op is a genuine
 // miss — and must decode far less than the whole block. The mean codec
-// output per op is exported as decodedB/op; benchdecode gates it
+// output per op is exported as decodedB/op; cmd/bench gates it
 // strictly below the block size.
 func BenchmarkRomserverSubblockMiss(b *testing.B) {
 	_, text := testText(b)
@@ -488,7 +488,7 @@ func BenchmarkRomserverSubblockMiss(b *testing.B) {
 // over a SAMC image with the default options (load deadline, trace
 // recording, sharded cache) whose cache is too small to keep the pages,
 // so each op is one miss run of 128 block decodes and verifies. The mean
-// decodes per op are exported as decodes/op; benchdecode gates allocs/op
+// decodes per op are exported as decodes/op; cmd/bench gates allocs/op
 // at decodes/op + 8 — one cached copy per decoded block plus a fixed
 // per-read overhead, nothing per block for the deadline. Every op must
 // decode every block its page covers: the three pages only keep missing
@@ -543,7 +543,7 @@ func BenchmarkRomserverColdRange(b *testing.B) {
 // image, so each read finds none of its blocks cached and every window
 // is one miss run of decodes and verifies on the pool. It exports
 // decodes/op, dispatches/op and windows/op (ceil(blocks/textWindow));
-// benchdecode gates dispatches at one per window and allocs/op at
+// cmd/bench gates dispatches at one per window and allocs/op at
 // decodes/op plus a fixed overhead per window.
 func BenchmarkRomserverTextCold(b *testing.B) {
 	_, text := testText(b)
