@@ -476,11 +476,34 @@ func (c *Cache) Peek(key Key) ([]byte, bool) {
 // itself is not a demand miss and must not skew hit-ratio or
 // prefetch-accuracy accounting. Normal LRU insertion and eviction apply;
 // inserting over an existing entry keeps the newest value.
+//
+// Put always admits, so a bulk read that calls it for every block it
+// decodes cycles a full cache: an LRU looping over more blocks than it
+// holds evicts each one before it comes round again, and the whole pass
+// pays map and eviction work for a hit ratio near zero. romserver's range
+// path therefore calls Put only for a block it has seen decoded recently
+// and PutIfRoom for the rest (see its View.Close).
 func (c *Cache) Put(key Key, val []byte) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	s.insert(c, key, val, false)
 	s.mu.Unlock()
+}
+
+// PutIfRoom is Put without eviction: it inserts the value, or replaces
+// an existing entry's, only if that evicts nothing, and reports whether
+// it did. The room check and the insert share one shard lock, so a full
+// shard is never pushed over capacity and one with room always admits.
+func (c *Cache) PutIfRoom(key Key, val []byte) bool {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	_, ok := s.entries[key]
+	if ok || s.lruLen+s.pinned < c.perShardCap {
+		s.insert(c, key, val, false)
+		ok = true
+	}
+	s.mu.Unlock()
+	return ok
 }
 
 // Invalidate drops one cached block, pinned or not, and reports whether

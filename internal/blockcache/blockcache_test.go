@@ -453,3 +453,41 @@ func TestShardStriping(t *testing.T) {
 		}
 	}
 }
+
+// TestPutIfRoomNeverEvicts: PutIfRoom admits while the shard has room,
+// refuses a new key once it is full without evicting anything or
+// counting a demand miss, still replaces a key already present, and
+// counts pinned entries against the room.
+func TestPutIfRoomNeverEvicts(t *testing.T) {
+	c := New(4, 1)
+	for b := 0; b < 4; b++ {
+		if !c.PutIfRoom(Key{Image: 1, Block: uint32(b)}, []byte{byte(b)}) {
+			t.Fatalf("PutIfRoom(%d) refused with room", b)
+		}
+	}
+	if c.PutIfRoom(Key{Image: 1, Block: 9}, []byte{9}) {
+		t.Fatal("PutIfRoom admitted into a full shard")
+	}
+	if st := c.Stats(); st.Evictions != 0 || st.Entries != 4 || st.Misses != 0 || st.Hits != 0 {
+		t.Fatalf("after a refused PutIfRoom: %+v", st)
+	}
+	if !c.PutIfRoom(Key{Image: 1, Block: 2}, []byte{42}) {
+		t.Fatal("PutIfRoom refused to replace a present key")
+	}
+	if v, ok := c.Peek(Key{Image: 1, Block: 2}); !ok || v[0] != 42 {
+		t.Fatalf("replaced block = %v, %v", v, ok)
+	}
+
+	// A pinned entry takes room like any other.
+	c.Pin(Key{Image: 1, Block: 0})
+	c.Invalidate(Key{Image: 1, Block: 1})
+	if !c.PutIfRoom(Key{Image: 1, Block: 10}, []byte{10}) {
+		t.Fatal("PutIfRoom refused the slot an invalidation freed")
+	}
+	if c.PutIfRoom(Key{Image: 1, Block: 11}, []byte{11}) {
+		t.Fatal("PutIfRoom admitted past a pinned entry's share of capacity")
+	}
+	if st := c.Stats(); st.Evictions != 0 || st.Entries != 4 {
+		t.Fatalf("final: %+v", st)
+	}
+}

@@ -241,6 +241,10 @@ type image struct {
 	// uniform — SADC packs whole units, the last block runs short).
 	// Built for free from the integrity sidecar at registration.
 	offsets []int64
+	// seen holds, per block, 1 + the epoch of Server.marks in which a
+	// view last decoded the block and skipped inserting it because its
+	// cache shard was full; 0 means never (see insertDecoded).
+	seen []atomic.Uint32
 
 	blockReads     atomic.Int64
 	rangeReads     atomic.Int64
@@ -376,6 +380,10 @@ type Server struct {
 
 	// nextID hands out cache-key ids to registrations.
 	nextID atomic.Uint32
+	// marks counts the blocks views skipped inserting into a full
+	// cache; every Options.CacheBlocks of them end an epoch of the
+	// reuse horizon (see insertDecoded).
+	marks atomic.Int64
 
 	// ovl is the overload layer (admission, brownout, retry budget);
 	// nil when Options.Overload is unset.
@@ -680,7 +688,7 @@ func (s *Server) fetchCtx(ctx context.Context, img *image, block int) ([]byte, b
 		return data, true, nil
 	}
 	if s.ovl != nil {
-		if err := s.admit(ctx, img, []missRun{{block, block}}); err != nil {
+		if err := s.admit(ctx, img, []missRun{{first: block, last: block}}); err != nil {
 			return nil, false, err
 		}
 	}
@@ -1365,9 +1373,9 @@ func (s *Server) Stats() Stats {
 func (s *Server) CacheStats() blockcache.Stats { return s.cache.Stats() }
 
 // newImage builds the serving state for one codec and its sidecar: the
-// offset table, trace recorder sized by Options.TraceBuffer, the default
-// sequential prefetch policy, a fresh cache-key id and a fresh health
-// state machine.
+// offset table, the per-block reuse marks, trace recorder sized by
+// Options.TraceBuffer, the default sequential prefetch policy, a fresh
+// cache-key id and a fresh health state machine.
 func (s *Server) newImage(name string, codec codecomp.BlockCodec, format string, sc *sidecar) *image {
 	img := &image{
 		name:    name,
@@ -1377,6 +1385,7 @@ func (s *Server) newImage(name string, codec codecomp.BlockCodec, format string,
 		id:      s.nextID.Add(1),
 		sidecar: sc,
 		offsets: sc.blockOffsets(),
+		seen:    make([]atomic.Uint32, codec.NumBlocks()),
 		health:  newImageHealth(s.opts.HealthWindow),
 	}
 	if t, ok := codec.(*codecomp.TieredImage); ok {

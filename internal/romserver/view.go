@@ -37,9 +37,10 @@ type View struct {
 	parts  [][]byte
 	leases []blockcache.Lease
 	// inserts are the verified blocks the view's miss runs decoded,
-	// which Close puts into cache unless img was deregistered meanwhile.
+	// which Close offers to the cache unless img was deregistered
+	// meanwhile.
 	inserts []cacheInsert
-	cache   *blockcache.Cache
+	srv     *Server
 	img     *image
 	length  int
 	stats   RangeStats
@@ -126,31 +127,30 @@ func (v *View) WriteTo(w io.Writer) (int64, error) {
 
 var _ io.WriterTo = (*View)(nil)
 
-// Close inserts the blocks the view's miss runs verified into the
-// cache, then releases every lease the view holds and recycles it. A
-// view closed after an error inserts the verified blocks it collected
-// before the error. A view whose image was removed or replaced while it
-// was open inserts nothing: no reader could hit those blocks. Safe to
-// call once per view; the view and its parts are invalid afterwards.
+// Close offers the blocks the view's miss runs verified to the cache
+// (see insertDecoded for which it keeps), then releases every lease the
+// view holds and recycles it. A view closed after an error offers the
+// verified blocks it collected before the error. A view whose image was
+// removed or replaced while it was open inserts nothing: no reader
+// could hit those blocks. Safe to call once per view; the view and its
+// parts are invalid afterwards.
 func (v *View) Close() {
 	if !v.open {
 		return
 	}
 	v.open = false
 	if len(v.inserts) > 0 && !v.img.removed.Load() {
-		for _, in := range v.inserts {
-			v.cache.Put(in.key, in.data)
-		}
-		// A deregistration that lands during the Puts may have
+		v.srv.insertDecoded(v.img, v.inserts)
+		// A deregistration that lands during the inserts may have
 		// invalidated before them; drop them again. One that lands
-		// after this check invalidates after the Puts itself.
+		// after this check invalidates after the inserts itself.
 		if v.img.removed.Load() {
-			v.cache.InvalidateImage(v.img.id)
+			v.srv.cache.InvalidateImage(v.img.id)
 		}
 	}
 	clear(v.inserts)
 	v.inserts = v.inserts[:0]
-	v.img = nil
+	v.img, v.srv = nil, nil
 	for i := range v.leases {
 		v.leases[i].Release()
 	}
@@ -170,8 +170,60 @@ func (v *View) Close() {
 	viewPool.Put(v)
 }
 
-// missRun is one contiguous run of blocks absent from the cache.
-type missRun struct{ first, last int }
+// insertDecoded is the scan-resistant insert rule for the blocks a
+// range, sub-block or /text read decoded. A block a view already
+// decoded within the reuse horizon goes in, evicting if it must; any
+// other block goes in only if its cache shard has room, and is
+// otherwise only marked as seen. The mark is checked first because it
+// needs no lock. Inserting every block instead turns a bulk read over
+// more code than the cache holds into an LRU cycling on a loop: each
+// insert evicts a block before it is read again, so the cache pays an
+// insert and an eviction per block and serves almost nothing. Under
+// this rule the blocks that filled the cache keep serving later
+// passes, and a block read twice in quick succession still displaces
+// an old one. Demand reads and prefetch insert through the cache's
+// loader path and are not affected.
+//
+// The horizon is the current or previous epoch of marks, where an
+// epoch ends after Options.CacheBlocks marks: a re-read lands within it
+// when fewer than one to two cache capacities of other first-time
+// blocks were skipped in between.
+func (s *Server) insertDecoded(img *image, ins []cacheInsert) {
+	epoch := uint32(s.marks.Load()/int64(s.opts.CacheBlocks)) + 1
+	marked := 0
+	for _, in := range ins {
+		seen := &img.seen[in.key.Block]
+		switch e := seen.Load(); {
+		case e != 0 && e+1 >= epoch:
+			s.cache.Put(in.key, in.data)
+		case !s.cache.PutIfRoom(in.key, in.data):
+			seen.Store(epoch)
+			marked++
+		}
+	}
+	if marked > 0 {
+		s.marks.Add(int64(marked))
+	}
+}
+
+// missRun is one contiguous run of blocks absent from the cache, or,
+// when merged, a span of neighbouring runs and the cached blocks
+// between them, which one ticket serves by re-peeking the cached ones.
+type missRun struct {
+	first, last int
+	merged      bool
+}
+
+// mergeRuns folds runs into n tickets of neighbouring runs, as even in
+// run count as integer division makes them.
+func mergeRuns(runs []missRun, n int) []missRun {
+	k := len(runs)
+	for g := range n {
+		lo, hi := g*k/n, (g+1)*k/n-1
+		runs[g] = missRun{runs[lo].first, runs[hi].last, hi > lo}
+	}
+	return runs[:n]
+}
 
 // RangeView serves blocks [first,last] as a zero-copy View: cached
 // blocks are leased (Peek semantics — no LRU promotion, no demand
@@ -291,16 +343,18 @@ func (s *Server) viewBlocks(ctx context.Context, img *image, v *View, first, las
 // blocks of [first,last] into v.parts, runs the overload admission gates
 // over the miss runs — between miss discovery and enqueue, so a fully
 // cached read is never shed — and enqueues one pool ticket per run
-// without waiting for any. merge makes that a single ticket spanning the
-// first miss to the last, whose worker re-peeks the cached blocks in
-// between, so a read fragmented by a partly warm cache still takes one
-// queue slot. awaitView collects the tickets; in between, the caller is
-// free to write out an earlier view while these decode.
+// without waiting for any. A read takes at most Options.Workers tickets,
+// and merge makes that one: past the cap, neighbouring runs share a
+// ticket whose worker re-peeks the cached blocks in between, so a read
+// fragmented by a partly warm cache holds no more queue slots than the
+// pool has workers to run them. awaitView collects the tickets; in
+// between, the caller is free to write out an earlier view while these
+// decode.
 func (s *Server) dispatchView(ctx context.Context, img *image, v *View, first, last, limit int, merge bool) error {
 	st := &v.stats
 	st.Blocks = last - first + 1
 	v.first = first
-	v.cache = s.cache
+	v.srv = s
 	v.img = img
 	if cap(v.parts) >= st.Blocks {
 		v.parts = v.parts[:st.Blocks]
@@ -318,7 +372,7 @@ func (s *Server) dispatchView(ctx context.Context, img *image, v *View, first, l
 		if k := len(runs); k > 0 && runs[k-1].last == b-1 {
 			runs[k-1].last = b
 		} else {
-			runs = append(runs, missRun{b, b})
+			runs = append(runs, missRun{first: b, last: b})
 		}
 	}
 	v.runs = runs
@@ -335,13 +389,17 @@ func (s *Server) dispatchView(ctx context.Context, img *image, v *View, first, l
 			return err
 		}
 	}
+	tickets := s.opts.Workers
 	if merge {
-		runs = append(runs[:0], missRun{runs[0].first, runs[len(runs)-1].last})
+		tickets = 1
+	}
+	if len(runs) > tickets {
+		runs = mergeRuns(runs, tickets)
 		v.runs = runs
 	}
 	for _, r := range runs {
 		reply := make(chan rangeResult, 1)
-		rj := &rangeJob{first: r.first, last: r.last, merged: merge, reply: reply}
+		rj := &rangeJob{first: r.first, last: r.last, merged: r.merged, reply: reply}
 		if limit > 0 && r.last == last {
 			rj.limit = limit
 		}

@@ -486,24 +486,34 @@ func BenchmarkRomserverSubblockMiss(b *testing.B) {
 
 // BenchmarkRomserverColdRange measures a cold 4 KiB page-in: a ReadAt
 // over a SAMC image with the default options (load deadline, trace
-// recording, sharded cache) whose cache is too small to keep the pages,
-// so each op is one miss run of 128 block decodes and verifies. The mean
-// decodes per op are exported as decodes/op; cmd/bench gates allocs/op
-// at decodes/op + 8 — one cached copy per decoded block plus a fixed
-// per-read overhead, nothing per block for the deadline. Every op must
-// decode every block its page covers: the three pages only keep missing
-// in the two-page cache because the cache stripes consecutive blocks
-// across its shards, and a page that turned partly warm would shrink the
-// measured work and the alloc budget with it.
+// recording, sharded cache) whose cache another registration has
+// filled, so each op is one miss run of 128 block decodes and verifies
+// whose blocks the full cache does not take. The mean decodes per op
+// are exported as decodes/op; cmd/bench gates allocs/op at decodes/op +
+// 8 — one copy per decoded block plus a fixed per-read overhead,
+// nothing per block for the deadline. Every op must decode every block
+// its page covers. The three pages keep missing because a re-read comes
+// 256 marks after the last, four epochs of the half-page cache and so
+// past the reuse horizon, and because the cache stripes consecutive
+// blocks across its shards: the filler page leaves no shard with room,
+// where a random shard hash would let part of every page in and shrink
+// the measured work and the alloc budget with it.
 func BenchmarkRomserverColdRange(b *testing.B) {
 	_, text := testText(b)
 	const page = 4096
-	s := New(Options{CacheBlocks: 2 * page / 32})
+	s := New(Options{CacheBlocks: page / 32 / 2})
 	defer s.Close()
-	if _, err := s.AddImage("prog", marshalSAMC(b, text)); err != nil {
+	data := marshalSAMC(b, text)
+	for _, name := range []string{"filler", "prog"} {
+		if _, err := s.AddImage(name, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	v, err := s.ReadAtContext(context.Background(), "filler", 0, page)
+	if err != nil {
 		b.Fatal(err)
 	}
-	// Three pages cycle through a two-page cache: every read misses.
+	v.Close()
 	pages := len(text) / page
 	if pages < 3 {
 		b.Fatalf("image too small: %d pages", pages)
@@ -539,9 +549,12 @@ func BenchmarkRomserverColdRange(b *testing.B) {
 
 // BenchmarkRomserverTextCold measures a cold whole-image read: WriteText
 // of a SAMC image to io.Discard with the default options except a
-// one-window cache. Ops alternate between two registrations of the
-// image, so each read finds none of its blocks cached and every window
-// is one miss run of decodes and verifies on the pool. It exports
+// one-window cache, which a third registration fills first. Ops
+// alternate between two registrations of the image, so each read finds
+// none of its blocks cached, the full cache takes none of them (a
+// block's re-read comes a whole image of marks later, past the reuse
+// horizon) and every window is one miss run of decodes and verifies on
+// the pool. It exports
 // decodes/op, dispatches/op and windows/op (ceil(blocks/textWindow));
 // cmd/bench gates dispatches at one per window and allocs/op at
 // decodes/op plus a fixed overhead per window.
@@ -561,6 +574,14 @@ func BenchmarkRomserverTextCold(b *testing.B) {
 	if info.Blocks < 4*textWindow {
 		b.Fatalf("image too small: %d blocks", info.Blocks)
 	}
+	if _, err := s.AddImage("filler", data); err != nil {
+		b.Fatal(err)
+	}
+	v, err := s.RangeView("filler", 0, textWindow-1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v.Close()
 	read := func(i int) {
 		if _, err := s.WriteText(names[i%2], io.Discard); err != nil {
 			b.Fatal(err)
