@@ -26,6 +26,10 @@
 //
 // Loader errors are returned to every waiter of that flight but are never
 // cached: the next Get retries.
+//
+// Admission is the reuse rule for blocks that bulk reads decode into a
+// full cache, kept apart from the cache so that an offline model runs
+// the same rule (see admission.go).
 package blockcache
 
 import (
@@ -481,8 +485,8 @@ func (c *Cache) Peek(key Key) ([]byte, bool) {
 // decodes cycles a full cache: an LRU looping over more blocks than it
 // holds evicts each one before it comes round again, and the whole pass
 // pays map and eviction work for a hit ratio near zero. romserver's range
-// path therefore calls Put only for a block it has seen decoded recently
-// and PutIfRoom for the rest (see its View.Close).
+// path therefore calls Put only for a block that Admission admits and
+// PutIfRoom for the rest (see its View.Close).
 func (c *Cache) Put(key Key, val []byte) {
 	s := c.shardFor(key)
 	s.mu.Lock()

@@ -290,7 +290,7 @@ func Offline(cfg Config, w *Workload) error {
 		{markov, memsys.PolicyConfig{CacheBlocks: cache}},
 		{hotset, memsys.PolicyConfig{CacheBlocks: cache, Pinned: hotset.(policy.Pinner).Pinned()}},
 	} {
-		st, err := memsys.EvaluatePolicy(looped, blocks, p.pf, p.cfg)
+		st, err := memsys.EvaluatePolicy(memsys.DemandTrace(looped), blocks, p.pf, p.cfg)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"fmt"
 
+	"codecomp/internal/blockcache"
 	"codecomp/internal/policy"
 )
 
@@ -11,9 +12,37 @@ import (
 // an instruction-fetch trace against the paper's I-cache + refill engine,
 // EvaluatePolicy replays a block-access trace against a model of the
 // serving stack's decompressed-block cache (internal/blockcache) under a
-// chosen prefetch policy. The same trace scored against sequential, markov
-// and hotset answers "which policy should this image serve with?" without
-// standing up a server.
+// chosen prefetch policy and the stack's admission rule for bulk reads.
+// The same trace scored against sequential, markov and hotset answers
+// "which policy should this image serve with?" without standing up a
+// server, and a trace of range reads scores the bulk rule.
+
+// Access is one read of a replayed trace: blocks [First, Last] of the
+// image. A demand read (Bulk false) reads one block, so Last == First;
+// a bulk read is one range, /bytes or /text read.
+type Access struct {
+	First, Last int
+	Bulk        bool
+}
+
+// DemandTrace turns a block trace into demand reads, one per block.
+func DemandTrace(blocks []int) []Access {
+	out := make([]Access, len(blocks))
+	for i, b := range blocks {
+		out[i] = Access{First: b, Last: b}
+	}
+	return out
+}
+
+// bulkAdmission is the rule a block decoded by a bulk read passes to
+// enter a full cache. Admit reports whether a block with the given stamp
+// may displace another; Skip turns one away and returns its new stamp.
+// Stamps start at 0. *blockcache.Admission is the serving stack's rule;
+// the tests score reference rules against it.
+type bulkAdmission interface {
+	Admit(stamp uint32) bool
+	Skip() uint32
+}
 
 // PolicyConfig describes the modeled block cache.
 type PolicyConfig struct {
@@ -40,7 +69,11 @@ type PolicyStats struct {
 	// PrefetchWasted counts prefetched blocks evicted unused (or never
 	// used by the end of the trace) — pure wasted decompression work.
 	PrefetchWasted uint64 `json:"prefetch_wasted"`
-	// Decompressions counts every block decompression, demand or
+	// BulkBlocks counts the blocks bulk reads asked for, and BulkCached
+	// those served from the cache.
+	BulkBlocks uint64 `json:"bulk_blocks"`
+	BulkCached uint64 `json:"bulk_cached"`
+	// Decompressions counts every block decompression, demand, bulk or
 	// speculative, including preloading the pin set.
 	Decompressions uint64 `json:"decompressions"`
 	// Evictions counts blocks dropped for capacity.
@@ -70,13 +103,28 @@ type evalEntry struct {
 	prefetched bool
 }
 
-// EvaluatePolicy replays a demand block-access trace through a
-// fully-associative LRU cache of cfg.CacheBlocks blocks under prefetch
-// policy pf (nil disables prefetching), mirroring the serving stack's
-// semantics: a demand miss loads the block and then speculatively loads
-// pf.Predict(block); pinned blocks are preloaded and never evicted.
-// Accesses outside [0, numBlocks) are errors.
-func EvaluatePolicy(accesses []int, numBlocks int, pf policy.Prefetcher, cfg PolicyConfig) (PolicyStats, error) {
+// EvaluatePolicy replays a trace of reads through a fully-associative
+// LRU cache of cfg.CacheBlocks blocks under prefetch policy pf (nil
+// disables prefetching), mirroring the serving stack's semantics:
+//   - a demand hit refreshes the block's recency; a demand miss decodes
+//     the block, inserts it (evicting the least recently used block if
+//     the cache is full) and then speculatively loads pf.Predict(block);
+//   - a bulk read serves its cached blocks without refreshing their
+//     recency, decodes the rest, and then offers each decoded block in
+//     order: it goes in without eviction if the cache has room, with
+//     eviction if the serving stack's admission rule
+//     (blockcache.Admission over cfg.CacheBlocks) admits it, and is
+//     otherwise turned away;
+//   - pinned blocks are preloaded and never evicted.
+//
+// Reads outside [0, numBlocks) are errors.
+func EvaluatePolicy(accesses []Access, numBlocks int, pf policy.Prefetcher, cfg PolicyConfig) (PolicyStats, error) {
+	return evaluate(accesses, numBlocks, pf, cfg, blockcache.NewAdmission(cfg.CacheBlocks))
+}
+
+// evaluate is EvaluatePolicy under bulk admission rule bulk, fresh for
+// the replay.
+func evaluate(accesses []Access, numBlocks int, pf policy.Prefetcher, cfg PolicyConfig, bulk bulkAdmission) (PolicyStats, error) {
 	if numBlocks <= 0 {
 		return PolicyStats{}, fmt.Errorf("memsys: numBlocks must be positive")
 	}
@@ -88,6 +136,8 @@ func EvaluatePolicy(accesses []int, numBlocks int, pf policy.Prefetcher, cfg Pol
 	entries := make(map[int]*evalEntry, cfg.CacheBlocks)
 	lru := list.New() // of *evalEntry; front = most recently used
 	pinned := 0
+	stamps := make([]uint32, numBlocks) // per block, the bulk rule's stamp
+	var decoded []int                   // a bulk read's missing blocks
 
 	for _, b := range cfg.Pinned {
 		if b < 0 || b >= numBlocks {
@@ -117,10 +167,32 @@ func EvaluatePolicy(accesses []int, numBlocks int, pf policy.Prefetcher, cfg Pol
 		}
 	}
 
-	for _, b := range accesses {
-		if b < 0 || b >= numBlocks {
-			return st, fmt.Errorf("memsys: access %d out of range [0,%d)", b, numBlocks)
+	for _, a := range accesses {
+		if a.First < 0 || a.Last >= numBlocks || a.First > a.Last || (!a.Bulk && a.Last != a.First) {
+			return st, fmt.Errorf("memsys: invalid read [%d,%d] of blocks [0,%d)", a.First, a.Last, numBlocks)
 		}
+		if a.Bulk {
+			decoded = decoded[:0]
+			for b := a.First; b <= a.Last; b++ {
+				st.BulkBlocks++
+				if _, ok := entries[b]; ok {
+					st.BulkCached++
+				} else {
+					decoded = append(decoded, b)
+				}
+			}
+			st.Decompressions += uint64(len(decoded))
+			for _, b := range decoded {
+				switch {
+				case bulk.Admit(stamps[b]), lru.Len()+pinned < cfg.CacheBlocks:
+					insert(b, false)
+				default:
+					stamps[b] = bulk.Skip()
+				}
+			}
+			continue
+		}
+		b := a.First
 		st.Requests++
 		if e, ok := entries[b]; ok {
 			st.DemandHits++

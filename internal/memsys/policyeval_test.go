@@ -11,7 +11,7 @@ import (
 
 func mustEval(t *testing.T, accesses []int, blocks int, pf policy.Prefetcher, cfg memsys.PolicyConfig) memsys.PolicyStats {
 	t.Helper()
-	st, err := memsys.EvaluatePolicy(accesses, blocks, pf, cfg)
+	st, err := memsys.EvaluatePolicy(memsys.DemandTrace(accesses), blocks, pf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +55,10 @@ func TestEvaluatePolicyMechanics(t *testing.T) {
 	}
 
 	// Errors.
-	if _, err := memsys.EvaluatePolicy([]int{0}, 0, nil, memsys.PolicyConfig{CacheBlocks: 2}); err == nil {
+	if _, err := memsys.EvaluatePolicy(memsys.DemandTrace([]int{0}), 0, nil, memsys.PolicyConfig{CacheBlocks: 2}); err == nil {
 		t.Fatal("numBlocks=0 accepted")
 	}
-	if _, err := memsys.EvaluatePolicy([]int{9}, 4, nil, memsys.PolicyConfig{CacheBlocks: 2}); err == nil {
+	if _, err := memsys.EvaluatePolicy(memsys.DemandTrace([]int{9}), 4, nil, memsys.PolicyConfig{CacheBlocks: 2}); err == nil {
 		t.Fatal("out-of-range access accepted")
 	}
 	if _, err := memsys.EvaluatePolicy(nil, 4, nil, memsys.PolicyConfig{CacheBlocks: 2, Pinned: []int{9}}); err == nil {

@@ -361,7 +361,7 @@ func (w *poolWorker) safeBlock(img *image, block int) (data []byte, err error) {
 //
 // It runs on pool worker w: the peer fill and each decode attempt run as
 // guarded sections under its watchdog. Once the watchdog has answered
-// the ticket, the load stops with errOutlived and does no further
+// the ticket, the load stops with w.retired and does no further
 // verification or accounting.
 //
 // The stages share clock readings, so a clean load reads the clock
@@ -387,8 +387,8 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 			}
 			data, ok := (*fp)(img.name, block)
 			now = time.Now()
-			if !w.settle() {
-				return nil, now, errOutlived
+			if err := w.settle(); err != nil {
+				return nil, now, err
 			}
 			if ok {
 				verr := img.sidecar.verify(block, data)
@@ -451,11 +451,11 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 			return nil, now, err
 		}
 		data, err := w.safeBlock(img, block)
-		settled := w.settle()
+		outlived := w.settle()
 		decodeEnd := time.Now()
 		now = decodeEnd
-		if !settled {
-			return nil, now, errOutlived
+		if outlived != nil {
+			return nil, now, outlived
 		}
 		// Verify before any accounting, so the decode's bookkeeping
 		// lands in neither phase.

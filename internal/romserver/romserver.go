@@ -241,9 +241,9 @@ type image struct {
 	// uniform — SADC packs whole units, the last block runs short).
 	// Built for free from the integrity sidecar at registration.
 	offsets []int64
-	// seen holds, per block, 1 + the epoch of Server.marks in which a
-	// view last decoded the block and skipped inserting it because its
-	// cache shard was full; 0 means never (see insertDecoded).
+	// seen holds, per block, the bulk-admission stamp of the last time a
+	// view decoded the block and turned it away from a full cache; 0
+	// means never (see insertDecoded).
 	seen []atomic.Uint32
 
 	blockReads     atomic.Int64
@@ -380,10 +380,9 @@ type Server struct {
 
 	// nextID hands out cache-key ids to registrations.
 	nextID atomic.Uint32
-	// marks counts the blocks views skipped inserting into a full
-	// cache; every Options.CacheBlocks of them end an epoch of the
-	// reuse horizon (see insertDecoded).
-	marks atomic.Int64
+	// bulk is the reuse rule for the blocks views decode into a full
+	// cache (see insertDecoded).
+	bulk *blockcache.Admission
 
 	// ovl is the overload layer (admission, brownout, retry budget);
 	// nil when Options.Overload is unset.
@@ -408,6 +407,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		cache:   blockcache.New(opts.CacheBlocks, opts.CacheShards),
+		bulk:    blockcache.NewAdmission(opts.CacheBlocks),
 		images:  make(map[string]*image),
 		tasks:   make(chan task, opts.QueueDepth),
 		quit:    make(chan struct{}),
@@ -470,7 +470,10 @@ type loader struct {
 	// start is the ticket's clock reading, which the load's first
 	// decode attempt starts at.
 	start time.Time
-	fn    func() ([]byte, error)
+	// ran is set once the cache ran fn: this read led its flight rather
+	// than waiting on another read's.
+	ran bool
+	fn  func() ([]byte, error)
 }
 
 var loaderPool = sync.Pool{New: func() any {
@@ -480,6 +483,7 @@ var loaderPool = sync.Pool{New: func() any {
 }}
 
 func (l *loader) load() ([]byte, error) {
+	l.ran = true
 	// Quarantined images refuse fresh decompressions; their cached
 	// (verified) blocks above this loader keep serving.
 	if l.img.health.State() == Quarantined {
@@ -490,7 +494,7 @@ func (l *loader) load() ([]byte, error) {
 }
 
 func (l *loader) release() {
-	l.w, l.img, l.span, l.ctx = nil, nil, nil, nil
+	l.w, l.img, l.span, l.ctx, l.ran = nil, nil, nil, nil, false
 	loaderPool.Put(l)
 }
 
@@ -541,6 +545,15 @@ func (w *poolWorker) handle(t task) bool {
 	s.met.queueWait.Observe(wait)
 	t.span.Phase("queue_wait", wait)
 	data, hit, err := s.cache.Get(key, l.fn)
+	for err != nil && !l.ran && (t.ctx == nil || t.ctx.Err() == nil) && !w.isRetired() &&
+		(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
+		// The flight this read joined ended with its leading read's own
+		// context, which is not this read's: load the block again,
+		// leading a flight of its own if no other is under way. The
+		// worker's watchdog, armed at begin, still bounds the wait.
+		l.start = time.Now()
+		data, hit, err = s.cache.Get(key, l.fn)
+	}
 	l.release()
 	if !w.end() {
 		return false
@@ -669,7 +682,9 @@ var replyPool = sync.Pool{New: func() any { return make(chan result, 1) }}
 // context cancels still-queued work, and the context's deadline clamps
 // the per-decode deadline inside the hardened load path. A block filled
 // between this look and the worker's is served (and counted) as a hit by
-// the worker's Get, so no demand read is counted twice.
+// the worker's Get, so no demand read is counted twice, except one that
+// waited on a flight whose leading read's own context ended it: that
+// read loads again (see handle) and counts once per attempt.
 func (s *Server) fetchCtx(ctx context.Context, img *image, block int) ([]byte, bool, error) {
 	if img.recorder != nil {
 		img.recorder.Record(block)
@@ -1373,7 +1388,7 @@ func (s *Server) Stats() Stats {
 func (s *Server) CacheStats() blockcache.Stats { return s.cache.Stats() }
 
 // newImage builds the serving state for one codec and its sidecar: the
-// offset table, the per-block reuse marks, trace recorder sized by
+// offset table, the per-block admission stamps, trace recorder sized by
 // Options.TraceBuffer, the default sequential prefetch policy, a fresh
 // cache-key id and a fresh health state machine.
 func (s *Server) newImage(name string, codec codecomp.BlockCodec, format string, sc *sidecar) *image {

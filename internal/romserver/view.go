@@ -171,38 +171,30 @@ func (v *View) Close() {
 }
 
 // insertDecoded is the scan-resistant insert rule for the blocks a
-// range, sub-block or /text read decoded. A block a view already
-// decoded within the reuse horizon goes in, evicting if it must; any
-// other block goes in only if its cache shard has room, and is
-// otherwise only marked as seen. The mark is checked first because it
+// range, sub-block or /text read decoded. A block goes in without
+// eviction if its cache shard has room. Into a full shard it goes only
+// if the bulk admission rule admits it: a view turned it away before,
+// and at most Options.CacheBlocks other blocks were turned away since
+// (blockcache.Admission, over the stamps in img.seen). Any other block
+// is turned away and stamped. The stamp is checked first because it
 // needs no lock. Inserting every block instead turns a bulk read over
 // more code than the cache holds into an LRU cycling on a loop: each
 // insert evicts a block before it is read again, so the cache pays an
 // insert and an eviction per block and serves almost nothing. Under
-// this rule the blocks that filled the cache keep serving later
-// passes, and a block read twice in quick succession still displaces
+// this rule the blocks that filled the cache keep serving later passes
+// of a loop longer than two capacities, with no evictions, and a block
+// read twice within one capacity of turned-away blocks still displaces
 // an old one. Demand reads and prefetch insert through the cache's
 // loader path and are not affected.
-//
-// The horizon is the current or previous epoch of marks, where an
-// epoch ends after Options.CacheBlocks marks: a re-read lands within it
-// when fewer than one to two cache capacities of other first-time
-// blocks were skipped in between.
 func (s *Server) insertDecoded(img *image, ins []cacheInsert) {
-	epoch := uint32(s.marks.Load()/int64(s.opts.CacheBlocks)) + 1
-	marked := 0
 	for _, in := range ins {
 		seen := &img.seen[in.key.Block]
-		switch e := seen.Load(); {
-		case e != 0 && e+1 >= epoch:
+		switch {
+		case s.bulk.Admit(seen.Load()):
 			s.cache.Put(in.key, in.data)
 		case !s.cache.PutIfRoom(in.key, in.data):
-			seen.Store(epoch)
-			marked++
+			seen.Store(s.bulk.Skip())
 		}
-	}
-	if marked > 0 {
-		s.marks.Add(int64(marked))
 	}
 }
 
@@ -460,8 +452,8 @@ func (w *poolWorker) decodePrefix(ctx context.Context, img *image, block, limit 
 	}
 	out, n, err := codecomp.AppendBlockPrefix(img.codec, make([]byte, 0, limit), block, limit)
 	d := time.Since(start)
-	if !w.settle() {
-		return nil, 0, errOutlived
+	if outlived := w.settle(); outlived != nil {
+		return nil, 0, outlived
 	}
 	if err != nil {
 		return nil, 0, err

@@ -36,6 +36,13 @@ import (
 // own ticket was already answered by the watchdog.
 var errOutlived = fmt.Errorf("%w: decode outlived its watchdog", ErrDecompressTimeout)
 
+// errOutlivedDeadline is errOutlived for a worker retired at its
+// ticket's own request deadline rather than at LoadTimeout. It wraps
+// the context error, so the flight's waiters, whose contexts may still
+// be live, load the block again instead of failing with it (see
+// handle).
+var errOutlivedDeadline = fmt.Errorf("romserver: decode outlived its request's deadline: %w", context.DeadlineExceeded)
+
 // poolWorker is one decode-pool goroutine and its watchdog.
 type poolWorker struct {
 	s   *Server
@@ -47,7 +54,10 @@ type poolWorker struct {
 	busy bool
 	// retired is set once, by the watchdog, when it answered t itself:
 	// the goroutine no longer belongs to the pool and never replies.
-	retired bool
+	// It is what the goroutine's later guarded sections report:
+	// errOutlivedDeadline if the request deadline retired it, else
+	// errOutlived.
+	retired error
 	// due is when the pending timer fires; zero when none is pending.
 	due time.Time
 	// deadline bounds the guarded section in progress (the ticket start,
@@ -155,7 +165,7 @@ func (w *poolWorker) begin(t task, timeout time.Duration, now time.Time) {
 // clock, and it asks ctx (the ticket's) only for its error once bind's
 // Done channel is closed. An error means the section must not start:
 // the request context is done, or the watchdog already retired this
-// goroutine (errOutlived).
+// goroutine (w.retired).
 func (w *poolWorker) guard(ctx context.Context, block int, now time.Time) error {
 	select {
 	case <-w.done:
@@ -168,8 +178,8 @@ func (w *poolWorker) guard(ctx context.Context, block int, now time.Time) error 
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.retired {
-		return errOutlived
+	if w.retired != nil {
+		return w.retired
 	}
 	w.guardLocked(block, timeout, now)
 	return nil
@@ -191,12 +201,19 @@ func (w *poolWorker) guardLocked(block int, timeout time.Duration, now time.Time
 }
 
 // settle closes the guarded section after the guarded call returned.
-// false means the watchdog retired this goroutine meanwhile.
-func (w *poolWorker) settle() bool {
+// An error means the watchdog retired this goroutine meanwhile.
+func (w *poolWorker) settle() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.deadline = time.Time{}
-	return !w.retired
+	return w.retired
+}
+
+// isRetired reports whether the watchdog has retired this goroutine.
+func (w *poolWorker) isRetired() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.retired != nil
 }
 
 // end finishes the ticket: it publishes the ticket's load-path
@@ -206,7 +223,7 @@ func (w *poolWorker) settle() bool {
 func (w *poolWorker) end() bool {
 	w.acct.flush(w.s.met)
 	w.mu.Lock()
-	if w.retired {
+	if w.retired != nil {
 		w.mu.Unlock()
 		return false
 	}
@@ -223,7 +240,7 @@ func (w *poolWorker) end() bool {
 func (w *poolWorker) fire() {
 	w.mu.Lock()
 	w.due = time.Time{}
-	if !w.busy || w.retired || w.deadline.IsZero() {
+	if !w.busy || w.retired != nil || w.deadline.IsZero() {
 		w.mu.Unlock()
 		return
 	}
@@ -233,8 +250,12 @@ func (w *poolWorker) fire() {
 		w.mu.Unlock()
 		return
 	}
-	w.retired = true
 	t, block, timeout := w.t, w.block, w.timeout
+	deadline := timeout != w.s.opts.LoadTimeout
+	w.retired = errOutlived
+	if deadline {
+		w.retired = errOutlivedDeadline
+	}
 	w.t = task{}
 	w.mu.Unlock()
 
@@ -243,7 +264,7 @@ func (w *poolWorker) fire() {
 	s.startWorker() // inherits the retired worker's WaitGroup slot
 	t.img.timeouts.Add(1)
 	s.met.decodeTimeouts.Inc()
-	if timeout != s.opts.LoadTimeout {
+	if deadline {
 		// The request deadline was the tighter bound: its caller gets
 		// the context error, as from an expired retry loop.
 		t.fail(context.DeadlineExceeded)
