@@ -45,18 +45,23 @@ func TestAdmitSequentialScanEvictsNothing(t *testing.T) {
 // TestAdmitMatchesOfflineModel runs one seeded single-goroutine sequence
 // of demand reads (BlockContext) and range reads (RangeView) against a
 // one-shard server with prefetch off, and through EvaluatePolicy. The
-// two count the same hits, decodes and evictions after every step.
+// two count the same hits, decodes and evictions after every step. At
+// four seeded steps the image is removed and registered again, which
+// empties the cache of its blocks: the model restarts from an empty
+// cache there, the server's counters are compared as deltas since the
+// replace, and no cached block may be left under a dead registration.
 func TestAdmitMatchesOfflineModel(t *testing.T) {
 	const (
 		blocks      = 300
 		cacheBlocks = 48
 		hot         = 60 // half the reads fall in the first hot blocks
 		steps       = 400
+		replaces    = 4
 	)
 	c := &stubCodec{blocks: blocks}
 	s := New(Options{CacheBlocks: cacheBlocks, CacheShards: 1, PrefetchDepth: -1, TraceBuffer: -1, ReverifyInterval: -1})
 	defer s.Close()
-	s.addCodec("img", c)
+	img := s.addCodec("img", c)
 
 	rng := rand.New(rand.NewSource(11))
 	pick := func() int {
@@ -65,9 +70,29 @@ func TestAdmitMatchesOfflineModel(t *testing.T) {
 		}
 		return rng.Intn(blocks)
 	}
-	var reads []memsys.Access
-	var rangeCached int64
+	replaceAt := map[int]bool{}
+	for _, step := range rand.New(rand.NewSource(12)).Perm(steps - 100)[:replaces] {
+		replaceAt[step+50] = true
+	}
+	var (
+		reads       []memsys.Access
+		rangeCached int64
+		base        [4]int64
+		dead        int
+	)
+	counters := func() [4]int64 {
+		cs := s.CacheStats()
+		return [4]int64{cs.Hits, rangeCached, c.calls.Load(), cs.Evictions}
+	}
 	for step := 1; step <= steps; step++ {
+		if replaceAt[step] {
+			if err := s.RemoveImage("img"); err != nil {
+				t.Fatal(err)
+			}
+			img = s.addCodec("img", c)
+			reads, base = reads[:0], counters()
+			dead++
+		}
 		first := pick()
 		if rng.Intn(2) == 0 {
 			data, _, err := s.BlockContext(context.Background(), "img", first)
@@ -97,14 +122,25 @@ func TestAdmitMatchesOfflineModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := s.CacheStats()
-		server := [4]int64{cs.Hits, rangeCached, c.calls.Load(), cs.Evictions}
+		server := counters()
+		for i := range server {
+			server[i] -= base[i]
+		}
 		offline := [4]int64{int64(model.DemandHits), int64(model.BulkCached), int64(model.Decompressions), int64(model.Evictions)}
 		if server != offline {
-			t.Fatalf("step %d: server [demand hits, range cached, decodes, evictions] = %v, model %v", step, server, offline)
+			t.Fatalf("step %d (%d replaces): server [demand hits, range cached, decodes, evictions] since the last replace = %v, model %v", step, dead, server, offline)
 		}
-		if step == steps && (cs.Evictions == 0 || model.BulkCached == 0 || cs.Hits == 0) {
-			t.Fatalf("the sequence exercised too little: %+v", model)
+		live := 0
+		for b := range blocks {
+			if _, ok := s.cache.Peek(img.key(b)); ok {
+				live++
+			}
 		}
+		if n := s.CacheStats().Entries; n != int64(live) {
+			t.Fatalf("step %d: %d cached blocks, %d under the live registration: the rest carry a dead id", step, n, live)
+		}
+	}
+	if cs := s.CacheStats(); dead != replaces || cs.Evictions == 0 || rangeCached == 0 || cs.Hits == 0 {
+		t.Fatalf("the sequence exercised too little: %d replaces, %+v, %d range blocks cached", dead, cs, rangeCached)
 	}
 }

@@ -335,7 +335,7 @@ func (w *poolWorker) safeBlock(img *image, block int) (data []byte, err error) {
 }
 
 // loadVerified is the hardened load path every decompression goes
-// through (demand, prefetch, pinning and re-verify alike): bounded
+// through (demand, prefetch, bulk run, pin and re-verify alike): bounded
 // attempts with jittered exponential backoff, integrity verification
 // against the sidecar before the bytes can reach the cache, and health
 // accounting of the final outcome. Each phase is observed into the
@@ -365,12 +365,12 @@ func (w *poolWorker) safeBlock(img *image, block int) (data []byte, err error) {
 // verification or accounting.
 //
 // The stages share clock readings, so a clean load reads the clock
-// twice: start is the caller's reading (the ticket's, or in a range run
+// twice: start is the caller's reading (the ticket's, or in a longer run
 // the one that ended the previous block), and the first decode attempt
 // starts at it; the reading taken when the decode returns ends the
 // decode and starts the verify; the one taken when the verify returns
-// ends the verify and the load, and is returned so a range run can start
-// its next block at it. The phase histograms, the decode
+// ends the verify and the load, and is returned so a run can start its
+// next block at it. The phase histograms, the decode
 // ns/block gauge and the watchdog all use those readings. A retry reads
 // the clock again after its backoff, and a consulted fill hook after the
 // fill (its round trip is not decode time) and after verifying what it
@@ -534,7 +534,6 @@ func (s *Server) reverifyPass() {
 		imgs = append(imgs, img)
 	}
 	s.mu.RUnlock()
-	reply := make(chan result, 1)
 	for _, img := range imgs {
 		if img.health.State() == Healthy {
 			continue
@@ -546,15 +545,17 @@ func (s *Server) reverifyPass() {
 			img.reverifies.Add(1)
 			s.met.reverifies.Inc()
 			// The outcome lands in health accounting. Shutdown abandons
-			// the wait (a draining worker still answers into the
-			// buffered reply), so Close never waits on a sick image.
+			// the wait (a draining worker may still answer the reply),
+			// so Close never waits on a sick image.
+			r := replyPool.Get().(*runReply)
 			select {
-			case s.tasks <- task{img: img, block: b, reply: reply, reverify: true}:
+			case s.tasks <- task{img: img, block: b, reverify: true, reply: r}:
 			case <-s.quit:
 				return
 			}
 			select {
-			case <-reply:
+			case <-r.done:
+				r.recycle()
 			case <-s.quit:
 				return
 			}

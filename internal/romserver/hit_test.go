@@ -54,7 +54,7 @@ func holdWorker(t *testing.T, s *Server, c *gatedCodec, b int) <-chan error {
 }
 
 // queueWaits is the romserver_queue_wait_seconds sample count: one per
-// demand ticket a worker picked up.
+// read's ticket a worker picked up.
 func (s *Server) queueWaits() int64 { return s.met.queueWait.Snapshot().Count }
 
 // TestCallerHitBypassesPool holds the only worker on a gated decode and
@@ -315,6 +315,59 @@ func TestCallerHitOverloadLevels(t *testing.T) {
 	}
 	if _, got := o.ctl.Goodput(); got != outcomes+1 {
 		t.Fatalf("admitted miss reported %d outcomes, want 1", got-outcomes)
+	}
+
+	// So does a bulk read that misses, and its run's service time feeds
+	// the queueing model: each block decodes in at least a millisecond,
+	// so one run lifts the estimate for 1000 queued tickets from about
+	// nothing to at least 1000 × 0.2 (the EWMA weight) × 1 ms. Training
+	// the blocks makes them hot, which the browned-out gate admits.
+	if _, err := s.TrainFrom("img", []int{11, 12, 13, 11, 12, 13}); err != nil {
+		t.Fatal(err)
+	}
+	stub.decode = func(i int) ([]byte, error) {
+		time.Sleep(time.Millisecond)
+		return stubBlock(i), nil
+	}
+	bulk := []struct {
+		name   string
+		blocks []int
+		read   func() (*View, error)
+	}{
+		{"RangeView", []int{11, 12}, func() (*View, error) { return s.RangeView("img", 11, 12) }},
+		{"ReadAtContext", []int{13}, func() (*View, error) { return s.ReadAtContext(context.Background(), "img", 2*13, 2) }},
+	}
+	for _, tc := range bulk {
+		o.adm.SetRecentWait(0)
+		for i := 0; i < 200; i++ {
+			o.adm.ObserveService(0)
+			o.adm.ObserveWait(0)
+		}
+		tokens := o.bud.Tokens()
+		_, outcomes := o.ctl.Goodput()
+		v, err := tc.read()
+		if err != nil {
+			t.Fatalf("%s miss while browned out: %v", tc.name, err)
+		}
+		var want []byte
+		for _, b := range tc.blocks {
+			want = append(want, stubBlock(b)...)
+		}
+		got := v.AppendTo(nil)
+		decoded := v.Stats().DecodedBlocks
+		v.Close()
+		if !bytes.Equal(got, want) || decoded != len(tc.blocks) {
+			t.Fatalf("%s = %v (%d decoded), want %v decoded", tc.name, got, decoded, want)
+		}
+		if got := o.bud.Tokens(); got <= tokens {
+			t.Fatalf("admitted %s left the retry budget at %v", tc.name, got)
+		}
+		if _, got := o.ctl.Goodput(); got != outcomes+1 {
+			t.Fatalf("admitted %s reported %d outcomes, want 1", tc.name, got-outcomes)
+		}
+		if est := o.adm.EstimateWait(1000); est < 200*time.Millisecond {
+			t.Fatalf("%s run left the wait estimate for 1000 tickets at %v: its service time was not observed", tc.name, est)
+		}
 	}
 }
 

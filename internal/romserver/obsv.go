@@ -127,7 +127,7 @@ func newServerMetrics(reg *obsv.Registry, tracer *obsv.Tracer) *serverMetrics {
 		tracer: tracer,
 
 		queueWait: reg.Histogram("romserver_queue_wait_seconds",
-			"Time a demand block read that missed the cache waited in the worker-pool queue (hits never queue)."),
+			"Time a read's miss ticket (a demand miss, or a range, byte or text miss run) waited in the worker-pool queue (hits never queue; prefetches and re-verifies add no sample)."),
 		decode: reg.Histogram("romserver_decode_seconds",
 			"Wall-clock time of one decompression attempt: the codec call and its panic recovery, run inline on the pool worker."),
 		verify: reg.Histogram("romserver_verify_seconds",

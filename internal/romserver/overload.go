@@ -8,6 +8,7 @@ package romserver
 
 import (
 	"context"
+	"errors"
 	"math"
 	"time"
 
@@ -135,6 +136,24 @@ func (s *Server) admit(ctx context.Context, img *image, runs []missRun) error {
 	}
 	o.bud.OnRequest()
 	return nil
+}
+
+// reportOutcome reports how a read that admit let through ended, demand
+// or bulk alike: every admit gets exactly one goodput outcome. Shutdown
+// and a queue-full reject after admission are not outcomes; the
+// controller must not count the mechanism working.
+func (s *Server) reportOutcome(err error) {
+	if s.ovl == nil || errors.Is(err, ErrClosed) {
+		return
+	}
+	if err != nil {
+		// Declared here so that only a failed read pays for the escape.
+		var rej *overload.RejectError
+		if errors.As(err, &rej) {
+			return
+		}
+	}
+	s.ovl.ctl.ReportOutcome(err == nil)
 }
 
 // retryAllowed is the budget gate the hardened load path consults

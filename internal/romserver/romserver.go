@@ -278,66 +278,63 @@ type prefState struct {
 	pins []int
 }
 
-// task is one unit of pool work; reply is nil for prefetches. enq and
-// span are set for demand fetches only: enq feeds the queue-wait
-// histogram, span carries the sampled request trace across the pool.
-// rng, when set, makes the task a batched range decode (block and reply
-// are unused; the range job carries its own reply channel). ctx, when
-// set, is the caller's request context: a ticket whose context has
-// expired by the time a worker picks it up is retired without
-// dispatching the decode. reverify marks a background re-verification:
-// a verified decode of the local codec that bypasses the cache, the fill
-// hook and quarantine.
+// task is one pool ticket: a run of blocks block..block+more of img,
+// loaded in order on one worker under its watchdog. A demand read
+// (demand set), a prefetch warm (no reply) and a reverify are one-block
+// runs; any other run is a bulk run for a View or a pin (see handle).
+// limit > 0 marks a sub-block read, whose last block needs only its
+// first limit bytes; merged marks a run spanning blocks cached at
+// dispatch, which the worker re-peeks. ctx is the caller's request
+// context, if any: a ticket whose context expired while queued is
+// retired without a decode. enq is set on every read's ticket and feeds
+// the queue-wait histogram and the overload layer's estimates; span
+// carries a sampled demand read's trace.
 type task struct {
 	img      *image
 	block    int
-	reply    chan result
+	more     int
+	limit    int
+	merged   bool
+	demand   bool
+	reverify bool
+	ctx      context.Context
 	enq      time.Time
 	span     *obsv.Span
-	rng      *rangeJob
-	ctx      context.Context
-	reverify bool
+	reply    *runReply
 }
 
 // fail answers the ticket with err; a prefetch has no one to answer.
 func (t *task) fail(err error) {
-	switch {
-	case t.rng != nil:
-		t.rng.reply <- rangeResult{err: err}
-	case t.reply != nil:
-		t.reply <- result{err: err}
+	if r := t.reply; r != nil {
+		r.err = err
+		r.done <- struct{}{}
 	}
 }
 
-type result struct {
-	data []byte
-	hit  bool
-	err  error
+// runReply is a ticket's answer, signalled on done; a run that fails
+// part-way still returns the blocks it loaded first. Replies are pooled:
+// a caller may recycle one it received, never one it abandoned, which
+// its ticket may still answer.
+type runReply struct {
+	done chan struct{}
+	// blocks are the run's blocks in order; a demand read's is blocks[0].
+	blocks []runBlock
+	// hit marks a demand read its worker's Get served from the cache.
+	hit bool
+	// decoded and decodedBytes are the blocks and codec output a bulk
+	// run decoded, a partial tail's prefix included.
+	decoded, decodedBytes int
+	err                   error
 }
 
-// rangeJob is one contiguous miss-run of a batched range read: a single
-// pool ticket that decodes and verifies blocks [first,last] back to
-// back; the view that collects them inserts them into the cache when it
-// is closed. limit > 0 marks a sub-block read: block last only needs its
-// first limit bytes, decoded via the partial path and never cached.
-// merged marks a run that spans blocks cached at dispatch (a /text
-// window), which the worker re-peeks instead of decoding.
-type rangeJob struct {
-	first, last int
-	limit       int
-	merged      bool
-	reply       chan rangeResult
-}
+var replyPool = sync.Pool{New: func() any { return &runReply{done: make(chan struct{}, 1)} }}
 
-// rangeResult is a run's answer. A run that fails part-way still
-// returns the blocks it verified before the error.
-type rangeResult struct {
-	blocks  []runBlock
-	decoded int
-	// decodedBytes is total codec output paid for: full blocks plus any
-	// partial tail prefix.
-	decodedBytes int
-	err          error
+// recycle returns a received reply to the pool.
+func (r *runReply) recycle() {
+	clear(r.blocks)
+	r.blocks = r.blocks[:0]
+	r.hit, r.decoded, r.decodedBytes, r.err = false, 0, 0, nil
+	replyPool.Put(r)
 }
 
 // runBlock is one block of a run's result. verified marks a block the
@@ -458,17 +455,121 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// loader is a pooled binding of (worker, image, block) to the hardened
+// handle serves one ticket and answers it with the blocks it loaded up
+// to the first error; false means the watchdog retired this goroutine
+// meanwhile. The flags pick what differs per block: a demand read or a
+// warm goes through the cache (see cached), a reverify skips the cache
+// and the fill hook, and a bulk run decodes and verifies for its view
+// to insert at Close, after the response, so bulk traffic neither
+// counts as demand misses nor touches prefetch accounting. A bulk run
+// does not join the demand singleflight, so Deduped counts demand reads
+// only. A merged run re-peeks; an unmerged one was all-miss at dispatch
+// and decodes straight through, since a block another read filled
+// meanwhile costs less to decode again than a shard lock per block.
+// The ticket's clock reading serves its queue wait, watchdog and first
+// load; each later load starts at the previous block's last reading.
+func (w *poolWorker) handle(t task) bool {
+	s, img := w.s, t.img
+	now := time.Now()
+	timeout, err := w.bind(t.ctx, now)
+	if err != nil {
+		// The caller gave up while the ticket was queued: retire it
+		// without dispatching the decode. The caller ends the span.
+		s.met.queueExpired.Inc()
+		t.fail(err)
+		return true
+	}
+	w.begin(t, timeout, now)
+	start := now
+	var wait time.Duration
+	if !t.enq.IsZero() {
+		wait = now.Sub(t.enq)
+		s.met.queueWait.Observe(wait)
+		t.span.Phase("queue_wait", wait)
+	}
+	var (
+		hit, stale            bool
+		decoded, decodedBytes int
+	)
+	last := t.block + t.more
+	for b := t.block; b <= last; b++ {
+		if t.merged {
+			if data, ok := s.cache.Peek(img.key(b)); ok {
+				w.blocks = append(w.blocks, runBlock{data: data})
+				stale = true
+				continue
+			}
+			if stale {
+				now, stale = time.Now(), false
+			}
+		}
+		var (
+			data     []byte
+			n        int
+			verified bool
+		)
+		switch {
+		case t.demand || t.reply == nil:
+			data, hit, err = w.cached(&t, now)
+		case t.reverify:
+			_, now, err = w.loadVerified(nil, img, b, nil, false, now)
+		case img.health.State() == Quarantined:
+			err = fmt.Errorf("%w: %q", ErrQuarantined, img.name)
+		case t.limit > 0 && b == last:
+			// Sub-block tail: decode only the needed prefix; the result
+			// cannot be sidecar-verified, so it is served but not cached.
+			data, n, err = w.decodePrefix(t.ctx, img, b, t.limit, now)
+		default:
+			data, now, err = w.loadVerified(t.ctx, img, b, nil, true, now)
+			n, verified = len(data), true
+		}
+		if err != nil {
+			break
+		}
+		w.blocks = append(w.blocks, runBlock{data, verified})
+		if n > 0 {
+			decoded++
+			decodedBytes += n
+		}
+	}
+	if !w.end() {
+		return false
+	}
+	if !t.enq.IsZero() && s.ovl != nil {
+		s.ovl.adm.ObserveWait(wait)
+		s.ovl.adm.ObserveService(time.Since(start))
+	}
+	if hit {
+		t.span.Event("cache hit")
+	}
+	if r := t.reply; r != nil {
+		r.blocks = append(r.blocks, w.blocks...)
+		r.hit, r.decoded, r.decodedBytes, r.err = hit, decoded, decodedBytes, err
+		r.done <- struct{}{}
+	} else if err == nil {
+		s.met.prefetchCompleted.Inc()
+	}
+	clear(w.blocks)
+	w.blocks = w.blocks[:0]
+	if t.demand && err == nil && !hit {
+		if s.ovl != nil && s.ovl.ctl.Level() != overload.Healthy {
+			// Under pressure, speculative warms are the first work shed.
+			s.met.prefetchSuppressed.Inc()
+			return true
+		}
+		s.prefetch(img, t.block)
+	}
+	return true
+}
+
+// loader is a pooled binding of a demand or warm ticket to the hardened
 // load path. The bound fn is created once per pooled object, so handing a
 // loader to the cache does not allocate a closure per cache miss.
 type loader struct {
-	w     *poolWorker
-	img   *image
-	block int
-	span  *obsv.Span
-	ctx   context.Context
-	// start is the ticket's clock reading, which the load's first
-	// decode attempt starts at.
+	w *poolWorker
+	t task
+	// start is the clock reading the load's first decode attempt starts
+	// at.
 	start time.Time
 	// ran is set once the cache ran fn: this read led its flight rather
 	// than waiting on another read's.
@@ -486,160 +587,37 @@ func (l *loader) load() ([]byte, error) {
 	l.ran = true
 	// Quarantined images refuse fresh decompressions; their cached
 	// (verified) blocks above this loader keep serving.
-	if l.img.health.State() == Quarantined {
-		return nil, fmt.Errorf("%w: %q", ErrQuarantined, l.img.name)
+	img := l.t.img
+	if img.health.State() == Quarantined {
+		return nil, fmt.Errorf("%w: %q", ErrQuarantined, img.name)
 	}
-	data, _, err := l.w.loadVerified(l.ctx, l.img, l.block, l.span, true, l.start)
+	data, _, err := l.w.loadVerified(l.t.ctx, img, l.t.block, l.t.span, true, l.start)
 	return data, err
 }
 
-func (l *loader) release() {
-	l.w, l.img, l.span, l.ctx, l.ran = nil, nil, nil, nil, false
-	loaderPool.Put(l)
-}
-
-// handle serves one ticket. It returns false when the watchdog retired
-// this goroutine while it served the ticket.
-func (w *poolWorker) handle(t task) bool {
-	s := w.s
-	// The ticket's one clock reading serves the queue wait, the
-	// watchdog and the start of its first block load.
-	now := time.Now()
-	timeout, err := w.bind(t.ctx, now)
-	if err != nil {
-		// The caller gave up while the ticket was queued: retire it
-		// without dispatching the decode. The caller ends the span.
-		s.met.queueExpired.Inc()
-		t.fail(err)
-		return true
-	}
-	w.begin(t, timeout, now)
-	if t.rng != nil {
-		return w.handleRange(t, now)
-	}
-	if t.reverify {
-		_, _, err := w.loadVerified(nil, t.img, t.block, nil, false, now)
-		if !w.end() {
-			return false
-		}
-		t.reply <- result{err: err}
-		return true
-	}
-	key := t.img.key(t.block)
+// cached loads a demand read's block through the cache's Get, or a
+// warm's through GetPrefetch, which tags it for prefetch accuracy. A
+// demand read that waited on a flight ended by its leading read's own
+// context, not this read's, loads again, leading a flight of its own if
+// none is under way; the watchdog armed at begin still bounds it.
+func (w *poolWorker) cached(t *task, now time.Time) ([]byte, bool, error) {
+	cache, key := w.s.cache, t.img.key(t.block)
 	l := loaderPool.Get().(*loader)
-	l.w, l.img, l.block, l.span, l.ctx, l.start = w, t.img, t.block, t.span, t.ctx, now
-	if t.reply == nil {
-		// Speculative warm: tag the load so a later demand hit counts
-		// toward prefetch accuracy.
-		_, _, err := s.cache.GetPrefetch(key, l.fn)
-		l.release()
-		if !w.end() {
-			return false
-		}
-		if err == nil {
-			s.met.prefetchCompleted.Inc()
-		}
-		return true
+	l.w, l.t, l.start = w, *t, now
+	defer func() {
+		l.w, l.t, l.ran = nil, task{}, false
+		loaderPool.Put(l)
+	}()
+	if !t.demand {
+		return cache.GetPrefetch(key, l.fn)
 	}
-	wait := now.Sub(t.enq)
-	s.met.queueWait.Observe(wait)
-	t.span.Phase("queue_wait", wait)
-	data, hit, err := s.cache.Get(key, l.fn)
+	data, hit, err := cache.Get(key, l.fn)
 	for err != nil && !l.ran && (t.ctx == nil || t.ctx.Err() == nil) && !w.isRetired() &&
 		(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
-		// The flight this read joined ended with its leading read's own
-		// context, which is not this read's: load the block again,
-		// leading a flight of its own if no other is under way. The
-		// worker's watchdog, armed at begin, still bounds the wait.
 		l.start = time.Now()
-		data, hit, err = s.cache.Get(key, l.fn)
+		data, hit, err = cache.Get(key, l.fn)
 	}
-	l.release()
-	if !w.end() {
-		return false
-	}
-	if s.ovl != nil {
-		s.ovl.adm.ObserveWait(wait)
-		s.ovl.adm.ObserveService(time.Since(now))
-	}
-	if hit {
-		t.span.Event("cache hit")
-	}
-	t.reply <- result{data: data, hit: hit, err: err}
-	if err == nil && !hit {
-		if s.ovl != nil && s.ovl.ctl.Level() != overload.Healthy {
-			// Under pressure, speculative warms are the first work shed.
-			s.met.prefetchSuppressed.Inc()
-			return true
-		}
-		s.prefetch(t.img, t.block)
-	}
-	return true
-}
-
-// handleRange runs one contiguous miss-run on a single pool ticket. Each
-// block is decoded through the same hardened loadVerified path demand
-// reads use. A merged run first re-checks each block with Peek, since it
-// spans blocks that were cached at dispatch. An unmerged run was all-miss
-// at dispatch and decodes straight through: another read rarely fills
-// one of its blocks before the worker reaches it, and such a block is
-// decoded again and later replaced with identical bytes, which costs
-// less in total than a shard lock per block. The run inserts nothing
-// into the cache itself: it returns which blocks it verified, and the
-// view that collects them inserts them with the cache's neutral Put
-// when it is closed — after the caller has written its response — so
-// the run populates the cache for later demand traffic without counting
-// as demand misses or touching prefetch accounting. now is the ticket's
-// clock reading, which the run's first load starts at; each later load
-// starts at the reading that ended the previous block's verify (or a
-// fresh one after a peeked block), so a run reads the clock twice per
-// block.
-func (w *poolWorker) handleRange(t task, now time.Time) bool {
-	s, rj, img := w.s, t.rng, t.img
-	s.met.queueWait.Observe(now.Sub(t.enq))
-	blocks := make([]runBlock, 0, rj.last-rj.first+1)
-	decoded, decodedBytes := 0, 0
-	stale := false
-	var err error
-	for b := rj.first; b <= rj.last; b++ {
-		if rj.merged {
-			if data, ok := s.cache.Peek(img.key(b)); ok {
-				blocks = append(blocks, runBlock{data: data})
-				stale = true
-				continue
-			}
-			if stale {
-				now, stale = time.Now(), false
-			}
-		}
-		var (
-			data     []byte
-			n        int
-			verified bool
-		)
-		switch {
-		case img.health.State() == Quarantined:
-			err = fmt.Errorf("%w: %q", ErrQuarantined, img.name)
-		case rj.limit > 0 && b == rj.last:
-			// Sub-block tail: decode only the needed prefix; the result
-			// cannot be sidecar-verified, so it is served but not cached.
-			data, n, err = w.decodePrefix(t.ctx, img, b, rj.limit, now)
-		default:
-			data, now, err = w.loadVerified(t.ctx, img, b, nil, true, now)
-			n, verified = len(data), true
-		}
-		if err != nil {
-			break
-		}
-		decoded++
-		decodedBytes += n
-		blocks = append(blocks, runBlock{data, verified})
-	}
-	if !w.end() {
-		return false
-	}
-	rj.reply <- rangeResult{blocks: blocks, decoded: decoded, decodedBytes: decodedBytes, err: err}
-	return true
+	return data, hit, err
 }
 
 // prefetch best-effort enqueues warms for the blocks the image's policy
@@ -668,23 +646,20 @@ func (s *Server) prefetch(img *image, miss int) {
 	}
 }
 
-// replyPool recycles the one-shot reply channels of demand fetches; a
-// buffered channel is reusable once its result has been received.
-var replyPool = sync.Pool{New: func() any { return make(chan result, 1) }}
-
 // fetchCtx serves one demand read. Demand fetches are the access stream
 // the trace recorder captures. A cached block is answered on the calling
 // goroutine, the way an I-cache hit never reaches the refill engine: a
 // hit is not an admitted request, so it takes no queue slot, funds no
 // retry budget, reports no goodput outcome and feeds neither wait
-// estimate. A miss runs through the pool under the caller's request
-// context: the overload layer's gates run before the enqueue, an expired
-// context cancels still-queued work, and the context's deadline clamps
-// the per-decode deadline inside the hardened load path. A block filled
-// between this look and the worker's is served (and counted) as a hit by
-// the worker's Get, so no demand read is counted twice, except one that
-// waited on a flight whose leading read's own context ended it: that
-// read loads again (see handle) and counts once per attempt.
+// estimate. A miss is a one-block demand run on the pool under the
+// caller's request context: the overload layer's gates run before the
+// enqueue, an expired context cancels still-queued work, and the
+// context's deadline clamps the per-decode deadline inside the hardened
+// load path. A block filled between this look and the worker's is served
+// (and counted) as a hit by the worker's Get, so no demand read is
+// counted twice, except one that waited on a flight whose leading read's
+// own context ended it: that read loads again (see cached) and counts
+// once per attempt.
 func (s *Server) fetchCtx(ctx context.Context, img *image, block int) ([]byte, bool, error) {
 	if img.recorder != nil {
 		img.recorder.Record(block)
@@ -713,47 +688,57 @@ func (s *Server) fetchCtx(ctx context.Context, img *image, block int) ([]byte, b
 		// a nil span all the way through for free.
 		sp.Eventf("img=%s block=%d", img.name, block)
 	}
-	reply := replyPool.Get().(chan result)
-	t := task{img: img, block: block, reply: reply, enq: time.Now(), span: sp, ctx: ctx}
-	if err := s.enqueue(ctx, t); err != nil {
-		replyPool.Put(reply)
-		sp.End(err)
-		return nil, false, err
+	var (
+		data []byte
+		hit  bool
+	)
+	r, err := s.dispatch(ctx, task{img: img, block: block, demand: true, span: sp})
+	if err == nil {
+		var ok bool
+		if ok, err = s.await(ctx, r); ok {
+			if err == nil {
+				data, hit = r.blocks[0].data, r.hit
+			}
+			r.recycle()
+		}
 	}
-	data, hit, err := s.awaitFetch(ctx, reply, sp)
-	if s.ovl != nil && !errors.Is(err, ErrClosed) {
-		s.ovl.ctl.ReportOutcome(err == nil)
-	}
+	sp.End(err)
+	s.reportOutcome(err)
 	return data, hit, err
 }
 
-// enqueue hands a read's ticket to the pool. With the overload layer on
-// the queue is a bounded admission queue: a full one rejects instead of
-// blocking the caller. Otherwise the send waits for room, the caller's
-// context or shutdown.
-func (s *Server) enqueue(ctx context.Context, t task) error {
+// dispatch hands a read's ticket to the pool under the caller's context
+// and returns its pooled reply. With the overload layer on the queue is
+// a bounded admission queue: a full one rejects instead of blocking the
+// caller. Otherwise the send waits for room, the context or shutdown.
+func (s *Server) dispatch(ctx context.Context, t task) (*runReply, error) {
+	t.ctx, t.enq, t.reply = ctx, time.Now(), replyPool.Get().(*runReply)
+	var err error
 	if s.ovl != nil {
 		select {
 		case s.tasks <- t:
-			return nil
+			return t.reply, nil
 		case <-s.quit:
-			return ErrClosed
+			err = ErrClosed
 		default:
 			s.met.admissionQueueFull.Inc()
-			return &overload.RejectError{
+			err = &overload.RejectError{
 				Reason:     overload.ReasonQueueFull,
 				RetryAfter: retryAfter(s.ovl.adm.EstimateWait(len(s.tasks))),
 			}
 		}
+	} else {
+		select {
+		case s.tasks <- t:
+			return t.reply, nil
+		case <-doneOf(ctx):
+			err = ctx.Err()
+		case <-s.quit:
+			err = ErrClosed
+		}
 	}
-	select {
-	case s.tasks <- t:
-		return nil
-	case <-doneOf(ctx):
-		return ctx.Err()
-	case <-s.quit:
-		return ErrClosed
-	}
+	t.reply.recycle()
+	return nil, err
 }
 
 // doneOf is ctx.Done(), or nil (never ready) for a nil context.
@@ -764,32 +749,23 @@ func doneOf(ctx context.Context) <-chan struct{} {
 	return ctx.Done()
 }
 
-// awaitFetch waits for a dispatched demand ticket. An expired caller
-// context abandons the (buffered) reply channel — the queued ticket's
-// own ctx check retires it without a decode — so the caller unblocks at
-// its deadline instead of waiting out the queue.
-func (s *Server) awaitFetch(ctx context.Context, reply chan result, sp *obsv.Span) ([]byte, bool, error) {
+// await waits for a dispatched ticket's reply r; true means r was
+// answered, and the caller reads and then recycles it. An expired caller
+// context (nil for none) abandons r, and the still-queued ticket is
+// retired undecoded. Shutdown may race the enqueue while the drain loop
+// still serves the ticket, so r is checked once more before ErrClosed.
+func (s *Server) await(ctx context.Context, r *runReply) (bool, error) {
 	select {
-	case r := <-reply:
-		replyPool.Put(reply)
-		sp.End(r.err)
-		return r.data, r.hit, r.err
+	case <-r.done:
+		return true, r.err
 	case <-doneOf(ctx):
-		sp.End(ctx.Err())
-		return nil, false, ctx.Err()
+		return false, ctx.Err()
 	case <-s.drained:
-		// Shutdown raced our enqueue; the drain loop may still have served
-		// the task, so check once more before giving up.
 		select {
-		case r := <-reply:
-			replyPool.Put(reply)
-			sp.End(r.err)
-			return r.data, r.hit, r.err
+		case <-r.done:
+			return true, r.err
 		default:
-			// The queued task may still send later; abandon the channel
-			// (it is buffered) instead of recycling it.
-			sp.End(ErrClosed)
-			return nil, false, ErrClosed
+			return false, ErrClosed
 		}
 	}
 }
@@ -974,27 +950,6 @@ type RangeStats struct {
 	DecodedBlocks int `json:"decoded_blocks"`
 }
 
-// awaitRange waits for one range dispatch, tolerating the same
-// enqueue/shutdown race awaitFetch does: drain may close while the drain loop
-// is still serving our queued job, so check the reply once more. An
-// expired caller context (nil for none) abandons the buffered reply; a
-// still-queued ticket is then retired at dequeue undecoded.
-func awaitRange(ctx context.Context, reply chan rangeResult, drained chan struct{}) (rangeResult, error) {
-	select {
-	case rr := <-reply:
-		return rr, rr.err
-	case <-doneOf(ctx):
-		return rangeResult{}, ctx.Err()
-	case <-drained:
-		select {
-		case rr := <-reply:
-			return rr, rr.err
-		default:
-			return rangeResult{}, ErrClosed
-		}
-	}
-}
-
 // TraceSnapshot returns the image's recorded demand-access trace, oldest
 // first (empty when recording is disabled or nothing was fetched yet).
 func (s *Server) TraceSnapshot(name string) (*traceprof.Trace, error) {
@@ -1154,27 +1109,25 @@ func (s *Server) SetPolicy(name string, spec PolicySpec) (PolicyInfo, error) {
 	return PolicyInfo{Image: name, Policy: st.name, Pinned: len(pinned)}, nil
 }
 
-// warmBlock loads block b of img into the cache as a one-block range
-// ticket — verified and under the pool's watchdog — and waits for it.
-// It has no view to insert the block at Close, so it inserts the block
-// itself. A block already cached needs no ticket.
+// warmBlock loads block b of img into the cache as a one-block bulk
+// run, verified and under the pool's watchdog, and waits for it. It has
+// no view to insert the block at Close, so it inserts the block itself.
+// A block already cached needs no ticket.
 func (s *Server) warmBlock(img *image, b int) error {
 	if s.cache.Contains(img.key(b)) {
 		return nil
 	}
-	reply := make(chan rangeResult, 1)
-	t := task{img: img, enq: time.Now(), rng: &rangeJob{first: b, last: b, reply: reply}}
+	r := replyPool.Get().(*runReply)
 	select {
-	case s.tasks <- t:
+	case s.tasks <- task{img: img, block: b, enq: time.Now(), reply: r}:
 	case <-s.quit:
 		return ErrClosed
 	}
-	rr, err := awaitRange(nil, reply, s.drained)
-	if err != nil {
-		return err
+	ok, err := s.await(nil, r)
+	if ok && err == nil {
+		s.cache.Put(img.key(b), r.blocks[0].data)
 	}
-	s.cache.Put(img.key(b), rr.blocks[0].data)
-	return nil
+	return err
 }
 
 // Policy reports the image's active policy.

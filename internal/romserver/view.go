@@ -51,10 +51,13 @@ type View struct {
 	open         bool
 
 	// Between dispatchView and awaitView: the view's first block, its
-	// miss runs and one reply channel per enqueued run.
+	// miss runs and one reply per enqueued run.
 	first   int
 	runs    []missRun
-	replies []chan rangeResult
+	replies []*runReply
+	// admitted is set while the overload layer has admitted the view's
+	// misses and their one goodput outcome is not yet reported.
+	admitted bool
 }
 
 // cacheInsert is one verified block waiting in its view for Close.
@@ -159,8 +162,8 @@ func (v *View) Close() {
 		v.parts[i] = nil
 	}
 	v.parts = v.parts[:0]
-	// A ticket abandoned by an early error may still answer its reply
-	// channel, so the channels are dropped rather than reused.
+	// A ticket abandoned by an early error may still answer its reply,
+	// so those replies are dropped rather than recycled.
 	clear(v.replies)
 	v.replies = v.replies[:0]
 	v.runs = v.runs[:0]
@@ -236,11 +239,6 @@ func (s *Server) RangeView(name string, first, last int) (*View, error) {
 	img.rangeReads.Add(1)
 	s.met.rangeReads.Inc()
 	start := time.Now()
-	if img.recorder != nil {
-		for b := first; b <= last; b++ {
-			img.recorder.Record(b)
-		}
-	}
 	v := newView()
 	if err := s.viewBlocks(nil, img, v, first, last, 0); err != nil {
 		v.Close()
@@ -285,11 +283,6 @@ func (s *Server) ReadAtContext(ctx context.Context, name string, off, n int) (*V
 	end := off + n
 	first := blockFor(offs, off)
 	last := blockFor(offs, end-1)
-	if img.recorder != nil {
-		for b := first; b <= last; b++ {
-			img.recorder.Record(b)
-		}
-	}
 	// Partial decode is gated to images where skipping the sidecar check
 	// is defensible: healthy, and no fault injector interposed. Anything
 	// else decodes the tail block fully through the verified path.
@@ -331,23 +324,28 @@ func (s *Server) viewBlocks(ctx context.Context, img *image, v *View, first, las
 	return s.awaitView(ctx, img, v)
 }
 
-// dispatchView is the first half of viewBlocks: it leases the cached
-// blocks of [first,last] into v.parts, runs the overload admission gates
-// over the miss runs — between miss discovery and enqueue, so a fully
-// cached read is never shed — and enqueues one pool ticket per run
-// without waiting for any. A read takes at most Options.Workers tickets,
-// and merge makes that one: past the cap, neighbouring runs share a
-// ticket whose worker re-peeks the cached blocks in between, so a read
-// fragmented by a partly warm cache holds no more queue slots than the
-// pool has workers to run them. awaitView collects the tickets; in
-// between, the caller is free to write out an earlier view while these
-// decode.
+// dispatchView is the first half of viewBlocks: it records blocks
+// [first,last] in the image's access trace, leases the cached ones into
+// v.parts, runs the overload admission gates over the miss runs (between
+// miss discovery and enqueue, so a fully cached read is never shed) and
+// enqueues one pool ticket per run without waiting for any. A read takes
+// at most Options.Workers tickets, and merge makes that one: past the
+// cap, neighbouring runs share a ticket whose worker re-peeks the cached
+// blocks in between, so a read fragmented by a partly warm cache holds
+// no more queue slots than the pool has workers to run them. awaitView
+// collects the tickets; in between, the caller is free to write out an
+// earlier view while these decode.
 func (s *Server) dispatchView(ctx context.Context, img *image, v *View, first, last, limit int, merge bool) error {
 	st := &v.stats
 	st.Blocks = last - first + 1
 	v.first = first
 	v.srv = s
 	v.img = img
+	if img.recorder != nil {
+		for b := first; b <= last; b++ {
+			img.recorder.Record(b)
+		}
+	}
 	if cap(v.parts) >= st.Blocks {
 		v.parts = v.parts[:st.Blocks]
 	} else {
@@ -375,9 +373,11 @@ func (s *Server) dispatchView(ctx context.Context, img *image, v *View, first, l
 		if err := s.admit(ctx, img, runs); err != nil {
 			return err
 		}
+		v.admitted = true
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
+			v.outcome(err)
 			return err
 		}
 	}
@@ -390,12 +390,13 @@ func (s *Server) dispatchView(ctx context.Context, img *image, v *View, first, l
 		v.runs = runs
 	}
 	for _, r := range runs {
-		reply := make(chan rangeResult, 1)
-		rj := &rangeJob{first: r.first, last: r.last, merged: r.merged, reply: reply}
+		t := task{img: img, block: r.first, more: r.last - r.first, merged: r.merged}
 		if limit > 0 && r.last == last {
-			rj.limit = limit
+			t.limit = limit
 		}
-		if err := s.enqueue(ctx, task{img: img, enq: time.Now(), rng: rj, ctx: ctx}); err != nil {
+		reply, err := s.dispatch(ctx, t)
+		if err != nil {
+			v.outcome(err)
 			return err
 		}
 		v.replies = append(v.replies, reply)
@@ -406,29 +407,42 @@ func (s *Server) dispatchView(ctx context.Context, img *image, v *View, first, l
 }
 
 // awaitView is the second half of viewBlocks: it waits for every ticket
-// dispatchView enqueued, drops the decoded blocks into their parts and
-// records the verified ones for Close to insert — also those of a run
-// that failed part-way.
-func (s *Server) awaitView(ctx context.Context, img *image, v *View) error {
+// dispatchView enqueued, drops the loaded blocks into their parts and
+// records the verified ones for Close to insert, also those of a run
+// that failed part-way. It reports the read's goodput outcome.
+func (s *Server) awaitView(ctx context.Context, img *image, v *View) (err error) {
+	defer func() { v.outcome(err) }()
 	st := &v.stats
-	for i, reply := range v.replies {
-		rr, err := awaitRange(ctx, reply, s.drained)
-		first := v.runs[i].first
-		for j, rb := range rr.blocks {
-			v.parts[first-v.first+j] = rb.data
-			if rb.verified {
-				v.inserts = append(v.inserts, cacheInsert{img.key(first + j), rb.data})
+	for i, r := range v.replies {
+		ok, err := s.await(ctx, r)
+		if ok {
+			first := v.runs[i].first
+			for j, rb := range r.blocks {
+				v.parts[first-v.first+j] = rb.data
+				if rb.verified {
+					v.inserts = append(v.inserts, cacheInsert{img.key(first + j), rb.data})
+				}
 			}
+			st.DecodedBlocks += r.decoded
+			v.decodedBytes += r.decodedBytes
+			r.recycle()
 		}
 		if err != nil {
 			return err
 		}
-		st.DecodedBlocks += rr.decoded
-		v.decodedBytes += rr.decodedBytes
 	}
 	s.met.rangeCachedBlocks.Add(int64(st.CachedBlocks))
 	s.met.rangeDecodedBlocks.Add(int64(st.DecodedBlocks))
 	return nil
+}
+
+// outcome reports err as the view's goodput outcome, once, if the
+// overload layer admitted its misses (see reportOutcome).
+func (v *View) outcome(err error) {
+	if v.admitted {
+		v.admitted = false
+		v.srv.reportOutcome(err)
+	}
 }
 
 // decodePrefix decodes only the first limit bytes of one block — the
@@ -484,7 +498,7 @@ func blockFor(offs []int64, off int) int {
 }
 
 // textWindow is how many blocks one WriteText window covers: a cold
-// window is one range ticket, so an image takes ceil(blocks/textWindow)
+// window is one run ticket, so an image takes ceil(blocks/textWindow)
 // dispatches.
 const textWindow = 64
 
@@ -507,7 +521,7 @@ func (s *Server) WriteText(name string, w io.Writer) (int64, error) {
 // returns early are abandoned, and their tickets still queued are
 // retired undecoded. Returns how many bytes were written before any
 // error.
-func (s *Server) WriteTextContext(ctx context.Context, name string, w io.Writer) (int64, error) {
+func (s *Server) WriteTextContext(ctx context.Context, name string, w io.Writer) (n int64, err error) {
 	img, err := s.lookup(name)
 	if err != nil {
 		return 0, err
@@ -518,22 +532,18 @@ func (s *Server) WriteTextContext(ctx context.Context, name string, w io.Writer)
 	depth := s.opts.Workers
 	ahead := make([]*View, 0, depth)
 	defer func() {
+		// Windows still in flight were abandoned by the read's error.
 		for _, v := range ahead {
+			v.outcome(err)
 			v.Close()
 		}
 	}()
-	var n int64
 	for next := 0; next < img.blocks || len(ahead) > 0; {
 		if err := ctx.Err(); err != nil {
 			return n, err
 		}
 		for next < img.blocks && len(ahead) < depth {
 			last := min(next+textWindow, img.blocks) - 1
-			if img.recorder != nil {
-				for b := next; b <= last; b++ {
-					img.recorder.Record(b)
-				}
-			}
 			v := newView()
 			ahead = append(ahead, v)
 			if err := s.dispatchView(ctx, img, v, next, last, 0, true); err != nil {

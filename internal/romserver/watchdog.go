@@ -76,6 +76,10 @@ type poolWorker struct {
 	// acct accumulates the ticket's load-path observations until end
 	// publishes them.
 	acct loadAcct
+	// blocks collects the ticket's loaded blocks. Only once end has
+	// decided that the worker, not the watchdog, answers the ticket are
+	// they copied into its reply, which the watchdog may answer instead.
+	blocks []runBlock
 }
 
 // startWorker adds one goroutine to the pool. The caller accounts for
