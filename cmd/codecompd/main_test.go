@@ -535,7 +535,8 @@ func TestRangeEndpointRANS(t *testing.T) {
 }
 
 // TestBlockDeadlineHeader drives the header end to end over HTTP: a
-// generous propagated deadline serves normally, a malformed one is 400.
+// generous propagated deadline serves normally, a malformed one is 400,
+// on the block route and on the range route.
 func TestBlockDeadlineHeader(t *testing.T) {
 	_, ts, _ := startDaemon(t, "-overload")
 
@@ -550,6 +551,10 @@ func TestBlockDeadlineHeader(t *testing.T) {
 	resp, _ = get(t, ts.URL+"/images/prog/blocks/0", map[string]string{"X-Deadline-Ms": "-5"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative deadline header: %d", resp.StatusCode)
+	}
+	resp, body = get(t, ts.URL+"/images/prog/blocks?range=0-1", map[string]string{"X-Deadline-Ms": "soon"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed deadline header on a range read: %d: %s", resp.StatusCode, body)
 	}
 }
 

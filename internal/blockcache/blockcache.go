@@ -17,7 +17,7 @@
 //   - Pinning: Pin moves an entry into the shard's protected region, where
 //     eviction cannot touch it (a hotset policy pins the hottest blocks so
 //     cold scans cannot flush them). Pinned entries still count against
-//     capacity; Unpin returns them to normal LRU order.
+//     capacity; UnpinImage returns an image's pins to normal LRU order.
 //   - Prefetch accounting: loads made through GetPrefetch tag their entry,
 //     and the first demand Get that hits a tagged entry counts as a
 //     PrefetchHit — the "this speculative decompression was actually
@@ -73,7 +73,7 @@ type Stats struct {
 	Entries int64 `json:"entries"`
 	// Bytes is the decompressed payload currently cached.
 	Bytes int64 `json:"bytes"`
-	// LeasesAcquired counts leases handed out by Acquire/AcquirePeek.
+	// LeasesAcquired counts leases handed out by AcquirePeek.
 	LeasesAcquired int64 `json:"leases_acquired"`
 	// LeasesActive is the number of leases currently outstanding. A
 	// value that never returns to zero is a leaked (never-released)
@@ -386,7 +386,7 @@ func (s *shard) evict(c *Cache) {
 }
 
 // Pin moves key into the shard's protected region: eviction cannot drop it
-// until Unpin. Pinning is idempotent and reports whether the key was
+// until UnpinImage. Pinning is idempotent and reports whether the key was
 // present. Pinned entries still occupy capacity, so pinning more blocks
 // than the cache holds leaves no room for LRU traffic — callers keep pin
 // sets well below capacity.
@@ -402,25 +402,6 @@ func (c *Cache) Pin(key Key) bool {
 		s.unlink(e)
 		s.pinned++
 		c.pinnedCount.Add(1)
-	}
-	return true
-}
-
-// Unpin returns key to normal LRU order (as most recently used), restoring
-// its evictability. Reports whether the key was present.
-func (c *Cache) Unpin(key Key) bool {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		return false
-	}
-	if e.prev == nil {
-		s.pushFront(e)
-		s.pinned--
-		c.pinnedCount.Add(-1)
-		s.evict(c)
 	}
 	return true
 }

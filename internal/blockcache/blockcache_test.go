@@ -234,11 +234,11 @@ func TestUnpinRestoresLRU(t *testing.T) {
 	if !c.Contains(Key{Image: 1, Block: 0}) {
 		t.Fatal("pinned block evicted")
 	}
-	if !c.Unpin(Key{Image: 1, Block: 0}) {
-		t.Fatal("Unpin missed")
+	if n := c.UnpinImage(1); n != 1 {
+		t.Fatalf("UnpinImage = %d, want 1", n)
 	}
 	if st := c.Stats(); st.Pinned != 0 {
-		t.Fatalf("pinned = %d after Unpin", st.Pinned)
+		t.Fatalf("pinned = %d after UnpinImage", st.Pinned)
 	}
 	// Unpinned as MRU: three fresh inserts keep it, a fourth evicts it.
 	for b := 100; b < 103; b++ {
@@ -252,9 +252,10 @@ func TestUnpinRestoresLRU(t *testing.T) {
 		t.Fatal("unpinned block outlived its LRU turn")
 	}
 
-	// Pin/Unpin of an absent key reports false.
-	if c.Pin(Key{Image: 1, Block: 999}) || c.Unpin(Key{Image: 1, Block: 999}) {
-		t.Fatal("pin/unpin of absent key reported true")
+	// Pin of an absent key reports false, and unpinning an image with
+	// no pins unpins nothing.
+	if c.Pin(Key{Image: 1, Block: 999}) || c.UnpinImage(1) != 0 {
+		t.Fatal("pin of absent key or unpin of unpinned image reported a change")
 	}
 }
 

@@ -4,7 +4,7 @@
 // contract beyond "the garbage collector keeps it alive"; nothing tells
 // the operator how much evicted memory readers are still pinning, and
 // nothing catches a caller that scribbles on a cached block. A Lease
-// makes the hand-off explicit: Acquire takes a reference on the block's
+// makes the hand-off explicit: AcquirePeek takes a reference on the block's
 // backing buffer, eviction, replacement and invalidation merely
 // retire the buffer (drop the cache's own reference), and the actual
 // free — the accounting event, in a garbage-collected runtime — happens
@@ -123,35 +123,6 @@ func (l *Lease) Release() {
 	if b.refs.Add(-1) == 0 {
 		b.freeRetired(l.c)
 	}
-}
-
-// Acquire returns a lease on key with demand-hit semantics: like
-// GetCached it refreshes LRU recency and counts a hit (and a prefetch
-// hit when the entry was speculative), but the returned view is pinned
-// by a reference instead of borrowed. ok is false on a miss — Acquire
-// never loads. The caller must Release the lease exactly once.
-func (c *Cache) Acquire(key Key) (Lease, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	e, found := s.entries[key]
-	if !found {
-		s.mu.Unlock()
-		return Lease{}, false
-	}
-	if e.prev != nil {
-		s.moveToFront(e)
-	}
-	if e.prefetched {
-		e.prefetched = false
-		c.prefetchHits.Add(1)
-	}
-	b := e.buf
-	b.refs.Add(1)
-	s.mu.Unlock()
-	c.hits.Add(1)
-	c.leasesActive.Add(1)
-	c.leasesAcquired.Add(1)
-	return Lease{buf: b, c: c}, true
 }
 
 // AcquirePeek returns a lease on key with Peek semantics: no LRU

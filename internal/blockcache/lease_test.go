@@ -17,12 +17,12 @@ func TestLeaseBasics(t *testing.T) {
 	want := []byte("hello, lease")
 	c.Put(key, want)
 
-	if _, ok := c.Acquire(Key{Image: 1, Block: 99}); ok {
-		t.Fatal("Acquire of an absent block succeeded")
+	if _, ok := c.AcquirePeek(Key{Image: 1, Block: 99}); ok {
+		t.Fatal("AcquirePeek of an absent block succeeded")
 	}
-	ls, ok := c.Acquire(key)
+	ls, ok := c.AcquirePeek(key)
 	if !ok {
-		t.Fatal("Acquire missed a resident block")
+		t.Fatal("AcquirePeek missed a resident block")
 	}
 	if !bytes.Equal(ls.Bytes(), want) {
 		t.Fatalf("leased bytes = %q, want %q", ls.Bytes(), want)
@@ -40,22 +40,10 @@ func TestLeaseBasics(t *testing.T) {
 		t.Fatalf("after release: %+v", st)
 	}
 
-	// Acquire counts a demand hit; AcquirePeek does not.
-	hits := c.Stats().Hits
-	if _, ok := c.Acquire(key); !ok {
-		t.Fatal("second acquire missed")
-	}
-	if got := c.Stats().Hits; got != hits+1 {
-		t.Fatalf("Acquire hits = %d, want %d", got, hits+1)
-	}
-	pl, ok := c.AcquirePeek(key)
-	if !ok {
-		t.Fatal("AcquirePeek missed a resident block")
-	}
-	if got := c.Stats().Hits; got != hits+1 {
+	// AcquirePeek counts no demand hit.
+	if got := c.Stats().Hits; got != 0 {
 		t.Fatalf("AcquirePeek moved the hit counter to %d", got)
 	}
-	pl.Release()
 }
 
 // TestLeaseSurvivesEviction pins the core promise: bytes leased before an
@@ -66,7 +54,7 @@ func TestLeaseSurvivesEviction(t *testing.T) {
 	key := Key{Image: 1, Block: 0}
 	want := []byte("block zero payload")
 	c.Put(key, want)
-	ls, ok := c.Acquire(key)
+	ls, ok := c.AcquirePeek(key)
 	if !ok {
 		t.Fatal("acquire missed")
 	}
@@ -102,7 +90,7 @@ func TestLeakedLeaseSurfacesInGauges(t *testing.T) {
 	key := Key{Image: 1, Block: 0}
 	old := []byte("original bytes")
 	c.Put(key, old)
-	leaked, ok := c.Acquire(key)
+	leaked, ok := c.AcquirePeek(key)
 	if !ok {
 		t.Fatal("acquire missed")
 	}
@@ -164,10 +152,7 @@ func TestLeaseHammer(t *testing.T) {
 				img := int(rng>>8) % images
 				b := int(rng>>4) % blocks
 				key := Key{Image: uint32(img), Block: uint32(b)}
-				ls, ok := c.Acquire(key)
-				if !ok {
-					ls, ok = c.AcquirePeek(key)
-				}
+				ls, ok := c.AcquirePeek(key)
 				if !ok {
 					continue
 				}
@@ -229,7 +214,7 @@ func TestLeaseGuard(t *testing.T) {
 	c := New(8, 1)
 	key := Key{Image: 1, Block: 0}
 	c.Put(key, []byte("do not touch"))
-	ls, ok := c.Acquire(key)
+	ls, ok := c.AcquirePeek(key)
 	if !ok {
 		t.Fatal("acquire missed")
 	}

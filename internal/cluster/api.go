@@ -317,14 +317,20 @@ func setRangeHeaders(h http.Header, length int, st romserver.RangeStats, decoded
 // the view is closed, after the response is flushed. The amortization
 // stats travel back as X-Range-* headers so callers (loadgen's range
 // arm, ops curl) can see how the read was served without parsing a JSON
-// envelope around the binary payload.
+// envelope around the binary payload. The read honours X-Deadline-Ms
+// and the client's cancellation, as /bytes does.
 func (n *Node) handleRange(w http.ResponseWriter, r *http.Request) {
 	first, last, ok := parseRange(r.URL.Query().Get("range"))
 	if !ok {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "range must be i-j with 0 <= i <= j"})
 		return
 	}
-	v, err := n.rs.RangeView(r.PathValue("name"), first, last)
+	ctx, cancel, ok := requestDeadline(w, r)
+	if !ok {
+		return
+	}
+	defer cancel()
+	v, err := n.rs.RangeView(ctx, r.PathValue("name"), first, last)
 	if err != nil {
 		writeErr(w, err)
 		return

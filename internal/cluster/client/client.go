@@ -105,17 +105,17 @@ func New(base string, hc *http.Client) *Client {
 }
 
 // do issues req and reads the whole body; the caller judges the status.
-func (c *Client) do(req *http.Request) (status int, body []byte, err error) {
+func (c *Client) do(req *http.Request) (*http.Response, []byte, error) {
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	body, err = io.ReadAll(resp.Body)
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return resp.StatusCode, nil, err
+		return nil, nil, err
 	}
-	return resp.StatusCode, body, nil
+	return resp, body, nil
 }
 
 // statusErr folds a non-OK response into a *StatusError.
@@ -140,14 +140,36 @@ func (c *Client) send(method, path, what string, body io.Reader, want int) ([]by
 	if err != nil {
 		return nil, err
 	}
-	status, resp, err := c.do(req)
+	resp, data, err := c.do(req)
 	if err != nil {
 		return nil, err
 	}
-	if status != want {
-		return nil, statusErr(what, status, resp)
+	if resp.StatusCode != want {
+		return nil, statusErr(what, resp.StatusCode, data)
 	}
-	return resp, nil
+	return data, nil
+}
+
+// read GETs path on one of the read routes, bound to ctx and with ctx's
+// remaining deadline in the X-Deadline-Ms header, and returns a 200
+// answer's body and headers. Any other status is a *StatusError naming
+// what, with the server's Retry-After hint.
+func (c *Client) read(ctx context.Context, path, what string) ([]byte, http.Header, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if v := overload.HeaderValue(ctx); v != "" {
+		req.Header.Set(overload.DeadlineHeader, v)
+	}
+	resp, body, err := c.do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, nil, retryStatusErr(what, resp, body)
+	}
+	return body, resp.Header, nil
 }
 
 // getJSON GETs path and decodes its 200 JSON body into v.
@@ -168,12 +190,12 @@ func (c *Client) Upload(name string, payload []byte) (romserver.ImageInfo, error
 		return info, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	status, body, err := c.do(req)
+	resp, body, err := c.do(req)
 	if err != nil {
 		return info, err
 	}
-	if status != http.StatusCreated {
-		return info, statusErr("upload "+name, status, body)
+	if resp.StatusCode != http.StatusCreated {
+		return info, statusErr("upload "+name, resp.StatusCode, body)
 	}
 	err = json.Unmarshal(body, &info)
 	return info, err
@@ -214,50 +236,24 @@ func (c *Client) Block(name string, i int) (data []byte, hit bool, err error) {
 // doomed work before it queues. A non-2xx answer is a *StatusError;
 // overload rejections carry the server's Retry-After hint in it.
 func (c *Client) BlockContext(ctx context.Context, name string, i int) (data []byte, hit bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/images/%s/blocks/%d", c.Base, name, i), nil)
+	data, h, err := c.read(ctx, fmt.Sprintf("/images/%s/blocks/%d", name, i), fmt.Sprintf("block %d of %s", i, name))
 	if err != nil {
 		return nil, false, err
 	}
-	if v := overload.HeaderValue(ctx); v != "" {
-		req.Header.Set(overload.DeadlineHeader, v)
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, false, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, retryStatusErr(fmt.Sprintf("block %d of %s", i, name), resp, body)
-	}
-	return body, resp.Header.Get("X-Cache") == "hit", nil
+	return data, h.Get("X-Cache") == "hit", nil
 }
 
 // Range fetches blocks [first,last] through the server's batched decode
-// path (GET /images/{name}/blocks?range=first-last) and reports how the
-// read was served, parsed back from the X-Range-* headers.
-func (c *Client) Range(name string, first, last int) ([]byte, romserver.RangeStats, error) {
-	var st romserver.RangeStats
-	req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/images/%s/blocks?range=%d-%d", c.Base, name, first, last), nil)
+// path (GET /images/{name}/blocks?range=first-last), with deadline
+// propagation like BlockContext, and reports how the read was served,
+// parsed back from the X-Range-* headers.
+func (c *Client) Range(ctx context.Context, name string, first, last int) ([]byte, romserver.RangeStats, error) {
+	body, h, err := c.read(ctx, fmt.Sprintf("/images/%s/blocks?range=%d-%d", name, first, last),
+		fmt.Sprintf("range %d-%d of %s", first, last, name))
 	if err != nil {
-		return nil, st, err
+		return nil, romserver.RangeStats{}, err
 	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, st, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, st, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, st, statusErr(fmt.Sprintf("range %d-%d of %s", first, last, name), resp.StatusCode, body)
-	}
-	return body, rangeStats(resp.Header), nil
+	return body, rangeStats(h), nil
 }
 
 // rangeStats parses how a range or byte-window read was served from its
@@ -285,29 +281,13 @@ func (c *Client) ReadBytes(name string, off, n int) ([]byte, romserver.RangeStat
 // fully cached read, less than the covering blocks' total when the
 // tail was partially decoded).
 func (c *Client) ReadBytesContext(ctx context.Context, name string, off, n int) ([]byte, romserver.RangeStats, int, error) {
-	var st romserver.RangeStats
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/images/%s/bytes?off=%d&len=%d", c.Base, name, off, n), nil)
+	body, h, err := c.read(ctx, fmt.Sprintf("/images/%s/bytes?off=%d&len=%d", name, off, n),
+		fmt.Sprintf("bytes [%d,%d) of %s", off, off+n, name))
 	if err != nil {
-		return nil, st, 0, err
+		return nil, romserver.RangeStats{}, 0, err
 	}
-	if v := overload.HeaderValue(ctx); v != "" {
-		req.Header.Set(overload.DeadlineHeader, v)
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, st, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, st, 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, st, 0, retryStatusErr(fmt.Sprintf("bytes [%d,%d) of %s", off, off+n, name), resp, body)
-	}
-	decoded, _ := strconv.Atoi(resp.Header.Get("X-Decoded-Bytes"))
-	return body, rangeStats(resp.Header), decoded, nil
+	decoded, _ := strconv.Atoi(h.Get("X-Decoded-Bytes"))
+	return body, rangeStats(h), decoded, nil
 }
 
 // CachedBlock asks the cluster-internal cache-only endpoint for one
@@ -319,17 +299,17 @@ func (c *Client) CachedBlock(name string, i int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	status, body, err := c.do(req)
+	resp, body, err := c.do(req)
 	if err != nil {
 		return nil, err
 	}
-	switch status {
+	switch resp.StatusCode {
 	case http.StatusOK:
 		return body, nil
 	case http.StatusNoContent, http.StatusNotFound:
 		return nil, ErrNotCached
 	}
-	return nil, statusErr(fmt.Sprintf("cached block %d of %s", i, name), status, body)
+	return nil, statusErr(fmt.Sprintf("cached block %d of %s", i, name), resp.StatusCode, body)
 }
 
 // SetPeers replaces the node's peer table (PUT /internal/peers): for
@@ -345,12 +325,12 @@ func (c *Client) SetPeers(peers map[string][]string) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	status, body, err := c.do(req)
+	resp, body, err := c.do(req)
 	if err != nil {
 		return err
 	}
-	if status != http.StatusNoContent && status != http.StatusOK {
-		return statusErr("set peers", status, body)
+	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
+		return statusErr("set peers", resp.StatusCode, body)
 	}
 	return nil
 }
@@ -424,12 +404,12 @@ func (c *Client) Stats() (romserver.Stats, error) {
 		return st, err
 	}
 	req.Header.Set("Accept", "application/json")
-	status, body, err := c.do(req)
+	resp, body, err := c.do(req)
 	if err != nil {
 		return st, err
 	}
-	if status != http.StatusOK {
-		return st, statusErr("metrics", status, body)
+	if resp.StatusCode != http.StatusOK {
+		return st, statusErr("metrics", resp.StatusCode, body)
 	}
 	err = json.Unmarshal(body, &st)
 	return st, err

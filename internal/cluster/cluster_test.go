@@ -532,3 +532,36 @@ func TestRouterOverloadBackoff(t *testing.T) {
 		t.Fatal("sustained plain 503s did not eject the member")
 	}
 }
+
+// TestHedgeDelayClamp pins the hedge delay: HedgeDefault until
+// hedgeMinSamples upstream latencies exist, then the upstream p99
+// clamped to [hedgeMin, hedgeMax].
+func TestHedgeDelayClamp(t *testing.T) {
+	delay := func(rt *Router) time.Duration {
+		rt.hedgeAt = time.Time{} // expire the cached delay
+		return rt.hedgeDelay()
+	}
+	observe := func(rt *Router, n int, d time.Duration) {
+		for i := 0; i < n; i++ {
+			rt.upstreamSeconds.Observe(d)
+		}
+	}
+
+	fast := NewRouter(RouterOptions{ProbeInterval: -1, HedgeDefault: 7 * time.Millisecond, Logf: discardLogf})
+	defer fast.Close()
+	observe(fast, hedgeMinSamples-1, 10*time.Microsecond)
+	if got := delay(fast); got != 7*time.Millisecond {
+		t.Fatalf("delay below %d samples = %v, want HedgeDefault 7ms", hedgeMinSamples, got)
+	}
+	observe(fast, 1, 10*time.Microsecond)
+	if got := delay(fast); got != hedgeMin {
+		t.Fatalf("delay over a 10µs p99 = %v, want the %v floor", got, hedgeMin)
+	}
+
+	slow := NewRouter(RouterOptions{ProbeInterval: -1, Logf: discardLogf})
+	defer slow.Close()
+	observe(slow, hedgeMinSamples, 2*time.Second)
+	if got := delay(slow); got != hedgeMax {
+		t.Fatalf("delay over a 2s p99 = %v, want the %v ceiling", got, hedgeMax)
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"codecomp/internal/romserver"
 )
@@ -32,8 +31,6 @@ type HarnessOptions struct {
 	// Router overrides router tuning; Registry/HTTP/Logf fields are
 	// honored, VNodes/Replication come from the fields above.
 	Router RouterOptions
-	// FillTimeout bounds one peer cache probe per node.
-	FillTimeout time.Duration
 	// Logf receives harness/node/router logs; nil discards them (tests
 	// and drills pass their own).
 	Logf func(format string, args ...any)
@@ -56,13 +53,6 @@ func (hn *HarnessNode) Name() string { return hn.name }
 
 // URL returns the node's base URL.
 func (hn *HarnessNode) URL() string { return "http://" + hn.addr }
-
-// Running reports whether the node is currently serving.
-func (hn *HarnessNode) Running() bool {
-	hn.mu.Lock()
-	defer hn.mu.Unlock()
-	return hn.node != nil
-}
 
 // Node returns the live node, nil while killed.
 func (hn *HarnessNode) Node() *Node {
@@ -162,11 +152,10 @@ func (h *Harness) lookup(name string) (*HarnessNode, error) {
 // (hn.mu held by caller).
 func (h *Harness) start(hn *HarnessNode, addr string) error {
 	node, err := NewNode(NodeOptions{
-		Name:        hn.name,
-		DataDir:     hn.dataDir,
-		Server:      h.opts.Server,
-		FillTimeout: h.opts.FillTimeout,
-		Logf:        h.logf,
+		Name:    hn.name,
+		DataDir: hn.dataDir,
+		Server:  h.opts.Server,
+		Logf:    h.logf,
 	})
 	if err != nil {
 		return err

@@ -34,8 +34,6 @@ type NodeOptions struct {
 	// non-nil Tiering gets Persist set to the store's Save, so tier
 	// migrations reach the disk.
 	Server romserver.Options
-	// FillTimeout bounds one peer cache probe (default 150ms).
-	FillTimeout time.Duration
 	// MaxImageBytes caps one upload or posted trace (default 64 MiB).
 	MaxImageBytes int64
 	// AllowFaults enables PUT /images/{name}/faults. Without it the
@@ -125,9 +123,8 @@ type Node struct {
 	regMu sync.Mutex
 
 	// Peer cache-fill: the replica peers a local miss may ask first.
-	fillTimeout time.Duration
-	peerMu      sync.RWMutex
-	peers       map[string][]*client.Client // image name -> replica peers
+	peerMu sync.RWMutex
+	peers  map[string][]*client.Client // image name -> replica peers
 
 	fillAttempts *obsv.Counter
 	fillHits     *obsv.Counter
@@ -171,16 +168,15 @@ func NewNode(opts NodeOptions) (*Node, error) {
 		}
 	}
 	n := &Node{
-		name:        opts.Name,
-		rs:          romserver.New(sopts),
-		st:          st,
-		reg:         reg,
-		maxIm:       opts.MaxImageBytes,
-		faults:      opts.AllowFaults,
-		started:     time.Now(),
-		logf:        logf,
-		fillTimeout: opts.FillTimeout,
-		peers:       make(map[string][]*client.Client),
+		name:    opts.Name,
+		rs:      romserver.New(sopts),
+		st:      st,
+		reg:     reg,
+		maxIm:   opts.MaxImageBytes,
+		faults:  opts.AllowFaults,
+		started: time.Now(),
+		logf:    logf,
+		peers:   make(map[string][]*client.Client),
 		fillAttempts: reg.Counter("cluster_peer_fill_attempts_total",
 			"Peer cache probes issued on local cache misses."),
 		fillHits: reg.Counter("cluster_peer_fill_hits_total",
@@ -202,9 +198,6 @@ func NewNode(opts NodeOptions) (*Node, error) {
 	}
 	if n.maxIm <= 0 {
 		n.maxIm = 64 << 20
-	}
-	if n.fillTimeout <= 0 {
-		n.fillTimeout = 150 * time.Millisecond
 	}
 	reg.GaugeFunc("cluster_peer_images",
 		"Images with a configured peer set (fill candidates).",
@@ -260,6 +253,9 @@ func (n *Node) Registry() *obsv.Registry { return n.reg }
 // Close drains the underlying romserver.
 func (n *Node) Close() error { return n.rs.Close() }
 
+// fillTimeout bounds one peer cache probe.
+const fillTimeout = 150 * time.Millisecond
+
 // fill is the romserver.FillFunc: ask each replica peer's cache for the
 // block, first answer wins. The romserver verifies whatever comes back
 // against the local integrity sidecar, so this function only has to be
@@ -271,7 +267,7 @@ func (n *Node) fill(image string, block int) ([]byte, bool) {
 	if len(peers) == 0 {
 		return nil, false
 	}
-	hc := &http.Client{Timeout: n.fillTimeout}
+	hc := &http.Client{Timeout: fillTimeout}
 	for _, p := range peers {
 		n.fillAttempts.Inc()
 		probe := client.New(p.Base, hc)

@@ -42,24 +42,10 @@ type RouterOptions struct {
 	// HedgeDefault is the hedge delay used until enough upstream
 	// latency samples exist to derive a p99 (default 30ms).
 	HedgeDefault time.Duration
-	// HedgeMin/HedgeMax clamp the derived delay (defaults 1ms / 250ms):
-	// never hedge so eagerly that every request doubles load, never so
-	// lazily the hedge is pointless.
-	HedgeMin, HedgeMax time.Duration
 	// ProbeInterval is how often members are health-probed and ejected
 	// members retried (default 250ms; negative disables the prober —
 	// tests drive ProbeOnce by hand).
 	ProbeInterval time.Duration
-	// HealthWindow is the per-member sliding window of request outcomes
-	// (default 16 — small, so a killed node is ejected within a few
-	// requests).
-	HealthWindow int
-	// HedgeBudgetRatio is the retry-budget token fraction each block
-	// fetch deposits; hedges spend one token each, so hedge amplification
-	// is capped at ~1+ratio (default 0.1).
-	HedgeBudgetRatio float64
-	// HedgeBudgetBurst is the hedge budget's bucket capacity (default 8).
-	HedgeBudgetBurst float64
 	// Registry receives router metrics; nil creates a private one.
 	Registry *obsv.Registry
 	// HTTP is the proxy-side http.Client; nil uses a 10s-timeout client.
@@ -128,7 +114,7 @@ type Router struct {
 	closeOnce sync.Once
 
 	// budget caps hedge amplification: every block fetch deposits
-	// HedgeBudgetRatio tokens, every hedge spends one.
+	// hedgeBudgetRatio tokens, every hedge spends one.
 	budget *overload.RetryBudget
 
 	requests         *obsv.CounterVec
@@ -163,6 +149,26 @@ const hedgeRefresh = 500 * time.Millisecond
 // before the p99 is trusted over HedgeDefault.
 const hedgeMinSamples = 50
 
+// hedgeMin and hedgeMax clamp the derived hedge delay: never hedge so
+// eagerly that every request doubles load, never so lazily the hedge is
+// pointless.
+const (
+	hedgeMin = time.Millisecond
+	hedgeMax = 250 * time.Millisecond
+)
+
+// memberOutcomeWindow is the per-member sliding window of request
+// outcomes: small, so a killed node is ejected within a few requests.
+const memberOutcomeWindow = 16
+
+// The hedge budget: each block fetch deposits hedgeBudgetRatio tokens
+// and each hedge spends one, so hedge amplification is capped at about
+// 1+hedgeBudgetRatio; hedgeBudgetBurst is the bucket's capacity.
+const (
+	hedgeBudgetRatio = 0.1
+	hedgeBudgetBurst = 8
+)
+
 // NewRouter builds the router and starts its health prober.
 func NewRouter(opts RouterOptions) *Router {
 	if opts.VNodes <= 0 {
@@ -174,23 +180,8 @@ func NewRouter(opts RouterOptions) *Router {
 	if opts.HedgeDefault <= 0 {
 		opts.HedgeDefault = 30 * time.Millisecond
 	}
-	if opts.HedgeMin <= 0 {
-		opts.HedgeMin = time.Millisecond
-	}
-	if opts.HedgeMax <= 0 {
-		opts.HedgeMax = 250 * time.Millisecond
-	}
 	if opts.ProbeInterval == 0 {
 		opts.ProbeInterval = 250 * time.Millisecond
-	}
-	if opts.HealthWindow <= 0 {
-		opts.HealthWindow = 16
-	}
-	if opts.HedgeBudgetRatio <= 0 {
-		opts.HedgeBudgetRatio = 0.1
-	}
-	if opts.HedgeBudgetBurst <= 0 {
-		opts.HedgeBudgetBurst = 8
 	}
 	if opts.HTTP == nil {
 		opts.HTTP = &http.Client{Timeout: 10 * time.Second}
@@ -209,7 +200,7 @@ func NewRouter(opts RouterOptions) *Router {
 		catalog: make(map[string]catalogEntry),
 		members: make(map[string]*member),
 		quit:    make(chan struct{}),
-		budget:  overload.NewRetryBudget(opts.HedgeBudgetRatio, opts.HedgeBudgetBurst),
+		budget:  overload.NewRetryBudget(hedgeBudgetRatio, hedgeBudgetBurst),
 	}
 	rt.ring.Store(BuildRing(0, nil, opts.VNodes, opts.Replication))
 
@@ -351,7 +342,7 @@ func (rt *Router) AddNode(name, addr string) error {
 		name:   name,
 		addr:   addr,
 		cli:    client.New(addr, rt.opts.HTTP),
-		health: romserver.NewHealthTracker(rt.opts.HealthWindow),
+		health: romserver.NewHealthTracker(memberOutcomeWindow),
 	}
 	rt.memMu.Unlock()
 	rt.logf("cluster router: node %s joined at %s", name, addr)
@@ -596,11 +587,11 @@ func (rt *Router) hedgeDelay() time.Duration {
 	if snap := rt.upstreamSeconds.Snapshot(); snap.Count >= hedgeMinSamples {
 		d = snap.Quantile(0.99)
 	}
-	if d < rt.opts.HedgeMin {
-		d = rt.opts.HedgeMin
+	if d < hedgeMin {
+		d = hedgeMin
 	}
-	if d > rt.opts.HedgeMax {
-		d = rt.opts.HedgeMax
+	if d > hedgeMax {
+		d = hedgeMax
 	}
 	rt.hedgeAt = time.Now()
 	rt.hedgeVal = d
@@ -661,12 +652,6 @@ type blockResult struct {
 	decoded int
 	err     error
 	m       *member
-}
-
-// FetchBlock reads one block through placement, failover and hedging;
-// see FetchBlockContext.
-func (rt *Router) FetchBlock(name string, i int) ([]byte, bool, error) {
-	return rt.FetchBlockContext(context.Background(), name, i)
 }
 
 // FetchBlockContext reads one block through placement, failover and

@@ -4,6 +4,7 @@
 package drill
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -181,7 +182,7 @@ type rangeTotals struct {
 // read fetches the blocks a span window covers through the batched range
 // path and adds up how the server served them.
 func (t *rangeTotals) read(cc *client.Client, name string, p program, win window) ([]byte, error) {
-	body, st, err := cc.Range(name, p.first(win), p.last(win))
+	body, st, err := cc.Range(context.Background(), name, p.first(win), p.last(win))
 	if err == nil {
 		t.blocks.Add(int64(st.Blocks))
 		t.cached.Add(int64(st.CachedBlocks))

@@ -145,9 +145,6 @@ func New(inner codecomp.BlockCodec, opts Options) *Injector {
 	return j
 }
 
-// Options returns the injector's configuration.
-func (j *Injector) Options() Options { return j.opts }
-
 // Stats snapshots the fault counters.
 func (j *Injector) Stats() Stats {
 	return Stats{

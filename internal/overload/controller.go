@@ -6,6 +6,29 @@ import (
 	"time"
 )
 
+// The controller's thresholds, as fractions of the pool queue's
+// capacity. Each exit threshold sits below its enter threshold, so the
+// level does not flap while fill hovers near one value.
+const (
+	// pressureEnter is the fill at which Healthy escalates to Pressured.
+	pressureEnter = 0.5
+	// pressureExit is the fill the queue must fall back under before
+	// Pressured de-escalates.
+	pressureExit = 0.25
+	// brownoutEnter is the fill at which Pressured escalates to
+	// BrownedOut.
+	brownoutEnter = 0.9
+	// brownoutExit is the fill the queue must fall back under before
+	// BrownedOut steps down: 0.9/2*1.1 in float64 arithmetic, one ulp
+	// above 0.495, so a fill of exactly 99/200 (a queue depth that is a
+	// multiple of 200) still steps down.
+	brownoutExit = 0.49500000000000005
+	// goodputFloor escalates on quality, not just depth: when the
+	// success fraction of the recent outcome window drops below it, the
+	// controller treats the server as pressured even with queue room.
+	goodputFloor = 0.5
+)
+
 // Controller is the brownout state machine. The owning server calls
 // Evaluate periodically with the pool queue's fill fraction and reports
 // request outcomes as they complete; the controller decides the
@@ -112,13 +135,13 @@ func (c *Controller) Evaluate(fill float64) Level {
 	}
 
 	good, n := c.goodputLocked()
-	badGoodput := n >= c.cfg.MinObservations && good < c.cfg.GoodputFloor
+	badGoodput := n >= c.cfg.MinObservations && good < goodputFloor
 
 	desired := Healthy
 	switch {
-	case fill >= c.cfg.BrownoutEnter || (badGoodput && fill >= c.cfg.PressureEnter):
+	case fill >= brownoutEnter || (badGoodput && fill >= pressureEnter):
 		desired = BrownedOut
-	case fill >= c.cfg.PressureEnter || badGoodput:
+	case fill >= pressureEnter || badGoodput:
 		desired = Pressured
 	}
 
@@ -127,7 +150,7 @@ func (c *Controller) Evaluate(fill float64) Level {
 	case desired > cur:
 		c.setLocked(cur, desired, now)
 	case desired < cur:
-		if now.Sub(c.lastChange) >= c.cfg.Dwell && fill < c.exitOf(cur) && !badGoodput {
+		if now.Sub(c.lastChange) >= c.cfg.Dwell && fill < exitOf(cur) && !badGoodput {
 			c.setLocked(cur, cur-1, now)
 		}
 	}
@@ -136,11 +159,11 @@ func (c *Controller) Evaluate(fill float64) Level {
 
 // exitOf is the hysteresis threshold fill must fall under before the
 // given level may step down.
-func (c *Controller) exitOf(l Level) float64 {
+func exitOf(l Level) float64 {
 	if l == BrownedOut {
-		return c.cfg.BrownoutExit
+		return brownoutExit
 	}
-	return c.cfg.PressureExit
+	return pressureExit
 }
 
 func (c *Controller) setLocked(from, to Level, now time.Time) {

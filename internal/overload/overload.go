@@ -146,23 +146,6 @@ type Config struct {
 	// fire back-to-back after an idle stretch (default 10).
 	RetryBurst float64
 
-	// PressureEnter is the pool-queue fill fraction at which the
-	// controller escalates Healthy→Pressured (default 0.5).
-	PressureEnter float64
-	// PressureExit is the fill fraction the queue must fall back under
-	// before Pressured de-escalates (default 0.25).
-	PressureExit float64
-	// BrownoutEnter is the fill fraction at which Pressured escalates to
-	// BrownedOut (default 0.9).
-	BrownoutEnter float64
-	// BrownoutExit is the fill fraction the queue must fall back under
-	// before BrownedOut steps down (default 0.5).
-	BrownoutExit float64
-	// GoodputFloor escalates on quality, not just depth: when the
-	// success fraction of the recent outcome window drops below it, the
-	// controller treats the server as pressured even with queue room
-	// (default 0.5).
-	GoodputFloor float64
 	// GoodputWindow is the outcome ring size goodput is computed over
 	// (default 256).
 	GoodputWindow int
@@ -180,10 +163,6 @@ type Config struct {
 	// EvalInterval is how often the owning server re-evaluates the level
 	// against queue fill (default 25ms).
 	EvalInterval time.Duration
-	// HotSetFraction sizes the brownout hot set as a fraction of the
-	// block-cache capacity (default 0.5): the hottest profile blocks
-	// that keep decompressing while browned out.
-	HotSetFraction float64
 
 	// Now is the controller clock, a test hook (default time.Now).
 	Now func() time.Time
@@ -196,21 +175,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.RetryBurst <= 0 {
 		c.RetryBurst = 10
-	}
-	if c.PressureEnter <= 0 {
-		c.PressureEnter = 0.5
-	}
-	if c.PressureExit <= 0 {
-		c.PressureExit = c.PressureEnter / 2
-	}
-	if c.BrownoutEnter <= 0 {
-		c.BrownoutEnter = 0.9
-	}
-	if c.BrownoutExit <= 0 {
-		c.BrownoutExit = c.BrownoutEnter / 2 * 1.1
-	}
-	if c.GoodputFloor <= 0 {
-		c.GoodputFloor = 0.5
 	}
 	if c.GoodputWindow <= 0 {
 		c.GoodputWindow = 256
@@ -226,9 +190,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.EvalInterval <= 0 {
 		c.EvalInterval = 25 * time.Millisecond
-	}
-	if c.HotSetFraction <= 0 {
-		c.HotSetFraction = 0.5
 	}
 	if c.Now == nil {
 		c.Now = time.Now

@@ -34,11 +34,15 @@ func TestConfigDefaults(t *testing.T) {
 	if c.RetryRatio != 0.1 || c.RetryBurst != 10 {
 		t.Fatalf("retry defaults = %v/%v", c.RetryRatio, c.RetryBurst)
 	}
-	if c.PressureExit >= c.PressureEnter || c.BrownoutExit >= c.BrownoutEnter {
-		t.Fatalf("exit thresholds must sit below enter: %+v", c)
+	if pressureExit >= pressureEnter || brownoutExit >= brownoutEnter {
+		t.Fatalf("exit thresholds must sit below enter: pressure %v/%v, brownout %v/%v",
+			pressureEnter, pressureExit, brownoutEnter, brownoutExit)
 	}
-	if c.PressureEnter >= c.BrownoutEnter {
-		t.Fatalf("pressure enter %v must precede brownout enter %v", c.PressureEnter, c.BrownoutEnter)
+	if pressureEnter >= brownoutEnter {
+		t.Fatalf("pressure enter %v must precede brownout enter %v", pressureEnter, brownoutEnter)
+	}
+	if enter := 0.9; brownoutExit != enter/2*1.1 {
+		t.Fatalf("brownout exit %v, want the float64 value of 0.9/2*1.1", brownoutExit)
 	}
 	if c.Now == nil || c.Dwell <= 0 || c.EvalInterval <= 0 {
 		t.Fatalf("timing defaults missing: %+v", c)

@@ -116,9 +116,6 @@ func NewSequential(depth, blocks int) *Sequential {
 // Name implements Prefetcher.
 func (s *Sequential) Name() string { return "sequential" }
 
-// Depth reports the configured prefetch depth.
-func (s *Sequential) Depth() int { return s.depth }
-
 // Predict implements Prefetcher.
 func (s *Sequential) Predict(block int) []int {
 	if block < 0 || block >= s.blocks {

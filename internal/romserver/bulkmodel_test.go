@@ -102,7 +102,7 @@ func TestAdmitMatchesOfflineModel(t *testing.T) {
 			reads = append(reads, memsys.Access{First: first, Last: first})
 		} else {
 			last := min(first+rng.Intn(24), blocks-1)
-			v, err := s.RangeView("img", first, last)
+			v, err := s.RangeView(context.Background(), "img", first, last)
 			if err != nil {
 				t.Fatalf("step %d: range [%d,%d]: %v", step, first, last, err)
 			}

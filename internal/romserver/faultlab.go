@@ -200,6 +200,10 @@ type imageHealth struct {
 	clean atomic.Bool
 }
 
+// healthWindow is the per-image sliding window of load outcomes that
+// drives the health state machine.
+const healthWindow = 64
+
 func newImageHealth(window int) *imageHealth {
 	return &imageHealth{window: make([]bool, window), bad: make(map[int]struct{})}
 }
@@ -591,20 +595,6 @@ func (s *Server) SetFaults(name string, opts *faultinj.Options) error {
 	return nil
 }
 
-// FaultStats returns the image's injected-fault counters, or nil when no
-// injector is installed.
-func (s *Server) FaultStats(name string) (*faultinj.Stats, error) {
-	img, err := s.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if f := img.faults.Load(); f != nil {
-		st := f.Stats()
-		return &st, nil
-	}
-	return nil, nil
-}
-
 // HealthTracker is the image health state machine exposed for reuse by
 // other subsystems that need the same sliding-window escalation —
 // internal/cluster drives one per node to decide ring ejection, so a
@@ -616,11 +606,8 @@ type HealthTracker struct {
 }
 
 // NewHealthTracker returns a tracker over a sliding window of the given
-// size (the Options.HealthWindow default when size <= 0).
+// size, which must be positive.
 func NewHealthTracker(size int) *HealthTracker {
-	if size <= 0 {
-		size = Options{}.withDefaults().HealthWindow
-	}
 	return &HealthTracker{h: newImageHealth(size)}
 }
 

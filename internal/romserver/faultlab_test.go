@@ -330,10 +330,10 @@ func TestChaosInvariantInProcess(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	fs, err := s.FaultStats("prog")
-	if err != nil || fs == nil {
-		t.Fatalf("FaultStats = %+v, %v", fs, err)
+	if len(st.Images) != 1 || st.Images[0].Faults == nil {
+		t.Fatalf("image stats carry no injected-fault counters: %+v", st.Images)
 	}
+	fs := st.Images[0].Faults
 	t.Logf("served %d, failed %d; detected %d corruptions, %d retries; injected %+v",
 		served, failed, st.Faults.CorruptBlocks, st.Faults.Retries, *fs)
 	if fs.BitFlips == 0 {

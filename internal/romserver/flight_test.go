@@ -108,7 +108,7 @@ func TestFlightBoundaryBulkRun(t *testing.T) {
 	<-held
 	deduped := s.CacheStats().Deduped
 
-	v, err := s.RangeView("img", 4, 6)
+	v, err := s.RangeView(context.Background(), "img", 4, 6)
 	if err != nil {
 		t.Fatalf("range beside the flight: %v", err)
 	}

@@ -334,7 +334,7 @@ func TestCallerHitOverloadLevels(t *testing.T) {
 		blocks []int
 		read   func() (*View, error)
 	}{
-		{"RangeView", []int{11, 12}, func() (*View, error) { return s.RangeView("img", 11, 12) }},
+		{"RangeView", []int{11, 12}, func() (*View, error) { return s.RangeView(context.Background(), "img", 11, 12) }},
 		{"ReadAtContext", []int{13}, func() (*View, error) { return s.ReadAtContext(context.Background(), "img", 2*13, 2) }},
 	}
 	for _, tc := range bulk {

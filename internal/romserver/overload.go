@@ -169,16 +169,16 @@ func (s *Server) retryAllowed() bool {
 	return false
 }
 
+// hotSetFraction sizes the brownout hot set as a fraction of the
+// block-cache capacity.
+const hotSetFraction = 0.5
+
 // setHotSet computes the image's brownout hot set from its trained
-// profile: the hottest HotSetFraction×cache-capacity blocks, the
+// profile: the hottest hotSetFraction×cache-capacity blocks, the
 // traffic that keeps decoding while browned out. Cheap enough to run on
 // every Train even when overload is off (the slice is just unused).
 func (s *Server) setHotSet(img *image, p *traceprof.Profile) {
-	frac := 0.5
-	if s.ovl != nil {
-		frac = s.ovl.cfg.HotSetFraction
-	}
-	n := int(float64(s.cache.Capacity()) * frac)
+	n := int(float64(s.cache.Capacity()) * hotSetFraction)
 	if n < 1 {
 		n = 1
 	}

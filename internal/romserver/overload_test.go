@@ -84,67 +84,78 @@ func TestCanceledWhileQueuedNeverDecodes(t *testing.T) {
 	}
 }
 
-// TestCanceledRangeWhileQueuedNeverDecodes is the range-path twin of
-// TestCanceledWhileQueuedNeverDecodes: a ReadAtContext whose caller
-// cancels while its miss run is still queued returns at cancellation,
-// and the worker retires the run's ticket without decoding it.
+// TestCanceledRangeWhileQueuedNeverDecodes is the bulk-path twin of
+// TestCanceledWhileQueuedNeverDecodes, through ReadAtContext and
+// RangeView: a read whose caller cancels while its miss run is still
+// queued returns at cancellation, and the worker retires the run's
+// ticket without decoding it. Blocks 1 and 2 are bytes [2,6).
 func TestCanceledRangeWhileQueuedNeverDecodes(t *testing.T) {
-	blocker := &stubCodec{blocks: 4, gate: make(chan struct{})}
-	victim := &stubCodec{blocks: 4}
-	s := New(Options{Workers: 1, QueueDepth: 4, PrefetchDepth: -1, TraceBuffer: -1, ReverifyInterval: -1})
-	defer s.Close()
-	s.addCodec("blocker", blocker)
-	s.addCodec("victim", victim)
+	for _, tc := range []struct {
+		name string
+		read func(ctx context.Context, s *Server) (*View, error)
+	}{
+		{"ReadAtContext", func(ctx context.Context, s *Server) (*View, error) { return s.ReadAtContext(ctx, "victim", 2, 4) }},
+		{"RangeView", func(ctx context.Context, s *Server) (*View, error) { return s.RangeView(ctx, "victim", 1, 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blocker := &stubCodec{blocks: 4, gate: make(chan struct{})}
+			victim := &stubCodec{blocks: 4}
+			s := New(Options{Workers: 1, QueueDepth: 4, PrefetchDepth: -1, TraceBuffer: -1, ReverifyInterval: -1})
+			defer s.Close()
+			s.addCodec("blocker", blocker)
+			s.addCodec("victim", victim)
 
-	// Pin the single worker on a decode that blocks on the gate.
-	blockerDone := make(chan error, 1)
-	go func() {
-		_, _, err := s.BlockContext(context.Background(), "blocker", 0)
-		blockerDone <- err
-	}()
-	waitCond(t, "blocker decode to start", func() bool { return blocker.calls.Load() == 1 })
+			// Pin the single worker on a decode that blocks on the gate.
+			blockerDone := make(chan error, 1)
+			go func() {
+				_, _, err := s.BlockContext(context.Background(), "blocker", 0)
+				blockerDone <- err
+			}()
+			waitCond(t, "blocker decode to start", func() bool { return blocker.calls.Load() == 1 })
 
-	// Queue the victim's miss run behind it, then cancel while it waits.
-	ctx, cancel := context.WithCancel(context.Background())
-	victimDone := make(chan error, 1)
-	go func() {
-		v, err := s.ReadAtContext(ctx, "victim", 2, 4)
-		if err == nil {
-			v.Close()
-		}
-		victimDone <- err
-	}()
-	waitCond(t, "victim ticket to queue", func() bool { return len(s.tasks) == 1 })
-	cancel()
+			// Queue the victim's miss run behind it, then cancel while it waits.
+			ctx, cancel := context.WithCancel(context.Background())
+			victimDone := make(chan error, 1)
+			go func() {
+				v, err := tc.read(ctx, s)
+				if err == nil {
+					v.Close()
+				}
+				victimDone <- err
+			}()
+			waitCond(t, "victim ticket to queue", func() bool { return len(s.tasks) == 1 })
+			cancel()
 
-	// The caller unblocks at cancellation, not when the queue drains.
-	select {
-	case err := <-victimDone:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("victim err = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("canceled caller still blocked on a queued range ticket")
-	}
+			// The caller unblocks at cancellation, not when the queue drains.
+			select {
+			case err := <-victimDone:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("victim err = %v, want context.Canceled", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("canceled caller still blocked on a queued range ticket")
+			}
 
-	// Release the worker; it must retire the canceled ticket undecoded.
-	close(blocker.gate)
-	if err := <-blockerDone; err != nil {
-		t.Fatalf("blocker read failed: %v", err)
-	}
-	waitCond(t, "canceled ticket to be retired", func() bool { return s.met.queueExpired.Value() == 1 })
-	if n := victim.calls.Load(); n != 0 {
-		t.Fatalf("canceled range ticket dispatched %d decodes", n)
-	}
+			// Release the worker; it must retire the canceled ticket undecoded.
+			close(blocker.gate)
+			if err := <-blockerDone; err != nil {
+				t.Fatalf("blocker read failed: %v", err)
+			}
+			waitCond(t, "canceled ticket to be retired", func() bool { return s.met.queueExpired.Value() == 1 })
+			if n := victim.calls.Load(); n != 0 {
+				t.Fatalf("canceled range ticket dispatched %d decodes", n)
+			}
 
-	// The bytes are still servable afterwards — nothing leaked.
-	v, err := s.ReadAtContext(context.Background(), "victim", 2, 4)
-	if err != nil {
-		t.Fatalf("victim ReadAt after cancel: %v", err)
-	}
-	defer v.Close()
-	if got := v.AppendTo(nil); !bytes.Equal(got, []byte{1, 0, 2, 0}) {
-		t.Fatalf("victim ReadAt after cancel = %v", got)
+			// The bytes are still servable afterwards — nothing leaked.
+			v, err := tc.read(context.Background(), s)
+			if err != nil {
+				t.Fatalf("victim read after cancel: %v", err)
+			}
+			defer v.Close()
+			if got := v.AppendTo(nil); !bytes.Equal(got, []byte{1, 0, 2, 0}) {
+				t.Fatalf("victim read after cancel = %v", got)
+			}
+		})
 	}
 }
 

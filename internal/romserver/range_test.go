@@ -30,7 +30,7 @@ func marshalRANS(t testing.TB, text []byte) []byte {
 // rangeBytes reads blocks [first,last] through RangeView and returns
 // their concatenated bytes and how the read was served.
 func rangeBytes(s *Server, name string, first, last int) ([]byte, RangeStats, error) {
-	v, err := s.RangeView(name, first, last)
+	v, err := s.RangeView(context.Background(), name, first, last)
 	if err != nil {
 		return nil, RangeStats{}, err
 	}

@@ -106,9 +106,6 @@ type Options struct {
 	// wait on another worker's decode of the same block, through the
 	// worker's watchdog (default 5s; negative disables the deadline).
 	LoadTimeout time.Duration
-	// HealthWindow is the per-image sliding window of load outcomes that
-	// drives the health state machine (default 64).
-	HealthWindow int
 	// ReverifyInterval is how often the background pass re-verifies
 	// degraded/quarantined images (default 5s; negative disables it).
 	ReverifyInterval time.Duration
@@ -173,9 +170,6 @@ func (o Options) withDefaults() Options {
 	if o.LoadTimeout < 0 {
 		o.LoadTimeout = 0
 	}
-	if o.HealthWindow <= 0 {
-		o.HealthWindow = 64
-	}
 	if o.ReverifyInterval == 0 {
 		o.ReverifyInterval = 5 * time.Second
 	}
@@ -212,8 +206,8 @@ type image struct {
 	// themselves are internally locked; the mutex keeps one pass's
 	// plan/migrate/persist sequence from interleaving with another's).
 	tierMu sync.Mutex
-	// tierPolicy overrides the server-wide tiering policy for this image;
-	// nil falls back to Options.Tiering.Policy (or its defaults).
+	// tierPolicy is this image's tier policy, set by SetTierPolicy; nil
+	// uses the tiering package defaults.
 	tierPolicy atomic.Pointer[codecomp.TierPolicy]
 
 	// sidecar is the per-block integrity ground truth, built at
@@ -1354,7 +1348,7 @@ func (s *Server) newImage(name string, codec codecomp.BlockCodec, format string,
 		sidecar: sc,
 		offsets: sc.blockOffsets(),
 		seen:    make([]atomic.Uint32, codec.NumBlocks()),
-		health:  newImageHealth(s.opts.HealthWindow),
+		health:  newImageHealth(healthWindow),
 	}
 	if t, ok := codec.(*codecomp.TieredImage); ok {
 		img.tiered = t

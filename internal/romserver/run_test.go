@@ -104,7 +104,7 @@ func TestRunAcctFlushedAfterRetire(t *testing.T) {
 	defer s.Close()
 	s.addCodec("wedged", c)
 	before := s.loadCounts()
-	v, err := s.RangeView("wedged", 0, 3)
+	v, err := s.RangeView(context.Background(), "wedged", 0, 3)
 	if err == nil {
 		v.Close()
 	}
@@ -182,7 +182,7 @@ func TestCloseInsertsOnlyVerifiedAfterError(t *testing.T) {
 	if _, _, err := s.BlockContext(context.Background(), "img", 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RangeView("img", 0, 7); err == nil {
+	if _, err := s.RangeView(context.Background(), "img", 0, 7); err == nil {
 		t.Fatal("range over a failing block succeeded")
 	}
 	for b := 0; b < 8; b++ {
@@ -228,7 +228,7 @@ func TestCloseInsertsNothingForRemovedImage(t *testing.T) {
 		if _, err := s.AddImage("prog", data); err != nil {
 			t.Fatal(err)
 		}
-		v, err := s.RangeView("prog", 0, 15)
+		v, err := s.RangeView(context.Background(), "prog", 0, 15)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,7 +78,7 @@ func TestStubServingOtherBytesIsCorrupt(t *testing.T) {
 	reads := map[string]func(s *Server) error{
 		"demand": func(s *Server) error { _, _, err := s.BlockContext(context.Background(), "liar", 1); return err },
 		"range": func(s *Server) error {
-			v, err := s.RangeView("liar", 0, 3)
+			v, err := s.RangeView(context.Background(), "liar", 0, 3)
 			if err == nil {
 				v.Close()
 			}

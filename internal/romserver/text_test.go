@@ -275,7 +275,7 @@ func TestWriteTextEarlyError(t *testing.T) {
 	}
 	// Warm the odd windows so the pipeline holds leases when it stops.
 	for first := textWindow; first < info.Blocks; first += 2 * textWindow {
-		v, err := s.RangeView("prog", first, min(first+textWindow, info.Blocks)-1)
+		v, err := s.RangeView(context.Background(), "prog", first, min(first+textWindow, info.Blocks)-1)
 		if err != nil {
 			t.Fatal(err)
 		}

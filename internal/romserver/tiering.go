@@ -43,11 +43,6 @@ type TieringOptions struct {
 	// (default 256), bounding the write-lock churn a single pass can
 	// cause; the next pass continues where the plan still disagrees.
 	BatchBlocks int
-	// Policy is the server-wide default tier policy, overridable per
-	// image with SetTierPolicy. The zero value uses the tiering package
-	// defaults (hot 60% of accesses, warm next 25%, hot tier capped at a
-	// quarter of the blocks).
-	Policy codecomp.TierPolicy
 	// Persist, when set, is called after every pass that migrated at
 	// least one block, with the image's freshly marshaled bytes — the
 	// daemon points this at its data dir so a restart recovers the
@@ -73,7 +68,7 @@ type TieringInfo struct {
 	// Assignments is the per-block tier index (same order as blocks).
 	Assignments []uint8 `json:"assignments"`
 	// Policy is the policy a recompression pass would apply (the image
-	// override if one was set, else the server default).
+	// override if one was set, else the zero policy).
 	Policy codecomp.TierPolicy `json:"policy"`
 	// CompressedSize and Ratio reflect the current tier map.
 	CompressedSize int     `json:"compressed_size"`
@@ -109,13 +104,11 @@ func (s *Server) tieredImage(name string) (*image, error) {
 }
 
 // policyFor is the image's effective tier policy: its override, else the
-// server-wide default.
+// zero policy, which uses the tiering package defaults (hot 60% of
+// accesses, warm next 25%, hot tier capped at a quarter of the blocks).
 func (s *Server) policyFor(img *image) codecomp.TierPolicy {
 	if p := img.tierPolicy.Load(); p != nil {
 		return *p
-	}
-	if s.opts.Tiering != nil {
-		return s.opts.Tiering.Policy
 	}
 	return codecomp.TierPolicy{}
 }
@@ -138,9 +131,9 @@ func (s *Server) Tiering(name string) (TieringInfo, error) {
 }
 
 // SetTierPolicy installs a per-image tier policy override, replacing the
-// server default for that image's future recompression passes. Roll back
-// a bad policy by re-setting the previous one (or the zero value for the
-// defaults) and running Recompress.
+// tiering package defaults for that image's future recompression passes.
+// Roll back a bad policy by re-setting the previous one (or the zero
+// value for the defaults) and running Recompress.
 func (s *Server) SetTierPolicy(name string, p codecomp.TierPolicy) error {
 	img, err := s.tieredImage(name)
 	if err != nil {

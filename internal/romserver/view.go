@@ -88,10 +88,6 @@ func (v *View) Stats() RangeStats { return v.stats }
 // total size — the whole point of the partial path.
 func (v *View) DecodedBytes() int { return v.decodedBytes }
 
-// Parts returns the view's parts in order. Read-only, valid until
-// Close.
-func (v *View) Parts() [][]byte { return v.parts }
-
 // AppendTo appends the view's bytes to dst and returns it, for callers
 // that need the range as one contiguous slice.
 func (v *View) AppendTo(dst []byte) []byte {
@@ -227,8 +223,9 @@ func mergeRuns(runs []missRun, n int) []missRun {
 // cache when the view is closed, so a caller that writes the view out
 // first answers its client before paying for the inserts. A range read
 // triggers no speculative prefetch: the range already states what is
-// wanted. The caller must Close the view.
-func (s *Server) RangeView(name string, first, last int) (*View, error) {
+// wanted. ctx carries the read's deadline and cancellation into
+// admission and the pool queue. The caller must Close the view.
+func (s *Server) RangeView(ctx context.Context, name string, first, last int) (*View, error) {
 	img, err := s.lookup(name)
 	if err != nil {
 		return nil, err
@@ -240,7 +237,7 @@ func (s *Server) RangeView(name string, first, last int) (*View, error) {
 	s.met.rangeReads.Inc()
 	start := time.Now()
 	v := newView()
-	if err := s.viewBlocks(nil, img, v, first, last, 0); err != nil {
+	if err := s.viewBlocks(ctx, img, v, first, last, 0); err != nil {
 		v.Close()
 		return nil, err
 	}

@@ -239,7 +239,7 @@ func TestRangeViewMatchesRange(t *testing.T) {
 	}
 	for _, w := range [][2]int{{0, 0}, {0, 3}, {2, 5}, {info.Blocks - 2, info.Blocks - 1}, {0, info.Blocks - 1}} {
 		want := text[w[0]*32 : min((w[1]+1)*32, len(text))]
-		v, err := s.RangeView("prog", w[0], w[1])
+		v, err := s.RangeView(context.Background(), "prog", w[0], w[1])
 		if err != nil {
 			t.Fatalf("RangeView(%v): %v", w, err)
 		}
@@ -258,7 +258,7 @@ func TestRangeViewMatchesRange(t *testing.T) {
 			t.Fatalf("rangeBytes(%v) stats = %+v", w, st)
 		}
 	}
-	if _, err := s.RangeView("prog", 3, 1); !errors.Is(err, ErrOutOfRange) {
+	if _, err := s.RangeView(context.Background(), "prog", 3, 1); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("RangeView(3,1): %v", err)
 	}
 }
@@ -276,12 +276,12 @@ func TestViewLeaseLifecycle(t *testing.T) {
 
 	// Warm blocks 0..3 (a cold view's miss blocks are decode buffers,
 	// not leases), then take a view that leases all four from the cache.
-	warm, err := s.RangeView("prog", 0, 3)
+	warm, err := s.RangeView(context.Background(), "prog", 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm.Close()
-	v, err := s.RangeView("prog", 0, 3)
+	v, err := s.RangeView(context.Background(), "prog", 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func BenchmarkRomserverWarmRange(b *testing.B) {
 		b.Fatalf("image too small: %d blocks", info.Blocks)
 	}
 	for i := 0; i < 16; i++ {
-		v, err := s.RangeView("prog", 0, 15)
+		v, err := s.RangeView(context.Background(), "prog", 0, 15)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -422,7 +422,7 @@ func BenchmarkRomserverWarmRange(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := s.RangeView("prog", 0, 15)
+		v, err := s.RangeView(context.Background(), "prog", 0, 15)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -577,7 +577,7 @@ func BenchmarkRomserverTextCold(b *testing.B) {
 	if _, err := s.AddImage("filler", data); err != nil {
 		b.Fatal(err)
 	}
-	v, err := s.RangeView("filler", 0, textWindow-1)
+	v, err := s.RangeView(context.Background(), "filler", 0, textWindow-1)
 	if err != nil {
 		b.Fatal(err)
 	}

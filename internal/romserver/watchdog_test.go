@@ -58,7 +58,7 @@ func TestWedgeEveryPath(t *testing.T) {
 			return err
 		}},
 		{"range", 1, false, func(t *testing.T, s *Server) error {
-			v, err := s.RangeView("wedged", 0, 3)
+			v, err := s.RangeView(context.Background(), "wedged", 0, 3)
 			if err == nil {
 				v.Close()
 			}
@@ -259,7 +259,7 @@ func TestWatchdogRacesReply(t *testing.T) {
 				var err error
 				if i%3 == 2 {
 					var v *View
-					if v, err = s.RangeView("jitter", b, b); err == nil {
+					if v, err = s.RangeView(context.Background(), "jitter", b, b); err == nil {
 						data = v.AppendTo(nil)
 						v.Close()
 					}
