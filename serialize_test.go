@@ -27,18 +27,39 @@ func TestMarshalGoldenBytes(t *testing.T) {
 	for i := range assign {
 		assign[i] = uint8(i % 4)
 	}
+	// samcShape marshals one SAMC encoder shape.
+	samcShape := func(text []byte, opts codecomp.SAMCOptions) func() ([]byte, error) {
+		return func() ([]byte, error) {
+			img, err := codecomp.CompressSAMC(text, opts)
+			if err != nil {
+				return nil, err
+			}
+			return img.Marshal(), nil
+		}
+	}
+	// Three unequal interleaved streams: bit p in group p%3, so the coding
+	// order is neither contiguous nor the architectural order.
+	divided := codecomp.Division{Width: 32, Groups: make([][]int, 3)}
+	for p := 31; p >= 0; p-- {
+		divided.Groups[p%3] = append(divided.Groups[p%3], p)
+	}
 	images := []struct {
 		name    string
 		marshal func() ([]byte, error)
 		want    string
 	}{
-		{"samc", func() ([]byte, error) {
-			img, err := codecomp.CompressSAMC(mips, codecomp.SAMCOptions{Connected: true})
-			if err != nil {
-				return nil, err
-			}
-			return img.Marshal(), nil
-		}, "52d4f04787653050c36880e17e1b8398f8f24301e5a32b6ce50c0dcaf4d961b3"},
+		{"samc", samcShape(mips, codecomp.SAMCOptions{Connected: true}),
+			"52d4f04787653050c36880e17e1b8398f8f24301e5a32b6ce50c0dcaf4d961b3"},
+		{"samc-x86", samcShape(x86, codecomp.SAMCOptions{WordBytes: 1, Connected: true}),
+			"c4464d1350ba48f87ff04ee14494923ea4157d4b1814bc215d30da736634b8f8"},
+		{"samc-quantize", samcShape(mips, codecomp.SAMCOptions{Quantize: true}),
+			"3833f33e0de8615aab9fd27aef954d545add7846c7ed9979bc653458f44ff26d"},
+		{"samc-prec6", samcShape(mips, codecomp.SAMCOptions{ProbPrecision: 6, Connected: true}),
+			"c751988bc2518d3246286af34802bc63f2ca2aff43fda9ff03519e3faf49a449"},
+		{"samc-64B", samcShape(mips, codecomp.SAMCOptions{BlockSize: 64, Connected: true}),
+			"630776544ef7637d52127920441386e143c8d99c3f7b087ed309d4ba140b8721"},
+		{"samc-divided", samcShape(mips, codecomp.SAMCOptions{Division: divided, Connected: true}),
+			"c53ad4a79c1381b4aef221dbdc8adb9f3e06b3ae4380dbc3fed6c43451d50d2b"},
 		{"sadc-mips", func() ([]byte, error) {
 			img, err := codecomp.CompressSADCMIPS(mips, codecomp.SADCOptions{})
 			if err != nil {
