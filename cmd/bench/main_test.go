@@ -65,6 +65,7 @@ func TestBaselinesPassTheirOwnCheck(t *testing.T) {
 func TestEachGateCanFail(t *testing.T) {
 	const (
 		decode = "BENCH_decode.json"
+		encode = "BENCH_encode.json"
 		obsv   = "BENCH_obsv.json"
 	)
 	type row struct {
@@ -131,6 +132,11 @@ func TestEachGateCanFail(t *testing.T) {
 		}},
 		row{"add image allocs", decode, "add image", func(f, _ *report) {
 			set(f, "romserver/RomserverAddImage", func(r *result) { r.AllocsPerOp = 129 })
+		}},
+		row{"encode speedup", encode, "samc     encode speedup", func(f, _ *report) {
+			s := f.Speedups["samc"]
+			s.Speedup = encodeSpeedupFloor * 0.99
+			f.Speedups["samc"] = s
 		}},
 		row{"observe overhead", obsv, "observe overhead", func(f, b *report) {
 			f.ObserveOverhead = b.ObserveOverhead * (1 + obsvTolerance) * 1.01

@@ -556,6 +556,14 @@ func TestBlockDeadlineHeader(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed deadline header on a range read: %d: %s", resp.StatusCode, body)
 	}
+	resp, body = get(t, ts.URL+"/images/prog/text", map[string]string{"X-Deadline-Ms": "soon"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed deadline header on a text read: %d: %s", resp.StatusCode, body)
+	}
+	resp, _ = get(t, ts.URL+"/images/prog/text", map[string]string{"X-Deadline-Ms": "5000"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("deadline-header text read: %d", resp.StatusCode)
+	}
 }
 
 // uploadTiered compresses text as a three-tier (raw/huffman/rans) image

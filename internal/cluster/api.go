@@ -392,14 +392,28 @@ func parseRange(s string) (first, last int, ok bool) {
 // block decodes. A client that hangs up stops further window dispatches.
 func (n *Node) handleText(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	ctx, cancel, ok := requestDeadline(w, r)
+	if !ok {
+		return
+	}
+	defer cancel()
 	info, err := n.rs.Image(name)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(info.OrigSize))
-	if _, err := n.rs.WriteTextContext(r.Context(), name, w); err != nil && !isNetworkWriteErr(err) {
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(info.OrigSize))
+	sent, err := n.rs.WriteTextContext(ctx, name, w)
+	switch {
+	case err == nil || isNetworkWriteErr(err):
+	case sent == 0:
+		// Nothing has gone out, so the error still gets its status rather
+		// than a 200 whose declared body never comes.
+		h.Del("Content-Length")
+		writeErr(w, err)
+	default:
 		// Headers are gone; the short body is the client's error signal.
 		n.logf("cluster node %s: text %s: %v", n.name, name, err)
 	}

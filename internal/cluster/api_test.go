@@ -55,6 +55,33 @@ func TestWriteErrOverloadMapping(t *testing.T) {
 	}
 }
 
+// TestTextErrorBeforeBody fails a text read's first window: nothing has
+// been sent, so the error must be answered with its own status and a
+// JSON body, not as a 200 whose declared Content-Length never arrives.
+func TestTextErrorBeforeBody(t *testing.T) {
+	payload, _ := testImage(t)
+	n, err := NewNode(NodeOptions{Name: "n", Logf: discardLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if _, err := n.Server().AddImage("prog", payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Server().SetFaults("prog", &faultinj.Options{ErrorBlocks: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	n.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/images/prog/text", nil))
+	var body struct{ Error string }
+	if rec.Code < 400 || json.Unmarshal(rec.Body.Bytes(), &body) != nil || body.Error == "" {
+		t.Fatalf("text read failing at block 0: %d %q, want an error status and JSON body", rec.Code, rec.Body)
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != "" {
+		t.Fatalf("error answer declares Content-Length %s of the text", cl)
+	}
+}
+
 // TestDeleteFailsWhenStoreRemovalFails makes the store unable to remove
 // an image's manifest (a non-empty directory stands in its place, which
 // os.Remove refuses even for root) and asserts the delete is a 500 with

@@ -12,8 +12,8 @@ func testModel(t *testing.T, connected bool) *markov.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10000; i++ {
-		tr.Add(i & 1)
+	for i := 0; i < 10000/32; i++ {
+		tr.AddWord(0x55555555)
 	}
 	return tr.Finalize(false)
 }

@@ -25,6 +25,29 @@ type Compressed struct {
 
 // Compress builds the per-program byte code and encodes each block.
 func Compress(text []byte, blockSize int) (*Compressed, error) {
+	c, err := Train(text, blockSize)
+	if err != nil {
+		return nil, err
+	}
+	for off := 0; off < len(text); off += c.BlockSize {
+		end := off + c.BlockSize
+		if end > len(text) {
+			end = len(text)
+		}
+		blk, err := c.EncodeBlock(text[off:end])
+		if err != nil {
+			return nil, err
+		}
+		c.Blocks = append(c.Blocks, blk)
+	}
+	return c, nil
+}
+
+// Train builds the per-program byte code from the whole text and returns
+// an image with no payloads. A caller that needs only some blocks coded
+// (the tiering layer) fills Blocks through EncodeBlock, which codes any
+// block of the text exactly as Compress would have.
+func Train(text []byte, blockSize int) (*Compressed, error) {
 	if blockSize <= 0 {
 		blockSize = 32
 	}
@@ -36,19 +59,7 @@ func Compress(text []byte, blockSize int) (*Compressed, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Compressed{Table: tbl, BlockSize: blockSize, OrigSize: len(text)}
-	for off := 0; off < len(text); off += blockSize {
-		end := off + blockSize
-		if end > len(text) {
-			end = len(text)
-		}
-		blk, err := c.EncodeBlock(text[off:end])
-		if err != nil {
-			return nil, err
-		}
-		c.Blocks = append(c.Blocks, blk)
-	}
-	return c, nil
+	return &Compressed{Table: tbl, BlockSize: blockSize, OrigSize: len(text)}, nil
 }
 
 // EncodeBlock Huffman-codes one block's worth of bytes against the image's

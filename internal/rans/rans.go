@@ -130,6 +130,27 @@ func ctxOf(j int, prev uint32) uint32 {
 // Compress builds the per-image frequency model and encodes every block
 // with opts.Streams interleaved states.
 func Compress(text []byte, opts Options) (*Compressed, error) {
+	c, err := Train(text, opts)
+	if err != nil {
+		return nil, err
+	}
+	// Pass 2: encode each block back to front through the shared model.
+	for off := 0; off < len(text); off += c.BlockSize {
+		blk, err := c.EncodeBlock(text[off:min(off+c.BlockSize, len(text))])
+		if err != nil {
+			return nil, err // unreachable: Train counted every symbol
+		}
+		c.Blocks = append(c.Blocks, blk)
+	}
+	return c, nil
+}
+
+// Train runs Compress's first pass alone: it builds the frequency model
+// and decode tables from the whole text and returns an image with no
+// payloads. A caller that needs only some blocks coded (the tiering
+// layer) fills Blocks through EncodeBlock, which codes any block of the
+// text exactly as Compress would have.
+func Train(text []byte, opts Options) (*Compressed, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
@@ -159,16 +180,6 @@ func Compress(text []byte, opts Options) (*Compressed, error) {
 	}
 	c.buildCum()
 	c.buildDecodeTable()
-
-	// Pass 2: encode each block back to front through the shared model.
-	for off := 0; off < len(text); off += c.BlockSize {
-		end := min(off+c.BlockSize, len(text))
-		blk, err := c.EncodeBlock(text[off:end])
-		if err != nil {
-			return nil, err // unreachable: pass 1 counted every symbol
-		}
-		c.Blocks = append(c.Blocks, blk)
-	}
 	return c, nil
 }
 

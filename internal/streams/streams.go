@@ -118,6 +118,18 @@ func (d Division) Shifts() []uint8 {
 	return shifts
 }
 
+// Gather is the inverse of the Shifts scatter: it returns word's bits in
+// coding order, the first-coded bit most significant, where shifts is the
+// division's Shifts(). It is the table-driven form of Extract for hot
+// loops that walk the streams a word at a time (markov.Trainer.AddWord).
+func Gather(word uint64, shifts []uint8) uint64 {
+	var coded uint64
+	for _, s := range shifts {
+		coded = coded<<1 | word>>s&1
+	}
+	return coded
+}
+
 // Clone deep-copies the division so the optimizer can mutate candidates.
 func (d Division) Clone() Division {
 	c := Division{Width: d.Width, Groups: make([][]int, len(d.Groups))}
@@ -204,15 +216,12 @@ func Entropy(d Division, words []uint64, blockWords int, connected bool) float64
 	if err != nil {
 		panic(err) // division widths already validated by callers
 	}
-	buf := make([]int, 0, d.Width)
+	shifts := d.Shifts()
 	for i, w := range words {
 		if i%blockWords == 0 {
 			tr.ResetBlock()
 		}
-		buf = d.Extract(w, buf[:0])
-		for _, b := range buf {
-			tr.Add(b)
-		}
+		tr.AddWord(Gather(w, shifts))
 	}
 	return tr.EntropyBits()
 }

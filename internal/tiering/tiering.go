@@ -218,7 +218,7 @@ type Compressed struct {
 
 // Compress builds a tiered image: it trains every tier's codec over the
 // whole text (so any block can later migrate into any tier losslessly),
-// then keeps payload bytes only for each block's assigned tier.
+// then encodes each block only in its assigned tier.
 func Compress(text []byte, spec Spec) (*Compressed, error) {
 	spec, err := spec.withDefaults()
 	if err != nil {
@@ -250,40 +250,40 @@ func Compress(text []byte, spec Spec) (*Compressed, error) {
 		origSize:  len(text),
 		assign:    assign,
 	}
+	// Train every tier's model over the whole text, so a later migration
+	// can re-encode any block into any tier, but start each with every
+	// payload slot empty.
 	for _, f := range spec.Tiers {
 		st := subTier{format: f}
 		switch f {
 		case TierRaw:
 			st.raw = make([][]byte, numBlocks)
-			for i := 0; i < numBlocks; i++ {
-				end := (i + 1) * spec.BlockSize
-				if end > len(text) {
-					end = len(text)
-				}
-				st.raw[i] = append([]byte(nil), text[i*spec.BlockSize:end]...)
-			}
 		case TierHuffman:
-			st.huff, err = kozuch.Compress(text, spec.BlockSize)
+			if st.huff, err = kozuch.Train(text, spec.BlockSize); err == nil {
+				st.huff.Blocks = make([][]byte, numBlocks)
+			}
 		case TierSAMC:
-			st.samc, err = samc.Compress(text, samc.Options{BlockSize: spec.BlockSize, WordBytes: spec.WordBytes})
+			if st.samc, err = samc.Train(text, samc.Options{BlockSize: spec.BlockSize, WordBytes: spec.WordBytes}); err == nil {
+				st.samc.Blocks = make([][]byte, numBlocks)
+			}
 		case TierRANS:
-			st.rans, err = rans.Compress(text, rans.Options{BlockSize: spec.BlockSize, Streams: spec.Streams})
+			if st.rans, err = rans.Train(text, rans.Options{BlockSize: spec.BlockSize, Streams: spec.Streams}); err == nil {
+				st.rans.Blocks = make([][]byte, numBlocks)
+			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("tiering: %s tier: %w", f, err)
 		}
 		c.tiers = append(c.tiers, st)
 	}
-	// Sparsify: drop every payload outside its block's assigned tier. The
-	// models stay — they were trained over the full text precisely so a
-	// later migration can re-encode any block.
-	for t := range c.tiers {
-		pl := c.tiers[t].payloads()
-		for i := range pl {
-			if int(assign[i]) != t {
-				pl[i] = nil
-			}
+	// Encode each block once, in its assigned tier.
+	for i, a := range assign {
+		t := &c.tiers[a]
+		payload, err := t.encodeBlock(text[i*spec.BlockSize : i*spec.BlockSize+c.blockOrigLen(i)])
+		if err != nil {
+			return nil, fmt.Errorf("tiering: %s tier: block %d: %w", t.format, i, err)
 		}
+		t.payloads()[i] = payload
 	}
 	return c, nil
 }
