@@ -72,7 +72,7 @@ func parseFlags(args []string) (cluster.NodeOptions, *http.Server, bool) {
 	queueDepth := fs.Int("queue", 0, "pool queue depth (0 = 4x workers)")
 	prefetch := fs.Int("prefetch", 4, "blocks warmed after a demand miss (-1 disables)")
 	traceBuffer := fs.Int("trace-buffer", 65536, "per-image access-trace ring size (-1 disables recording)")
-	maxImage := fs.Int64("max-image-bytes", 64<<20, "largest accepted upload")
+	maxImage := fs.Int64("max-image-bytes", cluster.DefaultMaxImageBytes, "largest accepted upload")
 	readTimeout := fs.Duration("read-timeout", 30*time.Second, "HTTP server read timeout")
 	writeTimeout := fs.Duration("write-timeout", 2*time.Minute, "HTTP server write timeout")
 	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "HTTP server idle timeout")

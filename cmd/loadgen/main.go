@@ -31,6 +31,13 @@
 // command only parses flags and dispatches. A drill exits 1 on any
 // invariant violation.
 //
+// The drills' fault and cluster shapes are fixed, not flags. -chaos
+// injects bit flips into 2% and transient errors into 1% of
+// decompressions, with injector seed 1 (2 for its range phase), and
+// makes the block in the middle of the trace panic. -cluster boots
+// three nodes with every image on two of them, kills and restarts one,
+// and joins a fourth mid-replay.
+//
 // Example (after `codecompd -addr :8077 -cache-blocks 256`):
 //
 //	loadgen -addr http://localhost:8077 -profile gcc -alg samc -loops 4
@@ -72,13 +79,7 @@ func main() {
 	subblock := flag.Bool("subblock", false, "sub-block drill: random byte-window reads via GET /bytes with byte-exact verification, then the same storm under server-side fault injection where every 200 must still be exact")
 	flag.IntVar(&cfg.SubblockReads, "subblock-reads", cfg.SubblockReads, "sub-block drill: byte-window reads per phase")
 	chaos := flag.Bool("chaos", false, "fault drill: inject faults server-side, verify every served byte, assert detection and recovery")
-	flag.Float64Var(&cfg.ChaosBitflip, "chaos-bitflip", cfg.ChaosBitflip, "chaos: per-decompression bit-flip rate")
-	flag.Float64Var(&cfg.ChaosTransient, "chaos-transient", cfg.ChaosTransient, "chaos: per-decompression transient-error rate")
-	flag.IntVar(&cfg.ChaosPanicBlock, "chaos-panic-block", cfg.ChaosPanicBlock, "chaos: block whose decompression panics (-1 = auto-pick from the trace)")
-	flag.Int64Var(&cfg.ChaosSeed, "chaos-seed", cfg.ChaosSeed, "chaos: fault injector RNG seed")
 	clusterMode := flag.Bool("cluster", false, "cluster chaos drill: boot an in-process multi-node cluster behind a router, replay through it while killing and restarting a node, assert byte-exactness, hit ratio and disk recovery")
-	flag.IntVar(&cfg.ClusterNodes, "cluster-nodes", cfg.ClusterNodes, "cluster: initial node count")
-	flag.IntVar(&cfg.ClusterRF, "cluster-rf", cfg.ClusterRF, "cluster: replicas per image")
 	overloadMode := flag.Bool("overload", false, "overload drill: boot an in-process node with admission control, measure its capacity, storm it open-loop at 4x and assert byte-exactness, bounded p99, goodput, retry containment, brownout escalation and recovery")
 	tieringMode := flag.Bool("tiering", false, "tiering drill: drive an in-process romserver.Server (no node, no HTTP) holding a mixed-codec tiered image, replay a hot-skewed trace under concurrent verified reads while recompression migrates blocks, assert hot/cold tier convergence, byte-exactness and Pareto dominance over single-codec SAMC")
 	flag.Float64Var(&cfg.QPS, "qps", cfg.QPS, "open-loop offered load in req/s against -addr; goodput vs offered load is reported (0 = closed-loop modes)")

@@ -146,6 +146,75 @@ func TestDeleteFailsWhenStoreRemovalFails(t *testing.T) {
 	}
 }
 
+// TestRecompressPersistsWithoutTieringOptions migrates a tiered image
+// through PUT /images/{name}/tiering?recompress=1 on a node that has a
+// data dir but no Server.Tiering, as the cluster drill's nodes have,
+// then reopens a node on the same directory: its GET …/tiering must
+// show the migrated tier map, not the upload-time one.
+func TestRecompressPersistsWithoutTieringOptions(t *testing.T) {
+	text := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv")).Text()
+	img, err := codecomp.CompressTiered(text, codecomp.TierSpec{
+		BlockSize:   128,
+		Tiers:       []string{codecomp.TierRaw, codecomp.TierHuffman, codecomp.TierRANS},
+		DefaultTier: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	serve := func(n *Node, method, url string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		n.Handler().ServeHTTP(rec, httptest.NewRequest(method, url, bytes.NewReader(body)))
+		if rec.Code >= 300 {
+			t.Fatalf("%s %s: %d: %s", method, url, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	tierMap := func(n *Node) []uint8 {
+		var ti romserver.TieringInfo
+		if err := json.Unmarshal(serve(n, http.MethodGet, "/images/tprog/tiering", nil).Body.Bytes(), &ti); err != nil {
+			t.Fatal(err)
+		}
+		return ti.Assignments
+	}
+
+	n, err := NewNode(NodeOptions{Name: "n", DataDir: dir, Logf: discardLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	serve(n, http.MethodPost, "/images?name=tprog", img.Marshal())
+	// A trace that keeps returning to the first tenth of the blocks.
+	blocks := img.NumBlocks()
+	var trace []int
+	for i := 0; i < 20000; i++ {
+		trace = append(trace, i%(blocks/10))
+	}
+	if _, err := n.Server().TrainFrom("tprog", trace); err != nil {
+		t.Fatal(err)
+	}
+	var pass struct {
+		Pass romserver.TieringPassStats `json:"pass"`
+	}
+	if err := json.Unmarshal(serve(n, http.MethodPut, "/images/tprog/tiering?recompress=1", nil).Body.Bytes(), &pass); err != nil {
+		t.Fatal(err)
+	}
+	if pass.Pass.Migrated == 0 {
+		t.Fatalf("recompression migrated nothing: %+v", pass.Pass)
+	}
+	before := tierMap(n)
+	n.Close()
+
+	reopened, err := NewNode(NodeOptions{Name: "n", DataDir: dir, Logf: discardLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if after := tierMap(reopened); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("reopened node serves tier map %v, want the migrated %v", after, before)
+	}
+}
+
 // headerReuseWriter is a ResponseWriter that discards the body and
 // hands out one header map, so an allocation count measures the handler
 // rather than the writer.

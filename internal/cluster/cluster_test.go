@@ -33,9 +33,6 @@ func testImage(t testing.TB) (payload, text []byte) {
 	return img.Marshal(), text
 }
 
-// discardLogf silences node/router logs in tests.
-func discardLogf(string, ...any) {}
-
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -193,10 +190,10 @@ func TestPeerCacheFill(t *testing.T) {
 func TestRouterFailoverEjectionRestore(t *testing.T) {
 	payload, text := testImage(t)
 	h, err := NewHarness(HarnessOptions{
-		Nodes:       3,
-		DataRoot:    t.TempDir(),
-		Replication: 2,
-		Router:      RouterOptions{ProbeInterval: -1}, // tests drive ProbeOnce
+		Nodes:         3,
+		DataRoot:      t.TempDir(),
+		Replication:   2,
+		probeInterval: -1, // tests drive ProbeOnce
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,10 +272,10 @@ func TestRouterFailoverEjectionRestore(t *testing.T) {
 func TestRouterJoinLeaveRebalance(t *testing.T) {
 	payload, text := testImage(t)
 	h, err := NewHarness(HarnessOptions{
-		Nodes:       2,
-		DataRoot:    t.TempDir(),
-		Replication: 2,
-		Router:      RouterOptions{ProbeInterval: -1},
+		Nodes:         2,
+		DataRoot:      t.TempDir(),
+		Replication:   2,
+		probeInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -360,9 +357,9 @@ func TestRouterJoinLeaveRebalance(t *testing.T) {
 func TestRouterHTTPAPI(t *testing.T) {
 	payload, text := testImage(t)
 	h, err := NewHarness(HarnessOptions{
-		Nodes:    3,
-		DataRoot: t.TempDir(),
-		Router:   RouterOptions{ProbeInterval: -1},
+		Nodes:         3,
+		DataRoot:      t.TempDir(),
+		probeInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"codecomp/internal/romserver"
 )
@@ -24,17 +25,20 @@ type HarnessOptions struct {
 	// (DataRoot/<node-name>); required, normally t.TempDir() or a
 	// loadgen temp dir.
 	DataRoot string
-	// Replication and VNodes configure the ring (defaults as in ring.go).
-	Replication, VNodes int
+	// Replication is how many nodes hold each image (default
+	// DefaultReplication).
+	Replication int
 	// Server tunes every node's romserver (zero values take defaults).
 	Server romserver.Options
-	// Router overrides router tuning; Registry/HTTP/Logf fields are
-	// honored, VNodes/Replication come from the fields above.
-	Router RouterOptions
-	// Logf receives harness/node/router logs; nil discards them (tests
-	// and drills pass their own).
-	Logf func(format string, args ...any)
+
+	// probeInterval is the router's health-probe period (0 takes the
+	// router's default); the package's tests set -1 and drive ProbeOnce
+	// by hand.
+	probeInterval time.Duration
 }
+
+// discardLogf drops the harness's node and router logs.
+func discardLogf(string, ...any) {}
 
 // HarnessNode is one member: its stable name/address, its data dir, and
 // the live server state (nil while killed).
@@ -71,7 +75,6 @@ type Harness struct {
 	mu    sync.Mutex
 	nodes []*HarnessNode
 	wg    sync.WaitGroup
-	logf  func(format string, args ...any)
 }
 
 // NewHarness boots the nodes, the router, and joins every node. On
@@ -83,17 +86,11 @@ func NewHarness(opts HarnessOptions) (*Harness, error) {
 	if opts.DataRoot == "" {
 		return nil, fmt.Errorf("cluster: harness needs a DataRoot")
 	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	ropts := opts.Router
-	ropts.VNodes = opts.VNodes
-	ropts.Replication = opts.Replication
-	if ropts.Logf == nil {
-		ropts.Logf = logf
-	}
-	h := &Harness{opts: opts, rt: NewRouter(ropts), logf: logf}
+	h := &Harness{opts: opts, rt: NewRouter(RouterOptions{
+		Replication:   opts.Replication,
+		ProbeInterval: opts.probeInterval,
+		Logf:          discardLogf,
+	})}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -155,7 +152,7 @@ func (h *Harness) start(hn *HarnessNode, addr string) error {
 		Name:    hn.name,
 		DataDir: hn.dataDir,
 		Server:  h.opts.Server,
-		Logf:    h.logf,
+		Logf:    discardLogf,
 	})
 	if err != nil {
 		return err
@@ -208,7 +205,6 @@ func (h *Harness) Kill(name string) error {
 	hn.srv.Close() //nolint:errcheck — abrupt by design
 	err = hn.node.Close()
 	hn.node, hn.srv = nil, nil
-	h.logf("cluster harness: killed %s", name)
 	return err
 }
 
@@ -225,11 +221,7 @@ func (h *Harness) Restart(name string) error {
 	if hn.node != nil {
 		return fmt.Errorf("cluster: node %q is running", name)
 	}
-	if err := h.start(hn, hn.addr); err != nil {
-		return err
-	}
-	h.logf("cluster harness: restarted %s at %s", name, hn.addr)
-	return nil
+	return h.start(hn, hn.addr)
 }
 
 // Close tears the cluster down: router first (stops the prober), then

@@ -20,6 +20,10 @@ import (
 	"codecomp/internal/romserver"
 )
 
+// DefaultMaxImageBytes is the largest upload or posted trace a node
+// accepts by default (64 MiB), and the router's fixed upload cap.
+const DefaultMaxImageBytes = 64 << 20
+
 // NodeOptions configures one node.
 type NodeOptions struct {
 	// Name identifies the node in logs, /healthz and ring membership.
@@ -30,11 +34,12 @@ type NodeOptions struct {
 	// its images on restart defeats rebalancing.
 	DataDir string
 	// Server tunes the underlying romserver (zero values take its
-	// defaults). Registry is overridden by the node. With a DataDir, a
-	// non-nil Tiering gets Persist set to the store's Save, so tier
-	// migrations reach the disk.
+	// defaults). Registry is overridden by the node. With a DataDir,
+	// Tiering gets Persist set to the store's Save, so tier migrations
+	// reach the disk; a nil Tiering still runs no background pass.
 	Server romserver.Options
-	// MaxImageBytes caps one upload or posted trace (default 64 MiB).
+	// MaxImageBytes caps one upload or posted trace (default
+	// DefaultMaxImageBytes).
 	MaxImageBytes int64
 	// AllowFaults enables PUT /images/{name}/faults. Without it the
 	// route answers 403, so a production node cannot be chaos-tested by
@@ -161,11 +166,12 @@ func NewNode(opts NodeOptions) (*Node, error) {
 		if st, err = OpenStore(opts.DataDir); err != nil {
 			return nil, err
 		}
+		tiering := romserver.TieringOptions{Interval: -1}
 		if sopts.Tiering != nil {
-			tiering := *sopts.Tiering
-			tiering.Persist = st.Save
-			sopts.Tiering = &tiering
+			tiering = *sopts.Tiering
 		}
+		tiering.Persist = st.Save
+		sopts.Tiering = &tiering
 	}
 	n := &Node{
 		name:    opts.Name,
@@ -197,7 +203,7 @@ func NewNode(opts NodeOptions) (*Node, error) {
 			"HTTP request latency, by route.", "route"),
 	}
 	if n.maxIm <= 0 {
-		n.maxIm = 64 << 20
+		n.maxIm = DefaultMaxImageBytes
 	}
 	reg.GaugeFunc("cluster_peer_images",
 		"Images with a configured peer set (fill candidates).",

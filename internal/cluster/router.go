@@ -46,8 +46,6 @@ type RouterOptions struct {
 	// members retried (default 250ms; negative disables the prober —
 	// tests drive ProbeOnce by hand).
 	ProbeInterval time.Duration
-	// Registry receives router metrics; nil creates a private one.
-	Registry *obsv.Registry
 	// HTTP is the proxy-side http.Client; nil uses a 10s-timeout client.
 	HTTP *http.Client
 	// Logf receives router log lines; nil uses log.Printf.
@@ -189,10 +187,7 @@ func NewRouter(opts RouterOptions) *Router {
 	if opts.Logf == nil {
 		opts.Logf = log.Printf
 	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = obsv.NewRegistry()
-	}
+	reg := obsv.NewRegistry()
 	rt := &Router{
 		opts:    opts,
 		reg:     reg,
@@ -1023,7 +1018,7 @@ func (rt *Router) buildMux() {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing ?name="})
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, 64<<20)
+		r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxImageBytes)
 		payload, err := io.ReadAll(r.Body)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})

@@ -15,13 +15,22 @@ import (
 	"codecomp/internal/faultinj"
 )
 
+// The chaos drill's fault injector: per-decompression bit-flip and
+// transient-error rates, and the seed that keys its draws (the range
+// phase reseeds with chaosSeed+1).
+const (
+	chaosBitflip   = 0.02
+	chaosTransient = 0.01
+	chaosSeed      = 1
+)
+
 // Chaos is the end-to-end fault drill. It uploads the workload, installs
 // a deterministic fault injector on it (bit flips, transient errors, one
-// permanently panicking block), replays the trace while verifying every
-// served block, watches the image's health degrade in /metrics, then
-// lifts the faults and waits for the background re-verifier to walk it
-// back to healthy. The daemon must allow fault injection. The
-// invariants, in order of importance:
+// permanently panicking block from the middle of the trace), replays the
+// trace while verifying every served block, watches the image's health
+// degrade in /metrics, then lifts the faults and waits for the
+// background re-verifier to walk it back to healthy. The daemon must
+// allow fault injection. The invariants, in order of importance:
 //
 //  1. Zero corrupt bytes served: every 200 response matches the original
 //     text exactly, bit flips notwithstanding.
@@ -39,13 +48,13 @@ func Chaos(cfg Config, cc *client.Client, w *Workload) (int, error) {
 	}
 	defer cc.Delete(w.Name) //nolint:errcheck — best-effort cleanup
 	name, prog := w.Name, w.program()
-	panicBlock := cfg.ChaosPanicBlock
-	if panicBlock < 0 && len(w.Reqs) > 0 {
+	panicBlock := -1
+	if len(w.Reqs) > 0 {
 		panicBlock = w.Reqs[len(w.Reqs)/2]
 	}
 	fmt.Printf("loadgen: chaos: bitflip=%g transient=%g panic block=%d seed=%d\n",
-		cfg.ChaosBitflip, cfg.ChaosTransient, panicBlock, cfg.ChaosSeed)
-	faults := faultinj.Options{Seed: cfg.ChaosSeed, BitFlipRate: cfg.ChaosBitflip, TransientRate: cfg.ChaosTransient}
+		chaosBitflip, chaosTransient, panicBlock, chaosSeed)
+	faults := faultinj.Options{Seed: chaosSeed, BitFlipRate: chaosBitflip, TransientRate: chaosTransient}
 	if panicBlock >= 0 {
 		faults.PanicBlocks = []int{panicBlock}
 	}
@@ -128,7 +137,7 @@ func Chaos(cfg Config, cc *client.Client, w *Workload) (int, error) {
 	// 16 blocks. A refused span is tolerated, a corrupt byte served is
 	// not, spans must still succeed, and the successful spans must
 	// amortize pool dispatches below one per block.
-	faults.Seed, faults.PanicBlocks = cfg.ChaosSeed+1, nil
+	faults.Seed, faults.PanicBlocks = chaosSeed+1, nil
 	if err := setFaults(cc, name, faults); err != nil {
 		return c.failed, err
 	}

@@ -26,6 +26,13 @@ func clusterServerOptions() romserver.Options {
 	return romserver.Options{CacheBlocks: 512, Workers: 4}
 }
 
+// The cluster drill's size: three nodes, each image on two of them, so
+// killing one member leaves every image a live replica.
+const (
+	clusterNodes = 3
+	clusterRF    = 2
+)
+
 // bootHarness starts an in-process cluster over a temporary data root;
 // the returned close tears both down.
 func bootHarness(nodes, replication int) (*cluster.Harness, func(), error) {
@@ -103,7 +110,7 @@ func baselineHitRatio(cfg Config, w *Workload) (float64, error) {
 //     invariant still standing.
 func Cluster(cfg Config, w *Workload) (int, error) {
 	fmt.Printf("loadgen: cluster: %d nodes, rf=%d, %d reqs/loop x %d loops, %d clients\n",
-		cfg.ClusterNodes, cfg.ClusterRF, len(w.Reqs), cfg.Loops, cfg.Concurrency)
+		clusterNodes, clusterRF, len(w.Reqs), cfg.Loops, cfg.Concurrency)
 	c := checks{drill: "cluster"}
 
 	h0, err := baselineHitRatio(cfg, w)
@@ -112,7 +119,7 @@ func Cluster(cfg Config, w *Workload) (int, error) {
 	}
 	fmt.Printf("loadgen: cluster: single-node baseline hit ratio %.2f%%\n", 100*h0)
 
-	h, closeH, err := bootHarness(cfg.ClusterNodes, cfg.ClusterRF)
+	h, closeH, err := bootHarness(clusterNodes, clusterRF)
 	if err != nil {
 		return 0, err
 	}
@@ -230,7 +237,7 @@ func Cluster(cfg Config, w *Workload) (int, error) {
 
 	// Join a fresh node mid-replay: placement must rebalance under load
 	// with the byte-exactness invariant intact.
-	joinName := fmt.Sprintf("node-%d", cfg.ClusterNodes)
+	joinName := fmt.Sprintf("node-%d", clusterNodes)
 	joinDone := make(chan error, 1)
 	go func() {
 		time.Sleep(50 * time.Millisecond)

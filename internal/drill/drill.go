@@ -68,16 +68,6 @@ type Config struct {
 	RangeSpan int
 	// SubblockReads is the sub-block drill's byte-window reads per phase.
 	SubblockReads int
-	// ChaosBitflip and ChaosTransient are the chaos drill's
-	// per-decompression fault rates.
-	ChaosBitflip, ChaosTransient float64
-	// ChaosPanicBlock is the block whose decompression panics (-1 picks
-	// one from the trace).
-	ChaosPanicBlock int
-	// ChaosSeed keys the chaos fault injector.
-	ChaosSeed int64
-	// ClusterNodes and ClusterRF size the cluster drill.
-	ClusterNodes, ClusterRF int
 	// QPS is the open-loop offered load in requests per second.
 	QPS float64
 	// Deadline is the per-request deadline of the open-loop and overload
@@ -91,23 +81,17 @@ type Config struct {
 // flag is given.
 func DefaultConfig() Config {
 	return Config{
-		Addr:            "http://localhost:8077",
-		Profile:         "gcc",
-		Alg:             "samc",
-		Trace:           200000,
-		Loops:           2,
-		Seed:            1,
-		Concurrency:     8,
-		BlockSize:       32,
-		SubblockReads:   2000,
-		ChaosBitflip:    0.02,
-		ChaosTransient:  0.01,
-		ChaosPanicBlock: -1,
-		ChaosSeed:       1,
-		ClusterNodes:    3,
-		ClusterRF:       2,
-		Deadline:        500 * time.Millisecond,
-		Duration:        3 * time.Second,
+		Addr:          "http://localhost:8077",
+		Profile:       "gcc",
+		Alg:           "samc",
+		Trace:         200000,
+		Loops:         2,
+		Seed:          1,
+		Concurrency:   8,
+		BlockSize:     32,
+		SubblockReads: 2000,
+		Deadline:      500 * time.Millisecond,
+		Duration:      3 * time.Second,
 	}
 }
 

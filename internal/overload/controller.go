@@ -29,6 +29,25 @@ const (
 	goodputFloor = 0.5
 )
 
+// The controller's timing and outcome window. The owning server
+// evaluates several times per dwell (romserver ticks every 25ms), so
+// recovery steps down one level per dwell, and the window goes stale
+// only after a few dwells without reports.
+const (
+	// goodputWindow is the outcome ring size goodput is computed over.
+	goodputWindow = 256
+	// minObservations is how many outcomes the window needs before
+	// goodput is trusted.
+	minObservations = 32
+	// dwell is the minimum time between de-escalations, so recovery
+	// steps down visibly instead of flapping.
+	dwell = 200 * time.Millisecond
+	// staleAfter discards the outcome window when nothing has been
+	// reported for this long: old failures must not pin a now-idle
+	// server at Pressured.
+	staleAfter = time.Second
+)
+
 // Controller is the brownout state machine. The owning server calls
 // Evaluate periodically with the pool queue's fill fraction and reports
 // request outcomes as they complete; the controller decides the
@@ -37,23 +56,23 @@ const (
 // Escalation is immediate — the moment fill crosses an enter threshold
 // (or goodput falls through the floor) the level jumps to wherever the
 // signals point. De-escalation is deliberately slow: one level per
-// Dwell, and only while fill sits below the current level's exit
+// dwell, and only while fill sits below the current level's exit
 // threshold, so a recovering server steps BrownedOut → Pressured →
 // Healthy visibly instead of flapping on queue noise.
 //
 // Goodput is the success fraction of a ring of recent outcomes. Shed
 // and rejected requests must NOT be reported — they are the mechanism
 // working, and counting them would lock the controller into brownout.
-// The ring is discarded after StaleAfter without reports so old
+// The ring is discarded after staleAfter without reports so old
 // failures cannot pin an idle server at Pressured.
 type Controller struct {
-	cfg   Config
+	now   func() time.Time
 	level atomic.Int32
 
 	mu         sync.Mutex
 	lastChange time.Time
 	lastReport time.Time
-	ring       []bool
+	ring       [goodputWindow]bool
 	idx        int
 	filled     int
 	fails      int
@@ -62,14 +81,13 @@ type Controller struct {
 	onChange    func(from, to Level)
 }
 
-// NewController returns a controller at Healthy using cfg (defaults
-// applied).
+// NewController returns a controller at Healthy on cfg's clock
+// (time.Now when unset).
 func NewController(cfg Config) *Controller {
-	cfg = cfg.WithDefaults()
+	now := cfg.WithDefaults().Now
 	return &Controller{
-		cfg:        cfg,
-		lastChange: cfg.Now(),
-		ring:       make([]bool, cfg.GoodputWindow),
+		now:        now,
+		lastChange: now(),
 	}
 }
 
@@ -100,7 +118,7 @@ func (c *Controller) ReportOutcome(ok bool) {
 	if c.filled < len(c.ring) {
 		c.filled++
 	}
-	c.lastReport = c.cfg.Now()
+	c.lastReport = c.now()
 	c.mu.Unlock()
 }
 
@@ -126,16 +144,16 @@ func (c *Controller) goodputLocked() (float64, int) {
 func (c *Controller) Evaluate(fill float64) Level {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.cfg.Now()
+	now := c.now()
 
-	// Age out a stale outcome window: after StaleAfter with no reports
+	// Age out a stale outcome window: after staleAfter with no reports
 	// the failures in it describe a load that is gone.
-	if c.filled > 0 && now.Sub(c.lastReport) > c.cfg.StaleAfter {
+	if c.filled > 0 && now.Sub(c.lastReport) > staleAfter {
 		c.filled, c.fails, c.idx = 0, 0, 0
 	}
 
 	good, n := c.goodputLocked()
-	badGoodput := n >= c.cfg.MinObservations && good < goodputFloor
+	badGoodput := n >= minObservations && good < goodputFloor
 
 	desired := Healthy
 	switch {
@@ -150,7 +168,7 @@ func (c *Controller) Evaluate(fill float64) Level {
 	case desired > cur:
 		c.setLocked(cur, desired, now)
 	case desired < cur:
-		if now.Sub(c.lastChange) >= c.cfg.Dwell && fill < exitOf(cur) && !badGoodput {
+		if now.Sub(c.lastChange) >= dwell && fill < exitOf(cur) && !badGoodput {
 			c.setLocked(cur, cur-1, now)
 		}
 	}

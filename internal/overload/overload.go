@@ -136,8 +136,9 @@ func (l Level) String() string {
 }
 
 // Config tunes the overload layer. Zero values pick production-shaped
-// defaults; see each field. One Config feeds all three mechanisms so a
-// daemon flag or NodeOptions can carry a single struct.
+// defaults; see each field. The controller's timing and outcome window
+// are fixed (see controller.go), so a Config carries only the retry
+// budget's shape and the clock.
 type Config struct {
 	// RetryRatio is the token fraction each first attempt deposits into
 	// the retry budget (default 0.1 — amplification capped at ~1.1×).
@@ -145,24 +146,6 @@ type Config struct {
 	// RetryBurst is the budget's bucket capacity: how many retries can
 	// fire back-to-back after an idle stretch (default 10).
 	RetryBurst float64
-
-	// GoodputWindow is the outcome ring size goodput is computed over
-	// (default 256).
-	GoodputWindow int
-	// MinObservations is how many outcomes the window needs before
-	// goodput is trusted (default 32).
-	MinObservations int
-	// Dwell is the minimum time between de-escalations, so recovery
-	// steps down visibly instead of flapping (default 200ms).
-	Dwell time.Duration
-	// StaleAfter discards the outcome window when nothing has been
-	// reported for this long — old failures must not pin a now-idle
-	// server at Pressured (default 1s).
-	StaleAfter time.Duration
-
-	// EvalInterval is how often the owning server re-evaluates the level
-	// against queue fill (default 25ms).
-	EvalInterval time.Duration
 
 	// Now is the controller clock, a test hook (default time.Now).
 	Now func() time.Time
@@ -175,21 +158,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.RetryBurst <= 0 {
 		c.RetryBurst = 10
-	}
-	if c.GoodputWindow <= 0 {
-		c.GoodputWindow = 256
-	}
-	if c.MinObservations <= 0 {
-		c.MinObservations = 32
-	}
-	if c.Dwell <= 0 {
-		c.Dwell = 200 * time.Millisecond
-	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = time.Second
-	}
-	if c.EvalInterval <= 0 {
-		c.EvalInterval = 25 * time.Millisecond
 	}
 	if c.Now == nil {
 		c.Now = time.Now

@@ -44,8 +44,18 @@ func TestConfigDefaults(t *testing.T) {
 	if enter := 0.9; brownoutExit != enter/2*1.1 {
 		t.Fatalf("brownout exit %v, want the float64 value of 0.9/2*1.1", brownoutExit)
 	}
-	if c.Now == nil || c.Dwell <= 0 || c.EvalInterval <= 0 {
-		t.Fatalf("timing defaults missing: %+v", c)
+	if c.Now == nil {
+		t.Fatalf("clock default missing: %+v", c)
+	}
+	if minObservations > goodputWindow {
+		t.Fatalf("goodput needs %d outcomes but the window holds %d", minObservations, goodputWindow)
+	}
+	// evalInterval < dwell < staleAfter: romserver's evaluator ticks
+	// several times per dwell (TestEvalIntervalBelowDwell holds its 25ms
+	// under dwell), and a failed window holds the level for more than
+	// one dwell before it goes stale.
+	if dwell <= 0 || dwell >= staleAfter {
+		t.Fatalf("dwell %v must be positive and below staleAfter %v", dwell, staleAfter)
 	}
 }
 
@@ -135,12 +145,7 @@ func (f *fakeClock) Advance(d time.Duration) {
 
 func newTestController() (*Controller, *fakeClock) {
 	clk := &fakeClock{now: time.Unix(0, 0)}
-	c := NewController(Config{
-		Dwell:      100 * time.Millisecond,
-		StaleAfter: time.Second,
-		Now:        clk.Now,
-	})
-	return c, clk
+	return NewController(Config{Now: clk.Now}), clk
 }
 
 func TestControllerEscalatesImmediately(t *testing.T) {
@@ -171,7 +176,11 @@ func TestControllerRecoversOneLevelPerDwell(t *testing.T) {
 	if got := c.Evaluate(0); got != BrownedOut {
 		t.Fatalf("de-escalated before dwell: %v", got)
 	}
-	clk.Advance(150 * time.Millisecond)
+	clk.Advance(dwell - time.Nanosecond)
+	if got := c.Evaluate(0); got != BrownedOut {
+		t.Fatalf("de-escalated a nanosecond before dwell: %v", got)
+	}
+	clk.Advance(time.Nanosecond)
 	if got := c.Evaluate(0); got != Pressured {
 		t.Fatalf("level = %v after dwell, want pressured (one step)", got)
 	}
@@ -179,7 +188,7 @@ func TestControllerRecoversOneLevelPerDwell(t *testing.T) {
 	if got := c.Evaluate(0); got != Pressured {
 		t.Fatalf("double-stepped without dwell: %v", got)
 	}
-	clk.Advance(150 * time.Millisecond)
+	clk.Advance(dwell)
 	if got := c.Evaluate(0); got != Healthy {
 		t.Fatalf("level = %v, want healthy", got)
 	}
@@ -203,9 +212,13 @@ func TestControllerHysteresisHoldsLevel(t *testing.T) {
 
 func TestControllerGoodputEscalation(t *testing.T) {
 	c, clk := newTestController()
-	for i := 0; i < 64; i++ {
+	for i := 0; i < minObservations-1; i++ {
 		c.ReportOutcome(false)
 	}
+	if got := c.Evaluate(0.1); got != Healthy {
+		t.Fatalf("level = %v on %d outcomes, want healthy until %d", got, minObservations-1, minObservations)
+	}
+	c.ReportOutcome(false)
 	if got := c.Evaluate(0.1); got != Pressured {
 		t.Fatalf("level = %v with collapsed goodput, want pressured", got)
 	}
@@ -213,8 +226,13 @@ func TestControllerGoodputEscalation(t *testing.T) {
 	if got := c.Evaluate(0.6); got != BrownedOut {
 		t.Fatalf("level = %v with bad goodput at fill 0.6, want browned_out", got)
 	}
-	// The stale window ages out, releasing the level.
-	clk.Advance(2 * time.Second)
+	// The stale window ages out, releasing the level: held through
+	// staleAfter without reports, one step down just past it.
+	clk.Advance(staleAfter)
+	if got := c.Evaluate(0); got != BrownedOut {
+		t.Fatalf("level = %v at staleAfter, want held by the failed window", got)
+	}
+	clk.Advance(time.Nanosecond)
 	if got := c.Evaluate(0); got != Pressured {
 		t.Fatalf("level = %v after stale window + dwell, want one step down", got)
 	}
@@ -228,19 +246,18 @@ func TestControllerGoodputEscalation(t *testing.T) {
 }
 
 func TestControllerOutcomeRingWraps(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(0, 0)}
-	c := NewController(Config{GoodputWindow: 8, MinObservations: 4, Now: clk.Now})
-	for i := 0; i < 8; i++ {
+	c, _ := newTestController()
+	for i := 0; i < goodputWindow; i++ {
 		c.ReportOutcome(false)
 	}
 	if g, _ := c.Goodput(); g != 0 {
 		t.Fatalf("goodput = %v, want 0", g)
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < goodputWindow; i++ {
 		c.ReportOutcome(true)
 	}
-	if g, n := c.Goodput(); g != 1 || n != 8 {
-		t.Fatalf("goodput = %v over %d after ring wrap, want 1.0 over 8", g, n)
+	if g, n := c.Goodput(); g != 1 || n != goodputWindow {
+		t.Fatalf("goodput = %v over %d after ring wrap, want 1.0 over %d", g, n, goodputWindow)
 	}
 }
 
@@ -260,11 +277,13 @@ func TestControllerOnChange(t *testing.T) {
 
 // TestOverloadRace hammers the admission estimator, retry budget and
 // brownout controller from many goroutines under -race: concurrent
-// observers, outcome reporters, level readers and a ticking evaluator.
+// observers, outcome reporters, level readers and a ticking evaluator
+// whose clock steps an eighth of a dwell per tick, so the level both
+// escalates and recovers.
 func TestOverloadRace(t *testing.T) {
 	adm := NewAdmission(4)
 	bud := NewRetryBudget(0.1, 10)
-	ctl := NewController(Config{Dwell: time.Microsecond, StaleAfter: time.Millisecond})
+	ctl, clk := newTestController()
 	ctl.OnChange(func(from, to Level) { _ = from; _ = to })
 
 	const goroutines = 8
@@ -292,6 +311,7 @@ func TestOverloadRace(t *testing.T) {
 					ctl.ReportOutcome(i%3 != 0)
 					_, _ = ctl.Goodput()
 				default:
+					clk.Advance(dwell / 8)
 					_ = ctl.Evaluate(float64(i%100) / 100)
 					_ = ctl.Level()
 					_ = ctl.Transitions()

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"codecomp/internal/overload"
 )
@@ -258,7 +257,7 @@ func TestViewTicketsCappedAtWorkers(t *testing.T) {
 		Workers: 1, QueueDepth: 1, PrefetchDepth: -1, TraceBuffer: -1, ReverifyInterval: -1,
 		// No evaluator tick: the brownout level stays Healthy, so the
 		// only gate the read meets is the queue.
-		Overload: &overload.Config{EvalInterval: time.Hour},
+		Overload: &overload.Config{}, noEvaluator: true,
 	})
 	defer s.Close()
 	img := s.addCodec("img", c)

@@ -293,6 +293,10 @@ func (h *imageHealth) reverifyTargets(n, blocks int) []int {
 	return targets
 }
 
+// retryBackoff is the base delay before a load's first retry; it
+// doubles per attempt, with full jitter.
+const retryBackoff = 2 * time.Millisecond
+
 // retryable reports whether a load error is worth another attempt:
 // anything that self-describes as temporary (net.Error-style Temporary(),
 // which faultinj's transient errors implement). Codec panics and plain
@@ -413,7 +417,7 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 		}
 	}
 	var lastErr error
-	backoff := s.opts.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; attempt < s.opts.LoadAttempts; attempt++ {
 		if attempt > 0 {
 			// A caller that already gave up gets its context error, not a

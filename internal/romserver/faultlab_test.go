@@ -20,7 +20,6 @@ func fastFaultOpts() Options {
 	return Options{
 		PrefetchDepth:    -1,
 		LoadAttempts:     3,
-		RetryBackoff:     time.Millisecond,
 		LoadTimeout:      time.Second,
 		ReverifyInterval: 20 * time.Millisecond,
 	}
@@ -362,7 +361,7 @@ func TestConcurrentAddRemoveRace(t *testing.T) {
 	imgB := marshalSAMC(t, textB)
 	blocks := len(textA) / 32
 
-	s := New(Options{PrefetchDepth: -1, RetryBackoff: time.Millisecond})
+	s := New(Options{PrefetchDepth: -1})
 	defer s.Close()
 
 	var stop atomic.Bool

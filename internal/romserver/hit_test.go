@@ -66,7 +66,7 @@ func TestCallerHitBypassesPool(t *testing.T) {
 		Workers: 1, QueueDepth: 2, PrefetchDepth: -1, TraceBuffer: -1, ReverifyInterval: -1,
 		// The evaluator never ticks, so the level stays Healthy with the
 		// queue full and the uncached read meets the queue-full gate.
-		Overload: &overload.Config{EvalInterval: time.Hour},
+		Overload: &overload.Config{}, noEvaluator: true,
 	})
 	defer s.Close()
 	s.addCodec("blocker", blocker.stubCodec)
@@ -235,7 +235,9 @@ func TestCallerHitOverloadLevels(t *testing.T) {
 	stub := &stubCodec{blocks: 16}
 	s := New(Options{
 		Workers: 1, QueueDepth: 8, PrefetchDepth: -1, TraceBuffer: -1, ReverifyInterval: -1,
-		Overload: &overload.Config{Dwell: time.Hour, EvalInterval: time.Hour},
+		// The evaluator never ticks: the level moves only when the test
+		// evaluates, and the recent-wait signal stays where it sets it.
+		Overload: &overload.Config{}, noEvaluator: true,
 	})
 	defer s.Close()
 	s.addCodec("img", stub)

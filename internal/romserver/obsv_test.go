@@ -188,7 +188,7 @@ func TestTracerCapturesLoadPhases(t *testing.T) {
 func TestFaultHookMirrorsCounters(t *testing.T) {
 	_, text := testText(t)
 	reg := obsv.NewRegistry()
-	s := New(Options{Registry: reg, Workers: 2, LoadAttempts: 4, RetryBackoff: time.Microsecond})
+	s := New(Options{Registry: reg, Workers: 2, LoadAttempts: 4})
 	defer s.Close()
 	info, err := s.AddImage("prog", marshalSAMC(t, text))
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 // overloadState is the server's overload layer, nil when
 // Options.Overload is unset.
 type overloadState struct {
-	cfg overload.Config
 	adm *overload.Admission
 	ctl *overload.Controller
 	bud *overload.RetryBudget
@@ -32,9 +31,14 @@ type overloadState struct {
 	ticksSince int
 }
 
+// evalInterval is how often the evaluator re-evaluates the brownout
+// level against queue fill: several times per controller dwell, so
+// recovery steps down one level per dwell.
+const evalInterval = 25 * time.Millisecond
+
 // recentWaitTicks is how many evaluator ticks pass between recent-wait
-// refreshes (~250ms at the default 25ms interval): long enough to
-// gather a meaningful histogram delta, short enough to track a storm.
+// refreshes (250ms at evalInterval): long enough to gather a
+// meaningful histogram delta, short enough to track a storm.
 const recentWaitTicks = 10
 
 // recentWaitMinSamples is the smallest histogram delta worth trusting
@@ -42,9 +46,7 @@ const recentWaitTicks = 10
 const recentWaitMinSamples = 8
 
 func newOverloadState(cfg overload.Config, workers int, met *serverMetrics) *overloadState {
-	cfg = cfg.WithDefaults()
 	o := &overloadState{
-		cfg: cfg,
 		adm: overload.NewAdmission(workers),
 		ctl: overload.NewController(cfg),
 		bud: overload.NewRetryBudget(cfg.RetryRatio, cfg.RetryBurst),
@@ -55,9 +57,9 @@ func newOverloadState(cfg overload.Config, workers int, met *serverMetrics) *ove
 
 // overloadEvaluator ticks the brownout controller against queue fill
 // and refreshes the admission estimator's windowed wait signal.
-func (s *Server) overloadEvaluator(interval time.Duration) {
+func (s *Server) overloadEvaluator() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(evalInterval)
 	defer ticker.Stop()
 	for {
 		select {

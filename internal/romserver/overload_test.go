@@ -11,6 +11,38 @@ import (
 	"codecomp/internal/overload"
 )
 
+// fakeClock is a brownout controller clock (overload.Config.Now) that
+// moves only when a test advances it.
+type fakeClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (f *fakeClock) Now() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.now
+}
+
+func (f *fakeClock) Advance(d time.Duration) {
+	f.mu.Lock()
+	f.now = f.now.Add(d)
+	f.mu.Unlock()
+}
+
+// TestEvalIntervalBelowDwell holds the evaluator's tick under the
+// controller's dwell: a level entered on one tick survives the next, so
+// recovery steps down one level per dwell, not one per tick.
+func TestEvalIntervalBelowDwell(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(0, 0)}
+	ctl := overload.NewController(overload.Config{Now: clk.Now})
+	ctl.Evaluate(1)
+	clk.Advance(evalInterval)
+	if got := ctl.Evaluate(0); got != overload.BrownedOut {
+		t.Fatalf("level = %v one %v tick after brownout: the tick outlasts the dwell", got, evalInterval)
+	}
+}
+
 // waitCond polls until cond is true or the deadline passes.
 func waitCond(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -277,11 +309,11 @@ func TestOverloadAdmissionRejectsDoomedRequests(t *testing.T) {
 // blocks, and sheds cold misses with ReasonBrownout.
 func TestOverloadBrownoutServesHotShedsCold(t *testing.T) {
 	stub := &stubCodec{blocks: 64}
-	cfg := &overload.Config{Dwell: time.Hour} // hold the level once entered
 	s := New(Options{
 		Workers: 1, QueueDepth: 8, CacheBlocks: 8, CacheShards: 1,
 		PrefetchDepth: -1, TraceBuffer: 4096, ReverifyInterval: -1,
-		Overload: cfg,
+		// The evaluator never ticks: the level holds once entered.
+		Overload: &overload.Config{}, noEvaluator: true,
 	})
 	defer s.Close()
 	s.addCodec("img", stub)
@@ -328,13 +360,16 @@ func TestOverloadBrownoutServesHotShedsCold(t *testing.T) {
 
 // TestOverloadServerRace hammers a fully enabled overload server —
 // admission, brownout transitions, retry budget, training, stats — from
-// many goroutines; the -race CI pass gives this teeth.
+// many goroutines; the -race CI pass gives this teeth. The controller's
+// clock steps 50ms with every training round, so dwells pass between
+// evaluator ticks and the level recovers as well as escalates.
 func TestOverloadServerRace(t *testing.T) {
 	slow := newSlowCodec(32, 200*time.Microsecond)
+	clk := &fakeClock{now: time.Unix(0, 0)}
 	s := New(Options{
 		Workers: 2, QueueDepth: 4, CacheBlocks: 8, CacheShards: 1,
 		PrefetchDepth: 2, TraceBuffer: 1024, ReverifyInterval: -1,
-		Overload: &overload.Config{EvalInterval: time.Millisecond, Dwell: time.Millisecond},
+		Overload: &overload.Config{Now: clk.Now},
 	})
 	defer s.Close()
 	s.addCodec("img", slow)
@@ -365,6 +400,7 @@ func TestOverloadServerRace(t *testing.T) {
 				case 2:
 					s.Train("img") //nolint:errcheck — retrains the hot set concurrently
 					_ = s.Stats()
+					clk.Advance(50 * time.Millisecond)
 				default:
 					ctx, cancel := context.WithCancel(context.Background())
 					done := make(chan struct{})
@@ -379,8 +415,13 @@ func TestOverloadServerRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// The server still serves after the storm.
-	waitCond(t, "level to settle", func() bool { return s.OverloadLevel() == overload.Healthy })
+	// The server still serves after the storm. Each 1ms poll steps the
+	// clock 100ms, so a dwell and the outcome window's staleness pass
+	// between evaluator ticks, and each tick may step the level down.
+	waitCond(t, "level to settle", func() bool {
+		clk.Advance(100 * time.Millisecond)
+		return s.OverloadLevel() == overload.Healthy
+	})
 	if data, _, err := s.BlockContext(context.Background(), "img", 1); err != nil || len(data) == 0 {
 		t.Fatalf("post-storm read = %v, %v", data, err)
 	}

@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"codecomp"
 	"codecomp/internal/faultinj"
@@ -158,7 +157,6 @@ func TestRangeBatchedUnderFaults(t *testing.T) {
 		PrefetchDepth: -1,
 		Workers:       4,
 		LoadAttempts:  6, // enough retries that injected faults recover instead of failing the run
-		RetryBackoff:  time.Millisecond,
 	})
 	defer s.Close()
 	info, err := s.AddImage("prog", marshalRANS(t, text))

@@ -99,9 +99,6 @@ type Options struct {
 	// read fails (default 3). Only transient errors and integrity
 	// failures are retried; a timed-out decode ends its ticket.
 	LoadAttempts int
-	// RetryBackoff is the base delay before the first retry; it doubles
-	// per attempt with full jitter (default 2ms).
-	RetryBackoff time.Duration
 	// LoadTimeout bounds one decompression attempt, and a pool ticket's
 	// wait on another worker's decode of the same block, through the
 	// worker's watchdog (default 5s; negative disables the deadline).
@@ -131,6 +128,10 @@ type Options struct {
 	// wait / decode / verify phases, retry and corruption events). Nil
 	// disables tracing.
 	Tracer *obsv.Tracer
+
+	// noEvaluator keeps the overload evaluator from ticking, so the
+	// brownout level moves only when a test calls Evaluate itself.
+	noEvaluator bool
 }
 
 func (o Options) withDefaults() Options {
@@ -161,9 +162,6 @@ func (o Options) withDefaults() Options {
 	if o.LoadAttempts <= 0 {
 		o.LoadAttempts = 3
 	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 2 * time.Millisecond
-	}
 	if o.LoadTimeout == 0 {
 		o.LoadTimeout = 5 * time.Second
 	}
@@ -176,10 +174,7 @@ func (o Options) withDefaults() Options {
 	if o.ReverifyInterval < 0 {
 		o.ReverifyInterval = 0
 	}
-	if o.Tiering != nil {
-		t := o.Tiering.withDefaults()
-		o.Tiering = &t
-	}
+	o.Tiering = o.Tiering.withDefaults()
 	return o
 }
 
@@ -417,15 +412,15 @@ func New(opts Options) *Server {
 		s.wg.Add(1)
 		go s.reverifier(opts.ReverifyInterval)
 	}
-	if opts.Tiering != nil && opts.Tiering.Interval > 0 {
+	if opts.Tiering.Interval > 0 {
 		s.wg.Add(1)
 		go s.recompressor(opts.Tiering.Interval)
 	}
-	if s.ovl != nil {
+	if s.ovl != nil && !opts.noEvaluator {
 		// The evaluator must tick independently of traffic: brownout
 		// recovery happens precisely when requests stop arriving.
 		s.wg.Add(1)
-		go s.overloadEvaluator(s.ovl.cfg.EvalInterval)
+		go s.overloadEvaluator()
 	}
 	return s
 }

@@ -36,8 +36,9 @@ var ErrNotTiered = errors.New("romserver: image is not tiered")
 
 // TieringOptions configures the background recompressor.
 type TieringOptions struct {
-	// Interval is the background pass period (default 10s; <= 0 disables
-	// the background goroutine — Recompress still works synchronously).
+	// Interval is the background pass period (default 10s; negative
+	// disables the background goroutine — Recompress still works
+	// synchronously).
 	Interval time.Duration
 	// BatchBlocks caps how many blocks one pass migrates per image
 	// (default 256), bounding the write-lock churn a single pass can
@@ -50,14 +51,20 @@ type TieringOptions struct {
 	Persist func(name string, image []byte) error
 }
 
-func (t TieringOptions) withDefaults() TieringOptions {
-	if t.Interval == 0 {
-		t.Interval = 10 * time.Second
+// withDefaults returns a filled copy of t. Nil runs no background pass,
+// but a synchronous Recompress still batches and persists through it.
+func (t *TieringOptions) withDefaults() *TieringOptions {
+	d := TieringOptions{Interval: -1}
+	if t != nil {
+		d = *t
 	}
-	if t.BatchBlocks <= 0 {
-		t.BatchBlocks = 256
+	if d.Interval == 0 {
+		d.Interval = 10 * time.Second
 	}
-	return t
+	if d.BatchBlocks <= 0 {
+		d.BatchBlocks = 256
+	}
+	return &d
 }
 
 // TieringInfo describes a tiered image's current tier map.
@@ -177,10 +184,7 @@ func (s *Server) recompressImage(img *image) TieringPassStats {
 	st.Trained = true
 	t := img.tiered
 	desired := s.policyFor(img).Assign(prof, len(t.Tiers()))
-	batch := 256
-	if s.opts.Tiering != nil {
-		batch = s.opts.Tiering.BatchBlocks
-	}
+	batch := s.opts.Tiering.BatchBlocks
 	for b := 0; b < len(desired) && b < img.blocks; b++ {
 		cur, err := t.TierOf(b)
 		if err != nil || cur == int(desired[b]) {
@@ -211,7 +215,7 @@ func (s *Server) recompressImage(img *image) TieringPassStats {
 			s.met.tieringBytesSpent.Add(int64(delta))
 		}
 	}
-	if st.Migrated > 0 && s.opts.Tiering != nil && s.opts.Tiering.Persist != nil {
+	if st.Migrated > 0 && s.opts.Tiering.Persist != nil {
 		if err := s.opts.Tiering.Persist(img.name, t.Marshal()); err != nil {
 			s.met.tieringPersistFailures.Inc()
 		}

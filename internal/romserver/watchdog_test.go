@@ -27,7 +27,6 @@ func wedgeServer(t *testing.T) *Server {
 		PrefetchDepth:    -1,
 		TraceBuffer:      -1,
 		LoadAttempts:     3, // a timed-out ticket must still time out once
-		RetryBackoff:     time.Millisecond,
 		LoadTimeout:      wedgeTimeout,
 		ReverifyInterval: -1,
 	})
