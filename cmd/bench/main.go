@@ -15,17 +15,18 @@
 // same-pass ratios and machine-independent budgets (each gate's reason is
 // at its check): every codec's fast-vs-reference decode speedup at least
 // 0.8x its baseline's; rANS's compression ratio at most 1.05x and its
-// decode MB/s at least 4x SAMC's; the romserver miss at most 1 alloc/op; a
-// cached hit at 0 allocs/op and at most 0.1x the miss's ns/op; a cold 4 KiB
-// range read at most one alloc per decoded block plus 8; a cold text read
-// at most one dispatch per window, and one alloc per decoded block plus 8
-// per window; the warm CachedReadAt and WarmRange reads at 0 allocs/op and
-// 0 B/op; a sub-block miss decoding strictly between 0 and 4096 bytes; a
-// 10k-block image registering in at most 128 allocs/op; the SAMC block
-// encoder at least 1.5x faster than its bit-serial reference; Observe,
-// CounterInc and HistogramObserve at 0 allocs/op; and the observe path's
-// overhead over a bare atomic add at most 1.3x its baseline's. A gated
-// benchmark missing from the fresh run fails its gate.
+// decode MB/s at least 4x SAMC's in the same pass; the romserver miss at
+// most 1 alloc/op; a cached hit at 0 allocs/op and at most 0.1x the miss's
+// ns/op; a cold 4 KiB range read at most one alloc per decoded block plus
+// 8; a cold text read at most one dispatch per window, and one alloc per
+// decoded block plus 8 per window; the warm CachedReadAt and WarmRange
+// reads at 0 allocs/op and 0 B/op; a sub-block miss decoding strictly
+// between 0 and 4096 bytes; a 10k-block image registering in at most 128
+// allocs/op; the SAMC block encoder at least 1.5x faster than its
+// bit-serial reference; Observe, CounterInc and HistogramObserve at 0
+// allocs/op; and the observe path's overhead over a bare atomic add at
+// most 1.3x its baseline's. A gated benchmark missing from the fresh run
+// fails its gate.
 //
 // Usage, from the repository root:
 //
@@ -83,6 +84,9 @@ type report struct {
 	// Speedups holds each codec's median per-pass speedup (decode and
 	// encode suites).
 	Speedups map[string]speedup `json:"speedups,omitempty"`
+	// RANSDecodeSpeedup is rANS's decode MB/s as a multiple of SAMC's,
+	// median of per-pass ratios (decode suite).
+	RANSDecodeSpeedup float64 `json:"rans_decode_speedup,omitempty"`
 	// PrePRNs records the block-decode latencies measured at the commit
 	// before the fast path landed. Historical constants, not remeasured.
 	PrePRNs map[string]float64 `json:"pre_pr_ns,omitempty"`
@@ -211,9 +215,10 @@ func (s samples) add(out []byte, pkg string, prefix bool, pass int) {
 	}
 }
 
-// passRatio is the median over passes of num's ns/op divided by den's.
-func (s samples) passRatio(num, den string) (float64, error) {
-	n, d := s[num]["ns/op"], s[den]["ns/op"]
+// passRatio is the median over passes of num's unit value divided by
+// den's.
+func (s samples) passRatio(num, den, unit string) (float64, error) {
+	n, d := s[num][unit], s[den][unit]
 	if len(n) == 0 || len(n) != len(d) {
 		return 0, fmt.Errorf("missing benchmark pair %s/%s", num, den)
 	}
@@ -282,12 +287,17 @@ func (st suite) measure(count int) (*report, error) {
 func deriveDecode(rep *report, s samples) error {
 	rep.Speedups = make(map[string]speedup)
 	for _, p := range pairs {
-		r, err := s.passRatio(p.ref, p.fast)
+		r, err := s.passRatio(p.ref, p.fast, "ns/op")
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.codec, err)
 		}
 		rep.Speedups[p.codec] = speedup{rep.Benchmarks[p.fast].NsPerOp, rep.Benchmarks[p.ref].NsPerOp, r}
 	}
+	r, err := s.passRatio("codecomp/DecompressRANS", "codecomp/DecompressSAMC", "MB/s")
+	if err != nil {
+		return fmt.Errorf("rans decode: %w", err)
+	}
+	rep.RANSDecodeSpeedup = r
 	rep.PrePRNs = prePR
 	return nil
 }
@@ -296,7 +306,7 @@ func deriveDecode(rep *report, s samples) error {
 var encodePair = struct{ codec, fast, ref string }{"samc", "samc/EncodeBlock", "samc/EncodeBlockReference"}
 
 func deriveEncode(rep *report, s samples) error {
-	r, err := s.passRatio(encodePair.ref, encodePair.fast)
+	r, err := s.passRatio(encodePair.ref, encodePair.fast, "ns/op")
 	if err != nil {
 		return fmt.Errorf("%s encode: %w", encodePair.codec, err)
 	}
@@ -306,7 +316,7 @@ func deriveEncode(rep *report, s samples) error {
 }
 
 func deriveObsv(rep *report, s samples) (err error) {
-	rep.ObserveOverhead, err = s.passRatio("Observe", "AtomicAddReference")
+	rep.ObserveOverhead, err = s.passRatio("Observe", "AtomicAddReference", "ns/op")
 	return err
 }
 
@@ -349,14 +359,17 @@ func checkDecode(g *gates, fresh, base *report) {
 	// On the SAMC corpus the interleaved rANS codec must compress within
 	// 5% of SAMC's ratio and decode at least 4x its MB/s: the software
 	// analogue of the paper's nibble-parallel decoder has to buy speed
-	// without giving back density.
+	// without giving back density. The speed floor gates the per-pass
+	// ratio, like the speedups: medians measured in different passes
+	// drift with the machine.
 	rans, okR := g.bench(fresh, "codecomp/DecompressRANS")
 	samc, okS := g.bench(fresh, "codecomp/DecompressSAMC")
 	if okR && okS {
 		g.gate(rans.Ratio > 0 && samc.Ratio > 0 && rans.Ratio <= samc.Ratio*1.05,
 			"%-8s ratio %.4f (samc %.4f, ceiling %.4f)", "rans", rans.Ratio, samc.Ratio, samc.Ratio*1.05)
-		g.gate(samc.MBPerSec > 0 && rans.MBPerSec >= samc.MBPerSec*4,
-			"%-8s decode %.2f MB/s (samc %.2f MB/s, floor %.2f)", "rans", rans.MBPerSec, samc.MBPerSec, samc.MBPerSec*4)
+		g.gate(fresh.RANSDecodeSpeedup >= 4,
+			"%-8s decode %.2fx samc MB/s per pass (median %.2f vs %.2f MB/s, floor 4x)",
+			"rans", fresh.RANSDecodeSpeedup, rans.MBPerSec, samc.MBPerSec)
 	}
 	miss, okM := g.bench(fresh, "romserver/RomserverMiss")
 	if okM {

@@ -90,8 +90,7 @@ func TestEachGateCanFail(t *testing.T) {
 			set(f, "codecomp/DecompressRANS", func(r *result) { r.Ratio = samc * 1.06 })
 		}},
 		row{"rans MB/s", decode, "rans     decode", func(f, _ *report) {
-			samc := f.Benchmarks["codecomp/DecompressSAMC"].MBPerSec
-			set(f, "codecomp/DecompressRANS", func(r *result) { r.MBPerSec = samc * 3.9 })
+			f.RANSDecodeSpeedup = 3.9
 		}},
 		row{"miss allocs", decode, "miss path", func(f, _ *report) {
 			set(f, "romserver/RomserverMiss", func(r *result) { r.AllocsPerOp = 2 })
@@ -205,10 +204,10 @@ func TestSamplesPadMissingPasses(t *testing.T) {
 	if got := s["huffman/DecodeSerial"]["ns/op"]; len(got) != 2 || got[0] != 0 || got[1] != 30 {
 		t.Fatalf("padded reference samples %v, want [0 30]", got)
 	}
-	if r, err := s.passRatio("huffman/DecodeSerial", "huffman/Decode"); err != nil || r != 3 {
+	if r, err := s.passRatio("huffman/DecodeSerial", "huffman/Decode", "ns/op"); err != nil || r != 3 {
 		t.Fatalf("passRatio = %v, %v; want 3", r, err)
 	}
-	if _, err := s.passRatio("huffman/Decode", "huffman/Missing"); err == nil {
+	if _, err := s.passRatio("huffman/Decode", "huffman/Missing", "ns/op"); err == nil {
 		t.Fatal("passRatio over a missing benchmark succeeded")
 	}
 	if got := s.medians(2).Benchmarks["huffman/Decode"]; got.NsPerOp != 15 || got.Samples != 2 {

@@ -83,7 +83,7 @@ func TestTextErrorBeforeBody(t *testing.T) {
 }
 
 // TestDeleteFailsWhenStoreRemovalFails makes the store unable to remove
-// an image's manifest (a non-empty directory stands in its place, which
+// an image's file (a non-empty directory stands in its place, which
 // os.Remove refuses even for root) and asserts the delete is a 500 with
 // an error body: what is left on disk can bring the image back at the
 // next restart, so the client must not be told it is gone. Once the
@@ -105,11 +105,11 @@ func TestDeleteFailsWhenStoreRemovalFails(t *testing.T) {
 		t.Fatalf("upload: %d: %s", rec.Code, rec.Body)
 	}
 
-	manifest := filepath.Join(dir, n.st.base("prog")+".json")
-	if err := os.Remove(manifest); err != nil {
+	stored := n.st.path("prog")
+	if err := os.Remove(stored); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Join(manifest, "pinned"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(stored, "pinned"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,7 +123,7 @@ func TestDeleteFailsWhenStoreRemovalFails(t *testing.T) {
 		t.Fatalf("delete error body = %q (%v), want a JSON error", rec.Body, err)
 	}
 
-	if err := os.RemoveAll(manifest); err != nil {
+	if err := os.RemoveAll(stored); err != nil {
 		t.Fatal(err)
 	}
 	rec = httptest.NewRecorder()
@@ -131,10 +131,8 @@ func TestDeleteFailsWhenStoreRemovalFails(t *testing.T) {
 	if rec.Code != http.StatusNoContent {
 		t.Fatalf("retried delete: %d: %s, want 204", rec.Code, rec.Body)
 	}
-	for _, ext := range []string{".json", ".img"} {
-		if _, err := os.Stat(filepath.Join(dir, n.st.base("prog")+ext)); !os.IsNotExist(err) {
-			t.Errorf("retried delete left %s on disk (stat: %v)", ext, err)
-		}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Errorf("retried delete left %d entries on disk (%v)", len(left), err)
 	}
 	fresh, err := NewNode(NodeOptions{Name: "fresh", DataDir: dir, Logf: discardLogf})
 	if err != nil {

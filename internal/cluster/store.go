@@ -2,39 +2,29 @@
 // process is all RAM: registration unmarshals a compressed image into
 // the registry and a restart loses it. A cluster cannot afford that — a
 // node restarting after a kill must come back owning exactly the images
-// it owned, without the router re-uploading anything. The Store keeps,
-// per image, the marshaled compressed payload plus a small JSON manifest
-// (name, size, CRC32-C of the payload), written atomically
-// (tmp + rename) so a crash mid-write leaves either the old image or
-// none, never a torn one. On boot Load walks the directory, verifies
-// every payload against its manifest checksum, and hands back the images
-// for re-registration into the romserver registry (which rebuilds the
-// block-integrity sidecar from the payload as usual).
+// it owned, without the router re-uploading anything. The Store keeps
+// one file per image, <hex(name)>.img, holding exactly the marshaled
+// compressed payload. Save writes it atomically (tmp + rename), so the
+// rename is the only commit point and a process crash mid-write leaves
+// either the old image or the new one, never a torn one. The payload is
+// self-checking: every format wraps its image in a romimg envelope whose
+// CRC covers every byte, so on boot Load only reads the files back and
+// the node's re-registration (AddImage, which unmarshals the payload and
+// rebuilds the block-integrity sidecar) rejects a corrupt one.
+//
+// Stores written with a JSON manifest beside each .img load unchanged:
+// their .img is already exactly the payload, Load ignores every other
+// file, and a leftover manifest is harmless.
 package cluster
 
 import (
-	"encoding/json"
+	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 )
-
-// storeCRC is the payload checksum table (Castagnoli, like the block
-// sidecar).
-var storeCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// Manifest is the on-disk metadata for one persisted image.
-type Manifest struct {
-	// Name is the image's registry name.
-	Name string `json:"name"`
-	// Size is the marshaled payload length in bytes.
-	Size int64 `json:"size"`
-	// CRC32C is the Castagnoli checksum of the payload file.
-	CRC32C uint32 `json:"crc32c"`
-}
 
 // StoredImage is one image recovered from disk by Load.
 type StoredImage struct {
@@ -68,53 +58,38 @@ func OpenStore(dir string) (*Store, error) {
 // Dir returns the store's directory.
 func (st *Store) Dir() string { return st.dir }
 
-// base returns the filename stem for an image name. Names are
-// hex-encoded: registry names exclude '/' and whitespace but nothing
-// else, and "..", case-colliding names or 200-byte unicode names must
-// all map to safe, distinct, portable filenames.
-func (st *Store) base(name string) string {
-	return fmt.Sprintf("%x", name)
+// path returns the file holding an image. Names are hex-encoded:
+// registry names exclude '/' and whitespace but nothing else, and "..",
+// case-colliding names or 200-byte unicode names must all map to safe,
+// distinct, portable filenames.
+func (st *Store) path(name string) string {
+	return filepath.Join(st.dir, hex.EncodeToString([]byte(name))+".img")
 }
 
-// Save write-through persists one image: payload first, then manifest,
-// each atomically. An existing image of the same name is replaced.
+// Save write-through persists one image atomically. An existing image
+// of the same name is replaced.
 func (st *Store) Save(name string, payload []byte) error {
-	base := st.base(name)
-	if err := writeAtomic(filepath.Join(st.dir, base+".img"), payload); err != nil {
-		return fmt.Errorf("cluster: store save %q: %w", name, err)
-	}
-	m := Manifest{Name: name, Size: int64(len(payload)), CRC32C: crc32.Checksum(payload, storeCRC)}
-	buf, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := writeAtomic(filepath.Join(st.dir, base+".json"), buf); err != nil {
+	if err := writeAtomic(st.path(name), payload); err != nil {
 		return fmt.Errorf("cluster: store save %q: %w", name, err)
 	}
 	return nil
 }
 
-// Remove deletes one image's payload and manifest. Removing an image
-// that is not stored is not an error.
+// Remove deletes one image. Removing an image that is not stored is not
+// an error.
 func (st *Store) Remove(name string) error {
-	base := st.base(name)
-	var first error
-	for _, f := range []string{base + ".json", base + ".img"} {
-		if err := os.Remove(filepath.Join(st.dir, f)); err != nil && !os.IsNotExist(err) && first == nil {
-			first = err
-		}
-	}
-	if first != nil {
-		return fmt.Errorf("cluster: store remove %q: %w", name, first)
+	if err := os.Remove(st.path(name)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("cluster: store remove %q: %w", name, err)
 	}
 	return nil
 }
 
-// Load recovers every stored image, sorted by name. A payload whose
-// size or checksum disagrees with its manifest is skipped and reported
+// Load reads back every stored image, sorted by name. A file that
+// cannot be read or whose name does not decode is skipped and reported
 // in the second return — the caller decides whether a partially
 // recovered store is fatal (the node logs and serves what it has; a
-// replica re-registers the rest).
+// replica re-registers the rest). Load does not check payloads: the
+// caller's registration does.
 func (st *Store) Load() ([]StoredImage, []error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -123,29 +98,21 @@ func (st *Store) Load() ([]StoredImage, []error) {
 	var imgs []StoredImage
 	var errs []error
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
+		stem, ok := strings.CutSuffix(e.Name(), ".img")
+		if e.IsDir() || !ok {
 			continue
 		}
-		mbuf, err := os.ReadFile(filepath.Join(st.dir, e.Name()))
+		name, err := hex.DecodeString(stem)
 		if err != nil {
-			errs = append(errs, err)
+			errs = append(errs, fmt.Errorf("cluster: store file %s: not a hex-encoded image name", e.Name()))
 			continue
 		}
-		var m Manifest
-		if err := json.Unmarshal(mbuf, &m); err != nil {
-			errs = append(errs, fmt.Errorf("cluster: store manifest %s: %w", e.Name(), err))
-			continue
-		}
-		payload, err := os.ReadFile(filepath.Join(st.dir, strings.TrimSuffix(e.Name(), ".json")+".img"))
+		payload, err := os.ReadFile(filepath.Join(st.dir, e.Name()))
 		if err != nil {
-			errs = append(errs, fmt.Errorf("cluster: store image %q: %w", m.Name, err))
+			errs = append(errs, fmt.Errorf("cluster: store image %q: %w", name, err))
 			continue
 		}
-		if int64(len(payload)) != m.Size || crc32.Checksum(payload, storeCRC) != m.CRC32C {
-			errs = append(errs, fmt.Errorf("cluster: store image %q: payload does not match manifest (corrupt or torn write)", m.Name))
-			continue
-		}
-		imgs = append(imgs, StoredImage{Name: m.Name, Payload: payload})
+		imgs = append(imgs, StoredImage{Name: string(name), Payload: payload})
 	}
 	sort.Slice(imgs, func(i, j int) bool { return imgs[i].Name < imgs[j].Name })
 	return imgs, errs

@@ -84,7 +84,10 @@ type Controller struct {
 // NewController returns a controller at Healthy on cfg's clock
 // (time.Now when unset).
 func NewController(cfg Config) *Controller {
-	now := cfg.WithDefaults().Now
+	now := cfg.Now
+	if now == nil {
+		now = time.Now
+	}
 	return &Controller{
 		now:        now,
 		lastChange: now(),

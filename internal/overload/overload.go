@@ -141,26 +141,13 @@ func (l Level) String() string {
 // budget's shape and the clock.
 type Config struct {
 	// RetryRatio is the token fraction each first attempt deposits into
-	// the retry budget (default 0.1 — amplification capped at ~1.1×).
+	// the retry budget (NewRetryBudget's default when zero).
 	RetryRatio float64
 	// RetryBurst is the budget's bucket capacity: how many retries can
-	// fire back-to-back after an idle stretch (default 10).
+	// fire back-to-back after an idle stretch (NewRetryBudget's default
+	// when zero).
 	RetryBurst float64
 
 	// Now is the controller clock, a test hook (default time.Now).
 	Now func() time.Time
-}
-
-// WithDefaults fills zero fields with the documented defaults.
-func (c Config) WithDefaults() Config {
-	if c.RetryRatio <= 0 {
-		c.RetryRatio = 0.1
-	}
-	if c.RetryBurst <= 0 {
-		c.RetryBurst = 10
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
 }

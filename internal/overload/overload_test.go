@@ -30,9 +30,18 @@ func TestLevelString(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.WithDefaults()
-	if c.RetryRatio != 0.1 || c.RetryBurst != 10 {
-		t.Fatalf("retry defaults = %v/%v", c.RetryRatio, c.RetryBurst)
+	b := NewRetryBudget(0, 0)
+	if got := b.Tokens(); got != 10 {
+		t.Fatalf("default retry budget starts with %v tokens, want a full bucket of 10", got)
+	}
+	for i := 0; i < 10; i++ {
+		if !b.Allow() {
+			t.Fatalf("default retry budget refused retry %d of its 10-token burst", i+1)
+		}
+	}
+	b.OnRequest()
+	if got := b.Tokens(); got != 0.1 {
+		t.Fatalf("one request deposited %v tokens, want the default ratio 0.1", got)
 	}
 	if pressureExit >= pressureEnter || brownoutExit >= brownoutEnter {
 		t.Fatalf("exit thresholds must sit below enter: pressure %v/%v, brownout %v/%v",
@@ -44,8 +53,8 @@ func TestConfigDefaults(t *testing.T) {
 	if enter := 0.9; brownoutExit != enter/2*1.1 {
 		t.Fatalf("brownout exit %v, want the float64 value of 0.9/2*1.1", brownoutExit)
 	}
-	if c.Now == nil {
-		t.Fatalf("clock default missing: %+v", c)
+	if c := NewController(Config{}); c.now == nil {
+		t.Fatal("controller has no clock when Config.Now is unset")
 	}
 	if minObservations > goodputWindow {
 		t.Fatalf("goodput needs %d outcomes but the window holds %d", minObservations, goodputWindow)
