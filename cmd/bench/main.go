@@ -1,8 +1,8 @@
 // bench measures the repository's in-process benchmark suites and writes
 // their committed baselines, BENCH_decode.json (the block decoders and the
-// romserver serving paths), BENCH_encode.json (the SAMC block encoder) and
-// BENCH_obsv.json (the metrics hot path on every block load and request),
-// or with -check gates a fresh run against them.
+// romserver serving paths), BENCH_encode.json (the SAMC and rANS block
+// encoders) and BENCH_obsv.json (the metrics hot path on every block load
+// and request), or with -check gates a fresh run against them.
 //
 // Every number is the median of N passes (5 by default), each pass one
 // `go test -run NONE -bench ... -benchmem -count 1` subprocess per package.
@@ -14,7 +14,8 @@
 // Absolute ns/op does not travel between machines, so -check gates only
 // same-pass ratios and machine-independent budgets (each gate's reason is
 // at its check): every codec's fast-vs-reference decode speedup at least
-// 0.8x its baseline's; rANS's compression ratio at most 1.05x and its
+// 0.8x its baseline's, rANS's at both its default N=4 and the N=1 the
+// tiers serve; rANS's compression ratio at most 1.05x and its
 // decode MB/s at least 4x SAMC's in the same pass; the romserver miss at
 // most 1 alloc/op; a cached hit at 0 allocs/op and at most 0.1x the miss's
 // ns/op; a cold 4 KiB range read at most one alloc per decoded block plus
@@ -23,10 +24,11 @@
 // reads at 0 allocs/op and 0 B/op; a sub-block miss decoding strictly
 // between 0 and 4096 bytes; a 10k-block image registering in at most 128
 // allocs/op; the SAMC block encoder at least 1.5x faster than its
-// bit-serial reference; Observe, CounterInc and HistogramObserve at 0
-// allocs/op; and the observe path's overhead over a bare atomic add at
-// most 1.3x its baseline's. A gated benchmark missing from the fresh run
-// fails its gate.
+// bit-serial reference and the rANS block encoder at least 1.3x faster
+// than the one it replaced, each at most 1 alloc/op; Observe, CounterInc
+// and HistogramObserve at 0 allocs/op; and the observe path's overhead
+// over a bare atomic add at most 1.3x its baseline's. A gated benchmark
+// missing from the fresh run fails its gate.
 //
 // Usage, from the repository root:
 //
@@ -109,6 +111,7 @@ type suite struct {
 
 const (
 	decodeBenches = "^(BenchmarkDecompressBlock|BenchmarkDecompressBlockReference|BenchmarkAppendBlock)$"
+	encodeBenches = "^(BenchmarkEncodeBlock|BenchmarkEncodeBlockReference)$"
 	// decodeTolerance is how far a codec's speedup may fall below its
 	// baseline; obsvTolerance how far the observe overhead may rise above.
 	decodeTolerance = 0.20
@@ -123,7 +126,7 @@ var suites = []suite{
 			{"codecomp/internal/samc", decodeBenches},
 			{"codecomp/internal/sadc", decodeBenches},
 			{"codecomp/internal/kozuch", decodeBenches},
-			{"codecomp/internal/rans", decodeBenches},
+			{"codecomp/internal/rans", "^(BenchmarkDecompressBlock|BenchmarkDecompressBlockReference|BenchmarkAppendBlock|BenchmarkAppendBlockN1|BenchmarkDecompressBlockReferenceN1)$"},
 			{"codecomp/internal/huffman", "^(BenchmarkDecode|BenchmarkDecodeSerial)$"},
 			{"codecomp/internal/romserver", "^(BenchmarkRomserverMiss|BenchmarkRomserverHit|BenchmarkRomserverColdRange|BenchmarkRomserverTextCold|BenchmarkRomserverCachedReadAt|BenchmarkRomserverWarmRange|BenchmarkRomserverSubblockMiss|BenchmarkRomserverAddImage)$"},
 			{"codecomp", "^(BenchmarkDecompressSAMC|BenchmarkDecompressSADC|BenchmarkDecompressHuffman|BenchmarkDecompressRANS)$"},
@@ -135,7 +138,8 @@ var suites = []suite{
 		file:   "BENCH_encode.json",
 		prefix: true,
 		pkgs: [][2]string{
-			{"codecomp/internal/samc", "^(BenchmarkEncodeBlock|BenchmarkEncodeBlockReference)$"},
+			{"codecomp/internal/rans", encodeBenches},
+			{"codecomp/internal/samc", encodeBenches},
 		},
 		derive: deriveEncode,
 		check:  checkEncode,
@@ -151,11 +155,13 @@ var suites = []suite{
 }
 
 // pairs names the fast and reference benchmarks behind each speedup, in
-// codec name order so -check prints them in a stable order.
+// codec name order so -check prints them in a stable order. rans-n1 is
+// the single-state rANS image the tiering layer serves.
 var pairs = []struct{ codec, fast, ref string }{
 	{"huffman", "huffman/Decode", "huffman/DecodeSerial"},
 	{"kozuch", "kozuch/DecompressBlock", "kozuch/DecompressBlockReference"},
 	{"rans", "rans/DecompressBlock", "rans/DecompressBlockReference"},
+	{"rans-n1", "rans/AppendBlockN1", "rans/DecompressBlockReferenceN1"},
 	{"sadc", "sadc/DecompressBlock", "sadc/DecompressBlockReference"},
 	{"samc", "samc/DecompressBlock", "samc/DecompressBlockReference"},
 }
@@ -302,16 +308,27 @@ func deriveDecode(rep *report, s samples) error {
 	return nil
 }
 
-// encodePair names the SAMC encoder's fast and reference benchmarks.
-var encodePair = struct{ codec, fast, ref string }{"samc", "samc/EncodeBlock", "samc/EncodeBlockReference"}
+// encodePairs names each block encoder's fast and reference benchmarks
+// and the least per-pass speedup the fast encoder may show over the
+// reference it replaced. The floors are fixed, not relative to the
+// baseline, so rewriting the baseline cannot lower them.
+var encodePairs = []struct {
+	codec, fast, ref string
+	floor            float64
+}{
+	{"rans", "rans/EncodeBlock", "rans/EncodeBlockReference", 1.3},
+	{"samc", "samc/EncodeBlock", "samc/EncodeBlockReference", 1.5},
+}
 
 func deriveEncode(rep *report, s samples) error {
-	r, err := s.passRatio(encodePair.ref, encodePair.fast, "ns/op")
-	if err != nil {
-		return fmt.Errorf("%s encode: %w", encodePair.codec, err)
+	rep.Speedups = make(map[string]speedup)
+	for _, p := range encodePairs {
+		r, err := s.passRatio(p.ref, p.fast, "ns/op")
+		if err != nil {
+			return fmt.Errorf("%s encode: %w", p.codec, err)
+		}
+		rep.Speedups[p.codec] = speedup{rep.Benchmarks[p.fast].NsPerOp, rep.Benchmarks[p.ref].NsPerOp, r}
 	}
-	rep.Speedups = map[string]speedup{encodePair.codec: {
-		rep.Benchmarks[encodePair.fast].NsPerOp, rep.Benchmarks[encodePair.ref].NsPerOp, r}}
 	return nil
 }
 
@@ -426,16 +443,16 @@ func checkDecode(g *gates, fresh, base *report) {
 	}
 }
 
-// encodeSpeedupFloor is the least per-pass speedup the word-at-a-time
-// SAMC encoder may show over the bit-serial reference encoder it
-// replaced. It is fixed, not relative to the baseline, so rewriting the
-// baseline cannot lower it.
-const encodeSpeedupFloor = 1.5
-
+// checkEncode gates each block encoder's speedup at its fixed floor, and
+// its allocations at one per block: the payload it returns.
 func checkEncode(g *gates, fresh, _ *report) {
-	got := fresh.Speedups[encodePair.codec].Speedup
-	g.gate(got >= encodeSpeedupFloor, "%-8s encode speedup %.2fx (floor %.2fx)",
-		encodePair.codec, got, encodeSpeedupFloor)
+	for _, p := range encodePairs {
+		got := fresh.Speedups[p.codec].Speedup
+		g.gate(got >= p.floor, "%-8s encode speedup %.2fx (floor %.2fx)", p.codec, got, p.floor)
+		if b, ok := g.bench(fresh, p.fast); ok {
+			g.gate(b.AllocsPerOp <= 1, "%-8s encode %.0f allocs/op (budget 1)", p.codec, b.AllocsPerOp)
+		}
+	}
 }
 
 func checkObsv(g *gates, fresh, base *report) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -132,15 +133,23 @@ func TestEachGateCanFail(t *testing.T) {
 		row{"add image allocs", decode, "add image", func(f, _ *report) {
 			set(f, "romserver/RomserverAddImage", func(r *result) { r.AllocsPerOp = 129 })
 		}},
-		row{"encode speedup", encode, "samc     encode speedup", func(f, _ *report) {
-			s := f.Speedups["samc"]
-			s.Speedup = encodeSpeedupFloor * 0.99
-			f.Speedups["samc"] = s
-		}},
 		row{"observe overhead", obsv, "observe overhead", func(f, b *report) {
 			f.ObserveOverhead = b.ObserveOverhead * (1 + obsvTolerance) * 1.01
 		}},
 	)
+	for _, p := range encodePairs {
+		codec, fast, floor := p.codec, p.fast, p.floor
+		rows = append(rows,
+			row{codec + " encode speedup", encode, fmt.Sprintf("%-8s encode speedup", codec), func(f, _ *report) {
+				s := f.Speedups[codec]
+				s.Speedup = floor * 0.99
+				f.Speedups[codec] = s
+			}},
+			row{codec + " encode allocs", encode, fmt.Sprintf("%-8s encode 2 allocs", codec), func(f, _ *report) {
+				set(f, fast, func(r *result) { r.AllocsPerOp = 2 })
+			}},
+		)
+	}
 	for _, name := range []string{"Observe", "CounterInc", "HistogramObserve"} {
 		rows = append(rows, row{name + " allocs", obsv, name + " ", func(f, _ *report) {
 			set(f, name, func(r *result) { r.AllocsPerOp = 1 })
@@ -165,7 +174,8 @@ func TestMissingGatedBenchmarkFails(t *testing.T) {
 			"romserver/RomserverCachedReadAt", "romserver/RomserverWarmRange",
 			"romserver/RomserverSubblockMiss", "romserver/RomserverAddImage",
 		},
-		"BENCH_obsv.json": {"Observe", "CounterInc", "HistogramObserve"},
+		"BENCH_encode.json": {"rans/EncodeBlock", "samc/EncodeBlock"},
+		"BENCH_obsv.json":   {"Observe", "CounterInc", "HistogramObserve"},
 	}
 	for file, names := range gated {
 		for _, name := range names {
@@ -218,6 +228,7 @@ func TestSamplesPadMissingPasses(t *testing.T) {
 // TestDefaultCostModelMatchesBaseline checks that tiering.DefaultCostModel
 // still prices Huffman and rANS decodes, relative to SAMC, within 25% of
 // what the committed AppendBlock throughputs imply (ns/byte ∝ 1/MB/s).
+// rANS is priced from the single-state image the tiers serve.
 func TestDefaultCostModelMatchesBaseline(t *testing.T) {
 	const tolerance = 0.25
 	b := baseline(t, "BENCH_decode.json").Benchmarks
@@ -225,7 +236,7 @@ func TestDefaultCostModelMatchesBaseline(t *testing.T) {
 	m := tiering.DefaultCostModel
 	for tier, bench := range map[string]string{
 		tiering.TierHuffman: "kozuch/AppendBlock",
-		tiering.TierRANS:    "rans/AppendBlock",
+		tiering.TierRANS:    "rans/AppendBlockN1",
 	} {
 		mbps := b[bench].MBPerSec
 		if mbps == 0 || samc == 0 {

@@ -13,8 +13,10 @@
 // rebuilds the block-integrity sidecar) rejects a corrupt one.
 //
 // Stores written with a JSON manifest beside each .img load unchanged:
-// their .img is already exactly the payload, Load ignores every other
-// file, and a leftover manifest is harmless.
+// their .img is already exactly the payload. Load runs at boot, before
+// the node serves, and deletes what a crash or the earlier layout left
+// behind: Save's .tmp-* files, which no rename will ever commit, and the
+// <hex(name)>.json manifests, which nothing reads.
 package cluster
 
 import (
@@ -89,7 +91,8 @@ func (st *Store) Remove(name string) error {
 // in the second return — the caller decides whether a partially
 // recovered store is fatal (the node logs and serves what it has; a
 // replica re-registers the rest). Load does not check payloads: the
-// caller's registration does.
+// caller's registration does. It deletes leftover temp files and
+// manifests, so it must not run beside a Save.
 func (st *Store) Load() ([]StoredImage, []error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -98,8 +101,15 @@ func (st *Store) Load() ([]StoredImage, []error) {
 	var imgs []StoredImage
 	var errs []error
 	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
+		if leftover(e.Name()) {
+			_ = os.Remove(filepath.Join(st.dir, e.Name())) // a file left in place goes at the next Load
+			continue
+		}
 		stem, ok := strings.CutSuffix(e.Name(), ".img")
-		if e.IsDir() || !ok {
+		if !ok {
 			continue
 		}
 		name, err := hex.DecodeString(stem)
@@ -116,6 +126,17 @@ func (st *Store) Load() ([]StoredImage, []error) {
 	}
 	sort.Slice(imgs, func(i, j int) bool { return imgs[i].Name < imgs[j].Name })
 	return imgs, errs
+}
+
+// leftover reports whether a file is a temp file of writeAtomic or a
+// manifest of the earlier layout, <hex(name)>.json.
+func leftover(file string) bool {
+	if strings.HasPrefix(file, ".tmp-") {
+		return true
+	}
+	stem, ok := strings.CutSuffix(file, ".json")
+	_, err := hex.DecodeString(stem)
+	return ok && err == nil
 }
 
 // writeAtomic writes data to path via a same-directory temp file and

@@ -139,12 +139,27 @@ func twoImages(t *testing.T) (oldPayload, oldText, newPayload, newText []byte) {
 	return oldPayload, oldText, img.Marshal(), newText
 }
 
+// onlyImages fails the test unless every file in dir is a stored image:
+// boot recovery deletes temp files and manifests.
+func onlyImages(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) != ".img" {
+			t.Fatalf("the data dir still holds %s after boot", e.Name())
+		}
+	}
+}
+
 // TestRecoverCrashStates builds every on-disk state a process crash
 // inside Save can leave — before the temp file exists, with the temp
 // file holding any prefix of the new payload, and after the rename —
 // for a first save and for a replacement, and boots a node on each: it
 // must serve exactly the old bytes (nothing, on a first save) or
-// exactly the new ones, and reject nothing.
+// exactly the new ones, reject nothing, and leave only image files.
 func TestRecoverCrashStates(t *testing.T) {
 	oldPayload, oldText, newPayload, newText := twoImages(t)
 	type crashState struct {
@@ -196,6 +211,7 @@ func TestRecoverCrashStates(t *testing.T) {
 				if rejects != 0 {
 					t.Fatalf("boot rejected %d images, want 0", rejects)
 				}
+				onlyImages(t, st.Dir())
 			})
 		}
 	}
@@ -206,8 +222,8 @@ func TestRecoverCrashStates(t *testing.T) {
 // it, a JSON manifest (name, size, CRC32-C) in <hex(name)>.json. A
 // complete pair, and the torn pairs a crash between the two renames
 // left (a new .img beside the old manifest, or beside none), must all
-// boot with the image in the .img, and deleting it must leave nothing
-// that a later boot recovers.
+// boot with the image in the .img and leave only the .img, and deleting
+// it must leave the data dir empty.
 func TestRecoverManifestLayout(t *testing.T) {
 	oldPayload, oldText, newPayload, newText := twoImages(t)
 	manifest := func(t *testing.T, dir string, payload []byte) {
@@ -246,6 +262,7 @@ func TestRecoverManifestLayout(t *testing.T) {
 			if !bytes.Equal(got, c.want) || rejects != 0 {
 				t.Fatalf("boot serves %d bytes with %d rejects, want %d bytes and none", len(got), rejects, len(c.want))
 			}
+			onlyImages(t, dir)
 
 			n, err := NewNode(NodeOptions{Name: "n", DataDir: dir, Logf: discardLogf})
 			if err != nil {
@@ -259,6 +276,9 @@ func TestRecoverManifestLayout(t *testing.T) {
 			}
 			if got, _ := bootServes(t, dir, "prog"); got != nil {
 				t.Fatalf("a boot after the delete serves %d bytes, want the image gone", len(got))
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Fatalf("the data dir holds %d files after the delete, want none", len(left))
 			}
 		})
 	}

@@ -11,8 +11,10 @@ package huffman
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"codecomp/internal/bitio"
@@ -380,23 +382,100 @@ func (t *Table) DecodeFast(r *bitio.Reader) (int, error) {
 // ErrInvalidCode, ErrCodeTooLong, or EOF via Consume — consumes exactly the
 // bits the bit-serial path would have.
 func (t *Table) decodeSpill(r *bitio.Reader) (int, error) {
-	peeked := uint32(r.PeekBits(uint(t.maxLen)))
+	sym, n, err := t.walk(uint32(r.PeekBits(uint(t.maxLen))))
+	if cerr := r.Consume(n); cerr != nil {
+		return 0, cerr
+	}
+	return sym, err
+}
+
+// walk is the canonical walk over the next maxLen bits of a stream,
+// right-aligned and zero-padded past its end. It returns the symbol, or
+// ErrInvalidCode or ErrCodeTooLong, and the number of bits the bit-serial
+// Decode would have consumed to reach that outcome; a caller with fewer
+// bits left reports EOF instead.
+func (t *Table) walk(peeked uint32) (sym int, n uint, err error) {
 	for l := uint8(1); l <= t.maxLen; l++ {
 		code := peeked >> (t.maxLen - l)
 		if code < t.boundAt(l) {
-			if err := r.Consume(uint(l)); err != nil {
-				return 0, err
-			}
 			if code < t.firstCode[l] {
-				return 0, ErrInvalidCode
+				return 0, uint(l), ErrInvalidCode
 			}
-			return int(t.syms[t.firstSym[l]+int32(code-t.firstCode[l])]), nil
+			return int(t.syms[t.firstSym[l]+int32(code-t.firstCode[l])]), uint(l), nil
 		}
 	}
-	if err := r.Consume(uint(t.maxLen)); err != nil {
-		return 0, err
+	return 0, uint(t.maxLen), ErrCodeTooLong
+}
+
+// AppendSymbols decodes n ≥ 0 symbols from the start of src and appends
+// each, as a byte, to dst: the block decode of a byte alphabet (a symbol
+// above 255 keeps only its low byte). It returns exactly the symbols and
+// the first error that n DecodeFast calls on a fresh reader over src
+// would return, with the symbols decoded before an error appended. The
+// fused loop keeps the stream in a local 64-bit reservoir and resolves a
+// first-level table hit inline; codes longer than tableBits, invalid
+// prefixes and truncation go through walk, the canonical walk of
+// DecodeFast's spill.
+func (t *Table) AppendSymbols(dst, src []byte, n int) ([]byte, error) {
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	lut, tb, maxLen := t.lut, uint(t.tableBits), uint(t.maxLen)
+	mask := uint64(len(lut) - 1)
+	// bitbuf holds the next nbits bits of src left-aligned; the bits below
+	// them are src's following bits or, past its end, zero, so a peek
+	// near the end zero-pads as PeekBits does.
+	var bitbuf uint64
+	var nbits uint
+	idx := 0
+	k := 0
+	// Three symbols per word refill: a refill leaves at least 56 bits and
+	// a code is at most MaxBits = 15 long.
+	for ; k+3 <= n && idx+8 <= len(src); k += 3 {
+		bitbuf |= binary.BigEndian.Uint64(src[idx:]) >> nbits
+		idx += int(63-nbits) >> 3
+		nbits |= 56
+		for j := k; j < k+3; j++ {
+			var sym int
+			var l uint
+			if e := lut[bitbuf>>(64-tb)&mask]; e != 0 {
+				sym, l = int(e>>8), uint(e&0xff)
+			} else {
+				var err error
+				if sym, l, err = t.walk(uint32(bitbuf >> (64 - maxLen))); err != nil {
+					return dst[:len(dst)+j], err
+				}
+			}
+			bitbuf <<= l
+			nbits -= l
+			out[j] = byte(sym)
+		}
 	}
-	return 0, ErrCodeTooLong
+	for ; k < n; k++ {
+		if nbits < MaxBits {
+			for ; nbits <= 56 && idx < len(src); idx++ {
+				bitbuf |= uint64(src[idx]) << (56 - nbits)
+				nbits += 8
+			}
+		}
+		var sym int
+		var l uint
+		if e := lut[bitbuf>>(64-tb)&mask]; e != 0 {
+			sym, l = int(e>>8), uint(e&0xff)
+		} else {
+			var err error
+			sym, l, err = t.walk(uint32(bitbuf >> (64 - maxLen)))
+			if err != nil && l <= nbits {
+				return dst[:len(dst)+k], err
+			}
+		}
+		if l > nbits {
+			return dst[:len(dst)+k], bitio.ErrUnexpectedEOF
+		}
+		bitbuf <<= l
+		nbits -= l
+		out[k] = byte(sym)
+	}
+	return dst[:len(dst)+n], nil
 }
 
 // boundAt returns one past the last valid codeword of length l.

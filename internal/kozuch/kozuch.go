@@ -119,9 +119,9 @@ func (c *Compressed) blockReference(i int) ([]byte, error) {
 	return out, nil
 }
 
-// AppendBlock decompresses block i and appends its bytes to dst, using the
-// Huffman table's first-level LUT and a stack reader so a decode allocates
-// nothing beyond dst's growth.
+// AppendBlock decompresses block i and appends its bytes to dst through
+// the Huffman table's fused block decode (huffman.Table.AppendSymbols), so
+// a decode allocates nothing beyond dst's growth.
 func (c *Compressed) AppendBlock(dst []byte, i int) ([]byte, error) {
 	if i < 0 || i >= len(c.Blocks) {
 		return nil, fmt.Errorf("kozuch: block %d out of range [0,%d)", i, len(c.Blocks))
@@ -151,15 +151,9 @@ func (c *Compressed) AppendBlockPrefix(dst []byte, i, n int) ([]byte, error) {
 // appendBlockN decodes the first n symbols of block i. Caller validates
 // i and clamps n to the block's decoded length.
 func (c *Compressed) appendBlockN(dst []byte, i, n int) ([]byte, error) {
-	var r bitio.Reader
-	r.Reset(c.Blocks[i])
-	tbl := c.Table
-	for ; n > 0; n-- {
-		sym, err := tbl.DecodeFast(&r)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, byte(sym))
+	dst, err := c.Table.AppendSymbols(dst, c.Blocks[i], n)
+	if err != nil {
+		return nil, err
 	}
 	return dst, nil
 }

@@ -40,6 +40,7 @@
 package rans
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -94,13 +95,18 @@ type Compressed struct {
 	// Streams is the interleaving factor N the image was encoded with.
 	Streams int
 
-	// The decode tables, built from Freq and Cum: sym maps
-	// ctx<<scaleBits | slot to the slot's symbol, and fs maps
-	// ctx<<4 | sym to freq<<freqShift | start. A symbol's context holds
-	// the previous symbol, so the sym lookup is the decode's serial
-	// chain; at a byte per slot that table is 32 KB and stays in L1.
-	sym []uint8
-	fs  []uint32
+	tables
+}
+
+// tables are the decode tables, built from Freq and Cum: sym maps
+// ctx<<scaleBits | slot to the slot's symbol, and fs maps ctx<<4 | sym to
+// freq<<freqShift | start. A symbol's context holds the previous symbol,
+// so the sym lookup is the decode's serial chain; at a byte per slot
+// that table is 32 KB and stays in L1. Fixed-size arrays let the masked
+// indices in the decode loops drop their bounds checks.
+type tables struct {
+	sym *[numCtx << scaleBits]uint8
+	fs  *[numCtx * numSym]uint32
 }
 
 func (o *Options) normalize() error {
@@ -190,46 +196,59 @@ func Train(text []byte, opts Options) (*Compressed, error) {
 // nibble) context — a symbol sequence the training text never produced in
 // that position cannot be represented under the frozen model. len(block)
 // must not exceed BlockSize.
+//
+// The nibbles are coded back to front straight from block, and the renorm
+// nibbles they push (at most two each) go to stack scratch, so for blocks
+// up to DefaultBlockSize the payload is the one allocation. The payload is
+// a nibble stream: each final state is three nibbles.
 func (c *Compressed) EncodeBlock(block []byte) ([]byte, error) {
 	if len(block) > c.BlockSize {
 		return nil, fmt.Errorf("rans: block length %d exceeds block size %d", len(block), c.BlockSize)
 	}
-	nibs := make([]uint32, 0, 2*len(block))
-	ctxs := make([]uint32, 0, 2*len(block))
-	prev := uint32(0)
-	for _, b := range block {
-		for _, nib := range [2]uint32{uint32(b >> 4), uint32(b & 15)} {
-			ctxs = append(ctxs, ctxOf(len(nibs), prev))
-			nibs = append(nibs, nib)
-			prev = nib
-		}
-	}
-	mask := uint32(c.Streams - 1)
+	var scratch [4 * DefaultBlockSize]byte
+	stack := scratch[:0] // renorm nibbles in emit (reverse) order
+	mask := c.Streams - 1
 	var states [8]uint32
 	for k := 0; k < c.Streams; k++ {
 		states[k] = low
 	}
-	var stack []byte // renorm nibbles in emit (reverse) order
-	for j := len(nibs) - 1; j >= 0; j-- {
-		f := uint32(c.Freq[ctxs[j]][nibs[j]])
-		if f == 0 {
-			return nil, fmt.Errorf("rans: nibble %x has zero frequency in context %d", nibs[j], ctxs[j])
+	for j := 2*len(block) - 1; j >= 0; j-- {
+		nib, prev := nibble(block, j), uint32(0)
+		if j > 0 {
+			prev = nibble(block, j-1)
 		}
-		x := states[uint32(j)&mask]
+		ctx := ctxOf(j, prev)
+		f := uint32(c.Freq[ctx][nib])
+		if f == 0 {
+			return nil, fmt.Errorf("rans: nibble %x has zero frequency in context %d", nib, ctx)
+		}
+		x := states[j&mask]
 		for x >= f<<4 {
 			stack = append(stack, byte(x&15))
 			x >>= 4
 		}
-		states[uint32(j)&mask] = (x/f)<<scaleBits + uint32(c.Cum[ctxs[j]][nibs[j]]) + x%f
+		states[j&mask] = (x/f)<<scaleBits + uint32(c.Cum[ctx][nib]) + x%f
 	}
-	w := bitio.NewWriter(c.BlockSize)
+	out := make([]byte, (stateBits/4*c.Streams+len(stack)+1)/2)
+	p := 0
+	put := func(nib uint32) {
+		out[p>>1] |= byte(nib) << (4 - 4*(p&1))
+		p++
+	}
 	for k := 0; k < c.Streams; k++ {
-		w.WriteBits(uint64(states[k]), stateBits)
+		for sh := stateBits - 4; sh >= 0; sh -= 4 {
+			put(states[k] >> sh & 15)
+		}
 	}
 	for i := len(stack) - 1; i >= 0; i-- {
-		w.WriteBits(uint64(stack[i]), 4)
+		put(uint32(stack[i]))
 	}
-	return w.AppendBytes(make([]byte, 0, w.Len())), nil
+	return out, nil
+}
+
+// nibble returns nibble j of block, high nibble of each byte first.
+func nibble(block []byte, j int) uint32 {
+	return uint32(block[j>>1]>>(4-4*(j&1))) & 15
 }
 
 // quantize scales one context's raw counts to integer frequencies summing
@@ -309,8 +328,8 @@ func (c *Compressed) buildCum() {
 // decode loop indexes: the symbol of each (context, slot in [0,m)), and
 // the frequency and start of each (context, symbol).
 func (c *Compressed) buildDecodeTable() {
-	c.sym = make([]uint8, numCtx<<scaleBits)
-	c.fs = make([]uint32, numCtx*numSym)
+	c.sym = new([numCtx << scaleBits]uint8)
+	c.fs = new([numCtx * numSym]uint32)
 	for ctx := range c.Freq {
 		base := ctx << scaleBits
 		for s := 0; s < numSym; s++ {
@@ -378,101 +397,331 @@ func (c *Compressed) Block(i int) ([]byte, error) {
 }
 
 // AppendBlock decompresses block i and appends its bytes to dst: the fused
-// fast path. The flat decode table, a manually managed 64-bit bit
-// reservoir (the inlined form of bitio.Reader's refill buffer) and the
-// interleaved states held in registers make a steady-state decode allocate
-// nothing beyond dst's growth.
+// fast path for every interleaving factor N. A manually managed 64-bit bit
+// reservoir (the inlined form of bitio.Reader's refill buffer), the flat
+// decode tables and the states held in registers make a decode allocate
+// nothing beyond dst's growth. Symbols are decoded a four-symbol rotation
+// (two output bytes) at a time: symbol j is carried by state j mod N, so
+// N=1 chains all four through one state (rotate1), N=2 alternates two
+// (rotate2), N=4 gives each its own and N=8 alternates two banks of four
+// (rotate4). One reservoir check covers a rotation and renormalization is
+// branch-free; once the stream can no longer guarantee a whole rotation,
+// a guarded tail loop finishes, or faults, symbol by symbol.
 func (c *Compressed) AppendBlock(dst []byte, i int) ([]byte, error) {
 	if i < 0 || i >= len(c.Blocks) {
 		return nil, fmt.Errorf("rans: block %d out of range [0,%d)", i, len(c.Blocks))
 	}
-	if c.Streams == 4 {
-		return c.append4(dst, i)
-	}
-	sym, fs := c.sym, c.fs
-	if len(sym) != numCtx<<scaleBits || len(fs) != numCtx*numSym {
+	t := c.tables
+	if t.sym == nil || t.fs == nil {
 		return nil, fmt.Errorf("rans: decode table not built")
 	}
-	data := c.Blocks[i]
-	// Bit reservoir: the next nbits bits of the stream, left-aligned.
-	var bitbuf uint64
-	var nbits uint
-	idx := 0
-	var states [8]uint32
+	r := reservoir{data: c.Blocks[i]}
+	var s [8]uint32
 	for k := 0; k < c.Streams; k++ {
-		for nbits <= 56 && idx < len(data) {
-			bitbuf |= uint64(data[idx]) << (56 - nbits)
-			nbits += 8
-			idx++
-		}
-		if nbits < stateBits {
-			return nil, fmt.Errorf("rans: block %d truncated before state %d", i, k)
-		}
-		v := uint32(bitbuf >> (64 - stateBits))
-		bitbuf <<= stateBits
-		nbits -= stateBits
-		if v < low {
-			return nil, fmt.Errorf("rans: block %d state %d = %d below renorm bound", i, k, v)
-		}
-		states[k] = v
-	}
-	mask := uint32(c.Streams - 1)
-	prev := uint32(0)
-	n := c.blockOrigLen(i)
-	j := uint32(0)
-	for k := 0; k < n; k++ {
-		var b uint32
-		for half := 0; half < 2; half++ {
-			x := states[j&mask]
-			slot := x & (m - 1)
-			ctx := (j&7)<<4 | prev
-			sy := uint32(sym[ctx<<scaleBits|slot])
-			f := fs[ctx<<4|sy]
-			x = (f>>freqShift)*(x>>scaleBits) + slot - f&(1<<freqShift-1)
-			if x < low {
-				// Renormalize: top up the reservoir, then pull exactly the
-				// nibbles that lift the state back into [L, b·L).
-				if nbits < 12 {
-					for nbits <= 56 && idx < len(data) {
-						bitbuf |= uint64(data[idx]) << (56 - nbits)
-						nbits += 8
-						idx++
-					}
-				}
-				need := ((stateBits - uint(bits.Len32(x))) >> 2) << 2
-				if nbits < need {
-					return nil, fmt.Errorf("rans: block %d truncated at symbol %d", i, j)
-				}
-				x = x<<need | uint32(bitbuf>>(64-need))
-				bitbuf <<= need
-				nbits -= need
+		if r.nbits < stateBits {
+			if r = r.refill(); r.nbits < stateBits {
+				return nil, fmt.Errorf("rans: block %d truncated before state %d", i, k)
 			}
-			states[j&mask] = x
-			prev = sy
-			b = b<<4 | prev
-			j++
 		}
-		dst = append(dst, byte(b))
+		s[k] = uint32(r.bitbuf >> (64 - stateBits))
+		r.bitbuf <<= stateBits
+		r.nbits -= stateBits
+		if s[k] < low {
+			return nil, fmt.Errorf("rans: block %d state %d = %d below renorm bound", i, k, s[k])
+		}
+	}
+	total := 2 * c.blockOrigLen(i)
+	var j int
+	var prev uint32
+	switch c.Streams {
+	case 1:
+		dst, r, j, prev = t.rotate1(dst, r, &s, total)
+	case 2:
+		dst, r, j, prev = t.rotate2(dst, r, &s, total)
+	default:
+		dst, r, j, prev = t.rotate4(dst, r, &s, total, c.Streams == 8)
+	}
+	// Tail: the last rotations once the reservoir can't guarantee 32 bits,
+	// plus the odd byte (two nibbles) a short last block can leave over.
+	mask := c.Streams - 1
+	var out uint32
+	for ; j < total; j++ {
+		x := s[j&mask]
+		slot := x & (m - 1)
+		row := uint32(j&7)<<stateBits | prev<<scaleBits
+		sy := uint32(t.sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f := t.fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x = (f>>freqShift)*(x>>scaleBits) + slot - f&(1<<freqShift-1)
+		if x < low {
+			if r.nbits < 12 {
+				r = r.refill()
+			}
+			need := ((stateBits - uint(bits.Len32(x))) >> 2) << 2
+			if r.nbits < need {
+				return nil, fmt.Errorf("rans: block %d truncated at symbol %d", i, j)
+			}
+			x = x<<need | uint32(r.bitbuf>>(64-need))
+			r.bitbuf <<= need
+			r.nbits -= need
+		}
+		s[j&mask] = x
+		prev = sy
+		out = out<<4 | sy
+		if j&1 == 1 {
+			dst = append(dst, byte(out))
+			out = 0
+		}
 	}
 	return dst, nil
 }
 
-// append4 is AppendBlock specialized for the default N=4 interleaving: the
-// four states live in named registers (no dynamically indexed spill), the
-// loop decodes one 4-symbol rotation — two output bytes — per iteration,
-// the reservoir refills a word at a time, and renormalization is branchless
-// (a state already in range computes a zero-nibble read).
-func (c *Compressed) append4(dst []byte, i int) ([]byte, error) {
-	sym, fs := c.sym, c.fs
-	if len(sym) != numCtx<<scaleBits || len(fs) != numCtx*numSym {
-		return nil, fmt.Errorf("rans: decode table not built")
+// The rotate functions decode whole four-symbol rotations of a block
+// from symbol 0 until fewer than four symbols remain of total or the
+// reservoir can no longer guarantee the 32 bits a rotation may take (a
+// decoded state is ≥ 1, so a renorm takes at most stateBits−4 = 8 bits).
+// They return dst, the reservoir, the next symbol index and the last
+// symbol, and leave the states in s for the tail loop. Each symbol is
+// the same straight-line step: look the slot up in its context's row
+// (ps is the previous symbol in the row's context field), pop the state,
+// and renormalize branch-free from the top of the reservoir, where a
+// state already in [L, b·L) takes zero bits; need is 0, 4 or 8, so the
+// shift-count masks change no value but let the compiler drop Go's
+// oversize-shift handling. One function per state shape keeps each
+// shape's states in registers, apart from the others'. One loop shared
+// by every shape, or the step as an inlined helper, measured a few
+// percent slower at N=4 on a 2-vCPU x86-64 machine.
+
+// rotate1 decodes the rotations of a single-state (N=1) block.
+func (t tables) rotate1(dst []byte, r reservoir, s *[8]uint32, total int) ([]byte, reservoir, int, uint32) {
+	data, idx, bitbuf, nbits := r.data, r.idx, r.bitbuf, r.nbits
+	s0 := s[0]
+	ps := uint32(0)
+	j := 0
+	for ; j+4 <= total; j += 4 {
+		if nbits < 32 {
+			if bitbuf, nbits, idx = refill(data, bitbuf, nbits, idx); nbits < 32 {
+				break
+			}
+		}
+		pos := uint32(j & 7) // 0 or 4: hi nibble of an even or odd word half
+
+		slot := s0 & (m - 1)
+		row := pos<<stateBits | ps
+		sy := uint32(t.sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f := t.fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x := (f>>freqShift)*(s0>>scaleBits) + slot - f&(1<<freqShift-1)
+		need := ((stateBits - uint(bits.Len32(x))) >> 2) << 2
+		s0 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
+		nbits -= need
+		ps = sy << scaleBits
+		hi := sy << 4
+
+		slot = s0 & (m - 1)
+		row = (pos+1)<<stateBits | ps
+		sy = uint32(t.sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f = t.fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x = (f>>freqShift)*(s0>>scaleBits) + slot - f&(1<<freqShift-1)
+		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
+		s0 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
+		nbits -= need
+		ps = sy << scaleBits
+		hi |= sy
+
+		slot = s0 & (m - 1)
+		row = (pos+2)<<stateBits | ps
+		sy = uint32(t.sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f = t.fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x = (f>>freqShift)*(s0>>scaleBits) + slot - f&(1<<freqShift-1)
+		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
+		s0 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
+		nbits -= need
+		ps = sy << scaleBits
+		lo := sy << 4
+
+		slot = s0 & (m - 1)
+		row = (pos+3)<<stateBits | ps
+		sy = uint32(t.sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f = t.fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x = (f>>freqShift)*(s0>>scaleBits) + slot - f&(1<<freqShift-1)
+		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
+		s0 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
+		nbits -= need
+		ps = sy << scaleBits
+		lo |= sy
+
+		dst = append(dst, byte(hi), byte(lo))
 	}
-	data := c.Blocks[i]
-	var bitbuf uint64
-	var nbits uint
-	idx := 0
+	s[0] = s0
+	return dst, reservoir{data, idx, bitbuf, nbits}, j, ps >> scaleBits
+}
+
+// rotate2 decodes the rotations of an N=2 block.
+func (t tables) rotate2(dst []byte, r reservoir, s *[8]uint32, total int) ([]byte, reservoir, int, uint32) {
+	data, idx, bitbuf, nbits := r.data, r.idx, r.bitbuf, r.nbits
+	s0, s1 := s[0], s[1]
+	ps := uint32(0)
+	j := 0
+	for ; j+4 <= total; j += 4 {
+		if nbits < 32 {
+			if bitbuf, nbits, idx = refill(data, bitbuf, nbits, idx); nbits < 32 {
+				break
+			}
+		}
+		pos := uint32(j & 7) // 0 or 4: hi nibble of an even or odd word half
+
+		slot := s0 & (m - 1)
+		row := pos<<stateBits | ps
+		sy := uint32(t.sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f := t.fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x := (f>>freqShift)*(s0>>scaleBits) + slot - f&(1<<freqShift-1)
+		need := ((stateBits - uint(bits.Len32(x))) >> 2) << 2
+		s0 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
+		nbits -= need
+		ps = sy << scaleBits
+		hi := sy << 4
+
+		slot = s1 & (m - 1)
+		row = (pos+1)<<stateBits | ps
+		sy = uint32(t.sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f = t.fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x = (f>>freqShift)*(s1>>scaleBits) + slot - f&(1<<freqShift-1)
+		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
+		s1 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
+		nbits -= need
+		ps = sy << scaleBits
+		hi |= sy
+
+		slot = s0 & (m - 1)
+		row = (pos+2)<<stateBits | ps
+		sy = uint32(t.sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f = t.fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x = (f>>freqShift)*(s0>>scaleBits) + slot - f&(1<<freqShift-1)
+		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
+		s0 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
+		nbits -= need
+		ps = sy << scaleBits
+		lo := sy << 4
+
+		slot = s1 & (m - 1)
+		row = (pos+3)<<stateBits | ps
+		sy = uint32(t.sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f = t.fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x = (f>>freqShift)*(s1>>scaleBits) + slot - f&(1<<freqShift-1)
+		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
+		s1 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
+		nbits -= need
+		ps = sy << scaleBits
+		lo |= sy
+
+		dst = append(dst, byte(hi), byte(lo))
+	}
+	s[0], s[1] = s0, s1
+	return dst, reservoir{data, idx, bitbuf, nbits}, j, ps >> scaleBits
+}
+
+// rotate4 decodes the rotations of an N=4 block, or of an N=8 block
+// (eight), which swaps its bank of four states with the idle bank in
+// s[4:8] after every rotation.
+func (t tables) rotate4(dst []byte, r reservoir, s *[8]uint32, total int, eight bool) ([]byte, reservoir, int, uint32) {
+	data, idx, bitbuf, nbits := r.data, r.idx, r.bitbuf, r.nbits
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	ps := uint32(0)
+	j := 0
+	for ; j+4 <= total; j += 4 {
+		if nbits < 32 {
+			if bitbuf, nbits, idx = refill(data, bitbuf, nbits, idx); nbits < 32 {
+				break
+			}
+		}
+		pos := uint32(j & 7) // 0 or 4: hi nibble of an even or odd word half
+
+		slot := s0 & (m - 1)
+		row := pos<<stateBits | ps
+		sy := uint32(t.sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f := t.fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x := (f>>freqShift)*(s0>>scaleBits) + slot - f&(1<<freqShift-1)
+		need := ((stateBits - uint(bits.Len32(x))) >> 2) << 2
+		s0 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
+		nbits -= need
+		ps = sy << scaleBits
+		hi := sy << 4
+
+		slot = s1 & (m - 1)
+		row = (pos+1)<<stateBits | ps
+		sy = uint32(t.sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f = t.fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x = (f>>freqShift)*(s1>>scaleBits) + slot - f&(1<<freqShift-1)
+		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
+		s1 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
+		nbits -= need
+		ps = sy << scaleBits
+		hi |= sy
+
+		slot = s2 & (m - 1)
+		row = (pos+2)<<stateBits | ps
+		sy = uint32(t.sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f = t.fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x = (f>>freqShift)*(s2>>scaleBits) + slot - f&(1<<freqShift-1)
+		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
+		s2 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
+		nbits -= need
+		ps = sy << scaleBits
+		lo := sy << 4
+
+		slot = s3 & (m - 1)
+		row = (pos+3)<<stateBits | ps
+		sy = uint32(t.sym[(row|slot)&(numCtx<<scaleBits-1)])
+		f = t.fs[(row>>4|sy)&(numCtx*numSym-1)]
+		x = (f>>freqShift)*(s3>>scaleBits) + slot - f&(1<<freqShift-1)
+		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
+		s3 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
+		bitbuf <<= need & 63
+		nbits -= need
+		ps = sy << scaleBits
+		lo |= sy
+
+		if eight {
+			s0, s1, s2, s3, s[4], s[5], s[6], s[7] = s[4], s[5], s[6], s[7], s0, s1, s2, s3
+		}
+		dst = append(dst, byte(hi), byte(lo))
+	}
+	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
+	if eight && j&4 != 0 { // an odd number of swaps: undo the last
+		s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s[4], s[5], s[6], s[7], s0, s1, s2, s3
+	}
+	return dst, reservoir{data, idx, bitbuf, nbits}, j, ps >> scaleBits
+}
+
+// reservoir is a block payload being read: bitbuf holds, left-aligned,
+// the nbits unconsumed bits that precede data[idx:].
+type reservoir struct {
+	data   []byte
+	idx    int
+	bitbuf uint64
+	nbits  uint
+}
+
+func (r reservoir) refill() reservoir {
+	r.bitbuf, r.nbits, r.idx = refill(r.data, r.bitbuf, r.nbits, r.idx)
+	return r
+}
+
+// refill tops a reservoir up from data[idx:]: whole words while at
+// least 32 bits are free, then bytes while at least 8 are.
+func refill(data []byte, bitbuf uint64, nbits uint, idx int) (uint64, uint, int) {
 	for nbits <= 32 && idx+4 <= len(data) {
-		bitbuf |= uint64(uint32(data[idx])<<24|uint32(data[idx+1])<<16|uint32(data[idx+2])<<8|uint32(data[idx+3])) << (32 - nbits)
+		bitbuf |= uint64(binary.BigEndian.Uint32(data[idx:])) << (32 - nbits)
 		nbits += 32
 		idx += 4
 	}
@@ -481,136 +730,7 @@ func (c *Compressed) append4(dst []byte, i int) ([]byte, error) {
 		nbits += 8
 		idx++
 	}
-	if nbits < 4*stateBits {
-		return nil, fmt.Errorf("rans: block %d truncated before states", i)
-	}
-	var s [4]uint32
-	for k := range s {
-		s[k] = uint32(bitbuf >> (64 - stateBits))
-		bitbuf <<= stateBits
-		nbits -= stateBits
-		if s[k] < low {
-			return nil, fmt.Errorf("rans: block %d state %d = %d below renorm bound", i, k, s[k])
-		}
-	}
-	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
-	// ps is the previous symbol in the table index's context field
-	// (sym<<scaleBits). Below, need is 0, 4 or 8 (a decoded state is in
-	// [1, b·L)), so the shift-count masks change no value; they let the
-	// compiler drop Go's oversize-shift handling from the loop.
-	ps := uint32(0)
-	total := 2 * c.blockOrigLen(i)
-	j := 0
-	for ; j+4 <= total; j += 4 {
-		// One reservoir check covers the whole rotation: a decoded state is
-		// ≥ 1, so each symbol refills at most stateBits−4 = 8 bits and four
-		// symbols never pull more than 32. If the stream can no longer
-		// supply 32 bits (its legitimate padded end, or truncation) the
-		// guarded tail loop below finishes — or faults — symbol by symbol.
-		if nbits < 32 {
-			for nbits <= 32 && idx+4 <= len(data) {
-				bitbuf |= uint64(uint32(data[idx])<<24|uint32(data[idx+1])<<16|uint32(data[idx+2])<<8|uint32(data[idx+3])) << (32 - nbits)
-				nbits += 32
-				idx += 4
-			}
-			for nbits <= 56 && idx < len(data) {
-				bitbuf |= uint64(data[idx]) << (56 - nbits)
-				nbits += 8
-				idx++
-			}
-			if nbits < 32 {
-				break
-			}
-		}
-		pos := uint32(j & 7) // 0 or 4: hi nibble of an even or odd word half
-
-		slot := s0 & (m - 1)
-		row := pos<<stateBits | ps
-		sy := uint32(sym[(row|slot)&(numCtx<<scaleBits-1)])
-		f := fs[(row>>4|sy)&(numCtx*numSym-1)]
-		x := (f>>freqShift)*(s0>>scaleBits) + slot - f&(1<<freqShift-1)
-		need := ((stateBits - uint(bits.Len32(x))) >> 2) << 2
-		s0 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
-		bitbuf <<= need & 63
-		nbits -= need
-		ps = sy << scaleBits
-		b0 := sy << 4
-
-		slot = s1 & (m - 1)
-		row = (pos+1)<<stateBits | ps
-		sy = uint32(sym[(row|slot)&(numCtx<<scaleBits-1)])
-		f = fs[(row>>4|sy)&(numCtx*numSym-1)]
-		x = (f>>freqShift)*(s1>>scaleBits) + slot - f&(1<<freqShift-1)
-		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
-		s1 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
-		bitbuf <<= need & 63
-		nbits -= need
-		ps = sy << scaleBits
-		b0 |= sy
-
-		slot = s2 & (m - 1)
-		row = (pos+2)<<stateBits | ps
-		sy = uint32(sym[(row|slot)&(numCtx<<scaleBits-1)])
-		f = fs[(row>>4|sy)&(numCtx*numSym-1)]
-		x = (f>>freqShift)*(s2>>scaleBits) + slot - f&(1<<freqShift-1)
-		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
-		s2 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
-		bitbuf <<= need & 63
-		nbits -= need
-		ps = sy << scaleBits
-		b1 := sy << 4
-
-		slot = s3 & (m - 1)
-		row = (pos+3)<<stateBits | ps
-		sy = uint32(sym[(row|slot)&(numCtx<<scaleBits-1)])
-		f = fs[(row>>4|sy)&(numCtx*numSym-1)]
-		x = (f>>freqShift)*(s3>>scaleBits) + slot - f&(1<<freqShift-1)
-		need = ((stateBits - uint(bits.Len32(x))) >> 2) << 2
-		s3 = x<<(need&31) | uint32(bitbuf>>32>>((32-need)&63))
-		bitbuf <<= need & 63
-		nbits -= need
-		ps = sy << scaleBits
-		b1 |= sy
-
-		dst = append(dst, byte(b0), byte(b1))
-	}
-	prev := ps >> scaleBits
-	// Tail: the last rotations once the reservoir can't guarantee 32 bits,
-	// plus the odd byte (two nibbles) a short last block can leave over.
-	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
-	var b uint32
-	for ; j < total; j++ {
-		x := s[j&3]
-		slot := x & (m - 1)
-		ctx := uint32(j&7)<<4 | prev
-		sy := uint32(sym[(ctx<<scaleBits|slot)&(numCtx<<scaleBits-1)])
-		f := fs[(ctx<<4|sy)&(numCtx*numSym-1)]
-		x = (f>>freqShift)*(x>>scaleBits) + slot - f&(1<<freqShift-1)
-		if x < low {
-			if nbits < 12 {
-				for nbits <= 56 && idx < len(data) {
-					bitbuf |= uint64(data[idx]) << (56 - nbits)
-					nbits += 8
-					idx++
-				}
-			}
-			need := ((stateBits - uint(bits.Len32(x))) >> 2) << 2
-			if nbits < need {
-				return nil, fmt.Errorf("rans: block %d truncated at symbol %d", i, j)
-			}
-			x = x<<need | uint32(bitbuf>>(64-need))
-			bitbuf <<= need
-			nbits -= need
-		}
-		s[j&3] = x
-		prev = sy
-		b = b<<4 | prev
-		if j&1 == 1 {
-			dst = append(dst, byte(b))
-			b = 0
-		}
-	}
-	return dst, nil
+	return bitbuf, nbits, idx
 }
 
 // blockReference is the scalar reference decoder: one state advanced at a

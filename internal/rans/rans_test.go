@@ -162,22 +162,24 @@ func TestAppendBlockNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
 	}
-	c, err := Compress(mipsText(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, 0, c.BlockSize)
-	var gotErr error
-	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		dst, gotErr = c.AppendBlock(dst[:0], i%c.NumBlocks())
-		i++
-	})
-	if gotErr != nil {
-		t.Fatal(gotErr)
-	}
-	if allocs != 0 {
-		t.Fatalf("AppendBlock allocates %.1f times per call, want 0", allocs)
+	for _, n := range []int{1, 2, 4, 8} {
+		c, err := Compress(mipsText(), Options{Streams: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, 0, c.BlockSize)
+		var gotErr error
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			dst, gotErr = c.AppendBlock(dst[:0], i%c.NumBlocks())
+			i++
+		})
+		if gotErr != nil {
+			t.Fatal(gotErr)
+		}
+		if allocs != 0 {
+			t.Fatalf("N=%d: AppendBlock allocates %.1f times per call, want 0", n, allocs)
+		}
 	}
 }
 

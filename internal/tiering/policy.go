@@ -122,23 +122,23 @@ func (p Policy) Assign(prof *traceprof.Profile, numTiers int) []uint8 {
 type CostModel map[string]float64
 
 // DefaultCostModel is a fixed snapshot, not a live measurement: the
-// AppendBlock throughputs BENCH_decode.json recorded when tiering was
-// added (commit 3cdb975), converted to ns/byte (1000 / MB/s): raw is a
-// memcpy, kozuch byte-Huffman 91 MB/s, interleaved rANS 71.5 MB/s, SAMC
-// 17.5 MB/s. BENCH_decode.json has been re-measured since and no longer
-// carries these figures. The values stay as they are so the offline
-// Pareto table (the tiering drill's, and EXPERIMENTS.md's) remains
-// reproducible. Only the ratios between tiers order the layouts, so
+// AppendBlock throughputs of the kernels that serve each tier, as
+// BENCH_decode.json recorded them on a 2-vCPU machine when the tiers
+// were last re-priced, converted to ns/byte (1000 / MB/s): raw is a
+// memcpy, kozuch byte-Huffman 131.7 MB/s, single-state rANS (the
+// Spec.Streams default) 45.6 MB/s, SAMC 18.9 MB/s. The values stay fixed
+// so the offline Pareto table (the tiering drill's, and EXPERIMENTS.md's)
+// remains reproducible. Only the ratios between tiers order the layouts, so
 // TestDefaultCostModelMatchesBaseline (cmd/bench) holds Huffman's and
 // rANS's cost relative to SAMC's within 25% of what the committed
-// BENCH_decode.json AppendBlock MB/s imply (-16.6% and -0.7% against the
-// file as committed). Use measured per-machine numbers where available;
-// these are the portable fallback.
+// BENCH_decode.json AppendBlock MB/s imply, rANS's from the N=1
+// benchmark. Use measured per-machine numbers where available; these
+// are the portable fallback.
 var DefaultCostModel = CostModel{
 	TierRaw:     0.05,
-	TierHuffman: 11.0,
-	TierRANS:    14.0,
-	TierSAMC:    57.0,
+	TierHuffman: 7.6,
+	TierRANS:    21.9,
+	TierSAMC:    52.8,
 }
 
 // DecodeCosts returns the estimated decode cost in nanoseconds for each
