@@ -228,24 +228,29 @@ func TestSamplesPadMissingPasses(t *testing.T) {
 // TestDefaultCostModelMatchesBaseline checks that tiering.DefaultCostModel
 // still prices Huffman and rANS decodes, relative to SAMC, within 25% of
 // what the committed AppendBlock throughputs imply (ns/byte ∝ 1/MB/s).
-// rANS is priced from the single-state image the tiers serve.
+// The rANS tier is priced from the single-state image the tiers serve,
+// and tiering.RANS4Cost from the 4-state standalone image.
 func TestDefaultCostModelMatchesBaseline(t *testing.T) {
 	const tolerance = 0.25
 	b := baseline(t, "BENCH_decode.json").Benchmarks
 	samc := b["samc/AppendBlock"].MBPerSec
 	m := tiering.DefaultCostModel
-	for tier, bench := range map[string]string{
-		tiering.TierHuffman: "kozuch/AppendBlock",
-		tiering.TierRANS:    "rans/AppendBlockN1",
+	for _, c := range []struct {
+		name, bench string
+		cost        float64
+	}{
+		{tiering.TierHuffman, "kozuch/AppendBlock", m[tiering.TierHuffman]},
+		{tiering.TierRANS, "rans/AppendBlockN1", m[tiering.TierRANS]},
+		{"4-state rans", "rans/AppendBlock", tiering.RANS4Cost},
 	} {
-		mbps := b[bench].MBPerSec
+		mbps := b[c.bench].MBPerSec
 		if mbps == 0 || samc == 0 {
-			t.Fatalf("%s or samc/AppendBlock MB/s missing from BENCH_decode.json", bench)
+			t.Fatalf("%s or samc/AppendBlock MB/s missing from BENCH_decode.json", c.bench)
 		}
-		model, measured := m[tier]/m[tiering.TierSAMC], samc/mbps
+		model, measured := c.cost/m[tiering.TierSAMC], samc/mbps
 		if dev := model/measured - 1; math.Abs(dev) > tolerance {
 			t.Errorf("%s costs %.3f of SAMC in the model, %.3f by %s: %+.1f%%, tolerance %.0f%%",
-				tier, model, measured, bench, 100*dev, 100*tolerance)
+				c.name, model, measured, c.bench, 100*dev, 100*tolerance)
 		}
 	}
 }

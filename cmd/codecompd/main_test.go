@@ -219,27 +219,33 @@ func TestMetricsPrometheusRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONNegotiation asserts the legacy JSON stats shape is still
-// served when the client asks for it (loadgen does).
-func TestMetricsJSONNegotiation(t *testing.T) {
-	_, ts, _ := startDaemon(t)
-	for _, u := range []struct {
-		url string
-		hdr map[string]string
-	}{
-		{ts.URL + "/metrics", map[string]string{"Accept": "application/json"}},
-		{ts.URL + "/metrics?format=json", nil},
-	} {
-		resp, body := get(t, u.url, u.hdr)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: %d", u.url, resp.StatusCode)
-		}
-		var st romserver.Stats
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatalf("%s: not JSON stats: %v", u.url, err)
-		}
-		if len(st.Images) != 1 {
-			t.Errorf("%s: stats lists %d images, want 1", u.url, len(st.Images))
+// TestMetricsIgnoresJSONRequests asserts /metrics has one form: a
+// request that asks for JSON, by Accept header or by ?format=json, still
+// gets the Prometheus text exposition, from a node and from a router.
+func TestMetricsIgnoresJSONRequests(t *testing.T) {
+	_, node, _ := startDaemon(t)
+	rt := cluster.NewRouter(cluster.RouterOptions{ProbeInterval: -1})
+	t.Cleanup(func() { rt.Close() })
+	router := httptest.NewServer(rt.Handler())
+	t.Cleanup(router.Close)
+	for _, base := range []string{node.URL, router.URL} {
+		for _, u := range []struct {
+			url string
+			hdr map[string]string
+		}{
+			{base + "/metrics", map[string]string{"Accept": "application/json"}},
+			{base + "/metrics?format=json", nil},
+		} {
+			resp, body := get(t, u.url, u.hdr)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %v: %d", u.url, u.hdr, resp.StatusCode)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != obsv.PrometheusContentType {
+				t.Errorf("%s %v: Content-Type = %q, want %q", u.url, u.hdr, ct, obsv.PrometheusContentType)
+			}
+			if _, err := obsv.ParsePrometheus(bytes.NewReader(body)); err != nil {
+				t.Errorf("%s %v: not Prometheus text: %v", u.url, u.hdr, err)
+			}
 		}
 	}
 }
@@ -491,14 +497,20 @@ func TestBytesEndpoint(t *testing.T) {
 // wraps is a 404 out-of-range read, not a whole-image decode that fails
 // as a codec panic.
 func TestBytesEndpointHugeLen(t *testing.T) {
-	n, ts, _ := startDaemon(t)
+	_, ts, _ := startDaemon(t)
 	resp, body := get(t, fmt.Sprintf("%s/images/prog/bytes?off=1&len=%d", ts.URL, math.MaxInt64), nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("bytes?off=1&len=MaxInt64: %d: %s, want 404", resp.StatusCode, body)
 	}
-	if st := n.Server().Stats(); st.Faults.PanicsRecovered != 0 || st.Images[0].Decompressions != 0 {
-		t.Fatalf("huge read recovered %d panics and decoded %d blocks, want 0 and 0",
-			st.Faults.PanicsRecovered, st.Images[0].Decompressions)
+	_, body = get(t, ts.URL+"/metrics", nil)
+	p, err := obsv.ParsePrometheus(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	panics, ok := p.Value("romserver_codec_panics_total", nil)
+	decs, ok2 := p.Value("romserver_decompressions_total", nil)
+	if !ok || !ok2 || panics != 0 || decs != 0 {
+		t.Fatalf("huge read recovered %v panics and decoded %v blocks, want 0 and 0", panics, decs)
 	}
 }
 

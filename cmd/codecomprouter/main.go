@@ -15,7 +15,6 @@
 //	GET  /cluster/nodes              membership, ring epoch, member health
 //	POST /cluster/nodes?name=N&addr=U  join a node (rebalances onto it)
 //	DELETE /cluster/nodes/{name}     leave a node (rebalances off it)
-//	GET  /cluster/stats              aggregated per-node stats
 //	GET  /healthz /readyz /metrics   the usual
 //
 // Member nodes are codecompd processes; give each a -data-dir so a

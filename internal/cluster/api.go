@@ -686,17 +686,9 @@ func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, map[string]any{"ready": ready, "health": images})
 }
 
-// handleMetrics is content-negotiated: Prometheus text exposition by
-// default, the legacy romserver JSON stats when the client asks for JSON
-// (Accept: application/json or ?format=json — cmd/loadgen does the
-// former).
+// handleMetrics serves the registry in the Prometheus text exposition,
+// whatever the request asks for.
 func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	wantJSON := r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json")
-	if wantJSON {
-		writeJSON(w, http.StatusOK, n.rs.Stats())
-		return
-	}
 	w.Header().Set("Content-Type", obsv.PrometheusContentType)
 	n.reg.WritePrometheus(w) //nolint:errcheck — client went away
 }

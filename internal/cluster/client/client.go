@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"codecomp/internal/faultinj"
+	"codecomp/internal/obsv"
 	"codecomp/internal/overload"
 	"codecomp/internal/romserver"
 	"codecomp/internal/traceprof"
@@ -51,36 +52,6 @@ type StatusError struct {
 // Error renders the status failure.
 func (e *StatusError) Error() string {
 	return fmt.Sprintf("%s: HTTP %d: %s", e.What, e.Code, e.Body)
-}
-
-// ClusterStats is a router's aggregated view of its members
-// (GET /cluster/stats on a codecomprouter).
-type ClusterStats struct {
-	// Epoch is the current ring generation.
-	Epoch uint64 `json:"epoch"`
-	// Nodes maps member name to its full stats snapshot; members that
-	// could not be reached are absent.
-	Nodes map[string]romserver.Stats `json:"nodes"`
-	// Ejected lists members currently removed from placement by health.
-	Ejected []string `json:"ejected,omitempty"`
-}
-
-// CacheHits sums member cache hits.
-func (cs ClusterStats) CacheHits() int64 {
-	var n int64
-	for _, st := range cs.Nodes {
-		n += st.Cache.Hits
-	}
-	return n
-}
-
-// CacheMisses sums member cache misses.
-func (cs ClusterStats) CacheMisses() int64 {
-	var n int64
-	for _, st := range cs.Nodes {
-		n += st.Cache.Misses
-	}
-	return n
 }
 
 // Client talks to one codecompd node or cluster router by base URL.
@@ -396,37 +367,25 @@ func (c *Client) SetPolicy(name string, spec romserver.PolicySpec) (romserver.Po
 	return info, err
 }
 
-// Stats fetches the server's JSON stats view of /metrics.
-func (c *Client) Stats() (romserver.Stats, error) {
-	var st romserver.Stats
-	req, err := http.NewRequest(http.MethodGet, c.Base+"/metrics", nil)
+// Metrics scrapes the server's /metrics and parses the Prometheus text
+// exposition.
+func (c *Client) Metrics() (obsv.Parsed, error) {
+	body, err := c.send(http.MethodGet, "/metrics", "metrics", nil, http.StatusOK)
 	if err != nil {
-		return st, err
+		return nil, err
 	}
-	req.Header.Set("Accept", "application/json")
-	resp, body, err := c.do(req)
-	if err != nil {
-		return st, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return st, statusErr("metrics", resp.StatusCode, body)
-	}
-	err = json.Unmarshal(body, &st)
-	return st, err
+	return obsv.ParsePrometheus(bytes.NewReader(body))
 }
 
-// ClusterStats fetches a router's aggregated member stats
-// (GET /cluster/stats).
-func (c *Client) ClusterStats() (ClusterStats, error) {
-	var cs ClusterStats
-	err := c.getJSON("/cluster/stats", "cluster stats", &cs)
-	return cs, err
-}
-
-// Healthz probes liveness; nil means the server answered 200.
-func (c *Client) Healthz() error {
-	_, err := c.send(http.MethodGet, "/healthz", "healthz", nil, http.StatusOK)
-	return err
+// Healthz probes liveness; a nil error means the server answered 200. It
+// returns the per-image health rows of a node's answer, with each image's
+// state and bad-block count; a router's answer carries none.
+func (c *Client) Healthz() ([]romserver.HealthInfo, error) {
+	var body struct {
+		Health []romserver.HealthInfo `json:"health"`
+	}
+	err := c.getJSON("/healthz", "healthz", &body)
+	return body.Health, err
 }
 
 // Readyz probes readiness; nil means the server answered 200.

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -422,15 +424,42 @@ func TestRouterHTTPAPI(t *testing.T) {
 		t.Fatal("past-end ReadBytes succeeded")
 	}
 
-	cs, err := cli.ClusterStats()
+	resp, err := http.Get(h.RouterURL() + "/cluster/nodes")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cs.Nodes) != 3 || len(cs.Ejected) != 0 {
-		t.Fatalf("ClusterStats = %d nodes, ejected %v", len(cs.Nodes), cs.Ejected)
-	}
-	if err := cli.Healthz(); err != nil {
+	var membership struct{ Nodes []NodeState }
+	err = json.NewDecoder(resp.Body).Decode(&membership)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, n := range membership.Nodes {
+		if n.Ejected {
+			t.Errorf("member %s ejected", n.Name)
+		}
+	}
+	if len(membership.Nodes) != 3 {
+		t.Fatalf("/cluster/nodes lists %d members, want 3", len(membership.Nodes))
+	}
+	if _, err := cli.Healthz(); err != nil {
+		t.Fatal(err)
+	}
+	// Each replica's /healthz body carries the image's health row.
+	holders := 0
+	for _, hn := range h.Nodes() {
+		health, err := client.New(hn.URL(), nil).Healthz()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range health {
+			if row.Image == "prog" && row.State == "healthy" && row.BadBlocks == 0 {
+				holders++
+			}
+		}
+	}
+	if want := len(h.Router().Ring().Lookup("prog")); holders != want {
+		t.Fatalf("%d nodes report a healthy prog in /healthz, want its %d replicas", holders, want)
 	}
 	if err := cli.Readyz(); err != nil {
 		t.Fatal(err)

@@ -69,9 +69,7 @@ type NodeOptions struct {
 //	DELETE /images/{name}        deregister an image (and forget it on disk)
 //	GET  /healthz                liveness (always 200 while the process serves)
 //	GET  /readyz                 readiness (503 while any image is quarantined)
-//	GET  /metrics                Prometheus text exposition by default; the
-//	                             legacy JSON stats with Accept: application/json
-//	                             or ?format=json
+//	GET  /metrics                Prometheus text exposition
 //	GET  /debug/traces           ring of recently sampled block-load traces
 //	                             (queue wait / decode / verify phases, retry
 //	                             and corruption events), newest first

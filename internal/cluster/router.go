@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,9 +59,6 @@ type member struct {
 	cli     *client.Client
 	health  *romserver.HealthTracker
 	ejected atomic.Bool
-	// stats is the prober's last successful stats snapshot, feeding the
-	// cluster_* aggregate gauges without a scrape-time fan-out.
-	stats atomic.Pointer[romserver.Stats]
 	// overloadUntil is the UnixNano instant until which the member is
 	// treated as overloaded (it answered 429 or a brownout 503 with
 	// Retry-After): alive for health accounting, but not worth hedging
@@ -260,26 +256,6 @@ func NewRouter(opts RouterOptions) *Router {
 			defer rt.mu.Unlock()
 			return float64(len(rt.catalog))
 		})
-	reg.CounterFunc("cluster_cache_hits_total",
-		"Cache hits summed across members (from the prober's last scrape).",
-		func() float64 { return rt.sumStats(func(st *romserver.Stats) int64 { return st.Cache.Hits }) })
-	reg.CounterFunc("cluster_cache_misses_total",
-		"Cache misses summed across members (from the prober's last scrape).",
-		func() float64 { return rt.sumStats(func(st *romserver.Stats) int64 { return st.Cache.Misses }) })
-	reg.CounterFunc("cluster_decompressions_total",
-		"Block decompressions summed across members (from the prober's last scrape).",
-		func() float64 {
-			return rt.sumStats(func(st *romserver.Stats) int64 {
-				var n int64
-				for _, im := range st.Images {
-					n += im.Decompressions
-				}
-				return n
-			})
-		})
-	reg.GaugeFunc("cluster_image_replicas",
-		"Image replicas registered across members (from the prober's last scrape).",
-		func() float64 { return rt.sumStats(func(st *romserver.Stats) int64 { return int64(len(st.Images)) }) })
 
 	rt.buildMux()
 	if opts.ProbeInterval > 0 {
@@ -287,19 +263,6 @@ func NewRouter(opts RouterOptions) *Router {
 		go rt.prober()
 	}
 	return rt
-}
-
-// sumStats folds f over every member's last stats snapshot.
-func (rt *Router) sumStats(f func(*romserver.Stats) int64) float64 {
-	rt.memMu.RLock()
-	defer rt.memMu.RUnlock()
-	var n int64
-	for _, m := range rt.members {
-		if st := m.stats.Load(); st != nil {
-			n += f(st)
-		}
-	}
-	return float64(n)
 }
 
 // Ring returns the current placement snapshot.
@@ -772,8 +735,8 @@ func (rt *Router) fetchHedged(name string, rot int, try func(m *member) blockRes
 	return blockResult{}, firstErr
 }
 
-// prober periodically health-checks members, refreshes their stats
-// snapshots, and reconciles restored members.
+// prober periodically health-checks members and reconciles restored
+// members.
 func (rt *Router) prober() {
 	defer rt.wg.Done()
 	t := time.NewTicker(rt.opts.ProbeInterval)
@@ -788,9 +751,9 @@ func (rt *Router) prober() {
 	}
 }
 
-// ProbeOnce runs one probe pass over all members: healthz each, feed
+// ProbeOnce runs one probe pass over all members: healthz each and feed
 // the outcome into its health window (which triggers ejection or
-// restore), and cache a stats snapshot from live members.
+// restore).
 func (rt *Router) ProbeOnce() {
 	rt.memMu.RLock()
 	ms := make([]*member, 0, len(rt.members))
@@ -803,11 +766,9 @@ func (rt *Router) ProbeOnce() {
 		wg.Add(1)
 		go func(m *member) {
 			defer wg.Done()
-			err := m.cli.Healthz()
+			_, err := m.cli.Healthz()
 			if err != nil {
 				rt.probeFailures.Inc()
-			} else if st, serr := m.cli.Stats(); serr == nil {
-				m.stats.Store(&st)
 			}
 			rt.recordOutcome(m, err)
 		}(m)
@@ -887,107 +848,6 @@ func (rt *Router) Nodes() []NodeState {
 // ReconcileUploads exposes the reconcile-upload count (the chaos drill
 // asserts it stays 0 when disk recovery works).
 func (rt *Router) ReconcileUploads() int64 { return rt.reconcileUploads.Value() }
-
-// aggregateStats folds live member stats into one romserver.Stats-shaped
-// fleet view, so JSON consumers built for a single daemon (loadgen's
-// stats report) work unchanged against the router. Counters sum across
-// members; an image replicated on k nodes appears once with its
-// per-replica read/decompression counts summed; Ready is the AND of the
-// reachable members.
-func (rt *Router) aggregateStats() romserver.Stats {
-	cs := rt.clusterStats()
-	agg := romserver.Stats{Ready: true}
-	byName := make(map[string]*romserver.ImageStats)
-	names := make([]string, 0, len(cs.Nodes))
-	for n := range cs.Nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		st := cs.Nodes[n]
-		agg.Cache.Hits += st.Cache.Hits
-		agg.Cache.Misses += st.Cache.Misses
-		agg.Cache.Deduped += st.Cache.Deduped
-		agg.Cache.Evictions += st.Cache.Evictions
-		agg.Cache.PrefetchHits += st.Cache.PrefetchHits
-		agg.Cache.PrefetchEvicted += st.Cache.PrefetchEvicted
-		agg.Cache.Entries += st.Cache.Entries
-		agg.Cache.Bytes += st.Cache.Bytes
-		agg.Cache.Pinned += st.Cache.Pinned
-		agg.Prefetch.Issued += st.Prefetch.Issued
-		agg.Prefetch.Dropped += st.Prefetch.Dropped
-		agg.Prefetch.Completed += st.Prefetch.Completed
-		agg.Faults.CorruptBlocks += st.Faults.CorruptBlocks
-		agg.Faults.Retries += st.Faults.Retries
-		agg.Faults.PanicsRecovered += st.Faults.PanicsRecovered
-		agg.Faults.Timeouts += st.Faults.Timeouts
-		agg.Faults.LoadFailures += st.Faults.LoadFailures
-		agg.Faults.Reverifies += st.Faults.Reverifies
-		agg.Faults.HealthTransitions += st.Faults.HealthTransitions
-		agg.Ready = agg.Ready && st.Ready
-		for _, im := range st.Images {
-			if ex, ok := byName[im.Name]; ok {
-				ex.BlockReads += im.BlockReads
-				ex.RangeReads += im.RangeReads
-				ex.FullReads += im.FullReads
-				ex.Decompressions += im.Decompressions
-				continue
-			}
-			cp := im
-			byName[im.Name] = &cp
-		}
-	}
-	imgNames := make([]string, 0, len(byName))
-	for n := range byName {
-		imgNames = append(imgNames, n)
-	}
-	sort.Strings(imgNames)
-	for _, n := range imgNames {
-		agg.Images = append(agg.Images, *byName[n])
-	}
-	total := agg.Cache.Hits + agg.Cache.Misses
-	if total > 0 {
-		agg.CacheHitRatio = float64(agg.Cache.Hits) / float64(total)
-	}
-	return agg
-}
-
-// clusterStats gathers the aggregated member view served at
-// /cluster/stats: live stats from reachable members plus ring epoch and
-// ejection state.
-func (rt *Router) clusterStats() client.ClusterStats {
-	cs := client.ClusterStats{
-		Epoch: rt.Ring().Epoch(),
-		Nodes: make(map[string]romserver.Stats),
-	}
-	rt.memMu.RLock()
-	ms := make([]*member, 0, len(rt.members))
-	for _, m := range rt.members {
-		ms = append(ms, m)
-	}
-	rt.memMu.RUnlock()
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, m := range ms {
-		if m.ejected.Load() {
-			cs.Ejected = append(cs.Ejected, m.name)
-		}
-		wg.Add(1)
-		go func(m *member) {
-			defer wg.Done()
-			st, err := m.cli.Stats()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			cs.Nodes[m.name] = st
-			mu.Unlock()
-		}(m)
-	}
-	wg.Wait()
-	sort.Strings(cs.Ejected)
-	return cs
-}
 
 // buildMux wires the router's HTTP API: the serving surface loadgen
 // already speaks (so a router is a drop-in for one codecompd) plus the
@@ -1107,9 +967,6 @@ func (rt *Router) buildMux() {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"epoch": rt.Ring().Epoch()})
 	})
-	handle("GET /cluster/stats", "stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, rt.clusterStats())
-	})
 	handle("GET /healthz", "healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "nodes": rt.Nodes()})
 	})
@@ -1129,13 +986,6 @@ func (rt *Router) buildMux() {
 		writeJSON(w, status, map[string]any{"ready": ready, "nodes": nodes})
 	})
 	handle("GET /metrics", "metrics", func(w http.ResponseWriter, r *http.Request) {
-		// Same negotiation as codecompd — the router is a drop-in for a
-		// single daemon, so JSON consumers (loadgen's stats report) get a
-		// Stats-shaped fleet aggregate.
-		if r.URL.Query().Get("format") == "json" || strings.Contains(r.Header.Get("Accept"), "application/json") {
-			writeJSON(w, http.StatusOK, rt.aggregateStats())
-			return
-		}
 		w.Header().Set("Content-Type", obsv.PrometheusContentType)
 		rt.reg.WritePrometheus(w) //nolint:errcheck — client went away
 	})

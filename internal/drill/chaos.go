@@ -28,17 +28,17 @@ const (
 // a deterministic fault injector on it (bit flips, transient errors, one
 // permanently panicking block from the middle of the trace), replays the
 // trace while verifying every served block, watches the image's health
-// degrade in /metrics, then lifts the faults and waits for the
+// degrade, then lifts the faults and waits for the
 // background re-verifier to walk it back to healthy. The daemon must
 // allow fault injection. The invariants, in order of importance:
 //
 //  1. Zero corrupt bytes served: every 200 response matches the original
 //     text exactly, bit flips notwithstanding.
 //  2. The daemon survives: /healthz answers after the storm.
-//  3. The faults were detected, not absorbed: corrupt_blocks and
-//     panics_recovered are nonzero in /metrics.
-//  4. Degradation is observable: a non-healthy state shows up in /metrics
-//     while the faults are active.
+//  3. The faults were detected, not absorbed: romserver_corrupt_blocks_total
+//     and romserver_codec_panics_total move in /metrics.
+//  4. Degradation is observable: a non-healthy state shows up in the
+//     image's metadata while the faults are active.
 //  5. The image recovers to healthy after the faults are lifted.
 //  6. Batched range reads stay byte-exact under faults and amortize pool
 //     dispatches below one per block.
@@ -58,6 +58,11 @@ func Chaos(cfg Config, cc *client.Client, w *Workload) (int, error) {
 	if panicBlock >= 0 {
 		faults.PanicBlocks = []int{panicBlock}
 	}
+	faultFamilies := []string{famCorruptBlocks, famCodecPanics, famRetries}
+	before, err := scrape(cc, faultFamilies...)
+	if err != nil {
+		return 0, err
+	}
 	if err := setFaults(cc, name, faults); err != nil {
 		return 0, err
 	}
@@ -67,14 +72,12 @@ func Chaos(cfg Config, cc *client.Client, w *Workload) (int, error) {
 	statesSeen := make(map[string]bool)
 	var pollErrs int64
 	stopMon := watch(100*time.Millisecond, func() {
-		st, err := cc.Stats()
+		info, err := cc.Image(name)
 		if err != nil {
 			pollErrs++
 			return
 		}
-		if img := imageStats(st, name); img.Name != "" {
-			statesSeen[img.Health] = true
-		}
+		statesSeen[info.Health] = true
 	})
 
 	// Failures are retried client-side a couple of times (the server
@@ -100,8 +103,10 @@ func Chaos(cfg Config, cc *client.Client, w *Workload) (int, error) {
 	res := storm.run()
 	stopMon()
 
-	st, stErr := cc.Stats()
-	img := imageStats(st, name)
+	after, stErr := scrape(cc, faultFamilies...)
+	corrupt := after[famCorruptBlocks] - before[famCorruptBlocks]
+	panics := after[famCodecPanics] - before[famCodecPanics]
+	retries := after[famRetries] - before[famRetries]
 	var states []string
 	for s := range statesSeen {
 		states = append(states, s)
@@ -109,14 +114,15 @@ func Chaos(cfg Config, cc *client.Client, w *Workload) (int, error) {
 	fmt.Printf("loadgen: chaos: %d served ok, %d failed (%d on panic block) in %v; %d metric-poll errors\n",
 		res.ok, res.failed, panicFails.Load(), res.elapsed.Round(time.Millisecond), pollErrs)
 	fmt.Printf("loadgen: chaos: server detected %d corrupt blocks, recovered %d panics, retried %d, health states seen %v\n",
-		img.CorruptBlocks, img.PanicsRecovered, img.Retries, states)
+		corrupt, panics, retries, states)
 
 	c := checks{drill: "chaos"}
 	c.check(res.corrupt+prime.corrupt == 0, "zero corrupt bytes served")
-	c.check(cc.Healthz() == nil, "daemon alive after the storm")
-	c.check(stErr == nil && img.CorruptBlocks > 0, "injected bit flips were detected (corrupt_blocks > 0)")
-	c.check(stErr == nil && img.PanicsRecovered > 0, "codec panics were contained (panics_recovered > 0)")
-	c.check(statesSeen["degraded"] || statesSeen["quarantined"], "degradation observable in /metrics")
+	_, err = cc.Healthz()
+	c.check(err == nil, "daemon alive after the storm")
+	c.check(stErr == nil && corrupt > 0, "injected bit flips were detected (romserver_corrupt_blocks_total rose)")
+	c.check(stErr == nil && panics > 0, "codec panics were contained (romserver_codec_panics_total rose)")
+	c.check(statesSeen["degraded"] || statesSeen["quarantined"], "degradation observable in the image's health")
 	c.check(res.ok > 0, "requests still succeed under faults")
 
 	// Lift the faults; the background re-verifier must bring the image
@@ -126,9 +132,16 @@ func Chaos(cfg Config, cc *client.Client, w *Workload) (int, error) {
 	}
 	fmt.Printf("loadgen: chaos: faults lifted, waiting for recovery\n")
 	c.check(waitFor(90*time.Second, func() bool {
-		st, err := cc.Stats()
-		img := imageStats(st, name)
-		return err == nil && img.Health == "healthy" && img.BadBlocks == 0
+		health, err := cc.Healthz()
+		if err != nil {
+			return false
+		}
+		for _, h := range health {
+			if h.Image == name {
+				return h.State == "healthy" && h.BadBlocks == 0
+			}
+		}
+		return false
 	}), "image re-verified back to healthy")
 
 	// Phase 2: batched range reads under fire. Re-arm the bit-flip and

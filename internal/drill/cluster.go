@@ -50,20 +50,39 @@ func bootHarness(nodes, replication int) (*cluster.Harness, func(), error) {
 	return h, func() { h.Close(); os.RemoveAll(dir) }, nil
 }
 
-// measureHitRatio runs one verified replay bracketed by /cluster/stats
-// scrapes and returns the run's aggregate cache hit ratio across nodes.
-func measureHitRatio(ccr *client.Client, r replay) (replayResult, float64, error) {
-	before, err := ccr.ClusterStats()
+// sumNodes sums the named families over the /metrics of every running
+// node of h.
+func sumNodes(h *cluster.Harness, names ...string) (map[string]int64, error) {
+	sum := make(map[string]int64, len(names))
+	for _, hn := range h.Nodes() {
+		if hn.Node() == nil {
+			continue
+		}
+		vals, err := scrape(client.New(hn.URL(), nil), names...)
+		if err != nil {
+			return nil, fmt.Errorf("node %s: %w", hn.Name(), err)
+		}
+		for name, v := range vals {
+			sum[name] += v
+		}
+	}
+	return sum, nil
+}
+
+// measureHitRatio runs one verified replay bracketed by scrapes of every
+// node's /metrics and returns the run's cache hit ratio across nodes.
+func measureHitRatio(h *cluster.Harness, r replay) (replayResult, float64, error) {
+	before, err := sumNodes(h, famCacheHits, famCacheMisses)
 	if err != nil {
 		return replayResult{}, 0, err
 	}
 	res := r.run()
-	after, err := ccr.ClusterStats()
+	after, err := sumNodes(h, famCacheHits, famCacheMisses)
 	if err != nil {
 		return res, 0, err
 	}
-	hits := after.CacheHits() - before.CacheHits()
-	misses := after.CacheMisses() - before.CacheMisses()
+	hits := after[famCacheHits] - before[famCacheHits]
+	misses := after[famCacheMisses] - before[famCacheMisses]
 	if hits+misses == 0 {
 		return res, 0, nil
 	}
@@ -86,7 +105,7 @@ func baselineHitRatio(cfg Config, w *Workload) (float64, error) {
 	if res := w.blockReplay(ccr, "cluster", 1, cfg.Concurrency).run(); res.corrupt > 0 || res.failed > 0 {
 		return 0, fmt.Errorf("baseline warm replay: %d corrupt, %d failed", res.corrupt, res.failed)
 	}
-	_, ratio, err := measureHitRatio(ccr, w.blockReplay(ccr, "cluster", cfg.Loops, cfg.Concurrency))
+	_, ratio, err := measureHitRatio(h, w.blockReplay(ccr, "cluster", cfg.Loops, cfg.Concurrency))
 	return ratio, err
 }
 
@@ -217,7 +236,7 @@ func Cluster(cfg Config, w *Workload) (int, error) {
 	if r := pass(1).run(); r.corrupt > 0 {
 		c.check(false, "zero corrupt bytes during warm-back")
 	}
-	mres, h1, err := measureHitRatio(ccr, pass(cfg.Loops))
+	mres, h1, err := measureHitRatio(h, pass(cfg.Loops))
 	if err != nil {
 		return c.failed, err
 	}
@@ -227,13 +246,11 @@ func Cluster(cfg Config, w *Workload) (int, error) {
 
 	// Peer fill activity is reported, not asserted: whether replicas get
 	// to answer from hot cache depends on timing and eviction order.
-	var fills int64
-	for _, hn := range h.Nodes() {
-		if n := hn.Node(); n != nil {
-			fills += n.Registry().Counter("cluster_peer_fill_hits_total", "").Value()
-		}
+	fills, err := sumNodes(h, famPeerFillHits)
+	if err != nil {
+		return c.failed, err
 	}
-	fmt.Printf("loadgen: cluster: %d cache misses answered from replica hot caches\n", fills)
+	fmt.Printf("loadgen: cluster: %d cache misses answered from replica hot caches\n", fills[famPeerFillHits])
 
 	// Join a fresh node mid-replay: placement must rebalance under load
 	// with the byte-exactness invariant intact.

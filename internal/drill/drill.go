@@ -432,14 +432,68 @@ func (n *localNode) Close() {
 	os.RemoveAll(n.dir)
 }
 
-// imageStats picks one image's entry out of a stats snapshot.
-func imageStats(st romserver.Stats, name string) romserver.ImageStats {
-	for _, img := range st.Images {
-		if img.Name == name {
-			return img
+// The metric families the drills read off a node's /metrics, by name.
+// A renamed family must fail a drill, not read as an idle counter:
+// counters returns an error for a family a scrape lacks, and
+// TestDrillFamiliesRegistered checks that a fresh node registers every
+// family in drillFamilies.
+const (
+	famCacheHits          = "blockcache_hits_total"
+	famCacheMisses        = "blockcache_misses_total"
+	famCacheDeduped       = "blockcache_deduped_total"
+	famCacheEvictions     = "blockcache_evictions_total"
+	famPrefetchHits       = "blockcache_prefetch_hits_total"
+	famPrefetchWasted     = "blockcache_prefetch_evicted_total"
+	famPrefetchIssued     = "romserver_prefetch_issued_total"
+	famPrefetchCompleted  = "romserver_prefetch_completed_total"
+	famPrefetchDropped    = "romserver_prefetch_dropped_total"
+	famDecompressions     = "romserver_decompressions_total"
+	famCorruptBlocks      = "romserver_corrupt_blocks_total"
+	famCodecPanics        = "romserver_codec_panics_total"
+	famRetries            = "romserver_retries_total"
+	famSubblockReads      = "romserver_subblock_reads_total"
+	famPartialDecodes     = "romserver_partial_decodes_total"
+	famPartialDecodedSize = "romserver_partial_decoded_bytes_total"
+	famOverloadLevel      = "overload_level"
+	famRetryDenied        = "overload_retry_denied_total"
+	famPeerFillHits       = "cluster_peer_fill_hits_total"
+	famHTTPRequest        = "codecompd_http_request_seconds"
+	famQueueWait          = "romserver_queue_wait_seconds"
+	famDecode             = "romserver_decode_seconds"
+	famVerify             = "romserver_verify_seconds"
+	famBlockLoad          = "romserver_block_load_seconds"
+)
+
+var drillFamilies = []string{
+	famCacheHits, famCacheMisses, famCacheDeduped, famCacheEvictions,
+	famPrefetchHits, famPrefetchWasted, famPrefetchIssued, famPrefetchCompleted, famPrefetchDropped,
+	famDecompressions, famCorruptBlocks, famCodecPanics, famRetries,
+	famSubblockReads, famPartialDecodes, famPartialDecodedSize,
+	famOverloadLevel, famRetryDenied, famPeerFillHits,
+	famHTTPRequest, famQueueWait, famDecode, famVerify, famBlockLoad,
+}
+
+// counters reads the named unlabeled counter and gauge families off one
+// scrape. A family the scrape lacks is an error, never a zero.
+func counters(p obsv.Parsed, names ...string) (map[string]int64, error) {
+	out := make(map[string]int64, len(names))
+	for _, name := range names {
+		v, ok := p.Value(name, nil)
+		if !ok {
+			return nil, fmt.Errorf("/metrics has no %s", name)
 		}
+		out[name] = int64(v)
 	}
-	return romserver.ImageStats{}
+	return out, nil
+}
+
+// scrape reads the named families off cc's /metrics; see counters.
+func scrape(cc *client.Client, names ...string) (map[string]int64, error) {
+	p, err := cc.Metrics()
+	if err != nil {
+		return nil, err
+	}
+	return counters(p, names...)
 }
 
 func pct(a, b int64) float64 {

@@ -14,6 +14,8 @@ import (
 
 	"codecomp/internal/cluster"
 	"codecomp/internal/cluster/client"
+	"codecomp/internal/obsv"
+	"codecomp/internal/overload"
 	"codecomp/internal/romserver"
 )
 
@@ -278,5 +280,37 @@ func TestOpenLoopClassifier(t *testing.T) {
 	}
 	if res.okLatency.Count != res.ok {
 		t.Errorf("latency histogram holds %d completions, want the %d exact ones", res.okLatency.Count, res.ok)
+	}
+}
+
+// TestDrillFamiliesRegistered checks that a fresh node, with overload on
+// and a data dir set, exposes every family the drills read by name, so
+// a renamed family fails here instead of reading as zero in a drill, and
+// that counters refuses a family a scrape lacks.
+func TestDrillFamiliesRegistered(t *testing.T) {
+	n, err := cluster.NewNode(cluster.NodeOptions{
+		Name: "families", DataDir: t.TempDir(),
+		Server: romserver.Options{Overload: &overload.Config{}},
+		Logf:   func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var buf bytes.Buffer
+	if err := n.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	p, err := obsv.ParsePrometheus(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range drillFamilies {
+		if p[name] == nil {
+			t.Errorf("a fresh node does not expose %s", name)
+		}
+	}
+	if _, err := counters(p, famCacheHits, "no_such_family_total"); err == nil {
+		t.Error("counters read a missing family without an error")
 	}
 }

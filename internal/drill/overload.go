@@ -326,8 +326,8 @@ func Overload(cfg Config) (int, error) {
 	// watching the brownout level the whole time.
 	levelsSeen := make(map[string]bool)
 	stopMon := watch(25*time.Millisecond, func() {
-		if st, err := cc.Stats(); err == nil && st.Overload != nil {
-			levelsSeen[st.Overload.Level] = true
+		if v, err := scrape(cc, famOverloadLevel); err == nil {
+			levelsSeen[overload.Level(v[famOverloadLevel]).String()] = true
 		}
 	})
 	offered := 4 * capacity
@@ -363,8 +363,8 @@ func Overload(cfg Config) (int, error) {
 	// Phase 3: recovery — with the storm gone the controller must walk
 	// back to healthy on its own evaluator ticks.
 	c.check(waitFor(10*time.Second, func() bool {
-		st, err := cc.Stats()
-		return err == nil && st.Overload != nil && st.Overload.Level == overload.Healthy.String()
+		v, err := scrape(cc, famOverloadLevel)
+		return err == nil && overload.Level(v[famOverloadLevel]) == overload.Healthy
 	}), "brownout recovered to healthy after the storm")
 
 	// Phase 4: retry containment under injected faults. The budget is
@@ -380,7 +380,8 @@ func Overload(cfg Config) (int, error) {
 	}); err != nil {
 		return c.failed, err
 	}
-	before, err := cc.Stats()
+	faultFamilies := []string{famCacheMisses, famRetries, famRetryDenied}
+	before, err := scrape(cc, faultFamilies...)
 	if err != nil {
 		return c.failed, err
 	}
@@ -388,7 +389,7 @@ func Overload(cfg Config) (int, error) {
 	// +5 on top of ratio*requests, so more requests means more margin
 	// between the enforced bound and the 1.1x assertion.
 	fres := closedLoop(17, cfg.Duration)
-	after, err := cc.Stats()
+	after, err := scrape(cc, faultFamilies...)
 	if err != nil {
 		return c.failed, err
 	}
@@ -396,19 +397,20 @@ func Overload(cfg Config) (int, error) {
 		return c.failed, err
 	}
 
-	loads := after.Cache.Misses - before.Cache.Misses
-	retries := imageStats(after, name).Retries - imageStats(before, name).Retries
+	loads := after[famCacheMisses] - before[famCacheMisses]
+	retries := after[famRetries] - before[famRetries]
+	denied := after[famRetryDenied] - before[famRetryDenied]
 	requests := fres.ok + fres.failed
 	amp := 1.0
 	if requests > 0 {
 		amp = float64(requests+retries) / float64(requests)
 	}
 	fmt.Printf("loadgen: overload: fault phase: %d ok, %d failed; %d loads, %d retries -> %.3fx request amplification; %d retries denied by budget\n",
-		fres.ok, fres.failed, loads, retries, amp, after.Overload.RetryDenied)
+		fres.ok, fres.failed, loads, retries, amp, denied)
 	c.check(fres.corrupt == 0, "zero corrupt bytes served under faults")
 	c.check(fres.ok > 0, "requests still succeed under faults")
 	c.check(requests > 0 && retries > 0 && amp <= 1.1,
 		fmt.Sprintf("retry amplification %.3fx <= 1.1x (%d retries over %d requests)", amp, retries, requests))
-	c.check(after.Overload != nil && after.Overload.RetryDenied > 0, "retry budget engaged (denials observed)")
+	c.check(denied > 0, "retry budget engaged (denials observed)")
 	return c.failed, nil
 }

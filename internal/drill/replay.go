@@ -25,9 +25,7 @@ type runResult struct {
 	cache                            blockcache.Stats
 	pfIssued, pfCompleted, pfDropped int64
 	pfHits, pfWasted                 int64
-	imgReads, imgDecompressions      int64
-	imgPinned                        int
-	imgPolicy                        string
+	decompressions                   int64
 	latency                          []latencyRow
 }
 
@@ -43,24 +41,18 @@ var latencySeries = []struct {
 	label, family string
 	labels        map[string]string
 }{
-	{"http block route", "codecompd_http_request_seconds", map[string]string{"route": "block"}},
-	{"queue wait", "romserver_queue_wait_seconds", nil},
-	{"decode", "romserver_decode_seconds", nil},
-	{"verify", "romserver_verify_seconds", nil},
-	{"block load", "romserver_block_load_seconds", nil},
+	{"http block route", famHTTPRequest, map[string]string{"route": "block"}},
+	{"queue wait", famQueueWait, nil},
+	{"decode", famDecode, nil},
+	{"verify", famVerify, nil},
+	{"block load", famBlockLoad, nil},
 }
 
-// promScrape fetches and parses the daemon's Prometheus exposition.
-func promScrape(cc *client.Client) (obsv.Parsed, error) {
-	resp, err := cc.HTTP.Get(cc.Base + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		return nil, fmt.Errorf("/metrics: %s", resp.Status)
-	}
-	return obsv.ParsePrometheus(resp.Body)
+// replayFamilies are the counters a replay's summary differences.
+var replayFamilies = []string{
+	famCacheHits, famCacheMisses, famCacheDeduped, famCacheEvictions,
+	famPrefetchIssued, famPrefetchCompleted, famPrefetchDropped, famPrefetchHits, famPrefetchWasted,
+	famDecompressions,
 }
 
 // latencyDeltas differences the tracked histograms between two scrapes.
@@ -86,15 +78,15 @@ func latencyDeltas(before, after obsv.Parsed) []latencyRow {
 }
 
 // runOnce replays the workload loops times through the verifying engine,
-// bracketed by stats and Prometheus scrapes. A corrupt body counts as a
-// failed request.
+// bracketed by /metrics scrapes. A corrupt body counts as a failed
+// request.
 func runOnce(cc *client.Client, w *Workload, loops, workers int) (runResult, error) {
 	var res runResult
-	before, err := cc.Stats()
+	promBefore, err := cc.Metrics()
 	if err != nil {
 		return res, err
 	}
-	promBefore, err := promScrape(cc)
+	before, err := counters(promBefore, replayFamilies...)
 	if err != nil {
 		return res, err
 	}
@@ -111,35 +103,31 @@ func runOnce(cc *client.Client, w *Workload, loops, workers int) (runResult, err
 	rr := r.run()
 	res.elapsed = rr.elapsed
 
-	after, err := cc.Stats()
+	promAfter, err := cc.Metrics()
 	if err != nil {
 		return res, err
 	}
-	promAfter, err := promScrape(cc)
+	after, err := counters(promAfter, replayFamilies...)
 	if err != nil {
 		return res, err
 	}
+	d := func(name string) int64 { return after[name] - before[name] }
 	res.latency = latencyDeltas(promBefore, promAfter)
 	res.ok, res.fail = rr.ok, rr.failed+rr.corrupt
 	res.bytesRead, res.clientHits = rr.bytes, hits.Load()
 	res.cache = blockcache.Stats{
-		Hits:      after.Cache.Hits - before.Cache.Hits,
-		Misses:    after.Cache.Misses - before.Cache.Misses,
-		Deduped:   after.Cache.Deduped - before.Cache.Deduped,
-		Evictions: after.Cache.Evictions - before.Cache.Evictions,
+		Hits:      d(famCacheHits),
+		Misses:    d(famCacheMisses),
+		Deduped:   d(famCacheDeduped),
+		Evictions: d(famCacheEvictions),
 	}
-	res.pfIssued = after.Prefetch.Issued - before.Prefetch.Issued
-	res.pfCompleted = after.Prefetch.Completed - before.Prefetch.Completed
-	res.pfDropped = after.Prefetch.Dropped - before.Prefetch.Dropped
-	res.pfHits = after.Prefetch.Hits - before.Prefetch.Hits
-	res.pfWasted = after.Prefetch.Wasted - before.Prefetch.Wasted
-	img := imageStats(after, w.Name)
-	res.imgReads, res.imgDecompressions = img.BlockReads, img.Decompressions
-	res.imgPolicy, res.imgPinned = img.Policy, img.Pinned
+	res.pfIssued, res.pfCompleted, res.pfDropped = d(famPrefetchIssued), d(famPrefetchCompleted), d(famPrefetchDropped)
+	res.pfHits, res.pfWasted = d(famPrefetchHits), d(famPrefetchWasted)
+	res.decompressions = d(famDecompressions)
 	return res, nil
 }
 
-func (r runResult) print(name string) {
+func (r runResult) print() {
 	fmt.Printf("loadgen: %d requests (%d failed) in %v\n", r.ok+r.fail, r.fail, r.elapsed.Round(time.Millisecond))
 	fmt.Printf("  throughput       %.0f req/s, %.2f MiB/s decompressed\n",
 		float64(r.ok)/r.elapsed.Seconds(), float64(r.bytesRead)/(1<<20)/r.elapsed.Seconds())
@@ -148,11 +136,8 @@ func (r runResult) print(name string) {
 		r.cache.Hits, r.cache.Misses, r.cache.Deduped, r.cache.Evictions, 100*r.cache.HitRatio())
 	fmt.Printf("  server prefetch  %d issued, %d completed, %d dropped; %d hit (%.2f%% accuracy), %d wasted\n",
 		r.pfIssued, r.pfCompleted, r.pfDropped, r.pfHits, pct(r.pfHits, r.pfCompleted), r.pfWasted)
-	if r.imgPolicy != "" {
-		fmt.Printf("  image %-10s policy %s (%d pinned), %d block reads, %d decompressions (%.2f reads/decompression)\n",
-			name, r.imgPolicy, r.imgPinned, r.imgReads, r.imgDecompressions,
-			float64(r.imgReads)/float64(max(r.imgDecompressions, 1)))
-	}
+	fmt.Printf("  server decode    %d decompressions for %d block reads (%.2f reads/decompression)\n",
+		r.decompressions, r.ok+r.fail, float64(r.ok+r.fail)/float64(max(r.decompressions, 1)))
 	if len(r.latency) > 0 {
 		fmt.Printf("  latency          %-16s %9s %10s %10s %10s %10s\n",
 			"", "count", "p50", "p90", "p99", "mean")
@@ -187,7 +172,7 @@ func Replay(cfg Config, cc *client.Client, w *Workload) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	res.print(w.Name)
+	res.print()
 	return boolViolation(res.fail > 0), nil
 }
 
@@ -221,13 +206,13 @@ func AB(cfg Config, cc *client.Client, w *Workload) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	a.print(w.Name)
+	a.print()
 	fmt.Printf("\nloadgen: arm B (%s, trained on this trace)\n", cfg.Policy)
 	b, err := arm(cfg.Policy)
 	if err != nil {
 		return 0, err
 	}
-	b.print(w.Name)
+	b.print()
 
 	fmt.Printf("\nloadgen: A/B sequential -> %s: hit %.2f%% -> %.2f%%, prefetch accuracy %.2f%% -> %.2f%%, wasted %d -> %d\n",
 		cfg.Policy, pct(a.clientHits, a.ok), pct(b.clientHits, b.ok),

@@ -62,11 +62,15 @@ func Subblock(cfg Config, w *Workload) (int, error) {
 	c := checks{drill: "subblock"}
 	clean := storm("clean")
 	c.check(clean.corrupt == 0 && clean.failed == 0 && clean.ok > 0, "clean phase served every window exactly")
-	st := node.Server().Stats().Subblock
+	st, err := scrape(cc, famSubblockReads, famPartialDecodes, famPartialDecodedSize)
+	if err != nil {
+		return c.failed, err
+	}
+	partials, partialBytes := st[famPartialDecodes], st[famPartialDecodedSize]
 	fmt.Printf("loadgen: subblock: server: %d sub-block reads, %d partial decodes, %d B partially decoded\n",
-		st.Reads, st.PartialDecodes, st.PartialDecodedBytes)
-	c.check(st.PartialDecodes > 0, "mid-block tails were partially decoded")
-	c.check(st.PartialDecodedBytes < st.PartialDecodes*int64(prog.blockSize),
+		st[famSubblockReads], partials, partialBytes)
+	c.check(partials > 0, "mid-block tails were partially decoded")
+	c.check(partialBytes < partials*int64(prog.blockSize),
 		"partial decodes averaged less than a full block of output")
 
 	if err := node.Server().SetFaults(w.Name, &faultinj.Options{

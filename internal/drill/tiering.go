@@ -13,6 +13,7 @@ import (
 	"codecomp"
 	"codecomp/internal/memsys"
 	"codecomp/internal/romserver"
+	"codecomp/internal/tiering"
 )
 
 // tieringBlockSize is the tier container's block size: tiers share one
@@ -195,10 +196,10 @@ func Tiering(cfg Config) (int, error) {
 		simCache = max(hot/2, 1)
 	}
 	model := codecomp.DefaultTierCostModel
-	costsFor := func(format func(b int) string) []float64 {
+	costsFor := func(nsPerByte func(b int) float64) []float64 {
 		costs := make([]float64, blocks)
 		for b := range costs {
-			costs[b] = float64(prog.block(b).n) * model[format(b)]
+			costs[b] = float64(prog.block(b).n) * nsPerByte(b)
 		}
 		return costs
 	}
@@ -208,9 +209,17 @@ func Tiering(cfg Config) (int, error) {
 		costs []float64
 	}
 	var cands []candidate
-	for _, alg := range []struct{ flag, format string }{
-		{"", codecomp.TierRaw}, {"huff", codecomp.TierHuffman},
-		{"rans", codecomp.TierRANS}, {"samc", codecomp.TierSAMC},
+	// Each single-codec image is priced from the kernel it decodes
+	// through: the standalone rANS image is 4-state, not the tier's
+	// single state.
+	for _, alg := range []struct {
+		flag, format string
+		nsPerByte    float64
+	}{
+		{"", codecomp.TierRaw, model[codecomp.TierRaw]},
+		{"huff", codecomp.TierHuffman, model[codecomp.TierHuffman]},
+		{"rans", codecomp.TierRANS, tiering.RANS4Cost},
+		{"samc", codecomp.TierSAMC, model[codecomp.TierSAMC]},
 	} {
 		ratio := 1.0
 		if alg.flag != "" {
@@ -220,9 +229,9 @@ func Tiering(cfg Config) (int, error) {
 			}
 			ratio = float64(len(image)) / float64(len(prog.text))
 		}
-		cands = append(cands, candidate{alg.format, ratio, costsFor(func(int) string { return alg.format })})
+		cands = append(cands, candidate{alg.format, ratio, costsFor(func(int) float64 { return alg.nsPerByte })})
 	}
-	cands = append(cands, candidate{"tiered", ti.Ratio, costsFor(func(b int) string { return tiers[ti.Assignments[b]] })})
+	cands = append(cands, candidate{"tiered", ti.Ratio, costsFor(func(b int) float64 { return model[tiers[ti.Assignments[b]]] })})
 
 	fmt.Printf("loadgen: tiering: offline Pareto (%d accesses, %d-block cache):\n", len(trace), simCache)
 	fmt.Printf("  %-10s %8s %16s %16s\n", "config", "ratio", "mean ns/access", "mean ns/miss")

@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"strconv"
 	"strings"
@@ -13,24 +12,24 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // Label is one name=value pair on a series.
 type Label struct {
-	Name  string `json:"name"`
-	Value string `json:"value"`
+	Name  string
+	Value string
 }
 
 // SeriesSnapshot is one series' current state: Value for counters and
 // gauges, Hist for histograms.
 type SeriesSnapshot struct {
-	Labels []Label            `json:"labels,omitempty"`
-	Value  float64            `json:"value,omitempty"`
-	Hist   *HistogramSnapshot `json:"histogram,omitempty"`
+	Labels []Label
+	Value  float64
+	Hist   *HistogramSnapshot
 }
 
 // FamilySnapshot is one family's current state.
 type FamilySnapshot struct {
-	Name   string           `json:"name"`
-	Help   string           `json:"help"`
-	Type   MetricType       `json:"type"`
-	Series []SeriesSnapshot `json:"series"`
+	Name   string
+	Help   string
+	Type   MetricType
+	Series []SeriesSnapshot
 }
 
 // Snapshot copies the whole registry, families sorted by name, series in
@@ -68,13 +67,6 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 		out = append(out, fs)
 	}
 	return out
-}
-
-// WriteJSON writes the registry snapshot as one indented JSON document.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }
 
 // escapeLabelValue escapes a label value per the exposition format.

@@ -54,10 +54,10 @@
 //
 // WritePrometheus emits the text exposition format (0.0.4): counters and
 // gauges as single samples, histograms as cumulative le-bucketed series
-// with _sum and _count, all bounds in seconds. WriteJSON emits the same
-// snapshot as one JSON document. ParsePrometheus reads the text form back
-// — the round-trip is tested, and cmd/loadgen uses the parser to scrape
-// latency histograms off a live daemon and difference them across a run.
+// with _sum and _count, all bounds in seconds. ParsePrometheus reads the
+// text form back — the round-trip is tested, and cmd/loadgen uses the
+// parser to read counters and latency histograms off a live daemon and
+// difference them across a run.
 package obsv
 
 import (

@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -227,26 +226,6 @@ func TestParsedHistogramSub(t *testing.T) {
 	}
 	if mean := delta.Mean(); math.Abs(mean-0.0085) > 1e-9 {
 		t.Fatalf("delta mean = %v", mean)
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("c_total", "c").Add(5)
-	reg.Histogram("h_seconds", "h").Observe(time.Millisecond)
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var fams []FamilySnapshot
-	if err := json.Unmarshal(buf.Bytes(), &fams); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(fams) != 2 || fams[0].Name != "c_total" || fams[1].Name != "h_seconds" {
-		t.Fatalf("unexpected JSON families: %+v", fams)
-	}
-	if fams[1].Series[0].Hist == nil || fams[1].Series[0].Hist.Count != 1 {
-		t.Fatalf("histogram missing from JSON: %+v", fams[1])
 	}
 }
 

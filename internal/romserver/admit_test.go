@@ -66,7 +66,7 @@ func TestAdmitCyclicScanServesSecondPass(t *testing.T) {
 	}
 
 	pass()
-	st := s.CacheStats()
+	st := s.cache.Stats()
 	if st.Entries != cacheBlocks || st.Evictions != 0 {
 		t.Fatalf("after the first pass: %d entries, %d evictions; want a full cache and no evictions", st.Entries, st.Evictions)
 	}
@@ -85,7 +85,7 @@ func TestAdmitColdPassEvictsNothing(t *testing.T) {
 	img := s.addCodec("img", &stubCodec{blocks: 256})
 	readView(t, s, "img", 0, 2*32)
 	readView(t, s, "img", 2*32, 2*200)
-	if st := s.CacheStats(); st.Entries != 32 || st.Evictions != 0 {
+	if st := s.cache.Stats(); st.Entries != 32 || st.Evictions != 0 {
 		t.Fatalf("cold pass over a full cache: %d entries, %d evictions", st.Entries, st.Evictions)
 	}
 	for b := 0; b < 32; b++ {
@@ -123,7 +123,7 @@ func TestAdmitReuseHorizon(t *testing.T) {
 	if !s.cache.Contains(img.key(20)) {
 		t.Fatal("block 20 re-read within the horizon was not admitted")
 	}
-	if ev := s.CacheStats().Evictions; ev != 1 {
+	if ev := s.cache.Stats().Evictions; ev != 1 {
 		t.Fatalf("admitting one block evicted %d", ev)
 	}
 
@@ -151,7 +151,7 @@ func TestAdmitWithRoomOnFirstDecode(t *testing.T) {
 			t.Fatalf("block %d not inserted into a cache with room", b)
 		}
 	}
-	if st := s.CacheStats(); st.Entries != 40 || st.Evictions != 0 {
+	if st := s.cache.Stats(); st.Entries != 40 || st.Evictions != 0 {
 		t.Fatalf("after one read: %+v", st)
 	}
 }
@@ -303,7 +303,7 @@ func TestViewTicketsCappedAtWorkers(t *testing.T) {
 	if st := v.Stats(); st.Dispatches != 1 || st.DecodedBlocks != 4 {
 		t.Fatalf("RangeStats = %+v, want one ticket decoding 4 blocks", st)
 	}
-	if n := s.Stats().Overload.QueueFullRejects; n != 0 {
+	if n := metric(t, s, "overload_admission_rejects_total", "reason", "queue_full"); n != 0 {
 		t.Fatalf("%d queue_full rejects", n)
 	}
 }

@@ -32,7 +32,7 @@ func TestAdmitSequentialScanEvictsNothing(t *testing.T) {
 		for p := 0; p < blocks/pageBlocks; p++ {
 			cached += readView(t, s, "img", 2*p*pageBlocks, 2*pageBlocks).CachedBlocks
 		}
-		st := s.CacheStats()
+		st := s.cache.Stats()
 		if st.Evictions != 0 || st.Entries != cacheBlocks {
 			t.Fatalf("pass %d: %d evictions, %d entries; want none and a full cache", pass, st.Evictions, st.Entries)
 		}
@@ -81,7 +81,7 @@ func TestAdmitMatchesOfflineModel(t *testing.T) {
 		dead        int
 	)
 	counters := func() [4]int64 {
-		cs := s.CacheStats()
+		cs := s.cache.Stats()
 		return [4]int64{cs.Hits, rangeCached, c.calls.Load(), cs.Evictions}
 	}
 	for step := 1; step <= steps; step++ {
@@ -136,11 +136,11 @@ func TestAdmitMatchesOfflineModel(t *testing.T) {
 				live++
 			}
 		}
-		if n := s.CacheStats().Entries; n != int64(live) {
+		if n := s.cache.Stats().Entries; n != int64(live) {
 			t.Fatalf("step %d: %d cached blocks, %d under the live registration: the rest carry a dead id", step, n, live)
 		}
 	}
-	if cs := s.CacheStats(); dead != replaces || cs.Evictions == 0 || rangeCached == 0 || cs.Hits == 0 {
+	if cs := s.cache.Stats(); dead != replaces || cs.Evictions == 0 || rangeCached == 0 || cs.Hits == 0 {
 		t.Fatalf("the sequence exercised too little: %d replaces, %+v, %d range blocks cached", dead, cs, rangeCached)
 	}
 }

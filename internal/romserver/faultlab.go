@@ -191,8 +191,7 @@ type imageHealth struct {
 	// bad holds blocks whose most recent load failed after all retries;
 	// membership alone keeps the image at least Degraded until a
 	// successful load or re-verify clears it.
-	bad         map[int]struct{}
-	transitions int64
+	bad map[int]struct{}
 	// clean is set while the window is full, holds no failure and no
 	// block is bad. A success pushed then changes nothing observable:
 	// it overwrites a success in a ring of successes, the bad list stays
@@ -211,16 +210,16 @@ func newImageHealth(window int) *imageHealth {
 // State returns the current health state without taking the lock.
 func (h *imageHealth) State() HealthState { return HealthState(h.state.Load()) }
 
-// snapshot returns state, bad-block count, window failure rate and
-// transition count in one lock acquisition.
-func (h *imageHealth) snapshot() (HealthState, int, float64, int64) {
+// snapshot returns state, bad-block count and window failure rate in one
+// lock acquisition.
+func (h *imageHealth) snapshot() (HealthState, int, float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	rate := 0.0
 	if h.filled > 0 {
 		rate = float64(h.fails) / float64(h.filled)
 	}
-	return h.State(), len(h.bad), rate, h.transitions
+	return h.State(), len(h.bad), rate
 }
 
 // record pushes one final load outcome (after all retries) into the
@@ -269,7 +268,6 @@ func (h *imageHealth) recompute() (from, to HealthState, changed bool) {
 		return from, next, false
 	}
 	h.state.Store(int32(next))
-	h.transitions++
 	return from, next, true
 }
 
@@ -328,7 +326,6 @@ func (w *poolWorker) safeBlock(img *image, block int) (data []byte, err error) {
 	s := w.s
 	defer func() {
 		if r := recover(); r != nil {
-			img.panicsRecovered.Add(1)
 			s.met.codecPanics.Inc()
 			err = fmt.Errorf("%w: block %d of %q: %v", ErrCodecPanic, block, img.name, r)
 		}
@@ -338,7 +335,6 @@ func (w *poolWorker) safeBlock(img *image, block int) (data []byte, err error) {
 	if err != nil {
 		return nil, err
 	}
-	w.acct.decompressedBytes += int64(len(data))
 	return data, nil
 }
 
@@ -435,7 +431,6 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 				}
 				break
 			}
-			img.retries.Add(1)
 			s.met.retries.Inc()
 			// Full jitter on an exponential base, capped at quit.
 			d := backoff + time.Duration(rand.Int63n(int64(backoff)+1))
@@ -476,7 +471,6 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 		w.acct.decode.Observe(decodeDur)
 		sp.Phase("decode", decodeDur)
 		if err == nil {
-			w.acct.decompressNanos += int64(decodeDur)
 			verifyDur := now.Sub(decodeEnd)
 			w.acct.verify.Observe(verifyDur)
 			sp.Phase("verify", verifyDur)
@@ -484,7 +478,6 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 				// Detected corruption: count it, never serve or cache it.
 				// Retry — decompression is deterministic but the fault
 				// (RAM bit rot, injected flip) often is not.
-				img.corruptBlocks.Add(1)
 				s.met.corruptBlocks.Inc()
 				if sp != nil {
 					sp.Eventf("corruption detected: %v", verr)
@@ -500,7 +493,6 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 			break
 		}
 	}
-	img.loadFailures.Add(1)
 	s.met.loadFailures.Inc()
 	s.recordHealth(img, block, true)
 	return nil, now, lastErr
@@ -550,7 +542,6 @@ func (s *Server) reverifyPass() {
 			if b < 0 || b >= img.blocks {
 				continue
 			}
-			img.reverifies.Add(1)
 			s.met.reverifies.Inc()
 			// The outcome lands in health accounting. Shutdown abandons
 			// the wait (a draining worker may still answer the reply),
@@ -627,7 +618,7 @@ func (t *HealthTracker) State() HealthState { return t.h.State() }
 
 // FailureRate returns the failing fraction of the observed window.
 func (t *HealthTracker) FailureRate() float64 {
-	_, _, rate, _ := t.h.snapshot()
+	_, _, rate := t.h.snapshot()
 	return rate
 }
 
@@ -653,7 +644,7 @@ func (s *Server) Health() (ready bool, infos []HealthInfo) {
 	s.mu.RUnlock()
 	ready = true
 	for _, img := range imgs {
-		state, bad, rate, _ := img.health.snapshot()
+		state, bad, rate := img.health.snapshot()
 		if state == Quarantined {
 			ready = false
 		}

@@ -54,16 +54,11 @@ func TestWorkerSurvivesPanickingCodec(t *testing.T) {
 			t.Fatalf("Block(good,%d) = %v, %v after panics", i, data, err)
 		}
 	}
-	st := s.Stats()
-	if st.Faults.PanicsRecovered < 10 {
-		t.Fatalf("panics recovered = %d, want >= 10", st.Faults.PanicsRecovered)
+	if n := metric(t, s, "romserver_codec_panics_total"); n < 10 {
+		t.Fatalf("panics recovered = %d, want >= 10", n)
 	}
-	for _, is := range st.Images {
-		if is.Name == "boom" {
-			if is.PanicsRecovered < 10 || is.Health == Healthy.String() {
-				t.Fatalf("boom image stats = %+v", is)
-			}
-		}
+	if h := healthOf(t, s, "boom"); h.State == Healthy.String() {
+		t.Fatalf("boom image health = %+v", h)
 	}
 }
 
@@ -98,16 +93,15 @@ func TestTransientErrorsRetriedWithBackoff(t *testing.T) {
 	if err != nil || !bytes.Equal(data, []byte{1, 0}) {
 		t.Fatalf("Block = %v, %v; want success after retries", data, err)
 	}
-	st := s.Stats()
-	if st.Faults.Retries != 2 || st.Images[0].Retries != 2 {
-		t.Fatalf("retries = %d (image %d), want 2", st.Faults.Retries, st.Images[0].Retries)
+	if n := metric(t, s, "romserver_retries_total"); n != 2 {
+		t.Fatalf("retries = %d, want 2", n)
 	}
 	if flaky.calls.Load() != 3 {
 		t.Fatalf("codec called %d times, want 3", flaky.calls.Load())
 	}
 	// The successful final outcome keeps the image healthy.
-	if st.Images[0].Health != Healthy.String() || st.Images[0].LoadFailures != 0 {
-		t.Fatalf("image stats = %+v", st.Images[0])
+	if h, n := healthOf(t, s, "flaky"), metric(t, s, "romserver_load_failures_total"); h.State != Healthy.String() || n != 0 {
+		t.Fatalf("health %+v, %d load failures", h, n)
 	}
 }
 
@@ -123,12 +117,12 @@ func TestPermanentErrorsNotRetried(t *testing.T) {
 	if flaky.calls.Load() != 1 {
 		t.Fatalf("permanent error retried: %d calls", flaky.calls.Load())
 	}
-	st := s.Stats()
-	if st.Images[0].LoadFailures != 1 || st.Images[0].BadBlocks != 1 {
-		t.Fatalf("image stats = %+v", st.Images[0])
+	h := healthOf(t, s, "broken")
+	if n := metric(t, s, "romserver_load_failures_total"); n != 1 || h.BadBlocks != 1 {
+		t.Fatalf("%d load failures, health %+v", n, h)
 	}
-	if st.Images[0].Health != Degraded.String() {
-		t.Fatalf("health = %s, want degraded (bad block listed)", st.Images[0].Health)
+	if h.State != Degraded.String() {
+		t.Fatalf("health = %s, want degraded (bad block listed)", h.State)
 	}
 }
 
@@ -151,8 +145,8 @@ func TestDecompressionDeadline(t *testing.T) {
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("deadline took %v", d)
 	}
-	if st := s.Stats(); st.Faults.Timeouts != 1 || st.Images[0].Timeouts != 1 {
-		t.Fatalf("timeout counters: %+v", st.Faults)
+	if n := metric(t, s, "romserver_decode_timeouts_total"); n != 1 {
+		t.Fatalf("%d timeouts, want 1", n)
 	}
 }
 
@@ -177,13 +171,13 @@ func TestCorruptBlockNeverServedNeverCached(t *testing.T) {
 	if s.cache.Contains(blockKey(s, "prog", 3)) {
 		t.Fatal("corrupt block entered the cache")
 	}
-	st := s.Stats()
 	// Every attempt was corrupt: LoadAttempts detections, one failure.
-	if st.Faults.CorruptBlocks != 3 || st.Images[0].CorruptBlocks != 3 {
-		t.Fatalf("corrupt detections = %d, want 3", st.Faults.CorruptBlocks)
+	if n := metric(t, s, "romserver_corrupt_blocks_total"); n != 3 {
+		t.Fatalf("corrupt detections = %d, want 3", n)
 	}
-	if st.Images[0].LoadFailures != 1 || st.Images[0].BadBlocks != 1 {
-		t.Fatalf("image stats = %+v", st.Images[0])
+	h := healthOf(t, s, "prog")
+	if n := metric(t, s, "romserver_load_failures_total"); n != 1 || h.BadBlocks != 1 {
+		t.Fatalf("%d load failures, health %+v", n, h)
 	}
 
 	// Clearing the faults and re-reading serves the true bytes and heals
@@ -195,8 +189,8 @@ func TestCorruptBlockNeverServedNeverCached(t *testing.T) {
 	if err != nil || !bytes.Equal(data, text[3*32:4*32]) {
 		t.Fatalf("post-recovery Block = %v, %v", len(data), err)
 	}
-	if st := s.Stats(); st.Images[0].BadBlocks != 0 {
-		t.Fatalf("bad block not cleared: %+v", st.Images[0])
+	if h := healthOf(t, s, "prog"); h.BadBlocks != 0 {
+		t.Fatalf("bad block not cleared: %+v", h)
 	}
 }
 
@@ -235,7 +229,7 @@ func TestHealthStateMachine(t *testing.T) {
 		if _, _, err := s.BlockContext(context.Background(), "prog", b); err == nil {
 			t.Fatalf("faulted block %d served", b)
 		}
-		if st := s.Stats(); st.Images[0].Health == Degraded.String() {
+		if healthOf(t, s, "prog").State == Degraded.String() {
 			sawDegraded = true
 		}
 	}
@@ -246,8 +240,8 @@ func TestHealthStateMachine(t *testing.T) {
 	if ready || len(infos) != 1 || infos[0].State != Quarantined.String() {
 		t.Fatalf("Health() = %v %+v, want quarantined", ready, infos)
 	}
-	if st := s.Stats(); st.Ready {
-		t.Fatal("Stats.Ready true while quarantined")
+	if n := metric(t, s, "romserver_images_unready"); n != 1 {
+		t.Fatalf("romserver_images_unready = %d while quarantined, want 1", n)
 	}
 
 	// Quarantine contract: the warmed block still serves from cache...
@@ -268,18 +262,17 @@ func TestHealthStateMachine(t *testing.T) {
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if st := s.Stats(); st.Images[0].Health == Healthy.String() {
-			if st.Images[0].Reverifies == 0 || st.Faults.Reverifies == 0 {
-				t.Fatalf("recovered without reverifies: %+v", st.Images[0])
+		if h := healthOf(t, s, "prog"); h.State == Healthy.String() {
+			if n := metric(t, s, "romserver_reverifies_total"); n == 0 {
+				t.Fatalf("recovered without reverifies: %+v", h)
 			}
-			if st.Images[0].HealthTransitions < 3 || st.Faults.HealthTransitions < 3 {
-				t.Fatalf("transitions = %d, want >= 3", st.Images[0].HealthTransitions)
+			if n := metric(t, s, "romserver_health_transitions_total"); n < 3 {
+				t.Fatalf("transitions = %d, want >= 3", n)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			st := s.Stats()
-			t.Fatalf("image never recovered: %+v", st.Images[0])
+			t.Fatalf("image never recovered: %+v", healthOf(t, s, "prog"))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -328,18 +321,14 @@ func TestChaosInvariantInProcess(t *testing.T) {
 			}
 		}
 	}
-	st := s.Stats()
-	if len(st.Images) != 1 || st.Images[0].Faults == nil {
-		t.Fatalf("image stats carry no injected-fault counters: %+v", st.Images)
-	}
-	fs := st.Images[0].Faults
-	t.Logf("served %d, failed %d; detected %d corruptions, %d retries; injected %+v",
-		served, failed, st.Faults.CorruptBlocks, st.Faults.Retries, *fs)
-	if fs.BitFlips == 0 {
+	corrupt, flips := metric(t, s, "romserver_corrupt_blocks_total"), metric(t, s, "faultinj_bitflips_total")
+	t.Logf("served %d, failed %d; detected %d corruptions, %d retries; injected %d bit flips",
+		served, failed, corrupt, metric(t, s, "romserver_retries_total"), flips)
+	if flips == 0 {
 		t.Fatal("injector never flipped a bit — test proves nothing")
 	}
-	if st.Faults.CorruptBlocks != fs.BitFlips {
-		t.Fatalf("injected %d flips but detected %d corruptions", fs.BitFlips, st.Faults.CorruptBlocks)
+	if corrupt != flips {
+		t.Fatalf("injected %d flips but detected %d corruptions", flips, corrupt)
 	}
 	if served == 0 || failed > served/10 {
 		t.Fatalf("implausible chaos outcome: %d served, %d failed", served, failed)
@@ -497,7 +486,7 @@ func (c loadCounts) sub(o loadCounts) loadCounts {
 // TestSharedReadingsObserveEveryStage pins the load path's shared clock
 // readings: a cold read of N blocks still lands exactly one observation
 // per block in each phase histogram, counts N decompressions and leaves
-// a positive decode ns/block, and a retried attempt is observed on its
+// a positive decode time, and a retried attempt is observed on its
 // own.
 func TestSharedReadingsObserveEveryStage(t *testing.T) {
 	_, text := testText(t)
@@ -520,8 +509,8 @@ func TestSharedReadingsObserveEveryStage(t *testing.T) {
 	if d := s.loadCounts().sub(before); d != (loadCounts{n, n, n, n}) {
 		t.Fatalf("cold %d-block read observed %+v, want %d of each", n, d, n)
 	}
-	if ns := s.Stats().Images[0].DecodeNsPerBlock; ns <= 0 {
-		t.Fatalf("decode ns/block = %v, want > 0", ns)
+	if ns := s.met.decode.Snapshot().Sum; ns <= 0 {
+		t.Fatalf("decode time = %d ns, want > 0", ns)
 	}
 
 	// One transient failure: the retry is a second decode attempt of
@@ -539,7 +528,7 @@ func TestSharedReadingsObserveEveryStage(t *testing.T) {
 	if d := f.loadCounts().sub(before); d != (loadCounts{n + 1, n, n, n + 1}) {
 		t.Fatalf("%d-block read with one transient failure observed %+v", n, d)
 	}
-	if r := f.Stats().Faults.Retries; r != 1 {
+	if r := metric(t, f, "romserver_retries_total"); r != 1 {
 		t.Fatalf("retries = %d, want 1", r)
 	}
 }
@@ -548,13 +537,12 @@ func TestSharedReadingsObserveEveryStage(t *testing.T) {
 // the clean-window fast path: every outcome takes the lock and advances
 // the ring.
 type lockedHealth struct {
-	window      []bool
-	idx         int
-	filled      int
-	fails       int
-	state       HealthState
-	bad         map[int]struct{}
-	transitions int64
+	window []bool
+	idx    int
+	filled int
+	fails  int
+	state  HealthState
+	bad    map[int]struct{}
 }
 
 func (h *lockedHealth) record(block int, failed bool) (from, to HealthState, changed bool) {
@@ -586,14 +574,13 @@ func (h *lockedHealth) record(block int, failed bool) (from, to HealthState, cha
 		return from, next, false
 	}
 	h.state = next
-	h.transitions++
 	return from, next, true
 }
 
 // TestHealthFastPathMatchesLocked feeds seeded random outcome sequences
 // through imageHealth.record and through the locked reference: after
-// every step both must report the same transition, state, transition
-// count, bad-block set and failure rate. The sequences alternate clean
+// every step both must report the same transition, state, bad-block set
+// and failure rate. The sequences alternate clean
 // stretches (where the fast path serves successes) with failure bursts
 // of varying density, so the window fills, empties of failures, degrades,
 // quarantines and recovers many times.
@@ -615,11 +602,11 @@ func TestHealthFastPathMatchesLocked(t *testing.T) {
 					t.Fatalf("size %d seed %d step %d: record = (%v, %v, %v), reference (%v, %v, %v)",
 						size, seed, step, f1, t1, c1, f2, t2, c2)
 				}
-				state, nbad, rate, transitions := h.snapshot()
+				state, nbad, rate := h.snapshot()
 				wantRate := float64(ref.fails) / float64(ref.filled)
-				if state != ref.state || nbad != len(ref.bad) || rate != wantRate || transitions != ref.transitions {
-					t.Fatalf("size %d seed %d step %d: state %v bad %d rate %v transitions %d, reference %v %d %v %d",
-						size, seed, step, state, nbad, rate, transitions, ref.state, len(ref.bad), wantRate, ref.transitions)
+				if state != ref.state || nbad != len(ref.bad) || rate != wantRate {
+					t.Fatalf("size %d seed %d step %d: state %v bad %d rate %v, reference %v %d %v",
+						size, seed, step, state, nbad, rate, ref.state, len(ref.bad), wantRate)
 				}
 				h.mu.Lock()
 				for b := range ref.bad {

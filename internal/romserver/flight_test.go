@@ -46,7 +46,7 @@ func TestFlightLeaderDeadline(t *testing.T) {
 		data, _, err := s.BlockContext(context.Background(), "img", 5)
 		resB <- result{data, err}
 	}()
-	waitCond(t, "B to join A's flight", func() bool { return s.CacheStats().Deduped == 1 })
+	waitCond(t, "B to join A's flight", func() bool { return s.cache.Stats().Deduped == 1 })
 
 	if err := <-errA; !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("A: err = %v, want its deadline", err)
@@ -106,7 +106,7 @@ func TestFlightBoundaryBulkRun(t *testing.T) {
 	}
 	leader := demand()
 	<-held
-	deduped := s.CacheStats().Deduped
+	deduped := s.cache.Stats().Deduped
 
 	v, err := s.RangeView(context.Background(), "img", 4, 6)
 	if err != nil {
@@ -122,12 +122,12 @@ func TestFlightBoundaryBulkRun(t *testing.T) {
 	if n := c.calls.Load(); n != 4 {
 		t.Fatalf("%d decodes, want the leader's and the range's 3", n)
 	}
-	if got := s.CacheStats().Deduped; got != deduped {
+	if got := s.cache.Stats().Deduped; got != deduped {
 		t.Fatalf("the range moved Deduped %d -> %d", deduped, got)
 	}
 
 	joiner := demand()
-	waitCond(t, "the second demand read to join the flight", func() bool { return s.CacheStats().Deduped == deduped+1 })
+	waitCond(t, "the second demand read to join the flight", func() bool { return s.cache.Stats().Deduped == deduped+1 })
 	close(gate)
 	for name, ch := range map[string]<-chan result{"leader": leader, "joiner": joiner} {
 		if r := <-ch; r.err != nil || r.hit || !bytes.Equal(r.data, stubBlock(5)) {
@@ -138,7 +138,7 @@ func TestFlightBoundaryBulkRun(t *testing.T) {
 	if n := c.calls.Load(); n != 4 {
 		t.Fatalf("%d decodes, want the flight's one shared by both demand reads", n)
 	}
-	if got := s.CacheStats().Deduped; got != deduped+1 {
+	if got := s.cache.Stats().Deduped; got != deduped+1 {
 		t.Fatalf("Deduped moved %d -> %d, want one joiner", deduped, got)
 	}
 }

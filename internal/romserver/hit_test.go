@@ -208,7 +208,7 @@ func TestCallerHitAccounting(t *testing.T) {
 		read(rng.Intn(blocks))
 	}
 
-	st := s.CacheStats()
+	st := s.cache.Stats()
 	if st.Hits+st.Misses != reads+prefetchLoads {
 		t.Fatalf("hits %d + misses %d != %d demand reads + %d prefetch loads", st.Hits, st.Misses, reads, prefetchLoads)
 	}

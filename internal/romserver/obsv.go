@@ -1,7 +1,7 @@
 // Observability wiring for the serving layer: every server-lifetime
-// counter lives in an obsv.Registry so one scrape of /metrics sees the
-// same numbers Stats() reports, plus the latency histograms (queue wait,
-// decode, verify, whole block load) that only the registry carries.
+// counter and latency histogram (queue wait, decode, verify, whole block
+// load) lives in an obsv.Registry, the only store of the server's
+// counts, so one scrape of /metrics sees all of them.
 // Labeled and unlabeled instruments are resolved once here, at server
 // construction; the hot path only ever touches pre-resolved atomics.
 package romserver
@@ -11,10 +11,9 @@ import (
 	"codecomp/internal/obsv"
 )
 
-// serverMetrics is the server's pre-resolved instrument set. The counters
-// are the source of truth for the server-lifetime rollups (Stats() reads
-// them back); the cache and image gauges are read-at-scrape funcs over
-// the subsystems' own counters, so nothing is double-accounted.
+// serverMetrics is the server's pre-resolved instrument set. Each event
+// increments one counter; the cache and image gauges are read-at-scrape
+// funcs over the subsystems' own counters, so nothing is double-accounted.
 type serverMetrics struct {
 	reg    *obsv.Registry
 	tracer *obsv.Tracer
@@ -84,39 +83,28 @@ type serverMetrics struct {
 
 // loadAcct is a pool worker's accumulator for the per-block
 // observations of the load path: the decode, verify and block-load
-// histograms and the decompression counters. The load path writes it
+// histograms and the decompression counter. The load path writes it
 // without atomics, and the worker publishes it with flush when the
 // ticket ends, on every exit path, so a miss run pays the shared
-// histograms' and counters' atomics once per run instead of once per
+// histograms' and counter's atomics once per run instead of once per
 // block. The observations themselves are exact — the same clock
 // readings, one per block and stage — only when they become visible
 // moves, to the end of the ticket.
 type loadAcct struct {
-	// img is the ticket's image, which owns the per-image counters.
-	img *image
-
 	decode, verify, blockLoad obsv.HistogramBatch
 
-	decompressions    int64
-	decompressNanos   int64
-	decompressedBytes int64
+	decompressions int64
 }
 
-// flush publishes the accumulated observations and empties a. It
-// drops the image too: an idle worker must not keep a removed image's
-// codec and trace ring reachable.
+// flush publishes the accumulated observations and empties a.
 func (a *loadAcct) flush(m *serverMetrics) {
 	m.decode.Merge(&a.decode)
 	m.verify.Merge(&a.verify)
 	m.blockLoad.Merge(&a.blockLoad)
 	if a.decompressions > 0 {
-		a.img.decompressions.Add(a.decompressions)
 		m.decompressions.Add(a.decompressions)
-		a.img.decompressNanos.Add(a.decompressNanos)
-		a.img.decompressedBytes.Add(a.decompressedBytes)
-		a.decompressions, a.decompressNanos, a.decompressedBytes = 0, 0, 0
+		a.decompressions = 0
 	}
-	a.img = nil
 }
 
 // newServerMetrics registers the serving layer's families on reg and

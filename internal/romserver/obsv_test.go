@@ -11,10 +11,51 @@ import (
 	"codecomp/internal/obsv"
 )
 
+// metric reads one sample off s's registry through a Prometheus scrape,
+// the way a /metrics client sees it: the family name, then label
+// name/value pairs for a labeled series. A series the scrape lacks fails
+// the test instead of reading as zero.
+func metric(t testing.TB, s *Server, name string, labels ...string) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	p, err := obsv.ParsePrometheus(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if len(labels) > 0 {
+		want = make(map[string]string)
+		for i := 0; i+1 < len(labels); i += 2 {
+			want[labels[i]] = labels[i+1]
+		}
+	}
+	v, ok := p.Value(name, want)
+	if !ok {
+		t.Fatalf("%s %v missing from the registry", name, labels)
+	}
+	return int64(v)
+}
+
+// healthOf returns the named image's row of s.Health.
+func healthOf(t testing.TB, s *Server, name string) HealthInfo {
+	t.Helper()
+	_, infos := s.Health()
+	for _, h := range infos {
+		if h.Image == name {
+			return h
+		}
+	}
+	t.Fatalf("image %q missing from Health", name)
+	return HealthInfo{}
+}
+
 // TestMetricsPhaseHistograms drives demand reads through the server and
 // asserts the per-phase latency histograms (queue wait, decode, verify,
-// whole load) all observed work with non-zero tails, and that the counter
-// rollups agree with Stats().
+// whole load) all observed work with non-zero tails, and that the
+// scraped counters agree with the instruments behind them.
 func TestMetricsPhaseHistograms(t *testing.T) {
 	_, text := testText(t)
 	reg := obsv.NewRegistry()
@@ -31,9 +72,10 @@ func TestMetricsPhaseHistograms(t *testing.T) {
 	}
 	// The demand misses leave sequential prefetches on the pool, and a
 	// prefetch that finds its block cached counts a cache hit: drain the
-	// pool, or the scrape and Stats() below see different counts. A
-	// worker issues a miss's prefetches after replying to it, so waiting
-	// for completed == issued could pass before the last ones are sent.
+	// pool, or the scrape and the cache counters below see different
+	// counts. A worker issues a miss's prefetches after replying to it,
+	// so waiting for completed == issued could pass before the last ones
+	// are sent.
 	s.Close()
 
 	var buf bytes.Buffer
@@ -62,29 +104,19 @@ func TestMetricsPhaseHistograms(t *testing.T) {
 		}
 	}
 
-	// Counter rollups and the JSON stats must agree (they are the same
-	// instruments now).
-	st := s.Stats()
-	if got, _ := p.Value("romserver_decompressions_total", nil); int64(got) == 0 {
-		t.Error("romserver_decompressions_total is zero after cold reads")
-	}
 	decs, _ := p.Value("romserver_decompressions_total", nil)
-	var sum int64
-	for _, is := range st.Images {
-		sum += is.Decompressions
+	if decs == 0 || int64(decs) != s.met.decompressions.Value() {
+		t.Errorf("romserver_decompressions_total = %v, counter %d, want equal and nonzero", decs, s.met.decompressions.Value())
 	}
-	if int64(decs) != sum {
-		t.Errorf("registry decompressions %v != stats sum %d", decs, sum)
-	}
-	if hits, _ := p.Value("blockcache_hits_total", nil); int64(hits) != st.Cache.Hits {
-		t.Errorf("blockcache_hits_total %v != Stats().Cache.Hits %d", hits, st.Cache.Hits)
+	if hits, _ := p.Value("blockcache_hits_total", nil); int64(hits) != s.cache.Stats().Hits {
+		t.Errorf("blockcache_hits_total %v != cache hits %d", hits, s.cache.Stats().Hits)
 	}
 	if imgs, _ := p.Value("romserver_images", nil); imgs != 1 {
 		t.Errorf("romserver_images = %v, want 1", imgs)
 	}
 }
 
-// TestStatsRaceHammer reads Stats() and scrapes the registry concurrently
+// TestStatsRaceHammer reads health and scrapes the registry concurrently
 // with demand loads — run under -race, this is the regression test for
 // the plain-int counter migration.
 func TestStatsRaceHammer(t *testing.T) {
@@ -126,9 +158,8 @@ func TestStatsRaceHammer(t *testing.T) {
 					return
 				default:
 				}
-				st := s.Stats()
-				if st.Faults.Retries < 0 || !st.Ready {
-					t.Error("implausible stats snapshot")
+				if ready, _ := s.Health(); !ready {
+					t.Error("not ready under clean load")
 					return
 				}
 				var buf bytes.Buffer

@@ -201,58 +201,6 @@ func (img *image) isHot(b int) bool {
 	return h != nil && b >= 0 && b < len(*h) && (*h)[b]
 }
 
-// OverloadStats is the overload layer's counter snapshot, present in
-// Stats only when the layer is enabled.
-type OverloadStats struct {
-	// Level is the current brownout level name.
-	Level string `json:"level"`
-	// LevelTransitions counts level changes since start.
-	LevelTransitions int64 `json:"level_transitions"`
-	// DeadlineRejects counts admissions refused because the estimated
-	// queue wait exceeded the request deadline.
-	DeadlineRejects int64 `json:"deadline_rejects"`
-	// QueueFullRejects counts admissions refused on a full pool queue.
-	QueueFullRejects int64 `json:"queue_full_rejects"`
-	// BrownoutShed counts cold misses shed while browned out.
-	BrownoutShed int64 `json:"brownout_shed"`
-	// QueueExpired counts tickets whose context expired while queued and
-	// were retired without a decode.
-	QueueExpired int64 `json:"queue_expired"`
-	// RetryDenied counts retries refused by the token budget.
-	RetryDenied int64 `json:"retry_denied"`
-	// PrefetchSuppressed counts demand misses whose speculative warms
-	// were suppressed by pressure.
-	PrefetchSuppressed int64 `json:"prefetch_suppressed"`
-	// RetryBudgetTokens is the budget bucket's current level.
-	RetryBudgetTokens float64 `json:"retry_budget_tokens"`
-	// EstimatedQueueWaitMs is the admission estimator's current view of
-	// the queue wait, in milliseconds.
-	EstimatedQueueWaitMs float64 `json:"estimated_queue_wait_ms"`
-	// Goodput is the success fraction of the recent outcome window.
-	Goodput float64 `json:"goodput"`
-}
-
-func (s *Server) overloadStats() *OverloadStats {
-	o := s.ovl
-	if o == nil {
-		return nil
-	}
-	good, _ := o.ctl.Goodput()
-	return &OverloadStats{
-		Level:                o.ctl.Level().String(),
-		LevelTransitions:     o.ctl.Transitions(),
-		DeadlineRejects:      s.met.admissionDeadline.Value(),
-		QueueFullRejects:     s.met.admissionQueueFull.Value(),
-		BrownoutShed:         s.met.brownoutShed.Value(),
-		QueueExpired:         s.met.queueExpired.Value(),
-		RetryDenied:          s.met.retryDenied.Value(),
-		PrefetchSuppressed:   s.met.prefetchSuppressed.Value(),
-		RetryBudgetTokens:    o.bud.Tokens(),
-		EstimatedQueueWaitMs: float64(o.adm.EstimateWait(len(s.tasks))) / 1e6,
-		Goodput:              good,
-	}
-}
-
 // OverloadLevel reports the brownout controller's current level;
 // Healthy when the overload layer is disabled.
 func (s *Server) OverloadLevel() overload.Level {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -293,14 +294,14 @@ func TestOverloadAdmissionRejectsDoomedRequests(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	if !rejected {
-		t.Fatalf("no admission reject in 500 doomed requests; stats = %+v", s.Stats().Overload)
+		t.Fatal("no admission reject in 500 doomed requests")
 	}
 	if rej.RetryAfter < time.Second {
 		t.Fatalf("reject carries RetryAfter %v, want >= 1s", rej.RetryAfter)
 	}
-	st := s.Stats().Overload
-	if st == nil || st.DeadlineRejects+st.QueueFullRejects == 0 {
-		t.Fatalf("overload stats missing rejects: %+v", st)
+	deadline := metric(t, s, "overload_admission_rejects_total", "reason", "deadline")
+	if full := metric(t, s, "overload_admission_rejects_total", "reason", "queue_full"); deadline+full == 0 {
+		t.Fatal("overload_admission_rejects_total counted no reject")
 	}
 }
 
@@ -359,7 +360,7 @@ func TestOverloadBrownoutServesHotShedsCold(t *testing.T) {
 }
 
 // TestOverloadServerRace hammers a fully enabled overload server —
-// admission, brownout transitions, retry budget, training, stats — from
+// admission, brownout transitions, retry budget, training, scrapes — from
 // many goroutines; the -race CI pass gives this teeth. The controller's
 // clock steps 50ms with every training round, so dwells pass between
 // evaluator ticks and the level recovers as well as escalates.
@@ -399,8 +400,8 @@ func TestOverloadServerRace(t *testing.T) {
 					s.BlockContext(context.Background(), "img", (g*11+i)%32) //nolint:errcheck — hammer
 				case 2:
 					s.Train("img") //nolint:errcheck — retrains the hot set concurrently
-					_ = s.Stats()
 					clk.Advance(50 * time.Millisecond)
+					s.Registry().WritePrometheus(io.Discard) //nolint:errcheck — scrapes concurrently
 				default:
 					ctx, cancel := context.WithCancel(context.Background())
 					done := make(chan struct{})

@@ -57,7 +57,7 @@ func TestRangeBatchedByteExactAndAmortized(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := s.CacheStats()
+	before := s.cache.Stats()
 
 	first, last := 4, 19
 	got, st, err := rangeBytes(s, "prog", first, last)
@@ -83,7 +83,7 @@ func TestRangeBatchedByteExactAndAmortized(t *testing.T) {
 
 	// Accounting neutrality: the Peek reads and Put inserts above must not
 	// have moved any demand or prefetch counter.
-	after := s.CacheStats()
+	after := s.cache.Stats()
 	if after.Hits != before.Hits || after.Misses != before.Misses ||
 		after.Deduped != before.Deduped || after.PrefetchHits != before.PrefetchHits {
 		t.Fatalf("range read distorted cache accounting:\n before %+v\n after  %+v", before, after)
@@ -173,8 +173,7 @@ func TestRangeBatchedUnderFaults(t *testing.T) {
 	if !bytes.Equal(got, text) {
 		t.Fatal("batched range served corrupt bytes under fault injection")
 	}
-	st := s.Stats()
-	if st.Faults.CorruptBlocks == 0 && st.Faults.Retries == 0 {
+	if metric(t, s, "romserver_corrupt_blocks_total") == 0 && metric(t, s, "romserver_retries_total") == 0 {
 		t.Fatal("fault injection never fired — chaos drill proved nothing")
 	}
 }

@@ -178,8 +178,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// image is one registered compressed ROM plus its serving counters,
-// tracelab state and faultlab state.
+// image is one registered compressed ROM plus its tracelab and faultlab
+// state. Its events are counted server-wide, in the registry.
 type image struct {
 	name   string
 	codec  codecomp.BlockCodec
@@ -234,24 +234,6 @@ type image struct {
 	// view decoded the block and turned it away from a full cache; 0
 	// means never (see insertDecoded).
 	seen []atomic.Uint32
-
-	blockReads     atomic.Int64
-	rangeReads     atomic.Int64
-	subblockReads  atomic.Int64
-	fullReads      atomic.Int64
-	decompressions atomic.Int64
-	// decompressNanos/decompressedBytes accumulate the time spent inside
-	// (and bytes produced by) successful codec block decodes, for the
-	// decode ns/block and MB/s gauges in /metrics.
-	decompressNanos   atomic.Int64
-	decompressedBytes atomic.Int64
-
-	corruptBlocks   atomic.Int64
-	retries         atomic.Int64
-	panicsRecovered atomic.Int64
-	timeouts        atomic.Int64
-	loadFailures    atomic.Int64
-	reverifies      atomic.Int64
 }
 
 // key is the image's cache key for one block.
@@ -378,8 +360,8 @@ type Server struct {
 	inflight atomic.Int64
 
 	// met holds every server-lifetime instrument (prefetch and faultlab
-	// rollups, latency histograms); Stats() reads the counters back, so
-	// /metrics and the JSON stats can never disagree.
+	// counters, latency histograms), the one store of the server's
+	// counts.
 	met *serverMetrics
 }
 
@@ -893,7 +875,6 @@ func (s *Server) BlockContext(ctx context.Context, name string, i int) ([]byte, 
 	if i < 0 || i >= img.blocks {
 		return nil, false, fmt.Errorf("%w: %d of %q [0,%d)", ErrOutOfRange, i, name, img.blocks)
 	}
-	img.blockReads.Add(1)
 	return s.fetchCtx(ctx, img, i)
 }
 
@@ -1136,198 +1117,6 @@ func (img *image) policyInfo() PolicyInfo {
 	}
 	return info
 }
-
-// PrefetchStats counts the speculative warms behind demand misses.
-type PrefetchStats struct {
-	// Issued counts prefetch tasks enqueued onto the pool.
-	Issued int64 `json:"issued"`
-	// Dropped counts prefetches skipped because the pool was saturated.
-	Dropped int64 `json:"dropped"`
-	// Completed counts prefetched blocks that landed in the cache.
-	Completed int64 `json:"completed"`
-	// Hits counts demand hits on prefetch-warmed blocks — the prefetches
-	// that paid off.
-	Hits int64 `json:"hits"`
-	// Wasted counts prefetched blocks evicted before any demand hit.
-	Wasted int64 `json:"wasted"`
-}
-
-// Accuracy is Hits over Completed: the fraction of finished prefetches a
-// demand read actually consumed (so far).
-func (p PrefetchStats) Accuracy() float64 {
-	if p.Completed == 0 {
-		return 0
-	}
-	return float64(p.Hits) / float64(p.Completed)
-}
-
-// ImageStats is per-image serving counters plus the image metadata.
-type ImageStats struct {
-	ImageInfo
-	// BlockReads, RangeReads and FullReads count API-level requests.
-	BlockReads    int64 `json:"block_reads"`
-	RangeReads    int64 `json:"range_reads"`
-	FullReads     int64 `json:"full_reads"`
-	SubblockReads int64 `json:"subblock_reads"`
-	// Decompressions counts actual codec block decodes — the work the
-	// cache and singleflight exist to avoid.
-	Decompressions int64 `json:"decompressions"`
-	// DecodeNsPerBlock is the mean wall-clock nanoseconds one block decode
-	// took (demand, prefetch, pinning and re-verify loads alike).
-	DecodeNsPerBlock float64 `json:"decode_ns_per_block"`
-	// DecodeMBPerSec is the mean decode throughput in decompressed
-	// megabytes per second.
-	DecodeMBPerSec float64 `json:"decode_mb_per_sec"`
-	// Policy is the active prefetch policy name ("none" when disabled).
-	Policy string `json:"policy"`
-	// Pinned is how many blocks the policy pinned.
-	Pinned int `json:"pinned"`
-	// Trained reports whether the image has a trained profile.
-	Trained bool `json:"trained"`
-	// TraceLen is how many accesses the trace ring currently holds.
-	TraceLen int `json:"trace_len"`
-
-	// CorruptBlocks counts decompressions rejected by the integrity
-	// sidecar (detected, never served, never cached).
-	CorruptBlocks int64 `json:"corrupt_blocks"`
-	// Retries counts extra load attempts after a retryable failure.
-	Retries int64 `json:"retries"`
-	// PanicsRecovered counts codec panics contained by the load path.
-	PanicsRecovered int64 `json:"panics_recovered"`
-	// Timeouts counts load attempts that hit the decompression deadline.
-	Timeouts int64 `json:"timeouts"`
-	// LoadFailures counts loads that failed after all attempts.
-	LoadFailures int64 `json:"load_failures"`
-	// Reverifies counts background re-verification loads of this image.
-	Reverifies int64 `json:"reverifies"`
-	// BadBlocks is how many blocks are currently on the bad list.
-	BadBlocks int `json:"bad_blocks"`
-	// FailureRate is the failing fraction of the health outcome window.
-	FailureRate float64 `json:"failure_rate"`
-	// HealthTransitions counts this image's health state changes.
-	HealthTransitions int64 `json:"health_transitions"`
-	// Faults reports injected-fault counters when a fault injector is
-	// installed (chaos mode); omitted otherwise.
-	Faults *faultinj.Stats `json:"faults,omitempty"`
-}
-
-// FaultStatsRollup is the server-lifetime faultlab counters (they survive
-// image removal, unlike the per-image copies).
-type FaultStatsRollup struct {
-	CorruptBlocks     int64 `json:"corrupt_blocks"`
-	Retries           int64 `json:"retries"`
-	PanicsRecovered   int64 `json:"panics_recovered"`
-	Timeouts          int64 `json:"timeouts"`
-	LoadFailures      int64 `json:"load_failures"`
-	Reverifies        int64 `json:"reverifies"`
-	HealthTransitions int64 `json:"health_transitions"`
-}
-
-// Stats is a snapshot of the whole serving layer.
-// SubblockStats rolls up the byte-granular sub-block read path: how many
-// ReadAtContext requests ran, how many decompressed bytes they returned,
-// and how much tail-block work the partial decoder did (and therefore
-// skipped —
-// PartialDecodedBytes counts codec output actually produced; the remainder
-// of each tail block was never decoded at all).
-type SubblockStats struct {
-	Reads               int64 `json:"reads"`
-	Bytes               int64 `json:"bytes"`
-	PartialDecodes      int64 `json:"partial_decodes"`
-	PartialDecodedBytes int64 `json:"partial_decoded_bytes"`
-}
-
-type Stats struct {
-	Cache         blockcache.Stats `json:"cache"`
-	CacheHitRatio float64          `json:"cache_hit_ratio"`
-	Prefetch      PrefetchStats    `json:"prefetch"`
-	Faults        FaultStatsRollup `json:"faults"`
-	// Subblock rolls up the byte-granular read path.
-	Subblock SubblockStats `json:"subblock"`
-	// Overload is the overload layer's snapshot, nil when disabled.
-	Overload *OverloadStats `json:"overload,omitempty"`
-	// Ready is false while any image is quarantined (the readiness
-	// signal behind /readyz).
-	Ready  bool         `json:"ready"`
-	Images []ImageStats `json:"images"`
-}
-
-// Stats snapshots cache, prefetch, faultlab and per-image counters.
-func (s *Server) Stats() Stats {
-	cs := s.cache.Stats()
-	st := Stats{
-		Cache:         cs,
-		CacheHitRatio: cs.HitRatio(),
-		Prefetch: PrefetchStats{
-			Issued:    s.met.prefetchIssued.Value(),
-			Dropped:   s.met.prefetchDropped.Value(),
-			Completed: s.met.prefetchCompleted.Value(),
-			Hits:      cs.PrefetchHits,
-			Wasted:    cs.PrefetchEvicted,
-		},
-		Faults: FaultStatsRollup{
-			CorruptBlocks:     s.met.corruptBlocks.Value(),
-			Retries:           s.met.retries.Value(),
-			PanicsRecovered:   s.met.codecPanics.Value(),
-			Timeouts:          s.met.decodeTimeouts.Value(),
-			LoadFailures:      s.met.loadFailures.Value(),
-			Reverifies:        s.met.reverifies.Value(),
-			HealthTransitions: s.met.healthTransitions.Value(),
-		},
-		Subblock: SubblockStats{
-			Reads:               s.met.subblockReads.Value(),
-			Bytes:               s.met.subblockBytes.Value(),
-			PartialDecodes:      s.met.partialDecodes.Value(),
-			PartialDecodedBytes: s.met.partialDecodedBytes.Value(),
-		},
-		Overload: s.overloadStats(),
-		Ready:    true,
-	}
-	s.mu.RLock()
-	for _, img := range s.images {
-		is := ImageStats{
-			ImageInfo:       img.info(),
-			BlockReads:      img.blockReads.Load(),
-			RangeReads:      img.rangeReads.Load(),
-			FullReads:       img.fullReads.Load(),
-			SubblockReads:   img.subblockReads.Load(),
-			Decompressions:  img.decompressions.Load(),
-			Trained:         img.profile.Load() != nil,
-			CorruptBlocks:   img.corruptBlocks.Load(),
-			Retries:         img.retries.Load(),
-			PanicsRecovered: img.panicsRecovered.Load(),
-			Timeouts:        img.timeouts.Load(),
-			LoadFailures:    img.loadFailures.Load(),
-			Reverifies:      img.reverifies.Load(),
-		}
-		if decs, ns := img.decompressions.Load(), img.decompressNanos.Load(); decs > 0 && ns > 0 {
-			is.DecodeNsPerBlock = float64(ns) / float64(decs)
-			is.DecodeMBPerSec = float64(img.decompressedBytes.Load()) / 1e6 / (float64(ns) / 1e9)
-		}
-		state, bad, rate, transitions := img.health.snapshot()
-		is.Health = state.String()
-		is.BadBlocks, is.FailureRate, is.HealthTransitions = bad, rate, transitions
-		if state == Quarantined {
-			st.Ready = false
-		}
-		if f := img.faults.Load(); f != nil {
-			fs := f.Stats()
-			is.Faults = &fs
-		}
-		pi := img.policyInfo()
-		is.Policy, is.Pinned = pi.Policy, pi.Pinned
-		if img.recorder != nil {
-			is.TraceLen = img.recorder.Len()
-		}
-		st.Images = append(st.Images, is)
-	}
-	s.mu.RUnlock()
-	sort.Slice(st.Images, func(i, j int) bool { return st.Images[i].Name < st.Images[j].Name })
-	return st
-}
-
-// CacheStats returns just the block cache counters.
-func (s *Server) CacheStats() blockcache.Stats { return s.cache.Stats() }
 
 // newImage builds the serving state for one codec and its sidecar: the
 // offset table, the per-block admission stamps, trace recorder sized by

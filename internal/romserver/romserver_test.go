@@ -94,7 +94,7 @@ func TestAddImageFormatsAndReplace(t *testing.T) {
 	if _, err := s.AddImage("prog-samc", cases[0].data); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.CacheStats().Entries; got != 0 {
+	if got := s.cache.Stats().Entries; got != 0 {
 		// Only prog-samc blocks could be cached at this point (modulo its
 		// prefetches, which are also invalidated).
 		if s.cache.Contains(blockKey(s, "prog-samc", 0)) {
@@ -195,7 +195,7 @@ func TestSingleflightCollapse(t *testing.T) {
 	// have joined its flight, then release it.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st := s.CacheStats()
+		st := s.cache.Stats()
 		if st.Misses == 1 && st.Deduped == waiters-1 {
 			break
 		}
@@ -210,12 +210,13 @@ func TestSingleflightCollapse(t *testing.T) {
 	if n := stub.calls.Load(); n != 1 {
 		t.Fatalf("%d decompressions for %d concurrent misses, want 1", n, waiters)
 	}
-	st := s.Stats()
-	if st.Cache.Misses != 1 || st.Cache.Deduped != waiters-1 {
-		t.Fatalf("cache stats = %+v", st.Cache)
+	hits, misses, deduped := metric(t, s, "blockcache_hits_total"), metric(t, s, "blockcache_misses_total"), metric(t, s, "blockcache_deduped_total")
+	if misses != 1 || deduped != waiters-1 {
+		t.Fatalf("cache misses %d, deduped %d", misses, deduped)
 	}
-	if len(st.Images) != 1 || st.Images[0].Decompressions != 1 || st.Images[0].BlockReads != waiters {
-		t.Fatalf("image stats = %+v", st.Images)
+	// Every demand read is one hit, miss or dedup.
+	if n := metric(t, s, "romserver_decompressions_total"); n != 1 || hits+misses+deduped != waiters {
+		t.Fatalf("%d decompressions for %d demand reads", n, hits+misses+deduped)
 	}
 }
 
@@ -249,19 +250,18 @@ func TestLoopingTraceHitRatio(t *testing.T) {
 		requests++
 	}
 
-	st := s.Stats()
-	ratio := st.Cache.HitRatio()
-	t.Logf("%d block requests, cache %+v, ratio %.4f, prefetch %+v, decompressions %d",
-		requests, st.Cache, ratio, st.Prefetch, st.Images[0].Decompressions)
+	cs, decs := s.cache.Stats(), metric(t, s, "romserver_decompressions_total")
+	ratio := cs.HitRatio()
+	t.Logf("%d block requests, cache %+v, ratio %.4f, decompressions %d", requests, cs, ratio, decs)
 	if ratio < 0.9 {
 		t.Fatalf("looping-trace hit ratio = %.4f, want > 0.9", ratio)
 	}
 	// Every block decompresses at most once: the cache never thrashed.
-	if st.Images[0].Decompressions > int64(info.Blocks) {
-		t.Fatalf("%d decompressions for %d blocks", st.Images[0].Decompressions, info.Blocks)
+	if decs > int64(info.Blocks) {
+		t.Fatalf("%d decompressions for %d blocks", decs, info.Blocks)
 	}
-	if st.Prefetch.Issued == 0 || st.Prefetch.Completed == 0 {
-		t.Fatalf("prefetcher idle: %+v", st.Prefetch)
+	if issued, done := metric(t, s, "romserver_prefetch_issued_total"), metric(t, s, "romserver_prefetch_completed_total"); issued == 0 || done == 0 {
+		t.Fatalf("prefetcher idle: %d issued, %d completed", issued, done)
 	}
 }
 
@@ -398,9 +398,8 @@ func TestConcurrentMixedImages(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := s.Stats()
-	if st.Cache.Hits == 0 || st.Cache.Misses == 0 {
-		t.Fatalf("implausible cache stats: %+v", st.Cache)
+	if hits, misses := metric(t, s, "blockcache_hits_total"), metric(t, s, "blockcache_misses_total"); hits == 0 || misses == 0 {
+		t.Fatalf("implausible cache counters: %d hits, %d misses", hits, misses)
 	}
 }
 
@@ -501,15 +500,11 @@ func TestSetPolicyMarkovPrefetchesTrainedSuccessor(t *testing.T) {
 	if _, hit, err := s.BlockContext(context.Background(), "stub", 40); err != nil || !hit {
 		t.Fatalf("warmed read: hit=%v err=%v", hit, err)
 	}
-	st := s.Stats()
-	if st.Prefetch.Hits != 1 || st.Prefetch.Completed != 1 {
-		t.Fatalf("prefetch stats = %+v", st.Prefetch)
+	if hits, done := metric(t, s, "blockcache_prefetch_hits_total"), metric(t, s, "romserver_prefetch_completed_total"); hits != 1 || done != 1 {
+		t.Fatalf("%d prefetch hits of %d completed, want 1 of 1", hits, done)
 	}
-	if st.Prefetch.Accuracy() != 1 {
-		t.Fatalf("accuracy = %v", st.Prefetch.Accuracy())
-	}
-	if len(st.Images) != 1 || st.Images[0].Policy != "markov" || !st.Images[0].Trained {
-		t.Fatalf("image stats = %+v", st.Images[0])
+	if _, err := s.Profile("stub"); err != nil {
+		t.Fatalf("trained image has no profile: %v", err)
 	}
 }
 
@@ -523,9 +518,9 @@ func TestPrefetchHitAccountingSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Prefetch.Completed < 4 {
+	for s.met.prefetchCompleted.Value() < 4 {
 		if time.Now().After(deadline) {
-			t.Fatalf("prefetches never completed: %+v", s.Stats().Prefetch)
+			t.Fatalf("prefetches never completed: %d of 4", s.met.prefetchCompleted.Value())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -534,12 +529,11 @@ func TestPrefetchHitAccountingSequential(t *testing.T) {
 	s.BlockContext(context.Background(), "stub", 1)
 	s.BlockContext(context.Background(), "stub", 2)
 	s.BlockContext(context.Background(), "stub", 1)
-	st := s.Stats()
-	if st.Prefetch.Hits != 2 {
-		t.Fatalf("prefetch hits = %d, want 2 (stats %+v)", st.Prefetch.Hits, st.Prefetch)
+	if n := metric(t, s, "blockcache_prefetch_hits_total"); n != 2 {
+		t.Fatalf("prefetch hits = %d, want 2", n)
 	}
-	if st.Cache.Hits != 3 {
-		t.Fatalf("cache hits = %d, want 3", st.Cache.Hits)
+	if n := metric(t, s, "blockcache_hits_total"); n != 3 {
+		t.Fatalf("cache hits = %d, want 3", n)
 	}
 }
 
@@ -575,7 +569,7 @@ func TestSetPolicyHotsetPinsSurviveColdScan(t *testing.T) {
 			t.Fatalf("pinned hot block %d evicted by cold scan", b)
 		}
 	}
-	if st := s.CacheStats(); st.Pinned != 2 {
+	if st := s.cache.Stats(); st.Pinned != 2 {
 		t.Fatalf("pinned = %d", st.Pinned)
 	}
 
@@ -584,7 +578,7 @@ func TestSetPolicyHotsetPinsSurviveColdScan(t *testing.T) {
 	if _, err := s.SetPolicy("stub", PolicySpec{Policy: "sequential"}); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.CacheStats(); st.Pinned != 0 {
+	if st := s.cache.Stats(); st.Pinned != 0 {
 		t.Fatalf("pins survived policy switch: %+v", st)
 	}
 	for b := 0; b < stub.blocks; b++ {
@@ -600,7 +594,7 @@ func TestSetPolicyHotsetPinsSurviveColdScan(t *testing.T) {
 	if err := s.RemoveImage("stub"); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.CacheStats(); st.Pinned != 0 || st.Entries != 0 {
+	if st := s.cache.Stats(); st.Pinned != 0 || st.Entries != 0 {
 		t.Fatalf("stale cache after remove: %+v", st)
 	}
 }
@@ -639,7 +633,7 @@ func TestSetPolicyRacingReplaceLeavesNoPins(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if st := s.CacheStats(); st.Pinned != 0 || st.Entries != 0 {
+	if st := s.cache.Stats(); st.Pinned != 0 || st.Entries != 0 {
 		t.Fatalf("stale hotset pass left cache state: %+v", st)
 	}
 }

@@ -47,8 +47,8 @@ func TestRunAcctCancelStopsAtNextBlock(t *testing.T) {
 	if d.decode != done || d.verify != done || d.decompressions != done {
 		t.Fatalf("run observed %+v, want %d decodes, verifies and decompressions", d, done)
 	}
-	if n := s.Stats().Images[0].Decompressions; n != done {
-		t.Fatalf("image decompressions = %d, want %d", n, done)
+	if n := metric(t, s, "romserver_decompressions_total"); n != done {
+		t.Fatalf("romserver_decompressions_total = %d, want %d", n, done)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestRunAcctDeadlineBoundsEachBlock(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	waitCond(t, "the watchdog to fire", func() bool { return s.Stats().Faults.Timeouts == 1 })
+	waitCond(t, "the watchdog to fire", func() bool { return metric(t, s, "romserver_decode_timeouts_total") == 1 })
 	if _, _, err := s.BlockContext(context.Background(), "good", 1); err != nil {
 		t.Fatalf("healthy image after the wedge: %v", err)
 	}
@@ -122,8 +122,8 @@ func TestRunAcctFlushedAfterRetire(t *testing.T) {
 	// so it has no decode or verify phase.
 	want := loadCounts{decode: 2, verify: 2, load: 3, decompressions: 3}
 	waitCond(t, "the retired worker to publish", func() bool { return s.loadCounts().sub(before) == want })
-	if n := s.Stats().Images[0].Decompressions; n != 3 {
-		t.Fatalf("image decompressions = %d, want 3", n)
+	if n := metric(t, s, "romserver_decompressions_total"); n != 3 {
+		t.Fatalf("romserver_decompressions_total = %d, want 3", n)
 	}
 }
 
@@ -241,7 +241,7 @@ func TestCloseInsertsNothingForRemovedImage(t *testing.T) {
 			t.Fatal(err)
 		}
 		v.Close()
-		if n := s.CacheStats().Entries; n != 0 {
+		if n := s.cache.Stats().Entries; n != 0 {
 			t.Errorf("replace=%v: %d blocks cached after Close, want 0", replace, n)
 		}
 		s.Close()

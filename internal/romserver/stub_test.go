@@ -102,7 +102,7 @@ func TestStubServingOtherBytesIsCorrupt(t *testing.T) {
 				t.Errorf("%s: corrupt block %d cached", name, b)
 			}
 		}
-		if n := s.Stats().Faults.CorruptBlocks; n == 0 {
+		if n := metric(t, s, "romserver_corrupt_blocks_total"); n == 0 {
 			t.Errorf("%s: no corrupt block counted", name)
 		}
 		s.Close()

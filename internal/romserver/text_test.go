@@ -88,7 +88,7 @@ func TestWriteTextPipelined(t *testing.T) {
 					t.Errorf("%s warm: %d dispatches, %d decodes; want none", name, d, n)
 				}
 			}
-			if got := s.CacheStats().LeasesActive; got != 0 {
+			if got := s.cache.Stats().LeasesActive; got != 0 {
 				t.Errorf("LeasesActive = %d after the reads", got)
 			}
 		})
@@ -127,7 +127,7 @@ func testWriteTextUnderBitFlips(t *testing.T) {
 	if exact == 0 {
 		t.Fatal("no pass succeeded; fault rate too high for the test to mean anything")
 	}
-	if s.Stats().Faults.CorruptBlocks == 0 {
+	if metric(t, s, "romserver_corrupt_blocks_total") == 0 {
 		t.Fatal("no flipped block was detected; the injector never fired")
 	}
 }
@@ -286,7 +286,7 @@ func TestWriteTextEarlyError(t *testing.T) {
 		if !bytes.Equal(written, text[:len(written)]) {
 			t.Fatalf("%s: %d written bytes are not a prefix of the program", what, len(written))
 		}
-		if got := s.CacheStats().LeasesActive; got != 0 {
+		if got := s.cache.Stats().LeasesActive; got != 0 {
 			t.Fatalf("%s: LeasesActive = %d after the call returned", what, got)
 		}
 	}

@@ -316,7 +316,7 @@ func TestTierMigrationInvalidates(t *testing.T) {
 	}
 	bs := testTierSpec.BlockSize
 	want := text[:bs]
-	decodes := func() int64 { return s.Stats().Images[0].Decompressions }
+	decodes := func() int64 { return metric(t, s, "romserver_decompressions_total") }
 	read := func(wantHit bool) {
 		t.Helper()
 		data, hit, err := s.BlockContext(context.Background(), "prog", 0)
@@ -330,8 +330,8 @@ func TestTierMigrationInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.cache.Pin(img.key(0)) || s.CacheStats().Pinned != 1 {
-		t.Fatalf("pin block 0: pinned = %d", s.CacheStats().Pinned)
+	if !s.cache.Pin(img.key(0)) || s.cache.Stats().Pinned != 1 {
+		t.Fatalf("pin block 0: pinned = %d", s.cache.Stats().Pinned)
 	}
 	if _, err := s.TrainFrom("prog", skewedTrace(info.Blocks, max(1, info.Blocks/10), 20000)); err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestTierMigrationInvalidates(t *testing.T) {
 	if tier, err := img.tiered.TierOf(0); err != nil || tier == testTierSpec.DefaultTier {
 		t.Fatalf("block 0 still in tier %d (%v)", tier, err)
 	}
-	if p := s.CacheStats().Pinned; p != 0 {
+	if p := s.cache.Stats().Pinned; p != 0 {
 		t.Fatalf("pinned = %d after migrating the pinned block, want 0", p)
 	}
 	read(false)

@@ -233,7 +233,6 @@ func (s *Server) RangeView(ctx context.Context, name string, first, last int) (*
 	if first < 0 || last >= img.blocks || first > last {
 		return nil, fmt.Errorf("%w: [%d,%d] of %q [0,%d)", ErrOutOfRange, first, last, name, img.blocks)
 	}
-	img.rangeReads.Add(1)
 	s.met.rangeReads.Inc()
 	start := time.Now()
 	v := newView()
@@ -270,7 +269,6 @@ func (s *Server) ReadAtContext(ctx context.Context, name string, off, n int) (*V
 	if off < 0 || n < 0 || n > total-off {
 		return nil, fmt.Errorf("%w: %d bytes at offset %d of %q [0,%d)", ErrOutOfRange, n, off, name, total)
 	}
-	img.subblockReads.Add(1)
 	s.met.subblockReads.Inc()
 	v := newView()
 	if n == 0 {
@@ -453,7 +451,6 @@ func (w *poolWorker) decodePrefix(ctx context.Context, img *image, block, limit 
 	s := w.s
 	defer func() {
 		if r := recover(); r != nil {
-			img.panicsRecovered.Add(1)
 			s.met.codecPanics.Inc()
 			data, decoded, err = nil, 0, fmt.Errorf("%w: block %d of %q: %v", ErrCodecPanic, block, img.name, r)
 		}
@@ -471,8 +468,6 @@ func (w *poolWorker) decodePrefix(ctx context.Context, img *image, block, limit 
 	}
 	w.acct.decode.Observe(d)
 	w.acct.decompressions++
-	w.acct.decompressNanos += int64(d)
-	w.acct.decompressedBytes += int64(n)
 	s.met.partialDecodes.Inc()
 	s.met.partialDecodedBytes.Add(int64(n))
 	return out, n, nil
@@ -523,7 +518,6 @@ func (s *Server) WriteTextContext(ctx context.Context, name string, w io.Writer)
 	if err != nil {
 		return 0, err
 	}
-	img.fullReads.Add(1)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	depth := s.opts.Workers

@@ -121,9 +121,8 @@ func TestReadAtByteExact(t *testing.T) {
 		t.Fatalf("ReadAt(nope): %v", err)
 	}
 
-	st := s.Stats()
-	if st.Subblock.Reads == 0 || st.Subblock.Bytes == 0 {
-		t.Fatalf("subblock rollup not counted: %+v", st.Subblock)
+	if reads, n := metric(t, s, "romserver_subblock_reads_total"), metric(t, s, "romserver_subblock_bytes_total"); reads == 0 || n == 0 {
+		t.Fatalf("sub-block reads not counted: %d reads, %d bytes", reads, n)
 	}
 }
 
@@ -167,13 +166,13 @@ func TestReadAtPartialTailNotCached(t *testing.T) {
 	if s.cache.Contains(img.key(3)) {
 		t.Fatal("partially decoded tail block was cached")
 	}
-	if st := s.Stats().Subblock; st.PartialDecodes == 0 || st.PartialDecodedBytes == 0 {
-		t.Fatalf("partial decode not counted: %+v", st)
+	if pd, n := metric(t, s, "romserver_partial_decodes_total"), metric(t, s, "romserver_partial_decoded_bytes_total"); pd == 0 || n == 0 {
+		t.Fatalf("partial decode not counted: %d decodes, %d bytes", pd, n)
 	}
 
 	// Same read again: blocks 0..2 are leased from the cache, the tail
 	// misses again (it was never cached) and is partially decoded again.
-	before := s.Stats().Subblock.PartialDecodes
+	before := metric(t, s, "romserver_partial_decodes_total")
 	v, err = s.ReadAtContext(context.Background(), "prog", 0, end)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +181,7 @@ func TestReadAtPartialTailNotCached(t *testing.T) {
 		t.Fatalf("warm partial read stats = %+v", v.Stats())
 	}
 	v.Close()
-	if got := s.Stats().Subblock.PartialDecodes; got != before+1 {
+	if got := metric(t, s, "romserver_partial_decodes_total"); got != before+1 {
 		t.Fatalf("partial decodes %d, want %d", got, before+1)
 	}
 }
@@ -222,7 +221,7 @@ func TestReadAtFaultedImageStaysVerified(t *testing.T) {
 	if served == 0 {
 		t.Fatal("no faulted read succeeded; fault rate too high for the test to mean anything")
 	}
-	if pd := s.Stats().Subblock.PartialDecodes; pd != 0 {
+	if pd := metric(t, s, "romserver_partial_decodes_total"); pd != 0 {
 		t.Fatalf("faulted image took the partial path %d times", pd)
 	}
 }
@@ -288,7 +287,7 @@ func TestViewLeaseLifecycle(t *testing.T) {
 	if v.Stats().CachedBlocks != 4 {
 		t.Fatalf("warm view stats = %+v, want 4 cached", v.Stats())
 	}
-	if got := s.CacheStats().LeasesActive; got != 4 {
+	if got := s.cache.Stats().LeasesActive; got != 4 {
 		t.Fatalf("LeasesActive = %d, want 4", got)
 	}
 	want := v.AppendTo(nil)
@@ -300,7 +299,7 @@ func TestViewLeaseLifecycle(t *testing.T) {
 			t.Fatalf("Block(%d): %v", b, err)
 		}
 	}
-	if got := s.CacheStats().RetiredLeaseBufs; got == 0 {
+	if got := s.cache.Stats().RetiredLeaseBufs; got == 0 {
 		t.Fatal("eviction under lease retired no buffers")
 	}
 	if got := v.AppendTo(nil); !bytes.Equal(got, want) {
@@ -308,13 +307,13 @@ func TestViewLeaseLifecycle(t *testing.T) {
 	}
 
 	v.Close()
-	cs := s.CacheStats()
+	cs := s.cache.Stats()
 	if cs.LeasesActive != 0 || cs.RetiredLeaseBufs != 0 || cs.RetiredLeaseBytes != 0 {
 		t.Fatalf("after Close: active=%d retiredBufs=%d retiredBytes=%d, want all 0",
 			cs.LeasesActive, cs.RetiredLeaseBufs, cs.RetiredLeaseBytes)
 	}
 	v.Close() // second Close is a no-op, not a double release
-	if got := s.CacheStats().LeasesActive; got != 0 {
+	if got := s.cache.Stats().LeasesActive; got != 0 {
 		t.Fatalf("double Close leaked: LeasesActive = %d", got)
 	}
 }
@@ -622,9 +621,7 @@ func TestReadAtHugeLenOutOfRange(t *testing.T) {
 			t.Fatalf("ReadAt(%d, %d) = %v, want ErrOutOfRange", w[0], w[1], err)
 		}
 	}
-	st := s.Stats()
-	if st.Images[0].Decompressions != 0 || st.Faults.PanicsRecovered != 0 {
-		t.Fatalf("out-of-range reads decoded %d blocks and recovered %d panics, want 0 and 0",
-			st.Images[0].Decompressions, st.Faults.PanicsRecovered)
+	if decs, panics := metric(t, s, "romserver_decompressions_total"), metric(t, s, "romserver_codec_panics_total"); decs != 0 || panics != 0 {
+		t.Fatalf("out-of-range reads decoded %d blocks and recovered %d panics, want 0 and 0", decs, panics)
 	}
 }

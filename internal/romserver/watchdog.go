@@ -157,7 +157,6 @@ func (w *poolWorker) timeoutAt(now time.Time) (time.Duration, error) {
 // needs anyway, so arming costs a cache hit no extra reading.
 func (w *poolWorker) begin(t task, timeout time.Duration, now time.Time) {
 	w.s.inflight.Add(1)
-	w.acct.img = t.img
 	w.mu.Lock()
 	w.t, w.busy = t, true
 	w.guardLocked(t.block, timeout, now)
@@ -266,7 +265,6 @@ func (w *poolWorker) fire() {
 	s := w.s
 	s.inflight.Add(-1)
 	s.startWorker() // inherits the retired worker's WaitGroup slot
-	t.img.timeouts.Add(1)
 	s.met.decodeTimeouts.Inc()
 	if deadline {
 		// The request deadline was the tighter bound: its caller gets
@@ -275,7 +273,6 @@ func (w *poolWorker) fire() {
 		return
 	}
 	img := t.img
-	img.loadFailures.Add(1)
 	s.met.loadFailures.Inc()
 	s.recordHealth(img, block, true)
 	t.fail(fmt.Errorf("%w: block %d of %q after %v", ErrDecompressTimeout, block, img.name, timeout))

@@ -95,7 +95,7 @@ func TestWedgeEveryPath(t *testing.T) {
 			img, _ := s.lookup("wedged")
 			s.recordHealth(img, 0, true)
 			s.reverifyPass()
-			if n := img.reverifies.Load(); n != reverifyBatch {
+			if n := metric(t, s, "romserver_reverifies_total"); n != reverifyBatch {
 				t.Errorf("reverifies = %d, want %d", n, reverifyBatch)
 			}
 			if img.health.State() == Healthy {
@@ -118,14 +118,10 @@ func TestWedgeEveryPath(t *testing.T) {
 			if d := time.Since(start); d > bound {
 				t.Fatalf("timeout took %v, bound %v", d, bound)
 			}
-			img, _ := s.lookup("wedged")
-			if got := img.timeouts.Load(); got != int64(tc.tickets) {
-				t.Errorf("image timeouts = %d, want %d (one per ticket, no retries)", got, tc.tickets)
+			if got := metric(t, s, "romserver_decode_timeouts_total"); got != int64(tc.tickets) {
+				t.Errorf("timeouts = %d, want %d (one per ticket, no retries)", got, tc.tickets)
 			}
-			if got := s.Stats().Faults.Timeouts; got != int64(tc.tickets) {
-				t.Errorf("server timeouts = %d, want %d", got, tc.tickets)
-			}
-			if got := img.retries.Load(); got != 0 {
+			if got := metric(t, s, "romserver_retries_total"); got != 0 {
 				t.Errorf("timed-out load retried %d times", got)
 			}
 
@@ -205,7 +201,7 @@ func TestWatchdogRequestDeadline(t *testing.T) {
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("request deadline took %v (load timeout is %v)", d, s.opts.LoadTimeout)
 	}
-	waitCond(t, "watchdog to fire", func() bool { return s.Stats().Faults.Timeouts == 1 })
+	waitCond(t, "watchdog to fire", func() bool { return metric(t, s, "romserver_decode_timeouts_total") == 1 })
 	if _, _, err := s.BlockContext(context.Background(), "good", 1); err != nil {
 		t.Fatalf("healthy image after the wedge: %v", err)
 	}

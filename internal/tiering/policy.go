@@ -141,6 +141,14 @@ var DefaultCostModel = CostModel{
 	TierSAMC:    52.8,
 }
 
+// RANS4Cost prices, in ns per output byte, the standalone 4-state rANS
+// image (rans.DefaultStreams), which decodes through the 4-way kernel
+// rather than the single-state one that serves TierRANS: the
+// rans/AppendBlock 84.1 MB/s of the same BENCH_decode.json snapshot.
+// Only the offline evaluator's single-codec "rans" row pays it.
+// TestDefaultCostModelMatchesBaseline holds it to the same 25% rule.
+const RANS4Cost = 11.9
+
 // DecodeCosts returns the estimated decode cost in nanoseconds for each
 // block under its current tier assignment: block length × the tier
 // format's per-byte cost. Formats missing from m cost zero.
