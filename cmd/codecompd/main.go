@@ -8,7 +8,7 @@
 // and served over HTTP; the Node doc comment in internal/cluster lists
 // every endpoint (`go doc codecomp/internal/cluster Node`). A standalone
 // daemon is therefore also a full cluster member: the router can proxy
-// to it and push it a peer table.
+// to it.
 //
 // Flags:
 //

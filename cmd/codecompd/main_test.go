@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -76,25 +77,83 @@ func startDaemon(t *testing.T, args ...string) (*cluster.Node, *httptest.Server,
 	return n, ts, info.Blocks
 }
 
-// TestOperationsDocCoversRegistry walks every family a live daemon
-// registers and asserts docs/OPERATIONS.md documents it by name — the
-// metrics reference cannot silently rot. Overload and a data dir are
-// switched on so the optional families register too.
+// TestOperationsDocCoversRegistry checks docs/OPERATIONS.md against the
+// live metric surface in both directions, so neither can silently rot.
+// Every family a node or a router registers must be documented by name,
+// and every metric row and `route` label the runbook names must exist on
+// a node or a router. Overload and a data dir are switched on so the
+// optional node families register too.
 func TestOperationsDocCoversRegistry(t *testing.T) {
-	n, _ := newNode(t, "-overload=true", "-data-dir="+t.TempDir())
-	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
+	n, h := newNode(t, "-overload=true", "-data-dir="+t.TempDir())
+	rt := cluster.NewRouter(cluster.RouterOptions{ProbeInterval: -1, Logf: func(string, ...any) {}})
+	t.Cleanup(func() { rt.Close() })
+	raw, err := os.ReadFile("../../docs/OPERATIONS.md")
 	if err != nil {
 		t.Fatalf("operator runbook missing: %v", err)
 	}
-	var missing []string
-	for _, f := range n.Registry().Families() {
-		if !strings.Contains(string(doc), f.Name) {
-			missing = append(missing, f.Name)
+	doc := string(raw)
+
+	families := make(map[string]bool)
+	routes := make(map[string]bool)
+	var undocumented []string
+	for _, src := range []struct {
+		reg     *obsv.Registry
+		handler http.Handler
+	}{{n.Registry(), h}, {rt.Registry(), rt.Handler()}} {
+		for _, f := range src.reg.Families() {
+			families[f.Name] = true
+			if !strings.Contains(doc, f.Name) {
+				undocumented = append(undocumented, f.Name)
+			}
+		}
+		// Each route resolves its labeled series when the mux is built,
+		// so one scrape lists every route label the handler serves.
+		w := httptest.NewRecorder()
+		src.handler.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		p, err := obsv.ParsePrometheus(w.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range p {
+			for _, s := range f.Series {
+				if r, ok := s.Labels["route"]; ok {
+					routes[r] = true
+				}
+			}
 		}
 	}
-	if len(missing) > 0 {
+	if len(undocumented) > 0 {
 		t.Fatalf("docs/OPERATIONS.md does not document %d registered metrics:\n  %s",
-			len(missing), strings.Join(missing, "\n  "))
+			len(undocumented), strings.Join(undocumented, "\n  "))
+	}
+
+	var stale []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z][a-z0-9_]*)` \\|").FindAllStringSubmatch(doc, -1) {
+		if !families[m[1]] {
+			stale = append(stale, "metric row "+m[1])
+		}
+	}
+	var labels []string
+	lists := regexp.MustCompile("names((?:\\s+`[a-z_]+`,?)+)").FindAllStringSubmatch(doc, -1)
+	if len(lists) < 2 {
+		t.Fatalf("found %d route-name lists in docs/OPERATIONS.md, want the node's and the router's", len(lists))
+	}
+	for _, l := range lists {
+		for _, m := range regexp.MustCompile("`([a-z_]+)`").FindAllStringSubmatch(l[1], -1) {
+			labels = append(labels, m[1])
+		}
+	}
+	for _, m := range regexp.MustCompile(`route="([^"]*)"`).FindAllStringSubmatch(doc, -1) {
+		labels = append(labels, m[1])
+	}
+	for _, l := range labels {
+		if !routes[l] {
+			stale = append(stale, "route label "+l)
+		}
+	}
+	if len(stale) > 0 {
+		t.Fatalf("docs/OPERATIONS.md names %d things no node or router serves:\n  %s",
+			len(stale), strings.Join(stale, "\n  "))
 	}
 }
 

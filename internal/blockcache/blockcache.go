@@ -69,8 +69,6 @@ type Stats struct {
 	PrefetchEvicted int64 `json:"prefetch_evicted"`
 	// Pinned is the number of blocks currently in the protected region.
 	Pinned int64 `json:"pinned"`
-	// Entries is the number of blocks currently cached.
-	Entries int64 `json:"entries"`
 	// Bytes is the decompressed payload currently cached.
 	Bytes int64 `json:"bytes"`
 	// LeasesAcquired counts leases handed out by AcquirePeek.
@@ -439,9 +437,9 @@ func (c *Cache) Contains(key Key) bool {
 
 // Peek returns the cached value for key without running a loader and
 // without touching LRU order, the prefetched tag or the hit/miss
-// counters. Peer cache-fill uses it: a replica answering another node's
-// fill probe must not distort its own demand accounting — the bytes are
-// the other node's read, not a local one.
+// counters. romserver's merged bulk runs use it to re-check blocks that
+// were cached after dispatch: a bulk read must not distort the demand
+// accounting.
 func (c *Cache) Peek(key Key) ([]byte, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -555,9 +553,10 @@ func (c *Cache) Len() int {
 // Capacity returns the effective maximum number of cached blocks.
 func (c *Cache) Capacity() int { return c.perShardCap * len(c.shards) }
 
-// Stats returns a snapshot of the counters. Entries and Bytes are exact;
-// the flow counters are each individually exact but mutually unsynchronized
-// (a Get concurrent with Stats may appear in neither or one of them).
+// Stats returns a snapshot of the counters without taking a shard lock
+// (Len counts the entries). Bytes is exact; the flow counters are each
+// individually exact but mutually unsynchronized (a Get concurrent with
+// Stats may appear in neither or one of them).
 func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits:            c.hits.Load(),
@@ -567,7 +566,6 @@ func (c *Cache) Stats() Stats {
 		PrefetchHits:    c.prefetchHits.Load(),
 		PrefetchEvicted: c.prefetchEvicted.Load(),
 		Pinned:          c.pinnedCount.Load(),
-		Entries:         int64(c.Len()),
 		Bytes:           c.bytes.Load(),
 
 		LeasesAcquired:    c.leasesAcquired.Load(),

@@ -29,8 +29,8 @@ func TestGetHitMiss(t *testing.T) {
 	}
 
 	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Deduped != 0 || st.Entries != 1 || st.Bytes != 3 {
-		t.Fatalf("stats = %+v", st)
+	if st.Hits != 1 || st.Misses != 1 || st.Deduped != 0 || c.Len() != 1 || st.Bytes != 3 {
+		t.Fatalf("stats = %+v, %d entries", st, c.Len())
 	}
 	if got := st.HitRatio(); got != 0.5 {
 		t.Fatalf("hit ratio = %v, want 0.5", got)
@@ -53,8 +53,8 @@ func TestLRUEviction(t *testing.T) {
 			t.Fatalf("block %d should still be cached", i)
 		}
 	}
-	if st := c.Stats(); st.Evictions != 1 || st.Entries != 4 {
-		t.Fatalf("stats = %+v, want 1 eviction, 4 entries", st)
+	if st := c.Stats(); st.Evictions != 1 || c.Len() != 4 {
+		t.Fatalf("stats = %+v, %d entries; want 1 eviction, 4 entries", st, c.Len())
 	}
 }
 
@@ -186,8 +186,8 @@ func TestConcurrentChurn(t *testing.T) {
 	if st.Hits+st.Misses+st.Deduped != goroutines*iters {
 		t.Fatalf("counter sum %d != %d Gets (stats %+v)", st.Hits+st.Misses+st.Deduped, goroutines*iters, st)
 	}
-	if st.Entries > 32 {
-		t.Fatalf("entries %d exceed capacity", st.Entries)
+	if n := c.Len(); n > 32 {
+		t.Fatalf("entries %d exceed capacity", n)
 	}
 }
 
@@ -278,8 +278,8 @@ func TestUnpinImageAndInvalidatePinned(t *testing.T) {
 		t.Fatalf("InvalidateImage = %d, want 4", n)
 	}
 	st := c.Stats()
-	if st.Pinned != 0 || st.Entries != 4 || st.Bytes != 8 {
-		t.Fatalf("stats after invalidate = %+v", st)
+	if st.Pinned != 0 || c.Len() != 4 || st.Bytes != 8 {
+		t.Fatalf("stats after invalidate = %+v, %d entries", st, c.Len())
 	}
 }
 
@@ -422,8 +422,8 @@ func TestInvalidateOneBlock(t *testing.T) {
 		t.Fatal("second Invalidate reported a dropped block")
 	}
 	st := c.Stats()
-	if st.Pinned != 0 || st.Entries != 2 || st.Bytes != 6 {
-		t.Fatalf("stats after invalidate = %+v", st)
+	if st.Pinned != 0 || c.Len() != 2 || st.Bytes != 6 {
+		t.Fatalf("stats after invalidate = %+v, %d entries", st, c.Len())
 	}
 	if c.Contains(Key{Image: 1, Block: 2}) || !c.Contains(Key{Image: 1, Block: 1}) {
 		t.Fatal("Invalidate dropped the wrong block")
@@ -469,8 +469,8 @@ func TestPutIfRoomNeverEvicts(t *testing.T) {
 	if c.PutIfRoom(Key{Image: 1, Block: 9}, []byte{9}) {
 		t.Fatal("PutIfRoom admitted into a full shard")
 	}
-	if st := c.Stats(); st.Evictions != 0 || st.Entries != 4 || st.Misses != 0 || st.Hits != 0 {
-		t.Fatalf("after a refused PutIfRoom: %+v", st)
+	if st := c.Stats(); st.Evictions != 0 || c.Len() != 4 || st.Misses != 0 || st.Hits != 0 {
+		t.Fatalf("after a refused PutIfRoom: %+v, %d entries", st, c.Len())
 	}
 	if !c.PutIfRoom(Key{Image: 1, Block: 2}, []byte{42}) {
 		t.Fatal("PutIfRoom refused to replace a present key")
@@ -488,7 +488,7 @@ func TestPutIfRoomNeverEvicts(t *testing.T) {
 	if c.PutIfRoom(Key{Image: 1, Block: 11}, []byte{11}) {
 		t.Fatal("PutIfRoom admitted past a pinned entry's share of capacity")
 	}
-	if st := c.Stats(); st.Evictions != 0 || st.Entries != 4 {
-		t.Fatalf("final: %+v", st)
+	if st := c.Stats(); st.Evictions != 0 || c.Len() != 4 {
+		t.Fatalf("final: %+v, %d entries", st, c.Len())
 	}
 }

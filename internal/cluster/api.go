@@ -50,8 +50,6 @@ func (n *Node) buildMux() {
 	handle("GET /readyz", "readyz", n.handleReadyz)
 	handle("GET /metrics", "metrics", n.handleMetrics)
 	handle("GET /debug/traces", "debug_traces", n.handleTraces)
-	handle("GET /internal/images/{name}/cached/{i}", "internal_cached", n.handleCached)
-	handle("PUT /internal/peers", "internal_peers", n.handlePeers)
 	n.mux = mux
 }
 

@@ -266,6 +266,34 @@ func TestCachedBlockHandlerAllocs(t *testing.T) {
 	t.Logf("cached block through Node.Handler: %v allocs/op", allocs)
 }
 
+// TestNodeServesNoInternalAPI pins that a miss always decodes locally:
+// a node serves no route that reads its cache for another node or
+// points its misses at other nodes, even for a block it holds.
+func TestNodeServesNoInternalAPI(t *testing.T) {
+	payload, _ := testImage(t)
+	n, err := NewNode(NodeOptions{Name: "n", Logf: discardLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if _, err := n.Server().AddImage("prog", payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := n.Server().BlockContext(context.Background(), "prog", 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []*http.Request{
+		httptest.NewRequest(http.MethodGet, "/internal/images/prog/cached/0", nil),
+		httptest.NewRequest(http.MethodPut, "/internal/peers", strings.NewReader(`{"prog":["http://127.0.0.1:1"]}`)),
+	} {
+		w := httptest.NewRecorder()
+		n.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", req.Method, req.URL.Path, w.Code)
+		}
+	}
+}
+
 // TestClientTypedCalls round-trips the client's fault, training and
 // policy calls through a node's handlers: every fault option the client
 // encodes arrives as the node parses it, a node without fault injection

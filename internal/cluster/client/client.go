@@ -1,18 +1,16 @@
 // Package client is the one HTTP client for the codecompd serving API
-// (/images, /images/{name}/blocks/{i}, /metrics, health probes) plus the
-// cluster-internal endpoints (/internal/cached, /internal/peers). The
-// router's proxy path, a node's peer cache-fill and cmd/loadgen all
-// speak this API; before this package each grew its own request/parse
-// code, and the three copies had already started to disagree on error
-// handling. A Client is cheap (one struct), safe for concurrent use,
-// and shares its underlying http.Client connection pool.
+// (/images, /images/{name}/blocks/{i}, /metrics, health probes). The
+// router's proxy path, the drills and cmd/loadgen all speak this API;
+// before this package each grew its own request/parse code, and the
+// copies had already started to disagree on error handling. A Client
+// is cheap (one struct), safe for concurrent use, and shares its
+// underlying http.Client connection pool.
 package client
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,10 +25,6 @@ import (
 	"codecomp/internal/romserver"
 	"codecomp/internal/traceprof"
 )
-
-// ErrNotCached is returned by CachedBlock when the peer does not hold
-// the block in its cache (a clean miss, not a failure).
-var ErrNotCached = errors.New("client: block not cached on peer")
 
 // StatusError is a non-2xx HTTP response. Callers that care whether a
 // failure means "the node is unreachable" (transport error) or "the
@@ -259,51 +253,6 @@ func (c *Client) ReadBytesContext(ctx context.Context, name string, off, n int) 
 	}
 	decoded, _ := strconv.Atoi(h.Get("X-Decoded-Bytes"))
 	return body, rangeStats(h), decoded, nil
-}
-
-// CachedBlock asks the cluster-internal cache-only endpoint for one
-// block (GET /internal/images/{name}/cached/{i}): the bytes if the peer
-// holds them hot, ErrNotCached on a clean miss, any other failure as an
-// error. It never causes a decompression on the peer.
-func (c *Client) CachedBlock(name string, i int) ([]byte, error) {
-	req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/internal/images/%s/cached/%d", c.Base, name, i), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, body, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return body, nil
-	case http.StatusNoContent, http.StatusNotFound:
-		return nil, ErrNotCached
-	}
-	return nil, statusErr(fmt.Sprintf("cached block %d of %s", i, name), resp.StatusCode, body)
-}
-
-// SetPeers replaces the node's peer table (PUT /internal/peers): for
-// each image, the addresses of its replica peers (excluding the node
-// itself), the sources its cache misses may fill from.
-func (c *Client) SetPeers(peers map[string][]string) error {
-	buf, err := json.Marshal(peers)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPut, c.Base+"/internal/peers", bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, body, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return statusErr("set peers", resp.StatusCode, body)
-	}
-	return nil
 }
 
 // SetFaults installs a deterministic fault injector in front of an

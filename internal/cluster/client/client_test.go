@@ -36,15 +36,3 @@ func TestStatusErrorRoundTrip(t *testing.T) {
 		t.Fatalf("transport failure classified as StatusError: %v", err)
 	}
 }
-
-// TestCachedBlockMissIsErrNotCached pins the internal peek protocol: a
-// 204 is a clean miss, not an error the fill path should count.
-func TestCachedBlockMissIsErrNotCached(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	defer srv.Close()
-	if _, err := New(srv.URL, nil).CachedBlock("img", 0); !errors.Is(err, ErrNotCached) {
-		t.Fatalf("204 peek = %v, want ErrNotCached", err)
-	}
-}

@@ -11,11 +11,9 @@
 //     serving HTTP API — the only one in the repo; cmd/codecompd is one
 //     node built from its flags — with optional write-through disk
 //     persistence (store.go) so a restarted node recovers its
-//     registered images without re-registration, and peer cache-fill —
-//     a local miss asks the image's replica peers' hot caches over a
-//     compact /internal API before paying for a decompression, with
-//     every filled block re-verified against the local integrity
-//     sidecar;
+//     registered images without re-registration. A cache miss always
+//     decodes locally, verified against the image's integrity sidecar,
+//     as the paper's refill engine decompresses from local memory;
 //   - a router (router.go): the thin proxy tier. It places images on
 //     the ring, fans registrations out to all replicas, serves block
 //     reads with request hedging (a second replica is tried after a
@@ -28,6 +26,6 @@
 //     -cluster chaos drill and the package's own tests.
 //
 // The shared HTTP client for the /images + /blocks API lives in the
-// cluster/client subpackage and is used by the router, by peer
-// cache-fill and by cmd/loadgen.
+// cluster/client subpackage and is used by the router, the drills and
+// cmd/loadgen.
 package cluster

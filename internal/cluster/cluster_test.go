@@ -116,74 +116,6 @@ func TestNodePersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestPeerCacheFill warms a block on one node and asserts a replica's
-// miss is satisfied from that hot cache through the internal API,
-// byte-exact, with the fill counters moving.
-func TestPeerCacheFill(t *testing.T) {
-	payload, _ := testImage(t)
-
-	mk := func(name string) (*Node, *httptest.Server, *client.Client) {
-		// Prefetch off: the test counts individual peeks/fills, and a
-		// demand read warming neighboring blocks would shift the counts.
-		n, err := NewNode(NodeOptions{
-			Name: name, DataDir: t.TempDir(), Logf: discardLogf,
-			Server: romserver.Options{PrefetchDepth: -1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(n.Handler())
-		return n, srv, client.New(srv.URL, nil)
-	}
-	a, asrv, acli := mk("a")
-	defer a.Close()
-	defer asrv.Close()
-	b, bsrv, bcli := mk("b")
-	defer b.Close()
-	defer bsrv.Close()
-
-	for _, cli := range []*client.Client{acli, bcli} {
-		if _, err := cli.Upload("prog", payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm block 0 on b, then point a's peer table at b.
-	want, _, err := bcli.Block("prog", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := acli.SetPeers(map[string][]string{"prog": {bsrv.URL}}); err != nil {
-		t.Fatal(err)
-	}
-
-	got, _, err := acli.Block("prog", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("peer-filled block differs from the peer's bytes")
-	}
-	if hits := a.Registry().Counter("cluster_peer_fill_hits_total", "").Value(); hits != 1 {
-		t.Fatalf("cluster_peer_fill_hits_total = %d, want 1", hits)
-	}
-	if fills := a.Registry().Counter("romserver_peer_fills_total", "").Value(); fills != 1 {
-		t.Fatalf("romserver_peer_fills_total = %d, want 1 (fill not verified into cache?)", fills)
-	}
-	if peeks := b.Registry().Counter("cluster_cached_peek_hits_total", "").Value(); peeks != 1 {
-		t.Fatalf("peer's cluster_cached_peek_hits_total = %d, want 1", peeks)
-	}
-
-	// A block b has NOT cached must come back as a clean miss (204), not
-	// an error, and a must fall back to local decompression.
-	errsBefore := a.Registry().Counter("cluster_peer_fill_errors_total", "").Value()
-	if _, _, err := acli.Block("prog", 1); err != nil {
-		t.Fatal(err)
-	}
-	if errsAfter := a.Registry().Counter("cluster_peer_fill_errors_total", "").Value(); errsAfter != errsBefore {
-		t.Fatalf("clean peer miss counted as fill error (%d -> %d)", errsBefore, errsAfter)
-	}
-}
-
 // TestRouterFailoverEjectionRestore runs the crash story end to end
 // against a real harness: kill a replica mid-traffic (reads keep
 // succeeding byte-exact), the health window ejects it, restart restores

@@ -2,8 +2,8 @@
 // behind one real router, with kill/restart of individual members.
 // This is the substrate for the loadgen -cluster chaos drill and the
 // package's own tests — everything goes over actual HTTP so the drill
-// exercises the same client, proxy and peer-fill paths production
-// would, while staying a single process a CI job can run.
+// exercises the same client and proxy paths production would, while
+// staying a single process a CI job can run.
 package cluster
 
 import (

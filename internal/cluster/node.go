@@ -1,21 +1,16 @@
 // A cluster node: one romserver.Server behind the full serving HTTP
-// API, with optional write-through disk persistence and peer cache-fill.
-// The node is what the router proxies to, and cmd/codecompd is one node
-// built from its flags.
+// API, with optional write-through disk persistence. The node is what
+// the router proxies to, and cmd/codecompd is one node built from its
+// flags.
 package cluster
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
-	"codecomp/internal/cluster/client"
 	"codecomp/internal/obsv"
 	"codecomp/internal/romserver"
 )
@@ -49,9 +44,9 @@ type NodeOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Node is one serving process: a romserver with optional persistence,
-// peer fill and the HTTP API below. Construct with NewNode, serve
-// Handler(), Close when done. Every route is instrumented with the
+// Node is one serving process: a romserver with optional persistence
+// and the HTTP API below. Construct with NewNode, serve Handler(),
+// Close when done. Every route is instrumented with the
 // codecompd_http_* metrics.
 //
 //	POST /images?name=N          upload a marshaled image (format auto-detected)
@@ -102,13 +97,6 @@ type NodeOptions struct {
 //	                             JSON policy body); add &recompress=1 to run
 //	                             a synchronous recompression pass and get its
 //	                             stats back
-//
-// Cluster-internal (peers and the router):
-//
-//	GET  /internal/images/{name}/cached/{i}  the block if cached (200),
-//	                             204 if not; never decompresses
-//	PUT  /internal/peers         replace the peer table (JSON object of
-//	                             image name -> replica base URLs)
 type Node struct {
 	name    string
 	rs      *romserver.Server
@@ -124,16 +112,6 @@ type Node struct {
 	// write-through so a concurrent add+delete cannot leave disk and
 	// registry disagreeing.
 	regMu sync.Mutex
-
-	// Peer cache-fill: the replica peers a local miss may ask first.
-	peerMu sync.RWMutex
-	peers  map[string][]*client.Client // image name -> replica peers
-
-	fillAttempts *obsv.Counter
-	fillHits     *obsv.Counter
-	fillErrors   *obsv.Counter
-	peekRequests *obsv.Counter
-	peekHits     *obsv.Counter
 
 	// HTTP-layer instruments; the per-route series are resolved at route
 	// registration, not per request.
@@ -180,17 +158,6 @@ func NewNode(opts NodeOptions) (*Node, error) {
 		faults:  opts.AllowFaults,
 		started: time.Now(),
 		logf:    logf,
-		peers:   make(map[string][]*client.Client),
-		fillAttempts: reg.Counter("cluster_peer_fill_attempts_total",
-			"Peer cache probes issued on local cache misses."),
-		fillHits: reg.Counter("cluster_peer_fill_hits_total",
-			"Local misses satisfied from a replica's hot cache (before sidecar verification; see romserver_peer_fills_total for the verified count)."),
-		fillErrors: reg.Counter("cluster_peer_fill_errors_total",
-			"Peer cache probes that failed (network error or unexpected status); clean peer misses are not errors."),
-		peekRequests: reg.Counter("cluster_cached_peek_requests_total",
-			"Cache-only block requests served to peers (/internal/images/{name}/cached/{i})."),
-		peekHits: reg.Counter("cluster_cached_peek_hits_total",
-			"Cache-only peer requests answered from the local cache."),
 		httpInflight: reg.Gauge("codecompd_http_inflight",
 			"HTTP requests currently being served."),
 		httpRequests: reg.CounterVec("codecompd_http_requests_total",
@@ -203,13 +170,6 @@ func NewNode(opts NodeOptions) (*Node, error) {
 	if n.maxIm <= 0 {
 		n.maxIm = DefaultMaxImageBytes
 	}
-	reg.GaugeFunc("cluster_peer_images",
-		"Images with a configured peer set (fill candidates).",
-		func() float64 {
-			n.peerMu.RLock()
-			defer n.peerMu.RUnlock()
-			return float64(len(n.peers))
-		})
 	if st != nil {
 		n.recoverStore()
 	}
@@ -256,92 +216,3 @@ func (n *Node) Registry() *obsv.Registry { return n.reg }
 
 // Close drains the underlying romserver.
 func (n *Node) Close() error { return n.rs.Close() }
-
-// fillTimeout bounds one peer cache probe.
-const fillTimeout = 150 * time.Millisecond
-
-// fill is the romserver.FillFunc: ask each replica peer's cache for the
-// block, first answer wins. The romserver verifies whatever comes back
-// against the local integrity sidecar, so this function only has to be
-// fast, not trusted.
-func (n *Node) fill(image string, block int) ([]byte, bool) {
-	n.peerMu.RLock()
-	peers := n.peers[image]
-	n.peerMu.RUnlock()
-	if len(peers) == 0 {
-		return nil, false
-	}
-	hc := &http.Client{Timeout: fillTimeout}
-	for _, p := range peers {
-		n.fillAttempts.Inc()
-		probe := client.New(p.Base, hc)
-		data, err := probe.CachedBlock(image, block)
-		if err == nil {
-			n.fillHits.Inc()
-			return data, true
-		}
-		if !errors.Is(err, client.ErrNotCached) {
-			n.fillErrors.Inc()
-		}
-	}
-	return nil, false
-}
-
-// setPeers replaces the peer table: for each image, the base URLs of
-// its replica peers. The fill hook is installed on the romserver only
-// while the table is non-empty, so a node without peers pays no fill
-// call, and no clock reading for one, on its misses.
-func (n *Node) setPeers(peers map[string][]string) {
-	next := make(map[string][]*client.Client, len(peers))
-	for img, addrs := range peers {
-		cs := make([]*client.Client, 0, len(addrs))
-		for _, addr := range addrs {
-			cs = append(cs, client.New(addr, nil))
-		}
-		next[img] = cs
-	}
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	n.peers = next
-	if len(next) > 0 {
-		n.rs.SetFillHook(n.fill)
-	} else {
-		n.rs.SetFillHook(nil)
-	}
-}
-
-// handleCached serves GET /internal/images/{name}/cached/{i}: the block
-// bytes with 200 if cached, 204 if not (a clean miss), 404 for an
-// unknown image. It never decompresses.
-func (n *Node) handleCached(w http.ResponseWriter, r *http.Request) {
-	n.peekRequests.Inc()
-	i, err := strconv.Atoi(r.PathValue("i"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "block index must be an integer"})
-		return
-	}
-	data, ok, err := n.rs.CachedBlock(r.PathValue("name"), i)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if !ok {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	n.peekHits.Inc()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(data) //nolint:errcheck — client went away
-}
-
-// handlePeers serves PUT /internal/peers: a JSON object mapping image
-// names to replica peer base URLs, replacing the whole table.
-func (n *Node) handlePeers(w http.ResponseWriter, r *http.Request) {
-	var peers map[string][]string
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&peers); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	n.setPeers(peers)
-	w.WriteHeader(http.StatusNoContent)
-}

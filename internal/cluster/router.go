@@ -343,9 +343,9 @@ func (rt *Router) getMember(name string) *member {
 
 // rebalanceLocked (rt.mu held) applies the current membership:
 //  1. build the next ring at epoch+1;
-//  2. upload every catalog image to new owners that miss it, and push
-//     the next peer tables — all while reads still resolve against the
-//     old ring, which stays fully valid;
+//  2. upload every catalog image to new owners that miss it — all
+//     while reads still resolve against the old ring, which stays fully
+//     valid;
 //  3. swap the ring pointer (the atomic epoch cut-over);
 //  4. drop image copies from members that no longer own them. A
 //     straggler request that resolved the old ring and hits a
@@ -385,8 +385,6 @@ func (rt *Router) rebalanceLocked() error {
 			rt.rebalanceMoved.Inc()
 		}
 	}
-	rt.pushPeerTables(next)
-
 	rt.ring.Store(next)
 	rt.logf("cluster router: %s live", next)
 
@@ -431,49 +429,9 @@ func (rt *Router) scanHoldings() map[string]map[string]bool {
 	return holdings
 }
 
-// pushPeerTables sends every member its peer map for ring r: for each
-// image it owns, the other replicas' addresses — the sources its cache
-// misses may fill from.
-func (rt *Router) pushPeerTables(r *Ring) {
-	tables := make(map[string]map[string][]string)
-	for name := range rt.catalog {
-		repl := r.Lookup(name)
-		for _, owner := range repl {
-			peers := make([]string, 0, len(repl)-1)
-			for _, other := range repl {
-				if other == owner {
-					continue
-				}
-				if m := rt.getMember(other); m != nil {
-					peers = append(peers, m.addr)
-				}
-			}
-			if tables[owner] == nil {
-				tables[owner] = make(map[string][]string)
-			}
-			tables[owner][name] = peers
-		}
-	}
-	rt.memMu.RLock()
-	ms := make([]*member, 0, len(rt.members))
-	for _, m := range rt.members {
-		ms = append(ms, m)
-	}
-	rt.memMu.RUnlock()
-	for _, m := range ms {
-		t := tables[m.name]
-		if t == nil {
-			t = map[string][]string{}
-		}
-		if err := m.cli.SetPeers(t); err != nil {
-			rt.logf("cluster router: push peers to %s: %v", m.name, err)
-		}
-	}
-}
-
 // Register places an image: record it in the catalog, upload it to
-// every replica the ring assigns, refresh peer tables. At least one
-// replica must accept; unreachable replicas are repaired by reconcile.
+// every replica the ring assigns. At least one replica must accept;
+// unreachable replicas are repaired by reconcile.
 func (rt *Router) Register(name string, payload []byte) (romserver.ImageInfo, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -510,7 +468,6 @@ func (rt *Router) Register(name string, payload []byte) (romserver.ImageInfo, er
 		return romserver.ImageInfo{}, firstErr
 	}
 	rt.catalog[name] = catalogEntry{payload: append([]byte(nil), payload...), info: info}
-	rt.pushPeerTables(ring)
 	return info, nil
 }
 
@@ -529,7 +486,6 @@ func (rt *Router) Deregister(name string) error {
 			}
 		}
 	}
-	rt.pushPeerTables(rt.Ring())
 	return nil
 }
 
@@ -778,7 +734,7 @@ func (rt *Router) ProbeOnce() {
 
 // reconcile repairs a restored member: any catalog image the ring says
 // it owns but it no longer holds is re-uploaded (counted — a node whose
-// disk store recovered needs zero), and its peer table is refreshed.
+// disk store recovered needs zero).
 func (rt *Router) reconcile(m *member) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -810,7 +766,6 @@ func (rt *Router) reconcile(m *member) {
 		rt.reconcileUploads.Inc()
 		rt.logf("cluster router: reconcile %s: re-uploaded %q (disk recovery missed it)", m.name, name)
 	}
-	rt.pushPeerTables(ring)
 }
 
 // NodeState is one member's row in GET /cluster/nodes.

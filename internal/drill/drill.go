@@ -456,7 +456,6 @@ const (
 	famPartialDecodedSize = "romserver_partial_decoded_bytes_total"
 	famOverloadLevel      = "overload_level"
 	famRetryDenied        = "overload_retry_denied_total"
-	famPeerFillHits       = "cluster_peer_fill_hits_total"
 	famHTTPRequest        = "codecompd_http_request_seconds"
 	famQueueWait          = "romserver_queue_wait_seconds"
 	famDecode             = "romserver_decode_seconds"
@@ -469,7 +468,7 @@ var drillFamilies = []string{
 	famPrefetchHits, famPrefetchWasted, famPrefetchIssued, famPrefetchCompleted, famPrefetchDropped,
 	famDecompressions, famCorruptBlocks, famCodecPanics, famRetries,
 	famSubblockReads, famPartialDecodes, famPartialDecodedSize,
-	famOverloadLevel, famRetryDenied, famPeerFillHits,
+	famOverloadLevel, famRetryDenied,
 	famHTTPRequest, famQueueWait, famDecode, famVerify, famBlockLoad,
 }
 

@@ -52,8 +52,9 @@ type Options struct {
 	Latency time.Duration `json:"latency_ns"`
 	// Hook, when set, is called once per injected fault with its kind,
 	// from the goroutine the fault is injected on (for panics, before the
-	// panic is raised). The serving layer uses it to mirror injected-fault
-	// counts into its metrics registry. Must be safe for concurrent use.
+	// panic is raised). It is the only fault count: the serving layer
+	// uses it to feed the faultinj_* families of its metrics registry.
+	// Must be safe for concurrent use.
 	Hook func(Kind) `json:"-"`
 }
 
@@ -83,20 +84,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Stats counts the faults an injector has produced so far.
-type Stats struct {
-	// Loads counts block loads that reached the injector.
-	Loads int64 `json:"loads"`
-	// BitFlips counts loads whose output had a bit flipped.
-	BitFlips int64 `json:"bit_flips"`
-	// TransientErrors counts injected retryable failures.
-	TransientErrors int64 `json:"transient_errors"`
-	// PermanentErrors counts loads refused by ErrorBlocks.
-	PermanentErrors int64 `json:"permanent_errors"`
-	// Panics counts loads that panicked via PanicBlocks.
-	Panics int64 `json:"panics"`
-}
-
 // TransientError is the injected retryable failure; it satisfies the
 // Temporary() convention the romserver retry policy keys on.
 type TransientError struct {
@@ -119,11 +106,8 @@ type Injector struct {
 	errorBlocks map[int]bool
 	panicBlocks map[int]bool
 
-	seq        atomic.Int64
-	bitFlips   atomic.Int64
-	transients atomic.Int64
-	permanents atomic.Int64
-	panics     atomic.Int64
+	// seq numbers the loads; it keys each load's seeded draws.
+	seq atomic.Int64
 }
 
 var _ codecomp.BlockCodec = (*Injector)(nil)
@@ -143,17 +127,6 @@ func New(inner codecomp.BlockCodec, opts Options) *Injector {
 		j.panicBlocks[b] = true
 	}
 	return j
-}
-
-// Stats snapshots the fault counters.
-func (j *Injector) Stats() Stats {
-	return Stats{
-		Loads:           j.seq.Load(),
-		BitFlips:        j.bitFlips.Load(),
-		TransientErrors: j.transients.Load(),
-		PermanentErrors: j.permanents.Load(),
-		Panics:          j.panics.Load(),
-	}
 }
 
 // NumBlocks delegates to the wrapped codec.
@@ -179,12 +152,10 @@ func (j *Injector) AppendBlock(dst []byte, i int) ([]byte, error) {
 		time.Sleep(j.opts.Latency)
 	}
 	if j.panicBlocks[i] {
-		j.panics.Add(1)
 		j.hook(KindPanic)
 		panic(fmt.Sprintf("faultinj: injected panic on block %d (load %d)", i, seq))
 	}
 	if j.errorBlocks[i] {
-		j.permanents.Add(1)
 		j.hook(KindPermanent)
 		return nil, fmt.Errorf("faultinj: injected permanent error on block %d", i)
 	}
@@ -192,7 +163,6 @@ func (j *Injector) AppendBlock(dst []byte, i int) ([]byte, error) {
 	// then flip gate + flip position.
 	r0 := splitmix(uint64(j.opts.Seed) ^ uint64(seq)*0x9e3779b97f4a7c15)
 	if unit(r0) < j.opts.TransientRate {
-		j.transients.Add(1)
 		j.hook(KindTransient)
 		return nil, &TransientError{Block: i, Seq: seq}
 	}
@@ -205,7 +175,6 @@ func (j *Injector) AppendBlock(dst []byte, i int) ([]byte, error) {
 	if n := len(out) - base; n > 0 && unit(r1) < j.opts.BitFlipRate {
 		bit := int(splitmix(r1) % uint64(n*8))
 		out[base+bit/8] ^= 1 << (bit % 8)
-		j.bitFlips.Add(1)
 		j.hook(KindBitFlip)
 	}
 	return out, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -30,9 +31,24 @@ func (c *memCodec) Decompress() ([]byte, error) {
 func (c *memCodec) CompressedSize() int { return c.blocks * 8 }
 func (c *memCodec) Ratio() float64      { return 0.25 }
 
+// faultCounts tallies injected faults by kind through Options.Hook, the
+// way the serving layer's faultinj_* counters do.
+type faultCounts [4]atomic.Int64
+
+func (c *faultCounts) hook(k Kind) { c[k].Add(1) }
+
+func (c *faultCounts) total() int64 {
+	var n int64
+	for k := range c {
+		n += c[k].Load()
+	}
+	return n
+}
+
 func TestPassThroughWhenZeroOptions(t *testing.T) {
 	inner := &memCodec{blocks: 8}
-	j := New(inner, Options{})
+	var c faultCounts
+	j := New(inner, Options{Hook: c.hook})
 	if j.NumBlocks() != 8 || j.CompressedSize() != 64 || j.Ratio() != 0.25 {
 		t.Fatal("metadata not delegated")
 	}
@@ -48,9 +64,8 @@ func TestPassThroughWhenZeroOptions(t *testing.T) {
 	if err != nil || !bytes.Equal(full, wantFull) {
 		t.Fatal("Decompress not delegated")
 	}
-	st := j.Stats()
-	if st.Loads != 8 || st.BitFlips+st.TransientErrors+st.PermanentErrors+st.Panics != 0 {
-		t.Fatalf("stats = %+v", st)
+	if loads, faults := j.seq.Load(), c.total(); loads != 8 || faults != 0 {
+		t.Fatalf("%d loads, %d faults; want 8 and 0", loads, faults)
 	}
 }
 
@@ -105,13 +120,10 @@ func TestDeterministicFaultSequence(t *testing.T) {
 
 func TestRatesApproximatelyHold(t *testing.T) {
 	const n = 20000
-	j := New(&memCodec{blocks: 2}, Options{Seed: 1, BitFlipRate: 0.10, TransientRate: 0.05})
+	var c faultCounts
+	j := New(&memCodec{blocks: 2}, Options{Seed: 1, BitFlipRate: 0.10, TransientRate: 0.05, Hook: c.hook})
 	for i := 0; i < n; i++ {
-		j.Block(0) //nolint:errcheck — counting via Stats
-	}
-	st := j.Stats()
-	if st.Loads != n {
-		t.Fatalf("loads = %d", st.Loads)
+		j.Block(0) //nolint:errcheck — counting via the hook
 	}
 	// Transients gate before flips; both rates should land within ±40%
 	// of nominal over 20k draws.
@@ -121,8 +133,8 @@ func TestRatesApproximatelyHold(t *testing.T) {
 			t.Errorf("%s rate = %.4f, want ≈ %.2f", name, r, want)
 		}
 	}
-	checkRate("transient", st.TransientErrors, 0.05)
-	checkRate("bitflip", st.BitFlips, 0.10*0.95)
+	checkRate("transient", c[KindTransient].Load(), 0.05)
+	checkRate("bitflip", c[KindBitFlip].Load(), 0.10*0.95)
 }
 
 func TestBitFlipChangesExactlyOneBit(t *testing.T) {
@@ -153,7 +165,8 @@ func TestBitFlipChangesExactlyOneBit(t *testing.T) {
 }
 
 func TestPermanentAndPanicBlocks(t *testing.T) {
-	j := New(&memCodec{blocks: 8}, Options{ErrorBlocks: []int{2}, PanicBlocks: []int{5}})
+	var c faultCounts
+	j := New(&memCodec{blocks: 8}, Options{ErrorBlocks: []int{2}, PanicBlocks: []int{5}, Hook: c.hook})
 	for i := 0; i < 3; i++ {
 		if _, err := j.Block(2); err == nil {
 			t.Fatal("permanent block served")
@@ -171,8 +184,8 @@ func TestPermanentAndPanicBlocks(t *testing.T) {
 			j.Block(5) //nolint:errcheck
 		}()
 	}
-	if st := j.Stats(); st.PermanentErrors != 6 || st.Panics != 3 {
-		t.Fatalf("stats = %+v", st)
+	if perm, panics := c[KindPermanent].Load(), c[KindPanic].Load(); perm != 6 || panics != 3 {
+		t.Fatalf("%d permanent errors, %d panics; want 6 and 3", perm, panics)
 	}
 	// Other blocks are unaffected.
 	if _, err := j.Block(0); err != nil {
@@ -202,8 +215,9 @@ func TestLatencyInjection(t *testing.T) {
 
 // TestAppendBlockMatchesBlock replays one seeded load sequence through
 // Block on one injector and through AppendBlock on another: every load
-// draws the same fault kind and yields the same bytes, the counters end
-// equal, and a bit flip never reaches the caller's dst prefix.
+// draws the same fault kind and yields the same bytes, the hook sees the
+// same faults in the same order, and a bit flip never reaches the
+// caller's dst prefix.
 func TestAppendBlockMatchesBlock(t *testing.T) {
 	opts := func(kinds *[]Kind) Options {
 		return Options{
@@ -250,12 +264,12 @@ func TestAppendBlockMatchesBlock(t *testing.T) {
 			t.Fatalf("load %d (block %d): AppendBlock %x, Block %x", n, i, got[len(prefix):], want)
 		}
 	}
-	sb, sa := viaBlock.Stats(), viaAppend.Stats()
-	if sa != sb {
-		t.Fatalf("AppendBlock stats %+v, Block stats %+v", sa, sb)
+	seen := make(map[Kind]bool)
+	for _, k := range blockKinds {
+		seen[k] = true
 	}
-	if sb.BitFlips == 0 || sb.TransientErrors == 0 || sb.PermanentErrors == 0 || sb.Panics == 0 {
-		t.Fatalf("sequence misses a fault kind: %+v", sb)
+	if len(seen) != 4 {
+		t.Fatalf("sequence misses a fault kind: saw %v", seen)
 	}
 	if len(appendKinds) != len(blockKinds) {
 		t.Fatalf("hook saw %d faults via AppendBlock, %d via Block", len(appendKinds), len(blockKinds))
@@ -268,9 +282,10 @@ func TestAppendBlockMatchesBlock(t *testing.T) {
 }
 
 // TestConcurrentLoads is the -race proof: many goroutines drawing faults
-// simultaneously must not race, and the counters must balance.
+// simultaneously must not race, and every load must be numbered.
 func TestConcurrentLoads(t *testing.T) {
-	j := New(&memCodec{blocks: 16}, Options{Seed: 9, BitFlipRate: 0.2, TransientRate: 0.2})
+	var c faultCounts
+	j := New(&memCodec{blocks: 16}, Options{Seed: 9, BitFlipRate: 0.2, TransientRate: 0.2, Hook: c.hook})
 	var wg sync.WaitGroup
 	const goroutines, per = 8, 500
 	for g := 0; g < goroutines; g++ {
@@ -283,11 +298,10 @@ func TestConcurrentLoads(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := j.Stats()
-	if st.Loads != goroutines*per {
-		t.Fatalf("loads = %d, want %d", st.Loads, goroutines*per)
+	if loads := j.seq.Load(); loads != goroutines*per {
+		t.Fatalf("loads = %d, want %d", loads, goroutines*per)
 	}
-	if st.BitFlips == 0 || st.TransientErrors == 0 {
-		t.Fatalf("no faults under concurrency: %+v", st)
+	if c[KindBitFlip].Load() == 0 || c[KindTransient].Load() == 0 {
+		t.Fatal("no faults under concurrency")
 	}
 }

@@ -77,8 +77,7 @@ type Controller struct {
 	filled     int
 	fails      int
 
-	transitions atomic.Int64
-	onChange    func(from, to Level)
+	onChange func(from, to Level)
 }
 
 // NewController returns a controller at Healthy on cfg's clock
@@ -102,9 +101,6 @@ func (c *Controller) OnChange(fn func(from, to Level)) { c.onChange = fn }
 
 // Level returns the current degradation level (lock-free).
 func (c *Controller) Level() Level { return Level(c.level.Load()) }
-
-// Transitions counts level changes since construction.
-func (c *Controller) Transitions() int64 { return c.transitions.Load() }
 
 // ReportOutcome records whether an admitted request succeeded. Do not
 // report shed or rejected requests.
@@ -190,7 +186,6 @@ func exitOf(l Level) float64 {
 func (c *Controller) setLocked(from, to Level, now time.Time) {
 	c.level.Store(int32(to))
 	c.lastChange = now
-	c.transitions.Add(1)
 	if c.onChange != nil {
 		c.onChange(from, to)
 	}

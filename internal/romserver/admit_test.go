@@ -67,8 +67,8 @@ func TestAdmitCyclicScanServesSecondPass(t *testing.T) {
 
 	pass()
 	st := s.cache.Stats()
-	if st.Entries != cacheBlocks || st.Evictions != 0 {
-		t.Fatalf("after the first pass: %d entries, %d evictions; want a full cache and no evictions", st.Entries, st.Evictions)
+	if s.cache.Len() != cacheBlocks || st.Evictions != 0 {
+		t.Fatalf("after the first pass: %d entries, %d evictions; want a full cache and no evictions", s.cache.Len(), st.Evictions)
 	}
 	cached, blocks := pass()
 	if share := float64(cached) / float64(blocks); share <= 0.15 {
@@ -85,8 +85,8 @@ func TestAdmitColdPassEvictsNothing(t *testing.T) {
 	img := s.addCodec("img", &stubCodec{blocks: 256})
 	readView(t, s, "img", 0, 2*32)
 	readView(t, s, "img", 2*32, 2*200)
-	if st := s.cache.Stats(); st.Entries != 32 || st.Evictions != 0 {
-		t.Fatalf("cold pass over a full cache: %d entries, %d evictions", st.Entries, st.Evictions)
+	if st := s.cache.Stats(); s.cache.Len() != 32 || st.Evictions != 0 {
+		t.Fatalf("cold pass over a full cache: %d entries, %d evictions", s.cache.Len(), st.Evictions)
 	}
 	for b := 0; b < 32; b++ {
 		if !s.cache.Contains(img.key(b)) {
@@ -151,8 +151,8 @@ func TestAdmitWithRoomOnFirstDecode(t *testing.T) {
 			t.Fatalf("block %d not inserted into a cache with room", b)
 		}
 	}
-	if st := s.cache.Stats(); st.Entries != 40 || st.Evictions != 0 {
-		t.Fatalf("after one read: %+v", st)
+	if st := s.cache.Stats(); s.cache.Len() != 40 || st.Evictions != 0 {
+		t.Fatalf("after one read: %+v, %d entries", st, s.cache.Len())
 	}
 }
 

@@ -33,8 +33,8 @@ func TestAdmitSequentialScanEvictsNothing(t *testing.T) {
 			cached += readView(t, s, "img", 2*p*pageBlocks, 2*pageBlocks).CachedBlocks
 		}
 		st := s.cache.Stats()
-		if st.Evictions != 0 || st.Entries != cacheBlocks {
-			t.Fatalf("pass %d: %d evictions, %d entries; want none and a full cache", pass, st.Evictions, st.Entries)
+		if st.Evictions != 0 || s.cache.Len() != cacheBlocks {
+			t.Fatalf("pass %d: %d evictions, %d entries; want none and a full cache", pass, st.Evictions, s.cache.Len())
 		}
 		if want := min(pass-1, 1) * cacheBlocks; cached != want {
 			t.Fatalf("pass %d served %d of %d blocks from cache, want %d", pass, cached, blocks, want)
@@ -136,7 +136,7 @@ func TestAdmitMatchesOfflineModel(t *testing.T) {
 				live++
 			}
 		}
-		if n := s.cache.Stats().Entries; n != int64(live) {
+		if n := s.cache.Len(); n != live {
 			t.Fatalf("step %d: %d cached blocks, %d under the live registration: the rest carry a dead id", step, n, live)
 		}
 	}

@@ -348,13 +348,6 @@ func (w *poolWorker) safeBlock(img *image, block int) (data []byte, err error) {
 // (nil otherwise) to record the same phases plus retry/corruption
 // events into the trace.
 //
-// When allowFill is true and a fill hook is installed (peer cache-fill),
-// the hook is consulted first: verified fill bytes are returned without
-// touching the local codec, a fill that fails verification is counted
-// and discarded, and the load falls through to local decompression. The
-// background re-verifier passes allowFill=false — its whole point is to
-// prove the *local* image decompresses cleanly.
-//
 // ctx, when non-nil, is the ticket's request context, which bind
 // resolved when the ticket started: its deadline clamps each attempt's
 // decode deadline, an expired context stops the attempt loop, and —
@@ -363,9 +356,9 @@ func (w *poolWorker) safeBlock(img *image, block int) (data []byte, err error) {
 // retry storm. Background callers
 // (re-verify, pinning) pass nil and keep the old unbudgeted behavior.
 //
-// It runs on pool worker w: the peer fill and each decode attempt run as
-// guarded sections under its watchdog. Once the watchdog has answered
-// the ticket, the load stops with w.retired and does no further
+// It runs on pool worker w: each decode attempt runs as a guarded
+// section under its watchdog. Once the watchdog has answered the
+// ticket, the load stops with w.retired and does no further
 // verification or accounting.
 //
 // The stages share clock readings, so a clean load reads the clock
@@ -376,42 +369,12 @@ func (w *poolWorker) safeBlock(img *image, block int) (data []byte, err error) {
 // ends the verify and the load, and is returned so a run can start its
 // next block at it. The phase histograms, the decode
 // ns/block gauge and the watchdog all use those readings. A retry reads
-// the clock again after its backoff, and a consulted fill hook after the
-// fill (its round trip is not decode time) and after verifying what it
-// returned.
-func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp *obsv.Span, allowFill bool, start time.Time) ([]byte, time.Time, error) {
+// the clock again after its backoff.
+func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp *obsv.Span, start time.Time) ([]byte, time.Time, error) {
 	s := w.s
 	// now is always the latest clock reading.
 	now := start
 	defer func() { w.acct.blockLoad.Observe(now.Sub(start)) }()
-	if allowFill {
-		if fp := s.fill.Load(); fp != nil {
-			if err := w.guard(ctx, block, now); err != nil {
-				return nil, now, err
-			}
-			data, ok := (*fp)(img.name, block)
-			now = time.Now()
-			if err := w.settle(); err != nil {
-				return nil, now, err
-			}
-			if ok {
-				verr := img.sidecar.verify(block, data)
-				now = time.Now()
-				if verr == nil {
-					s.met.peerFills.Inc()
-					if sp != nil {
-						sp.Event("peer fill")
-					}
-					s.recordHealth(img, block, false)
-					return data, now, nil
-				}
-				s.met.peerFillRejects.Inc()
-				if sp != nil {
-					sp.Event("peer fill rejected by sidecar")
-				}
-			}
-		}
-	}
 	var lastErr error
 	backoff := retryBackoff
 	for attempt := 0; attempt < s.opts.LoadAttempts; attempt++ {

@@ -26,7 +26,7 @@ func TestFlightLeaderDeadline(t *testing.T) {
 		ReverifyInterval: -1,
 	})
 	defer s.Close()
-	s.addCodec("img", c)
+	img := s.addCodec("img", c)
 
 	ctxA, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -64,7 +64,7 @@ func TestFlightLeaderDeadline(t *testing.T) {
 	if n := c.calls.Load(); n != 2 {
 		t.Fatalf("%d decodes, want A's and B's own", n)
 	}
-	if data, ok, _ := s.CachedBlock("img", 5); !ok || !bytes.Equal(data, stubBlock(5)) {
+	if data, ok := s.cache.Peek(img.key(5)); !ok || !bytes.Equal(data, stubBlock(5)) {
 		t.Fatal("block 5 not cached after B's load")
 	}
 }

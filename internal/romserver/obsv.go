@@ -51,9 +51,6 @@ type serverMetrics struct {
 	partialDecodedBytes *obsv.Counter
 	subblockRead        *obsv.Histogram
 
-	peerFills       *obsv.Counter
-	peerFillRejects *obsv.Counter
-
 	// Overload layer (always registered so the metric surface — and the
 	// runbook coverage tests — do not depend on configuration; the
 	// counters just stay zero when the layer is off).
@@ -169,11 +166,6 @@ func newServerMetrics(reg *obsv.Registry, tracer *obsv.Tracer) *serverMetrics {
 		subblockRead: reg.Histogram("romserver_subblock_read_seconds",
 			"End-to-end time of one byte-granular sub-block read."),
 
-		peerFills: reg.Counter("romserver_peer_fills_total",
-			"Cache misses served by the fill hook (a replica's hot cache) after sidecar verification, skipping local decompression."),
-		peerFillRejects: reg.Counter("romserver_peer_fill_rejects_total",
-			"Fill-hook responses rejected by the integrity sidecar (discarded; the load fell through to local decompression)."),
-
 		overloadTransitions: reg.Counter("overload_level_transitions_total",
 			"Brownout level changes (healthy/pressured/browned_out, either direction)."),
 		brownoutShed: reg.Counter("overload_brownout_shed_total",
@@ -243,7 +235,7 @@ func (s *Server) registerServerGauges() {
 		func() float64 { return float64(s.cache.Stats().PrefetchEvicted) })
 	reg.GaugeFunc("blockcache_entries",
 		"Blocks currently cached.",
-		func() float64 { return float64(s.cache.Stats().Entries) })
+		func() float64 { return float64(s.cache.Len()) })
 	reg.GaugeFunc("blockcache_bytes",
 		"Decompressed bytes currently cached.",
 		func() float64 { return float64(s.cache.Stats().Bytes) })

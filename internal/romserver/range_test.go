@@ -57,7 +57,7 @@ func TestRangeBatchedByteExactAndAmortized(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := s.cache.Stats()
+	before, entriesBefore := s.cache.Stats(), s.cache.Len()
 
 	first, last := 4, 19
 	got, st, err := rangeBytes(s, "prog", first, last)
@@ -88,8 +88,8 @@ func TestRangeBatchedByteExactAndAmortized(t *testing.T) {
 		after.Deduped != before.Deduped || after.PrefetchHits != before.PrefetchHits {
 		t.Fatalf("range read distorted cache accounting:\n before %+v\n after  %+v", before, after)
 	}
-	if after.Entries != before.Entries+13 {
-		t.Fatalf("Entries = %d, want %d (13 decoded blocks inserted)", after.Entries, before.Entries+13)
+	if n := s.cache.Len(); n != entriesBefore+13 {
+		t.Fatalf("Len = %d, want %d (13 decoded blocks inserted)", n, entriesBefore+13)
 	}
 
 	// The inserted blocks serve later demand traffic as ordinary hits.

@@ -317,22 +317,10 @@ type runBlock struct {
 	verified bool
 }
 
-// FillFunc is an alternative block source consulted on a cache miss
-// before local decompression — the cluster layer installs one that asks
-// replica nodes' hot caches (peer cache-fill). The returned bytes are
-// verified against the integrity sidecar exactly like a decompression:
-// a corrupt fill is rejected, counted, and the load falls through to the
-// local codec, so a misbehaving peer can never be served.
-type FillFunc func(image string, block int) ([]byte, bool)
-
 // Server is the concurrent compressed-ROM block service.
 type Server struct {
 	opts  Options
 	cache *blockcache.Cache
-
-	// fill, when set, is consulted on every miss before decompressing
-	// locally (see FillFunc). Atomic so it can be installed after New.
-	fill atomic.Pointer[FillFunc]
 
 	mu     sync.RWMutex
 	images map[string]*image
@@ -429,10 +417,10 @@ func (s *Server) Close() error {
 // handle serves one ticket and answers it with the blocks it loaded up
 // to the first error; false means the watchdog retired this goroutine
 // meanwhile. The flags pick what differs per block: a demand read or a
-// warm goes through the cache (see cached), a reverify skips the cache
-// and the fill hook, and a bulk run decodes and verifies for its view
-// to insert at Close, after the response, so bulk traffic neither
-// counts as demand misses nor touches prefetch accounting. A bulk run
+// warm goes through the cache (see cached), a reverify skips the cache,
+// and a bulk run decodes and verifies for its view to insert at Close,
+// after the response, so bulk traffic neither counts as demand misses
+// nor touches prefetch accounting. A bulk run
 // does not join the demand singleflight, so Deduped counts demand reads
 // only. A merged run re-peeks; an unmerged one was all-miss at dispatch
 // and decodes straight through, since a block another read filled
@@ -483,7 +471,7 @@ func (w *poolWorker) handle(t task) bool {
 		case t.demand || t.reply == nil:
 			data, hit, err = w.cached(&t, now)
 		case t.reverify:
-			_, now, err = w.loadVerified(nil, img, b, nil, false, now)
+			_, now, err = w.loadVerified(nil, img, b, nil, now)
 		case img.health.State() == Quarantined:
 			err = fmt.Errorf("%w: %q", ErrQuarantined, img.name)
 		case t.limit > 0 && b == last:
@@ -491,7 +479,7 @@ func (w *poolWorker) handle(t task) bool {
 			// cannot be sidecar-verified, so it is served but not cached.
 			data, n, err = w.decodePrefix(t.ctx, img, b, t.limit, now)
 		default:
-			data, now, err = w.loadVerified(t.ctx, img, b, nil, true, now)
+			data, now, err = w.loadVerified(t.ctx, img, b, nil, now)
 			n, verified = len(data), true
 		}
 		if err != nil {
@@ -562,7 +550,7 @@ func (l *loader) load() ([]byte, error) {
 	if img.health.State() == Quarantined {
 		return nil, fmt.Errorf("%w: %q", ErrQuarantined, img.name)
 	}
-	data, _, err := l.w.loadVerified(l.t.ctx, img, l.t.block, l.t.span, true, l.start)
+	data, _, err := l.w.loadVerified(l.t.ctx, img, l.t.block, l.t.span, l.start)
 	return data, err
 }
 
@@ -876,35 +864,6 @@ func (s *Server) BlockContext(ctx context.Context, name string, i int) ([]byte, 
 		return nil, false, fmt.Errorf("%w: %d of %q [0,%d)", ErrOutOfRange, i, name, img.blocks)
 	}
 	return s.fetchCtx(ctx, img, i)
-}
-
-// SetFillHook installs (or, with nil, removes) the alternative block
-// source consulted on cache misses before local decompression. The
-// cluster layer points it at replica nodes' hot caches; see FillFunc for
-// the verification contract.
-func (s *Server) SetFillHook(f FillFunc) {
-	if f == nil {
-		s.fill.Store(nil)
-		return
-	}
-	s.fill.Store(&f)
-}
-
-// CachedBlock returns the block's decompressed bytes only if they are in
-// the cache right now — it never decompresses, never touches LRU order
-// and never counts toward the demand hit/miss accounting. This is the
-// node-side answer to a peer's cache-fill probe: cheap to ask, and a miss
-// costs the asker nothing but the round trip.
-func (s *Server) CachedBlock(name string, i int) ([]byte, bool, error) {
-	img, err := s.lookup(name)
-	if err != nil {
-		return nil, false, err
-	}
-	if i < 0 || i >= img.blocks {
-		return nil, false, fmt.Errorf("%w: %d of %q [0,%d)", ErrOutOfRange, i, name, img.blocks)
-	}
-	data, ok := s.cache.Peek(img.key(i))
-	return data, ok, nil
 }
 
 // RangeStats reports how a batched range read was served: how many of its

@@ -94,7 +94,7 @@ func TestAddImageFormatsAndReplace(t *testing.T) {
 	if _, err := s.AddImage("prog-samc", cases[0].data); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.cache.Stats().Entries; got != 0 {
+	if got := s.cache.Len(); got != 0 {
 		// Only prog-samc blocks could be cached at this point (modulo its
 		// prefetches, which are also invalidated).
 		if s.cache.Contains(blockKey(s, "prog-samc", 0)) {
@@ -594,8 +594,8 @@ func TestSetPolicyHotsetPinsSurviveColdScan(t *testing.T) {
 	if err := s.RemoveImage("stub"); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.cache.Stats(); st.Pinned != 0 || st.Entries != 0 {
-		t.Fatalf("stale cache after remove: %+v", st)
+	if st := s.cache.Stats(); st.Pinned != 0 || s.cache.Len() != 0 {
+		t.Fatalf("stale cache after remove: %+v, %d entries", st, s.cache.Len())
 	}
 }
 
@@ -633,8 +633,8 @@ func TestSetPolicyRacingReplaceLeavesNoPins(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if st := s.cache.Stats(); st.Pinned != 0 || st.Entries != 0 {
-		t.Fatalf("stale hotset pass left cache state: %+v", st)
+	if st := s.cache.Stats(); st.Pinned != 0 || s.cache.Len() != 0 {
+		t.Fatalf("stale hotset pass left cache state: %+v, %d entries", st, s.cache.Len())
 	}
 }
 

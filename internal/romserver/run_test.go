@@ -241,7 +241,7 @@ func TestCloseInsertsNothingForRemovedImage(t *testing.T) {
 			t.Fatal(err)
 		}
 		v.Close()
-		if n := s.cache.Stats().Entries; n != 0 {
+		if n := s.cache.Len(); n != 0 {
 			t.Errorf("replace=%v: %d blocks cached after Close, want 0", replace, n)
 		}
 		s.Close()

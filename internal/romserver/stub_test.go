@@ -93,12 +93,12 @@ func TestStubServingOtherBytesIsCorrupt(t *testing.T) {
 			return b, nil
 		}}
 		s := New(Options{PrefetchDepth: -1, LoadAttempts: 1, ReverifyInterval: -1})
-		s.addCodec("liar", liar)
+		img := s.addCodec("liar", liar)
 		if err := read(s); !errors.Is(err, ErrCorruptBlock) {
 			t.Errorf("%s: err = %v, want ErrCorruptBlock", name, err)
 		}
 		for b := 0; b < 4; b++ {
-			if _, ok, _ := s.CachedBlock("liar", b); ok {
+			if _, ok := s.cache.Peek(img.key(b)); ok {
 				t.Errorf("%s: corrupt block %d cached", name, b)
 			}
 		}

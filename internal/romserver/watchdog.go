@@ -61,7 +61,7 @@ type poolWorker struct {
 	// due is when the pending timer fires; zero when none is pending.
 	due time.Time
 	// deadline bounds the guarded section in progress (the ticket start,
-	// a peer fill, one decode attempt); zero outside guarded sections,
+	// one decode attempt); zero outside guarded sections,
 	// where the worker only does bounded bookkeeping.
 	deadline time.Time
 	// timeout and block describe the guarded section for the error.
@@ -163,8 +163,8 @@ func (w *poolWorker) begin(t task, timeout time.Duration, now time.Time) {
 	w.mu.Unlock()
 }
 
-// guard opens a guarded section — a peer fill or one decode attempt of
-// block — starting at now, bounded by timeoutAt(now). It reads no
+// guard opens a guarded section — one decode attempt of block —
+// starting at now, bounded by timeoutAt(now). It reads no
 // clock, and it asks ctx (the ticket's) only for its error once bind's
 // Done channel is closed. An error means the section must not start:
 // the request context is done, or the watchdog already retired this
