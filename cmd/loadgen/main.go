@@ -7,11 +7,11 @@
 // block reads over HTTP from a pool of concurrent clients, verifying every
 // served block against the original program.
 //
-// At the end it reports client-side throughput, the server's cache hit
-// ratio, prefetch activity and decompression counts from the /metrics JSON
-// view, and a latency table (p50/p90/p99/mean for the HTTP block route and
-// each server-side load phase) computed by scraping the Prometheus
-// exposition before and after the run and differencing the histograms —
+// At the end it reports client-side throughput, then the server's cache
+// hit ratio, prefetch activity, decompression counts and a latency table
+// (p50/p90/p99/mean for the HTTP block route and each server-side load
+// phase), all computed by scraping the /metrics Prometheus exposition
+// before and after the run and differencing the counters and histograms —
 // the numbers cover exactly this run, not the daemon's lifetime.
 //
 // With -policy it becomes a one-command A/B harness: the same trace is
@@ -68,12 +68,11 @@ func main() {
 	flag.IntVar(&cfg.Concurrency, "c", cfg.Concurrency, "concurrent client connections")
 	flag.IntVar(&cfg.BlockSize, "block", cfg.BlockSize, "cache block size used at compression time")
 	keep := flag.Bool("keep", false, "leave the image registered after the run")
-	flag.StringVar(&cfg.Policy, "policy", cfg.Policy, "A/B this policy against the sequential baseline: markov, hotset or sequential")
+	flag.StringVar(&cfg.Policy, "policy", cfg.Policy, "A/B this policy against the sequential baseline: markov or sequential")
 	flag.IntVar(&cfg.TopK, "k", cfg.TopK, "markov successors warmed per miss (0 = default)")
 	flag.IntVar(&cfg.PrefetchDepth, "pdepth", cfg.PrefetchDepth, "policy prefetch depth (0 = default)")
-	flag.IntVar(&cfg.Pin, "pin", cfg.Pin, "hotset pin count (0 = default)")
 	flag.StringVar(&cfg.TraceFile, "tracefile", cfg.TraceFile, "also write the generated block trace here in codecomp-trace format")
-	offline := flag.Bool("offline", false, "skip the server: score sequential/markov/hotset through the memsys policy evaluator")
+	offline := flag.Bool("offline", false, "skip the server: score sequential and markov through the memsys policy evaluator")
 	flag.IntVar(&cfg.SimCache, "sim-cache", cfg.SimCache, "offline cache capacity in blocks (0 = working set / 3)")
 	flag.IntVar(&cfg.RangeSpan, "range", cfg.RangeSpan, "replay through GET /blocks?range=i-j with spans of this many blocks (0 = per-block reads); the report compares pool dispatches against per-block cost")
 	subblock := flag.Bool("subblock", false, "sub-block drill: random byte-window reads via GET /bytes with byte-exact verification, then the same storm under server-side fault injection where every 200 must still be exact")

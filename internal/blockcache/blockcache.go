@@ -12,17 +12,11 @@
 // while later arrivals for the same key wait for that one result instead
 // of decompressing again (those are the "deduped" calls in Stats).
 //
-// Two capabilities serve the prefetch policies in internal/policy:
-//
-//   - Pinning: Pin moves an entry into the shard's protected region, where
-//     eviction cannot touch it (a hotset policy pins the hottest blocks so
-//     cold scans cannot flush them). Pinned entries still count against
-//     capacity; UnpinImage returns an image's pins to normal LRU order.
-//   - Prefetch accounting: loads made through GetPrefetch tag their entry,
-//     and the first demand Get that hits a tagged entry counts as a
-//     PrefetchHit — the "this speculative decompression was actually
-//     useful" signal. Tagged entries evicted unused count as
-//     PrefetchEvicted (wasted work).
+// Prefetch accounting serves the prefetch policies in internal/policy:
+// loads made through GetPrefetch tag their entry, and the first demand
+// Get that hits a tagged entry counts as a PrefetchHit — the "this
+// speculative decompression was actually useful" signal. Tagged entries
+// evicted unused count as PrefetchEvicted (wasted work).
 //
 // Loader errors are returned to every waiter of that flight but are never
 // cached: the next Get retries.
@@ -67,8 +61,6 @@ type Stats struct {
 	// PrefetchEvicted counts prefetched blocks evicted before any demand
 	// hit — prefetches that were wasted decompressions.
 	PrefetchEvicted int64 `json:"prefetch_evicted"`
-	// Pinned is the number of blocks currently in the protected region.
-	Pinned int64 `json:"pinned"`
 	// Bytes is the decompressed payload currently cached.
 	Bytes int64 `json:"bytes"`
 	// LeasesAcquired counts leases handed out by AcquirePeek.
@@ -106,7 +98,6 @@ type Cache struct {
 	evictions       atomic.Int64
 	prefetchHits    atomic.Int64
 	prefetchEvicted atomic.Int64
-	pinnedCount     atomic.Int64
 	bytes           atomic.Int64
 
 	leasesAcquired atomic.Int64
@@ -124,10 +115,8 @@ type shard struct {
 	// means moving or unlinking an entry touches no allocator, and evicted
 	// nodes go on a freelist for the next insert.
 	root   entry
-	lruLen int
 	free   *entry // freelist of recycled entry nodes, chained via next
 	flight map[Key]*call
-	pinned int // entries in the protected region (not on the LRU list)
 }
 
 type entry struct {
@@ -136,8 +125,8 @@ type entry struct {
 	// until the entry is evicted, replaced or invalidated, and every
 	// outstanding Lease holds another (see lease.go).
 	buf *leaseBuf
-	// prev/next are the intrusive LRU links; both nil while the entry is
-	// pinned (off the list) or on the freelist (next only).
+	// prev/next are the intrusive LRU links; only next is set while the
+	// entry is on the freelist.
 	prev, next *entry
 	// prefetched marks a speculative load that no demand Get has hit yet.
 	prefetched bool
@@ -149,7 +138,6 @@ func (s *shard) pushFront(e *entry) {
 	e.next = s.root.next
 	e.prev.next = e
 	e.next.prev = e
-	s.lruLen++
 }
 
 // unlink removes e from the LRU list. Caller holds the shard lock.
@@ -157,7 +145,6 @@ func (s *shard) unlink(e *entry) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
-	s.lruLen--
 }
 
 // moveToFront refreshes e's recency. Caller holds the shard lock.
@@ -282,9 +269,7 @@ func (c *Cache) GetCached(key Key) (val []byte, ok bool) {
 		s.mu.Unlock()
 		return nil, false
 	}
-	if e.prev != nil {
-		s.moveToFront(e)
-	}
+	s.moveToFront(e)
 	if e.prefetched {
 		e.prefetched = false
 		c.prefetchHits.Add(1)
@@ -299,9 +284,7 @@ func (c *Cache) get(key Key, load func() ([]byte, error), prefetch bool) ([]byte
 	s := c.shardFor(key)
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
-		if e.prev != nil {
-			s.moveToFront(e)
-		}
+		s.moveToFront(e)
 		if e.prefetched && !prefetch {
 			e.prefetched = false
 			c.prefetchHits.Add(1)
@@ -352,9 +335,7 @@ func (s *shard) insert(c *Cache, key Key, val []byte, prefetched bool) {
 		c.bytes.Add(int64(len(val)) - int64(len(e.buf.data)))
 		e.buf.retire(c)
 		e.buf = newLeaseBuf(val)
-		if e.prev != nil {
-			s.moveToFront(e)
-		}
+		s.moveToFront(e)
 		return
 	}
 	e := s.newEntry()
@@ -365,11 +346,10 @@ func (s *shard) insert(c *Cache, key Key, val []byte, prefetched bool) {
 	s.evict(c)
 }
 
-// evict drops LRU-tail entries while the shard is over capacity. Pinned
-// entries are untouchable, so when everything left is pinned the shard
-// simply stops evicting. Caller holds s.mu.
+// evict drops LRU-tail entries while the shard is over capacity. Caller
+// holds s.mu.
 func (s *shard) evict(c *Cache) {
-	for s.lruLen+s.pinned > c.perShardCap && s.lruLen > 0 {
+	for len(s.entries) > c.perShardCap {
 		e := s.root.prev
 		s.unlink(e)
 		delete(s.entries, e.key)
@@ -381,48 +361,6 @@ func (s *shard) evict(c *Cache) {
 		e.buf.retire(c)
 		s.recycle(e)
 	}
-}
-
-// Pin moves key into the shard's protected region: eviction cannot drop it
-// until UnpinImage. Pinning is idempotent and reports whether the key was
-// present. Pinned entries still occupy capacity, so pinning more blocks
-// than the cache holds leaves no room for LRU traffic — callers keep pin
-// sets well below capacity.
-func (c *Cache) Pin(key Key) bool {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		return false
-	}
-	if e.prev != nil {
-		s.unlink(e)
-		s.pinned++
-		c.pinnedCount.Add(1)
-	}
-	return true
-}
-
-// UnpinImage unpins every pinned block of the image registration (when its
-// policy changes) and returns how many were unpinned.
-func (c *Cache) UnpinImage(image uint32) int {
-	unpinned := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, e := range s.entries {
-			if k.Image == image && e.prev == nil {
-				s.pushFront(e)
-				s.pinned--
-				c.pinnedCount.Add(-1)
-				unpinned++
-			}
-		}
-		s.evict(c)
-		s.mu.Unlock()
-	}
-	return unpinned
 }
 
 // Contains reports whether key is cached right now, without touching LRU
@@ -481,7 +419,7 @@ func (c *Cache) PutIfRoom(key Key, val []byte) bool {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	_, ok := s.entries[key]
-	if ok || s.lruLen+s.pinned < c.perShardCap {
+	if ok || len(s.entries) < c.perShardCap {
 		s.insert(c, key, val, false)
 		ok = true
 	}
@@ -489,10 +427,10 @@ func (c *Cache) PutIfRoom(key Key, val []byte) bool {
 	return ok
 }
 
-// Invalidate drops one cached block, pinned or not, and reports whether
-// it was present. Tier migration uses it so the next read decodes the
-// block through its new tier. A load in flight is not interrupted; its
-// insert lands afterwards.
+// Invalidate drops one cached block and reports whether it was present.
+// Tier migration uses it so the next read decodes the block through its
+// new tier. A load in flight is not interrupted; its insert lands
+// afterwards.
 func (c *Cache) Invalidate(key Key) bool {
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -504,10 +442,10 @@ func (c *Cache) Invalidate(key Key) bool {
 	return ok
 }
 
-// InvalidateImage drops every cached block of the image registration,
-// pinned or not (after an image is replaced or removed). In-flight loads
-// are not interrupted; their results land in the cache and are at worst
-// one stale insert under the dead id, which ages out of the LRU.
+// InvalidateImage drops every cached block of the image registration
+// (after an image is replaced or removed). In-flight loads are not
+// interrupted; their results land in the cache and are at worst one
+// stale insert under the dead id, which ages out of the LRU.
 func (c *Cache) InvalidateImage(image uint32) int {
 	dropped := 0
 	for i := range c.shards {
@@ -524,21 +462,16 @@ func (c *Cache) InvalidateImage(image uint32) int {
 	return dropped
 }
 
-// drop removes e from the shard, pinned or not. Caller holds s.mu.
+// drop removes e from the shard. Caller holds s.mu.
 func (s *shard) drop(c *Cache, e *entry) {
-	if e.prev != nil {
-		s.unlink(e)
-	} else {
-		s.pinned--
-		c.pinnedCount.Add(-1)
-	}
+	s.unlink(e)
 	delete(s.entries, e.key)
 	c.bytes.Add(-int64(len(e.buf.data)))
 	e.buf.retire(c)
 	s.recycle(e)
 }
 
-// Len returns the number of cached blocks, pinned included.
+// Len returns the number of cached blocks.
 func (c *Cache) Len() int {
 	n := 0
 	for i := range c.shards {
@@ -565,7 +498,6 @@ func (c *Cache) Stats() Stats {
 		Evictions:       c.evictions.Load(),
 		PrefetchHits:    c.prefetchHits.Load(),
 		PrefetchEvicted: c.prefetchEvicted.Load(),
-		Pinned:          c.pinnedCount.Load(),
 		Bytes:           c.bytes.Load(),
 
 		LeasesAcquired:    c.leasesAcquired.Load(),

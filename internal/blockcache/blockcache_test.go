@@ -191,98 +191,6 @@ func TestConcurrentChurn(t *testing.T) {
 	}
 }
 
-func TestPinSurvivesColdScan(t *testing.T) {
-	c := New(8, 1)
-	for _, b := range []int{2, 5} {
-		c.Get(Key{Image: 1, Block: uint32(b)}, loadValue([]byte{byte(b)}))
-		if !c.Pin(Key{Image: 1, Block: uint32(b)}) {
-			t.Fatalf("Pin(%d) missed", b)
-		}
-	}
-	if st := c.Stats(); st.Pinned != 2 {
-		t.Fatalf("pinned = %d", st.Pinned)
-	}
-	// A cold scan far larger than capacity cannot evict the pins.
-	for b := 100; b < 200; b++ {
-		c.Get(Key{Image: 1, Block: uint32(b)}, loadValue([]byte{1}))
-	}
-	for _, b := range []int{2, 5} {
-		if !c.Contains(Key{Image: 1, Block: uint32(b)}) {
-			t.Fatalf("pinned block %d evicted by cold scan", b)
-		}
-	}
-	if n := c.Len(); n > 8 {
-		t.Fatalf("pins pushed cache over capacity: %d entries", n)
-	}
-	// A pinned hit must not run the loader.
-	v, hit, err := c.Get(Key{Image: 1, Block: 2}, func() ([]byte, error) {
-		t.Fatal("loader ran for a pinned block")
-		return nil, nil
-	})
-	if err != nil || !hit || v[0] != 2 {
-		t.Fatalf("pinned Get = %v, %v, %v", v, hit, err)
-	}
-}
-
-func TestUnpinRestoresLRU(t *testing.T) {
-	c := New(4, 1)
-	c.Get(Key{Image: 1, Block: 0}, loadValue([]byte{0}))
-	c.Pin(Key{Image: 1, Block: 0})
-	for b := 1; b < 100; b++ {
-		c.Get(Key{Image: 1, Block: uint32(b)}, loadValue([]byte{byte(b)}))
-	}
-	if !c.Contains(Key{Image: 1, Block: 0}) {
-		t.Fatal("pinned block evicted")
-	}
-	if n := c.UnpinImage(1); n != 1 {
-		t.Fatalf("UnpinImage = %d, want 1", n)
-	}
-	if st := c.Stats(); st.Pinned != 0 {
-		t.Fatalf("pinned = %d after UnpinImage", st.Pinned)
-	}
-	// Unpinned as MRU: three fresh inserts keep it, a fourth evicts it.
-	for b := 100; b < 103; b++ {
-		c.Get(Key{Image: 1, Block: uint32(b)}, loadValue([]byte{1}))
-	}
-	if !c.Contains(Key{Image: 1, Block: 0}) {
-		t.Fatal("unpinned block evicted before its LRU turn")
-	}
-	c.Get(Key{Image: 1, Block: 103}, loadValue([]byte{1}))
-	if c.Contains(Key{Image: 1, Block: 0}) {
-		t.Fatal("unpinned block outlived its LRU turn")
-	}
-
-	// Pin of an absent key reports false, and unpinning an image with
-	// no pins unpins nothing.
-	if c.Pin(Key{Image: 1, Block: 999}) || c.UnpinImage(1) != 0 {
-		t.Fatal("pin of absent key or unpin of unpinned image reported a change")
-	}
-}
-
-func TestUnpinImageAndInvalidatePinned(t *testing.T) {
-	c := New(16, 2)
-	for b := 0; b < 4; b++ {
-		c.Get(Key{Image: 1, Block: uint32(b)}, loadValue([]byte{1, 2}))
-		c.Pin(Key{Image: 1, Block: uint32(b)})
-		c.Get(Key{Image: 2, Block: uint32(b)}, loadValue([]byte{3}))
-		c.Pin(Key{Image: 2, Block: uint32(b)})
-	}
-	if n := c.UnpinImage(1); n != 4 {
-		t.Fatalf("UnpinImage = %d, want 4", n)
-	}
-	if st := c.Stats(); st.Pinned != 4 {
-		t.Fatalf("pinned = %d, want b's 4", st.Pinned)
-	}
-	// Invalidate drops pinned entries too and fixes the pinned count.
-	if n := c.InvalidateImage(2); n != 4 {
-		t.Fatalf("InvalidateImage = %d, want 4", n)
-	}
-	st := c.Stats()
-	if st.Pinned != 0 || c.Len() != 4 || st.Bytes != 8 {
-		t.Fatalf("stats after invalidate = %+v, %d entries", st, c.Len())
-	}
-}
-
 // TestEvictionOrderUnderConcurrency first races many goroutines over one
 // shard (the -race thread-safety proof), then verifies the LRU order the
 // churn left behind is still coherent: after a deterministic touch pass,
@@ -364,8 +272,8 @@ func TestPrefetchHitAccounting(t *testing.T) {
 // TestGenerationSeparatesRegistrations: the same block under two
 // registration ids (a name registered, then replaced) is two distinct
 // entries, a stale insert from the old registration can never hit a
-// read of the new one, and image-wide invalidation and unpinning touch
-// only the id they are given.
+// read of the new one, and image-wide invalidation touches only the id
+// it is given.
 func TestGenerationSeparatesRegistrations(t *testing.T) {
 	c := New(64, 2)
 	oldKey := Key{Image: 1, Block: 0}
@@ -388,32 +296,17 @@ func TestGenerationSeparatesRegistrations(t *testing.T) {
 	if c.Contains(oldKey) || !c.Contains(newKey) {
 		t.Fatal("invalidate crossed registrations")
 	}
-
-	// UnpinImage likewise.
-	c.Get(oldKey, loadValue([]byte{1}))
-	c.Pin(oldKey)
-	c.Pin(newKey)
-	if st := c.Stats(); st.Pinned != 2 {
-		t.Fatalf("pinned = %d", st.Pinned)
-	}
-	if n := c.UnpinImage(2); n != 1 {
-		t.Fatalf("UnpinImage unpinned %d, want 1", n)
-	}
-	if st := c.Stats(); st.Pinned != 1 {
-		t.Fatalf("pinned after UnpinImage = %d, want 1", st.Pinned)
-	}
 }
 
-// TestInvalidateOneBlock: Invalidate drops exactly one entry, pinned or
-// not, fixes the pinned and byte counts, and reports absence.
+// TestInvalidateOneBlock: Invalidate drops exactly one entry, fixes the
+// byte count, and reports absence.
 func TestInvalidateOneBlock(t *testing.T) {
 	c := New(16, 4)
 	for b := 0; b < 4; b++ {
 		c.Put(Key{Image: 1, Block: uint32(b)}, []byte{1, 2, 3})
 	}
-	c.Pin(Key{Image: 1, Block: 2})
 	if !c.Invalidate(Key{Image: 1, Block: 2}) {
-		t.Fatal("Invalidate missed a resident pinned block")
+		t.Fatal("Invalidate missed a resident block")
 	}
 	if !c.Invalidate(Key{Image: 1, Block: 0}) {
 		t.Fatal("Invalidate missed a resident block")
@@ -422,7 +315,7 @@ func TestInvalidateOneBlock(t *testing.T) {
 		t.Fatal("second Invalidate reported a dropped block")
 	}
 	st := c.Stats()
-	if st.Pinned != 0 || c.Len() != 2 || st.Bytes != 6 {
+	if c.Len() != 2 || st.Bytes != 6 {
 		t.Fatalf("stats after invalidate = %+v, %d entries", st, c.Len())
 	}
 	if c.Contains(Key{Image: 1, Block: 2}) || !c.Contains(Key{Image: 1, Block: 1}) {
@@ -458,7 +351,7 @@ func TestShardStriping(t *testing.T) {
 // TestPutIfRoomNeverEvicts: PutIfRoom admits while the shard has room,
 // refuses a new key once it is full without evicting anything or
 // counting a demand miss, still replaces a key already present, and
-// counts pinned entries against the room.
+// admits again into a slot an invalidation freed.
 func TestPutIfRoomNeverEvicts(t *testing.T) {
 	c := New(4, 1)
 	for b := 0; b < 4; b++ {
@@ -479,14 +372,12 @@ func TestPutIfRoomNeverEvicts(t *testing.T) {
 		t.Fatalf("replaced block = %v, %v", v, ok)
 	}
 
-	// A pinned entry takes room like any other.
-	c.Pin(Key{Image: 1, Block: 0})
 	c.Invalidate(Key{Image: 1, Block: 1})
 	if !c.PutIfRoom(Key{Image: 1, Block: 10}, []byte{10}) {
 		t.Fatal("PutIfRoom refused the slot an invalidation freed")
 	}
 	if c.PutIfRoom(Key{Image: 1, Block: 11}, []byte{11}) {
-		t.Fatal("PutIfRoom admitted past a pinned entry's share of capacity")
+		t.Fatal("PutIfRoom admitted into a full shard after refilling it")
 	}
 	if st := c.Stats(); st.Evictions != 0 || c.Len() != 4 {
 		t.Fatalf("final: %+v, %d entries", st, c.Len())

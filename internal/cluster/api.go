@@ -479,7 +479,7 @@ func (n *Node) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 	for _, f := range []struct {
 		key string
 		dst *int
-	}{{"depth", &spec.Depth}, {"k", &spec.TopK}, {"pin", &spec.PinCount}} {
+	}{{"depth", &spec.Depth}, {"k", &spec.TopK}} {
 		if v := q.Get(f.key); v != "" {
 			k, err := strconv.Atoi(v)
 			if err != nil {
@@ -494,7 +494,7 @@ func (n *Node) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	n.logf("cluster node %s: %q now serving with policy %s (%d pinned)", n.name, info.Image, info.Policy, info.Pinned)
+	n.logf("cluster node %s: %q now serving with policy %s", n.name, info.Image, info.Policy)
 	writeJSON(w, http.StatusOK, info)
 }
 

@@ -350,6 +350,9 @@ func TestClientTypedCalls(t *testing.T) {
 	if _, err := cc.SetPolicy("nope", romserver.PolicySpec{Policy: "sequential"}); !errors.As(err, &se) || se.Code != http.StatusNotFound {
 		t.Fatalf("SetPolicy on a missing image = %v, want a 404 StatusError", err)
 	}
+	if _, err := cc.SetPolicy("prog", romserver.PolicySpec{Policy: "hotset"}); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+		t.Fatalf("SetPolicy hotset = %v, want a 400 StatusError for an unknown policy", err)
+	}
 	off, err := NewNode(NodeOptions{Name: "nofaults", Logf: discardLogf})
 	if err != nil {
 		t.Fatal(err)

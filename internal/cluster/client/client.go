@@ -298,12 +298,12 @@ func (c *Client) Train(name string, tr *traceprof.Trace) error {
 }
 
 // SetPolicy switches an image's prefetch policy
-// (PUT /images/{name}/policy); zero Depth, TopK and PinCount take the
-// server's defaults.
+// (PUT /images/{name}/policy); zero Depth and TopK take the server's
+// defaults.
 func (c *Client) SetPolicy(name string, spec romserver.PolicySpec) (romserver.PolicyInfo, error) {
 	var info romserver.PolicyInfo
 	q := url.Values{"policy": {spec.Policy}}
-	for key, v := range map[string]int{"k": spec.TopK, "depth": spec.Depth, "pin": spec.PinCount} {
+	for key, v := range map[string]int{"k": spec.TopK, "depth": spec.Depth} {
 		if v > 0 {
 			q.Set(key, strconv.Itoa(v))
 		}

@@ -84,8 +84,8 @@ type NodeOptions struct {
 //	                             codecomp-trace text body if one is posted
 //	GET  /images/{name}/profile  trained profile summary (heat, reuse, ...)
 //	GET  /images/{name}/trace    the recorded trace in codecomp-trace text
-//	PUT  /images/{name}/policy?policy=markov&k=2&depth=4&pin=64
-//	                             switch prefetch policy (sequential|markov|hotset)
+//	PUT  /images/{name}/policy?policy=markov&k=2&depth=4
+//	                             switch prefetch policy (sequential|markov)
 //	GET  /images/{name}/policy   the active policy
 //
 // Tiering (mixed-codec images only; see internal/tiering):

@@ -57,9 +57,9 @@ type Config struct {
 	BlockSize int
 	// Policy, when set, A/Bs this policy against the sequential baseline.
 	Policy string
-	// TopK, PrefetchDepth and Pin tune the A/B policy and the offline
+	// TopK and PrefetchDepth tune the A/B policy and the offline
 	// evaluator (0 = default).
-	TopK, PrefetchDepth, Pin int
+	TopK, PrefetchDepth int
 	// TraceFile, when set, receives the generated block trace.
 	TraceFile string
 	// SimCache is the offline cache capacity in blocks (0 = derived).

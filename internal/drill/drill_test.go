@@ -166,6 +166,30 @@ func TestRangeDrill(t *testing.T) {
 	passes(t)(Range(cfg, client.New(node.srv.URL, nil), w))
 }
 
+// TestABDrill runs the policy A/B over HTTP against a local node: both
+// arms upload the image cold, the markov arm trains it from the trace,
+// and each arm sets its policy before the verified replay.
+func TestABDrill(t *testing.T) {
+	cfg := testConfig()
+	cfg.Policy = "markov"
+	w := testWorkload(t, cfg)
+	node, err := bootNode("ab", romserver.Options{CacheBlocks: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	passes(t)(AB(cfg, client.New(node.srv.URL, nil), w))
+}
+
+// TestOfflineDrill scores the workload's trace under both policies
+// through the memsys model, with no server.
+func TestOfflineDrill(t *testing.T) {
+	cfg := testConfig()
+	if err := Offline(cfg, testWorkload(t, cfg)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestChaosDrill runs the fault drill against a local node that allows
 // fault injection and re-verifies unhealthy images quickly.
 func TestChaosDrill(t *testing.T) {

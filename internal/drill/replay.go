@@ -191,7 +191,7 @@ func AB(cfg Config, cc *client.Client, w *Workload) (int, error) {
 			}
 		}
 		info, err := cc.SetPolicy(w.Name, romserver.PolicySpec{
-			Policy: p, TopK: cfg.TopK, Depth: cfg.PrefetchDepth, PinCount: cfg.Pin,
+			Policy: p, TopK: cfg.TopK, Depth: cfg.PrefetchDepth,
 		})
 		if err != nil {
 			return runResult{}, err
@@ -232,7 +232,7 @@ func boolViolation(failed bool) int {
 	return 0
 }
 
-// Offline scores the trace against all three policies through the
+// Offline scores the trace against both policies through the
 // memsys block-cache model — no server involved. The profile is trained
 // on one loop of the trace and evaluated on the looped replay, so it
 // answers the same question as the A/B mode, in microseconds.
@@ -240,15 +240,12 @@ func Offline(cfg Config, w *Workload) error {
 	reqs, blocks := w.Reqs, w.Blocks
 	prof := traceprof.BuildProfile(reqs, blocks)
 	ws := prof.UniqueBlocks()
-	cache, depth, pin := cfg.SimCache, cfg.PrefetchDepth, cfg.Pin
+	cache, depth := cfg.SimCache, cfg.PrefetchDepth
 	if cache <= 0 {
 		cache = max(ws/3, 1)
 	}
 	if depth <= 0 {
 		depth = 4
-	}
-	if pin <= 0 {
-		pin = cache / 2
 	}
 	looped := make([]int, 0, cfg.Loops*len(reqs))
 	for l := 0; l < cfg.Loops; l++ {
@@ -260,27 +257,16 @@ func Offline(cfg Config, w *Workload) error {
 	if err != nil {
 		return err
 	}
-	hotset, err := policy.New("hotset", policy.Config{Blocks: blocks, Depth: depth, PinCount: pin, Profile: prof})
-	if err != nil {
-		return err
-	}
 
 	fmt.Printf("\nloadgen: offline evaluation: working set %d blocks, cache %d blocks, %d requests x %d loops\n",
 		ws, cache, len(reqs), cfg.Loops)
-	for _, p := range []struct {
-		pf  policy.Prefetcher
-		cfg memsys.PolicyConfig
-	}{
-		{seq, memsys.PolicyConfig{CacheBlocks: cache}},
-		{markov, memsys.PolicyConfig{CacheBlocks: cache}},
-		{hotset, memsys.PolicyConfig{CacheBlocks: cache, Pinned: hotset.(policy.Pinner).Pinned()}},
-	} {
-		st, err := memsys.EvaluatePolicy(memsys.DemandTrace(looped), blocks, p.pf, p.cfg)
+	for _, pf := range []policy.Prefetcher{seq, markov} {
+		st, err := memsys.EvaluatePolicy(memsys.DemandTrace(looped), blocks, pf, memsys.PolicyConfig{CacheBlocks: cache})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  %-10s hit %.4f  prefetch accuracy %.4f  wasted %d  decompressions %d  evictions %d\n",
-			p.pf.Name(), st.HitRatio(), st.Accuracy(), st.PrefetchWasted, st.Decompressions, st.Evictions)
+			pf.Name(), st.HitRatio(), st.Accuracy(), st.PrefetchWasted, st.Decompressions, st.Evictions)
 	}
 	return nil
 }

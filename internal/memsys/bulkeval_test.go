@@ -6,7 +6,9 @@ import (
 
 	"codecomp/internal/blockcache"
 	"codecomp/internal/memsys"
+	"codecomp/internal/policy"
 	"codecomp/internal/synth"
+	"codecomp/internal/traceprof"
 )
 
 // Replays of page-cold-shaped traces: bulk reads of 4 KiB windows over
@@ -146,5 +148,56 @@ func TestEvaluateBulkPageCold(t *testing.T) {
 		if e, ep := evicted["exact"], evicted["epoch"]; e*10 >= ep {
 			t.Errorf("lockstep: exact rule evicted %d blocks after the first fill, epoch rule %d: want under a tenth", e, ep)
 		}
+	}
+}
+
+// TestEvaluateBulkScansBesideLoop checks that the bulk admission rule
+// keeps cold scans from flushing a demand loop's hot blocks. The looping
+// gcc trace runs at a cache of a third of its working set under
+// sequential depth 4 prefetch, and after every 50 demand reads one bulk
+// read decodes the next 128 blocks of a cold region past the image,
+// never read again. Under the serving stack's rule the loop's demand hit
+// ratio stays within 0.001 of the scan-free loop's; a plain LRU, which
+// inserts every scanned block, loses at least 0.01.
+func TestEvaluateBulkScansBesideLoop(t *testing.T) {
+	const every, scan = 50, 128
+	_, looped, blocks := gccLoop(t)
+	cache := traceprof.BuildProfile(looped, blocks).UniqueBlocks() / 3
+	seq := policy.NewSequential(4, blocks)
+	cfg := memsys.PolicyConfig{CacheBlocks: cache}
+
+	reads := make([]memsys.Access, 0, len(looped)+len(looped)/every)
+	cold := blocks
+	for i, b := range looped {
+		reads = append(reads, memsys.Access{First: b, Last: b})
+		if (i+1)%every == 0 {
+			reads = append(reads, memsys.Access{First: cold, Last: cold + scan - 1, Bulk: true})
+			cold += scan
+		}
+	}
+
+	base, err := memsys.EvaluatePolicy(memsys.DemandTrace(looped), blocks, seq, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := func(rule memsys.BulkAdmission) float64 {
+		st, err := memsys.EvaluateUnder(reads, cold, seq, cfg, rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Requests != base.Requests || st.BulkBlocks != uint64(cold-blocks) {
+			t.Fatalf("replayed %d demand reads and %d bulk blocks, want %d and %d", st.Requests, st.BulkBlocks, base.Requests, cold-blocks)
+		}
+		return st.HitRatio()
+	}
+	exact := hit(blockcache.NewAdmission(cache))
+	lru := hit(lruRule{})
+	t.Logf("cache %d blocks, %d scans: demand hit scan-free %.4f, exact rule %.4f, lru %.4f",
+		cache, (cold-blocks)/scan, base.HitRatio(), exact, lru)
+	if d := exact - base.HitRatio(); d < -0.001 || d > 0.001 {
+		t.Errorf("exact rule: demand hit %.4f beside scans, %.4f without: want within 0.001", exact, base.HitRatio())
+	}
+	if lru > base.HitRatio()-0.01 {
+		t.Errorf("lru: demand hit %.4f beside scans, %.4f without: want at least 0.01 lower", lru, base.HitRatio())
 	}
 }

@@ -13,7 +13,7 @@ import (
 // EvaluatePolicy replays a block-access trace against a model of the
 // serving stack's decompressed-block cache (internal/blockcache) under a
 // chosen prefetch policy and the stack's admission rule for bulk reads.
-// The same trace scored against sequential, markov and hotset answers
+// The same trace scored against sequential and markov answers
 // "which policy should this image serve with?" without standing up a
 // server, and a trace of range reads scores the bulk rule.
 
@@ -46,12 +46,8 @@ type bulkAdmission interface {
 
 // PolicyConfig describes the modeled block cache.
 type PolicyConfig struct {
-	// CacheBlocks is the cache capacity in blocks (pinned blocks included).
+	// CacheBlocks is the cache capacity in blocks.
 	CacheBlocks int
-	// Pinned blocks are preloaded and protected from eviction (a hotset
-	// policy's pin set). Pins beyond CacheBlocks-1 are ignored so demand
-	// traffic always has at least one evictable slot.
-	Pinned []int
 }
 
 // PolicyStats scores one policy over one trace.
@@ -74,7 +70,7 @@ type PolicyStats struct {
 	BulkBlocks uint64 `json:"bulk_blocks"`
 	BulkCached uint64 `json:"bulk_cached"`
 	// Decompressions counts every block decompression, demand, bulk or
-	// speculative, including preloading the pin set.
+	// speculative.
 	Decompressions uint64 `json:"decompressions"`
 	// Evictions counts blocks dropped for capacity.
 	Evictions uint64 `json:"evictions"`
@@ -99,7 +95,7 @@ func (s PolicyStats) Accuracy() float64 {
 // evalEntry is one cached block in the model.
 type evalEntry struct {
 	block      int
-	el         *list.Element // nil when pinned
+	el         *list.Element
 	prefetched bool
 }
 
@@ -114,8 +110,7 @@ type evalEntry struct {
 //     order: it goes in without eviction if the cache has room, with
 //     eviction if the serving stack's admission rule
 //     (blockcache.Admission over cfg.CacheBlocks) admits it, and is
-//     otherwise turned away;
-//   - pinned blocks are preloaded and never evicted.
+//     otherwise turned away.
 //
 // Reads outside [0, numBlocks) are errors.
 func EvaluatePolicy(accesses []Access, numBlocks int, pf policy.Prefetcher, cfg PolicyConfig) (PolicyStats, error) {
@@ -134,28 +129,15 @@ func evaluate(accesses []Access, numBlocks int, pf policy.Prefetcher, cfg Policy
 
 	var st PolicyStats
 	entries := make(map[int]*evalEntry, cfg.CacheBlocks)
-	lru := list.New() // of *evalEntry; front = most recently used
-	pinned := 0
+	lru := list.New()                   // of *evalEntry; front = most recently used
 	stamps := make([]uint32, numBlocks) // per block, the bulk rule's stamp
 	var decoded []int                   // a bulk read's missing blocks
-
-	for _, b := range cfg.Pinned {
-		if b < 0 || b >= numBlocks {
-			return PolicyStats{}, fmt.Errorf("memsys: pinned block %d out of range [0,%d)", b, numBlocks)
-		}
-		if _, ok := entries[b]; ok || pinned >= cfg.CacheBlocks-1 {
-			continue
-		}
-		entries[b] = &evalEntry{block: b}
-		pinned++
-		st.Decompressions++
-	}
 
 	insert := func(b int, prefetched bool) {
 		e := &evalEntry{block: b, prefetched: prefetched}
 		e.el = lru.PushFront(e)
 		entries[b] = e
-		for lru.Len()+pinned > cfg.CacheBlocks && lru.Len() > 0 {
+		for lru.Len() > cfg.CacheBlocks {
 			back := lru.Back()
 			v := back.Value.(*evalEntry)
 			lru.Remove(back)
@@ -184,7 +166,7 @@ func evaluate(accesses []Access, numBlocks int, pf policy.Prefetcher, cfg Policy
 			st.Decompressions += uint64(len(decoded))
 			for _, b := range decoded {
 				switch {
-				case bulk.Admit(stamps[b]), lru.Len()+pinned < cfg.CacheBlocks:
+				case bulk.Admit(stamps[b]), lru.Len() < cfg.CacheBlocks:
 					insert(b, false)
 				default:
 					stamps[b] = bulk.Skip()
@@ -196,9 +178,7 @@ func evaluate(accesses []Access, numBlocks int, pf policy.Prefetcher, cfg Policy
 		st.Requests++
 		if e, ok := entries[b]; ok {
 			st.DemandHits++
-			if e.el != nil {
-				lru.MoveToFront(e.el)
-			}
+			lru.MoveToFront(e.el)
 			if e.prefetched {
 				e.prefetched = false
 				st.PrefetchUsed++

@@ -2,7 +2,7 @@
 // into pluggable prefetch policies for the serving stack.
 //
 // A Prefetcher answers one question: after a demand miss on block i, which
-// blocks should be decompressed speculatively? Three answers ship:
+// blocks should be decompressed speculatively? Two answers ship:
 //
 //   - sequential: the refill-locality heuristic the server always had —
 //     warm i+1..i+depth. Needs no training; right for straight-line code.
@@ -11,9 +11,6 @@
 //     never seen. Follows loops, calls and branches the way the SAMC
 //     compressor's Markov model follows bit streams — the same sequential
 //     structure, one level up.
-//   - hotset: pin the hottest blocks of the profile into a protected cache
-//     region (via the Pinner interface) so cold scans cannot evict them,
-//     and prefetch sequentially around the pins.
 //
 // Policies are immutable once built; Predict is safe for concurrent use.
 package policy
@@ -26,20 +23,12 @@ import (
 
 // Prefetcher picks the blocks to warm after a demand miss.
 type Prefetcher interface {
-	// Name identifies the policy ("sequential", "markov", "hotset").
+	// Name identifies the policy ("sequential", "markov").
 	Name() string
 	// Predict returns the block indices to decompress speculatively after
 	// a demand miss on block. Indices may repeat or fall out of range;
 	// callers filter. The returned slice must not be mutated.
 	Predict(block int) []int
-}
-
-// Pinner is implemented by policies that want blocks protected from
-// eviction. The serving layer pins these once at policy-selection time.
-type Pinner interface {
-	// Pinned returns the blocks to hold in the cache's protected region,
-	// most valuable first (callers may truncate to fit their capacity).
-	Pinned() []int
 }
 
 // Config parameterizes New.
@@ -51,11 +40,7 @@ type Config struct {
 	Depth int
 	// TopK is how many Markov successors to warm per miss (default 2).
 	TopK int
-	// PinCount is how many hot blocks the hotset policy pins (default
-	// Blocks/8, at least 1).
-	PinCount int
-	// Profile is the trained access profile; required for markov and
-	// hotset.
+	// Profile is the trained access profile; required for markov.
 	Profile *traceprof.Profile
 }
 
@@ -66,16 +51,10 @@ func (c Config) withDefaults() Config {
 	if c.TopK <= 0 {
 		c.TopK = 2
 	}
-	if c.PinCount <= 0 {
-		c.PinCount = c.Blocks / 8
-		if c.PinCount < 1 {
-			c.PinCount = 1
-		}
-	}
 	return c
 }
 
-// New builds the named policy. markov and hotset require cfg.Profile.
+// New builds the named policy. markov requires cfg.Profile.
 func New(name string, cfg Config) (Prefetcher, error) {
 	if cfg.Blocks <= 0 {
 		return nil, fmt.Errorf("policy: block count must be positive")
@@ -89,13 +68,8 @@ func New(name string, cfg Config) (Prefetcher, error) {
 			return nil, fmt.Errorf("policy: markov needs a trained profile")
 		}
 		return NewMarkov(cfg.Profile, cfg.TopK, cfg.Depth), nil
-	case "hotset":
-		if cfg.Profile == nil {
-			return nil, fmt.Errorf("policy: hotset needs a trained profile")
-		}
-		return NewHotset(cfg.Profile, cfg.PinCount, NewSequential(cfg.Depth, cfg.Blocks)), nil
 	}
-	return nil, fmt.Errorf("policy: unknown policy %q (want sequential, markov or hotset)", name)
+	return nil, fmt.Errorf("policy: unknown policy %q (want sequential or markov)", name)
 }
 
 // Sequential warms the next depth blocks after a miss.
@@ -105,12 +79,11 @@ type Sequential struct {
 }
 
 // NewSequential returns the fixed-depth sequential policy over an image of
-// the given block count.
+// the given block count. The depth is clamped to [0, blocks]: no miss can
+// warm more blocks than the image has, so an oversized depth never sizes
+// a prediction beyond it.
 func NewSequential(depth, blocks int) *Sequential {
-	if depth < 0 {
-		depth = 0
-	}
-	return &Sequential{depth: depth, blocks: blocks}
+	return &Sequential{depth: max(min(depth, blocks), 0), blocks: blocks}
 }
 
 // Name implements Prefetcher.
@@ -185,31 +158,4 @@ func (m *Markov) Predict(block int) []int {
 		return m.fallback.Predict(block)
 	}
 	return nil
-}
-
-// Hotset pins the profile's hottest blocks and delegates per-miss
-// prediction to an inner policy.
-type Hotset struct {
-	pins  []int
-	inner Prefetcher
-}
-
-// NewHotset pins the pinCount hottest blocks of the profile. inner handles
-// Predict (nil disables per-miss prefetching).
-func NewHotset(p *traceprof.Profile, pinCount int, inner Prefetcher) *Hotset {
-	return &Hotset{pins: p.HotSet(pinCount), inner: inner}
-}
-
-// Name implements Prefetcher.
-func (h *Hotset) Name() string { return "hotset" }
-
-// Pinned implements Pinner: the hottest blocks, hottest first.
-func (h *Hotset) Pinned() []int { return h.pins }
-
-// Predict implements Prefetcher.
-func (h *Hotset) Predict(block int) []int {
-	if h.inner == nil {
-		return nil
-	}
-	return h.inner.Predict(block)
 }

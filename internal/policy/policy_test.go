@@ -29,6 +29,20 @@ func TestSequentialBounds(t *testing.T) {
 	}
 }
 
+// TestSequentialDepthClampedToBlocks: a depth far above the image's
+// block count, as a policy PUT or a daemon flag can ask for, sizes no
+// prediction beyond the image, on its own or as markov's fallback.
+func TestSequentialDepthClampedToBlocks(t *testing.T) {
+	const blocks, depth = 10, 1 << 20
+	if got := NewSequential(depth, blocks).Predict(0); cap(got) > blocks || !reflect.DeepEqual(got, []int{1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+		t.Fatalf("Predict(0) = %v with capacity %d, want blocks 1..9 in at most %d", got, cap(got), blocks)
+	}
+	prof := traceprof.BuildProfile([]int{0, 1, 0}, blocks)
+	if got := NewMarkov(prof, 2, depth).Predict(5); cap(got) > blocks || !reflect.DeepEqual(got, []int{6, 7, 8, 9}) {
+		t.Fatalf("markov fallback Predict(5) = %v with capacity %d, want blocks 6..9 in at most %d", got, cap(got), blocks)
+	}
+}
+
 func TestMarkovTopKAndFallback(t *testing.T) {
 	// 0→7 twice, 0→3 once, 7→0 always.
 	prof := traceprof.BuildProfile([]int{0, 7, 0, 3, 0, 7, 0}, 10)
@@ -56,24 +70,6 @@ func TestMarkovTopKAndFallback(t *testing.T) {
 	}
 }
 
-func TestHotsetPinsAndDelegates(t *testing.T) {
-	prof := traceprof.BuildProfile([]int{4, 4, 4, 2, 2, 9}, 10)
-	h := NewHotset(prof, 2, NewSequential(1, 10))
-	if got := h.Pinned(); !reflect.DeepEqual(got, []int{4, 2}) {
-		t.Fatalf("Pinned = %v", got)
-	}
-	if got := h.Predict(3); !reflect.DeepEqual(got, []int{4}) {
-		t.Fatalf("Predict(3) = %v", got)
-	}
-	if got := NewHotset(prof, 2, nil).Predict(3); got != nil {
-		t.Fatalf("inner=nil Predict = %v", got)
-	}
-	// Pin count above the working set stops at the working set.
-	if got := NewHotset(prof, 99, nil).Pinned(); len(got) != 3 {
-		t.Fatalf("oversized Pinned = %v", got)
-	}
-}
-
 func TestNew(t *testing.T) {
 	prof := traceprof.BuildProfile([]int{0, 1, 0, 1}, 16)
 
@@ -90,22 +86,14 @@ func TestNew(t *testing.T) {
 		t.Fatalf("markov: %v %v", p, err)
 	}
 
-	p, err = New("hotset", Config{Blocks: 16, Profile: prof, PinCount: 1})
-	if err != nil || p.Name() != "hotset" {
-		t.Fatalf("hotset: %v %v", p, err)
-	}
-	if got := p.(Pinner).Pinned(); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("hotset pins = %v", got)
-	}
-
 	for _, bad := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"markov", Config{Blocks: 16}},  // no profile
-		{"hotset", Config{Blocks: 16}},  // no profile
-		{"mystery", Config{Blocks: 16}}, // unknown name
-		{"sequential", Config{}},        // no blocks
+		{"markov", Config{Blocks: 16}},                // no profile
+		{"hotset", Config{Blocks: 16, Profile: prof}}, // unknown name
+		{"mystery", Config{Blocks: 16}},               // unknown name
+		{"sequential", Config{}},                      // no blocks
 	} {
 		if _, err := New(bad.name, bad.cfg); err == nil {
 			t.Errorf("New(%s, %+v) accepted", bad.name, bad.cfg)

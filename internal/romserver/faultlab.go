@@ -339,7 +339,7 @@ func (w *poolWorker) safeBlock(img *image, block int) (data []byte, err error) {
 }
 
 // loadVerified is the hardened load path every decompression goes
-// through (demand, prefetch, bulk run, pin and re-verify alike): bounded
+// through (demand, prefetch, bulk run and re-verify alike): bounded
 // attempts with jittered exponential backoff, integrity verification
 // against the sidecar before the bytes can reach the cache, and health
 // accounting of the final outcome. Each phase is observed into the
@@ -354,7 +354,7 @@ func (w *poolWorker) safeBlock(img *image, block int) (data []byte, err error) {
 // when the overload layer is on — each retry must additionally be
 // granted by the token budget, so a fault burst cannot amplify into a
 // retry storm. Background callers
-// (re-verify, pinning) pass nil and keep the old unbudgeted behavior.
+// (re-verify, prefetch) pass nil and keep the old unbudgeted behavior.
 //
 // It runs on pool worker w: each decode attempt runs as a guarded
 // section under its watchdog. Once the watchdog has answered the

@@ -239,9 +239,6 @@ func (s *Server) registerServerGauges() {
 	reg.GaugeFunc("blockcache_bytes",
 		"Decompressed bytes currently cached.",
 		func() float64 { return float64(s.cache.Stats().Bytes) })
-	reg.GaugeFunc("blockcache_pinned",
-		"Blocks held in the cache's protected (pinned) region.",
-		func() float64 { return float64(s.cache.Stats().Pinned) })
 	reg.CounterFunc("blockcache_leases_acquired_total",
 		"Block leases handed out (zero-copy views pinned by a reference instead of borrowed).",
 		func() float64 { return float64(s.cache.Stats().LeasesAcquired) })

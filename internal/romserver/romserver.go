@@ -15,13 +15,12 @@
 //     dropped, never queued, when the pool is saturated). Every image
 //     starts on the sequential policy — warm i+1..i+k after missing i,
 //     the paper's refill locality — and can be switched to a trained
-//     markov or hotset policy (internal/policy) at runtime.
+//     markov policy (internal/policy) at runtime.
 //
 // The tracelab loop closes over three calls: every demand fetch is
 // recorded into a per-image ring buffer (internal/traceprof); Train
 // compiles the ring (or TrainFrom an offline trace) into an access-pattern
-// profile; SetPolicy compiles the profile into the image's live policy,
-// pinning a hotset policy's pin set into the cache's protected region.
+// profile; SetPolicy compiles the profile into the image's live policy.
 //
 // Close drains: queued work is finished, workers exit, and every API call
 // afterwards reports ErrClosed.
@@ -57,7 +56,7 @@ var (
 	// accesses yet.
 	ErrNoTrace = errors.New("romserver: no recorded trace")
 	// ErrNoProfile is returned by SetPolicy for a policy that needs
-	// training (markov, hotset) before the image has been trained.
+	// training (markov) before the image has been trained.
 	ErrNoProfile = errors.New("romserver: image not trained")
 	// ErrBadPolicy is returned by SetPolicy for an unknown policy name or
 	// invalid policy parameters.
@@ -241,18 +240,15 @@ func (img *image) key(b int) blockcache.Key {
 	return blockcache.Key{Image: img.id, Block: uint32(b)}
 }
 
-// prefState is an image's active policy plus the pin set it holds in the
-// cache's protected region.
+// prefState is an image's active policy.
 type prefState struct {
-	p    policy.Prefetcher
-	name string
-	pins []int
+	p policy.Prefetcher
 }
 
 // task is one pool ticket: a run of blocks block..block+more of img,
 // loaded in order on one worker under its watchdog. A demand read
 // (demand set), a prefetch warm (no reply) and a reverify are one-block
-// runs; any other run is a bulk run for a View or a pin (see handle).
+// runs; any other run is a bulk run for a View (see handle).
 // limit > 0 marks a sub-block read, whose last block needs only its
 // first limit bytes; merged marks a run spanning blocks cached at
 // dispatch, which the worker re-peeks. ctx is the caller's request
@@ -325,9 +321,6 @@ type Server struct {
 	mu     sync.RWMutex
 	images map[string]*image
 	closed bool
-
-	// policyMu serializes SetPolicy's unpin/pin transitions.
-	policyMu sync.Mutex
 
 	tasks   chan task
 	quit    chan struct{} // closed first: stop accepting work
@@ -941,31 +934,24 @@ func (s *Server) Profile(name string) (*traceprof.Profile, error) {
 // PolicySpec selects a prefetch policy for one image. Zero fields take the
 // server defaults.
 type PolicySpec struct {
-	// Policy is "sequential", "markov" or "hotset".
+	// Policy is "sequential" or "markov".
 	Policy string `json:"policy"`
 	// Depth is the sequential/fallback/chain prefetch depth (default:
 	// Options.PrefetchDepth).
 	Depth int `json:"depth"`
 	// TopK is how many Markov successors each miss warms (default 2).
 	TopK int `json:"top_k"`
-	// PinCount is how many hot blocks hotset pins (default: a quarter of
-	// the cache; always clamped to half the cache so demand traffic keeps
-	// room).
-	PinCount int `json:"pin_count"`
 }
 
 // PolicyInfo describes an image's active policy.
 type PolicyInfo struct {
 	Image  string `json:"image"`
 	Policy string `json:"policy"`
-	// Pinned is how many blocks the policy holds in the protected region.
-	Pinned int `json:"pinned"`
 }
 
-// SetPolicy switches the image's prefetch policy. markov and hotset
-// require a prior Train/TrainFrom. A hotset policy's pin set is
-// decompressed and pinned here, before the first request sees the policy;
-// the previous policy's pins are released.
+// SetPolicy switches the image's prefetch policy. markov requires a
+// prior Train/TrainFrom. The new policy takes over with one atomic store:
+// a miss already past its policy load finishes on the old one.
 func (s *Server) SetPolicy(name string, spec PolicySpec) (PolicyInfo, error) {
 	img, err := s.lookup(name)
 	if err != nil {
@@ -978,85 +964,21 @@ func (s *Server) SetPolicy(name string, spec PolicySpec) (PolicyInfo, error) {
 			depth = 4
 		}
 	}
-	pinCount := spec.PinCount
-	if pinCount <= 0 {
-		pinCount = s.cache.Capacity() / 4
-	}
-	if max := s.cache.Capacity() / 2; pinCount > max {
-		pinCount = max
-	}
 	prof := img.profile.Load()
 	p, err := policy.New(spec.Policy, policy.Config{
-		Blocks:   img.blocks,
-		Depth:    depth,
-		TopK:     spec.TopK,
-		PinCount: pinCount,
-		Profile:  prof,
+		Blocks:  img.blocks,
+		Depth:   depth,
+		TopK:    spec.TopK,
+		Profile: prof,
 	})
 	if err != nil {
-		if prof == nil && (spec.Policy == "markov" || spec.Policy == "hotset") {
+		if prof == nil && spec.Policy == "markov" {
 			return PolicyInfo{}, fmt.Errorf("%w: %q (%s policy needs training)", ErrNoProfile, name, spec.Policy)
 		}
 		return PolicyInfo{}, fmt.Errorf("%w: %v", ErrBadPolicy, err)
 	}
-
-	st := &prefState{p: p, name: p.Name()}
-	if pinner, ok := p.(policy.Pinner); ok {
-		st.pins = pinner.Pinned()
-	}
-	s.policyMu.Lock()
-	defer s.policyMu.Unlock()
-	s.cache.UnpinImage(img.id)
-	// Decode and pin the hot set on the pool (it bypasses the trace
-	// recorder on purpose: pinning is an admin-time operation).
-	var pinned []int
-	for _, b := range st.pins {
-		if b < 0 || b >= img.blocks {
-			continue
-		}
-		if err := s.warmBlock(img, b); err != nil {
-			s.cache.UnpinImage(img.id)
-			return PolicyInfo{}, fmt.Errorf("romserver: pinning block %d of %q: %w", b, name, err)
-		}
-		if s.cache.Pin(img.key(b)) {
-			pinned = append(pinned, b)
-		}
-	}
-	// img was looked up before policyMu was taken. If a replace or remove
-	// has deregistered it since, its invalidation may have run before
-	// these pins, which would then hold cache slots under a dead id for
-	// good; drop them here. If img is still registered, a later
-	// deregistration invalidates after this check, and so after the pins.
-	s.mu.RLock()
-	cur := s.images[name]
-	s.mu.RUnlock()
-	if cur != img {
-		s.cache.InvalidateImage(img.id)
-	}
-	st.pins = pinned
-	img.pref.Store(st)
-	return PolicyInfo{Image: name, Policy: st.name, Pinned: len(pinned)}, nil
-}
-
-// warmBlock loads block b of img into the cache as a one-block bulk
-// run, verified and under the pool's watchdog, and waits for it. It has
-// no view to insert the block at Close, so it inserts the block itself.
-// A block already cached needs no ticket.
-func (s *Server) warmBlock(img *image, b int) error {
-	if s.cache.Contains(img.key(b)) {
-		return nil
-	}
-	r := replyPool.Get().(*runReply)
-	select {
-	case s.tasks <- task{img: img, block: b, enq: time.Now(), reply: r}:
-	case <-s.quit:
-		return ErrClosed
-	}
-	ok, err := s.await(nil, r)
-	if ok && err == nil {
-		s.cache.Put(img.key(b), r.blocks[0].data)
-	}
-	return err
+	img.pref.Store(&prefState{p: p})
+	return PolicyInfo{Image: name, Policy: p.Name()}, nil
 }
 
 // Policy reports the image's active policy.
@@ -1071,8 +993,7 @@ func (s *Server) Policy(name string) (PolicyInfo, error) {
 func (img *image) policyInfo() PolicyInfo {
 	info := PolicyInfo{Image: img.name, Policy: "none"}
 	if ref := img.pref.Load(); ref != nil {
-		info.Policy = ref.name
-		info.Pinned = len(ref.pins)
+		info.Policy = ref.p.Name()
 	}
 	return info
 }
@@ -1100,10 +1021,7 @@ func (s *Server) newImage(name string, codec codecomp.BlockCodec, format string,
 		img.recorder = traceprof.NewRecorder(s.opts.TraceBuffer)
 	}
 	if s.opts.PrefetchDepth > 0 {
-		img.pref.Store(&prefState{
-			p:    policy.NewSequential(s.opts.PrefetchDepth, img.blocks),
-			name: "sequential",
-		})
+		img.pref.Store(&prefState{p: policy.NewSequential(s.opts.PrefetchDepth, img.blocks)})
 	}
 	return img
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -537,104 +539,66 @@ func TestPrefetchHitAccountingSequential(t *testing.T) {
 	}
 }
 
-func TestSetPolicyHotsetPinsSurviveColdScan(t *testing.T) {
-	stub := &stubCodec{blocks: 256}
-	// Cache far below the image size so a cold scan evicts everything
-	// unpinned.
-	s := New(Options{CacheBlocks: 16, CacheShards: 1, PrefetchDepth: -1, TraceBuffer: 4096})
+// TestSetPolicySwapUnderMisses swaps an image between the sequential and
+// markov policies while four readers make demand misses that each
+// prefetch under whichever policy is current. A swap is one atomic
+// store, so under -race this checks that no miss reads a half-built
+// policy, and every served block is checked byte for byte.
+func TestSetPolicySwapUnderMisses(t *testing.T) {
+	const blocks, readers, swaps = 512, 4, 200
+	s := New(Options{CacheBlocks: 16, CacheShards: 1, PrefetchDepth: 4, TraceBuffer: 4096})
 	defer s.Close()
-	s.addCodec("stub", stub)
-
-	// Blocks 7 and 200 are hot.
-	trace := make([]int, 0, 64)
-	for i := 0; i < 16; i++ {
-		trace = append(trace, 7, 200)
-	}
-	if _, err := s.TrainFrom("stub", trace); err != nil {
-		t.Fatal(err)
-	}
-	info, err := s.SetPolicy("stub", PolicySpec{Policy: "hotset", PinCount: 2})
-	if err != nil || info.Pinned != 2 {
-		t.Fatalf("SetPolicy = %+v, %v", info, err)
-	}
-
-	// Full cold scan of the whole image.
-	for b := 0; b < stub.blocks; b++ {
-		if _, _, err := s.BlockContext(context.Background(), "stub", b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, b := range []int{7, 200} {
-		if !s.cache.Contains(blockKey(s, "stub", b)) {
-			t.Fatalf("pinned hot block %d evicted by cold scan", b)
-		}
-	}
-	if st := s.cache.Stats(); st.Pinned != 2 {
-		t.Fatalf("pinned = %d", st.Pinned)
-	}
-
-	// Switching back to sequential releases the pins; a fresh cold scan
-	// now evicts the previously hot blocks.
-	if _, err := s.SetPolicy("stub", PolicySpec{Policy: "sequential"}); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.cache.Stats(); st.Pinned != 0 {
-		t.Fatalf("pins survived policy switch: %+v", st)
-	}
-	for b := 0; b < stub.blocks; b++ {
-		s.BlockContext(context.Background(), "stub", b)
-	}
-	if s.cache.Contains(blockKey(s, "stub", 7)) {
-		t.Fatal("unpinned block survived a full cold scan")
-	}
-
-	// RemoveImage drops pinned state cleanly too.
-	s.TrainFrom("stub", trace)
-	s.SetPolicy("stub", PolicySpec{Policy: "hotset", PinCount: 2})
-	if err := s.RemoveImage("stub"); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.cache.Stats(); st.Pinned != 0 || s.cache.Len() != 0 {
-		t.Fatalf("stale cache after remove: %+v, %d entries", st, s.cache.Len())
-	}
-}
-
-// TestSetPolicyRacingReplaceLeavesNoPins replaces an image while a hotset
-// SetPolicy is decoding its first hot block. The replace invalidates the
-// old registration before that block lands, so the pass then caches and
-// pins blocks under a dead id; SetPolicy must drop them, or they hold
-// cache slots that nothing ever names again.
-func TestSetPolicyRacingReplaceLeavesNoPins(t *testing.T) {
-	stub := &stubCodec{blocks: 256, gate: make(chan struct{})}
-	s := New(Options{CacheBlocks: 16, CacheShards: 1, PrefetchDepth: -1, TraceBuffer: 4096, ReverifyInterval: -1})
-	defer s.Close()
-	s.addCodec("stub", stub)
-	trace := make([]int, 0, 64)
-	for i := 0; i < 16; i++ {
-		trace = append(trace, 7, 200)
+	s.addCodec("stub", &stubCodec{blocks: blocks})
+	rng := rand.New(rand.NewSource(1))
+	trace := make([]int, 2048)
+	for i := range trace {
+		trace[i] = rng.Intn(blocks)
 	}
 	if _, err := s.TrainFrom("stub", trace); err != nil {
 		t.Fatal(err)
 	}
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.SetPolicy("stub", PolicySpec{Policy: "hotset", PinCount: 2})
-		done <- err
-	}()
-	for stub.calls.Load() == 0 {
-		time.Sleep(time.Millisecond)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for r := range readers {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for n := 0; n < 200 || !stop.Load(); n++ {
+				b := rng.Intn(blocks)
+				data, _, err := s.BlockContext(context.Background(), "stub", b)
+				if err == nil && !bytes.Equal(data, stubBlock(b)) {
+					err = fmt.Errorf("block %d served %v, want %v", b, data, stubBlock(b))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(int64(r) + 2)
 	}
-	if err := s.RemoveImage("stub"); err != nil {
+	for i := range swaps {
+		spec := PolicySpec{Policy: "sequential", Depth: 1 + i%8}
+		if i%2 == 1 {
+			spec = PolicySpec{Policy: "markov", TopK: 1 + i%3, Depth: 1 + i%8}
+		}
+		if info, err := s.SetPolicy("stub", spec); err != nil || info.Policy != spec.Policy {
+			t.Fatalf("swap %d: SetPolicy(%+v) = %+v, %v", i, spec, info, err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
 		t.Fatal(err)
 	}
-	s.addCodec("stub", &stubCodec{blocks: 256})
-	close(stub.gate)
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if pi, err := s.Policy("stub"); err != nil || pi.Policy != "markov" {
+		t.Fatalf("Policy after the last swap = %+v, %v", pi, err)
 	}
-	if st := s.cache.Stats(); st.Pinned != 0 || s.cache.Len() != 0 {
-		t.Fatalf("stale hotset pass left cache state: %+v, %d entries", st, s.cache.Len())
+	if misses := metric(t, s, "blockcache_misses_total"); misses < readers*100 {
+		t.Fatalf("%d demand misses, want at least %d", misses, readers*100)
 	}
 }
 

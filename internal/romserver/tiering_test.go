@@ -304,8 +304,8 @@ func TestTieringBatchLimit(t *testing.T) {
 }
 
 // TestTierMigrationInvalidates: a migrated block's cached copy is
-// dropped, pinned or not, so the next read decodes it once more through
-// its new tier and serves the same bytes; the read after that hits.
+// dropped, so the next read decodes it once more through its new tier
+// and serves the same bytes; the read after that hits.
 func TestTierMigrationInvalidates(t *testing.T) {
 	_, text := testText(t)
 	s := New(Options{PrefetchDepth: -1, Tiering: &TieringOptions{Interval: -1}})
@@ -330,9 +330,6 @@ func TestTierMigrationInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.cache.Pin(img.key(0)) || s.cache.Stats().Pinned != 1 {
-		t.Fatalf("pin block 0: pinned = %d", s.cache.Stats().Pinned)
-	}
 	if _, err := s.TrainFrom("prog", skewedTrace(info.Blocks, max(1, info.Blocks/10), 20000)); err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +341,8 @@ func TestTierMigrationInvalidates(t *testing.T) {
 	if tier, err := img.tiered.TierOf(0); err != nil || tier == testTierSpec.DefaultTier {
 		t.Fatalf("block 0 still in tier %d (%v)", tier, err)
 	}
-	if p := s.cache.Stats().Pinned; p != 0 {
-		t.Fatalf("pinned = %d after migrating the pinned block, want 0", p)
+	if s.cache.Contains(img.key(0)) {
+		t.Fatal("migrated block 0 still cached")
 	}
 	read(false)
 	if got := decodes() - before; got != 1 {

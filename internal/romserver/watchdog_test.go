@@ -36,8 +36,8 @@ func wedgeServer(t *testing.T) *Server {
 }
 
 // TestWedgeEveryPath drives a wedged codec through every path that
-// decodes — demand, batched range, sub-block tail, streamed text,
-// hot-set pinning and background re-verify — and checks the watchdog
+// decodes — demand, batched range, sub-block tail, streamed text and
+// background re-verify — and checks the watchdog
 // contract on each: the call returns its timeout within a bound, every
 // wedged ticket is answered exactly once and not retried, the
 // one-worker pool keeps serving a healthy image, at most one goroutine
@@ -80,13 +80,6 @@ func TestWedgeEveryPath(t *testing.T) {
 			if n != 0 {
 				t.Errorf("WriteText wrote %d bytes before the wedge", n)
 			}
-			return err
-		}},
-		{"pinning", 1, false, func(t *testing.T, s *Server) error {
-			if _, err := s.TrainFrom("wedged", []int{2, 2, 2, 2}); err != nil {
-				t.Fatal(err)
-			}
-			_, err := s.SetPolicy("wedged", PolicySpec{Policy: "hotset", PinCount: 1})
 			return err
 		}},
 		{"reverify", reverifyBatch, true, func(t *testing.T, s *Server) error {
