@@ -12,7 +12,8 @@ import (
 // TestAppendBlockEquivalence pins the append-style fast decode path to the
 // original per-block decoders: for every synth profile, both ISAs and
 // every block codec, AppendBlock must produce bit-identical output to
-// Block while leaving the caller's prefix untouched. Runs the quick
+// Block while leaving the caller's prefix untouched, and so must
+// AppendBlockPair over every adjacent pair. Runs the quick
 // 4-profile subset by default; FULL_SUITE=1 covers all 18 SPEC95 profiles.
 func TestAppendBlockEquivalence(t *testing.T) {
 	profiles := experiments.QuickProfiles()
@@ -46,6 +47,14 @@ func TestAppendBlockEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			samcX86, err := codecomp.CompressSAMC(x86, codecomp.SAMCOptions{WordBytes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			samcLoaded, err := codecomp.UnmarshalAny(samcImg.Marshal())
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			prefix := []byte("prefix")
 			for _, c := range []struct {
@@ -57,6 +66,8 @@ func TestAppendBlockEquivalence(t *testing.T) {
 				{"SADC/x86", sadcX86},
 				{"Huffman", huffImg},
 				{"RANS", ransImg},
+				{"SAMC/x86", samcX86},
+				{"SAMC/unmarshaled", samcLoaded},
 			} {
 				// One buffer reused across every block: the append path must
 				// behave with recycled capacity, not just fresh slices.
@@ -76,6 +87,22 @@ func TestAppendBlockEquivalence(t *testing.T) {
 					if !bytes.Equal(buf[len(prefix):], want) {
 						t.Fatalf("%s: AppendBlock(%d) diverges from Block", c.name, i)
 					}
+				}
+				// Every adjacent pair, through the codec's two-lane kernel
+				// or the two-call fallback, equals two Block calls.
+				second := []byte("second")
+				for i := 0; i+1 < c.codec.NumBlocks(); i++ {
+					wantA, _ := c.codec.Block(i)
+					wantB, _ := c.codec.Block(i + 1)
+					a, b, err := codecomp.AppendBlockPair(c.codec, buf[:len(prefix)], second, i)
+					if err != nil {
+						t.Fatalf("%s: AppendBlockPair(%d): %v", c.name, i, err)
+					}
+					if !bytes.Equal(a, append(append([]byte(nil), prefix...), wantA...)) ||
+						!bytes.Equal(b, append([]byte("second"), wantB...)) {
+						t.Fatalf("%s: AppendBlockPair(%d) diverges from Block", c.name, i)
+					}
+					buf, second = a, b[:len("second")]
 				}
 			}
 		})

@@ -15,7 +15,8 @@
 // same-pass ratios and machine-independent budgets (each gate's reason is
 // at its check): every codec's fast-vs-reference decode speedup at least
 // 0.8x its baseline's, rANS's at both its default N=4 and the N=1 the
-// tiers serve; rANS's compression ratio at most 1.05x and its
+// tiers serve; SAMC's two-lane pair decode no slower per block than
+// its single-block decode; rANS's compression ratio at most 1.05x and its
 // decode MB/s at least 4x SAMC's in the same pass; the romserver miss at
 // most 1 alloc/op; a cached hit at 0 allocs/op and at most 0.1x the miss's
 // ns/op; a cold 4 KiB range read at most one alloc per decoded block plus
@@ -89,6 +90,10 @@ type report struct {
 	// RANSDecodeSpeedup is rANS's decode MB/s as a multiple of SAMC's,
 	// median of per-pass ratios (decode suite).
 	RANSDecodeSpeedup float64 `json:"rans_decode_speedup,omitempty"`
+	// SAMCPairSpeedup is SAMC's per-block decode time in DecompressBlock
+	// over that in DecompressBlockPair (two blocks per op), median of
+	// per-pass ratios (decode suite).
+	SAMCPairSpeedup float64 `json:"samc_pair_speedup,omitempty"`
 	// PrePRNs records the block-decode latencies measured at the commit
 	// before the fast path landed. Historical constants, not remeasured.
 	PrePRNs map[string]float64 `json:"pre_pr_ns,omitempty"`
@@ -110,12 +115,18 @@ type suite struct {
 }
 
 const (
-	decodeBenches = "^(BenchmarkDecompressBlock|BenchmarkDecompressBlockReference|BenchmarkAppendBlock)$"
+	decodeBenches = "^(BenchmarkDecompressBlock|BenchmarkDecompressBlockPair|BenchmarkDecompressBlockReference|BenchmarkAppendBlock)$"
 	encodeBenches = "^(BenchmarkEncodeBlock|BenchmarkEncodeBlockReference)$"
 	// decodeTolerance is how far a codec's speedup may fall below its
 	// baseline; obsvTolerance how far the observe overhead may rise above.
 	decodeTolerance = 0.20
 	obsvTolerance   = 0.30
+	// pairFloor is the least per-block speedup SAMC's two-lane pair
+	// decode may show over its single-block decode. It is fixed, not
+	// relative to the baseline: the per-pass ratio ranges widely, and a
+	// pair slower per block than two single decodes is a regression on
+	// any machine.
+	pairFloor = 1.0
 )
 
 var suites = []suite{
@@ -304,6 +315,10 @@ func deriveDecode(rep *report, s samples) error {
 		return fmt.Errorf("rans decode: %w", err)
 	}
 	rep.RANSDecodeSpeedup = r
+	if r, err = s.passRatio("samc/DecompressBlock", "samc/DecompressBlockPair", "ns/op"); err != nil {
+		return fmt.Errorf("samc pair: %w", err)
+	}
+	rep.SAMCPairSpeedup = 2 * r
 	rep.PrePRNs = prePR
 	return nil
 }
@@ -387,6 +402,13 @@ func checkDecode(g *gates, fresh, base *report) {
 		g.gate(fresh.RANSDecodeSpeedup >= 4,
 			"%-8s decode %.2fx samc MB/s per pass (median %.2f vs %.2f MB/s, floor 4x)",
 			"rans", fresh.RANSDecodeSpeedup, rans.MBPerSec, samc.MBPerSec)
+	}
+	// Two adjacent blocks decoded as two lanes of one loop cost no more
+	// per block than one block decoded alone, in the same pass.
+	if _, ok := g.bench(fresh, "samc/DecompressBlockPair"); ok {
+		g.gate(fresh.SAMCPairSpeedup >= pairFloor,
+			"%-8s pair decode %.2fx per block over DecompressBlock per pass (floor %.2fx)",
+			"samc", fresh.SAMCPairSpeedup, pairFloor)
 	}
 	miss, okM := g.bench(fresh, "romserver/RomserverMiss")
 	if okM {

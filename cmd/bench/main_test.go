@@ -93,6 +93,9 @@ func TestEachGateCanFail(t *testing.T) {
 		row{"rans MB/s", decode, "rans     decode", func(f, _ *report) {
 			f.RANSDecodeSpeedup = 3.9
 		}},
+		row{"samc pair speedup", decode, "samc     pair decode", func(f, _ *report) {
+			f.SAMCPairSpeedup = pairFloor * 0.99
+		}},
 		row{"miss allocs", decode, "miss path", func(f, _ *report) {
 			set(f, "romserver/RomserverMiss", func(r *result) { r.AllocsPerOp = 2 })
 		}},
@@ -168,7 +171,7 @@ func TestEachGateCanFail(t *testing.T) {
 func TestMissingGatedBenchmarkFails(t *testing.T) {
 	gated := map[string][]string{
 		"BENCH_decode.json": {
-			"codecomp/DecompressRANS", "codecomp/DecompressSAMC",
+			"codecomp/DecompressRANS", "codecomp/DecompressSAMC", "samc/DecompressBlockPair",
 			"romserver/RomserverMiss", "romserver/RomserverHit",
 			"romserver/RomserverColdRange", "romserver/RomserverTextCold",
 			"romserver/RomserverCachedReadAt", "romserver/RomserverWarmRange",

@@ -388,9 +388,10 @@ func AppendBlock(c BlockCodec, dst []byte, i int) ([]byte, error) { return c.App
 // SAMC stops at the word containing the offset, byte-Huffman at the
 // symbol, and SADC at the dictionary token (truncating its final unit),
 // so the decode work each performs is proportional to the requested
-// prefix, not the block size. It is the one optional codec method:
-// rANS, tiered images and codec wrappers share AppendBlockPrefix's
-// full-decode-and-truncate fallback instead of each carrying a copy.
+// prefix, not the block size. rANS, tiered images and codec wrappers
+// share AppendBlockPrefix's full-decode-and-truncate fallback instead of
+// each carrying a copy. It is one of the two optional codec methods,
+// with BlockPairAppender.
 type BlockPrefixAppender interface {
 	AppendBlockPrefix(dst []byte, i, n int) ([]byte, error)
 }
@@ -425,6 +426,35 @@ func AppendBlockPrefix(c BlockCodec, dst []byte, i, n int) (out []byte, decoded 
 	return out, decoded, nil
 }
 
+// BlockPairAppender is the optional two-block extension of BlockCodec:
+// decode blocks i and i+1 in one call. Blocks decode independently, so
+// a codec whose per-block decode is one serial dependency chain can run
+// two blocks as two interleaved lanes of one loop, and the processor
+// overlaps them. AppendBlockPair(dstA, dstB, i) appends block i to dstA
+// and block i+1 to dstB, bit-identical to two AppendBlock calls. Only
+// SAMC implements it; every other codec, the tiered image and codec
+// wrappers such as the fault injector share AppendBlockPair's
+// two-call fallback.
+type BlockPairAppender interface {
+	AppendBlockPair(dstA, dstB []byte, i int) ([]byte, []byte, error)
+}
+
+// AppendBlockPair decodes blocks i and i+1 of any BlockCodec, block i
+// into dstA and block i+1 into dstB: through the codec's two-lane
+// kernel when it has one, otherwise as two AppendBlock calls.
+func AppendBlockPair(c BlockCodec, dstA, dstB []byte, i int) (a, b []byte, err error) {
+	if p, ok := c.(BlockPairAppender); ok {
+		return p.AppendBlockPair(dstA, dstB, i)
+	}
+	if a, err = c.AppendBlock(dstA, i); err != nil {
+		return nil, nil, err
+	}
+	if b, err = c.AppendBlock(dstB, i+1); err != nil {
+		return nil, nil, err
+	}
+	return a, b, nil
+}
+
 // Interface conformance checks.
 var (
 	_ BlockCodec = (*SAMCImage)(nil)
@@ -440,4 +470,5 @@ var (
 	_ BlockPrefixAppender = (*SAMCImage)(nil)
 	_ BlockPrefixAppender = (*SADCImage)(nil)
 	_ BlockPrefixAppender = (*HuffmanImage)(nil)
+	_ BlockPairAppender   = (*SAMCImage)(nil)
 )

@@ -28,19 +28,28 @@ func hammerBlocks(t *testing.T, img codecomp.BlockCodec, text []byte) {
 			// Each goroutine starts at a different offset so at any moment
 			// several goroutines are inside the same block and several are
 			// in different blocks — both sharing patterns race-checked.
+			// Odd goroutines decode two blocks per step through
+			// AppendBlockPair (SAMC's two-lane kernel, the other codecs'
+			// two-call fallback), so pairs race single decodes too.
 			for k := 0; k < n; k++ {
 				i := (k + g*n/goroutines) % n
-				got, err := img.Block(i)
+				var got, next []byte
+				var err error
+				if g%2 == 1 && i+1 < n {
+					got, next, err = codecomp.AppendBlockPair(img, nil, nil, i)
+				} else {
+					got, err = img.Block(i)
+				}
 				if err != nil {
 					t.Errorf("goroutine %d: Block(%d): %v", g, i, err)
 					return
 				}
-				end := (i + 1) * 32
-				if end > len(text) {
-					end = len(text)
-				}
-				if !bytes.Equal(got, text[i*32:end]) {
+				if !bytes.Equal(got, text[i*32:min((i+1)*32, len(text))]) {
 					t.Errorf("goroutine %d: Block(%d): wrong bytes", g, i)
+					return
+				}
+				if next != nil && !bytes.Equal(next, text[(i+1)*32:min((i+2)*32, len(text))]) {
+					t.Errorf("goroutine %d: AppendBlockPair(%d): wrong second block", g, i)
 					return
 				}
 			}

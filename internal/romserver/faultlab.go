@@ -131,24 +131,40 @@ func buildSidecar(c codecomp.BlockCodec) (*sidecar, error) {
 	return sc, nil
 }
 
-// fill decodes blocks [lo,hi) into one reused buffer and records each
-// one's checksum and length. It recovers a codec panic into an error
-// itself: it may run on its own goroutine, where no caller could.
+// fill decodes blocks [lo,hi) two at a time through
+// codecomp.AppendBlockPair, into two reused buffers, and records each
+// one's checksum and length. A pair that fails is decoded again one
+// block at a time, so the error names the failing block. It recovers a
+// codec panic into an error itself: it may run on its own goroutine,
+// where no caller could.
 func (sc *sidecar) fill(c codecomp.BlockCodec, lo, hi int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("codec panicked during verification: %v", r)
 		}
 	}()
-	var buf []byte
+	var a, b []byte
 	for i := lo; i < hi; i++ {
-		if buf, err = c.AppendBlock(buf[:0], i); err != nil {
+		if i+1 < hi {
+			if a, b, err = codecomp.AppendBlockPair(c, a[:0], b[:0], i); err == nil {
+				sc.record(i, a)
+				sc.record(i+1, b)
+				i++
+				continue
+			}
+		}
+		if a, err = c.AppendBlock(a[:0], i); err != nil {
 			return fmt.Errorf("block %d failed to decompress: %w", i, err)
 		}
-		sc.crcs[i] = crc32.Checksum(buf, castagnoli)
-		sc.lens[i] = int32(len(buf))
+		sc.record(i, a)
 	}
 	return nil
+}
+
+// record notes block i's decoded checksum and length.
+func (sc *sidecar) record(i int, data []byte) {
+	sc.crcs[i] = crc32.Checksum(data, castagnoli)
+	sc.lens[i] = int32(len(data))
 }
 
 // blockOffsets folds the sidecar's per-block lengths into the
@@ -459,6 +475,74 @@ func (w *poolWorker) loadVerified(ctx context.Context, img *image, block int, sp
 	s.met.loadFailures.Inc()
 	s.recordHealth(img, block, true)
 	return nil, now, lastErr
+}
+
+// loadPair loads blocks b and b+1 of a bulk run through the codec's
+// two-lane kernel (codecomp.BlockPairAppender). One guarded section
+// covers both decodes, and the clock is read once when the decode ends
+// and once when verification ends. Each block gets its own
+// sidecar-sized buffer, so the cache never holds two blocks in one
+// backing array, its own sidecar check and its own health record, and
+// is observed in the decode, verify and block-load histograms at half
+// the pair's time, so each keeps one sample per block. The pair starts
+// at *now and leaves its last reading there.
+//
+// ok is false when the pair loaded nothing: the codec has no two-lane
+// kernel (a fault injector included, so its faults meet exactly the
+// calls the single path makes), or the decode failed, panicked,
+// outlived the watchdog or failed verification. The caller then loads
+// both blocks through loadVerified, which retries, counts corruption
+// and records health as for any single block, and meets any guard or
+// watchdog error again at its own guard. A failed pair records nothing
+// but its decompressions and a recovered panic.
+func (w *poolWorker) loadPair(ctx context.Context, img *image, b int, now *time.Time) (da, db []byte, ok bool) {
+	pc, ok := img.activeCodec().(codecomp.BlockPairAppender)
+	if !ok {
+		return nil, nil, false
+	}
+	s, start := w.s, *now
+	if w.guard(ctx, b, start) != nil {
+		return nil, nil, false
+	}
+	da, db, err := w.safePair(img, pc, b)
+	outlived := w.settle()
+	decodeEnd := time.Now()
+	*now = decodeEnd
+	if outlived != nil || err != nil {
+		return nil, nil, false
+	}
+	verr := img.sidecar.verify(b, da)
+	if verr == nil {
+		verr = img.sidecar.verify(b+1, db)
+	}
+	*now = time.Now()
+	if verr != nil {
+		return nil, nil, false
+	}
+	decode, verify := decodeEnd.Sub(start)/2, now.Sub(decodeEnd)/2
+	for range 2 {
+		w.acct.decode.Observe(decode)
+		w.acct.verify.Observe(verify)
+		w.acct.blockLoad.Observe(decode + verify)
+	}
+	s.recordHealth(img, b, false)
+	s.recordHealth(img, b+1, false)
+	return da, db, true
+}
+
+// safePair is safeBlock for a pair: one call of the codec's two-lane
+// kernel, each block decoding into its own buffer sized from the
+// sidecar, with a panic recovered into ErrCodecPanic.
+func (w *poolWorker) safePair(img *image, pc codecomp.BlockPairAppender, b int) (da, db []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			w.s.met.codecPanics.Inc()
+			err = fmt.Errorf("%w: blocks %d-%d of %q: %v", ErrCodecPanic, b, b+1, img.name, r)
+		}
+	}()
+	w.acct.decompressions += 2
+	lens := img.sidecar.lens
+	return pc.AppendBlockPair(make([]byte, 0, lens[b]), make([]byte, 0, lens[b+1]), b)
 }
 
 // recordHealth pushes a final load outcome into the image's health window

@@ -114,11 +114,11 @@ func newServerMetrics(reg *obsv.Registry, tracer *obsv.Tracer) *serverMetrics {
 		queueWait: reg.Histogram("romserver_queue_wait_seconds",
 			"Time a read's miss ticket (a demand miss, or a range, byte or text miss run) waited in the worker-pool queue (hits never queue; prefetches and re-verifies add no sample)."),
 		decode: reg.Histogram("romserver_decode_seconds",
-			"Wall-clock time of one decompression attempt: the codec call and its panic recovery, run inline on the pool worker."),
+			"Wall-clock time of one decompression attempt: the codec call and its panic recovery, run inline on the pool worker. A paired bulk decode (two adjacent blocks in one codec call) is charged half to each block."),
 		verify: reg.Histogram("romserver_verify_seconds",
-			"Time verifying one decompressed block against the integrity sidecar."),
+			"Time verifying one decompressed block against the integrity sidecar. A paired bulk decode's two verifies are charged half each."),
 		blockLoad: reg.Histogram("romserver_block_load_seconds",
-			"End-to-end time of one hardened block load: all attempts, backoff, verification."),
+			"End-to-end time of one hardened block load: all attempts, backoff, verification. A paired bulk decode's load is charged half to each block."),
 
 		decompressions: reg.Counter("romserver_decompressions_total",
 			"Codec block decompressions actually executed (the work the cache exists to avoid)."),

@@ -417,7 +417,9 @@ func (s *Server) Close() error {
 // does not join the demand singleflight, so Deduped counts demand reads
 // only. A merged run re-peeks; an unmerged one was all-miss at dispatch
 // and decodes straight through, since a block another read filled
-// meanwhile costs less to decode again than a shard lock per block.
+// meanwhile costs less to decode again than a shard lock per block,
+// two adjacent blocks at a time where the codec has a two-lane kernel
+// (see loadPair).
 // The ticket's clock reading serves its queue wait, watchdog and first
 // load; each later load starts at the previous block's last reading.
 func (w *poolWorker) handle(t task) bool {
@@ -442,6 +444,8 @@ func (w *poolWorker) handle(t task) bool {
 	var (
 		hit, stale            bool
 		decoded, decodedBytes int
+		// solo is the first block of the run a pair load may start at.
+		solo int
 	)
 	last := t.block + t.more
 	for b := t.block; b <= last; b++ {
@@ -472,6 +476,17 @@ func (w *poolWorker) handle(t task) bool {
 			// cannot be sidecar-verified, so it is served but not cached.
 			data, n, err = w.decodePrefix(t.ctx, img, b, t.limit, now)
 		default:
+			if b >= solo && b < last && !t.merged && (t.limit == 0 || b+1 < last) {
+				if a, c, ok := w.loadPair(t.ctx, img, b, &now); ok {
+					w.blocks = append(w.blocks, runBlock{a, true}, runBlock{c, true})
+					decoded += 2
+					decodedBytes += len(a) + len(c)
+					b++
+					continue
+				}
+				// Both blocks of a failed pair load one at a time.
+				solo = b + 2
+			}
 			data, now, err = w.loadVerified(t.ctx, img, b, nil, now)
 			n, verified = len(data), true
 		}
@@ -932,16 +947,28 @@ func (s *Server) Profile(name string) (*traceprof.Profile, error) {
 }
 
 // PolicySpec selects a prefetch policy for one image. Zero fields take the
-// server defaults.
+// server defaults; SetPolicy clamps larger ones to MaxPolicyDepth and
+// MaxPolicyTopK.
 type PolicySpec struct {
 	// Policy is "sequential" or "markov".
 	Policy string `json:"policy"`
 	// Depth is the sequential/fallback/chain prefetch depth (default:
-	// Options.PrefetchDepth).
+	// Options.PrefetchDepth, at most MaxPolicyDepth).
 	Depth int `json:"depth"`
-	// TopK is how many Markov successors each miss warms (default 2).
+	// TopK is how many Markov successors each miss warms (default 2, at
+	// most MaxPolicyTopK).
 	TopK int `json:"top_k"`
 }
+
+// MaxPolicyDepth and MaxPolicyTopK bound a PolicySpec, so no prediction
+// is longer than MaxPolicyDepth blocks, sixteen times the default
+// depth. Building a markov policy walks each block's top-1 chain until
+// depth blocks are predicted, so an unbounded depth costs time and
+// memory quadratic in a cyclic trace's distinct blocks.
+const (
+	MaxPolicyDepth = 64
+	MaxPolicyTopK  = 8
+)
 
 // PolicyInfo describes an image's active policy.
 type PolicyInfo struct {
@@ -964,11 +991,12 @@ func (s *Server) SetPolicy(name string, spec PolicySpec) (PolicyInfo, error) {
 			depth = 4
 		}
 	}
+	depth, topK := min(depth, MaxPolicyDepth), min(spec.TopK, MaxPolicyTopK)
 	prof := img.profile.Load()
 	p, err := policy.New(spec.Policy, policy.Config{
 		Blocks:  img.blocks,
 		Depth:   depth,
-		TopK:    spec.TopK,
+		TopK:    topK,
 		Profile: prof,
 	})
 	if err != nil {

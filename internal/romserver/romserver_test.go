@@ -510,6 +510,43 @@ func TestSetPolicyMarkovPrefetchesTrainedSuccessor(t *testing.T) {
 	}
 }
 
+// TestSetPolicyClampsMarkovDepth sets a markov policy with an oversized
+// depth and top-k over a 4,000-block cyclic profile, where an unbounded
+// chain walk predicts every other block for every block: the build
+// finishes quickly and no prediction exceeds MaxPolicyDepth.
+func TestSetPolicyClampsMarkovDepth(t *testing.T) {
+	const blocks = 4000
+	s := New(Options{TraceBuffer: 16})
+	defer s.Close()
+	s.addCodec("stub", &stubCodec{blocks: blocks})
+	trace := make([]int, 0, 2*blocks)
+	for range 2 {
+		for b := range blocks {
+			trace = append(trace, b)
+		}
+	}
+	if _, err := s.TrainFrom("stub", trace); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := s.SetPolicy("stub", PolicySpec{Policy: "markov", Depth: 1 << 20, TopK: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("markov build at depth 1<<20 took %v", took)
+	}
+	img, err := s.lookup("stub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := img.pref.Load().p
+	for b := range blocks {
+		if n := len(p.Predict(b)); n == 0 || n > MaxPolicyDepth {
+			t.Fatalf("block %d predicts %d blocks, want 1..%d", b, n, MaxPolicyDepth)
+		}
+	}
+}
+
 func TestPrefetchHitAccountingSequential(t *testing.T) {
 	stub := &stubCodec{blocks: 16}
 	s := New(Options{PrefetchDepth: 4})

@@ -3,6 +3,7 @@ package samc
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 	"testing"
 
 	"codecomp/internal/arith"
@@ -80,6 +81,79 @@ func FuzzAppendBlockMatchesReference(f *testing.F) {
 					t.Fatalf("opts %+v block %d: %d-byte prefix differs from reference (%v)", opts, i, n, err)
 				}
 			}
+		}
+	})
+}
+
+// pairSeedImages are the images FuzzAppendBlockPairMatchesSingle takes
+// its models from: unconnected, connected, quantized, a streams.Optimize
+// division and byte mode, each trained on testText.
+var pairSeedImages = sync.OnceValues(func() ([]*Compressed, error) {
+	text := testText()
+	var out []*Compressed
+	for _, opts := range []Options{
+		{},
+		{Connected: true},
+		{Quantize: true},
+		{Division: optimizedDivision(text), Connected: true},
+		{WordBytes: 1},
+	} {
+		c, err := Compress(text, opts)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, c)
+	}
+	return out, nil
+})
+
+// optimizedDivision is a streams.Optimize division of 4-byte-word text.
+func optimizedDivision(text []byte) streams.Division {
+	words := make([]uint64, 0, len(text)/4)
+	for w := 0; w+4 <= len(text); w += 4 {
+		words = append(words, loadWord(text[w:w+4], nil, true))
+	}
+	return streams.Optimize(words, 32, 4, streams.Options{Seed: 1, Iterations: 40, MaxSample: 1024, Connected: true}).Division
+}
+
+// FuzzAppendBlockPairMatchesSingle pins the two-lane kernel to two
+// AppendBlock calls on arbitrary payload bytes in both lanes, decoded
+// against a seed model picked by model. The second block is tail%words+1
+// words long, so a full block pairs through the two-lane loop and a
+// short last block through its two-single fallback.
+func FuzzAppendBlockPairMatchesSingle(f *testing.F) {
+	images, err := pairSeedImages()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for m, c := range images {
+		full := byte(c.BlockSize/c.WordBytes - 1)
+		f.Add(c.Blocks[0], c.Blocks[1], byte(m), full)
+		f.Add(c.Blocks[2], c.Blocks[7], byte(m), full/2)
+	}
+	f.Add([]byte{}, []byte{}, byte(0), byte(7))
+	f.Add(bytes.Repeat([]byte{0xff}, 40), []byte{0}, byte(1), byte(7))
+	f.Fuzz(func(t *testing.T, a, b []byte, model, tail byte) {
+		if len(a) > 256 {
+			a = a[:256]
+		}
+		if len(b) > 256 {
+			b = b[:256]
+		}
+		m := images[int(model)%len(images)]
+		words := m.BlockSize / m.WordBytes
+		c := &Compressed{
+			Model: m.Model, Division: m.Division,
+			BlockSize: m.BlockSize, WordBytes: m.WordBytes,
+			OrigSize: m.BlockSize + (int(tail)%words+1)*m.WordBytes,
+			Blocks:   [][]byte{a, b},
+		}
+		wantA, _ := c.AppendBlock([]byte("a"), 0)
+		wantB, _ := c.AppendBlock([]byte("bb"), 1)
+		gotA, gotB, err := c.AppendBlockPair([]byte("a"), []byte("bb"), 0)
+		if err != nil || !bytes.Equal(gotA, wantA) || !bytes.Equal(gotB, wantB) {
+			t.Fatalf("model %d, %d-byte second block: pair differs from two AppendBlock calls (%v)",
+				int(model)%len(images), c.OrigSize-c.BlockSize, err)
 		}
 	})
 }

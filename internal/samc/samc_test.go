@@ -279,6 +279,87 @@ func BenchmarkDecompressBlock(b *testing.B) {
 	}
 }
 
+// BenchmarkDecompressBlockPair decodes two adjacent blocks per op
+// through the two-lane kernel, over the corpus and image of
+// BenchmarkDecompressBlock, with one allocation per block as Block
+// makes.
+func BenchmarkDecompressBlockPair(b *testing.B) {
+	text := testText()
+	c, err := Compress(text, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := c.NumBlocks() / 2
+	b.SetBytes(64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := 2 * (i % pairs)
+		var err error
+		if pairSinkA, pairSinkB, err = c.AppendBlockPair(make([]byte, 0, 32), make([]byte, 0, 32), j); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// pairSinkA and pairSinkB keep BenchmarkDecompressBlockPair's blocks on
+// the heap, as Block's are.
+var pairSinkA, pairSinkB []byte
+
+// TestAppendBlockPairMatchesSingle pins the two-lane kernel to two
+// AppendBlock calls over every adjacent pair of images in each option
+// shape, a streams.Optimize division and a short last block included,
+// and of each image's Unmarshal round trip, with destinations that
+// already hold bytes.
+func TestAppendBlockPairMatchesSingle(t *testing.T) {
+	text := testText()
+	short := text[:len(text)-12]
+	for _, tc := range []struct {
+		text []byte
+		opts Options
+	}{
+		{text, Options{}},
+		{text, Options{Connected: true}},
+		{text, Options{Quantize: true}},
+		{text, Options{WordBytes: 1}},
+		{text, Options{WordBytes: 2, BlockSize: 64}},
+		{text, Options{BlockSize: 16, Connected: true}},
+		{text, Options{Division: optimizedDivision(text), Connected: true}},
+		{short, Options{}},
+		{short, Options{WordBytes: 1, BlockSize: 64}},
+	} {
+		c, err := Compress(tc.text, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := Unmarshal(c.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, img := range []*Compressed{c, u} {
+			checkPairs(t, img, tc.opts)
+		}
+	}
+}
+
+// checkPairs compares AppendBlockPair with two AppendBlock calls over
+// every adjacent pair of c, and checks the pair's out-of-range errors.
+func checkPairs(t *testing.T, c *Compressed, opts Options) {
+	t.Helper()
+	for i := 0; i+1 < c.NumBlocks(); i++ {
+		wantA, _ := c.AppendBlock([]byte("a"), i)
+		wantB, _ := c.AppendBlock([]byte("bb"), i+1)
+		gotA, gotB, err := c.AppendBlockPair([]byte("a"), []byte("bb"), i)
+		if err != nil || !bytes.Equal(gotA, wantA) || !bytes.Equal(gotB, wantB) {
+			t.Fatalf("opts %+v: pair %d differs from two AppendBlock calls (%v)", opts, i, err)
+		}
+	}
+	for _, i := range []int{-1, c.NumBlocks() - 1, c.NumBlocks()} {
+		if _, _, err := c.AppendBlockPair(nil, nil, i); err == nil {
+			t.Fatalf("opts %+v: pair %d of %d blocks decoded", opts, i, c.NumBlocks())
+		}
+	}
+}
+
 // TestAppendBlockMatchesReference pins the fast path (value decoder,
 // flattened model trees, shift-table word assembly) to the original
 // bit-serial decode, byte for byte, across option shapes and with a
